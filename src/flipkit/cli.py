@@ -147,8 +147,6 @@ def build_parser():
         description="Flippable tilings of constant curvature surfaces: "
         "projections, flips, duality and the prescribed-curvature solver.",
     )
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed recorded for reproducibility of randomized runs")
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("project", help="polyhedron -> flippable tiling")

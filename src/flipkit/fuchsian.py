@@ -11,13 +11,15 @@ the left/right projections to flippable tilings of the quotient
 hyperbolic surface, and the spherical star-polyhedron Jacobian.
 """
 
+import itertools
 import logging
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import coo_matrix
 from scipy.spatial import ConvexHull as EuclideanHull
-from scipy.spatial import QhullError
+from scipy.spatial import QhullError, cKDTree
 
 from .errors import ConvergenceError, DevelopmentError, GeometryError
 from .forms import Signature, inv4, mul4
@@ -53,6 +55,17 @@ def extend_isometry(g):
 def ray_point(p, h):
     """Point at height h on the half-ray through p orthogonal to H."""
     return np.concatenate([np.cos(h) * np.asarray(p), [np.sin(h)]])
+
+
+def orbit_points(elements, rays, heights):
+    """`ray_point(g @ rays[b], heights[b])` for each of the stacked (m, 3, 3)
+    `elements` g and each ray b, as row g_index * len(rays) + b."""
+    base = (elements[:, None] @ rays[None, :, :, None])[..., 0]
+    h = np.asarray(heights, dtype=float)
+    out = np.empty(base.shape[:2] + (4,))
+    out[..., :3] = np.cos(h)[:, None] * base
+    out[..., 3] = np.sin(h)
+    return out.reshape(-1, 4)
 
 
 def space_dist(x, y):
@@ -153,10 +166,6 @@ class FuchsianGroup:
     def contains(self, p, tol=1e-9):
         """Is the hyperboloid point p inside the fundamental polygon?"""
         return bool(np.all(self.side_normals @ (Q_HYP * p) <= tol))
-
-    def displacement(self, g):
-        """Distance by which g moves the polygon center (0,0,1)."""
-        return float(np.arccosh(max(g[2, 2], 1.0)))
 
     def elements(self, word_length, prune_dist):
         """Distinct elements of word length <= `word_length` moving the
@@ -327,10 +336,29 @@ class VertexStar:
         return len(self.neighbors)
 
 
-@dataclass
 class SurfaceFace:
-    vertex_ids: list
-    pole: np.ndarray
+    """Merged hull face: its vertex set, AdS plane pole and hull chart.
+
+    ids        : the face's vertex ids, ascending
+    vertex_ids : the same ids in cyclic order, starting from the least;
+                 computed from the chart on first read, because a hull has
+                 thousands of faces and only those near the fundamental
+                 vertices are ever read in order
+    """
+
+    __slots__ = ("ids", "pole", "_chart", "_cyclic")
+
+    def __init__(self, ids, pole, chart):
+        self.ids = ids
+        self.pole = pole
+        self._chart = chart
+        self._cyclic = None
+
+    @property
+    def vertex_ids(self):
+        if self._cyclic is None:
+            self._cyclic = _cyclic_face_order(self._chart, self.ids)
+        return self._cyclic
 
 
 class FuchsianSurface:
@@ -345,10 +373,16 @@ class FuchsianSurface:
         self.faces = faces
         self.stars = stars
         self.word_length = word_length
-        self._incidence = {}
-        for fi, f in enumerate(faces):
-            for v in f.vertex_ids:
-                self._incidence.setdefault(v, []).append(fi)
+        # incidence as CSR: the faces at vertex v, ascending, are
+        # _incident_faces[_incidence_start[v]:_incidence_start[v + 1]]
+        sizes = np.array([len(f.ids) for f in faces], dtype=np.intp)
+        flat = np.fromiter(itertools.chain.from_iterable(f.ids for f in faces),
+                           dtype=np.intp, count=int(sizes.sum()))
+        by_vertex = np.argsort(flat, kind="stable")
+        self._incident_faces = np.repeat(np.arange(len(faces)), sizes)[by_vertex]
+        self._incidence_start = np.searchsorted(
+            flat[by_vertex], np.arange(len(points4) + 1)
+        )
 
     @property
     def group(self):
@@ -389,7 +423,8 @@ class FuchsianSurface:
         return tuple(out)
 
     def faces_at(self, vid):
-        return self._incidence.get(vid, [])
+        lo, hi = self._incidence_start[vid:vid + 2]
+        return self._incident_faces[lo:hi].tolist()
 
     def vertex_id(self, base, elem_matrix):
         """Hull vertex id of the orbit point (base, group element)."""
@@ -453,13 +488,13 @@ class FuchsianSurface:
         """Canonical key of the face orbit under the group action."""
         f = self.faces[fi]
         best = None
-        for vid in f.vertex_ids:
+        for vid in f.ids:
             b, e = self.vert_info[vid]
             ginv = np.linalg.inv(self.elements[e])
             labels = sorted(
                 (self.vert_info[u][0],
                  self.group.element_key(ginv @ self.elements[self.vert_info[u][1]]))
-                for u in f.vertex_ids
+                for u in f.ids
             )
             key = tuple(labels)
             if best is None or key < best:
@@ -545,7 +580,9 @@ def orbit_hull(config, word_length=None, stable_repeats=2):
     The hull is taken in the projective chart x4 = 1, where H* sits at the
     origin; the surface faces are the hull facets visible from the origin.
     Truncation grows until the fundamental star combinatorics repeat twice
-    in a row (`stable_repeats` agreements).
+    in a row (`stable_repeats` agreements).  Each build orders cyclically
+    only the faces incident to the fundamental vertices, for their stars;
+    any other face is ordered when its `vertex_ids` is first read.
     """
     L = word_length if word_length is not None else config.word_length
     cap = config.word_length_cap
@@ -592,27 +629,29 @@ def _batch_poles(points4, simplices):
     return poles, ok
 
 
-def _merge_by_pole(poles, eps):
-    """Union-find grouping of rows of `poles` within distance eps."""
-    from scipy.spatial import cKDTree
+def _merge_faces(simplices, poles, chart):
+    """Merge hull triangles whose plane poles lie within EPS_FACE_MERGE.
 
-    tree = cKDTree(poles)
-    parent = np.arange(len(poles))
+    Faces come in the order of their least triangle, whose pole they keep;
+    `connected_components` labels components in that order.
+    """
+    # imported on first use: the spherical path never builds an orbit
+    # hull, and loading csgraph adds about 3 MB to the process
+    from scipy.sparse.csgraph import connected_components
 
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i, j in tree.query_pairs(eps):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[rj] = ri
-    groups = {}
-    for i in range(len(poles)):
-        groups.setdefault(find(i), []).append(i)
-    return list(groups.values())
+    pairs = cKDTree(poles).query_pairs(EPS_FACE_MERGE, output_type="ndarray")
+    graph = coo_matrix(
+        (np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])),
+        shape=(len(poles), len(poles)),
+    )
+    _, labels = connected_components(graph, directed=False)
+    _, first, sizes = np.unique(labels, return_index=True, return_counts=True)
+    ids = np.sort(simplices[first], axis=1).tolist()
+    if np.any(sizes > 1):
+        members = np.split(np.argsort(labels, kind="stable"), np.cumsum(sizes)[:-1])
+        for k in np.nonzero(sizes > 1)[0]:
+            ids[k] = np.unique(simplices[members[k]]).tolist()
+    return [SurfaceFace(f, pole, chart) for f, pole in zip(ids, poles[first])]
 
 
 def _orbit_hull_once(config, word_length):
@@ -624,15 +663,10 @@ def _orbit_hull_once(config, word_length):
     elems = group.elements(word_length, prune)
     n = config.n
 
-    points4 = np.empty((len(elems) * n, 4))
-    vert_info = []
-    displacement = np.empty(len(elems) * n)
-    for ei, g in enumerate(elems):
-        disp = group.displacement(g)
-        for bi in range(n):
-            points4[ei * n + bi] = ray_point(g @ config.rays[bi], heights[bi])
-            vert_info.append((bi, ei))
-            displacement[ei * n + bi] = disp
+    stacked = np.asarray(elems)
+    points4 = orbit_points(stacked, config.rays, heights)
+    vert_info = [(bi, ei) for ei in range(len(elems)) for bi in range(n)]
+    displacement = np.repeat(np.arccosh(np.maximum(stacked[:, 2, 2], 1.0)), n)
     chart = points4[:, :3] / points4[:, 3:4]
 
     try:
@@ -640,12 +674,10 @@ def _orbit_hull_once(config, word_length):
     except QhullError as exc:
         raise GeometryError(f"degenerate orbit configuration: {exc}") from exc
 
-    hull_vertices = set(ch.vertices.tolist())
-    for vid in range(n):
-        if vid not in hull_vertices:
-            raise GeometryError(
-                "vertices not in convex position (a ray point is inside the hull)"
-            )
+    if not np.all(np.isin(np.arange(n), ch.vertices)):
+        raise GeometryError(
+            "vertices not in convex position (a ray point is inside the hull)"
+        )
 
     visible = np.nonzero(ch.equations[:, 3] > 1e-13)[0]
     simplices = ch.simplices[visible]
@@ -653,16 +685,14 @@ def _orbit_hull_once(config, word_length):
     simplices = simplices[spacelike]
     poles = poles[spacelike]
 
-    # only facets near the fundamental domain are trustworthy
+    # only facets near the fundamental domain are trustworthy; the
+    # displacement of an orbit point is the distance its element moves the
+    # polygon center (0, 0, 1)
     near = np.min(displacement[simplices], axis=1) < prune - 2.0
     simplices = simplices[near]
     poles = poles[near]
 
-    faces = []
-    for idx in _merge_by_pole(poles, EPS_FACE_MERGE):
-        ids = sorted(set(simplices[idx].ravel().tolist()))
-        faces.append(SurfaceFace(_cyclic_face_order(chart, ids), poles[idx[0]]))
-
+    faces = _merge_faces(simplices, poles, chart)
     surf = FuchsianSurface(config, elems, points4, vert_info, faces, [], word_length)
     surf.stars = [_build_star(surf, vid) for vid in range(n)]
     return surf
@@ -717,11 +747,7 @@ def curvatures(surf):
 
 def reembedded_points(surf, heights):
     """Orbit points re-embedded at new heights, same combinatorics."""
-    pts = np.empty_like(surf.points4)
-    for vid, (bi, ei) in enumerate(surf.vert_info):
-        g = surf.elements[ei]
-        pts[vid] = ray_point(g @ surf.config.rays[bi], heights[bi])
-    return pts
+    return orbit_points(np.asarray(surf.elements), surf.config.rays, heights)
 
 
 def cone_angles_fixed_combinatorics(surf, heights):
@@ -906,8 +932,11 @@ def solve_prescribed_curvature(
                 return h, surf, k_now, True
             Jm = jacobian(surf)
             last_cond = Jm.condition
-            # k = 2 pi - omega, so dk/dh = -J
-            step = np.linalg.solve(Jm.matrix, r)
+            # k = 2 pi - omega, so dk/dh = -J; a singular J fails the step
+            try:
+                step = np.linalg.solve(Jm.matrix, r)
+            except np.linalg.LinAlgError:
+                return h, surf, k_now, False
             lam = 1.0
             improved = False
             while lam > 1e-6:
@@ -1091,12 +1120,12 @@ def _face_deck(surf, fi, rep_fi):
     """Deck g with face fi = g . face rep_fi, by exhaustive vertex matching."""
     f = surf.faces[fi]
     rep = surf.faces[rep_fi]
-    u0 = f.vertex_ids[0]
+    u0 = f.ids[0]
     b0 = surf.base_of(u0)
     g0 = _elem3(surf, u0)
-    rep_pts = surf.points4[list(rep.vertex_ids)][:, :3]
-    f_pts = surf.points4[list(f.vertex_ids)][:, :3]
-    for w in rep.vertex_ids:
+    rep_pts = surf.points4[rep.ids][:, :3]
+    f_pts = surf.points4[f.ids][:, :3]
+    for w in rep.ids:
         if surf.base_of(w) != b0:
             continue
         cand = g0 @ np.linalg.inv(_elem3(surf, w))
@@ -1304,8 +1333,6 @@ def ads_project(surf, side):
         group, surf.config.rays, surf.config.word_length,
         surf.config.word_length_cap
     )
-    from .tilings import Side as _S
-
     T = FlippableTiling(side.other, black, white, edges, ambient=ambient)
     from .tilings import _assert_handedness
 

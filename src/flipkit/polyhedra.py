@@ -36,7 +36,11 @@ def from_chart(u):
 
 
 def normalize_rows(a):
-    return a / np.linalg.norm(a, axis=-1, keepdims=True)
+    """Rows scaled to unit length.  Rows already unit to within a few ulp
+    are returned unchanged, so normalizing twice gives the same bits."""
+    norms = np.linalg.norm(a, axis=-1, keepdims=True)
+    norms[np.abs(norms - 1.0) <= 4 * np.finfo(float).eps] = 1.0
+    return a / norms
 
 
 @dataclass(frozen=True)

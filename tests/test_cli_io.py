@@ -6,10 +6,12 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_polyhedron, regular_tetrahedron
+from conftest import polyhedron_corpus, random_polyhedron, regular_tetrahedron
+from flipkit import fuchsian
 from flipkit import io as fio
 from flipkit.cli import main
 from flipkit.errors import SchemaError
+from flipkit.polyhedra import polar_dual
 from flipkit.render import render_svg
 from flipkit.tilings import (
     Side,
@@ -47,6 +49,16 @@ def test_polyhedron_round_trip_bytes(tmp_path, tetrahedron):
     p1 = write_poly(tmp_path, tetrahedron)
     P2 = fio.polyhedron_from_dict(fio.load_json(p1))
     assert fio.canonical_json(fio.polyhedron_to_dict(P2)) + "\n" == open(p1).read()
+
+
+def test_polyhedron_corpus_redump_bytes():
+    # the acceptance corpus and its polar duals: loading renormalizes the
+    # vertex rows, which must leave rows that are already unit unchanged
+    for P in polyhedron_corpus(seed=20240817, count=100, sizes=(6, 14)):
+        for Q in (P, polar_dual(P)):
+            text = fio.canonical_json(fio.polyhedron_to_dict(Q))
+            again = fio.polyhedron_from_dict(json.loads(text))
+            assert fio.canonical_json(fio.polyhedron_to_dict(again)) == text
 
 
 def test_polyhedron_without_faces_rehulled(tmp_path, tetrahedron):
@@ -258,6 +270,23 @@ def test_cli_solve_nonconvergence_exit_code(tmp_path, monkeypatch):
         raise ConvergenceError("stalled", residual=1.0, iterations=5)
 
     monkeypatch.setattr(cli, "solve_prescribed_curvature", lambda cfg, tol: boom(cfg, tol))
+    d = {
+        "schema": "fuchsian.v1",
+        "genus": 2,
+        "rays": [{"p": [0.25, 0.15, math.sqrt(1 + 0.25 ** 2 + 0.15 ** 2)]}],
+        "targets": [-1.0],
+    }
+    f = tmp_path / "f.json"
+    fio.dump_json(d, f)
+    rc = main(["solve", "--in", str(f), "--out", str(tmp_path / "s.json")])
+    assert rc == 4
+
+
+def test_cli_solve_singular_jacobian_exit_code(tmp_path, monkeypatch):
+    def singular(surf, require_convex=True):
+        return fuchsian.JacobianMatrix(np.zeros((surf.n, surf.n)), math.inf)
+
+    monkeypatch.setattr(fuchsian, "jacobian", singular)
     d = {
         "schema": "fuchsian.v1",
         "genus": 2,

@@ -1,10 +1,13 @@
 """Genus-2 group, orbit hulls, Jacobian, solver, dual, projections."""
 
 import math
+import os
 
 import numpy as np
 import pytest
 
+from flipkit import fuchsian
+from flipkit import io as fio
 from flipkit.errors import ConvergenceError, GeometryError
 from flipkit.fuchsian import (
     FuchsianConfig,
@@ -19,7 +22,10 @@ from flipkit.fuchsian import (
     jacobian,
     minkowski_dual,
     orbit_hull,
+    orbit_points,
+    ray_point,
     recover_heights,
+    reembedded_points,
     reflected_ray_point,
     solve_prescribed_curvature,
     sph_star_cone_angles,
@@ -28,12 +34,16 @@ from flipkit.fuchsian import (
     wedge_convexity,
     Q_ADS,
     _cross4,
+    _cyclic_face_order,
+    _orbit_hull_once,
 )
 from flipkit.spheremath import HyperbolicOps
 from flipkit.tilings import Side, flip, tiling_equality_error, validate_tiling
 from flipkit.trig import ConvexityClass
 
 Q21 = np.diag([1.0, 1.0, -1.0])
+GOLDEN_N2 = os.path.join(os.path.dirname(__file__), "data", "ads_project_flip_n2.json")
+THREE_RAYS = [(0.3, 0.1), (-0.4, 0.35), (0.0, -0.5)]
 
 
 @pytest.fixture(scope="module")
@@ -67,6 +77,11 @@ def surf2(group):
     return orbit_hull(
         config(group, [(0.3, 0.1), (-0.4, 0.35)], heights=[0.5, 0.7])
     )
+
+
+@pytest.fixture(scope="module")
+def surf3(group):
+    return orbit_hull(config(group, THREE_RAYS, heights=[0.5, 0.7, 0.62]))
 
 
 # -- group ---------------------------------------------------------------------
@@ -116,6 +131,42 @@ def test_admissible_targets(group):
 
 
 # -- orbit hull -------------------------------------------------------------------
+
+
+def test_orbit_points_match_ray_point_loop(group, surf2):
+    cfg = config(group, THREE_RAYS, heights=[0.5, 0.7, 0.62])
+    elems = group.elements(5, 10.0)
+    ref = np.array([ray_point(g @ cfg.rays[b], cfg.heights[b])
+                    for g in elems for b in range(cfg.n)])
+    assert np.array_equal(orbit_points(np.asarray(elems), cfg.rays, cfg.heights), ref)
+    h = [0.45, 0.8]
+    ref = np.array([ray_point(surf2.element_of(v) @ surf2.config.rays[surf2.base_of(v)],
+                              h[surf2.base_of(v)])
+                    for v in range(len(surf2.points4))])
+    assert np.array_equal(reembedded_points(surf2, h), ref)
+
+
+def test_face_order_is_lazy(group):
+    surf = _orbit_hull_once(config(group, THREE_RAYS, heights=[0.5, 0.7, 0.62]), 4)
+    near = {fi for vid in range(surf.n) for fi in surf.faces_at(vid)}
+    ordered = {fi for fi, f in enumerate(surf.faces) if f._cyclic is not None}
+    assert ordered <= near < set(range(len(surf.faces)))
+
+
+def test_lazy_face_order_matches_eager(surf3):
+    chart = surf3.points4[:, :3] / surf3.points4[:, 3:4]
+    for f in surf3.faces:
+        assert f.ids == sorted(f.vertex_ids)
+        assert f.vertex_ids == _cyclic_face_order(chart, f.ids)
+
+
+def test_faces_at_matches_ordered_incidence(surf3):
+    incidence = {}
+    for fi, f in enumerate(surf3.faces):
+        for v in f.vertex_ids:
+            incidence.setdefault(v, []).append(fi)
+    for vid in range(surf3.n):
+        assert surf3.faces_at(vid) == incidence[vid]
 
 
 def test_hull_symmetric_cone_angles(group, surf1):
@@ -192,10 +243,7 @@ def fd_jacobian(surf, step=1e-5):
     return out
 
 
-def test_jacobian_matches_fd(group, surf1, surf2):
-    surf3 = orbit_hull(
-        config(group, [(0.3, 0.1), (-0.4, 0.35), (0.0, -0.5)], heights=[0.5, 0.7, 0.62])
-    )
+def test_jacobian_matches_fd(surf1, surf2, surf3):
     for surf in (surf1, surf2, surf3):
         J = jacobian(surf).matrix
         fd = fd_jacobian(surf)
@@ -268,6 +316,16 @@ def test_solver_n2_converges_and_unique(group):
         h0 = rng.uniform(0.3, 1.2, size=2)
         out2 = solve_prescribed_curvature(cfg, h0=h0)
         np.testing.assert_allclose(out2["heights"], out["heights"], atol=1e-6)
+
+
+def test_solver_singular_jacobian_is_nonconvergence(group, monkeypatch):
+    def singular(surf, require_convex=True):
+        return fuchsian.JacobianMatrix(np.zeros((surf.n, surf.n)), math.inf)
+
+    monkeypatch.setattr(fuchsian, "jacobian", singular)
+    cfg = config(group, [(0.25, 0.15)], targets=[-2.0])
+    with pytest.raises(ConvergenceError):
+        solve_prescribed_curvature(cfg)
 
 
 def test_solver_rejects_bad_targets(group):
@@ -379,6 +437,15 @@ def test_recover_heights_round_trip(surf2):
     T = ads_project(surf2, Side.LEFT)
     h = recover_heights(T)
     np.testing.assert_allclose(h, surf2.heights, atol=1e-9)
+
+
+def test_projection_and_flip_match_golden(surf2):
+    T = ads_project(surf2, Side.LEFT)
+    text = fio.canonical_json(
+        {"projected": fio.tiling_to_dict(T), "flipped": fio.tiling_to_dict(flip(T))}
+    )
+    with open(GOLDEN_N2) as fh:
+        assert text + "\n" == fh.read()
 
 
 def test_hyperbolic_flip_round_trip(surf1, surf2):

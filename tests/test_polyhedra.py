@@ -11,6 +11,7 @@ from flipkit.polyhedra import (
     from_vertices_and_faces,
     hull,
     make_digon,
+    normalize_rows,
     polar_dual,
     to_chart,
 )
@@ -214,3 +215,10 @@ def test_from_vertices_and_faces_round_trip(small_corpus):
     Q = from_vertices_and_faces(P.vertices, P.faces)
     assert Q.faces == P.faces
     np.testing.assert_allclose(Q.face_poles, P.face_poles, atol=1e-9)
+
+
+def test_normalize_rows_idempotent():
+    rng = np.random.default_rng(5)
+    once = normalize_rows(rng.normal(size=(500, 4)))
+    assert np.allclose(np.linalg.norm(once, axis=1), 1.0, rtol=0, atol=1e-15)
+    assert np.array_equal(normalize_rows(once), once)
