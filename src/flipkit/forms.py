@@ -5,7 +5,7 @@ their group structures, point/plane duality and the complex-valued angles
 between vectors of a Minkowski space.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -262,12 +262,3 @@ def hs_angle(u, v, sig=Signature.MINK31):
     # Mixed pair: sinh(theta) = i<u,v>/(|u||v|) is real; magnitude kept >= 0.
     s = quv / (nu * nv)
     return HSAngle(AngleKind.REAL, float(np.arcsinh(abs(s))))
-
-
-def mixed_angle_sinh(u, v, sig=Signature.MINK31):
-    """Signed sinh of the angle between a time-like and a space-like vector."""
-    qu = form(u, u, sig)
-    qv = form(v, v, sig)
-    if qu * qv >= 0:
-        raise GeometryError("mixed_angle_sinh needs one time-like and one space-like vector")
-    return form(u, v, sig) / (np.sqrt(abs(qu)) * np.sqrt(abs(qv)))

@@ -9,6 +9,13 @@ respect to the heights, a Newton solver prescribing the singular
 curvatures at the vertices, the dual surface with prescribed face areas,
 the left/right projections to flippable tilings of the quotient
 hyperbolic surface, and the spherical star-polyhedron Jacobian.
+
+An orbit hull is built from the group elements that move the octagon
+center o = (0, 0, 1) by at most a radius R, starting at R0 = 5.5.  Every
+face of the fundamental vertex stars is then certified: a lower bound on
+<x, p> over all omitted orbit points x shows that its plane supports the
+whole orbit, so the stars are those of the infinite surface.  When a face
+fails, R grows by 0.5 up to R_MAX = 10, past which GeometryError is raised.
 """
 
 import itertools
@@ -23,8 +30,8 @@ from scipy.spatial import QhullError, cKDTree
 
 from .errors import ConvergenceError, DevelopmentError, GeometryError
 from .forms import Signature, inv4, mul4
-from .spheremath import HyperbolicOps, SphereOps
-from .trig import ConvexityClass, convexity_sign
+from .spheremath import HyperbolicOps
+from .trig import convexity_sign
 
 logger = logging.getLogger("flipkit.fuchsian")
 
@@ -35,6 +42,10 @@ O_APEX = np.array([0.0, 0.0, 0.0, -1.0])    # dual of H antipodal to H*
 
 EPS_FACE_MERGE = 1e-8
 EPS_EQUIVARIANT = 1e-8
+
+R0 = 5.5        # first truncation radius of an orbit hull
+R_STEP = 0.5    # growth of the radius after an uncertified build
+R_MAX = 10.0    # largest radius tried
 
 
 def ads_inner(u, v):
@@ -111,9 +122,10 @@ def _stable_key(m, scale):
     """Quantized matrix bytes, stable under tiny perturbations.
 
     Distinct elements of the groups used here differ by more than 0.6 in
-    some matrix entry, while different float representations of the same
-    element agree to 1e-9; quantizing at 0.1 with an irrational offset
-    therefore separates elements without ever splitting one.
+    some matrix entry (the tests check more than 0.2 over the ball of
+    radius 7), while different float representations of the same element
+    agree to 1e-9; quantizing at 0.1 with an irrational offset therefore
+    separates elements without ever splitting one.
     """
     q = np.floor(np.asarray(m, dtype=float) * scale + 0.61803398874989485)
     return q.astype(np.int64).tobytes()
@@ -167,19 +179,27 @@ class FuchsianGroup:
         """Is the hyperboloid point p inside the fundamental polygon?"""
         return bool(np.all(self.side_normals @ (Q_HYP * p) <= tol))
 
-    def elements(self, word_length, prune_dist):
-        """Distinct elements of word length <= `word_length` moving the
-        center by at most `prune_dist`.  The identity comes first."""
-        key = (word_length, round(prune_dist, 6))
+    def elements(self, radius):
+        """The distinct elements moving the center o = (0, 0, 1) by at most
+        `radius`, stacked (m, 3, 3), by displacement; the identity first.
+
+        Breadth-first from the identity through the side pairings, keeping
+        only elements inside the ball.  This reaches every element of the
+        ball: the octagon is the Dirichlet polygon at o, so every g != id
+        has a side pairing s with d(o, s^-1 g o) < d(o, g o), and g is
+        reached from s^-1 g, which lies in the ball too.
+        """
+        key = round(radius, 6)
         if key in self._element_cache:
             return self._element_cache[key]
         gens = np.array(self.symmetric_generators)
+        cosh_r = math.cosh(radius)
         seen = {}
 
         def register(mats):
             fresh = []
             for m in mats:
-                if m[2, 2] > math.cosh(prune_dist):
+                if m[2, 2] > cosh_r:
                     continue
                 k = _stable_key(m, 10.0)
                 if k not in seen:
@@ -188,15 +208,12 @@ class FuchsianGroup:
             return fresh
 
         frontier = register([np.eye(3)])
-        for _ in range(word_length):
-            if not frontier:
-                break
+        while frontier:
             stack = np.einsum("gij,fjk->gfik", gens, np.array(frontier))
             frontier = register(stack.reshape(-1, 3, 3))
-        elems = list(seen.values())
-        elems.sort(key=lambda m: (m[2, 2], _stable_key(m, 10.0)))
-        self._element_cache[key] = elems
-        return elems
+        elems = sorted(seen.values(), key=lambda m: (m[2, 2], _stable_key(m, 10.0)))
+        self._element_cache[key] = np.array(elems)
+        return self._element_cache[key]
 
     def element_key(self, g):
         return _stable_key(g, 10.0)
@@ -272,7 +289,12 @@ def admissible_targets(k, chi):
 
 @dataclass
 class FuchsianConfig:
-    """Half-ray base points in the fundamental domain plus heights/targets."""
+    """Half-ray base points in the fundamental domain plus heights/targets.
+
+    `word_length` and `word_length_cap` are kept for format compatibility
+    (`fuchsian.v1` reads and writes `word_len_cap`, `tiling.v1` both) and
+    no longer affect the hull, which is truncated by a certified radius.
+    """
 
     group: FuchsianGroup
     rays: np.ndarray
@@ -362,17 +384,19 @@ class SurfaceFace:
 
 
 class FuchsianSurface:
-    """Truncated orbit hull with stars at the fundamental vertices."""
+    """Orbit hull truncated at displacement `radius`, with the certified
+    stars at the fundamental vertices.
 
-    def __init__(self, config, elements, points4, vert_info, faces, stars,
-                 word_length):
+    Vertex vid is the point of ray vid % n moved by elements[vid // n].
+    """
+
+    def __init__(self, config, elements, points4, faces, radius):
         self.config = config
         self.elements = elements
         self.points4 = points4
-        self.vert_info = vert_info
         self.faces = faces
-        self.stars = stars
-        self.word_length = word_length
+        self.radius = radius
+        self.stars = []
         # incidence as CSR: the faces at vertex v, ascending, are
         # _incident_faces[_incidence_start[v]:_incidence_start[v + 1]]
         sizes = np.array([len(f.ids) for f in faces], dtype=np.intp)
@@ -397,20 +421,20 @@ class FuchsianSurface:
         return self.config.n
 
     def base_of(self, vid):
-        return self.vert_info[vid][0]
+        return vid % self.n
 
     def element_of(self, vid):
-        return self.elements[self.vert_info[vid][1]]
+        return self.elements[vid // self.n]
 
     def vkey(self, vid):
-        b, e = self.vert_info[vid]
-        return (b, self.group.element_key(self.elements[e]))
+        return (self.base_of(vid), self.group.element_key(self.element_of(vid)))
 
     def star_at(self, vid):
-        """Star of an arbitrary hull vertex (fundamental ones are cached)."""
+        """Star of a hull vertex.  The fundamental ones are cached; any
+        other is certified like them, or GeometryError."""
         if vid < self.n:
             return self.stars[vid]
-        return _build_star(self, vid)
+        return _certified_star(self, vid)
 
     def star_combinatorics(self):
         out = []
@@ -426,28 +450,26 @@ class FuchsianSurface:
         lo, hi = self._incidence_start[vid:vid + 2]
         return self._incident_faces[lo:hi].tolist()
 
-    def vertex_id(self, base, elem_matrix):
-        """Hull vertex id of the orbit point (base, group element)."""
-        key = self.group.element_key(elem_matrix)
-        for vid, (b, e) in enumerate(self.vert_info):
-            if b == base and self.group.element_key(self.elements[e]) == key:
-                return vid
-        raise GeometryError("orbit point not present in the truncation")
-
     def check_equivariance(self, tol=EPS_EQUIVARIANT, n_generators=None):
-        """Fundamental-vertex stars match the stars at their translates."""
+        """Fundamental-vertex stars match the stars at their translates.
+
+        The translates are read from a hull wider by the largest generator
+        displacement (2d for the octagon), so their stars certify too.
+        """
         gens = self.group.generators
         if n_generators is not None:
             gens = gens[:n_generators]
+        shift = max(math.acosh(g[2, 2]) for g in gens)
+        wide = _certified_hull(self.config, min(self.radius + shift, R_MAX))
         for g in gens:
             m = extend_isometry(g)
             for vid in range(self.n):
-                moved = m @ self.points4[vid]
-                target = self._find_vertex(moved, tol)
+                moved = m @ wide.points4[vid]
+                target = wide._find_vertex(moved, tol)
                 if target is None:
                     raise GeometryError("orbit vertex image missing from the hull")
                 a = cone_angle_at(self, vid)
-                b = cone_angle_at(self, target)
+                b = cone_angle_at(wide, target)
                 if abs(a - b) > tol * 10:
                     raise GeometryError(
                         f"cone angle not equivariant: {a:.12f} vs {b:.12f}"
@@ -459,8 +481,8 @@ class FuchsianSurface:
                     if moved_pole[3] < 0:
                         moved_pole = -moved_pole
                     ok = any(
-                        np.linalg.norm(self.faces[fj].pole - moved_pole) < tol * 10
-                        for fj in self.faces_at(target)
+                        np.linalg.norm(wide.faces[fj].pole - moved_pole) < tol * 10
+                        for fj in wide.faces_at(target)
                     )
                     if not ok:
                         raise GeometryError("face planes not equivariant")
@@ -489,11 +511,9 @@ class FuchsianSurface:
         f = self.faces[fi]
         best = None
         for vid in f.ids:
-            b, e = self.vert_info[vid]
-            ginv = np.linalg.inv(self.elements[e])
+            ginv = np.linalg.inv(self.element_of(vid))
             labels = sorted(
-                (self.vert_info[u][0],
-                 self.group.element_key(ginv @ self.elements[self.vert_info[u][1]]))
+                (self.base_of(u), self.group.element_key(ginv @ self.element_of(u)))
                 for u in f.ids
             )
             key = tuple(labels)
@@ -574,35 +594,68 @@ def _build_star(surf, vid):
     return VertexStar(vid, cycle, true_edge, wf)
 
 
-def orbit_hull(config, word_length=None, stable_repeats=2):
-    """Convex hull of the truncated orbits: the space-like surface component.
+def orbit_hull(config):
+    """Convex hull of the orbits: the space-like surface component.
 
     The hull is taken in the projective chart x4 = 1, where H* sits at the
     origin; the surface faces are the hull facets visible from the origin.
-    Truncation grows until the fundamental star combinatorics repeat twice
-    in a row (`stable_repeats` agreements).  Each build orders cyclically
+    It is built from the elements moving the octagon center o by at most R,
+    starting at R = R0 = 5.5, and every face of the fundamental vertex
+    stars is certified to support the whole orbit (`_supports_orbit`), so
+    the stars are exact.  An uncertified build grows R by R_STEP = 0.5; past
+    R_MAX = 10 the build raises GeometryError.  Each build orders cyclically
     only the faces incident to the fundamental vertices, for their stars;
     any other face is ordered when its `vertex_ids` is first read.
     """
-    L = word_length if word_length is not None else config.word_length
-    cap = config.word_length_cap
-    prev = None
-    stable = 0
-    surf = None
-    while L <= cap:
-        surf = _orbit_hull_once(config, L)
-        comb = surf.star_combinatorics()
-        if comb == prev:
-            stable += 1
-            if stable >= stable_repeats:
-                return surf
-        else:
-            stable = 0
-        prev = comb
-        L += 1
-    raise GeometryError(
-        f"orbit hull combinatorics did not stabilize by word length {cap}"
-    )
+    return _certified_hull(config)
+
+
+def _certified_hull(config, radius=R0):
+    """`orbit_hull` from a first radius of `radius`."""
+    if config.heights is None:
+        raise GeometryError("orbit_hull needs heights")
+    while True:
+        surf = _truncated_hull(config, radius)
+        try:
+            surf.stars = [_certified_star(surf, vid) for vid in range(config.n)]
+            return surf
+        except GeometryError as exc:
+            if radius + R_STEP > R_MAX:
+                raise GeometryError(
+                    f"orbit hull stars not certified by radius {radius:g}: {exc}"
+                ) from exc
+        radius += R_STEP
+
+
+def _certified_star(surf, vid):
+    star = _build_star(surf, vid)
+    if not _supports_orbit(surf, star.wedge_face):
+        raise GeometryError(
+            f"a face at vertex {vid} may not support the orbit beyond "
+            f"radius {surf.radius:g}"
+        )
+    return star
+
+
+def _supports_orbit(surf, face_ids):
+    """Do the planes of these hull faces support the whole orbit?
+
+    An omitted orbit point x = (cos h_b q, sin h_b) of ray b has
+    d(o, q) >= s_b = R - d(o, r_b).  With the future unit pole p of a face,
+    <x, p> >= cos h_b (-p3 cosh s - |p12| sinh s) - sin h_b p4 at s = d(o, q);
+    the bound increases in s >= s_b once tanh(s_b) (-p3) >= |p12|.  When it
+    is then positive at s_b for every ray, every omitted point lies strictly
+    on the side <x, p> > 0 of the plane, where the hull keeps the points of
+    the truncation.
+    """
+    poles = np.array([surf.faces[fi].pole for fi in face_ids])
+    h = surf.heights
+    s = surf.radius - np.arccosh(np.maximum(surf.config.rays[:, 2], 1.0))
+    a = -poles[:, 2:3]
+    b = np.hypot(poles[:, 0], poles[:, 1])[:, None]
+    rising = np.tanh(s) * a >= b
+    bound = np.cos(h) * (a * np.cosh(s) - b * np.sinh(s)) - np.sin(h) * poles[:, 3:4]
+    return bool(np.all(rising & (bound > 0)))
 
 
 def _batch_poles(points4, simplices):
@@ -654,19 +707,11 @@ def _merge_faces(simplices, poles, chart):
     return [SurfaceFace(f, pole, chart) for f, pole in zip(ids, poles[first])]
 
 
-def _orbit_hull_once(config, word_length):
-    group = config.group
-    heights = config.heights
-    if heights is None:
-        raise GeometryError("orbit_hull needs heights")
-    prune = min(4.0 + 1.2 * word_length, 10.0)
-    elems = group.elements(word_length, prune)
+def _truncated_hull(config, radius):
+    """Orbit hull of the elements within `radius`, without stars."""
     n = config.n
-
-    stacked = np.asarray(elems)
-    points4 = orbit_points(stacked, config.rays, heights)
-    vert_info = [(bi, ei) for ei in range(len(elems)) for bi in range(n)]
-    displacement = np.repeat(np.arccosh(np.maximum(stacked[:, 2, 2], 1.0)), n)
+    elems = config.group.elements(radius)
+    points4 = orbit_points(elems, config.rays, config.heights)
     chart = points4[:, :3] / points4[:, 3:4]
 
     try:
@@ -682,20 +727,8 @@ def _orbit_hull_once(config, word_length):
     visible = np.nonzero(ch.equations[:, 3] > 1e-13)[0]
     simplices = ch.simplices[visible]
     poles, spacelike = _batch_poles(points4, simplices)
-    simplices = simplices[spacelike]
-    poles = poles[spacelike]
-
-    # only facets near the fundamental domain are trustworthy; the
-    # displacement of an orbit point is the distance its element moves the
-    # polygon center (0, 0, 1)
-    near = np.min(displacement[simplices], axis=1) < prune - 2.0
-    simplices = simplices[near]
-    poles = poles[near]
-
-    faces = _merge_faces(simplices, poles, chart)
-    surf = FuchsianSurface(config, elems, points4, vert_info, faces, [], word_length)
-    surf.stars = [_build_star(surf, vid) for vid in range(n)]
-    return surf
+    faces = _merge_faces(simplices[spacelike], poles[spacelike], chart)
+    return FuchsianSurface(config, elems, points4, faces, radius)
 
 
 def _cross4(a, b, c):
@@ -747,7 +780,7 @@ def curvatures(surf):
 
 def reembedded_points(surf, heights):
     """Orbit points re-embedded at new heights, same combinatorics."""
-    return orbit_points(np.asarray(surf.elements), surf.config.rays, heights)
+    return orbit_points(surf.elements, surf.config.rays, heights)
 
 
 def cone_angles_fixed_combinatorics(surf, heights):
@@ -897,11 +930,9 @@ def solve_prescribed_curvature(
     n = config.n
     h = np.full(n, 0.75) if h0 is None else np.asarray(h0, dtype=float).copy()
 
-    # One fully stabilized hull pins the truncation; the Newton loop then
-    # re-derives the combinatorics at that fixed word length and the result
-    # is re-verified with the full stability loop at the end.  Starts whose
-    # vertices are not in convex position are blended toward equal heights,
-    # which always are.
+    # Every hull is certified exact, so each line-search trial is final.
+    # Starts whose vertices are not in convex position are blended toward
+    # equal heights, which always are.
     surf = None
     for _ in range(12):
         try:
@@ -911,13 +942,11 @@ def solve_prescribed_curvature(
             h = 0.5 * h + 0.5 * float(np.mean(h))
     if surf is None:
         raise GeometryError("could not find a feasible starting surface")
-    fixed_L = max(config.word_length, surf.word_length - 1)
 
-    def evaluate(hvec, full=False):
-        if full:
-            s = orbit_hull(config.with_heights(hvec))
-        else:
-            s = _orbit_hull_once(config.with_heights(hvec), fixed_L)
+    # line-search trials call the builder, not `orbit_hull`, so a trace
+    # tells them apart from the starting hull
+    def evaluate(hvec):
+        s = _certified_hull(config.with_heights(hvec))
         return s, curvatures(s)
 
     k_now = curvatures(surf)
@@ -932,11 +961,16 @@ def solve_prescribed_curvature(
                 return h, surf, k_now, True
             Jm = jacobian(surf)
             last_cond = Jm.condition
-            # k = 2 pi - omega, so dk/dh = -J; a singular J fails the step
+            # k = 2 pi - omega, so dk/dh = -J; a singular J ends the solve,
+            # since a retry from the same surface meets the same J
             try:
                 step = np.linalg.solve(Jm.matrix, r)
-            except np.linalg.LinAlgError:
-                return h, surf, k_now, False
+            except np.linalg.LinAlgError as exc:
+                raise ConvergenceError(
+                    "singular Jacobian in the Newton step",
+                    residual=float(np.max(np.abs(r))),
+                    iterations=iterations,
+                ) from exc
             lam = 1.0
             improved = False
             while lam > 1e-6:
@@ -983,14 +1017,6 @@ def solve_prescribed_curvature(
                 residual=float(np.max(np.abs(k_now - k_target))),
                 iterations=iterations,
             )
-    # verify at full truncation stability; polish if the deeper hull moved
-    surf = orbit_hull(config.with_heights(h))
-    k_now = curvatures(surf)
-    if np.max(np.abs(k_now - k_target)) > tol:
-        fixed_L = surf.word_length
-        h, surf, k_now, ok = newton_to(k_target, h, surf, k_now, max_newton)
-        surf = orbit_hull(config.with_heights(h))
-        k_now = curvatures(surf)
     residual = float(np.max(np.abs(k_now - k_target)))
     if residual > tol:
         raise ConvergenceError(
@@ -1077,10 +1103,6 @@ def induced_cone_metric(surf):
 # -- projections to hyperbolic tilings --------------------------------------------
 
 
-def _elem3(surf, vid):
-    return surf.elements[surf.vert_info[vid][1]]
-
-
 def _ads_project_point(pole, x, side):
     """a^{-1} x or x a^{-1} into e* = {x4 = 0}, upper-sheet representative."""
     from .tilings import Side
@@ -1108,7 +1130,7 @@ def _match_corner(stored_vertices, deck, point, tol=1e-6):
 
 
 def _edge_orbit_key(surf, u, v):
-    gu, gv = _elem3(surf, u), _elem3(surf, v)
+    gu, gv = surf.element_of(u), surf.element_of(v)
     bu, bv = surf.base_of(u), surf.base_of(v)
     rel = np.linalg.inv(gu) @ gv
     a = (bu, bv, surf.group.element_key(rel))
@@ -1122,13 +1144,13 @@ def _face_deck(surf, fi, rep_fi):
     rep = surf.faces[rep_fi]
     u0 = f.ids[0]
     b0 = surf.base_of(u0)
-    g0 = _elem3(surf, u0)
+    g0 = surf.element_of(u0)
     rep_pts = surf.points4[rep.ids][:, :3]
     f_pts = surf.points4[f.ids][:, :3]
     for w in rep.ids:
         if surf.base_of(w) != b0:
             continue
-        cand = g0 @ np.linalg.inv(_elem3(surf, w))
+        cand = g0 @ np.linalg.inv(surf.element_of(w))
         moved = rep_pts @ cand.T
         ok = all(
             np.min(np.linalg.norm(f_pts - mp, axis=1)) < 1e-7 for mp in moved
@@ -1140,7 +1162,11 @@ def _face_deck(surf, fi, rep_fi):
 
 @dataclass
 class HyperbolicAmbient:
-    """Quotient surface data attached to a hyperbolic tiling."""
+    """Quotient surface data attached to a hyperbolic tiling.
+
+    `word_length` and `word_length_cap` are kept for `tiling.v1` format
+    compatibility and no longer affect the hull.
+    """
 
     group: FuchsianGroup
     rays: np.ndarray
@@ -1203,7 +1229,7 @@ def ads_project(surf, side):
         )
         white_polys.append(img)
         white_links.append(tuple(surf.base_of(v) for v in f.vertex_ids))
-        white_decks.append(tuple(_elem3(surf, v) for v in f.vertex_ids))
+        white_decks.append(tuple(surf.element_of(v) for v in f.vertex_ids))
 
     # black faces: projected links at the fundamental vertices
     black_polys = []
@@ -1295,7 +1321,7 @@ def ads_project(surf, side):
         # black segments: at vid (deck identity) and at s (deck of its orbit)
         for (vtx, lo) in ((vid, 0.0), (s, ell)):
             b = surf.base_of(vtx)
-            deck = _elem3(surf, vtx)
+            deck = surf.element_of(vtx)
             img_a = _ads_project_point(pa, surf.points4[vtx], side)
             img_b = _ads_project_point(pb, surf.points4[vtx], side)
             ka = _match_corner(black_polys[b], deck, img_a)

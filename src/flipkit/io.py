@@ -11,9 +11,9 @@ import math
 
 import numpy as np
 
-from .errors import GeometryError, SchemaError
+from .errors import SchemaError
 from .fuchsian import FuchsianConfig, HyperbolicAmbient, genus2_group
-from .polyhedra import ConvexPolyhedron, from_vertices_and_faces, hull
+from .polyhedra import from_vertices_and_faces, hull
 from .tilings import (
     BLACK,
     WHITE,
@@ -212,6 +212,7 @@ def tiling_to_dict(T):
             "type": "hyperbolic",
             "genus": int(T.ambient.group.genus),
             "rays": [[float(x) for x in p] for p in T.ambient.rays],
+            # kept for format compatibility; the hull no longer reads them
             "word_length": int(T.ambient.word_length),
             "word_length_cap": int(T.ambient.word_length_cap),
         }
@@ -334,6 +335,8 @@ def tiling_from_dict(data):
 
 
 def fuchsian_config_to_dict(cfg, labels=None):
+    """`fuchsian.v1` dict; `word_len_cap` is written for format
+    compatibility and no longer affects the hull."""
     out = {
         "schema": FUCHSIAN_SCHEMA,
         "genus": int(cfg.group.genus),
@@ -354,6 +357,8 @@ def fuchsian_config_to_dict(cfg, labels=None):
 
 
 def fuchsian_config_from_dict(data):
+    """FuchsianConfig from a `fuchsian.v1` dict; `word_len_cap` is accepted
+    for format compatibility and no longer affects the hull."""
     _require_keys(
         data,
         ("schema", "genus", "rays"),

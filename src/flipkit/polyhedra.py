@@ -6,14 +6,13 @@ become Euclidean polytopes.  Faces, polar duals and polar links are all
 derived from that picture.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import ConvexHull as EuclideanHull
 from scipy.spatial import QhullError
 
 from .errors import GeometryError
-from .forms import SPHERE_E
 from .spheremath import SphereOps
 
 EPS_PLANE = 1e-9
@@ -96,30 +95,11 @@ class SphericalPolygon:
         signs = np.array(signs)
         return bool(np.all(signs >= -tol) or np.all(signs <= tol))
 
-    def in_open_hemisphere(self):
-        if self.is_digon:
-            return False
-        c = self.vertices.sum(axis=0)
-        nc = np.linalg.norm(c)
-        if nc < 1e-12:
-            return False
-        return bool(np.min(self.vertices @ (c / nc)) > 0)
 
-    def spectrum(self):
-        """Rotation-invariant signature: edge lengths and angles, cyclically."""
-        return np.stack([self.edge_lengths(), self.interior_angles()])
-
-
-def make_digon(v, angle, edge_normals=None):
+def make_digon(v, angle):
     """Digon with antipodal vertices v, -v and the given interior angle."""
     verts = np.array([v, -np.asarray(v)])
     return SphericalPolygon(verts, digon_angle=float(angle))
-
-
-def polygon_area(poly):
-    """Area of a convex spherical polygon: angle sum minus (n-2) pi;
-    a digon of angle alpha has area 2 alpha."""
-    return poly.area()
 
 
 def exterior_dihedral(P, edge):
@@ -138,7 +118,6 @@ class PolarLink:
 
     polygon: SphericalPolygon
     face_order: tuple
-    edge_lengths_: np.ndarray = field(default=None)
 
     def edge_lengths(self):
         return self.polygon.edge_lengths()
@@ -308,13 +287,6 @@ class ConvexPolyhedron:
         c = np.dot(self.face_poles[fa], self.face_poles[fb])
         return float(np.arccos(np.clip(c, -1.0, 1.0)))
 
-    def edge_by_vertices(self, i, j):
-        key = (min(i, j), max(i, j))
-        for e in self.edges:
-            if (e[0], e[1]) == key:
-                return e
-        raise GeometryError(f"no edge {key}")
-
     def polar_link(self, vi):
         """Link of outward unit normals at vertex vi.
 
@@ -451,17 +423,3 @@ def polar_dual(P):
     if D.n_vertices != P.n_faces:
         raise GeometryError("duality lost a face pole; P is degenerate")
     return D
-
-
-def match_vertices(A, B, tol=1e-7):
-    """Index map m with A.vertices[i] == B.vertices[m[i]] within tol."""
-    m = []
-    for va in A.vertices:
-        d = np.linalg.norm(B.vertices - va, axis=1)
-        j = int(np.argmin(d))
-        if d[j] > tol:
-            return None
-        m.append(j)
-    if len(set(m)) != len(m):
-        return None
-    return m

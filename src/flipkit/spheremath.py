@@ -117,7 +117,3 @@ class HyperbolicOps:
     def polygon_area(angles):
         angles = list(angles)
         return float((len(angles) - 2) * np.pi - sum(angles))
-
-
-def ops_for(curvature):
-    return SphereOps if curvature > 0 else HyperbolicOps

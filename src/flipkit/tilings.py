@@ -861,12 +861,8 @@ def _digon_probe(V, i):
     n = len(V)
     ip1 = (i + 1) % n
     ip2 = (i + 2) % n
-    # Edge circles of the digon: polygon edges i and i+1, oriented so the
-    # digon is on the positive side of both.
-    n1 = ops.geodesic_normal(V[i], V[ip1])
-    n2 = ops.geodesic_normal(V[ip1], V[ip2])
-    # The digon contains points just past v_{i+2} direction? Use the
-    # bisector at the shared vertex v_{i+1}.
+    # the digon is bisected at the shared vertex v_{i+1} of polygon edges
+    # i and i + 1
     t1 = ops.tangent(V[ip1], -V[i])       # along edge i extended
     t2 = ops.tangent(V[ip1], V[ip2])      # along edge i+1
     bis = t1 + t2

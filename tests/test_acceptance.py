@@ -21,7 +21,6 @@ from flipkit.fuchsian import (
     jacobian,
     minkowski_dual,
     orbit_hull,
-    _orbit_hull_once,
     solve_prescribed_curvature,
     sph_star_cone_angles,
     sph_star_jacobian,
@@ -338,10 +337,9 @@ def test_criterion_8_prescribed_curvature_solver(group, solved):
     # n = 1 against an independent bisection oracle
     cfg1, result1 = solved[1]
     target = cfg1.targets[0]
-    L = result1["surface"].word_length
 
     def k_of(hval):
-        return curvatures(_orbit_hull_once(cfg1.with_heights([hval]), L))[0]
+        return curvatures(orbit_hull(cfg1.with_heights([hval])))[0]
 
     lo, hi = 0.02, math.pi / 2 - 0.02
     for _ in range(50):

@@ -5,11 +5,14 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flipkit import fuchsian
 from flipkit import io as fio
 from flipkit.errors import ConvergenceError, GeometryError
 from flipkit.fuchsian import (
+    R0,
     FuchsianConfig,
     ads_inner,
     ads_project,
@@ -18,6 +21,7 @@ from flipkit.fuchsian import (
     cone_angles,
     cone_angles_fixed_combinatorics,
     curvatures,
+    extend_isometry,
     genus2_group,
     jacobian,
     minkowski_dual,
@@ -33,9 +37,11 @@ from flipkit.fuchsian import (
     star_polyhedron,
     wedge_convexity,
     Q_ADS,
+    _build_star,
+    _certified_hull,
     _cross4,
     _cyclic_face_order,
-    _orbit_hull_once,
+    _truncated_hull,
 )
 from flipkit.spheremath import HyperbolicOps
 from flipkit.tilings import Side, flip, tiling_equality_error, validate_tiling
@@ -104,10 +110,51 @@ def test_side_pairing_relation(group):
 
 
 def test_element_enumeration_dedup(group):
-    els = group.elements(4, 8.8)
+    els = group.elements(8.8)
     keys = {group.element_key(g) for g in els}
     assert len(keys) == len(els)
     assert np.allclose(els[0], np.eye(3))
+
+
+def brute_force_ball(group, radius, max_word=7):
+    """Keys of all products of at most `max_word` symmetric generators that
+    move the center by at most `radius`.
+
+    A product of length k ends in the ball only if its length-j prefix
+    lies within radius + (k - j) * 2d, 2d the generator displacement; that
+    triangle-inequality bound is the only pruning.
+    """
+    gens = np.array(group.symmetric_generators)
+    step = math.acosh(gens[0][2, 2])
+    seen = {group.element_key(np.eye(3))}
+    frontier = np.eye(3)[None]
+    inside = set(seen)
+    for j in range(1, max_word + 1):
+        words = np.einsum("gij,wjk->gwik", gens, frontier).reshape(-1, 3, 3)
+        words = words[words[:, 2, 2] <= math.cosh(radius + (max_word - j) * step)]
+        fresh = {}
+        for m in words:
+            fresh.setdefault(group.element_key(m), m)
+        fresh = {k: m for k, m in fresh.items() if k not in seen}
+        seen |= fresh.keys()
+        inside |= {k for k, m in fresh.items() if m[2, 2] <= math.cosh(radius)}
+        frontier = np.array(list(fresh.values()))
+    return inside
+
+
+@pytest.mark.parametrize("radius", [5.5, 7.0])
+def test_radius_enumeration_complete(group, radius):
+    els = group.elements(radius)
+    assert {group.element_key(g) for g in els} == brute_force_ball(group, radius)
+    assert np.all(els[:, 2, 2] <= math.cosh(radius))
+
+
+def test_radius_enumeration_separated(group):
+    # distinct elements differ by more than twice the 0.1 key quantum in
+    # some entry, so no two of them can share a key
+    els = group.elements(7.0).reshape(-1, 9)
+    i, j = np.triu_indices(len(els), k=1)
+    assert np.min(np.max(np.abs(els[i] - els[j]), axis=1)) > 0.2
 
 
 # -- configurations --------------------------------------------------------------
@@ -135,10 +182,10 @@ def test_admissible_targets(group):
 
 def test_orbit_points_match_ray_point_loop(group, surf2):
     cfg = config(group, THREE_RAYS, heights=[0.5, 0.7, 0.62])
-    elems = group.elements(5, 10.0)
+    elems = group.elements(7.0)
     ref = np.array([ray_point(g @ cfg.rays[b], cfg.heights[b])
                     for g in elems for b in range(cfg.n)])
-    assert np.array_equal(orbit_points(np.asarray(elems), cfg.rays, cfg.heights), ref)
+    assert np.array_equal(orbit_points(elems, cfg.rays, cfg.heights), ref)
     h = [0.45, 0.8]
     ref = np.array([ray_point(surf2.element_of(v) @ surf2.config.rays[surf2.base_of(v)],
                               h[surf2.base_of(v)])
@@ -147,7 +194,7 @@ def test_orbit_points_match_ray_point_loop(group, surf2):
 
 
 def test_face_order_is_lazy(group):
-    surf = _orbit_hull_once(config(group, THREE_RAYS, heights=[0.5, 0.7, 0.62]), 4)
+    surf = orbit_hull(config(group, THREE_RAYS, heights=[0.5, 0.7, 0.62]))
     near = {fi for vid in range(surf.n) for fi in surf.faces_at(vid)}
     ordered = {fi for fi, f in enumerate(surf.faces) if f._cyclic is not None}
     assert ordered <= near < set(range(len(surf.faces)))
@@ -171,9 +218,59 @@ def test_faces_at_matches_ordered_incidence(surf3):
 
 def test_hull_symmetric_cone_angles(group, surf1):
     omega = cone_angles(surf1)[0]
+    # the stars at the translates certify in a hull wider by the generator
+    # displacement 2d
+    shift = math.acosh(group.generators[0][2, 2])
+    wide = _certified_hull(surf1.config, surf1.radius + shift)
     for g in group.generators:
-        vid = surf1.vertex_id(0, g)
-        assert cone_angle_at(surf1, vid) == pytest.approx(omega, abs=1e-8)
+        vid = wide._find_vertex(extend_isometry(g) @ surf1.points4[0], 1e-9)
+        assert cone_angle_at(wide, vid) == pytest.approx(omega, abs=1e-8)
+
+
+def test_hull_certifies_at_r0(surf1, surf2, surf3):
+    # the 65 elements within R0 carry 65 n orbit points, all in the hull
+    for surf in (surf1, surf2, surf3):
+        assert surf.radius == R0
+        assert len(surf.points4) == 65 * surf.n
+
+
+def test_uncertified_star_is_rejected(group):
+    # at radius 5 the stars of this configuration close, but their face
+    # planes are not yet proven to support the omitted orbit points
+    cfg = config(group, [(0.25, 0.15)], heights=[0.55])
+    small = _truncated_hull(cfg, 5.0)
+    _build_star(small, 0)
+    with pytest.raises(GeometryError):
+        fuchsian._certified_star(small, 0)
+    assert _certified_hull(cfg, 5.0).radius == R0
+
+
+def test_uncertified_hull_stops_at_r_max(group, monkeypatch):
+    radii = []
+    truncated = fuchsian._truncated_hull
+
+    def recording(cfg, radius):
+        radii.append(radius)
+        return truncated(cfg, radius)
+
+    monkeypatch.setattr(fuchsian, "_truncated_hull", recording)
+    monkeypatch.setattr(fuchsian, "_supports_orbit", lambda surf, faces: False)
+    with pytest.raises(GeometryError, match="not certified by radius 10"):
+        orbit_hull(config(group, [(0.25, 0.15)], heights=[0.55]))
+    assert radii == [R0 + 0.5 * k for k in range(10)]
+
+
+@settings(max_examples=20, derandomize=True, deadline=None, database=None)
+@given(n=st.integers(1, 3), level=st.floats(0.55, 0.95),
+       offsets=st.lists(st.floats(-0.08, 0.08), min_size=3, max_size=3))
+def test_certified_stars_match_wider_oracle(group, n, level, offsets):
+    cfg = config(group, THREE_RAYS[:n], heights=level + np.array(offsets[:n]))
+    surf = orbit_hull(cfg)
+    oracle = _truncated_hull(cfg, surf.radius + 1.5)
+    oracle.stars = [_build_star(oracle, vid) for vid in range(n)]
+    assert surf.star_combinatorics() == oracle.star_combinatorics()
+    assert np.array_equal(curvatures(surf), curvatures(oracle))
+    assert surf.check_equivariance()
 
 
 def test_hull_equivariant_faces(surf1):
@@ -319,13 +416,18 @@ def test_solver_n2_converges_and_unique(group):
 
 
 def test_solver_singular_jacobian_is_nonconvergence(group, monkeypatch):
+    calls = []
+
     def singular(surf, require_convex=True):
+        calls.append(surf)
         return fuchsian.JacobianMatrix(np.zeros((surf.n, surf.n)), math.inf)
 
     monkeypatch.setattr(fuchsian, "jacobian", singular)
     cfg = config(group, [(0.25, 0.15)], targets=[-2.0])
     with pytest.raises(ConvergenceError):
         solve_prescribed_curvature(cfg)
+    # the first singular Jacobian ends the solve: no retry reassembles it
+    assert len(calls) == 1
 
 
 def test_solver_rejects_bad_targets(group):
