@@ -117,9 +117,8 @@ def cmd_check(args):
     scale = _tol_scale()
     failures = 0
     for path in paths:
-        kind, obj = fio.load_any(path)
+        kind, obj = fio.load_any(path)  # polyhedra are validated on load
         if kind == "polyhedron":
-            obj.validate()
             print(f"{path}: polyhedron ok "
                   f"(V={obj.n_vertices} E={obj.n_edges} F={obj.n_faces})")
         elif kind == "tiling":

@@ -57,6 +57,20 @@ def pseudo_norm(u, sig):
     return complex(0.0, np.sqrt(-q))
 
 
+def cross4(a, b, c):
+    """Euclidean generalized cross product of 4-vectors, row-wise.
+
+    a, b, c are arrays of one shape (..., 4).  The result is orthogonal to
+    all three; entry i is the signed determinant of the 3x3 minor that
+    leaves out column i.
+    """
+    stack = np.stack([a, b, c], axis=-2)  # (..., 3, 4)
+    out = np.empty(stack.shape[:-2] + (4,))
+    for i in range(4):
+        out[..., i] = ((-1) ** i) * np.linalg.det(stack[..., [j for j in range(4) if j != i]])
+    return out
+
+
 # Group structure.  On the sphere the coordinates multiply as quaternions
 # with real part first; on AdS they multiply through the SL(2,R) picture
 # with neutral element (0,0,0,1).

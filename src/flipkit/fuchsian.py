@@ -29,7 +29,7 @@ from scipy.spatial import ConvexHull as EuclideanHull
 from scipy.spatial import QhullError, cKDTree
 
 from .errors import ConvergenceError, DevelopmentError, GeometryError
-from .forms import Signature, inv4, mul4
+from .forms import Signature, cross4, inv4, mul4
 from .spheremath import HyperbolicOps
 from .trig import convexity_sign
 
@@ -664,16 +664,8 @@ def _batch_poles(points4, simplices):
     Returns (poles, spacelike mask): non-space-like planes are truncation
     artifacts and get masked out.
     """
-    a = points4[simplices[:, 0]]
-    b = points4[simplices[:, 1]]
-    c = points4[simplices[:, 2]]
-    m = np.empty((len(simplices), 4))
-    cols = np.arange(4)
-    stack = np.stack([a, b, c], axis=1)  # (S, 3, 4)
-    for i in range(4):
-        sub = stack[:, :, [j for j in cols if j != i]]
-        m[:, i] = ((-1) ** i) * np.linalg.det(sub)
-    poles = m * Q_ADS
+    tri = points4[simplices]  # (S, 3, 4)
+    poles = cross4(tri[:, 0], tri[:, 1], tri[:, 2]) * Q_ADS
     q = np.sum(poles * poles * Q_ADS, axis=1)
     ok = q < -1e-12
     poles[ok] /= np.sqrt(-q[ok])[:, None]
@@ -729,16 +721,6 @@ def _truncated_hull(config, radius):
     poles, spacelike = _batch_poles(points4, simplices)
     faces = _merge_faces(simplices[spacelike], poles[spacelike], chart)
     return FuchsianSurface(config, elems, points4, faces, radius)
-
-
-def _cross4(a, b, c):
-    """Euclidean generalized cross product of three 4-vectors."""
-    m = np.stack([a, b, c])
-    out = np.empty(4)
-    for i in range(4):
-        cols = [j for j in range(4) if j != i]
-        out[i] = ((-1) ** i) * np.linalg.det(m[:, cols])
-    return out
 
 
 def _cyclic_face_order(chart, ids):

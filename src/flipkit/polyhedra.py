@@ -6,6 +6,7 @@ become Euclidean polytopes.  Faces, polar duals and polar links are all
 derived from that picture.
 """
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -13,6 +14,7 @@ from scipy.spatial import ConvexHull as EuclideanHull
 from scipy.spatial import QhullError
 
 from .errors import GeometryError
+from .forms import cross4
 from .spheremath import SphereOps
 
 EPS_PLANE = 1e-9
@@ -236,10 +238,44 @@ class ConvexPolyhedron:
             raise GeometryError("a vertex lies strictly outside a face half-space")
         if np.min(self.interior @ self.face_poles.T) <= 0:
             raise GeometryError("empty interior")
-        for fi in range(self.n_faces):
-            if not self.face_polygon(fi).is_convex():
-                raise GeometryError(f"face {fi} is not convex")
+        bad = np.nonzero(~self.faces_convex())[0]
+        if len(bad):
+            raise GeometryError(f"face {bad[0]} is not convex")
         return True
+
+    def faces_convex(self, tol=1e-9):
+        """Convexity of every face in one pass, as `SphericalPolygon.is_convex`.
+
+        The normal of polygon edge (v_i, v_i+1) of face f inside the
+        2-sphere pole_f^perp is the cross product (pole_f, v_i, v_i+1).  A
+        face is convex when no edge normal is degenerate and the normalized
+        products of all normals with the face's other vertices share a sign
+        up to `tol`.
+        """
+        sizes = np.array([len(f) for f in self.faces])
+        ids = np.fromiter(itertools.chain.from_iterable(self.faces), int, sizes.sum())
+        start = np.cumsum(sizes) - sizes
+        face_of = np.repeat(np.arange(len(sizes)), sizes)
+        first = start[face_of]
+        pos = np.arange(len(ids)) - first
+        k = sizes[face_of]
+        v = self.vertices
+        normals = cross4(self.face_poles[face_of], v[ids], v[ids[first + (pos + 1) % k]])
+        norms = np.linalg.norm(normals, axis=1)
+        degenerate = norms < 1e-12
+        normals /= np.where(degenerate, 1.0, norms)[:, None]
+        # edge e meets the k - 2 vertices at positions pos + 2, ..., pos + k - 1
+        others = np.maximum(k - 2, 0)
+        edge = np.repeat(np.arange(len(ids)), others)
+        step = np.arange(len(edge)) - np.repeat(np.cumsum(others) - others, others) + 2
+        j = ids[first[edge] + (pos[edge] + step) % k[edge]]
+        prods = np.einsum("ij,ij->i", v[j], normals[edge])
+        lo = np.full(len(sizes), np.inf)
+        hi = np.full(len(sizes), -np.inf)
+        np.minimum.at(lo, face_of[edge], prods)
+        np.maximum.at(hi, face_of[edge], prods)
+        flat = np.bincount(face_of[degenerate], minlength=len(sizes)) > 0
+        return ~flat & ((lo >= -tol) | (hi <= tol))
 
     # -- geometry ----------------------------------------------------------
 

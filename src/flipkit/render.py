@@ -3,7 +3,8 @@
 Spherical tilings are drawn through the stereographic projection from the
 pole (0,0,-1); hyperbolic tilings land in the Poincare disk.  Geodesic
 arcs are sampled at most 0.01 radians apart and emitted as polylines, so
-the output is plain paths with no curve primitives.
+the output is plain paths with no curve primitives.  Each arc is sampled
+as one array, projected row-wise and formatted in one pass.
 """
 
 import numpy as np
@@ -22,60 +23,64 @@ def _fmt(x):
 
 
 def stereographic(p):
-    """Projection of the unit sphere from the pole (0,0,-1)."""
-    denom = 1.0 + p[2]
-    if denom < 1e-9:
+    """Projection of the unit sphere from the pole (0,0,-1), row-wise."""
+    p = np.asarray(p)
+    denom = 1.0 + p[..., 2:3]
+    if np.any(denom < 1e-9):
         raise GeometryError("point at the projection pole")
-    return np.array([p[0] / denom, p[1] / denom])
+    return p[..., :2] / denom
 
 
 def poincare(p):
-    """Hyperboloid point to the Poincare disk."""
-    return np.array([p[0] / (1.0 + p[2]), p[1] / (1.0 + p[2])])
+    """Hyperboloid points to the Poincare disk, row-wise."""
+    p = np.asarray(p)
+    return p[..., :2] / (1.0 + p[..., 2:3])
+
+
+def _path(xy, close=""):
+    """SVG path data of a polyline through the rows of xy."""
+    return ("M" + "L".join(["%.8f %.8f"] * len(xy)) + close) % tuple(xy.ravel().tolist())
 
 
 def _sample_arc(ops, a, b):
+    """Rows along the geodesic from a to b, both ends included."""
     d = ops.dist(a, b)
-    steps = max(2, int(np.ceil(d / ARC_STEP)) + 1)
     if d < 1e-12:
-        return [a, b]
-    t = ops.tangent(a, b)
-    return [ops.geodesic(a, t, s) for s in np.linspace(0.0, d, steps)]
+        return np.array([a, b])
+    steps = max(2, int(np.ceil(d / ARC_STEP)) + 1)
+    return ops.geodesic(a, ops.tangent(a, b), np.linspace(0.0, d, steps)[:, None])
+
+
+def _sample_edge(ops, edge, a, b):
+    """Rows of a tiling edge at parameters a to b, both ends included."""
+    n = max(2, int(np.ceil(abs(b - a) / ARC_STEP)) + 1)
+    return edge.point_at(ops, np.linspace(a, b, n)[:, None])
 
 
 def _face_path(ops, proj, face):
-    pts = []
-    k = len(face.vertices)
-    for i in range(k):
-        arc = _sample_arc(ops, face.vertices[i], face.vertices[(i + 1) % k])
-        pts.extend(arc[:-1])
-    coords = [proj(p) for p in pts]
-    d = "M" + "L".join(f"{_fmt(x)} {_fmt(y)}" for x, y in coords) + "Z"
-    return d
+    v = face.vertices
+    k = len(v)
+    arcs = [_sample_arc(ops, v[i], v[(i + 1) % k])[:-1] for i in range(k)]
+    return _path(proj(np.concatenate(arcs)), "Z")
 
 
 def _digon_path(T, ops, proj, color, fi):
     """Digon boundary sampled along its two supporting edge records."""
     f = T.faces(color)[fi]
-    pts = []
+    arcs = []
     for k in range(len(f)):
         edge = T.edges[f.edge_refs[k]]
         seg = edge.segment_of(color, fi, k)
-        a = seg.corner_param(True)
-        b = seg.corner_param(False)
-        n = max(2, int(np.ceil(abs(b - a) / ARC_STEP)) + 1)
-        for t in np.linspace(a, b, n)[:-1]:
-            pts.append(edge.point_at(ops, t))
-    coords = [proj(p) for p in pts]
-    return "M" + "L".join(f"{_fmt(x)} {_fmt(y)}" for x, y in coords) + "Z"
+        arcs.append(
+            _sample_edge(ops, edge, seg.corner_param(True), seg.corner_param(False))[:-1]
+        )
+    return _path(proj(np.concatenate(arcs)), "Z")
 
 
 def _edge_path(ops, proj, edge):
     a = edge.point_at(ops, edge.t_min)
     b = edge.point_at(ops, edge.t_max)
-    arc = _sample_arc(ops, a, b)
-    coords = [proj(p) for p in arc]
-    return "M" + "L".join(f"{_fmt(x)} {_fmt(y)}" for x, y in coords)
+    return _path(proj(_sample_arc(ops, a, b)))
 
 
 def render_svg(T, projection=None):
@@ -106,16 +111,14 @@ def render_svg(T, projection=None):
             else:
                 d = _face_path(ops, proj, f)
             paths.append(f'<path d="{d}" fill="{fill}" stroke="none"/>')
-            for i in range(len(f.vertices)):
-                all_xy.append(proj(f.vertices[i]))
+            all_xy.append(proj(f.vertices))
     for e in T.edges:
         d = _edge_path(ops, proj, e)
         paths.append(
             f'<path d="{d}" fill="none" stroke="{EDGE_STROKE}" '
             f'stroke-width="0.01" stroke-linecap="round"/>'
         )
-        all_xy.append(proj(e.point_at(ops, e.t_min)))
-        all_xy.append(proj(e.point_at(ops, e.t_max)))
+        all_xy.append(proj(e.point_at(ops, np.array([[e.t_min], [e.t_max]]))))
 
     if projection == "poincare":
         lo, hi = -1.05, 1.05
@@ -125,8 +128,7 @@ def render_svg(T, projection=None):
             'stroke-width="0.005"/>',
         )
     else:
-        arr = np.array(all_xy)
-        span = max(1.0, float(np.max(np.abs(arr))) if len(arr) else 1.0)
+        span = max([1.0] + [float(np.max(np.abs(xy))) for xy in all_xy])
         lo, hi = -1.05 * span, 1.05 * span
     size = hi - lo
     header = (

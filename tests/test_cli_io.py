@@ -183,6 +183,51 @@ def test_cli_check_and_exit_codes(tmp_path, tetrahedron):
     assert main(["flip", "--in", str(tpath), "--out", str(tmp_path / "y.json")]) == 3
 
 
+def _folded_tetrahedron(delta=1e-10):
+    """Tetrahedron with a vertex inserted just beyond the end of one edge.
+
+    The two faces along that edge fold back on themselves: the combinatorics,
+    coplanarity and half-space checks pass, and only face convexity fails.
+    """
+    P = regular_tetrahedron()
+    u, w, fa, fb = P.edges[0]
+    m = P.vertices[w] + delta * (P.vertices[w] - P.vertices[u])
+    faces = []
+    for f in P.faces:
+        f = list(f)
+        for t in range(len(f)):
+            if {f[t], f[(t + 1) % len(f)]} == {u, w}:
+                f.insert(t + 1, P.n_vertices)
+                break
+        faces.append(f)
+    verts = np.vstack([P.vertices, m / np.linalg.norm(m)])
+    return verts, faces, min(fa, fb)
+
+
+def test_cli_check_non_convex_face_exit_code(tmp_path, capsys):
+    verts, faces, first_bad = _folded_tetrahedron()
+    path = tmp_path / "folded.json"
+    fio.dump_json({"schema": "polyhedron.v1", "model": "S3",
+                   "vertices": verts.tolist(), "faces": faces}, path)
+    assert main(["check", "--in", str(path)]) == 3
+    assert f"face {first_bad} is not convex" in capsys.readouterr().err
+
+
+@pytest.mark.xfail(strict=True, reason="validation tolerances are absolute, not "
+                   "scaled to the polyhedron: check accepts a 1e-12 tetrahedron "
+                   "that dual and project reject")
+def test_cli_check_rejects_tiny_tetrahedron(tmp_path):
+    t = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]]) / np.sqrt(3)
+    verts = np.hstack([np.ones((4, 1)), 1e-12 * t])
+    path = str(tmp_path / "tiny.json")
+    fio.dump_json({"schema": "polyhedron.v1", "model": "S3",
+                   "vertices": (verts / np.linalg.norm(verts, axis=1)[:, None]).tolist()},
+                  path)
+    assert main(["dual", "--in", path, "--out", str(tmp_path / "d.json")]) == 3
+    assert main(["project", "--in", path, "--out", str(tmp_path / "t.json")]) == 3
+    assert main(["check", "--in", path]) == 3
+
+
 def test_cli_byte_identical_outputs(tmp_path, tetrahedron):
     p = write_poly(tmp_path, tetrahedron)
     out1, out2 = str(tmp_path / "a.json"), str(tmp_path / "b.json")

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from flipkit import fuchsian
 from flipkit import io as fio
 from flipkit.errors import ConvergenceError, GeometryError
+from flipkit.forms import cross4
 from flipkit.fuchsian import (
     R0,
     FuchsianConfig,
@@ -39,7 +40,6 @@ from flipkit.fuchsian import (
     Q_ADS,
     _build_star,
     _certified_hull,
-    _cross4,
     _cyclic_face_order,
     _truncated_hull,
 )
@@ -476,7 +476,7 @@ def test_dual_involution(group):
     surf = out["surface"]
     duals, _ = minkowski_dual(surf)
     for df in duals:
-        pole = Q_ADS * _cross4(df.vertices[0], df.vertices[1], df.vertices[2])
+        pole = Q_ADS * cross4(df.vertices[0], df.vertices[1], df.vertices[2])
         pole = pole / math.sqrt(-ads_inner(pole, pole))
         if pole[3] < 0:
             pole = -pole

@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial import ConvexHull as EuclideanHull
 
 from conftest import random_polyhedron, regular_tetrahedron
 from flipkit.errors import GeometryError
 from flipkit.polyhedra import (
+    ConvexPolyhedron,
     SphericalPolygon,
     from_vertices_and_faces,
     hull,
@@ -222,3 +225,26 @@ def test_normalize_rows_idempotent():
     once = normalize_rows(rng.normal(size=(500, 4)))
     assert np.allclose(np.linalg.norm(once, axis=1), 1.0, rtol=0, atol=1e-15)
     assert np.array_equal(normalize_rows(once), once)
+
+
+@settings(max_examples=30, derandomize=True, deadline=None, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(5, 14), dual=st.booleans(),
+       swap=st.tuples(st.integers(0, 20), st.integers(1, 20)))
+def test_faces_convex_matches_polygon_oracle(seed, n, dual, swap):
+    # One-pass convexity against SphericalPolygon.is_convex, face by face, on
+    # a random polyhedron or its polar dual, and again with two vertices of
+    # every face of 4 or more swapped (convex or not, depending on the pair).
+    P = random_polyhedron(np.random.default_rng(seed), n)
+    if dual:
+        P = polar_dual(P)
+    assert P.faces_convex().all()
+    faces = []
+    for f in P.faces:
+        f = list(f)
+        a, b = swap[0] % len(f), (swap[0] + swap[1]) % len(f)
+        if len(f) >= 4:
+            f[a], f[b] = f[b], f[a]
+        faces.append(f)
+    Q = ConvexPolyhedron(P.vertices, faces, P.face_poles, P.interior, validate=False)
+    oracle = [Q.face_polygon(fi).is_convex() for fi in range(Q.n_faces)]
+    assert Q.faces_convex().tolist() == oracle
