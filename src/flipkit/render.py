@@ -3,8 +3,11 @@
 Spherical tilings are drawn through the stereographic projection from the
 pole (0,0,-1); hyperbolic tilings land in the Poincare disk.  Geodesic
 arcs are sampled at most 0.01 radians apart and emitted as polylines, so
-the output is plain paths with no curve primitives.  Each arc is sampled
-as one array, projected row-wise and formatted in one pass.
+the output is plain paths with no curve primitives.  Face sides are the
+arcs between consecutive vertices, except on digons; tiling edges and digon
+sides are sampled along the edge's own parameter, so closed edges and
+edges longer than pi are drawn whole.  Each arc is sampled as one array,
+projected row-wise and formatted in one pass.
 """
 
 import numpy as np
@@ -77,12 +80,6 @@ def _digon_path(T, ops, proj, color, fi):
     return _path(proj(np.concatenate(arcs)), "Z")
 
 
-def _edge_path(ops, proj, edge):
-    a = edge.point_at(ops, edge.t_min)
-    b = edge.point_at(ops, edge.t_max)
-    return _path(proj(_sample_arc(ops, a, b)))
-
-
 def render_svg(T, projection=None):
     """Render a tiling to an SVG string.
 
@@ -113,12 +110,12 @@ def render_svg(T, projection=None):
             paths.append(f'<path d="{d}" fill="{fill}" stroke="none"/>')
             all_xy.append(proj(f.vertices))
     for e in T.edges:
-        d = _edge_path(ops, proj, e)
+        xy = proj(_sample_edge(ops, e, e.t_min, e.t_max))
         paths.append(
-            f'<path d="{d}" fill="none" stroke="{EDGE_STROKE}" '
+            f'<path d="{_path(xy)}" fill="none" stroke="{EDGE_STROKE}" '
             f'stroke-width="0.01" stroke-linecap="round"/>'
         )
-        all_xy.append(proj(e.point_at(ops, np.array([[e.t_min], [e.t_max]]))))
+        all_xy.append(xy[[0, -1]])
 
     if projection == "poincare":
         lo, hi = -1.05, 1.05

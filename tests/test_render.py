@@ -16,9 +16,9 @@ import pytest
 
 sys.path.insert(0, os.path.dirname(__file__))
 
-from conftest import random_polyhedron  # noqa: E402
+from conftest import polyhedron_corpus, random_polyhedron  # noqa: E402
 from flipkit.fuchsian import FuchsianConfig, ads_project, genus2_group, orbit_hull  # noqa: E402
-from flipkit.render import render_svg  # noqa: E402
+from flipkit.render import ARC_STEP, EDGE_STROKE, render_svg  # noqa: E402
 from flipkit.tilings import Side, flip, make_two_circles_tiling, project  # noqa: E402
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -66,6 +66,35 @@ def tilings():
 def test_render_matches_golden(tilings, name):
     with open(_golden_path(name), newline="") as fh:
         assert render_svg(tilings[name]) == fh.read()
+
+
+def _stroke_point_counts(svg):
+    return [
+        line.count("L") + 1
+        for line in svg.splitlines()
+        if f'stroke="{EDGE_STROKE}"' in line
+    ]
+
+
+def test_closed_edges_render_whole():
+    # Both edges of a two-circles tiling are full great circles, t in [0, 2 pi].
+    rng = np.random.default_rng(40)
+    for _ in range(20):
+        n1, n2 = rng.normal(size=(2, 3))
+        for side in (Side.LEFT, Side.RIGHT):
+            counts = _stroke_point_counts(render_svg(make_two_circles_tiling(n1, n2, side)))
+            assert len(counts) == 2
+            assert min(counts) >= 2 * np.pi / ARC_STEP
+
+
+def test_edges_sampled_along_their_parameter():
+    # Acceptance-corpus polyhedron 74 projects to a tiling with an edge of
+    # length 3.30 > pi, which the shortest arc between its ends would miss.
+    T = project(polyhedron_corpus(20240817, 75)[74], Side.LEFT)
+    lengths = np.array([e.t_max - e.t_min for e in T.edges])
+    assert lengths.max() > np.pi
+    expected = [max(2, int(np.ceil(L / ARC_STEP)) + 1) for L in lengths]
+    assert _stroke_point_counts(render_svg(T)) == expected
 
 
 if __name__ == "__main__":
