@@ -274,8 +274,8 @@ class ConvexPolyhedron:
         hi = np.full(len(sizes), -np.inf)
         np.minimum.at(lo, face_of[edge], prods)
         np.maximum.at(hi, face_of[edge], prods)
-        flat = np.bincount(face_of[degenerate], minlength=len(sizes)) > 0
-        return ~flat & ((lo >= -tol) | (hi <= tol))
+        has_degenerate = np.bincount(face_of[degenerate], minlength=len(sizes)) > 0
+        return ~has_degenerate & ((lo >= -tol) | (hi <= tol))
 
     # -- geometry ----------------------------------------------------------
 
