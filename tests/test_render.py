@@ -3,23 +3,20 @@
 The goldens in tests/data/render_*.svg pin the renderer's bytes.  After a
 deliberate change to the drawing, rewrite them with
 
-    PYTHONPATH=src python tests/test_render.py
+    PYTHONPATH=src:tests python tests/test_render.py
 
 and say in the change log which files changed and by how much.
 """
 
 import os
-import sys
 
 import numpy as np
 import pytest
 
-sys.path.insert(0, os.path.dirname(__file__))
-
-from conftest import polyhedron_corpus, random_polyhedron  # noqa: E402
-from flipkit.fuchsian import FuchsianConfig, ads_project, genus2_group, orbit_hull  # noqa: E402
-from flipkit.render import ARC_STEP, EDGE_STROKE, render_svg  # noqa: E402
-from flipkit.tilings import Side, flip, make_two_circles_tiling, project  # noqa: E402
+from conftest import polyhedron_corpus, random_polyhedron
+from flipkit.fuchsian import FuchsianConfig, ads_project, genus2_group, orbit_hull
+from flipkit.render import ARC_STEP, EDGE_STROKE, render_svg
+from flipkit.tilings import Side, flip, make_two_circles_tiling, project
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 # (seed, vertex count) of the polyhedra whose projections and flips are pinned
