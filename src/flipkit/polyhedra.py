@@ -243,14 +243,14 @@ class ConvexPolyhedron:
             raise GeometryError(f"face {bad[0]} is not convex")
         return True
 
-    def faces_convex(self, tol=1e-9):
+    def faces_convex(self):
         """Convexity of every face in one pass, as `SphericalPolygon.is_convex`.
 
         The normal of polygon edge (v_i, v_i+1) of face f inside the
         2-sphere pole_f^perp is the cross product (pole_f, v_i, v_i+1).  A
         face is convex when no edge normal is degenerate and the normalized
         products of all normals with the face's other vertices share a sign
-        up to `tol`.
+        up to EPS_PLANE, the default tolerance of `is_convex`.
         """
         sizes = np.array([len(f) for f in self.faces])
         ids = np.fromiter(itertools.chain.from_iterable(self.faces), int, sizes.sum())
@@ -275,7 +275,7 @@ class ConvexPolyhedron:
         np.minimum.at(lo, face_of[edge], prods)
         np.maximum.at(hi, face_of[edge], prods)
         has_degenerate = np.bincount(face_of[degenerate], minlength=len(sizes)) > 0
-        return ~has_degenerate & ((lo >= -tol) | (hi <= tol))
+        return ~has_degenerate & ((lo >= -EPS_PLANE) | (hi <= EPS_PLANE))
 
     # -- geometry ----------------------------------------------------------
 
