@@ -100,7 +100,7 @@ def render_svg(T, projection=None):
         raise GeometryError(f"unknown projection {projection!r}")
 
     paths = []
-    all_xy = []
+    span = 1.0
     for color, fill in ((("white"), WHITE_FILL), (("black"), BLACK_FILL)):
         for fi, f in enumerate(T.faces(color)):
             if f.is_digon:
@@ -108,14 +108,14 @@ def render_svg(T, projection=None):
             else:
                 d = _face_path(ops, proj, f)
             paths.append(f'<path d="{d}" fill="{fill}" stroke="none"/>')
-            all_xy.append(proj(f.vertices))
+            span = max(span, float(np.max(np.abs(proj(f.vertices)))))
     for e in T.edges:
         xy = proj(_sample_edge(ops, e, e.t_min, e.t_max))
         paths.append(
             f'<path d="{_path(xy)}" fill="none" stroke="{EDGE_STROKE}" '
             f'stroke-width="0.01" stroke-linecap="round"/>'
         )
-        all_xy.append(xy[[0, -1]])
+        span = max(span, float(np.max(np.abs(xy[[0, -1]]))))
 
     if projection == "poincare":
         lo, hi = -1.05, 1.05
@@ -125,7 +125,6 @@ def render_svg(T, projection=None):
             'stroke-width="0.005"/>',
         )
     else:
-        span = max([1.0] + [float(np.max(np.abs(xy))) for xy in all_xy])
         lo, hi = -1.05 * span, 1.05 * span
     size = hi - lo
     header = (
