@@ -16,6 +16,13 @@ face of the fundamental vertex stars is then certified: a lower bound on
 <x, p> over all omitted orbit points x shows that its plane supports the
 whole orbit, so the stars are those of the infinite surface.  When a face
 fails, R grows by 0.5 up to R_MAX = 10, past which GeometryError is raised.
+
+One star kernel serves AdS_3 and S^3 (`star_geometry`, with a
+`StarSignature`): given a vertex and its neighbour cycle as arrays it
+returns the edge lengths, apex angles and wedge angles of the star in one
+pass.  Cone angles are summed from its wedge angles and face areas from
+the same tangent and angle primitives, and one assembly (`_assemble`) builds the Jacobian of either signature; only
+the family (sinh, cosh) or (sin, cos) differs.
 """
 
 import itertools
@@ -29,16 +36,14 @@ from scipy.spatial import ConvexHull as EuclideanHull
 from scipy.spatial import QhullError, cKDTree
 
 from .errors import ConvergenceError, DevelopmentError, GeometryError
-from .forms import Signature, cross4, inv4, mul4
-from .spheremath import HyperbolicOps
+from .forms import SPHERE_E, Signature, cross4, inv4, mul4
+from .spheremath import Q_HYP, HyperbolicOps
 from .trig import convexity_sign
 
 logger = logging.getLogger("flipkit.fuchsian")
 
 Q_ADS = np.array([1.0, 1.0, -1.0, -1.0])
-Q_HYP = np.array([1.0, 1.0, -1.0])
-N_FUTURE = np.array([0.0, 0.0, 0.0, 1.0])   # H*, the dual of H on the future side
-O_APEX = np.array([0.0, 0.0, 0.0, -1.0])    # dual of H antipodal to H*
+O_APEX = np.array([0.0, 0.0, 0.0, -1.0])    # dual of H antipodal to H* = (0, 0, 0, 1)
 
 EPS_FACE_MERGE = 1e-8
 EPS_EQUIVARIANT = 1e-8
@@ -48,14 +53,6 @@ R_STEP = 0.5    # growth of the radius after an uncertified build
 R_MAX = 10.0    # largest radius tried
 
 
-def ads_inner(u, v):
-    return float(np.sum(u * v * Q_ADS))
-
-
-def hyp_inner(u, v):
-    return float(np.sum(u * v * Q_HYP))
-
-
 def extend_isometry(g):
     """Extend an SO(2,1) matrix to an AdS isometry fixing {x4 = 0}."""
     m = np.eye(4)
@@ -63,56 +60,17 @@ def extend_isometry(g):
     return m
 
 
-def ray_point(p, h):
-    """Point at height h on the half-ray through p orthogonal to H."""
-    return np.concatenate([np.cos(h) * np.asarray(p), [np.sin(h)]])
-
-
 def orbit_points(elements, rays, heights):
-    """`ray_point(g @ rays[b], heights[b])` for each of the stacked (m, 3, 3)
-    `elements` g and each ray b, as row g_index * len(rays) + b."""
+    """Orbit points of the half-rays orthogonal to H: for each of the
+    stacked (m, 3, 3) `elements` g and each ray b, the point
+    (cos h_b g r_b, sin h_b) at height h_b above g r_b, as row
+    g_index * len(rays) + b."""
     base = (elements[:, None] @ rays[None, :, :, None])[..., 0]
     h = np.asarray(heights, dtype=float)
     out = np.empty(base.shape[:2] + (4,))
     out[..., :3] = np.cos(h)[:, None] * base
     out[..., 3] = np.sin(h)
     return out.reshape(-1, 4)
-
-
-def space_dist(x, y):
-    """Space-like AdS distance: cosh d = -<x,y>_2."""
-    return float(np.arccosh(max(-ads_inner(x, y), 1.0)))
-
-
-def unit_tangent(x, y):
-    """Unit space-like tangent at x toward y (both on the quadric)."""
-    w = y + ads_inner(x, y) * x
-    q = ads_inner(w, w)
-    if q <= 1e-26:
-        raise GeometryError("tangent toward a non-space-like direction")
-    return w / math.sqrt(q)
-
-
-def tangent_to_apex(x):
-    """Unit time-like tangent at x toward the apex o = -H*."""
-    w = O_APEX + ads_inner(O_APEX, x) * x
-    q = ads_inner(w, w)
-    if q >= -1e-26:
-        raise GeometryError("degenerate direction toward the apex")
-    return w / math.sqrt(-q)
-
-
-def wedge_angle(x, u, v):
-    """Angle at x between the space-like tangents toward u and v."""
-    tu = unit_tangent(x, u)
-    tv = unit_tangent(x, v)
-    return float(np.arccos(np.clip(ads_inner(tu, tv), -1.0, 1.0)))
-
-
-def apex_edge_angle(x, y):
-    """Signed angle rho at x between the apex direction and the edge xy:
-    sinh(rho) = <u_o, t_xy>_2 for unit tangents."""
-    return float(np.arcsinh(ads_inner(tangent_to_apex(x), unit_tangent(x, y))))
 
 
 # -- the genus-2 octagon group -------------------------------------------------
@@ -306,7 +264,7 @@ class FuchsianConfig:
     def __post_init__(self):
         self.rays = np.atleast_2d(np.asarray(self.rays, dtype=float))
         for p in self.rays:
-            if abs(hyp_inner(p, p) + 1.0) > 1e-9 or p[2] <= 0:
+            if abs(HyperbolicOps.inner(p, p) + 1.0) > 1e-9 or p[2] <= 0:
                 raise GeometryError("ray base point not on the hyperboloid")
             if not self.group.contains(p, tol=1e-6):
                 raise GeometryError("ray base point outside the fundamental domain")
@@ -523,11 +481,8 @@ class FuchsianSurface:
 
     def face_area(self, fi):
         """Hyperbolic area of a space-like face via its angle sum."""
-        f = self.faces[fi]
-        pts = [self.points4[v] for v in f.vertex_ids]
-        k = len(pts)
-        angles = [wedge_angle(pts[i], pts[i - 1], pts[(i + 1) % k]) for i in range(k)]
-        return (k - 2) * np.pi - float(sum(angles))
+        angles = polygon_angles(self.points4[self.faces[fi].vertex_ids]).tolist()
+        return (len(angles) - 2) * np.pi - float(sum(angles))
 
     def quotient_area(self):
         """Total face area of a fundamental set of faces."""
@@ -736,18 +691,103 @@ def _cyclic_face_order(chart, ids):
     return out[pivot:] + out[:pivot]
 
 
-# -- cone angles and the Jacobian ------------------------------------------------
+# -- the star kernel: cone angles and the Jacobian --------------------------------
+
+
+@dataclass(frozen=True)
+class StarSignature:
+    """A quadric <x, x> = kappa of R^4, the apex o its vertex stars look
+    back to, and the trigonometric family of its edges.
+
+    AdS_3 (`ADS_STAR`): kappa = -1, o = -H*, S = sinh and C = cosh.  S^3
+    (`SPHERE_STAR`): kappa = +1, o = e, S = sin and C = cos.  `length` maps
+    kappa <x, y> to the edge length ell; `apex_angle` maps <t_o, t> to the
+    signed angle rho between the apex direction and the edge, S(rho) =
+    <t_o, t>, which on S^3 is the complement of the angle between them.
+    `S` and `C` are `math` functions, `length` and `apex_angle` numpy ones.
+    """
+
+    form: np.ndarray
+    kappa: float
+    apex: np.ndarray
+    S: object
+    C: object
+    length: object
+    apex_angle: object
+
+
+ADS_STAR = StarSignature(
+    Q_ADS, -1.0, O_APEX, math.sinh, math.cosh,
+    lambda c: np.arccosh(np.maximum(c, 1.0)), np.arcsinh,
+)
+SPHERE_STAR = StarSignature(
+    np.ones(4), 1.0, SPHERE_E, math.sin, math.cos,
+    lambda c: np.arccos(np.clip(c, -1.0, 1.0)),
+    lambda s: np.arcsin(np.clip(s, -1.0, 1.0)),
+)
+
+
+def _inner(u, v, sig):
+    """Row-wise <u, v>, each row summed left to right like one 4-vector."""
+    return np.sum(u * v * sig.form, axis=-1)
+
+
+def _unit_tangents(at, toward, ip, sig, sign=1.0):
+    """Unit tangents at the points `at` toward `toward`, row-wise, given
+    ip = <at, toward>; `sign` is the sign of their squared length."""
+    w = toward - (sig.kappa * ip)[..., None] * at
+    q = sign * _inner(w, w, sig)
+    if np.any(q <= 1e-26):
+        raise GeometryError("tangent direction is degenerate or of the wrong type")
+    return w / np.sqrt(q)[..., None]
+
+
+def _apex_tangents(pts, sig):
+    return _unit_tangents(pts, sig.apex, _inner(sig.apex, pts, sig), sig, sig.kappa)
+
+
+def _angles(ta, tb, sig):
+    return np.arccos(np.clip(_inner(ta, tb, sig), -1.0, 1.0))
+
+
+def _wedges(x, ys, sig):
+    """<x, ys>, the unit edge tangents at x and the wedge angles of a star."""
+    ip = _inner(x, ys, sig)
+    t = _unit_tangents(x, ys, ip, sig)
+    return ip, t, _angles(t, np.roll(t, -1, axis=0), sig)
+
+
+def star_geometry(x, ys, sig=ADS_STAR):
+    """Edge lengths ell, apex angles rho_x at x and rho_s at the neighbours,
+    and wedge angles omega of the star at x whose neighbour cycle is the
+    rows of ys; omega[j] lies between ys[j] and ys[j + 1 mod m]."""
+    ip, t, omega = _wedges(x, ys, sig)
+    ell = sig.length(sig.kappa * ip)
+    rho_x = sig.apex_angle(_inner(_apex_tangents(x[None], sig), t, sig))
+    back = _unit_tangents(ys, x, ip, sig)
+    rho_s = sig.apex_angle(_inner(_apex_tangents(ys, sig), back, sig))
+    return ell, rho_x, rho_s, omega
+
+
+def polygon_angles(pts, sig=ADS_STAR):
+    """Angle at each corner of a polygon on the quadric, between the edges
+    toward the previous and the next corner."""
+    prev, nxt = np.roll(pts, 1, axis=0), np.roll(pts, -1, axis=0)
+    ta = _unit_tangents(pts, prev, _inner(pts, prev, sig), sig)
+    tb = _unit_tangents(pts, nxt, _inner(pts, nxt, sig), sig)
+    return _angles(ta, tb, sig)
+
+
+def _cone_angle(star, pts, sig=ADS_STAR):
+    """Total wedge angle of a star with its vertices at `pts`, summed in
+    cycle order."""
+    omega = _wedges(pts[star.vertex], pts[star.neighbors], sig)[2]
+    return float(np.add.accumulate(omega)[-1])
 
 
 def cone_angle_at(surf, vid):
     """Total face angle around one hull vertex, from its star."""
-    star = surf.star_at(vid)
-    x = surf.points4[vid]
-    nb = star.neighbors
-    total = 0.0
-    for j in range(len(nb)):
-        total += wedge_angle(x, surf.points4[nb[j]], surf.points4[nb[(j + 1) % len(nb)]])
-    return total
+    return _cone_angle(surf.star_at(vid), surf.points4)
 
 
 def cone_angles(surf):
@@ -770,42 +810,22 @@ def cone_angles_fixed_combinatorics(surf, heights):
     vertices at new heights while keeping the face structure fixed; the
     finite-difference oracle for the Jacobian."""
     pts = reembedded_points(surf, heights)
-    out = np.empty(surf.n)
-    for vid in range(surf.n):
-        star = surf.stars[vid]
-        nb = star.neighbors
-        x = pts[vid]
-        total = 0.0
-        for j in range(len(nb)):
-            total += wedge_angle(x, pts[nb[j]], pts[nb[(j + 1) % len(nb)]])
-        out[vid] = total
-    return out
+    return np.array([_cone_angle(star, pts) for star in surf.stars])
 
 
-def _star_geometry(surf, vid):
-    """Per-neighbor lengths/angles and per-wedge link-triangle data."""
-    star = surf.star_at(vid)
-    x = surf.points4[vid]
-    nb = star.neighbors
-    m = len(nb)
-    ell = np.array([space_dist(x, surf.points4[s]) for s in nb])
-    rho_x = np.array([apex_edge_angle(x, surf.points4[s]) for s in nb])
-    rho_s = np.array([apex_edge_angle(surf.points4[s], x) for s in nb])
-    omega = np.array(
-        [
-            wedge_angle(x, surf.points4[nb[j]], surf.points4[nb[(j + 1) % m]])
-            for j in range(m)
-        ]
-    )
-    return star, ell, rho_x, rho_s, omega
-
-
-def _wedge_dihedral(omega, rho_this, rho_other):
-    """Signed dihedral along the edge with apex angle rho_this, inside the
-    wedge with angle omega whose other edge has apex angle rho_other."""
-    return (math.sinh(rho_other) - math.cos(omega) * math.sinh(rho_this)) / (
-        math.sin(omega) * math.cosh(rho_this)
-    )
+def _edge_dihedrals(omega, rho, sig):
+    """Per edge j of a star, the signed dihedrals along it inside the wedges
+    j - 1 and j: (S rho_other - cos omega S rho_j) / (sin omega C rho_j)."""
+    s = [sig.S(r) for r in rho]
+    c = [sig.C(r) for r in rho]
+    cos_w = [math.cos(w) for w in omega]
+    sin_w = [math.sin(w) for w in omega]
+    m = len(rho)
+    return [
+        ((s[j - 1] - cos_w[j - 1] * s[j]) / (sin_w[j - 1] * c[j]),
+         (s[(j + 1) % m] - cos_w[j] * s[j]) / (sin_w[j] * c[j]))
+        for j in range(m)
+    ]
 
 
 @dataclass
@@ -822,70 +842,63 @@ class JacobianMatrix:
         return bool(np.all(d > col))
 
 
-def jacobian(surf, require_convex=True):
-    """Assemble d omega_x / d h_y from the vertex stars.
+def _assemble(stars, pts, index, n, sig):
+    """d omega_x / d h_y from vertex stars whose vertices sit at `pts`;
+    vertex v is row and column index(v) of the n x n matrix.
 
-    Per neighbor s_j of x: the two wedges adjacent to the edge x-s_j give
-    signed dihedrals whose sinh-sum vanishes on false edges and is negative
-    on true edges of a convex surface; the chain rule through the apex
-    triangles contributes cosh(rho)/sinh(ell) factors.
+    Per neighbour y of x, the dihedral sum D of the two wedges at the edge
+    xy vanishes on false edges and has the sign of -kappa on true edges of
+    a convex surface.  The chain rule through the apex triangles gives
+    D C(rho_y) / S(ell) at (x, y) and -C(ell) D C(rho_x) / S(ell) on the
+    diagonal; an edge joining x to its own orbit gives
+    D C(rho_x) (1 - C(ell)) / S(ell).
     """
-    n = surf.n
+    S, C = sig.S, sig.C
     J = np.zeros((n, n))
-    for ix in range(n):
-        star, ell, rho_x, rho_s, omega = _star_geometry(surf, ix)
-        m = len(star.neighbors)
-        for j in range(m):
-            s = star.neighbors[j]
-            iy = surf.base_of(s)
-            sinh_sum = _wedge_dihedral(
-                omega[j - 1], rho_x[j], rho_x[j - 1]
-            ) + _wedge_dihedral(omega[j], rho_x[j], rho_x[(j + 1) % m])
+    for star in stars:
+        ix = index(star.vertex)
+        ell, rho_x, rho_s, omega = star_geometry(
+            pts[star.vertex], pts[star.neighbors], sig
+        )
+        for j, (a1, a2) in enumerate(_edge_dihedrals(omega, rho_x, sig)):
+            d = a1 + a2
             if not star.true_edge[j]:
-                if abs(sinh_sum) > 1e-6:
-                    raise GeometryError(
-                        f"false edge with nonzero dihedral sum {sinh_sum:.2e}"
-                    )
+                if abs(d) > 1e-6:
+                    raise GeometryError(f"false edge with nonzero dihedral sum {d:.2e}")
                 continue
-            if require_convex and sinh_sum > 1e-9:
+            if -sig.kappa * d > 1e-9:
                 raise GeometryError(
-                    "surface is not convex along a true edge "
-                    f"(sinh sum {sinh_sum:.2e})"
+                    f"surface is not convex along a true edge (dihedral sum {d:.2e})"
                 )
-            same_orbit = iy == ix
-            if same_orbit:
-                J[ix, ix] += (
-                    sinh_sum
-                    * math.cosh(rho_x[j])
-                    * (1.0 - math.cosh(ell[j]))
-                    / math.sinh(ell[j])
-                )
+            iy = index(star.neighbors[j])
+            if iy == ix:
+                J[ix, ix] += d * C(rho_x[j]) * (1.0 - C(ell[j])) / S(ell[j])
             else:
-                a_xy_j = sinh_sum * math.cosh(rho_s[j]) / math.sinh(ell[j])
-                J[ix, iy] += a_xy_j
-                J[ix, ix] += (
-                    -math.cosh(ell[j])
-                    * sinh_sum
-                    * math.cosh(rho_x[j])
-                    / math.sinh(ell[j])
-                )
+                J[ix, iy] += d * C(rho_s[j]) / S(ell[j])
+                J[ix, ix] += -C(ell[j]) * d * C(rho_x[j]) / S(ell[j])
     cond = float(np.linalg.cond(J))
     logger.debug("jacobian condition number: %.3e", cond)
     return JacobianMatrix(J, cond)
 
 
+def jacobian(surf):
+    """d omega_x / d h_y of a Fuchsian surface, from its fundamental stars."""
+    stars = [surf.star_at(vid) for vid in range(surf.n)]
+    return _assemble(stars, surf.points4, surf.base_of, surf.n, ADS_STAR)
+
+
 def wedge_convexity(surf, vid):
-    """Convexity classification of every true edge at a fundamental vertex."""
-    star, ell, rho_x, rho_s, omega = _star_geometry(surf, vid)
-    m = len(star.neighbors)
-    out = []
-    for j in range(m):
-        a1 = _wedge_dihedral(omega[j - 1], rho_x[j], rho_x[j - 1])
-        a2 = _wedge_dihedral(omega[j], rho_x[j], rho_x[(j + 1) % m])
-        out.append(
-            (star.true_edge[j], convexity_sign(math.asinh(a1), math.asinh(a2)))
+    """Convexity classification of every edge at a fundamental vertex."""
+    star = surf.star_at(vid)
+    _, rho_x, _, omega = star_geometry(
+        surf.points4[vid], surf.points4[star.neighbors]
+    )
+    return [
+        (is_true, convexity_sign(math.asinh(a1), math.asinh(a2)))
+        for is_true, (a1, a2) in zip(
+            star.true_edge, _edge_dihedrals(omega, rho_x, ADS_STAR)
         )
-    return out
+    ]
 
 
 # -- the prescribed-curvature solver ---------------------------------------------
@@ -1028,14 +1041,8 @@ class DualFace:
     plane_pole: np.ndarray
 
     def area(self):
-        v = self.vertices
-        m = len(v)
-        angles = []
-        for i in range(m):
-            t1 = unit_tangent(v[i], v[i - 1])
-            t2 = unit_tangent(v[i], v[(i + 1) % m])
-            angles.append(float(np.arccos(np.clip(ads_inner(t1, t2), -1.0, 1.0))))
-        return (m - 2) * np.pi - float(sum(angles))
+        angles = polygon_angles(self.vertices).tolist()
+        return (len(angles) - 2) * np.pi - float(sum(angles))
 
 
 def minkowski_dual(surf):
@@ -1062,11 +1069,6 @@ def minkowski_dual(surf):
             DualFace(vid, verts, surf.points4[vid].copy())
         )
     return out, ks
-
-
-def reflected_ray_point(p, h):
-    """Point at height h on the ray reflected through H."""
-    return np.concatenate([np.cos(h) * np.asarray(p), [-np.sin(h)]])
 
 
 def induced_cone_metric(surf):
@@ -1269,8 +1271,8 @@ def ads_project(surf, side):
         base = wa_v
         direction = ops.tangent(wa_v, wa_s)
         ell = ops.dist(wa_v, wa_s)
-        delta = float(np.arcsinh(hyp_inner(wb_v, direction)))
-        t_check = float(np.arcsinh(hyp_inner(wb_s, direction)))
+        delta = float(np.arcsinh(ops.inner(wb_v, direction)))
+        t_check = float(np.arcsinh(ops.inner(wb_s, direction)))
         if abs(t_check - (delta + ell)) > 1e-7:
             raise GeometryError("projected edge image is not rigid")
 
@@ -1292,7 +1294,7 @@ def ads_project(surf, side):
                 raise GeometryError("white corners not adjacent in the polygon")
             probe_pts = white_polys[wo] @ deck.T
             c = probe_pts.sum(axis=0)
-            probe = c / math.sqrt(max(-hyp_inner(c, c), 1e-30))
+            probe = c / math.sqrt(max(-ops.inner(c, c), 1e-30))
             entries.append(
                 dict(color=WHITE, face=wo, face_edge=slot, reversed=rev,
                      t0=min(lo, lo + ell), t1=max(lo, lo + ell), probe=probe,
@@ -1317,7 +1319,7 @@ def ads_project(surf, side):
                 raise GeometryError("black corners not adjacent in the link")
             probe_pts = black_polys[b] @ deck.T
             c = probe_pts.sum(axis=0)
-            probe = c / math.sqrt(max(-hyp_inner(c, c), 1e-30))
+            probe = c / math.sqrt(max(-ops.inner(c, c), 1e-30))
             entries.append(
                 dict(color=BLACK, face=b, face_edge=slot, reversed=rev,
                      t0=min(lo, lo + delta), t1=max(lo, lo + delta), probe=probe,
@@ -1453,10 +1455,9 @@ def star_polyhedron(directions, heights):
     return P, order
 
 
-def _sph_star_geometry(P, vi):
-    """Neighbor cycle, edge lengths and apex-edge angles at one vertex."""
-    o = np.array([1.0, 0.0, 0.0, 0.0])
-    x = P.vertices[vi]
+def _sph_star(P, vi):
+    """Star of vertex vi of a simplicial polyhedron, neighbours in the cyclic
+    order of its faces."""
     cyc_faces = P.face_cycle_at_vertex(vi)
     neighbors = []
     for idx in range(len(cyc_faces)):
@@ -1465,73 +1466,21 @@ def _sph_star_geometry(P, vi):
         if len(shared) != 1:
             raise GeometryError("vertex star is not simplicial")
         neighbors.append(shared.pop())
-
-    def tangent(a, b):
-        w = b - np.dot(a, b) * a
-        return w / np.linalg.norm(w)
-
     m = len(neighbors)
-    ell = np.array(
-        [float(np.arccos(np.clip(np.dot(x, P.vertices[s]), -1, 1))) for s in neighbors]
-    )
-    rho_x = np.empty(m)
-    rho_s = np.empty(m)
-    omega = np.empty(m)
-    to = tangent(x, o)
-    for j, s in enumerate(neighbors):
-        y = P.vertices[s]
-        rho_x[j] = float(np.arccos(np.clip(np.dot(to, tangent(x, y)), -1, 1)))
-        rho_s[j] = float(
-            np.arccos(np.clip(np.dot(tangent(y, o), tangent(y, x)), -1, 1))
-        )
-    for j in range(m):
-        ta = tangent(x, P.vertices[neighbors[j]])
-        tb = tangent(x, P.vertices[neighbors[(j + 1) % m]])
-        omega[j] = float(np.arccos(np.clip(np.dot(ta, tb), -1, 1)))
-    return neighbors, ell, rho_x, rho_s, omega
-
-
-def _sph_wedge_dihedral(omega, rho_this, rho_other):
-    return (math.cos(rho_other) - math.cos(omega) * math.cos(rho_this)) / (
-        math.sin(omega) * math.sin(rho_this)
-    )
+    return VertexStar(vi, neighbors, [True] * m, cyc_faces[1:] + cyc_faces[:1])
 
 
 def sph_star_cone_angles(P, order):
     """Cone angle (total face angle) at each vertex, indexed by ray."""
-    n = P.n_vertices
-    out = np.empty(n)
-    for vi in range(n):
-        _, _, _, _, omega = _sph_star_geometry(P, vi)
-        out[order[vi]] = float(np.sum(omega))
+    out = np.empty(P.n_vertices)
+    for vi in range(P.n_vertices):
+        out[order[vi]] = _cone_angle(_sph_star(P, vi), P.vertices, SPHERE_STAR)
     return out
 
 
 def sph_star_jacobian(P, order):
-    """d omega_x / d h_y for a spherical star polyhedron.
-
-    Off-diagonal entries are (cos alpha + cos alpha') sin(rho_yx) /
-    sin(ell_xy) over the edge xy, positive by convexity; the diagonal is
-    minus the cos(ell)-weighted column sum.
-    """
-    n = P.n_vertices
-    A = np.zeros((n, n))
-    for vi in range(n):
-        ix = order[vi]
-        neighbors, ell, rho_x, rho_s, omega = _sph_star_geometry(P, vi)
-        m = len(neighbors)
-        for j in range(m):
-            s = neighbors[j]
-            iy = order[s]
-            cos_sum = _sph_wedge_dihedral(
-                omega[j - 1], rho_x[j], rho_x[j - 1]
-            ) + _sph_wedge_dihedral(omega[j], rho_x[j], rho_x[(j + 1) % m])
-            # a_xy accumulated at row ix; rho_s[j] is the angle at the
-            # neighbor, whose height drives this entry
-            A[ix, iy] += cos_sum * math.sin(rho_s[j]) / math.sin(ell[j])
-            A[ix, ix] += -math.cos(ell[j]) * cos_sum * math.sin(rho_x[j]) / math.sin(
-                ell[j]
-            )
-    cond = float(np.linalg.cond(A))
-    logger.debug("spherical star jacobian condition: %.3e", cond)
-    return JacobianMatrix(A, cond)
+    """d omega_x / d h_y for a spherical star polyhedron, indexed by ray:
+    the assembly of `jacobian` with sin and cos.  Off-diagonal entries are
+    positive by convexity."""
+    stars = [_sph_star(P, vi) for vi in range(P.n_vertices)]
+    return _assemble(stars, P.vertices, order.__getitem__, P.n_vertices, SPHERE_STAR)

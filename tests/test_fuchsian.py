@@ -11,11 +11,10 @@ from hypothesis import strategies as st
 from flipkit import fuchsian
 from flipkit import io as fio
 from flipkit.errors import ConvergenceError, GeometryError
-from flipkit.forms import cross4
+from flipkit.forms import Signature, cross4, form
 from flipkit.fuchsian import (
     R0,
     FuchsianConfig,
-    ads_inner,
     ads_project,
     admissible_targets,
     cone_angle_at,
@@ -28,10 +27,8 @@ from flipkit.fuchsian import (
     minkowski_dual,
     orbit_hull,
     orbit_points,
-    ray_point,
     recover_heights,
     reembedded_points,
-    reflected_ray_point,
     solve_prescribed_curvature,
     sph_star_cone_angles,
     sph_star_jacobian,
@@ -55,6 +52,21 @@ THREE_RAYS = [(0.3, 0.1), (-0.4, 0.35), (0.0, -0.5)]
 @pytest.fixture(scope="module")
 def group():
     return genus2_group()
+
+
+def ads_inner(u, v):
+    return form(u, v, Signature.ADS)
+
+
+def ray_point(p, h):
+    """Point at height h on the half-ray through p orthogonal to H: the
+    one-point reference of `orbit_points`."""
+    return np.concatenate([np.cos(h) * np.asarray(p), [np.sin(h)]])
+
+
+def reflected_ray_point(p, h):
+    """Point at height h on the ray reflected through H."""
+    return np.concatenate([np.cos(h) * np.asarray(p), [-np.sin(h)]])
 
 
 def lift(xy):
@@ -601,6 +613,20 @@ def test_star_jacobian_matches_fd():
             fd[:, j] = (omegas(hp) - omegas(hm)) / (2 * d)
         rel = np.abs(J - fd) / np.maximum(np.abs(fd), 1e-8)
         assert np.max(rel) < 1e-5
+
+
+def test_star_jacobian_rejects_reflex_edge():
+    # pulling one vertex toward the apex folds the edges at it inward; the
+    # assembly shared with the AdS Jacobian refuses their dihedral sums
+    from flipkit.polyhedra import ConvexPolyhedron
+
+    t, h, P, order = random_star(np.random.default_rng(11))
+    h = h.copy()
+    h[order[0]] = 0.1
+    pts = np.hstack([np.cos(h)[:, None], np.sin(h)[:, None] * t])
+    Q = ConvexPolyhedron(pts[order], P.faces, P.face_poles, P.interior, validate=False)
+    with pytest.raises(GeometryError, match="not convex"):
+        sph_star_jacobian(Q, order)
 
 
 def test_star_jacobian_positive_off_diagonal():
