@@ -5,6 +5,7 @@ geometry errors, 4 for solver non-convergence.
 """
 
 import argparse
+import functools
 import os
 import sys
 
@@ -140,7 +141,9 @@ def cmd_check(args):
         raise GeometryError(f"{failures} artifact(s) failed validation")
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once: parsing leaves it unchanged."""
     p = argparse.ArgumentParser(
         prog="flipkit",
         description="Flippable tilings of constant curvature surfaces: "

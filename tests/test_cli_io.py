@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from conftest import polyhedron_corpus, random_polyhedron, regular_tetrahedron
-from flipkit import fuchsian
+import flipkit
+from flipkit import cli, fuchsian
 from flipkit import io as fio
 from flipkit.cli import main
 from flipkit.errors import SchemaError
@@ -30,6 +31,14 @@ def write_poly(tmp_path, P, name="poly.json"):
     path = tmp_path / name
     fio.dump_json(fio.polyhedron_to_dict(P), path)
     return str(path)
+
+
+def test_public_names_resolve():
+    for name in flipkit.__all__:
+        assert getattr(flipkit, name) is not None, name
+    namespace = {}
+    exec("from flipkit import *", namespace)
+    assert set(flipkit.__all__) <= namespace.keys()
 
 
 def test_canonical_json_floats():
@@ -172,6 +181,11 @@ def test_cli_check_and_exit_codes(tmp_path, tetrahedron):
     # wrong schema for a command
     assert main(["flip", "--in", p, "--out", str(tmp_path / "x.json")]) == 2
     # geometry error: digon tiling cannot be flipped
+    tpath = write_digon_tiling(tmp_path)
+    assert main(["flip", "--in", tpath, "--out", str(tmp_path / "y.json")]) == 3
+
+
+def write_digon_tiling(tmp_path):
     ang = np.linspace(0, 2 * np.pi, 4)[:-1]
     V = np.array(
         [[math.sin(0.7) * math.cos(a), math.sin(0.7) * math.sin(a), math.cos(0.7)]
@@ -180,7 +194,29 @@ def test_cli_check_and_exit_codes(tmp_path, tetrahedron):
     T = make_antipodal_tiling(V, Side.RIGHT)
     tpath = tmp_path / "digons.json"
     fio.dump_json(fio.tiling_to_dict(T), tpath)
-    assert main(["flip", "--in", str(tpath), "--out", str(tmp_path / "y.json")]) == 3
+    return str(tpath)
+
+
+def test_cli_parser_built_once(tmp_path, tetrahedron, capsys):
+    p = write_poly(tmp_path, tetrahedron)
+    t = tmp_path / "t.json"
+
+    def project_default_side():
+        assert main(["project", "--in", p, "--out", str(t)]) == 0
+        return capsys.readouterr(), t.read_bytes()
+
+    first = project_default_side()
+    parser = cli.build_parser()
+    misses = cli.build_parser.cache_info().misses
+    # failing calls with other options: a schema error (exit 2) that sets
+    # --side, and a geometry error (exit 3)
+    digons = write_digon_tiling(tmp_path)
+    assert main(["project", "--in", digons, "--out", str(t), "--side", "right"]) == 2
+    assert main(["flip", "--in", digons, "--out", str(tmp_path / "y.json")]) == 3
+    capsys.readouterr()
+    assert project_default_side() == first
+    assert cli.build_parser() is parser
+    assert cli.build_parser.cache_info().misses == misses
 
 
 def _folded_tetrahedron(delta=1e-10):
