@@ -29,6 +29,7 @@ import itertools
 import logging
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from scipy.sparse import coo_matrix
@@ -710,10 +711,10 @@ class StarSignature:
     form: np.ndarray
     kappa: float
     apex: np.ndarray
-    S: object
-    C: object
-    length: object
-    apex_angle: object
+    S: Callable
+    C: Callable
+    length: Callable
+    apex_angle: Callable
 
 
 ADS_STAR = StarSignature(
