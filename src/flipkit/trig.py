@@ -1,10 +1,12 @@
 """Closed-form triangle laws on the sphere and in the hyperbolic-de Sitter
 plane, together with their analytic partial derivatives.
 
-These kernels feed both Jacobian assemblies (spherical star polyhedra and
-Fuchsian AdS surfaces).  Every solver takes the two sides adjacent to a
-known angle and returns the completed triangle; every derivative has a
-matching finite-difference test.
+These are the closed-form reference for the star formulas of
+`flipkit.fuchsian`, which assembles both Jacobians (spherical star
+polyhedra and Fuchsian AdS surfaces) from its own array kernel; the
+library imports only `convexity_sign` from here.  Every solver takes the
+two sides adjacent to a known angle and returns the completed triangle;
+every derivative has a matching finite-difference test.
 """
 
 from dataclasses import dataclass
