@@ -21,8 +21,9 @@ One star kernel serves AdS_3 and S^3 (`star_geometry`, with a
 `StarSignature`): given a vertex and its neighbour cycle as arrays it
 returns the edge lengths, apex angles and wedge angles of the star in one
 pass.  Cone angles are summed from its wedge angles and face areas from
-the same tangent and angle primitives, and one assembly (`_assemble`) builds the Jacobian of either signature; only
-the family (sinh, cosh) or (sin, cos) differs.
+the same tangent and angle primitives, and one assembly (`_assemble`)
+builds the Jacobian of either signature; only the family (sinh, cosh) or
+(sin, cos) differs.
 """
 
 import itertools
@@ -770,13 +771,13 @@ def star_geometry(x, ys, sig=ADS_STAR):
     return ell, rho_x, rho_s, omega
 
 
-def polygon_angles(pts, sig=ADS_STAR):
-    """Angle at each corner of a polygon on the quadric, between the edges
-    toward the previous and the next corner."""
+def polygon_angles(pts):
+    """Angle at each corner of a polygon in AdS_3, between the edges toward
+    the previous and the next corner."""
     prev, nxt = np.roll(pts, 1, axis=0), np.roll(pts, -1, axis=0)
-    ta = _unit_tangents(pts, prev, _inner(pts, prev, sig), sig)
-    tb = _unit_tangents(pts, nxt, _inner(pts, nxt, sig), sig)
-    return _angles(ta, tb, sig)
+    ta = _unit_tangents(pts, prev, _inner(pts, prev, ADS_STAR), ADS_STAR)
+    tb = _unit_tangents(pts, nxt, _inner(pts, nxt, ADS_STAR), ADS_STAR)
+    return _angles(ta, tb, ADS_STAR)
 
 
 def _cone_angle(star, pts, sig=ADS_STAR):
@@ -848,11 +849,11 @@ def _assemble(stars, pts, index, n, sig):
     vertex v is row and column index(v) of the n x n matrix.
 
     Per neighbour y of x, the dihedral sum D of the two wedges at the edge
-    xy vanishes on false edges and has the sign of -kappa on true edges of
-    a convex surface.  The chain rule through the apex triangles gives
-    D C(rho_y) / S(ell) at (x, y) and -C(ell) D C(rho_x) / S(ell) on the
-    diagonal; an edge joining x to its own orbit gives
-    D C(rho_x) (1 - C(ell)) / S(ell).
+    xy vanishes on false edges and has the sign of kappa on true edges of
+    a convex surface (negative in AdS_3, positive on S^3).  The chain rule
+    through the apex triangles gives D C(rho_y) / S(ell) at (x, y) and
+    -C(ell) D C(rho_x) / S(ell) on the diagonal; an edge joining x to its
+    own orbit gives D C(rho_x) (1 - C(ell)) / S(ell).
     """
     S, C = sig.S, sig.C
     J = np.zeros((n, n))
