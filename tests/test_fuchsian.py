@@ -45,8 +45,16 @@ from flipkit.tilings import Side, flip, tiling_equality_error, validate_tiling
 from flipkit.trig import ConvexityClass
 
 Q21 = np.diag([1.0, 1.0, -1.0])
-GOLDEN_N2 = os.path.join(os.path.dirname(__file__), "data", "ads_project_flip_n2.json")
+DATA = os.path.join(os.path.dirname(__file__), "data")
+GOLDEN_N2 = os.path.join(DATA, "ads_project_flip_n2.json")
+GOLDEN_STARS = os.path.join(DATA, "star_combinatorics_golden.json")
 THREE_RAYS = [(0.3, 0.1), (-0.4, 0.35), (0.0, -0.5)]
+# (rays, heights) of the surf1 / surf2 / surf3 fixtures
+FIXTURES = {
+    "surf1": ([(0.25, 0.15)], [0.55]),
+    "surf2": ([(0.3, 0.1), (-0.4, 0.35)], [0.5, 0.7]),
+    "surf3": (THREE_RAYS, [0.5, 0.7, 0.62]),
+}
 
 
 @pytest.fixture(scope="module")
@@ -85,21 +93,24 @@ def config(group, points, heights=None, targets=None):
     )
 
 
+def fixture_surface(group, name):
+    rays, heights = FIXTURES[name]
+    return orbit_hull(config(group, rays, heights=heights))
+
+
 @pytest.fixture(scope="module")
 def surf1(group):
-    return orbit_hull(config(group, [(0.25, 0.15)], heights=[0.55]))
+    return fixture_surface(group, "surf1")
 
 
 @pytest.fixture(scope="module")
 def surf2(group):
-    return orbit_hull(
-        config(group, [(0.3, 0.1), (-0.4, 0.35)], heights=[0.5, 0.7])
-    )
+    return fixture_surface(group, "surf2")
 
 
 @pytest.fixture(scope="module")
 def surf3(group):
-    return orbit_hull(config(group, THREE_RAYS, heights=[0.5, 0.7, 0.62]))
+    return fixture_surface(group, "surf3")
 
 
 # -- group ---------------------------------------------------------------------
@@ -562,6 +573,55 @@ def test_projection_and_flip_match_golden(surf2):
         assert text + "\n" == fh.read()
 
 
+def projection_golden_text(surf):
+    """Canonical JSON of the left and right projections of a surface and of
+    the flip of the left one."""
+    T = ads_project(surf, Side.LEFT)
+    return fio.canonical_json({
+        "projected_left": fio.tiling_to_dict(T),
+        "projected_right": fio.tiling_to_dict(ads_project(surf, Side.RIGHT)),
+        "flipped": fio.tiling_to_dict(flip(T)),
+    })
+
+
+def projection_golden_path(n):
+    return os.path.join(DATA, f"ads_project_flip_n{n}.json")
+
+
+@pytest.mark.parametrize("name", ["surf1", "surf3"])
+def test_projections_match_golden(name, request):
+    surf = request.getfixturevalue(name)
+    with open(projection_golden_path(surf.n)) as fh:
+        assert projection_golden_text(surf) + "\n" == fh.read()
+
+
+def star_labels(surf):
+    """`star_combinatorics` with each element given by its index in
+    `surf.elements`."""
+    index = {surf.group.element_key(g): i for i, g in enumerate(surf.elements)}
+    return [[[b, index[k]] for b, k in star] for star in surf.star_combinatorics()]
+
+
+def stars_golden(group):
+    """Per fixture surface: the canonical neighbour cycles of
+    `star_combinatorics` as (ray, element index) labels, and the stars as
+    built (neighbour vertex ids from the fan start, true edges, wedge
+    faces)."""
+    out = {}
+    for name in FIXTURES:
+        surf = fixture_surface(group, name)
+        out[name] = {
+            "combinatorics": star_labels(surf),
+            "stars": [[s.neighbors, s.true_edge, s.wedge_face] for s in surf.stars],
+        }
+    return out
+
+
+def test_star_combinatorics_match_golden(group):
+    with open(GOLDEN_STARS) as fh:
+        assert fio.canonical_json(stars_golden(group)) + "\n" == fh.read()
+
+
 def test_hyperbolic_flip_round_trip(surf1, surf2):
     for surf in (surf1, surf2):
         T = ads_project(surf, Side.LEFT)
@@ -655,3 +715,16 @@ def test_star_polyhedron_rejects_non_triangular():
     ) / np.sqrt(3)
     with pytest.raises(GeometryError):
         star_polyhedron(t, np.full(8, 0.7))
+
+
+if __name__ == "__main__":
+    # rewrite the golden files of this module from the current code
+    g = genus2_group()
+    for name in ("surf1", "surf3"):
+        surf = fixture_surface(g, name)
+        with open(projection_golden_path(surf.n), "w") as fh:
+            fh.write(projection_golden_text(surf) + "\n")
+        print(projection_golden_path(surf.n))
+    with open(GOLDEN_STARS, "w") as fh:
+        fh.write(fio.canonical_json(stars_golden(g)) + "\n")
+    print(GOLDEN_STARS)
