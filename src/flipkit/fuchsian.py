@@ -24,6 +24,18 @@ pass.  Cone angles are summed from its wedge angles and face areas from
 the same tangent and angle primitives, and one assembly (`_assemble`)
 builds the Jacobian of either signature; only the family (sinh, cosh) or
 (sin, cos) differs.
+
+Group elements are identified by one rule.  The elements of a ball
+(`FuchsianGroup.ball`) carry integer ids, their positions in
+`elements(R)`; a 3x3 matrix is the element with id i when it lies within
+MATCH_TOL = 1e-6 of it (Euclidean, over the nine entries, through a
+cKDTree) and more than MATCH_GAP = 0.2 from every other element, and it
+is clear of the ball when it lies more than MATCH_GAP from all of them;
+anything else raises GeometryError.  Distinct elements of the ball of
+radius 7 differ by at least 6.83 in some entry, so the rule never splits
+an element and never merges two.  Surface vertices, face orbits, edge
+orbits and face decks are then integer labels (ray, id), read from the
+relative table rel[i, j] = id(g_i^-1 g_j) of the ball.
 """
 
 import itertools
@@ -54,6 +66,9 @@ R0 = 5.5        # first truncation radius of an orbit hull
 R_STEP = 0.5    # growth of the radius after an uncertified build
 R_MAX = 10.0    # largest radius tried
 
+MATCH_TOL = 1e-6   # a matrix within this of an element is that element ...
+MATCH_GAP = 0.2    # ... when every other element is more than this away
+
 
 def extend_isometry(g):
     """Extend an SO(2,1) matrix to an AdS isometry fixing {x4 = 0}."""
@@ -79,16 +94,67 @@ def orbit_points(elements, rays, heights):
 
 
 def _stable_key(m, scale):
-    """Quantized matrix bytes, stable under tiny perturbations.
+    """Quantized matrix bytes: the ordering convention of a ball.
 
-    Distinct elements of the groups used here differ by more than 0.6 in
-    some matrix entry (the tests check more than 0.2 over the ball of
-    radius 7), while different float representations of the same element
-    agree to 1e-9; quantizing at 0.1 with an irrational offset therefore
-    separates elements without ever splitting one.
+    `elements` breaks displacement ties by these bytes, and `ElementBall.rank`
+    is their order; both fix the fan starts of `_triangulate_face` and the
+    star starts of `_build_star`.  Identity is decided by the matching rule
+    (`_identify`), never by these bytes.
     """
     q = np.floor(np.asarray(m, dtype=float) * scale + 0.61803398874989485)
     return q.astype(np.int64).tobytes()
+
+
+def _identify(tree, mats):
+    """Per 3x3 matrix of `mats`, the index of the tree point it is under the
+    identification rule (within MATCH_TOL, every other point farther than
+    MATCH_GAP), or -1 when it lies farther than MATCH_GAP from every point;
+    GeometryError for a matrix that is neither."""
+    d, j = tree.query(np.reshape(mats, (-1, 9)), k=2)
+    match = (d[:, 0] <= MATCH_TOL) & (d[:, 1] > MATCH_GAP)
+    clear = d[:, 0] > MATCH_GAP
+    if not np.all(match | clear):
+        raise GeometryError("matrix is neither a group element nor clear of one")
+    return np.where(match, j[:, 0], -1)
+
+
+class ElementBall:
+    """The elements of a group ball with integer ids: element i is mats[i].
+
+    rank[i] is the position of element i in the byte order of its
+    `_stable_key`.  Row i of the relative table rel[i, j] = id(g_i^-1 g_j)
+    is computed on first use and kept with the ball; an entry whose product
+    lies outside the ball is -1, and reading it raises GeometryError.
+    """
+
+    def __init__(self, mats, rank):
+        self.mats = mats
+        self.rank = rank
+        self._tree = None
+        self._rows = {}
+
+    def _ids(self, mats):
+        if self._tree is None:
+            self._tree = cKDTree(self.mats.reshape(-1, 9))
+        return _identify(self._tree, mats)
+
+    def lookup(self, g):
+        """Id of the element g; GeometryError if g is not one of the ball."""
+        i = int(self._ids(g)[0])
+        if i < 0:
+            raise GeometryError("matrix is not an element of the ball")
+        return i
+
+    def relative(self, i, js):
+        """The ids rel[i, j] of g_i^-1 g_j for the ids j in `js`."""
+        row = self._rows.get(i)
+        if row is None:
+            row = self._ids(np.linalg.inv(self.mats[i]) @ self.mats).tolist()
+            self._rows[i] = row
+        out = [row[j] for j in js]
+        if -1 in out:
+            raise GeometryError("relative element outside the ball")
+        return out
 
 
 def _boost(t):
@@ -141,42 +207,45 @@ class FuchsianGroup:
 
     def elements(self, radius):
         """The distinct elements moving the center o = (0, 0, 1) by at most
-        `radius`, stacked (m, 3, 3), by displacement; the identity first.
+        `radius`, stacked (m, 3, 3), by displacement; the identity first."""
+        return self.ball(radius).mats
+
+    def ball(self, radius):
+        """The `ElementBall` of `elements(radius)`, cached per radius.
 
         Breadth-first from the identity through the side pairings, keeping
-        only elements inside the ball.  This reaches every element of the
-        ball: the octagon is the Dirichlet polygon at o, so every g != id
-        has a side pairing s with d(o, s^-1 g o) < d(o, g o), and g is
-        reached from s^-1 g, which lies in the ball too.
+        only elements inside the ball and, of equal products, the first
+        formed.  This reaches every element of the ball: the octagon is the
+        Dirichlet polygon at o, so every g != id has a side pairing s with
+        d(o, s^-1 g o) < d(o, g o), and g is reached from s^-1 g, which
+        lies in the ball too.
         """
         key = round(radius, 6)
         if key in self._element_cache:
             return self._element_cache[key]
         gens = np.array(self.symmetric_generators)
         cosh_r = math.cosh(radius)
-        seen = {}
-
-        def register(mats):
-            fresh = []
-            for m in mats:
-                if m[2, 2] > cosh_r:
-                    continue
-                k = _stable_key(m, 10.0)
-                if k not in seen:
-                    seen[k] = m
-                    fresh.append(m)
-            return fresh
-
-        frontier = register([np.eye(3)])
-        while frontier:
-            stack = np.einsum("gij,fjk->gfik", gens, np.array(frontier))
-            frontier = register(stack.reshape(-1, 3, 3))
-        elems = sorted(seen.values(), key=lambda m: (m[2, 2], _stable_key(m, 10.0)))
-        self._element_cache[key] = np.array(elems)
+        frontier = np.eye(3)[None]
+        found = [frontier]
+        while len(frontier):
+            known = cKDTree(np.concatenate(found).reshape(-1, 9))
+            stack = np.einsum("gij,fjk->gfik", gens, frontier).reshape(-1, 3, 3)
+            stack = stack[stack[:, 2, 2] <= cosh_r]
+            stack = stack[_identify(known, stack) < 0]
+            flat = stack.reshape(-1, 9)
+            pairs = cKDTree(flat).query_pairs(MATCH_GAP, output_type="ndarray")
+            if np.any(np.linalg.norm(flat[pairs[:, 0]] - flat[pairs[:, 1]], axis=1)
+                      > MATCH_TOL):
+                raise GeometryError("products neither equal nor clear of each other")
+            frontier = np.delete(stack, pairs[:, 1], axis=0)
+            found.append(frontier)
+        elems = np.concatenate(found)
+        keys = [_stable_key(m, 10.0) for m in elems]
+        order = sorted(range(len(elems)), key=lambda i: (elems[i][2, 2], keys[i]))
+        by_key = sorted(range(len(order)), key=lambda p: keys[order[p]])
+        rank = np.argsort(by_key).tolist()
+        self._element_cache[key] = ElementBall(elems[order], rank)
         return self._element_cache[key]
-
-    def element_key(self, g):
-        return _stable_key(g, 10.0)
 
     def side_pairing_walk(self):
         """Trace the corner cycle of the fundamental polygon.
@@ -347,12 +416,14 @@ class FuchsianSurface:
     """Orbit hull truncated at displacement `radius`, with the certified
     stars at the fundamental vertices.
 
-    Vertex vid is the point of ray vid % n moved by elements[vid // n].
+    Vertex vid is the point of ray vid % n moved by elements[vid // n],
+    the element with id vid // n of `ball`.
     """
 
-    def __init__(self, config, elements, points4, faces, radius):
+    def __init__(self, config, ball, points4, faces, radius):
         self.config = config
-        self.elements = elements
+        self.ball = ball
+        self.elements = ball.mats
         self.points4 = points4
         self.faces = faces
         self.radius = radius
@@ -387,7 +458,9 @@ class FuchsianSurface:
         return self.elements[vid // self.n]
 
     def vkey(self, vid):
-        return (self.base_of(vid), self.group.element_key(self.element_of(vid)))
+        """Order key of a vertex: its ray, then the rank of its element."""
+        e, b = divmod(vid, self.n)
+        return (b, self.ball.rank[e])
 
     def star_at(self, vid):
         """Star of a hull vertex.  The fundamental ones are cached; any
@@ -397,13 +470,17 @@ class FuchsianSurface:
         return _certified_star(self, vid)
 
     def star_combinatorics(self):
+        """The neighbour cycle of each fundamental star as (ray, element id)
+        labels, started at its least vertex under `vkey` and read in the
+        direction whose keys come first."""
         out = []
         for star in self.stars:
-            lab = [self.vkey(v) for v in star.neighbors]
-            pivot = lab.index(min(lab))
-            lab = lab[pivot:] + lab[:pivot]
-            rev = [lab[0]] + lab[1:][::-1]
-            out.append(tuple(min(lab, rev)))
+            cyc = star.neighbors
+            pivot = min(range(len(cyc)), key=lambda j: self.vkey(cyc[j]))
+            cyc = cyc[pivot:] + cyc[:pivot]
+            rev = [cyc[0]] + cyc[1:][::-1]
+            cyc = min(cyc, rev, key=lambda c: [self.vkey(v) for v in c])
+            out.append(tuple((v % self.n, v // self.n) for v in cyc))
         return tuple(out)
 
     def faces_at(self, vid):
@@ -467,19 +544,11 @@ class FuchsianSurface:
         return V, E, len(orbits)
 
     def face_orbit_key(self, fi):
-        """Canonical key of the face orbit under the group action."""
-        f = self.faces[fi]
-        best = None
-        for vid in f.ids:
-            ginv = np.linalg.inv(self.element_of(vid))
-            labels = sorted(
-                (self.base_of(u), self.group.element_key(ginv @ self.element_of(u)))
-                for u in f.ids
-            )
-            key = tuple(labels)
-            if best is None or key < best:
-                best = key
-        return best
+        """Canonical key of the face orbit under the group action: over the
+        face's vertices v, the least of its sorted vertex labels
+        (ray of u, id of g_v^-1 g_u)."""
+        ids = self.faces[fi].ids
+        return min(tuple(sorted(_face_labels(self, ids, v))) for v in ids)
 
     def face_area(self, fi):
         """Hyperbolic area of a space-like face via its angle sum."""
@@ -493,6 +562,15 @@ class FuchsianSurface:
             for fi in star.wedge_face:
                 seen[self.face_orbit_key(fi)] = fi
         return float(sum(self.face_area(fi) for fi in seen.values()))
+
+
+def _face_labels(surf, ids, v):
+    """(ray of u, id of g_v^-1 g_u) for each vertex id u of a face: the
+    same set for two faces exactly when g_v' g_v^-1 maps the face with
+    vertex v onto the face with vertex v'."""
+    n = surf.n
+    return list(zip([u % n for u in ids],
+                    surf.ball.relative(v // n, [u // n for u in ids])))
 
 
 def _triangulate_face(vertex_ids, key):
@@ -659,8 +737,8 @@ def _merge_faces(simplices, poles, chart):
 def _truncated_hull(config, radius):
     """Orbit hull of the elements within `radius`, without stars."""
     n = config.n
-    elems = config.group.elements(radius)
-    points4 = orbit_points(elems, config.rays, config.heights)
+    ball = config.group.ball(radius)
+    points4 = orbit_points(ball.mats, config.rays, config.heights)
     chart = points4[:, :3] / points4[:, 3:4]
 
     try:
@@ -677,7 +755,7 @@ def _truncated_hull(config, radius):
     simplices = ch.simplices[visible]
     poles, spacelike = _batch_poles(points4, simplices)
     faces = _merge_faces(simplices[spacelike], poles[spacelike], chart)
-    return FuchsianSurface(config, elems, points4, faces, radius)
+    return FuchsianSurface(config, ball, points4, faces, radius)
 
 
 def _cyclic_face_order(chart, ids):
@@ -1105,44 +1183,29 @@ def _ads_project_point(pole, x, side):
     return -u if u[2] < 0 else u
 
 
-def _match_corner(stored_vertices, deck, point, tol=1e-6):
-    """Index of the stored polygon corner that deck-translates to `point`."""
-    moved = stored_vertices @ deck.T
-    d = np.linalg.norm(moved - point, axis=1)
-    j = int(np.argmin(d))
-    if d[j] > tol:
-        raise GeometryError(f"corner match failed ({d[j]:.2e})")
-    return j
-
-
 def _edge_orbit_key(surf, u, v):
-    gu, gv = surf.element_of(u), surf.element_of(v)
-    bu, bv = surf.base_of(u), surf.base_of(v)
-    rel = np.linalg.inv(gu) @ gv
-    a = (bu, bv, surf.group.element_key(rel))
-    b = (bv, bu, surf.group.element_key(np.linalg.inv(rel)))
-    return min(a, b)
+    (eu, bu), (ev, bv) = divmod(u, surf.n), divmod(v, surf.n)
+    return min((bu, bv, surf.ball.relative(eu, [ev])[0]),
+               (bv, bu, surf.ball.relative(ev, [eu])[0]))
 
 
 def _face_deck(surf, fi, rep_fi):
-    """Deck g with face fi = g . face rep_fi, by exhaustive vertex matching."""
-    f = surf.faces[fi]
-    rep = surf.faces[rep_fi]
-    u0 = f.ids[0]
-    b0 = surf.base_of(u0)
-    g0 = surf.element_of(u0)
-    rep_pts = surf.points4[rep.ids][:, :3]
-    f_pts = surf.points4[f.ids][:, :3]
-    for w in rep.ids:
-        if surf.base_of(w) != b0:
+    """Deck g with face fi = g . face rep_fi, and the map from each vertex
+    of fi to the vertex of rep_fi that g moves onto it.
+
+    g = g_u0 g_w^-1 for the least vertex u0 of fi and the vertex w of
+    rep_fi whose face labels (`_face_labels`) are those of fi at u0.
+    """
+    f_ids, rep_ids = surf.faces[fi].ids, surf.faces[rep_fi].ids
+    u0 = f_ids[0]
+    at_u0 = dict(zip(_face_labels(surf, f_ids, u0), f_ids))
+    for w in rep_ids:
+        if w % surf.n != u0 % surf.n:
             continue
-        cand = g0 @ np.linalg.inv(surf.element_of(w))
-        moved = rep_pts @ cand.T
-        ok = all(
-            np.min(np.linalg.norm(f_pts - mp, axis=1)) < 1e-7 for mp in moved
-        )
-        if ok:
-            return cand
+        labels = _face_labels(surf, rep_ids, w)
+        if set(labels) == at_u0.keys():
+            deck = surf.element_of(u0) @ np.linalg.inv(surf.element_of(w))
+            return deck, {at_u0[lab]: r for lab, r in zip(labels, rep_ids)}
     raise GeometryError("face deck transformation not found")
 
 
@@ -1172,13 +1235,13 @@ def ads_project(surf, side):
 
     White faces are projected surface faces (one per face orbit), black
     faces the projected links at the fundamental vertices; corner links
-    carry the deck transformations identifying the incident copies.
+    carry the deck transformations identifying the incident copies.  Each
+    (face, vertex) incidence is projected once.
     """
     from .tilings import (
         BLACK,
         WHITE,
         FlippableTiling,
-        Side,
         TilingFace,
         _build_edge,
     )
@@ -1186,12 +1249,23 @@ def ads_project(surf, side):
     ops = HyperbolicOps
     group = surf.group
 
+    images = {}
+
+    def image(fi, vid):
+        if (fi, vid) not in images:
+            images[fi, vid] = _ads_project_point(
+                surf.faces[fi].pole, surf.points4[vid], side
+            )
+        return images[fi, vid]
+
     # face orbits, represented by the first encountered incident copy
     orbit_of = {}
     orbit_rep = []
     face_orbit = {}
     for star in surf.stars:
         for fi in star.wedge_face:
+            if fi in face_orbit:
+                continue
             key = surf.face_orbit_key(fi)
             if key not in orbit_of:
                 orbit_of[key] = len(orbit_rep)
@@ -1200,8 +1274,13 @@ def ads_project(surf, side):
     deck_cache = {}
 
     def face_deck(fi):
+        """The deck of face fi and, per vertex of fi, the corner of the
+        white polygon of its orbit that the deck moves onto it."""
         if fi not in deck_cache:
-            deck_cache[fi] = _face_deck(surf, fi, orbit_rep[face_orbit[fi]])
+            rep_fi = orbit_rep[face_orbit[fi]]
+            deck, to_rep = _face_deck(surf, fi, rep_fi)
+            corner = {w: k for k, w in enumerate(surf.faces[rep_fi].vertex_ids)}
+            deck_cache[fi] = deck, {u: corner[w] for u, w in to_rep.items()}
         return deck_cache[fi]
 
     # white faces: projections of the representative copies
@@ -1210,21 +1289,19 @@ def ads_project(surf, side):
     white_decks = []
     for wo, fi in enumerate(orbit_rep):
         f = surf.faces[fi]
-        img = np.array(
-            [_ads_project_point(f.pole, surf.points4[v], side) for v in f.vertex_ids]
-        )
+        img = np.array([image(fi, v) for v in f.vertex_ids])
         white_polys.append(img)
         white_links.append(tuple(surf.base_of(v) for v in f.vertex_ids))
         white_decks.append(tuple(surf.element_of(v) for v in f.vertex_ids))
 
-    # black faces: projected links at the fundamental vertices
+    # black faces: projected links at the fundamental vertices; a link
+    # corner is known by the orbit of its face and the white corner at vid
     black_polys = []
     black_links = []
     black_decks = []
-    black_face_seq = []
+    black_corner = []
     for vid in range(surf.n):
         star = surf.stars[vid]
-        x = surf.points4[vid]
         seq = []
         for fi in star.wedge_face:
             if not seq or seq[-1] != fi:
@@ -1233,13 +1310,13 @@ def ads_project(surf, side):
             seq.pop()
         if len(seq) < 3:
             raise GeometryError("vertex link needs at least three faces")
-        pts = np.array(
-            [_ads_project_point(surf.faces[fi].pole, x, side) for fi in seq]
-        )
+        pts = np.array([image(fi, vid) for fi in seq])
         black_polys.append(pts)
         black_links.append(tuple(face_orbit[fi] for fi in seq))
-        black_decks.append(tuple(face_deck(fi) for fi in seq))
-        black_face_seq.append(seq)
+        black_decks.append(tuple(face_deck(fi)[0] for fi in seq))
+        black_corner.append(
+            {(face_orbit[fi], face_deck(fi)[1][vid]): k for k, fi in enumerate(seq)}
+        )
 
     # one tiling edge per true-edge orbit met at a fundamental vertex
     edge_slots = {}
@@ -1264,12 +1341,8 @@ def ads_project(surf, side):
         fb = star.wedge_face[j]
         if fa == fb:
             raise GeometryError("true edge inside a single face")
-        pa, pb = surf.faces[fa].pole, surf.faces[fb].pole
-        x_v, x_s = surf.points4[vid], surf.points4[s]
-        wa_v = _ads_project_point(pa, x_v, side)
-        wa_s = _ads_project_point(pa, x_s, side)
-        wb_v = _ads_project_point(pb, x_v, side)
-        wb_s = _ads_project_point(pb, x_s, side)
+        wa_v, wa_s = image(fa, vid), image(fa, s)
+        wb_v, wb_s = image(fb, vid), image(fb, s)
         base = wa_v
         direction = ops.tangent(wa_v, wa_s)
         ell = ops.dist(wa_v, wa_s)
@@ -1282,11 +1355,8 @@ def ads_project(surf, side):
         # white segments
         for (fi, lo) in ((fa, 0.0), (fb, delta)):
             wo = face_orbit[fi]
-            deck = face_deck(fi)
-            img_v = wa_v if fi == fa else wb_v
-            img_s = wa_s if fi == fa else wb_s
-            kv = _match_corner(white_polys[wo], deck, img_v)
-            ks = _match_corner(white_polys[wo], deck, img_s)
+            deck, corner = face_deck(fi)
+            kv, ks = corner[vid], corner[s]
             npoly = len(white_polys[wo])
             if (kv + 1) % npoly == ks:
                 slot, rev = kv, False
@@ -1308,10 +1378,10 @@ def ads_project(surf, side):
         for (vtx, lo) in ((vid, 0.0), (s, ell)):
             b = surf.base_of(vtx)
             deck = surf.element_of(vtx)
-            img_a = _ads_project_point(pa, surf.points4[vtx], side)
-            img_b = _ads_project_point(pb, surf.points4[vtx], side)
-            ka = _match_corner(black_polys[b], deck, img_a)
-            kb = _match_corner(black_polys[b], deck, img_b)
+            ka = black_corner[b].get((face_orbit[fa], face_deck(fa)[1][vtx]))
+            kb = black_corner[b].get((face_orbit[fb], face_deck(fb)[1][vtx]))
+            if ka is None or kb is None:
+                raise GeometryError("edge face missing from the vertex link")
             npoly = len(black_polys[b])
             if (ka + 1) % npoly == kb:
                 slot, rev = ka, (delta < 0)

@@ -14,6 +14,7 @@ from flipkit.errors import ConvergenceError, GeometryError
 from flipkit.forms import Signature, cross4, form
 from flipkit.fuchsian import (
     R0,
+    R_MAX,
     FuchsianConfig,
     ads_project,
     admissible_targets,
@@ -132,16 +133,30 @@ def test_side_pairing_relation(group):
     assert np.linalg.norm(product - np.eye(3)) < 1e-9
 
 
+def quantized_key(m):
+    """The brute-force oracle's own element hash: the entries floored at 0.1
+    with an irrational offset.  Distinct elements differ by more than 0.2
+    in some entry (`test_radius_enumeration_separated`), while float forms
+    of one element agree to about 1e-9, so the key neither splits nor
+    merges elements."""
+    q = np.floor(np.asarray(m, dtype=float) * 10.0 + 0.61803398874989485)
+    return q.astype(np.int64).tobytes()
+
+
 def test_element_enumeration_dedup(group):
     els = group.elements(8.8)
-    keys = {group.element_key(g) for g in els}
+    keys = {quantized_key(g) for g in els}
     assert len(keys) == len(els)
     assert np.allclose(els[0], np.eye(3))
+    # each element is identified with itself, so the ids are its positions
+    ball = group.ball(8.8)
+    assert ball.mats is els
+    assert [ball.lookup(g) for g in els] == list(range(len(els)))
 
 
 def brute_force_ball(group, radius, max_word=7):
-    """Keys of all products of at most `max_word` symmetric generators that
-    move the center by at most `radius`.
+    """All products of at most `max_word` symmetric generators that move
+    the center by at most `radius`, one matrix per `quantized_key`.
 
     A product of length k ends in the ball only if its length-j prefix
     lies within radius + (k - j) * 2d, 2d the generator displacement; that
@@ -149,18 +164,18 @@ def brute_force_ball(group, radius, max_word=7):
     """
     gens = np.array(group.symmetric_generators)
     step = math.acosh(gens[0][2, 2])
-    seen = {group.element_key(np.eye(3))}
+    seen = {quantized_key(np.eye(3))}
     frontier = np.eye(3)[None]
-    inside = set(seen)
+    inside = {quantized_key(np.eye(3)): np.eye(3)}
     for j in range(1, max_word + 1):
         words = np.einsum("gij,wjk->gwik", gens, frontier).reshape(-1, 3, 3)
         words = words[words[:, 2, 2] <= math.cosh(radius + (max_word - j) * step)]
         fresh = {}
         for m in words:
-            fresh.setdefault(group.element_key(m), m)
+            fresh.setdefault(quantized_key(m), m)
         fresh = {k: m for k, m in fresh.items() if k not in seen}
         seen |= fresh.keys()
-        inside |= {k for k, m in fresh.items() if m[2, 2] <= math.cosh(radius)}
+        inside |= {k: m for k, m in fresh.items() if m[2, 2] <= math.cosh(radius)}
         frontier = np.array(list(fresh.values()))
     return inside
 
@@ -168,8 +183,12 @@ def brute_force_ball(group, radius, max_word=7):
 @pytest.mark.parametrize("radius", [5.5, 7.0])
 def test_radius_enumeration_complete(group, radius):
     els = group.elements(radius)
-    assert {group.element_key(g) for g in els} == brute_force_ball(group, radius)
+    oracle = brute_force_ball(group, radius)
+    assert {quantized_key(g) for g in els} == oracle.keys()
     assert np.all(els[:, 2, 2] <= math.cosh(radius))
+    # through the ids: the oracle's products are the ball's elements, each once
+    ball = group.ball(radius)
+    assert sorted(ball.lookup(m) for m in oracle.values()) == list(range(len(els)))
 
 
 def test_radius_enumeration_separated(group):
@@ -178,6 +197,36 @@ def test_radius_enumeration_separated(group):
     els = group.elements(7.0).reshape(-1, 9)
     i, j = np.triu_indices(len(els), k=1)
     assert np.min(np.max(np.abs(els[i] - els[j]), axis=1)) > 0.2
+
+
+def bracketings(mats):
+    """The product of `mats` formed in every association order."""
+    if len(mats) == 1:
+        return [mats[0]]
+    return [a @ b for k in range(1, len(mats))
+            for a in bracketings(mats[:k]) for b in bracketings(mats[k:])]
+
+
+@settings(max_examples=30, derandomize=True, deadline=None, database=None)
+@given(word=st.lists(st.integers(0, 7), min_size=1, max_size=4),
+       entry=st.integers(0, 8), sign=st.sampled_from([-1.0, 1.0]))
+def test_ball_lookup_never_splits_and_refuses_perturbed(group, word, entry, sign):
+    ball = group.ball(R_MAX)
+    gens = group.symmetric_generators
+    forms = bracketings([gens[i] for i in word])
+    if forms[0][2, 2] <= math.cosh(R_MAX):
+        # every association order is the same element of the ball
+        ids = {ball.lookup(m) for m in forms}
+        assert len(ids) == 1
+        assert np.max(np.abs(ball.mats[ids.pop()] - forms[0])) < 1e-9
+    else:
+        for m in forms:
+            with pytest.raises(GeometryError):
+                ball.lookup(m)
+    bad = forms[0].copy()
+    bad.flat[entry] += sign * 1e-4
+    with pytest.raises(GeometryError):
+        ball.lookup(bad)
 
 
 # -- configurations --------------------------------------------------------------
@@ -291,7 +340,12 @@ def test_certified_stars_match_wider_oracle(group, n, level, offsets):
     surf = orbit_hull(cfg)
     oracle = _truncated_hull(cfg, surf.radius + 1.5)
     oracle.stars = [_build_star(oracle, vid) for vid in range(n)]
-    assert surf.star_combinatorics() == oracle.star_combinatorics()
+    # the oracle's labels carry ids of its wider ball: read them in surf's
+    ball = surf.ball
+    assert surf.star_combinatorics() == tuple(
+        tuple((b, ball.lookup(oracle.elements[e])) for b, e in star)
+        for star in oracle.star_combinatorics()
+    )
     assert np.array_equal(curvatures(surf), curvatures(oracle))
     assert surf.check_equivariance()
 
@@ -598,8 +652,7 @@ def test_projections_match_golden(name, request):
 def star_labels(surf):
     """`star_combinatorics` with each element given by its index in
     `surf.elements`."""
-    index = {surf.group.element_key(g): i for i, g in enumerate(surf.elements)}
-    return [[[b, index[k]] for b, k in star] for star in surf.star_combinatorics()]
+    return [[[b, e] for b, e in star] for star in surf.star_combinatorics()]
 
 
 def stars_golden(group):
