@@ -85,6 +85,17 @@ def _floats(rows, width, what):
     return arr
 
 
+def _finite_list(values, what):
+    """A JSON list of finite numbers as a 1-D float array."""
+    try:
+        arr = np.array(values, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"{what}: not numeric") from exc
+    if arr.ndim != 1 or not np.all(np.isfinite(arr)):
+        raise SchemaError(f"{what}: expected a list of finite numbers")
+    return arr
+
+
 # -- polyhedron.v1 -------------------------------------------------------------
 
 
@@ -367,22 +378,26 @@ def fuchsian_config_from_dict(data):
     )
     if data["schema"] != FUCHSIAN_SCHEMA:
         raise SchemaError(f"expected schema {FUCHSIAN_SCHEMA}")
-    if int(data["genus"]) != 2:
+    if data["genus"] != 2:
         raise SchemaError("only genus 2 is supported (built-in octagon group)")
-    rays = []
+    if not isinstance(data["rays"], list):
+        raise SchemaError("rays: expected a list")
     for rd in data["rays"]:
         _require_keys(rd, ("p",), ("label",), "ray")
-        rays.append([float(x) for x in rd["p"]])
+    rays = _floats([rd["p"] for rd in data["rays"]], 3, "rays")
     heights = data.get("heights")
     targets = data.get("targets")
     if heights is None and targets is None:
         raise SchemaError("fuchsian config needs heights or targets")
+    cap = data.get("word_len_cap", 10)
+    if not isinstance(cap, int):
+        raise SchemaError("word_len_cap: expected an integer")
     return FuchsianConfig(
         genus2_group(),
-        np.array(rays, dtype=float),
-        None if heights is None else np.array(heights, dtype=float),
-        None if targets is None else np.array(targets, dtype=float),
-        word_length_cap=int(data.get("word_len_cap", 10)),
+        rays,
+        None if heights is None else _finite_list(heights, "heights"),
+        None if targets is None else _finite_list(targets, "targets"),
+        word_length_cap=cap,
     )
 
 

@@ -333,6 +333,31 @@ def test_cli_check_fuchsian_with_heights(tmp_path):
     assert main(["check", "--in", str(f)]) == 0
 
 
+FUCHSIAN_HEIGHTS = {
+    "schema": "fuchsian.v1",
+    "genus": 2,
+    "rays": [{"p": [0.25, 0.15, math.sqrt(1 + 0.25 ** 2 + 0.15 ** 2)]}],
+    "heights": [0.6],
+}
+
+
+@pytest.mark.parametrize("change", [
+    {"rays": [{"p": ["x", 0.15, 1.04]}]},
+    {"rays": [{"p": [0.25, 0.15]}]},
+    {"rays": {"p": [0.25, 0.15, 1.04]}},
+    {"genus": "two"},
+    {"heights": 0.5},
+    {"heights": [float("nan")]},
+    {"word_len_cap": "ten"},
+], ids=["ray-not-numeric", "ray-two-components", "rays-not-a-list",
+        "genus-not-a-number", "heights-scalar", "heights-nan", "cap-not-integer"])
+def test_cli_check_rejects_malformed_fuchsian(tmp_path, capsys, change):
+    f = tmp_path / "f.json"
+    f.write_text(json.dumps(dict(FUCHSIAN_HEIGHTS, **change)))  # NaN as a literal
+    assert main(["check", "--in", str(f)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_cli_tol_env_must_be_numeric(tmp_path, monkeypatch, tetrahedron):
     monkeypatch.setenv("FLIPKIT_TOL", "not-a-number")
     p = write_poly(tmp_path, tetrahedron)

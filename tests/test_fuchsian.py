@@ -236,6 +236,8 @@ def test_config_validation(group):
     with pytest.raises(GeometryError):
         config(group, [(0.3, 0.1)], heights=[1.6])  # above pi/2
     with pytest.raises(GeometryError):
+        config(group, [(0.3, 0.1)], heights=[float("nan")])
+    with pytest.raises(GeometryError):
         config(group, [(0.3, 0.1)], targets=[0.1])  # positive curvature
     with pytest.raises(GeometryError):
         config(group, [(0.3, 0.1), (0.1, 0.3)], targets=[-9.0, -4.0])  # sum
