@@ -343,9 +343,8 @@ class FuchsianConfig:
             self.heights = np.asarray(self.heights, dtype=float)
             if len(self.heights) != len(self.rays):
                 raise GeometryError("one height per ray required")
-            if not np.all(np.isfinite(self.heights)):
-                raise GeometryError("heights must be finite")
-            if np.any(self.heights <= 0) or np.any(self.heights >= np.pi / 2):
+            # NaN fails both comparisons, so it is rejected too
+            if not np.all((self.heights > 0) & (self.heights < np.pi / 2)):
                 raise GeometryError("heights must lie strictly inside (0, pi/2)")
         if self.targets is not None:
             self.targets = np.asarray(self.targets, dtype=float)

@@ -199,6 +199,25 @@ def test_radius_enumeration_separated(group):
     assert np.min(np.max(np.abs(els[i] - els[j]), axis=1)) > 0.2
 
 
+def test_relative_table_agrees_with_lookup(group):
+    ball = group.ball(R0)
+    m = len(ball.mats)
+    assert ball.relative(0, range(m)) == list(range(m))
+    outside = 0
+    for i in range(m):
+        for j in range(m):
+            prod = np.linalg.inv(ball.mats[i]) @ ball.mats[j]
+            try:
+                expected = ball.lookup(prod)
+            except GeometryError:
+                outside += 1
+                with pytest.raises(GeometryError):
+                    ball.relative(i, [j])
+                continue
+            assert ball.relative(i, [j]) == [expected]
+    assert outside > 0
+
+
 def bracketings(mats):
     """The product of `mats` formed in every association order."""
     if len(mats) == 1:
@@ -651,22 +670,15 @@ def test_projections_match_golden(name, request):
         assert projection_golden_text(surf) + "\n" == fh.read()
 
 
-def star_labels(surf):
-    """`star_combinatorics` with each element given by its index in
-    `surf.elements`."""
-    return [[[b, e] for b, e in star] for star in surf.star_combinatorics()]
-
-
 def stars_golden(group):
-    """Per fixture surface: the canonical neighbour cycles of
-    `star_combinatorics` as (ray, element index) labels, and the stars as
-    built (neighbour vertex ids from the fan start, true edges, wedge
-    faces)."""
+    """Per fixture surface: `star_combinatorics`, whose labels are (ray,
+    element index in `surf.elements`), and the stars as built (neighbour
+    vertex ids from the fan start, true edges, wedge faces)."""
     out = {}
     for name in FIXTURES:
         surf = fixture_surface(group, name)
         out[name] = {
-            "combinatorics": star_labels(surf),
+            "combinatorics": surf.star_combinatorics(),
             "stars": [[s.neighbors, s.true_edge, s.wedge_face] for s in surf.stars],
         }
     return out
