@@ -192,8 +192,9 @@ def test_radius_enumeration_complete(group, radius):
 
 
 def test_radius_enumeration_separated(group):
-    # distinct elements differ by more than twice the 0.1 key quantum in
-    # some entry, so no two of them can share a key
+    # distinct elements differ by more than twice the 0.1 quantum of
+    # `quantized_key` in some entry, so no two of them share a key, and by
+    # more than MATCH_GAP, so the identification rule tells them apart
     els = group.elements(7.0).reshape(-1, 9)
     i, j = np.triu_indices(len(els), k=1)
     assert np.min(np.max(np.abs(els[i] - els[j]), axis=1)) > 0.2
