@@ -1,10 +1,21 @@
-"""Projection, reconstruction, flip, recoloring, metrics, validation."""
+"""Projection, reconstruction, flip, recoloring, metrics, validation.
+
+tests/data/project_flip_sphere.json pins the bits of spherical projection
+and flip.  After a deliberate change to either, rewrite it with
+
+    PYTHONPATH=src:tests python tests/test_tilings.py
+
+and say in the change log why it changed.
+"""
+
+import os
 
 import numpy as np
 import pytest
 from dataclasses import replace
 
 from conftest import random_polyhedron
+from flipkit import io as fio
 from flipkit.errors import DevelopmentError, GeometryError
 from flipkit.forms import inv4_sphere, mul4_sphere
 from flipkit.polyhedra import hull
@@ -27,6 +38,11 @@ from flipkit.tilings import (
     white_metric,
     white_polyhedron,
 )
+
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "data", "project_flip_sphere.json")
+# (seed, vertex count) of the pinned polyhedra, those of the render goldens
+POLYHEDRA = ((1, 6), (2, 10))
 
 
 def spread_polygon(n, lat=0.6):
@@ -154,6 +170,26 @@ def test_projected_tiling_validates(small_corpus):
     for P in small_corpus[:6]:
         assert validate_tiling(project(P, Side.LEFT)).ok
         assert validate_tiling(project(P, Side.RIGHT)).ok
+
+
+def projection_golden_text():
+    """Canonical JSON, per pinned polyhedron, of its left and right
+    projections and of the flip of the left one."""
+    out = {}
+    for seed, n in POLYHEDRA:
+        P = random_polyhedron(np.random.default_rng(seed), n)
+        T = project(P, Side.LEFT)
+        out[f"poly{seed}_n{n}"] = {
+            "projected_left": fio.tiling_to_dict(T),
+            "projected_right": fio.tiling_to_dict(project(P, Side.RIGHT)),
+            "flipped": fio.tiling_to_dict(flip(T)),
+        }
+    return fio.canonical_json(out)
+
+
+def test_projection_and_flip_match_golden():
+    with open(GOLDEN) as fh:
+        assert projection_golden_text() + "\n" == fh.read()
 
 
 # -- reconstruction -------------------------------------------------------------
@@ -365,3 +401,10 @@ def test_validate_detects_swapped_labels(small_corpus):
     rep = validate_tiling(T)
     assert not rep.ok
     assert any("forward" in f or "backward" in f for f in rep.failures)
+
+
+if __name__ == "__main__":
+    # rewrite the golden file of this module from the current code
+    with open(GOLDEN, "w") as fh:
+        fh.write(projection_golden_text() + "\n")
+    print(GOLDEN)
