@@ -1,10 +1,21 @@
-"""Shared corpus generators for the test suite."""
+"""Shared corpus generators and the hypothesis profile of the test suite."""
 
 import numpy as np
 import pytest
 
 from flipkit.errors import GeometryError
 from flipkit.polyhedra import hull
+
+
+def pytest_configure(config):
+    """Every property test runs derandomized, without deadline or example
+    database; each test sets only its own `max_examples`.  Registered here
+    rather than at import, because the benchmark imports this module for
+    its corpus generator and should not load hypothesis."""
+    from hypothesis import settings
+
+    settings.register_profile("flipkit", derandomize=True, deadline=None, database=None)
+    settings.load_profile("flipkit")
 
 
 def _spread_directions(rng, n, jitter=0.22):

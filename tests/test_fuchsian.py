@@ -227,7 +227,7 @@ def bracketings(mats):
             for a in bracketings(mats[:k]) for b in bracketings(mats[k:])]
 
 
-@settings(max_examples=30, derandomize=True, deadline=None, database=None)
+@settings(max_examples=30)
 @given(word=st.lists(st.integers(0, 7), min_size=1, max_size=4),
        entry=st.integers(0, 8), sign=st.sampled_from([-1.0, 1.0]))
 def test_ball_lookup_never_splits_and_refuses_perturbed(group, word, entry, sign):
@@ -354,7 +354,7 @@ def test_uncertified_hull_stops_at_r_max(group, monkeypatch):
     assert radii == [R0 + 0.5 * k for k in range(10)]
 
 
-@settings(max_examples=20, derandomize=True, deadline=None, database=None)
+@settings(max_examples=20)
 @given(n=st.integers(1, 3), level=st.floats(0.55, 0.95),
        offsets=st.lists(st.floats(-0.08, 0.08), min_size=3, max_size=3))
 def test_certified_stars_match_wider_oracle(group, n, level, offsets):

@@ -227,7 +227,7 @@ def test_normalize_rows_idempotent():
     assert np.array_equal(normalize_rows(once), once)
 
 
-@settings(max_examples=30, derandomize=True, deadline=None, database=None)
+@settings(max_examples=30)
 @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(5, 14), dual=st.booleans(),
        swap=st.tuples(st.integers(0, 20), st.integers(1, 20)))
 def test_faces_convex_matches_polygon_oracle(seed, n, dual, swap):
