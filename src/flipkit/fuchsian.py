@@ -334,6 +334,8 @@ class FuchsianConfig:
 
     def __post_init__(self):
         self.rays = np.atleast_2d(np.asarray(self.rays, dtype=float))
+        if self.rays.ndim != 2 or self.rays.shape[1] != 3:
+            raise GeometryError(f"rays must be an (n, 3) array, got {self.rays.shape}")
         for p in self.rays:
             if abs(HyperbolicOps.inner(p, p) + 1.0) > 1e-9 or p[2] <= 0:
                 raise GeometryError("ray base point not on the hyperboloid")
@@ -341,14 +343,14 @@ class FuchsianConfig:
                 raise GeometryError("ray base point outside the fundamental domain")
         if self.heights is not None:
             self.heights = np.asarray(self.heights, dtype=float)
-            if len(self.heights) != len(self.rays):
+            if self.heights.shape != (len(self.rays),):
                 raise GeometryError("one height per ray required")
             # NaN fails both comparisons, so it is rejected too
             if not np.all((self.heights > 0) & (self.heights < np.pi / 2)):
                 raise GeometryError("heights must lie strictly inside (0, pi/2)")
         if self.targets is not None:
             self.targets = np.asarray(self.targets, dtype=float)
-            if len(self.targets) != len(self.rays):
+            if self.targets.shape != (len(self.rays),):
                 raise GeometryError("one curvature target per ray required")
             if not admissible_targets(self.targets, self.group.chi):
                 raise GeometryError(

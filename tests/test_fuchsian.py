@@ -265,6 +265,17 @@ def test_config_validation(group):
         FuchsianConfig(group, np.array([[5.0, 0.0, 0.0]]))  # not on hyperboloid
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"heights": 0.7},                 # scalar heights
+    {"targets": -1.0},                # scalar targets
+    {"rays": [[0.1, 0.2]]},           # a ray with two components
+], ids=["scalar-heights", "scalar-targets", "two-component-ray"])
+def test_config_rejects_malformed_shapes(group, kwargs):
+    args = {"rays": np.array([lift((0.3, 0.1))]), **kwargs}
+    with pytest.raises(GeometryError):
+        FuchsianConfig(group, **args)
+
+
 def test_admissible_targets(group):
     assert admissible_targets([-1.0, -2.0], group.chi)
     assert not admissible_targets([-7.0, -7.0], group.chi)
