@@ -73,43 +73,48 @@ def cross4(a, b, c):
 
 # Group structure.  On the sphere the coordinates multiply as quaternions
 # with real part first; on AdS they multiply through the SL(2,R) picture
-# with neutral element (0,0,0,1).
+# with neutral element (0,0,0,1).  Products and inverses take two 4-vectors,
+# or two arrays of rows (..., 4) multiplied row by row.
 
 def mul4_sphere(x, y):
-    x1, x2, x3, x4 = x
-    y1, y2, y3, y4 = y
+    x1, x2, x3, x4 = np.asarray(x).T
+    y1, y2, y3, y4 = np.asarray(y).T
     return np.array([
         x1 * y1 - x2 * y2 - x3 * y3 - x4 * y4,
         x1 * y2 + x2 * y1 + x3 * y4 - x4 * y3,
         x1 * y3 + x3 * y1 - x2 * y4 + x4 * y2,
         x1 * y4 + x2 * y3 - x3 * y2 + x4 * y1,
-    ])
+    ]).T
 
 
 def inv4_sphere(y):
-    return np.array([y[0], -y[1], -y[2], -y[3]])
+    return np.asarray(y) * np.array([1.0, -1.0, -1.0, -1.0])
 
 
 def _ads_to_mat(x):
-    x1, x2, x3, x4 = x
-    return np.array([[x2 + x4, x1 + x3], [x1 - x3, x4 - x2]])
+    x = np.asarray(x)
+    x1, x2, x3, x4 = np.moveaxis(x, -1, 0)
+    m = np.stack([x2 + x4, x1 + x3, x1 - x3, x4 - x2], axis=-1)
+    return m.reshape(x.shape[:-1] + (2, 2))
 
 
 def _mat_to_ads(m):
-    return np.array([
-        0.5 * (m[0, 1] + m[1, 0]),
-        0.5 * (m[0, 0] - m[1, 1]),
-        0.5 * (m[0, 1] - m[1, 0]),
-        0.5 * (m[0, 0] + m[1, 1]),
-    ])
+    return np.stack([
+        0.5 * (m[..., 0, 1] + m[..., 1, 0]),
+        0.5 * (m[..., 0, 0] - m[..., 1, 1]),
+        0.5 * (m[..., 0, 1] - m[..., 1, 0]),
+        0.5 * (m[..., 0, 0] + m[..., 1, 1]),
+    ], axis=-1)
 
 
 def mul4_ads(x, y):
-    return _mat_to_ads(_ads_to_mat(x) @ _ads_to_mat(y))
+    # np.matmul, not a written-out 2x2 product: the two round differently,
+    # and the pinned AdS projections carry the bits of np.matmul
+    return _mat_to_ads(np.matmul(_ads_to_mat(x), _ads_to_mat(y)))
 
 
 def inv4_ads(y):
-    return np.array([-y[0], -y[1], -y[2], y[3]])
+    return np.asarray(y) * np.array([-1.0, -1.0, -1.0, 1.0])
 
 
 def mul4(x, y, sig):

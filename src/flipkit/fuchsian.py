@@ -50,8 +50,10 @@ from scipy.spatial import ConvexHull as EuclideanHull
 from scipy.spatial import QhullError, cKDTree
 
 from .errors import ConvergenceError, DevelopmentError, GeometryError
-from .forms import SPHERE_E, Signature, cross4, inv4, mul4
+from .forms import SPHERE_E, Signature, cross4
+from .polyhedra import hull
 from .spheremath import Q_HYP, HyperbolicOps
+from .tilings import ConeMetric, ConePoint, assemble_tiling, tiling_equality_error
 from .trig import convexity_sign
 
 logger = logging.getLogger("flipkit.fuchsian")
@@ -1128,6 +1130,19 @@ class DualFace:
         return (len(angles) - 2) * np.pi - float(sum(angles))
 
 
+def _link_faces(star):
+    """The faces around a star, each once, in cyclic order: its vertex link."""
+    seq = []
+    for fi in star.wedge_face:
+        if not seq or seq[-1] != fi:
+            seq.append(fi)
+    if len(seq) > 1 and seq[0] == seq[-1]:
+        seq.pop()
+    if len(seq) < 3:
+        raise GeometryError("vertex link needs at least three faces")
+    return seq
+
+
 def minkowski_dual(surf):
     """Dual faces of the surface: one per fundamental vertex.
 
@@ -1138,16 +1153,7 @@ def minkowski_dual(surf):
     out = []
     ks = curvatures(surf)
     for vid in range(surf.n):
-        star = surf.stars[vid]
-        face_seq = []
-        for fi in star.wedge_face:
-            if not face_seq or face_seq[-1] != fi:
-                face_seq.append(fi)
-        if len(face_seq) > 1 and face_seq[0] == face_seq[-1]:
-            face_seq.pop()
-        if len(face_seq) < 3:
-            raise GeometryError("dual face needs at least three planes")
-        verts = np.array([surf.faces[fi].pole for fi in face_seq])
+        verts = np.array([surf.faces[fi].pole for fi in _link_faces(surf.stars[vid])])
         out.append(
             DualFace(vid, verts, surf.points4[vid].copy())
         )
@@ -1161,29 +1167,11 @@ def induced_cone_metric(surf):
     singular curvature).  This is the white metric of the projected
     tilings of the surface.
     """
-    from .tilings import ConeMetric, ConePoint
-
     omegas = cone_angles(surf)
     return ConeMetric(-1, [ConePoint(float(w), i) for i, w in enumerate(omegas)])
 
 
 # -- projections to hyperbolic tilings --------------------------------------------
-
-
-def _ads_project_point(pole, x, side):
-    """a^{-1} x or x a^{-1} into e* = {x4 = 0}, upper-sheet representative."""
-    from .tilings import Side
-
-    ainv = inv4(pole, Signature.ADS)
-    w = (
-        mul4(ainv, x, Signature.ADS)
-        if side is Side.LEFT
-        else mul4(x, ainv, Signature.ADS)
-    )
-    if abs(w[3]) > 1e-8:
-        raise GeometryError("projection left the reference plane")
-    u = w[:3]
-    return -u if u[2] < 0 else u
 
 
 def _edge_orbit_key(surf, u, v):
@@ -1238,29 +1226,10 @@ def ads_project(surf, side):
 
     White faces are projected surface faces (one per face orbit), black
     faces the projected links at the fundamental vertices; corner links
-    carry the deck transformations identifying the incident copies.  Each
-    (face, vertex) incidence is projected once.
+    carry the deck transformations identifying the incident copies.  The
+    tiling itself is assembled by `tilings.assemble_tiling`; this function
+    supplies the quotient bookkeeping: face orbits, decks and edge orbits.
     """
-    from .tilings import (
-        BLACK,
-        WHITE,
-        FlippableTiling,
-        TilingFace,
-        _build_edge,
-    )
-
-    ops = HyperbolicOps
-    group = surf.group
-
-    images = {}
-
-    def image(fi, vid):
-        if (fi, vid) not in images:
-            images[fi, vid] = _ads_project_point(
-                surf.faces[fi].pole, surf.points4[vid], side
-            )
-        return images[fi, vid]
-
     # face orbits, represented by the first encountered incident copy
     orbit_of = {}
     orbit_rep = []
@@ -1287,36 +1256,20 @@ def ads_project(surf, side):
         return deck_cache[fi]
 
     # white faces: projections of the representative copies
-    white_polys = []
-    white_links = []
-    white_decks = []
-    for wo, fi in enumerate(orbit_rep):
-        f = surf.faces[fi]
-        img = np.array([image(fi, v) for v in f.vertex_ids])
-        white_polys.append(img)
-        white_links.append(tuple(surf.base_of(v) for v in f.vertex_ids))
-        white_decks.append(tuple(surf.element_of(v) for v in f.vertex_ids))
+    white = []
+    for fi in orbit_rep:
+        ids = surf.faces[fi].vertex_ids
+        white.append(([(fi, v) for v in ids], tuple(surf.base_of(v) for v in ids),
+                      tuple(surf.element_of(v) for v in ids)))
 
     # black faces: projected links at the fundamental vertices; a link
     # corner is known by the orbit of its face and the white corner at vid
-    black_polys = []
-    black_links = []
-    black_decks = []
+    black = []
     black_corner = []
     for vid in range(surf.n):
-        star = surf.stars[vid]
-        seq = []
-        for fi in star.wedge_face:
-            if not seq or seq[-1] != fi:
-                seq.append(fi)
-        if len(seq) > 1 and seq[0] == seq[-1]:
-            seq.pop()
-        if len(seq) < 3:
-            raise GeometryError("vertex link needs at least three faces")
-        pts = np.array([image(fi, vid) for fi in seq])
-        black_polys.append(pts)
-        black_links.append(tuple(face_orbit[fi] for fi in seq))
-        black_decks.append(tuple(face_deck(fi)[0] for fi in seq))
+        seq = _link_faces(surf.stars[vid])
+        black.append(([(fi, vid) for fi in seq], tuple(face_orbit[fi] for fi in seq),
+                      tuple(face_deck(fi)[0] for fi in seq)))
         black_corner.append(
             {(face_orbit[fi], face_deck(fi)[1][vid]): k for k, fi in enumerate(seq)}
         )
@@ -1325,104 +1278,38 @@ def ads_project(surf, side):
     edge_slots = {}
     for vid in range(surf.n):
         star = surf.stars[vid]
-        m = len(star.neighbors)
-        for j in range(m):
-            if not star.true_edge[j]:
-                continue
-            key = _edge_orbit_key(surf, vid, star.neighbors[j])
-            if key not in edge_slots:
-                edge_slots[key] = (vid, j)
+        for j, s in enumerate(star.neighbors):
+            if star.true_edge[j]:
+                edge_slots.setdefault(_edge_orbit_key(surf, vid, s), (vid, j))
 
-    white_edge_refs = [[None] * len(p) for p in white_polys]
-    black_edge_refs = [[None] * len(p) for p in black_polys]
     edges = []
-    for ei, (vid, j) in enumerate(sorted(edge_slots.values())):
+    for vid, j in sorted(edge_slots.values()):
         star = surf.stars[vid]
-        m = len(star.neighbors)
         s = star.neighbors[j]
-        fa = star.wedge_face[(j - 1) % m]
-        fb = star.wedge_face[j]
+        fa, fb = star.wedge_face[j - 1], star.wedge_face[j]
         if fa == fb:
             raise GeometryError("true edge inside a single face")
-        wa_v, wa_s = image(fa, vid), image(fa, s)
-        wb_v, wb_s = image(fb, vid), image(fb, s)
-        base = wa_v
-        direction = ops.tangent(wa_v, wa_s)
-        ell = ops.dist(wa_v, wa_s)
-        delta = float(np.arcsinh(ops.inner(wb_v, direction)))
-        t_check = float(np.arcsinh(ops.inner(wb_s, direction)))
-        if abs(t_check - (delta + ell)) > 1e-7:
-            raise GeometryError("projected edge image is not rigid")
-
-        entries = []
-        # white segments
-        for (fi, lo) in ((fa, 0.0), (fb, delta)):
-            wo = face_orbit[fi]
+        segments = []
+        for fi in (fa, fb):
             deck, corner = face_deck(fi)
-            kv, ks = corner[vid], corner[s]
-            npoly = len(white_polys[wo])
-            if (kv + 1) % npoly == ks:
-                slot, rev = kv, False
-            elif (ks + 1) % npoly == kv:
-                slot, rev = ks, True
-            else:
-                raise GeometryError("white corners not adjacent in the polygon")
-            probe_pts = white_polys[wo] @ deck.T
-            c = probe_pts.sum(axis=0)
-            probe = c / math.sqrt(max(-ops.inner(c, c), 1e-30))
-            entries.append(
-                dict(color=WHITE, face=wo, face_edge=slot, reversed=rev,
-                     t0=min(lo, lo + ell), t1=max(lo, lo + ell), probe=probe,
-                     deck=deck)
-            )
-            if white_edge_refs[wo][slot] is None:
-                white_edge_refs[wo][slot] = ei
+            segments.append((face_orbit[fi], corner[vid], corner[s], deck))
         # black segments: at vid (deck identity) and at s (deck of its orbit)
-        for (vtx, lo) in ((vid, 0.0), (s, ell)):
+        for vtx in (vid, s):
             b = surf.base_of(vtx)
-            deck = surf.element_of(vtx)
             ka = black_corner[b].get((face_orbit[fa], face_deck(fa)[1][vtx]))
             kb = black_corner[b].get((face_orbit[fb], face_deck(fb)[1][vtx]))
             if ka is None or kb is None:
                 raise GeometryError("edge face missing from the vertex link")
-            npoly = len(black_polys[b])
-            if (ka + 1) % npoly == kb:
-                slot, rev = ka, (delta < 0)
-            elif (kb + 1) % npoly == ka:
-                slot, rev = kb, (delta > 0)
-            else:
-                raise GeometryError("black corners not adjacent in the link")
-            probe_pts = black_polys[b] @ deck.T
-            c = probe_pts.sum(axis=0)
-            probe = c / math.sqrt(max(-ops.inner(c, c), 1e-30))
-            entries.append(
-                dict(color=BLACK, face=b, face_edge=slot, reversed=rev,
-                     t0=min(lo, lo + delta), t1=max(lo, lo + delta), probe=probe,
-                     deck=deck)
-            )
-            if black_edge_refs[b][slot] is None:
-                black_edge_refs[b][slot] = ei
-        edges.append(_build_edge(ops, base, direction, entries))
+            segments.append((b, ka, kb, surf.element_of(vtx)))
+        edges.append(((vid, s, fa, fb), segments))
 
-    white = [
-        TilingFace(WHITE, white_polys[w], white_links[w],
-                   tuple(white_edge_refs[w]), decks=white_decks[w])
-        for w in range(len(white_polys))
-    ]
-    black = [
-        TilingFace(BLACK, black_polys[b], black_links[b],
-                   tuple(black_edge_refs[b]), decks=black_decks[b])
-        for b in range(len(black_polys))
-    ]
+    poles = {fi: surf.faces[fi].pole for star in surf.stars for fi in star.wedge_face}
     ambient = HyperbolicAmbient(
-        group, surf.config.rays, surf.config.word_length,
+        surf.group, surf.config.rays, surf.config.word_length,
         surf.config.word_length_cap
     )
-    T = FlippableTiling(side.other, black, white, edges, ambient=ambient)
-    from .tilings import _assert_handedness
-
-    _assert_handedness(T)
-    return T
+    return assemble_tiling(Signature.ADS, side, poles, surf.points4, white, black,
+                           edges, ambient)
 
 
 def recover_heights(T):
@@ -1483,8 +1370,6 @@ def flip_hyperbolic(T):
     The white polyhedron is re-embedded from the recovered heights, checked
     against the input tiling, then projected to the other side.
     """
-    from .tilings import tiling_equality_error
-
     amb = T.ambient
     h = recover_heights(T)
     surf = orbit_hull(amb.config(h))
@@ -1507,8 +1392,6 @@ def star_polyhedron(directions, heights):
     space), heights the distances from o; the hull must be simplicial with
     every point extreme and o interior.
     """
-    from .polyhedra import hull
-
     t = np.asarray(directions, dtype=float)
     h = np.asarray(heights, dtype=float)
     pts = np.hstack([np.cos(h)[:, None], np.sin(h)[:, None] * t])

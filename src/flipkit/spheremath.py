@@ -42,6 +42,11 @@ class SphereOps:
         return np.cos(s) * p + np.sin(s) * t
 
     @staticmethod
+    def geodesic_param(p, t, x):
+        """The s in (-pi, pi] with geodesic(p, t, s) = x, for x on it."""
+        return float(np.arctan2(np.dot(x, t), np.dot(x, p)))
+
+    @staticmethod
     def angle(u, a, b):
         """Angle at u between the geodesics toward a and b."""
         ta = SphereOps.tangent(u, a)
@@ -94,6 +99,11 @@ class HyperbolicOps:
     @staticmethod
     def geodesic(p, t, s):
         return np.cosh(s) * p + np.sinh(s) * t
+
+    @staticmethod
+    def geodesic_param(p, t, x):
+        """The s with geodesic(p, t, s) = x, for x on it."""
+        return float(np.arcsinh(HyperbolicOps.inner(x, t)))
 
     @staticmethod
     def angle(u, a, b):

@@ -276,37 +276,109 @@ def _assert_handedness(T):
                 )
 
 
-# -- projection of a convex polyhedron ---------------------------------------
+# -- projection: one pipeline for S^3 and AdS_3 --------------------------------
 
 
-def _project_point(pole, x, side, sig=Signature.SPHERE):
-    """Left projection a^{-1} x, or right projection x a^{-1}, into e*."""
-    ainv = inv4(pole, sig)
-    w = mul4(ainv, x, sig) if side is Side.LEFT else mul4(x, ainv, sig)
-    if abs(w[0]) > 1e-9:
+def project_points(poles, points, side, sig):
+    """Left projections a^{-1} x, or right projections x a^{-1}, into e*.
+
+    `poles` and `points` are (m, 4) rows, paired row by row.  Returns the
+    (m, 3) coordinates in e*: (x2, x3, x4) on S^3, where e* = {x1 = 0}, and
+    the upper-sheet representative of (x1, x2, x3) on AdS_3, where
+    e* = {x4 = 0}.
+    """
+    ainv = inv4(poles, sig)
+    w = mul4(ainv, points, sig) if side is Side.LEFT else mul4(points, ainv, sig)
+    if sig is Signature.SPHERE:
+        # unit-stride rows, so that np.dot sums them as it sums any 3-vector
+        off, tol, out = w[:, 0], 1e-9, np.ascontiguousarray(w[:, 1:])
+    else:
+        off, tol, out = w[:, 3], 1e-8, w[:, :3]
+    if np.any(np.abs(off) > tol):
         raise GeometryError("projection left the reference plane e*")
-    return w[1:]
+    if sig is Signature.ADS:
+        out = np.where(out[:, 2:] < 0, -out, out)
+    return out
 
 
-def angle_project(a, b, x, side):
-    """Project a point of the angle between a* and b* onto e* = S^2."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    x = np.asarray(x, dtype=float)
-    if np.linalg.norm(a - b) < 1e-12 or np.linalg.norm(a + b) < 1e-12:
-        raise GeometryError("digon angle (a = +-b) unsupported by angle_project")
-    fa = float(np.dot(a, x))
-    fb = float(np.dot(b, x))
-    if abs(fa) <= 1e-10:
-        return _project_point(a, x, side)
-    if abs(fb) <= 1e-10:
-        return _project_point(b, x, side)
-    raise GeometryError("point does not lie on the angle a* union b*")
+def assemble_tiling(sig, side, poles, points, white, black, edges, ambient="sphere"):
+    """The tiling of projected faces: the construction behind `project` and
+    `fuchsian.ads_project`.
 
+    A corner (f, v) is the vertex points[v] of the face with pole poles[f];
+    each corner is projected once (`project_points`), on the `side` of the
+    polyhedron, and the tiling has the other handedness.
+    white, black : per face, (its corners in cyclic order, links, decks)
+    edges        : per true edge from v to s between the faces fa and fb,
+                   ((v, s, fa, fb), segments).  The segments are those of
+                   the white faces of fa and fb and the black faces at v
+                   and s, each (face, k, k', deck): the corners at v and s
+                   (white) or of fa and fb (black), and the deck carrying
+                   the stored face onto the edge, None for the identity.
+    """
+    spherical = sig is Signature.SPHERE
+    ops = SphereOps if spherical else HyperbolicOps
+    row = {}
+    for corners, _, _ in white + black:
+        for c in corners:
+            row.setdefault(c, len(row))
+    for (v, s, fa, fb), _ in edges:
+        for c in ((fa, v), (fa, s), (fb, v), (fb, s)):
+            row.setdefault(c, len(row))
+    img = project_points(np.array([poles[f] for f, _ in row]),
+                         points[[v for _, v in row]], side, sig)
 
-def _sphere_probe(poly):
-    c = poly.mean(axis=0)
-    return c / np.linalg.norm(c)
+    polys, probes, refs = {}, {}, {}
+    for color, faces in ((WHITE, white), (BLACK, black)):
+        polys[color] = [img[[row[c] for c in corners]] for corners, _, _ in faces]
+        # normalized corner sums: interior points, read only for their side
+        sums = [p.sum(axis=0) for p in polys[color]]
+        probes[color] = [c / np.sqrt(abs(ops.inner(c, c))) for c in sums]
+        refs[color] = [[None] * len(p) for p in polys[color]]
+
+    tiling_edges = []
+    for ei, ((v, s, fa, fb), segments) in enumerate(edges):
+        a_v, a_s, b_v, b_s = (img[row[c]] for c in ((fa, v), (fa, s), (fb, v), (fb, s)))
+        direction = ops.tangent(a_v, a_s)
+        ell = ops.dist(a_v, a_s)
+        delta = ops.geodesic_param(a_v, direction, b_v)
+        gap = ops.geodesic_param(a_v, direction, b_s) - (delta + ell)
+        if spherical:  # parameters are angles, defined mod 2 pi
+            gap = (gap + np.pi) % (2 * np.pi) - np.pi
+        if abs(gap) > (1e-8 if spherical else 1e-7):
+            raise GeometryError("projected edge image is not rigid")
+        # each segment runs from its first corner at t = p to its second
+        # at t = p + d
+        entries = []
+        for (color, p, d), (f, k0, k1, deck) in zip(
+            ((WHITE, 0.0, ell), (WHITE, delta, ell), (BLACK, 0.0, delta), (BLACK, ell, delta)),
+            segments,
+        ):
+            m = len(polys[color][f])
+            if (k0 + 1) % m == k1:
+                slot, rev = k0, d < 0
+            elif (k1 + 1) % m == k0:
+                slot, rev = k1, d > 0
+            else:
+                raise GeometryError(f"{color} corners of an edge are not adjacent")
+            probe = probes[color][f]
+            entries.append(
+                dict(color=color, face=f, face_edge=slot, reversed=rev,
+                     t0=min(p, p + d), t1=max(p, p + d),
+                     probe=probe if deck is None else deck @ probe, deck=deck)
+            )
+            if refs[color][f][slot] is None:
+                refs[color][f][slot] = ei
+        tiling_edges.append(_build_edge(ops, a_v, direction, entries))
+
+    white_faces, black_faces = (
+        [TilingFace(color, polys[color][f], links, tuple(refs[color][f]), decks=decks)
+         for f, (_, links, decks) in enumerate(faces)]
+        for color, faces in ((WHITE, white), (BLACK, black))
+    )
+    T = FlippableTiling(side.other, black_faces, white_faces, tiling_edges, ambient)
+    _assert_handedness(T)
+    return T
 
 
 def project(P: ConvexPolyhedron, side: Side) -> FlippableTiling:
@@ -316,101 +388,20 @@ def project(P: ConvexPolyhedron, side: Side) -> FlippableTiling:
     of its vertices; a left projection yields a right tiling and vice
     versa.
     """
-    ops = SphereOps
-    sig = Signature.SPHERE
-
-    white_vertices = [
-        np.array(
-            [_project_point(P.face_poles[fi], P.vertices[v], side, sig) for v in face]
-        )
-        for fi, face in enumerate(P.faces)
+    cycles = [P.face_cycle_at_vertex(v) for v in range(P.n_vertices)]
+    white = [([(fi, v) for v in face], tuple(face), None) for fi, face in enumerate(P.faces)]
+    black = [([(fi, vi) for fi in cyc], tuple(cyc), None) for vi, cyc in enumerate(cycles)]
+    edges = [
+        ((i, j, fa, fb), [
+            (fa, P.faces[fa].index(i), P.faces[fa].index(j), None),
+            (fb, P.faces[fb].index(i), P.faces[fb].index(j), None),
+            (i, cycles[i].index(fa), cycles[i].index(fb), None),
+            (j, cycles[j].index(fa), cycles[j].index(fb), None),
+        ])
+        for i, j, fa, fb in P.edges
     ]
-    vertex_cycles = [P.face_cycle_at_vertex(v) for v in range(P.n_vertices)]
-    black_vertices = [
-        np.array(
-            [
-                _project_point(P.face_poles[fi], P.vertices[vi], side, sig)
-                for fi in vertex_cycles[vi]
-            ]
-        )
-        for vi in range(P.n_vertices)
-    ]
-    white_probes = [_sphere_probe(w) for w in white_vertices]
-    black_probes = [_sphere_probe(b) for b in black_vertices]
-
-    white_edge_refs = [[None] * len(f) for f in P.faces]
-    black_edge_refs = [[None] * len(c) for c in vertex_cycles]
-
-    def face_edge_slot(cycle, u, w):
-        for t in range(len(cycle)):
-            if (cycle[t], cycle[(t + 1) % len(cycle)]) == (u, w):
-                return t, False
-            if (cycle[t], cycle[(t + 1) % len(cycle)]) == (w, u):
-                return t, True
-        raise GeometryError("edge not found in face cycle")
-
-    def black_edge_slot(cycle, fa, fb):
-        for t in range(len(cycle)):
-            if {cycle[t], cycle[(t + 1) % len(cycle)]} == {fa, fb}:
-                return t
-        raise GeometryError("face pair not adjacent in vertex cycle")
-
-    edges = []
-    for ei, (i, j, fa, fb) in enumerate(P.edges):
-        wa_i = _project_point(P.face_poles[fa], P.vertices[i], side, sig)
-        wa_j = _project_point(P.face_poles[fa], P.vertices[j], side, sig)
-        wb_i = _project_point(P.face_poles[fb], P.vertices[i], side, sig)
-        wb_j = _project_point(P.face_poles[fb], P.vertices[j], side, sig)
-        base = wa_i
-        direction = ops.tangent(wa_i, wa_j)
-        ell = ops.dist(wa_i, wa_j)
-        delta = float(np.arctan2(np.dot(wb_i, direction), np.dot(wb_i, base)))
-        tbj = float(np.arctan2(np.dot(wb_j, direction), np.dot(wb_j, base)))
-        if abs((tbj - (delta + ell) + np.pi) % (2 * np.pi) - np.pi) > 1e-8:
-            raise GeometryError("projected edge image is not rigid")
-
-        entries = []
-        ka, rev_a = face_edge_slot(P.faces[fa], i, j)
-        entries.append(
-            dict(color=WHITE, face=fa, face_edge=ka, reversed=rev_a, t0=0.0, t1=ell,
-                 probe=white_probes[fa])
-        )
-        white_edge_refs[fa][ka] = ei
-        kb, rev_b = face_edge_slot(P.faces[fb], i, j)
-        entries.append(
-            dict(color=WHITE, face=fb, face_edge=kb, reversed=rev_b, t0=delta,
-                 t1=delta + ell, probe=white_probes[fb])
-        )
-        white_edge_refs[fb][kb] = ei
-
-        for vi, lo in ((i, 0.0), (j, ell)):
-            cyc = vertex_cycles[vi]
-            k = black_edge_slot(cyc, fa, fb)
-            # corner for fa at param lo, corner for fb at param lo + delta
-            first_is_fa = cyc[k] == fa
-            rev = (first_is_fa and delta < 0) or (not first_is_fa and delta > 0)
-            entries.append(
-                dict(color=BLACK, face=vi, face_edge=k, reversed=rev,
-                     t0=min(lo, lo + delta), t1=max(lo, lo + delta),
-                     probe=black_probes[vi])
-            )
-            black_edge_refs[vi][k] = ei
-
-        edges.append(_build_edge(ops, base, direction, entries))
-
-    white = [
-        TilingFace(WHITE, white_vertices[fi], tuple(P.faces[fi]),
-                   tuple(white_edge_refs[fi]))
-        for fi in range(P.n_faces)
-    ]
-    black = [
-        TilingFace(BLACK, black_vertices[vi], tuple(vertex_cycles[vi]),
-                   tuple(black_edge_refs[vi]))
-        for vi in range(P.n_vertices)
-    ]
-    T = FlippableTiling(side.other, black, white, edges)
-    _assert_handedness(T)
-    return T
+    return assemble_tiling(Signature.SPHERE, side, P.face_poles, P.vertices,
+                           white, black, edges)
 
 
 # -- development back to a polyhedron -----------------------------------------
@@ -684,6 +675,7 @@ def _build_antipodal(V):
             TilingFace(WHITE, verts, links, edge_refs, digon_angle=digon_angle)
         )
 
+    probe_P = V.sum(axis=0) / np.linalg.norm(V.sum(axis=0))
     edges = []
     for i in range(n):
         ip1 = (i + 1) % n
@@ -691,7 +683,6 @@ def _build_antipodal(V):
         direction = ops.tangent(V[i], V[ip1])
         ell = ops.dist(V[i], V[ip1])
         normal = ops.geodesic_normal(base, V[ip1])
-        probe_P = _sphere_probe(V)
         # digon i-1 interior probe: inward normals of its two edge circles
         nm1 = _digon_probe(V, (i - 1) % n)
         ni = _digon_probe(V, i)

@@ -17,7 +17,7 @@ from dataclasses import replace
 from conftest import random_polyhedron
 from flipkit import io as fio
 from flipkit.errors import DevelopmentError, GeometryError
-from flipkit.forms import inv4_sphere, mul4_sphere
+from flipkit.forms import Signature, inv4_sphere, mul4_sphere
 from flipkit.polyhedra import hull
 from flipkit.spheremath import SphereOps
 from flipkit.tilings import (
@@ -25,12 +25,12 @@ from flipkit.tilings import (
     WHITE,
     FlippableTiling,
     Side,
-    angle_project,
     black_metric,
     flip,
     make_antipodal_tiling,
     polygon_congruent,
     project,
+    project_points,
     recolor,
     tiling_isometry_error,
     polyhedron_isometry_error,
@@ -53,6 +53,20 @@ def spread_polygon(n, lat=0.6):
 
 
 # -- angle projection ----------------------------------------------------------
+
+
+def angle_project(a, b, x, side):
+    """Project a point of the angle between a* and b* onto e* = S^2: the
+    projection by whichever of a, b has x in its dual plane."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    x = np.asarray(x, dtype=float)
+    if np.linalg.norm(a - b) < 1e-12 or np.linalg.norm(a + b) < 1e-12:
+        raise GeometryError("digon angle (a = +-b) unsupported by angle_project")
+    for pole in (a, b):
+        if abs(float(np.dot(pole, x))) <= 1e-10:
+            return project_points(pole[None], x[None], side, Signature.SPHERE)[0]
+    raise GeometryError("point does not lie on the angle a* union b*")
 
 
 def test_angle_project_edge_distance_is_dihedral():
