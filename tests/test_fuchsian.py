@@ -701,6 +701,17 @@ def test_star_combinatorics_match_golden(group):
         assert fio.canonical_json(stars_golden(group)) + "\n" == fh.read()
 
 
+@settings(max_examples=15)
+@given(n=st.integers(1, 3), level=st.floats(0.55, 0.95),
+       offsets=st.lists(st.floats(-0.08, 0.08), min_size=3, max_size=3),
+       side=st.sampled_from(Side))
+def test_projection_validates_and_flip_is_involution(group, n, level, offsets, side):
+    cfg = config(group, THREE_RAYS[:n], heights=level + np.array(offsets[:n]))
+    T = ads_project(orbit_hull(cfg), side)
+    assert validate_tiling(T).ok
+    assert tiling_equality_error(T, flip(flip(T))) <= 1e-10
+
+
 def test_hyperbolic_flip_round_trip(surf1, surf2):
     for surf in (surf1, surf2):
         T = ads_project(surf, Side.LEFT)

@@ -13,12 +13,14 @@ import os
 import numpy as np
 import pytest
 from dataclasses import replace
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_polyhedron
 from flipkit import io as fio
 from flipkit.errors import DevelopmentError, GeometryError
 from flipkit.forms import Signature, inv4_sphere, mul4_sphere
-from flipkit.polyhedra import hull
+from flipkit.polyhedra import hull, polar_dual
 from flipkit.spheremath import SphereOps
 from flipkit.tilings import (
     BLACK,
@@ -32,6 +34,7 @@ from flipkit.tilings import (
     project,
     project_points,
     recolor,
+    tiling_equality_error,
     tiling_isometry_error,
     polyhedron_isometry_error,
     validate_tiling,
@@ -184,6 +187,18 @@ def test_projected_tiling_validates(small_corpus):
     for P in small_corpus[:6]:
         assert validate_tiling(project(P, Side.LEFT)).ok
         assert validate_tiling(project(P, Side.RIGHT)).ok
+
+
+@settings(max_examples=15)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(5, 14), dual=st.booleans(),
+       side=st.sampled_from(Side))
+def test_projection_validates_and_flip_is_involution(seed, n, dual, side):
+    P = random_polyhedron(np.random.default_rng(seed), n)
+    if dual:
+        P = polar_dual(P)
+    T = project(P, side)
+    assert validate_tiling(T).ok
+    assert tiling_equality_error(T, flip(flip(T))) <= 1e-10
 
 
 def projection_golden_text():
