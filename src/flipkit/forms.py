@@ -73,8 +73,8 @@ def cross4(a, b, c):
 
 # Group structure.  On the sphere the coordinates multiply as quaternions
 # with real part first; on AdS they multiply through the SL(2,R) picture
-# with neutral element (0,0,0,1).  Products and inverses take two 4-vectors,
-# or two arrays of rows (..., 4) multiplied row by row.
+# with neutral element (0,0,0,1).  Products and inverses take 4-vectors or
+# arrays of rows (..., 4), row by row.
 
 def mul4_sphere(x, y):
     x1, x2, x3, x4 = np.asarray(x).T

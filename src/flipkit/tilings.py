@@ -7,6 +7,10 @@ geodesic and the four incident face-edge segments with their side
 (left/right of the oriented geodesic), position (forward/backward) and
 color.  This is enough to check the definition clauses, glue the black
 and white cone metrics, and develop the white polyhedron back.
+
+One pipeline (`assemble_tiling`) projects a spherical polyhedron and a
+Fuchsian AdS surface alike; `fuchsian.ads_project` adds only the quotient
+bookkeeping (face orbits and deck transformations).
 """
 
 from dataclasses import dataclass, replace
