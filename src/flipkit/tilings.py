@@ -393,7 +393,7 @@ def project(P: ConvexPolyhedron, side: Side) -> FlippableTiling:
     versa.
     """
     cycles = [P.face_cycle_at_vertex(v) for v in range(P.n_vertices)]
-    white = [([(fi, v) for v in face], tuple(face), None) for fi, face in enumerate(P.faces)]
+    white = [([(fi, v) for v in face], face, None) for fi, face in enumerate(P.faces)]
     black = [([(fi, vi) for fi in cyc], tuple(cyc), None) for vi, cyc in enumerate(cycles)]
     edges = [
         ((i, j, fa, fb), [
