@@ -310,8 +310,8 @@ def assemble_tiling(sig, side, poles, points, white, black, edges, ambient="sphe
     `fuchsian.ads_project`.
 
     A corner (f, v) is the vertex points[v] of the face with pole poles[f];
-    each corner is projected once (`project_points`), on the `side` of the
-    polyhedron, and the tiling has the other handedness.
+    each corner is projected once, by the `side` projection
+    (`project_points`), and the tiling has the other handedness.
     white, black : per face, (its corners in cyclic order, links, decks)
     edges        : per true edge from v to s between the faces fa and fb,
                    ((v, s, fa, fb), segments).  The segments are those of
