@@ -16,6 +16,8 @@ face of the fundamental vertex stars is then certified: a lower bound on
 <x, p> over all omitted orbit points x shows that its plane supports the
 whole orbit, so the stars are those of the infinite surface.  When a face
 fails, R grows by 0.5 up to R_MAX = 10, past which GeometryError is raised.
+Its faces come from the chart hull -> merged faces path of `polyhedra`,
+with the future poles of the space-like planes.
 
 One star kernel serves AdS_3 and S^3 (`star_geometry`, with a
 `StarSignature`): given a vertex and its neighbour cycle as arrays it
@@ -45,13 +47,12 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.sparse import coo_matrix
 from scipy.spatial import ConvexHull as EuclideanHull
 from scipy.spatial import QhullError, cKDTree
 
 from .errors import ConvergenceError, DevelopmentError, GeometryError
-from .forms import SPHERE_E, Signature, cross4
-from .polyhedra import hull
+from .forms import ADS_E, SPHERE_E, Signature
+from .polyhedra import cyclic_face_order, hull, merge_triangles, triangle_poles
 from .spheremath import Q_HYP, HyperbolicOps
 from .tilings import ConeMetric, ConePoint, assemble_tiling, tiling_equality_error
 from .trig import convexity_sign
@@ -61,7 +62,6 @@ logger = logging.getLogger("flipkit.fuchsian")
 Q_ADS = np.array([1.0, 1.0, -1.0, -1.0])
 O_APEX = np.array([0.0, 0.0, 0.0, -1.0])    # dual of H antipodal to H* = (0, 0, 0, 1)
 
-EPS_FACE_MERGE = 1e-8
 EPS_EQUIVARIANT = 1e-8
 
 R0 = 5.5        # first truncation radius of an orbit hull
@@ -413,7 +413,7 @@ class SurfaceFace:
     @property
     def vertex_ids(self):
         if self._cyclic is None:
-            self._cyclic = _cyclic_face_order(self._chart, self.ids)
+            self._cyclic = cyclic_face_order(self._chart, self.ids)
         return self._cyclic
 
 
@@ -698,47 +698,6 @@ def _supports_orbit(surf, face_ids):
     return bool(np.all(rising & (bound > 0)))
 
 
-def _batch_poles(points4, simplices):
-    """Future-normalized AdS plane poles of hull triangles, vectorized.
-
-    Returns (poles, spacelike mask): non-space-like planes are truncation
-    artifacts and get masked out.
-    """
-    tri = points4[simplices]  # (S, 3, 4)
-    poles = cross4(tri[:, 0], tri[:, 1], tri[:, 2]) * Q_ADS
-    q = np.sum(poles * poles * Q_ADS, axis=1)
-    ok = q < -1e-12
-    poles[ok] /= np.sqrt(-q[ok])[:, None]
-    flip = poles[:, 3] < 0
-    poles[flip] = -poles[flip]
-    return poles, ok
-
-
-def _merge_faces(simplices, poles, chart):
-    """Merge hull triangles whose plane poles lie within EPS_FACE_MERGE.
-
-    Faces come in the order of their least triangle, whose pole they keep;
-    `connected_components` labels components in that order.
-    """
-    # imported on first use: the spherical path never builds an orbit
-    # hull, and loading csgraph adds about 3 MB to the process
-    from scipy.sparse.csgraph import connected_components
-
-    pairs = cKDTree(poles).query_pairs(EPS_FACE_MERGE, output_type="ndarray")
-    graph = coo_matrix(
-        (np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])),
-        shape=(len(poles), len(poles)),
-    )
-    _, labels = connected_components(graph, directed=False)
-    _, first, sizes = np.unique(labels, return_index=True, return_counts=True)
-    ids = np.sort(simplices[first], axis=1).tolist()
-    if np.any(sizes > 1):
-        members = np.split(np.argsort(labels, kind="stable"), np.cumsum(sizes)[:-1])
-        for k in np.nonzero(sizes > 1)[0]:
-            ids[k] = np.unique(simplices[members[k]]).tolist()
-    return [SurfaceFace(f, pole, chart) for f, pole in zip(ids, poles[first])]
-
-
 def _truncated_hull(config, radius):
     """Orbit hull of the elements within `radius`, without stars."""
     n = config.n
@@ -756,24 +715,15 @@ def _truncated_hull(config, radius):
             "vertices not in convex position (a ray point is inside the hull)"
         )
 
-    visible = np.nonzero(ch.equations[:, 3] > 1e-13)[0]
-    simplices = ch.simplices[visible]
-    poles, spacelike = _batch_poles(points4, simplices)
-    faces = _merge_faces(simplices[spacelike], poles[spacelike], chart)
+    # faces visible from the origin, with future poles; time-like planes
+    # are truncation artifacts
+    simplices = ch.simplices[ch.equations[:, 3] > 1e-13]
+    poles, q = triangle_poles(points4, simplices, Q_ADS, ADS_E)
+    spacelike = q < -1e-12
+    simplices, poles = simplices[spacelike], poles[spacelike]
+    first, ids = merge_triangles(simplices, poles)
+    faces = [SurfaceFace(f, pole, chart) for f, pole in zip(ids, poles[first])]
     return FuchsianSurface(config, ball, points4, faces, radius)
-
-
-def _cyclic_face_order(chart, ids):
-    """Order coplanar chart points cyclically around their centroid."""
-    pts = chart[ids]
-    ctr = pts.mean(axis=0)
-    rel = pts - ctr
-    _, _, vt = np.linalg.svd(rel)
-    u1, u2 = vt[0], vt[1]
-    ang = np.arctan2(rel @ u2, rel @ u1)
-    out = [ids[k] for k in np.argsort(ang)]
-    pivot = out.index(min(out))
-    return out[pivot:] + out[:pivot]
 
 
 # -- the star kernel: cone angles and the Jacobian --------------------------------
@@ -1218,6 +1168,10 @@ class HyperbolicAmbient:
             self.group, self.rays, np.asarray(heights, dtype=float), None,
             self.word_length, self.word_length_cap
         )
+
+    def flip(self, T):
+        """Flip of a hyperbolic tiling over this quotient: `flip_hyperbolic`."""
+        return flip_hyperbolic(T)
 
 
 def ads_project(surf, side):

@@ -4,6 +4,11 @@ Construction goes through the projective chart centered at e = (1,0,0,0):
 a point with x1 > 0 is drawn at (x2,x3,x4)/x1, where spherical polyhedra
 become Euclidean polytopes.  Faces, polar duals and polar links are all
 derived from that picture.
+
+This module owns the one chart hull -> merged faces path, for the
+polyhedra of S^3 here and the orbit hulls of AdS_3 in `fuchsian`: after
+each caller's Qhull call, `triangle_poles`, `merge_triangles` and
+`cyclic_face_order` give the faces; spherical polyhedra keep SVD poles.
 """
 
 import itertools
@@ -14,13 +19,13 @@ from scipy.spatial import ConvexHull as EuclideanHull
 from scipy.spatial import QhullError
 
 from .errors import GeometryError
-from .forms import cross4
+from .forms import Signature, cross4
 from .spheremath import SphereOps
 
 EPS_PLANE = 1e-9
-EPS_POLE_MERGE = 1e-8
 EPS_HEMISPHERE = 1e-8
-EPS_AREA = 1e-9
+MERGE_TOL = 1e-8   # hull triangles whose unit poles lie this close share a face
+SWEEP = np.array([1.0, 2 ** 0.5, 3 ** 0.5, 5 ** 0.5]) / 11 ** 0.5  # generic unit 4-vector
 
 
 def to_chart(points):
@@ -104,14 +109,20 @@ def make_digon(v, angle):
     return SphericalPolygon(verts, digon_angle=float(angle))
 
 
-def exterior_dihedral(P, edge):
-    """Exterior dihedral angle of P along an edge (i, j, face_a, face_b)."""
-    return P.exterior_dihedral(edge)
-
-
-def polar_link(P, vertex):
-    """Polar link of a vertex: the polygon of outward face normals."""
-    return P.polar_link(vertex)
+def complement_basis(u):
+    """Orthonormal basis of the 3-space orthogonal to a unit 4-vector u,
+    by Gram-Schmidt over the coordinate axes."""
+    basis = []
+    for seed in np.eye(4):
+        w = seed - np.dot(seed, u) * u
+        for b in basis:
+            w -= np.dot(w, b) * b
+        n = np.linalg.norm(w)
+        if n > 1e-8:
+            basis.append(w / n)
+        if len(basis) == 3:
+            break
+    return np.array(basis)
 
 
 @dataclass(frozen=True)
@@ -281,34 +292,12 @@ class ConvexPolyhedron:
 
     def tangent_basis(self, vi):
         """Orthonormal basis of the tangent space at vertex vi."""
-        v = self.vertices[vi]
-        basis = []
-        for seed in np.eye(4):
-            w = seed - np.dot(seed, v) * v
-            for b in basis:
-                w -= np.dot(w, b) * b
-            n = np.linalg.norm(w)
-            if n > 1e-8:
-                basis.append(w / n)
-            if len(basis) == 3:
-                break
-        return np.array(basis)
+        return complement_basis(self.vertices[vi])
 
     def face_polygon(self, fi):
         """Face fi as a spherical polygon in the 2-sphere carrying it."""
-        pole = self.face_poles[fi]
         pts = self.vertices[list(self.faces[fi])]
-        basis = []
-        for seed in np.eye(4):
-            w = seed - np.dot(seed, pole) * pole
-            for b in basis:
-                w -= np.dot(w, b) * b
-            n = np.linalg.norm(w)
-            if n > 1e-8:
-                basis.append(w / n)
-            if len(basis) == 3:
-                break
-        coords = pts @ np.array(basis).T
+        coords = pts @ complement_basis(self.face_poles[fi]).T
         return SphericalPolygon(normalize_rows(coords))
 
     def face_area(self, fi):
@@ -356,16 +345,91 @@ class ConvexPolyhedron:
         return total
 
 
-# -- construction ------------------------------------------------------------
+# -- construction: one chart hull -> merged faces path for S^3 and AdS_3 ------
 
 
-def _face_pole(points, interior):
-    """Inward unit normal of the plane through the rows of `points`."""
-    _, _, vt = np.linalg.svd(points)
-    n = vt[-1]
-    n /= np.linalg.norm(n)
-    if np.dot(n, interior) < 0:
-        n = -n
+def triangle_poles(points4, simplices, form, toward):
+    """Plane poles of hull triangles under the diagonal `form` of a quadric.
+
+    The pole of the plane through the rows of points4[s] is form * cross4,
+    from one `cross4` over all triangles, scaled to |<p, p>| = 1 under the
+    form and turned so that its Euclidean product with `toward` is not
+    negative.  Returns the poles and <p, p> before scaling, whose sign
+    tells space-like (< 0) from time-like planes on AdS_3.
+    """
+    tri = points4[simplices]  # (S, 3, 4)
+    poles = cross4(tri[:, 0], tri[:, 1], tri[:, 2]) * form
+    q = np.sum(poles * poles * form, axis=1)
+    poles /= np.sqrt(np.abs(q))[:, None]
+    poles[poles @ toward < 0] *= -1.0
+    return poles, q
+
+
+def merge_triangles(simplices, poles):
+    """Group hull triangles into faces: triangles whose poles lie within
+    MERGE_TOL of each other, directly or through a chain, form one face.
+
+    Returns, per face in the order of its least triangle, that triangle's
+    index and the face's vertex ids, ascending.  Close pairs come from a
+    sweep over the poles sorted along the unit vector SWEEP, not from a
+    cKDTree, whose code the spherical path would load for this alone
+    (about 0.4 MB more peak RSS).  Components are labelled by their least
+    member: min-label propagation with pointer jumping.
+    """
+    key = poles @ SWEEP
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    count = np.searchsorted(key, key + MERGE_TOL, side="right") - np.arange(len(key)) - 1
+    a = np.repeat(np.arange(len(key)), count)
+    b = a + 1 + np.arange(len(a)) - np.repeat(np.cumsum(count) - count, count)
+    a, b = order[a], order[b]
+    d = poles[a] - poles[b]
+    close = np.sqrt(np.einsum("ij,ij->i", d, d)) <= MERGE_TOL
+    a, b = a[close], b[close]
+    labels = np.arange(len(poles))
+    while True:
+        low = np.minimum(labels[a], labels[b])
+        new = labels.copy()
+        np.minimum.at(new, a, low)
+        np.minimum.at(new, b, low)
+        new = new[new]
+        if np.array_equal(new, labels):
+            break
+        labels = new
+    first, sizes = np.unique(labels, return_counts=True)
+    ids = np.sort(simplices[first], axis=1).tolist()
+    if np.any(sizes > 1):
+        members = np.split(np.argsort(labels, kind="stable"), np.cumsum(sizes)[:-1])
+        for k in np.nonzero(sizes > 1)[0]:
+            ids[k] = np.unique(simplices[members[k]]).tolist()
+    return first, ids
+
+
+def cyclic_face_order(chart, ids, outward=None):
+    """Order coplanar chart points cyclically around their centroid,
+    starting from the least id; counterclockwise seen from the side that
+    `outward` points to, when it is given."""
+    pts = chart[ids]
+    ctr = pts.mean(axis=0)
+    rel = pts - ctr
+    _, _, vt = np.linalg.svd(rel)
+    u1, u2 = vt[0], vt[1]
+    if outward is not None and np.dot(np.cross(u1, u2), outward) < 0:
+        u2 = -u2
+    ang = np.arctan2(rel @ u2, rel @ u1)
+    out = [ids[k] for k in np.argsort(ang)]
+    pivot = out.index(min(out))
+    return out[pivot:] + out[:pivot]
+
+
+def svd_poles(faces, interior):
+    """Unit normals toward `interior` of the planes through the rows of
+    each (k, 4) block of `faces` (m, k, 4), from one batched SVD."""
+    _, _, vt = np.linalg.svd(faces)
+    n = vt[:, -1]
+    # the bits of the 1-D np.linalg.norm, row by row
+    n /= np.sqrt(np.matmul(n[:, None, :], n[:, :, None]))[:, 0]
+    n[n @ interior < 0] *= -1.0
     return n
 
 
@@ -374,7 +438,8 @@ def hull(points):
 
     Input points must be unit 4-vectors with x1 > 0, at least 4 of them and
     not all coplanar in the chart.  Coplanar hull triangles are merged into
-    faces when their plane poles agree within EPS_POLE_MERGE.
+    faces when their plane poles agree within MERGE_TOL; a face stores the
+    SVD pole of its least hull triangle.
     """
     pts = normalize_rows(np.atleast_2d(np.asarray(points, dtype=float)))
     if pts.shape[0] < 4 or pts.shape[1] != 4:
@@ -384,62 +449,35 @@ def hull(points):
         ch = EuclideanHull(chart)
     except QhullError as exc:
         raise GeometryError(f"degenerate input: {exc}") from exc
-    keep = sorted(ch.vertices)
-    old_to_new = {old: new for new, old in enumerate(keep)}
-    verts = pts[keep]
+    keep = np.sort(ch.vertices)
+    interior = from_chart(chart[keep].mean(axis=0)[None, :])[0]
 
-    chart_interior = chart[keep].mean(axis=0)
-    interior = from_chart(chart_interior[None, :])[0]
-
-    # Merge hull triangles into faces by their 4-space plane pole.
-    groups = []   # (pole, set of new vertex ids, outward chart normal)
-    for simplex, eq in zip(ch.simplices, ch.equations):
-        tri = pts[simplex]
-        pole = _face_pole(tri, interior)
-        ids = {old_to_new[s] for s in simplex}
-        for g in groups:
-            if np.linalg.norm(g[0] - pole) < EPS_POLE_MERGE:
-                g[1] |= ids
-                break
-        else:
-            groups.append([pole, ids, eq[:3]])
+    tri_poles, _ = triangle_poles(pts, ch.simplices, Signature.SPHERE.diag, interior)
+    first, ids = merge_triangles(ch.simplices, tri_poles)
+    poles = svd_poles(pts[ch.simplices[first]], interior)
 
     # Canonical vertex order: lexicographic on rounded coordinates.
-    order = np.lexsort(np.round(verts, 12).T[::-1])
-    rank = np.empty(len(order), dtype=int)
-    rank[order] = np.arange(len(order))
-    verts = verts[order]
-    interior_chart = chart_interior
-
-    faces = []
-    poles = []
-    for pole, ids, m_out in groups:
-        ids = [int(rank[i]) for i in ids]
-        face_chart = to_chart(verts[ids])
-        centroid = face_chart.mean(axis=0)
-        m = m_out / np.linalg.norm(m_out)
-        u1 = face_chart[0] - centroid
-        u1 -= np.dot(u1, m) * m
-        u1 /= np.linalg.norm(u1)
-        u2 = np.cross(m, u1)
-        ang = np.arctan2((face_chart - centroid) @ u2, (face_chart - centroid) @ u1)
-        cyc = [ids[k] for k in np.argsort(ang)]
-        pivot = cyc.index(min(cyc))
-        faces.append(tuple(cyc[pivot:] + cyc[:pivot]))
-        poles.append(pole)
-
-    face_order = sorted(range(len(faces)), key=lambda i: faces[i])
-    faces = [faces[i] for i in face_order]
-    poles = [poles[i] for i in face_order]
-    return ConvexPolyhedron(verts, faces, np.array(poles), interior)
+    keep = keep[np.lexsort(np.round(pts[keep], 12).T[::-1])]
+    rank = np.empty(len(pts), dtype=int)
+    rank[keep] = np.arange(len(keep))
+    verts, chart = pts[keep], chart[keep]
+    faces = [tuple(cyclic_face_order(chart, rank[f].tolist(), -pole[1:]))
+             for f, pole in zip(ids, poles)]
+    face_order = sorted(range(len(faces)), key=faces.__getitem__)
+    return ConvexPolyhedron(verts, [faces[i] for i in face_order], poles[face_order],
+                            interior)
 
 
 def from_vertices_and_faces(vertices, faces):
     """Build a polyhedron from explicit face cycles, recomputing the poles."""
     verts = normalize_rows(np.asarray(vertices, dtype=float))
-    chart_interior = to_chart(verts).mean(axis=0)
-    interior = from_chart(chart_interior[None, :])[0]
-    poles = np.array([_face_pole(verts[list(f)], interior) for f in faces])
+    interior = from_chart(to_chart(verts).mean(axis=0)[None, :])[0]
+    sizes = np.array([len(f) for f in faces], dtype=int)
+    poles = np.empty((len(faces), 4))
+    for k in np.unique(sizes):
+        sel = np.nonzero(sizes == k)[0]
+        poles[sel] = svd_poles(verts[np.array([faces[i] for i in sel], dtype=int)],
+                               interior)
     return ConvexPolyhedron(verts, faces, poles, interior)
 
 

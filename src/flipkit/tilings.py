@@ -9,8 +9,10 @@ color.  This is enough to check the definition clauses, glue the black
 and white cone metrics, and develop the white polyhedron back.
 
 One pipeline (`assemble_tiling`) projects a spherical polyhedron and a
-Fuchsian AdS surface alike; `fuchsian.ads_project` adds only the quotient
-bookkeeping (face orbits and deck transformations).
+Fuchsian AdS surface alike; the quotient projection `ads_project` adds
+only the bookkeeping of face orbits and deck transformations.  A
+hyperbolic tiling carries its quotient as `ambient`, which also flips it,
+so this module never imports the Fuchsian one.
 """
 
 from dataclasses import dataclass, replace
@@ -288,8 +290,10 @@ def project_points(poles, points, side, sig):
 
     `poles` and `points` are (m, 4) rows, paired row by row.  Returns the
     (m, 3) coordinates in e*: (x2, x3, x4) on S^3, where e* = {x1 = 0}, and
-    the upper-sheet representative of (x1, x2, x3) on AdS_3, where
-    e* = {x4 = 0}.
+    (x1, x2, x3) on AdS_3, where e* = {x4 = 0}.  No sheet is chosen on
+    AdS_3: future face poles move a Fuchsian surface's vertices onto the
+    upper sheet x3 >= 1 (over the property-test and benchmark surfaces,
+    both sides and their flips, the least third coordinate is 1.00008).
     """
     ainv = inv4(poles, sig)
     w = mul4(ainv, points, sig) if side is Side.LEFT else mul4(points, ainv, sig)
@@ -300,14 +304,12 @@ def project_points(poles, points, side, sig):
         off, tol, out = w[:, 3], 1e-8, w[:, :3]
     if np.any(np.abs(off) > tol):
         raise GeometryError("projection left the reference plane e*")
-    if sig is Signature.ADS:
-        out = np.where(out[:, 2:] < 0, -out, out)
     return out
 
 
 def assemble_tiling(sig, side, poles, points, white, black, edges, ambient="sphere"):
     """The tiling of projected faces: the construction behind `project` and
-    `fuchsian.ads_project`.
+    `ads_project`.
 
     A corner (f, v) is the vertex points[v] of the face with pole poles[f];
     each corner is projected once, by the `side` projection
@@ -503,14 +505,13 @@ def flip(T: FlippableTiling) -> FlippableTiling:
     """Flip a tiling: push every black face across its edges.
 
     Implemented as the opposite-side projection of the white polyhedron;
-    face indices are preserved, handedness is reversed.
+    face indices are preserved, handedness is reversed.  A hyperbolic
+    tiling is flipped by its ambient quotient (`HyperbolicAmbient.flip`).
     """
     if T.degenerate:
         raise GeometryError("flip is undefined on hosohedral/dihedral tilings")
     if not T.is_spherical:
-        from . import fuchsian
-
-        return fuchsian.flip_hyperbolic(T)
+        return T.ambient.flip(T)
     P = white_polyhedron(T)
     return project(P, T.handedness)
 
@@ -584,7 +585,7 @@ def _cone_metric(T, color):
     if not T.is_spherical:
         raise GeometryError(
             "cone metrics of hyperbolic quotient tilings come from the "
-            "underlying surface; see fuchsian.induced_cone_metric"
+            "underlying Fuchsian surface (induced_cone_metric)"
         )
     faces = T.faces(color)
     ops = T.ops
@@ -686,7 +687,6 @@ def _build_antipodal(V):
         base = V[i]
         direction = ops.tangent(V[i], V[ip1])
         ell = ops.dist(V[i], V[ip1])
-        normal = ops.geodesic_normal(base, V[ip1])
         # digon i-1 interior probe: inward normals of its two edge circles
         nm1 = _digon_probe(V, (i - 1) % n)
         ni = _digon_probe(V, i)

@@ -2,6 +2,8 @@
 
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -38,9 +40,9 @@ from flipkit.fuchsian import (
     Q_ADS,
     _build_star,
     _certified_hull,
-    _cyclic_face_order,
     _truncated_hull,
 )
+from flipkit.polyhedra import cyclic_face_order
 from flipkit.spheremath import HyperbolicOps
 from flipkit.tilings import Side, flip, tiling_equality_error, validate_tiling
 from flipkit.trig import ConvexityClass
@@ -309,7 +311,36 @@ def test_lazy_face_order_matches_eager(surf3):
     chart = surf3.points4[:, :3] / surf3.points4[:, 3:4]
     for f in surf3.faces:
         assert f.ids == sorted(f.vertex_ids)
-        assert f.vertex_ids == _cyclic_face_order(chart, f.ids)
+        assert f.vertex_ids == cyclic_face_order(chart, f.ids)
+
+
+def test_face_order_turns_counterclockwise_about_outward(surf3):
+    # the rule of the spherical hull: given a normal, the cycle turns
+    # counterclockwise about it, from the same least vertex
+    chart = surf3.points4[:, :3] / surf3.points4[:, 3:4]
+    for f in surf3.faces[:200]:
+        cyc = f.vertex_ids
+        p = chart[cyc]
+        normal = np.cross(p[1] - p[0], p[2] - p[0])
+        assert cyclic_face_order(chart, f.ids, normal) == cyc
+        assert cyclic_face_order(chart, f.ids, -normal) == cyc[:1] + cyc[:0:-1]
+
+
+def test_hulls_never_load_csgraph():
+    # one merge for both quadrics, by min-label propagation: neither a
+    # spherical hull nor an orbit hull loads scipy.sparse.csgraph
+    code = (
+        "import sys, numpy as np\n"
+        "from flipkit import fuchsian as fu\n"
+        "from flipkit.polyhedra import from_chart, hull\n"
+        "hull(from_chart(np.random.default_rng(1).normal(size=(12, 3))))\n"
+        "ray = np.array([[0.25, 0.15, (1 + 0.25**2 + 0.15**2) ** 0.5]])\n"
+        "fu.orbit_hull(fu.FuchsianConfig(fu.genus2_group(), ray, heights=np.array([0.55])))\n"
+        "assert 'scipy.sparse.csgraph' not in sys.modules\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)
 
 
 def test_faces_at_matches_ordered_incidence(surf3):

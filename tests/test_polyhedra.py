@@ -9,16 +9,31 @@ from scipy.spatial import ConvexHull as EuclideanHull
 from conftest import random_polyhedron, regular_tetrahedron
 from flipkit.errors import GeometryError
 from flipkit.polyhedra import (
+    MERGE_TOL,
     ConvexPolyhedron,
     SphericalPolygon,
+    from_chart,
     from_vertices_and_faces,
     hull,
     make_digon,
+    merge_triangles,
     normalize_rows,
     polar_dual,
     to_chart,
 )
 from flipkit.spheremath import SphereOps
+from flipkit.tilings import Side, project, white_polyhedron
+
+
+def face_pole(points, interior):
+    """Reference pole: the inward unit normal of the plane through the rows
+    of `points`, from one SVD."""
+    _, _, vt = np.linalg.svd(points)
+    n = vt[-1]
+    n /= np.linalg.norm(n)
+    if np.dot(n, interior) < 0:
+        n = -n
+    return n
 
 
 def test_hull_tetrahedron_combinatorics(tetrahedron):
@@ -218,6 +233,87 @@ def test_from_vertices_and_faces_round_trip(small_corpus):
     Q = from_vertices_and_faces(P.vertices, P.faces)
     assert Q.faces == P.faces
     np.testing.assert_allclose(Q.face_poles, P.face_poles, atol=1e-9)
+
+
+def chart_cube():
+    c = np.array([[x, y, z] for x in (-0.3, 0.3) for y in (-0.3, 0.3) for z in (-0.3, 0.3)])
+    return c + [0.05, -0.02, 0.01]
+
+
+def chart_prism():
+    t = 0.35 * np.array([[np.cos(a), np.sin(a)] for a in (0.3, 2.4, 4.5)])
+    return np.array([[x, y, z] for z in (-0.25, 0.3) for x, y in t])
+
+
+@pytest.mark.parametrize("chart, sizes", [
+    (chart_cube(), [4] * 6),
+    (chart_prism(), [3, 3, 4, 4, 4]),
+])
+def test_hull_merges_coplanar_triangles(chart, sizes):
+    # Qhull splits each quadrilateral into two triangles; the hull merges
+    # them, orders every face counterclockwise seen from outside and keeps
+    # the SVD pole of the face's least Qhull triangle.
+    pts = normalize_rows(from_chart(chart))
+    P = hull(pts)
+    assert sorted(len(f) for f in P.faces) == sizes
+    qhull = EuclideanHull(to_chart(pts))
+    index = {row.tobytes(): i for i, row in enumerate(pts)}
+    to_pts = [index[row.tobytes()] for row in P.vertices]
+    centre = to_chart(P.interior)[0]
+    for fi, face in enumerate(P.faces):
+        c = to_chart(P.vertices[list(face)])
+        area = sum(np.cross(c[i], c[(i + 1) % len(c)]) for i in range(len(c)))
+        assert np.dot(area, c.mean(axis=0) - centre) > 0
+        members = {to_pts[v] for v in face}
+        first = min(t for t, s in enumerate(qhull.simplices) if set(s) <= members)
+        ref = face_pole(pts[qhull.simplices[first]], P.interior)
+        assert np.array_equal(P.face_poles[fi], ref)
+
+
+def test_merge_triangles_follows_chains():
+    # poles 0-2 and 2-3 are within MERGE_TOL, 0-3 is not: triangles 0, 2
+    # and 3 form one face, listed by its least triangle before triangle 1
+    p = np.array([1.0, 0.0, 0.0, 0.0])
+    step = np.array([0.0, 0.6 * MERGE_TOL, 0.0, 0.0])
+    poles = np.array([p, [0.0, 1.0, 0.0, 0.0], p + step, p + 2 * step])
+    simplices = np.array([[0, 1, 2], [5, 7, 6], [2, 1, 3], [3, 4, 2]])
+    first, ids = merge_triangles(simplices, poles)
+    assert first.tolist() == [0, 1]
+    assert ids == [[0, 1, 2, 3, 4], [5, 6, 7]]
+
+
+def test_merge_triangles_matches_all_pairs():
+    # clusters of poles jittered across MERGE_TOL, against the components
+    # of the graph of all pairs within MERGE_TOL
+    rng = np.random.default_rng(7)
+    centres = normalize_rows(rng.normal(size=(40, 4)))
+    jitter = rng.uniform(-0.7, 0.7, size=(300, 4)) * MERGE_TOL
+    poles = centres[rng.integers(0, 40, size=300)] + jitter
+    simplices = np.arange(900).reshape(300, 3)
+    first, ids = merge_triangles(simplices, poles)
+    close = np.linalg.norm(poles[:, None] - poles[None], axis=2) <= MERGE_TOL
+    reach = close
+    while True:
+        wider = (reach.astype(int) @ close.astype(int)) > 0
+        if np.array_equal(wider, reach):
+            break
+        reach = wider
+    ref_first = sorted({int(np.argmax(row)) for row in reach})
+    assert 40 < len(ref_first) < 300
+    assert first.tolist() == ref_first
+    assert ids == [np.sort(simplices[reach[f]].ravel()).tolist() for f in ref_first]
+
+
+def test_from_vertices_and_faces_poles_are_svd_poles(small_corpus):
+    def check(P):
+        ref = [face_pole(P.vertices[list(f)], P.interior) for f in P.faces]
+        assert np.array_equal(P.face_poles, np.array(ref))
+
+    for P in small_corpus:
+        for Q in (P, polar_dual(P)):
+            check(from_vertices_and_faces(Q.vertices, Q.faces))
+        for side in Side:
+            check(white_polyhedron(project(P, side)))
 
 
 def test_normalize_rows_idempotent():
