@@ -109,7 +109,7 @@ def make_digon(v, angle):
     return SphericalPolygon(verts, digon_angle=float(angle))
 
 
-def complement_basis(u):
+def _complement_basis(u):
     """Orthonormal basis of the 3-space orthogonal to a unit 4-vector u,
     by Gram-Schmidt over the coordinate axes."""
     basis = []
@@ -292,12 +292,12 @@ class ConvexPolyhedron:
 
     def tangent_basis(self, vi):
         """Orthonormal basis of the tangent space at vertex vi."""
-        return complement_basis(self.vertices[vi])
+        return _complement_basis(self.vertices[vi])
 
     def face_polygon(self, fi):
         """Face fi as a spherical polygon in the 2-sphere carrying it."""
         pts = self.vertices[list(self.faces[fi])]
-        coords = pts @ complement_basis(self.face_poles[fi]).T
+        coords = pts @ _complement_basis(self.face_poles[fi]).T
         return SphericalPolygon(normalize_rows(coords))
 
     def face_area(self, fi):
@@ -422,7 +422,7 @@ def cyclic_face_order(chart, ids, outward=None):
     return out[pivot:] + out[:pivot]
 
 
-def svd_poles(faces, interior):
+def _svd_poles(faces, interior):
     """Unit normals toward `interior` of the planes through the rows of
     each (k, 4) block of `faces` (m, k, 4), from one batched SVD."""
     _, _, vt = np.linalg.svd(faces)
@@ -454,7 +454,7 @@ def hull(points):
 
     tri_poles, _ = triangle_poles(pts, ch.simplices, Signature.SPHERE.diag, interior)
     first, ids = merge_triangles(ch.simplices, tri_poles)
-    poles = svd_poles(pts[ch.simplices[first]], interior)
+    poles = _svd_poles(pts[ch.simplices[first]], interior)
 
     # Canonical vertex order: lexicographic on rounded coordinates.
     keep = keep[np.lexsort(np.round(pts[keep], 12).T[::-1])]
@@ -476,7 +476,7 @@ def from_vertices_and_faces(vertices, faces):
     poles = np.empty((len(faces), 4))
     for k in np.unique(sizes):
         sel = np.nonzero(sizes == k)[0]
-        poles[sel] = svd_poles(verts[np.array([faces[i] for i in sel], dtype=int)],
+        poles[sel] = _svd_poles(verts[np.array([faces[i] for i in sel], dtype=int)],
                                interior)
     return ConvexPolyhedron(verts, faces, poles, interior)
 
