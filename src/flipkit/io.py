@@ -6,6 +6,7 @@ Identical objects therefore serialize to identical bytes, and every float
 round-trips exactly.
 """
 
+import functools
 import json
 import math
 
@@ -36,31 +37,59 @@ def _fmt_float(x):
     return format(float(x), ".17g")
 
 
+_json_str = functools.lru_cache(maxsize=4096)(json.dumps)  # called on str only
+_F17 = "{:.17g}".format
+
+
 def canonical_json(obj):
-    """Deterministic JSON text with 17-significant-digit floats."""
+    """Deterministic JSON text with 17-significant-digit floats.
 
-    def render(o):
-        if isinstance(o, dict):
-            items = sorted(o.items())
-            inner = ",".join(f"{json.dumps(k)}:{render(v)}" for k, v in items)
-            return "{" + inner + "}"
-        if isinstance(o, (list, tuple)):
-            return "[" + ",".join(render(v) for v in o) + "]"
-        if isinstance(o, bool):
-            return "true" if o else "false"
-        if isinstance(o, (int, np.integer)):
-            return str(int(o))
-        if isinstance(o, (float, np.floating)):
-            return _fmt_float(o)
-        if o is None:
-            return "null"
-        if isinstance(o, str):
-            return json.dumps(o)
-        if isinstance(o, np.ndarray):
-            return render(o.tolist())
-        raise SchemaError(f"cannot serialize {type(o)!r}")
+    Dispatches on the exact type of each value; a list of plain floats (a
+    vertex row, say) is rendered in one join.  Subclasses and numpy values
+    take the `isinstance` path of `_render_other`.
+    """
+    t = type(obj)
+    if t is list or t is tuple:
+        if all(type(x) is float for x in obj):
+            text = ",".join(map(_F17, obj))
+            if "n" in text:  # only "nan" and "inf" spell an n
+                raise SchemaError("non-finite number in output")
+            return "[" + text + "]"
+        return "[" + ",".join(map(canonical_json, obj)) + "]"
+    if t is dict:
+        return "{" + ",".join(
+            f"{_json_str(k) if type(k) is str else json.dumps(k)}:{canonical_json(v)}"
+            for k, v in sorted(obj.items())) + "}"
+    if t is str:
+        return _json_str(obj)
+    if t is float:
+        return _fmt_float(obj)
+    if t is int:
+        return str(obj)
+    if t is bool:
+        return "true" if obj else "false"
+    if obj is None:
+        return "null"
+    return _render_other(obj)
 
-    return render(obj)
+
+
+def _render_other(o):
+    if isinstance(o, dict):
+        return canonical_json(dict(o))
+    if isinstance(o, (list, tuple)):
+        return "[" + ",".join(map(canonical_json, o)) + "]"
+    if isinstance(o, bool):
+        return "true" if o else "false"
+    if isinstance(o, (int, np.integer)):
+        return str(int(o))
+    if isinstance(o, (float, np.floating)):
+        return _fmt_float(o)
+    if isinstance(o, str):
+        return json.dumps(o)
+    if isinstance(o, np.ndarray):
+        return canonical_json(o.tolist())
+    raise SchemaError(f"cannot serialize {type(o)!r}")
 
 
 def _require_keys(data, required, optional=(), what="object"):
@@ -237,7 +266,62 @@ def tiling_to_dict(T):
     }
 
 
+def _objects(items, required, optional, what):
+    """A JSON list of objects, each with the given fields."""
+    if not isinstance(items, list):
+        raise SchemaError(f"{what}s: expected a list")
+    for item in items:
+        _require_keys(item, required, optional, what)
+    return items
+
+
+def _enum(values, allowed, what):
+    if any(v not in allowed for v in values):
+        raise SchemaError(f"{what} must be {' or '.join(allowed)}")
+
+
+def _lists(values, what):
+    """JSON lists, flattened, with the length of each."""
+    if not all(isinstance(v, list) for v in values):
+        raise SchemaError(f"{what}: expected a list")
+    return [x for v in values for x in v], np.array([len(v) for v in values], dtype=int)
+
+
+def _indices(values, bound, what, nullable=False):
+    """JSON integer indices in [0, bound) as an int array; `bound` is one
+    number or one per index, and null (read as -1) is allowed if
+    `nullable`."""
+    null = np.array([nullable and i is None for i in values], dtype=bool)
+    arr = np.array([-1 if n else i for i, n in zip(values, null)])
+    if arr.size and arr.dtype.kind not in "iu":
+        raise SchemaError(f"{what}: expected integer indices")
+    arr = arr.astype(np.int64)
+    if np.any(((arr < 0) | (arr >= bound)) & ~null):
+        raise SchemaError(f"{what}: index out of range")
+    return arr
+
+
+def _decks(tags, what):
+    """Deck tags, each null or a 3x3 matrix of finite numbers, the matrices
+    as rows of one array."""
+    mats = [d for d in tags if d is not None]
+    if not mats:
+        return list(tags)
+    try:
+        arr = np.array(mats, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"{what}: not numeric") from exc
+    if arr.shape[1:] != (3, 3) or not np.all(np.isfinite(arr)):
+        raise SchemaError(f"{what}: expected 3x3 matrices of finite numbers")
+    rows = iter(arr)
+    return [None if d is None else next(rows) for d in tags]
+
+
 def tiling_from_dict(data):
+    """A tiling from a `tiling.v1` dict, its structure checked first: enum
+    values, index ranges, four segments (two of each color) per edge and
+    the shapes of all arrays, so that a malformed file is a SchemaError and
+    the tiling code can index without guards."""
     _require_keys(
         data,
         ("schema", "handedness", "ambient", "vertices", "faces", "edges"),
@@ -253,7 +337,6 @@ def tiling_from_dict(data):
     amb = data["ambient"]
     if amb == "sphere":
         ambient = "sphere"
-        width = 3
     else:
         _require_keys(
             amb,
@@ -269,77 +352,87 @@ def tiling_from_dict(data):
             int(amb.get("word_length", 4)),
             int(amb.get("word_length_cap", 10)),
         )
-        width = 3
-    verts = _floats(data["vertices"], width, "vertices")
+    verts = _floats(data["vertices"], 3, "vertices")
 
-    black, white = [], []
-    for fd in data["faces"]:
-        _require_keys(
-            fd,
-            ("color", "vertices", "links", "edge_refs"),
-            ("digon_angle", "decks"),
-            "face",
-        )
-        color = fd["color"]
-        if color not in (BLACK, WHITE):
-            raise SchemaError("face color must be black or white")
-        ids = [int(i) for i in fd["vertices"]]
-        if any(i < 0 or i >= len(verts) for i in ids):
-            raise SchemaError("face references a missing vertex")
-        decks = fd.get("decks")
-        if decks is not None:
-            decks = tuple(
-                None if d is None else np.array(d, dtype=float) for d in decks
-            )
-        face = TilingFace(
-            color,
-            verts[ids],
-            tuple(int(x) for x in fd["links"]),
-            tuple(None if r is None else int(r) for r in fd["edge_refs"]),
-            digon_angle=fd.get("digon_angle"),
-            decks=decks,
-        )
-        (black if color == BLACK else white).append(face)
+    faces = _objects(data["faces"], ("color", "vertices", "links", "edge_refs"),
+                     ("digon_angle", "decks"), "face")
+    edges = _objects(data["edges"], ("base", "direction", "t_min", "t_max", "segments"),
+                     (), "edge")
+    if not all(isinstance(ed["segments"], list) and len(ed["segments"]) == 4
+               for ed in edges):
+        raise SchemaError("edge: expected four segments")
+    segs = _objects([sd for ed in edges for sd in ed["segments"]],
+                    ("side", "position", "color", "face", "face_edge", "reversed",
+                     "t0", "t1"), ("deck",), "segment")
 
-    edges = []
-    for ed in data["edges"]:
-        _require_keys(
-            ed, ("base", "direction", "t_min", "t_max", "segments"), (), "edge"
-        )
-        segs = []
-        for sd in ed["segments"]:
-            _require_keys(
-                sd,
-                ("side", "position", "color", "face", "face_edge", "reversed",
-                 "t0", "t1"),
-                ("deck",),
-                "segment",
-            )
-            segs.append(
-                EdgeSegment(
-                    side=Side(sd["side"]),
-                    position=sd["position"],
-                    color=sd["color"],
-                    face=int(sd["face"]),
-                    face_edge=int(sd["face_edge"]),
-                    reversed=bool(sd["reversed"]),
-                    t0=float(sd["t0"]),
-                    t1=float(sd["t1"]),
-                    deck=None
-                    if sd.get("deck") is None
-                    else np.array(sd["deck"], dtype=float),
-                )
-            )
-        edges.append(
-            TilingEdge(
-                np.array(ed["base"], dtype=float),
-                np.array(ed["direction"], dtype=float),
-                float(ed["t_min"]),
-                float(ed["t_max"]),
-                tuple(segs),
-            )
-        )
-    return FlippableTiling(handedness, black, white, edges, ambient=ambient)
+    _enum([fd["color"] for fd in faces], (BLACK, WHITE), "face color")
+    black = np.array([fd["color"] == BLACK for fd in faces], dtype=bool)
+    count = {BLACK: int(black.sum()), WHITE: int((~black).sum())}
+    ids, sizes = _lists([fd["vertices"] for fd in faces], "face vertices")
+    ids = _indices(ids, len(verts), "face vertices")
+    digon = [fd.get("digon_angle") for fd in faces]
+    is_digon = np.array([a is not None for a in digon], dtype=bool)
+    if np.any(sizes < 2) or np.any(sizes[is_digon] != 2):
+        raise SchemaError("face: a digon has two vertices, a polygon at least three")
+    angles = iter(_finite_list([a for a in digon if a is not None], "digon angles").tolist())
+    digon = [None if a is None else next(angles) for a in digon]
+    links, n = _lists([fd["links"] for fd in faces], "face links")
+    refs, m = _lists([fd["edge_refs"] for fd in faces], "face edge_refs")
+    decks = [fd.get("decks") for fd in faces]
+    tags, k = _lists([d for d in decks if d is not None], "face decks")
+    if not (np.array_equal(n, sizes) and np.array_equal(m, sizes)
+            and np.array_equal(k, sizes[[d is not None for d in decks]])):
+        raise SchemaError("face: links, edge_refs and decks need one entry per vertex")
+    _indices(links, np.repeat(np.where(black, count[WHITE], count[BLACK]), sizes),
+             "face links")
+    refs = _indices(refs, len(edges), "face edge_refs", nullable=True)
+    if np.any(refs[np.repeat(is_digon, sizes)] < 0):
+        raise SchemaError("face: a digon lies on two tiling edges")
+    tags = iter(_decks(tags, "face decks"))
+    decks = [None if d is None else tuple(next(tags) for _ in d) for d in decks]
+
+    _enum([sd["side"] for sd in segs], ("left", "right"), "segment side")
+    _enum([sd["position"] for sd in segs], ("forward", "backward"), "segment position")
+    _enum([sd["color"] for sd in segs], (BLACK, WHITE), "segment color")
+    seg_black = np.array([sd["color"] == BLACK for sd in segs], dtype=bool)
+    if np.any(seg_black.reshape(-1, 4).sum(axis=1) != 2):
+        raise SchemaError("edge: expected two black and two white segments")
+    face = _indices([sd["face"] for sd in segs],
+                    np.where(seg_black, count[BLACK], count[WHITE]), "segment face")
+    bound = np.zeros(len(segs), dtype=int)
+    bound[seg_black] = sizes[black][face[seg_black]]
+    bound[~seg_black] = sizes[~black][face[~seg_black]]
+    face_edge = _indices([sd["face_edge"] for sd in segs], bound, "segment face_edge")
+    if not all(isinstance(sd["reversed"], bool) for sd in segs):
+        raise SchemaError("segment reversed: expected true or false")
+    t0 = _finite_list([sd["t0"] for sd in segs], "segment t0").tolist()
+    t1 = _finite_list([sd["t1"] for sd in segs], "segment t1").tolist()
+    seg_decks = _decks([sd.get("deck") for sd in segs], "segment deck")
+    if edges:
+        base = _floats([ed["base"] for ed in edges], 3, "edge base")
+        direction = _floats([ed["direction"] for ed in edges], 3, "edge direction")
+    else:
+        base = direction = np.empty((0, 3))
+    t_min = _finite_list([ed["t_min"] for ed in edges], "edge t_min").tolist()
+    t_max = _finite_list([ed["t_max"] for ed in edges], "edge t_max").tolist()
+
+    polys = np.split(verts[ids], np.cumsum(sizes)[:-1])
+    black_faces, white_faces = [], []
+    for fd, v, a, dk in zip(faces, polys, digon, decks):
+        (black_faces if fd["color"] == BLACK else white_faces).append(TilingFace(
+            fd["color"], v, tuple(fd["links"]), tuple(fd["edge_refs"]),
+            digon_angle=a, decks=dk))
+    segments = [
+        EdgeSegment(Side(sd["side"]), sd["position"], sd["color"], int(f), int(k),
+                    sd["reversed"], a, b, dk)
+        for sd, f, k, a, b, dk in zip(segs, face, face_edge, t0, t1, seg_decks)
+    ]
+    tiling_edges = [
+        TilingEdge(base[e], direction[e], t_min[e], t_max[e], tuple(segments[4 * e:4 * e + 4]))
+        for e in range(len(edges))
+    ]
+    return FlippableTiling(handedness, black_faces, white_faces, tiling_edges,
+                           ambient=ambient)
 
 
 # -- fuchsian.v1 ----------------------------------------------------------------

@@ -81,7 +81,8 @@ class SphericalPolygon:
     def area(self):
         if self.is_digon:
             return 2.0 * self.digon_angle
-        return SphereOps.polygon_area(self.interior_angles())
+        angles = self.interior_angles()
+        return float(SphereOps.polygon_areas(sum(angles), len(angles)))
 
     def is_convex(self, tol=1e-9):
         if self.is_digon:

@@ -4,6 +4,13 @@
 hyperboloid x1^2 + x2^2 - x3^2 = -1, x3 > 0.  Both expose the same small
 vocabulary (distance, tangent directions, geodesics, sides of an oriented
 geodesic) so the tiling machinery can stay surface-agnostic.
+
+Every helper works row by row: points are arrays (..., 3), and a scalar
+result comes back with the leading shape, so one call serves one vector or
+all corners of a tiling.  Each row gets the bits of the same call on that
+row alone: the sphere's inner product is `np.vecdot` over unit-stride rows,
+which sums a row as `np.dot` sums one vector, and the hyperboloid form is
+the sum over the last axis.
 """
 
 import numpy as np
@@ -13,29 +20,53 @@ from .errors import GeometryError
 Q_HYP = np.array([1.0, 1.0, -1.0])
 
 
-class SphereOps:
+class _SurfaceOps:
+    """The helpers both surfaces derive from `inner` and `tangents`."""
+
+    @classmethod
+    def tangent(cls, u, v):
+        """Unit tangents at u toward v; raises where one is undefined."""
+        t, defined = cls.tangents(u, v)
+        if not np.all(defined):
+            raise GeometryError(cls.TANGENT_UNDEFINED)
+        return t
+
+    @classmethod
+    def angle(cls, u, a, b):
+        """Angle at u between the geodesics toward a and b."""
+        c = cls.inner(cls.tangent(u, a), cls.tangent(u, b))
+        return np.arccos(np.clip(c, -1.0, 1.0))
+
+    @classmethod
+    def side(cls, x, normal):
+        return cls.inner(x, normal)
+
+    @classmethod
+    def polygon_areas(cls, angle_sums, corners):
+        """Areas of geodesic polygons from their angle sums and corner
+        counts (Gauss-Bonnet)."""
+        return cls.curvature * (angle_sums - (corners - 2) * np.pi)
+
+
+class SphereOps(_SurfaceOps):
     curvature = 1
+    TANGENT_UNDEFINED = "tangent direction undefined (coincident or antipodal)"
 
     @staticmethod
     def inner(u, v):
-        return float(np.dot(u, v))
-
-    @staticmethod
-    def valid_point(p, tol=1e-8):
-        return abs(np.dot(p, p) - 1.0) <= tol
+        return np.vecdot(np.ascontiguousarray(u), np.ascontiguousarray(v))
 
     @staticmethod
     def dist(u, v):
-        return float(np.arccos(np.clip(np.dot(u, v), -1.0, 1.0)))
+        return np.arccos(np.clip(SphereOps.inner(u, v), -1.0, 1.0))
 
     @staticmethod
-    def tangent(u, v):
-        """Unit tangent at u toward v."""
-        w = v - np.dot(u, v) * u
-        n = np.linalg.norm(w)
-        if n < 1e-13:
-            raise GeometryError("tangent direction undefined (coincident or antipodal)")
-        return w / n
+    def tangents(u, v):
+        """Unit tangents at u toward v, and where they are defined."""
+        w = v - SphereOps.inner(u, v)[..., None] * u
+        n = np.sqrt(SphereOps.inner(w, w))  # np.linalg.norm, row by row
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return w / n[..., None], ~(n < 1e-13)
 
     @staticmethod
     def geodesic(p, t, s):
@@ -44,57 +75,36 @@ class SphereOps:
     @staticmethod
     def geodesic_param(p, t, x):
         """The s in (-pi, pi] with geodesic(p, t, s) = x, for x on it."""
-        return float(np.arctan2(np.dot(x, t), np.dot(x, p)))
-
-    @staticmethod
-    def angle(u, a, b):
-        """Angle at u between the geodesics toward a and b."""
-        ta = SphereOps.tangent(u, a)
-        tb = SphereOps.tangent(u, b)
-        return float(np.arccos(np.clip(np.dot(ta, tb), -1.0, 1.0)))
+        return np.arctan2(SphereOps.inner(x, t), SphereOps.inner(x, p))
 
     @staticmethod
     def geodesic_normal(p, q):
         """Unit normal of the oriented geodesic from p through q."""
         n = np.cross(p, q)
-        norm = np.linalg.norm(n)
-        if norm < 1e-13:
+        norm = np.sqrt(SphereOps.inner(n, n))
+        if np.any(norm < 1e-13):
             raise GeometryError("geodesic through (anti)podal points is not unique")
-        return n / norm
-
-    @staticmethod
-    def side(x, normal):
-        return float(np.dot(x, normal))
-
-    @staticmethod
-    def polygon_area(angles):
-        angles = list(angles)
-        return float(sum(angles) - (len(angles) - 2) * np.pi)
+        return n / norm[..., None]
 
 
-class HyperbolicOps:
+class HyperbolicOps(_SurfaceOps):
     curvature = -1
+    TANGENT_UNDEFINED = "tangent direction undefined (coincident points)"
 
     @staticmethod
     def inner(u, v):
-        return float(np.sum(u * v * Q_HYP))
-
-    @staticmethod
-    def valid_point(p, tol=1e-8):
-        return abs(HyperbolicOps.inner(p, p) + 1.0) <= tol and p[2] > 0
+        return np.sum(u * v * Q_HYP, axis=-1)
 
     @staticmethod
     def dist(u, v):
-        c = -HyperbolicOps.inner(u, v)
-        return float(np.arccosh(max(c, 1.0)))
+        return np.arccosh(np.maximum(-HyperbolicOps.inner(u, v), 1.0))
 
     @staticmethod
-    def tangent(u, v):
-        w = v + HyperbolicOps.inner(u, v) * u
+    def tangents(u, v):
+        w = v + HyperbolicOps.inner(u, v)[..., None] * u
         n = HyperbolicOps.inner(w, w)
-        if n < 1e-26:
-            raise GeometryError("tangent direction undefined (coincident points)")
-        return w / np.sqrt(n)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return w / np.sqrt(n)[..., None], ~(n < 1e-26)
 
     @staticmethod
     def geodesic(p, t, s):
@@ -103,27 +113,12 @@ class HyperbolicOps:
     @staticmethod
     def geodesic_param(p, t, x):
         """The s with geodesic(p, t, s) = x, for x on it."""
-        return float(np.arcsinh(HyperbolicOps.inner(x, t)))
-
-    @staticmethod
-    def angle(u, a, b):
-        ta = HyperbolicOps.tangent(u, a)
-        tb = HyperbolicOps.tangent(u, b)
-        return float(np.arccos(np.clip(HyperbolicOps.inner(ta, tb), -1.0, 1.0)))
+        return np.arcsinh(HyperbolicOps.inner(x, t))
 
     @staticmethod
     def geodesic_normal(p, q):
         n = Q_HYP * np.cross(p, q)
         norm2 = HyperbolicOps.inner(n, n)
-        if norm2 < 1e-26:
+        if np.any(norm2 < 1e-26):
             raise GeometryError("degenerate geodesic")
-        return n / np.sqrt(norm2)
-
-    @staticmethod
-    def side(x, normal):
-        return float(HyperbolicOps.inner(x, normal))
-
-    @staticmethod
-    def polygon_area(angles):
-        angles = list(angles)
-        return float((len(angles) - 2) * np.pi - sum(angles))
+        return n / np.sqrt(norm2)[..., None]

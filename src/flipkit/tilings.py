@@ -70,26 +70,13 @@ class TilingFace:
         if self.is_digon:
             return np.array([np.pi, np.pi])
         v = self.vertices
-        k = len(v)
-        return np.array([ops.dist(v[i], v[(i + 1) % k]) for i in range(k)])
+        return ops.dist(v, np.roll(v, -1, axis=0))
 
     def interior_angles(self, ops):
-        if self.is_digon:
-            return np.array([self.digon_angle, self.digon_angle])
-        v = self.vertices
-        k = len(v)
-        return np.array([ops.angle(v[i], v[i - 1], v[(i + 1) % k]) for i in range(k)])
+        return _corner_angles(ops, [self])[0]
 
     def area(self, ops):
-        if self.is_digon:
-            return 2.0 * self.digon_angle
-        return ops.polygon_area(self.interior_angles(ops))
-
-    def corner_angle(self, ops, k):
-        if self.is_digon:
-            return self.digon_angle
-        v = self.vertices
-        return ops.angle(v[k], v[k - 1], v[(k + 1) % len(v)])
+        return float(_face_areas(ops, [self])[0])
 
 
 @dataclass(frozen=True)
@@ -203,69 +190,157 @@ class FlippableTiling:
         return self.black if color == BLACK else self.white
 
     def total_area(self):
-        ops = self.ops
-        return float(
-            sum(f.area(ops) for f in self.black) + sum(f.area(ops) for f in self.white)
-        )
+        return float(_face_areas(self.ops, self.black + self.white).sum())
 
     def black_areas(self):
-        return np.array([f.area(self.ops) for f in self.black])
+        return _face_areas(self.ops, self.black)
 
     def white_areas(self):
-        return np.array([f.area(self.ops) for f in self.white])
+        return _face_areas(self.ops, self.white)
+
+
+# -- faces as stacked corner rows -----------------------------------------------
+
+
+def _stack(faces):
+    """The vertices of `faces`, stacked face after face, with the row where
+    each face starts and its number of corners."""
+    sizes = np.array([len(f) for f in faces], dtype=int)
+    verts = np.concatenate([f.vertices for f in faces]) if faces else np.empty((0, 3))
+    return verts, np.cumsum(sizes) - sizes, sizes
+
+
+def _corner_angles(ops, faces):
+    """Interior angle of every corner of `faces`, stacked face after face,
+    from one row-wise pass; a digon's corners carry its digon angle.
+    Returns the angles and the row where each face starts."""
+    verts, starts, sizes = _stack(faces)
+    first = np.repeat(starts, sizes)
+    size = np.repeat(sizes, sizes)
+    local = np.arange(len(verts)) - first
+    poly = np.repeat([not f.is_digon for f in faces], sizes).astype(bool)
+    angles = np.repeat([f.digon_angle if f.is_digon else 0.0 for f in faces],
+                       sizes).astype(float)
+    row, prev, nxt = (first + (local + s) % size for s in (0, -1, 1))
+    angles[poly] = ops.angle(verts[row[poly]], verts[prev[poly]], verts[nxt[poly]])
+    return angles, starts
+
+
+def _face_areas(ops, faces):
+    """Areas of `faces` (Gauss-Bonnet) from one pass over all corners."""
+    if not faces:
+        return np.empty(0)
+    angles, starts = _corner_angles(ops, faces)
+    areas = ops.polygon_areas(np.add.reduceat(angles, starts),
+                              np.array([len(f) for f in faces]))
+    digon = np.array([f.is_digon for f in faces])
+    areas[digon] = 2.0 * angles[starts[digon]]
+    return areas
 
 
 # -- edge assembly ------------------------------------------------------------
 
+POSITIONS = ("backward", "forward", "backward", "forward")
 
-def _build_edge(ops, base, direction, entries, tol=1e-7):
-    """Assemble the four labeled segments of one tiling edge.
 
-    Each entry carries color, face, face_edge, params t0 < t1, the
-    `reversed` flag and an interior probe point deciding the side.
+def _raise_first(clauses):
+    """Raise the first failing clause of the first failing edge.
+
+    `clauses` are (per-edge failure mask, message) in the order one edge is
+    checked; a message is a string or a function of the edge index.
+    """
+    fails = np.array([mask for mask, _ in clauses], dtype=bool)
+    bad = fails.any(axis=0)
+    if bad.any():
+        e = int(np.argmax(bad))
+        msg = clauses[int(np.argmax(fails[:, e]))][1]
+        raise GeometryError(msg if isinstance(msg, str) else msg(e))
+
+
+def _first_min(a):
+    """Row minima, the first of equals kept, as Python's `min` keeps it."""
+    out = a[:, 0]
+    for col in a.T[1:]:
+        out = np.where(col < out, col, out)
+    return out
+
+
+def _first_max(a):
+    out = a[:, 0]
+    for col in a.T[1:]:
+        out = np.where(col > out, col, out)
+    return out
+
+
+def _side_pairs(left, black, t0):
+    """Per edge and side (left, right): whether that side holds one black
+    and one white segment, and its two segments in order of t0 (a stable
+    sort, so a tie keeps segment order)."""
+    rows = np.arange(len(t0))
+    ok, lo, hi = [], [], []
+    for m in (left, ~left):
+        first = np.argmax(m, axis=1)
+        second = 3 - np.argmax(m[:, ::-1], axis=1)
+        swap = t0[rows, second] < t0[rows, first]
+        ok.append((m.sum(axis=1) == 2) & ((m & black).sum(axis=1) == 1))
+        lo.append(np.where(swap, second, first))
+        hi.append(np.where(swap, first, second))
+    return np.stack(ok, 1), np.stack(lo, 1), np.stack(hi, 1)
+
+
+def _build_edges(ops, base, direction, black, face, slot, rev, t0, t1, probes,
+                 decks, checks=(), tol=1e-7):
+    """The tiling edges of E geodesics, each with its four labeled segments.
+
+    Row e holds the geodesic base[e] + direction[e] and, per segment, the
+    (E, 4) arrays color (`black`), face, polygon edge `slot`, `rev` (the
+    polygon edge runs against the geodesic) and parameters t0 < t1; probes
+    (E, 4, 3) are interior points of the incident face copies, deciding the
+    sides, and decks[e] the four deck tags (or None for all None).
+    `checks` are the caller's (mask, message) clauses, tested on an edge
+    before these; the first failing edge raises its first failing clause.
     """
     normal = ops.geodesic_normal(base, ops.geodesic(base, direction, 0.5))
-    t_min = min(e["t0"] for e in entries)
-    t_max = max(e["t1"] for e in entries)
-    segments = []
-    for e in entries:
-        s = ops.side(e["probe"], normal)
-        if abs(s) < 1e-12:
-            raise GeometryError("face probe sits on the edge geodesic")
-        side = Side.LEFT if s > 0 else Side.RIGHT
-        segments.append(
-            EdgeSegment(
-                side=side,
-                position="",
-                color=e["color"],
-                face=e["face"],
-                face_edge=e["face_edge"],
-                reversed=e["reversed"],
-                t0=e["t0"],
-                t1=e["t1"],
-                deck=e.get("deck"),
-            )
-        )
-    final = []
-    for side in (Side.LEFT, Side.RIGHT):
-        group = sorted((s for s in segments if s.side is side), key=lambda g: g.t0)
-        if len(group) != 2 or {g.color for g in group} != {BLACK, WHITE}:
-            raise GeometryError("each edge side needs one black and one white segment")
-        if (
-            abs(group[0].t0 - t_min) > tol
-            or abs(group[1].t1 - t_max) > tol
-            or abs(group[0].t1 - group[1].t0) > tol
-        ):
-            raise GeometryError("segments do not partition the edge")
-        final.append(replace(group[0], position="backward"))
-        final.append(replace(group[1], position="forward"))
-    black_lengths = [s.length for s in final if s.color == BLACK]
-    white_lengths = [s.length for s in final if s.color == WHITE]
-    if abs(black_lengths[0] - black_lengths[1]) > tol:
-        raise GeometryError("black segment lengths differ")
-    if abs(white_lengths[0] - white_lengths[1]) > tol:
-        raise GeometryError("white segment lengths differ")
-    return TilingEdge(base, direction, t_min, t_max, tuple(final))
+    s = ops.side(probes, normal[:, None, :])
+    left = s > 0
+    t_min, t_max = _first_min(t0), _first_max(t1)
+    pair_ok, lo, hi = _side_pairs(left, black, t0)
+    rows = np.arange(len(t0))[:, None]
+    partition = (
+        (np.abs(t0[rows, lo] - t_min[:, None]) > tol)
+        | (np.abs(t1[rows, hi] - t_max[:, None]) > tol)
+        | (np.abs(t1[rows, lo] - t0[rows, hi]) > tol)
+    )
+    length = t1 - t0
+    black_len, white_len = length[black].reshape(-1, 2), length[~black].reshape(-1, 2)
+    _raise_first([
+        *checks,
+        ((np.abs(s) < 1e-12).any(axis=1), "face probe sits on the edge geodesic"),
+        *(clause for j in (0, 1) for clause in (
+            (~pair_ok[:, j], "each edge side needs one black and one white segment"),
+            (partition[:, j], "segments do not partition the edge"),
+        )),
+        (np.abs(black_len[:, 0] - black_len[:, 1]) > tol, "black segment lengths differ"),
+        (np.abs(white_len[:, 0] - white_len[:, 1]) > tol, "white segment lengths differ"),
+    ])
+    # final segment order: left backward, left forward, right backward,
+    # right forward
+    order = np.stack([lo[:, 0], hi[:, 0], lo[:, 1], hi[:, 1]], axis=1)
+    cols = [np.take_along_axis(a, order, axis=1).tolist()
+            for a in (left, black, face, slot, rev, t0, t1)]
+    order = order.tolist()
+    t_min, t_max = t_min.tolist(), t_max.tolist()
+    edges = []
+    for e in range(len(order)):
+        lf, bk, fc, sl, rv, a, b = (c[e] for c in cols)
+        tags = decks[e] if decks is not None else (None,) * 4
+        edges.append(TilingEdge(base[e], direction[e], t_min[e], t_max[e], tuple(
+            EdgeSegment(Side.LEFT if lf[j] else Side.RIGHT, POSITIONS[j],
+                        BLACK if bk[j] else WHITE, fc[j], sl[j], rv[j], a[j], b[j],
+                        tags[order[e][j]])
+            for j in range(4)
+        )))
+    return edges
 
 
 def _assert_handedness(T):
@@ -298,13 +373,17 @@ def project_points(poles, points, side, sig):
     ainv = inv4(poles, sig)
     w = mul4(ainv, points, sig) if side is Side.LEFT else mul4(points, ainv, sig)
     if sig is Signature.SPHERE:
-        # unit-stride rows, so that np.dot sums them as it sums any 3-vector
-        off, tol, out = w[:, 0], 1e-9, np.ascontiguousarray(w[:, 1:])
+        off, tol, out = w[:, 0], 1e-9, w[:, 1:]
     else:
         off, tol, out = w[:, 3], 1e-8, w[:, :3]
     if np.any(np.abs(off) > tol):
         raise GeometryError("projection left the reference plane e*")
     return out
+
+
+# segment slots of a projected edge: the white faces fa, fb, then the black
+# faces at v and s
+SLOT_COLORS = (WHITE, WHITE, BLACK, BLACK)
 
 
 def assemble_tiling(sig, side, poles, points, white, black, edges, ambient="sphere"):
@@ -324,59 +403,74 @@ def assemble_tiling(sig, side, poles, points, white, black, edges, ambient="sphe
     """
     spherical = sig is Signature.SPHERE
     ops = SphereOps if spherical else HyperbolicOps
+    quads = [((fa, v), (fa, s), (fb, v), (fb, s)) for (v, s, fa, fb), _ in edges]
     row = {}
     for corners, _, _ in white + black:
         for c in corners:
             row.setdefault(c, len(row))
-    for (v, s, fa, fb), _ in edges:
-        for c in ((fa, v), (fa, s), (fb, v), (fb, s)):
+    for quad in quads:
+        for c in quad:
             row.setdefault(c, len(row))
     img = project_points(np.array([poles[f] for f, _ in row]),
                          points[[v for _, v in row]], side, sig)
 
-    polys, probes, refs = {}, {}, {}
+    polys, probes, sizes = {}, {}, {}
     for color, faces in ((WHITE, white), (BLACK, black)):
-        polys[color] = [img[[row[c] for c in corners]] for corners, _, _ in faces]
+        corners = img[[row[c] for cyc, _, _ in faces for c in cyc]]
+        sizes[color] = np.array([len(cyc) for cyc, _, _ in faces])
+        starts = np.cumsum(sizes[color]) - sizes[color]
+        polys[color] = np.split(corners, starts[1:])
         # normalized corner sums: interior points, read only for their side
-        sums = [p.sum(axis=0) for p in polys[color]]
-        probes[color] = [c / np.sqrt(abs(ops.inner(c, c))) for c in sums]
-        refs[color] = [[None] * len(p) for p in polys[color]]
+        sums = np.add.reduceat(corners, starts)
+        probes[color] = sums / np.sqrt(np.abs(ops.inner(sums, sums)))[:, None]
 
-    tiling_edges = []
-    for ei, ((v, s, fa, fb), segments) in enumerate(edges):
-        a_v, a_s, b_v, b_s = (img[row[c]] for c in ((fa, v), (fa, s), (fb, v), (fb, s)))
-        direction = ops.tangent(a_v, a_s)
+    E = len(edges)
+    a_v, a_s, b_v, b_s = (
+        img[np.array([[row[c] for c in quad] for quad in quads], dtype=int).reshape(E, 4)[:, j]]
+        for j in range(4)
+    )
+    direction, defined = ops.tangents(a_v, a_s)
+    with np.errstate(invalid="ignore"):
         ell = ops.dist(a_v, a_s)
         delta = ops.geodesic_param(a_v, direction, b_v)
         gap = ops.geodesic_param(a_v, direction, b_s) - (delta + ell)
         if spherical:  # parameters are angles, defined mod 2 pi
             gap = (gap + np.pi) % (2 * np.pi) - np.pi
-        if abs(gap) > (1e-8 if spherical else 1e-7):
-            raise GeometryError("projected edge image is not rigid")
-        # each segment runs from its first corner at t = p to its second
-        # at t = p + d
-        entries = []
-        for (color, p, d), (f, k0, k1, deck) in zip(
-            ((WHITE, 0.0, ell), (WHITE, delta, ell), (BLACK, 0.0, delta), (BLACK, ell, delta)),
-            segments,
-        ):
-            m = len(polys[color][f])
-            if (k0 + 1) % m == k1:
-                slot, rev = k0, d < 0
-            elif (k1 + 1) % m == k0:
-                slot, rev = k1, d > 0
-            else:
-                raise GeometryError(f"{color} corners of an edge are not adjacent")
-            probe = probes[color][f]
-            entries.append(
-                dict(color=color, face=f, face_edge=slot, reversed=rev,
-                     t0=min(p, p + d), t1=max(p, p + d),
-                     probe=probe if deck is None else deck @ probe, deck=deck)
-            )
-            if refs[color][f][slot] is None:
-                refs[color][f][slot] = ei
-        tiling_edges.append(_build_edge(ops, a_v, direction, entries))
+    # slot j runs from its first corner at t = p to its second at t = p + d
+    zero = np.zeros(E)
+    p = np.stack([zero, delta, zero, ell], axis=1)
+    d = np.stack([ell, ell, delta, delta], axis=1)
+    end = p + d
+    face, k0, k1 = np.array([[seg[:3] for seg in segs] for _, segs in edges],
+                            dtype=int).reshape(E, 4, 3).transpose(2, 0, 1)
+    m = np.concatenate([sizes[WHITE][face[:, :2]], sizes[BLACK][face[:, 2:]]], axis=1)
+    forward = (k0 + 1) % m == k1
+    adjacent = forward | ((k1 + 1) % m == k0)
+    slot = np.where(forward, k0, k1)
+    probe = np.concatenate([probes[WHITE][face[:, :2]], probes[BLACK][face[:, 2:]]], axis=1)
+    decks = [tuple(seg[3] for seg in segs) for _, segs in edges]
+    has = np.array([[g is not None for g in tags] for tags in decks], dtype=bool).reshape(E, 4)
+    if has.any():
+        moved = np.array([g for tags in decks for g in tags if g is not None])
+        probe[has] = np.einsum("nij,nj->ni", moved, probe[has])
 
+    tiling_edges = _build_edges(
+        ops, a_v, direction, np.tile(np.array(SLOT_COLORS) == BLACK, (E, 1)), face, slot,
+        np.where(forward, d < 0, d > 0), np.where(end < p, end, p),
+        np.where(end > p, end, p), probe, decks,
+        checks=[
+            (~defined, ops.TANGENT_UNDEFINED),
+            (np.abs(gap) > (1e-8 if spherical else 1e-7), "projected edge image is not rigid"),
+            (~adjacent.all(axis=1), lambda e: f"{SLOT_COLORS[np.argmin(adjacent[e])]} "
+                                              "corners of an edge are not adjacent"),
+        ],
+    )
+
+    refs = {color: [[None] * len(p) for p in polys[color]] for color in (WHITE, BLACK)}
+    for ei, (fs, ks) in enumerate(zip(face.tolist(), slot.tolist())):
+        for color, f, k in zip(SLOT_COLORS, fs, ks):
+            if refs[color][f][k] is None:
+                refs[color][f][k] = ei
     white_faces, black_faces = (
         [TilingFace(color, polys[color][f], links, tuple(refs[color][f]), decks=decks)
          for f, (_, links, decks) in enumerate(faces)]
@@ -413,17 +507,19 @@ def project(P: ConvexPolyhedron, side: Side) -> FlippableTiling:
 # -- development back to a polyhedron -----------------------------------------
 
 
-def _embed(u):
-    return np.concatenate([[0.0], u])
+def _equator_points(vertices):
+    """Points of the tiling sphere as points of e* = {x1 = 0} in S^3."""
+    return np.hstack([np.zeros((len(vertices), 1)), vertices])
 
 
 def white_polyhedron(T: FlippableTiling) -> ConvexPolyhedron:
     """Develop the white faces of a spherical tiling into a convex polyhedron.
 
     White faces are glued around each black face as a convex cone and the
-    assignment is propagated breadth-first over the incidence graph; a
-    closure failure raises DevelopmentError.  Hosohedral and dihedral
-    cases (two black or two white faces) are reported as degenerate.
+    assignment is propagated breadth-first over the incidence graph, one
+    level (all faces of one color) per row-wise product; a closure failure
+    raises DevelopmentError.  Hosohedral and dihedral cases (two black or
+    two white faces) are reported as degenerate.
     """
     if not T.is_spherical:
         raise GeometryError("white_polyhedron expects a spherical tiling")
@@ -434,47 +530,40 @@ def white_polyhedron(T: FlippableTiling) -> ConvexPolyhedron:
         )
     sig = Signature.SPHERE
     left_handed = T.handedness is Side.LEFT
-
-    def compose_white(apex, corner):
-        q_inv = inv4(_embed(corner), sig)
-        return mul4(q_inv, apex, sig) if left_handed else mul4(apex, q_inv, sig)
-
-    def compose_apex(g, corner):
-        q = _embed(corner)
-        return mul4(q, g, sig) if left_handed else mul4(g, q, sig)
-
+    # apex[b]: the vertex developed from black face b; pole[w]: the group
+    # element placing white face w
     apex = [None] * len(T.black)
     pole = [None] * len(T.white)
     apex[0] = neutral(sig)
-    queue = [(BLACK, 0)]
-    while queue:
-        color, idx = queue.pop(0)
+    frontier, color = [0], BLACK
+    while frontier:
+        faces = [T.faces(color)[i] for i in frontier]
         if color == BLACK:
-            b = T.black[idx]
-            for k in range(len(b)):
-                g = compose_white(apex[idx], b.vertices[k])
-                w = b.links[k]
-                if pole[w] is None:
-                    pole[w] = g
-                    queue.append((WHITE, w))
-                elif np.linalg.norm(pole[w] - g) > EPS_DEV:
-                    raise DevelopmentError(
-                        f"development fails to close around white face {w}: "
-                        f"{np.linalg.norm(pole[w] - g):.2e}"
-                    )
+            done, placed, other = apex, pole, WHITE
+            q = inv4(_equator_points(np.concatenate([f.vertices for f in faces])), sig)
         else:
-            w = T.white[idx]
-            for k in range(len(w)):
-                t = compose_apex(pole[idx], w.vertices[k])
-                b = w.links[k]
-                if apex[b] is None:
-                    apex[b] = t
-                    queue.append((BLACK, b))
-                elif np.linalg.norm(apex[b] - t) > EPS_DEV:
-                    raise DevelopmentError(
-                        f"development fails to close around black face {b}: "
-                        f"{np.linalg.norm(apex[b] - t):.2e}"
-                    )
+            done, placed, other = pole, apex, BLACK
+            q = _equator_points(np.concatenate([f.vertices for f in faces]))
+        g = np.repeat([done[i] for i in frontier], [len(f) for f in faces], axis=0)
+        g = mul4(q, g, sig) if left_handed else mul4(g, q, sig)
+        frontier, known = [], []
+        for r, j in enumerate(j for f in faces for j in f.links):
+            if placed[j] is None:
+                placed[j] = g[r]
+                frontier.append(j)
+            else:
+                known.append((r, j))
+        if known:
+            rs, js = zip(*known)
+            diff = np.array([placed[j] for j in js]) - g[list(rs)]
+            err = np.sqrt(np.vecdot(diff, diff))  # np.linalg.norm, row by row
+            if np.any(err > EPS_DEV):
+                i = int(np.argmax(err > EPS_DEV))
+                raise DevelopmentError(
+                    f"development fails to close around {other} face {js[i]}: "
+                    f"{err[i]:.2e}"
+                )
+        color = other
     if any(a is None for a in apex) or any(g is None for g in pole):
         raise DevelopmentError("incidence graph is not connected")
 
@@ -589,6 +678,7 @@ def _cone_metric(T, color):
         )
     faces = T.faces(color)
     ops = T.ops
+    angles, starts = _corner_angles(ops, faces)
     seen = set()
     points = []
     for f in range(len(faces)):
@@ -598,7 +688,7 @@ def _cone_metric(T, color):
             orbit = _corner_walk(T, color, (f, k))
             for c in orbit:
                 seen.add(c)
-            angle = float(sum(faces[a].corner_angle(ops, b) for a, b in orbit))
+            angle = float(sum(angles[starts[a] + b] for a, b in orbit))
             linked = {faces[a].links[b] for a, b in orbit}
             if len(linked) != 1:
                 raise GeometryError(
@@ -651,58 +741,46 @@ def make_antipodal_tiling(polygon_vertices, side: Side) -> FlippableTiling:
 def _build_antipodal(V):
     ops = SphereOps
     n = len(V)
+    nxt = np.roll(V, -1, axis=0)
     # blacks: 0 = P, 1 = -P; whites: digon i has vertices (v_{i+1}, -v_{i+1})
     # and is bounded by the great circles of polygon edges i and i+1.
-    angles = [ops.angle(V[i], V[i - 1], V[(i + 1) % n]) for i in range(n)]
+    angles = ops.angle(V, np.roll(V, 1, axis=0), nxt)
 
-    black_links = []
-    black_edge_refs = []
     # P corner at v_i (index i) meets digon (i-1); polygon edge i lies on
     # tiling edge i.
-    black_links.append(tuple((i - 1) % n for i in range(n)))
-    black_edge_refs.append(tuple(range(n)))
-    black_links.append(tuple((i - 1) % n for i in range(n)))
-    black_edge_refs.append(tuple(range(n)))
+    links = tuple((i - 1) % n for i in range(n))
     black = [
-        TilingFace(BLACK, V.copy(), black_links[0], black_edge_refs[0]),
-        TilingFace(BLACK, -V.copy(), black_links[1], black_edge_refs[1]),
+        TilingFace(BLACK, V.copy(), links, tuple(range(n))),
+        TilingFace(BLACK, -V.copy(), links, tuple(range(n))),
+    ]
+    # digon i: corner 0 (v_{i+1}) coincides with P's corner, corner 1 with
+    # -P's; polygon edge 0 -> 1 lies on tiling edge i, edge 1 -> 0 on i+1
+    white = [
+        TilingFace(WHITE, np.array([V[(i + 1) % n], -V[(i + 1) % n]]), (0, 1),
+                   (i, (i + 1) % n), digon_angle=np.pi - angles[(i + 1) % n])
+        for i in range(n)
     ]
 
-    white = []
-    for i in range(n):
-        ip1 = (i + 1) % n
-        verts = np.array([V[ip1], -V[ip1]])
-        digon_angle = np.pi - angles[ip1]
-        # corner 0 (v_{i+1}) coincides with P's corner, corner 1 with -P's.
-        links = (0, 1)
-        edge_refs = (i, ip1)  # edge 0->1 on tiling edge i, edge 1->0 on i+1
-        white.append(
-            TilingFace(WHITE, verts, links, edge_refs, digon_angle=digon_angle)
-        )
-
+    ell = ops.dist(V, nxt)
     probe_P = V.sum(axis=0) / np.linalg.norm(V.sum(axis=0))
-    edges = []
-    for i in range(n):
-        ip1 = (i + 1) % n
-        base = V[i]
-        direction = ops.tangent(V[i], V[ip1])
-        ell = ops.dist(V[i], V[ip1])
-        # digon i-1 interior probe: inward normals of its two edge circles
-        nm1 = _digon_probe(V, (i - 1) % n)
-        ni = _digon_probe(V, i)
-        entries = [
-            dict(color=BLACK, face=0, face_edge=i, reversed=False, t0=0.0, t1=ell,
-                 probe=probe_P),
-            dict(color=BLACK, face=1, face_edge=i, reversed=False, t0=np.pi,
-                 t1=np.pi + ell, probe=-probe_P),
-            # digon i-1: polygon edge 1 (from -v_i back to v_i), params [0, pi]
-            dict(color=WHITE, face=(i - 1) % n, face_edge=1, reversed=True,
-                 t0=0.0, t1=np.pi, probe=nm1),
-            # digon i: polygon edge 0 (v_{i+1} to -v_{i+1}), params [ell, pi+ell]
-            dict(color=WHITE, face=i, face_edge=0, reversed=False, t0=ell,
-                 t1=np.pi + ell, probe=ni),
-        ]
-        edges.append(_build_edge(ops, base, direction, entries))
+    digon = _digon_probes(V)
+    # per edge i: P and -P along polygon edge i; digon i-1 by its polygon
+    # edge 1 (from -v_i back to v_i), params [0, pi]; digon i by its polygon
+    # edge 0 (v_{i+1} to -v_{i+1}), params [ell, pi + ell]
+    i = np.arange(n)
+    zero, one, pi = np.zeros(n, dtype=int), np.ones(n, dtype=int), np.full(n, np.pi)
+    edges = _build_edges(
+        ops, V, ops.tangent(V, nxt),
+        np.tile([True, True, False, False], (n, 1)),
+        np.column_stack([zero, one, (i - 1) % n, i]),
+        np.column_stack([i, i, one, zero]),
+        np.tile([False, False, True, False], (n, 1)),
+        np.column_stack([0.0 * pi, pi, 0.0 * pi, ell]),
+        np.column_stack([ell, pi + ell, pi, pi + ell]),
+        np.stack([np.tile(probe_P, (n, 1)), np.tile(-probe_P, (n, 1)),
+                  np.roll(digon, 1, axis=0), digon], axis=1),
+        None,
+    )
 
     handedness = None
     for e in edges:
@@ -771,25 +849,26 @@ def _build_two_circles(n1, n2, side):
         for color in (BLACK, WHITE)
     }
 
-    edges = []
+    # edge 0 on circle 1, edge 1 on circle 2; per edge the segments of the
+    # black lunes, then the white ones
+    directions, rows = [], []
     for ei, (n_this, n_other) in enumerate(((n1, n2), (n2, n1))):
         d = np.cross(n_this, v)
         d /= np.linalg.norm(d)
+        directions.append(d)
         sigma = np.sign(np.dot(d, n_other))
-        entries = []
         for color in (BLACK, WHITE):
             for fi, (s1, s2) in enumerate(signs[color]):
                 s_other = s2 if ei == 0 else s1
                 lo, hi = (0.0, np.pi) if s_other * sigma > 0 else (np.pi, 2 * np.pi)
-                face_edge = ei  # edge 0 on circle 1, edge 1 on circle 2
                 # polygon edge 0 runs v -> -v, edge 1 runs -v -> v
-                runs_forward = lo == 0.0
-                rev = (face_edge == 0) != runs_forward
-                entries.append(
-                    dict(color=color, face=fi, face_edge=face_edge, reversed=rev,
-                         t0=lo, t1=hi, probe=lune_probe(s1, s2))
-                )
-        edges.append(_build_edge(ops, v, d, entries))
+                rev = (ei == 0) != (lo == 0.0)
+                rows.append((color == BLACK, fi, ei, rev, lo, hi, lune_probe(s1, s2)))
+    black, face, slot, rev, t0, t1, probes = (
+        np.array(c).reshape((2, 4) + np.shape(c[0])) for c in zip(*rows)
+    )
+    edges = _build_edges(ops, np.array([v, v]), np.array(directions), black, face,
+                         slot, rev, t0, t1, probes, None)
 
     # association of corners to opposite faces, from the gluing orbits
     T = FlippableTiling(Side.RIGHT, faces[BLACK], faces[WHITE], edges)
@@ -806,9 +885,11 @@ def _build_two_circles(n1, n2, side):
                 orbit = _corner_walk(T, color, (fi, k))
                 seen |= {(a, b) for a, b in orbit}
                 orbits.append(orbit)
-        areas = [f.area(SphereOps) for f in T.faces(other)]
+        # every face is a lune: its corners carry the lune angle, its area
+        # is twice that
+        areas = [2.0 * f.digon_angle for f in T.faces(other)]
         for oi, orbit in enumerate(orbits):
-            angle = sum(flist[a].corner_angle(ops, b) for a, b in orbit)
+            angle = sum(flist[a].digon_angle for a, b in orbit)
             target = 2 * np.pi - angle
             cands = [j for j in range(2) if abs(areas[j] - target) < 1e-9]
             j = cands[0] if len(cands) == 1 else oi
@@ -850,19 +931,16 @@ def _build_two_circles(n1, n2, side):
     return T
 
 
-def _digon_probe(V, i):
-    """Interior point of the digon spanned by vertex i+1 of the polygon."""
+def _digon_probes(V):
+    """Interior points of the digons, row i that of the digon spanned by
+    vertex i+1 of the polygon."""
     ops = SphereOps
-    n = len(V)
-    ip1 = (i + 1) % n
-    ip2 = (i + 2) % n
+    v1, v2 = np.roll(V, -1, axis=0), np.roll(V, -2, axis=0)
     # the digon is bisected at the shared vertex v_{i+1} of polygon edges
     # i and i + 1
-    t1 = ops.tangent(V[ip1], -V[i])       # along edge i extended
-    t2 = ops.tangent(V[ip1], V[ip2])      # along edge i+1
-    bis = t1 + t2
-    bis /= np.linalg.norm(bis)
-    return ops.geodesic(V[ip1], bis, 1e-3)
+    bis = ops.tangent(v1, -V) + ops.tangent(v1, v2)  # along edge i extended, edge i+1
+    bis /= np.linalg.norm(bis, axis=1, keepdims=True)
+    return ops.geodesic(v1, bis, 1e-3)
 
 
 # -- validation ----------------------------------------------------------------
@@ -873,82 +951,132 @@ def validate_tiling(T: FlippableTiling, tol_scale=1.0) -> TilingReport:
 
     Covers: face convexity and positive area, the area budget (sphere),
     per-edge segment structure, the handedness rule, equal black and equal
-    white lengths, and coincidence of linked corners.
+    white lengths, and coincidence of linked corners.  Every clause is
+    evaluated over all faces, corners or segments at once; the failures
+    are listed face by face, then edge by edge (each edge's clauses in the
+    order above), then corner by corner.  Assumes the structure the
+    `tiling.v1` loader enforces: four segments per edge, two of each color,
+    and face, polygon-edge and link indices in range.
     """
     ops = T.ops
     failures = []
     if T.handedness not in (Side.LEFT, Side.RIGHT):
         failures.append("unknown handedness")
 
-    for color in (BLACK, WHITE):
-        for fi, f in enumerate(T.faces(color)):
-            if f.is_digon:
-                continue
-            if f.area(ops) <= 0:
-                failures.append(f"{color} face {fi} has nonpositive area")
-
+    faces = T.black + T.white
+    nb = len(T.black)
+    color_of = [BLACK] * nb + [WHITE] * len(T.white)
+    index_of = list(range(nb)) + list(range(len(T.white)))
+    digon = np.array([f.is_digon for f in faces], dtype=bool)
+    areas = _face_areas(ops, faces)
+    for g in np.flatnonzero(~digon & (areas <= 0)):
+        failures.append(f"{color_of[g]} face {index_of[g]} has nonpositive area")
     if T.is_spherical:
-        budget = abs(T.total_area() - 4 * np.pi)
+        budget = abs(float(areas.sum()) - 4 * np.pi)
         if budget > EPS_AREA * tol_scale * 10:
             failures.append(f"area budget off by {budget:.2e}")
 
-    want = Side.RIGHT if T.handedness is Side.RIGHT else Side.LEFT
-    for ei, e in enumerate(T.edges):
-        for side in (Side.LEFT, Side.RIGHT):
-            group = sorted(
-                (s for s in e.segments if s.side is side), key=lambda s: s.t0
-            )
-            if len(group) != 2 or {g.color for g in group} != {BLACK, WHITE}:
-                failures.append(f"edge {ei}: side {side.value} lacks black+white pair")
-                continue
-            if abs(group[0].t1 - group[1].t0) > 1e-7 * tol_scale:
-                failures.append(f"edge {ei}: segments do not abut")
-        blacks = [s for s in e.segments if s.color == BLACK]
-        whites = [s for s in e.segments if s.color == WHITE]
-        if abs(blacks[0].length - blacks[1].length) > 1e-7 * tol_scale:
-            failures.append(f"edge {ei}: black lengths differ")
-        if abs(whites[0].length - whites[1].length) > 1e-7 * tol_scale:
-            failures.append(f"edge {ei}: white lengths differ")
-        for s in blacks:
-            expected = "forward" if s.side is want else "backward"
-            if s.position != expected:
-                failures.append(
-                    f"edge {ei}: black is {s.position} on the {s.side.value}"
-                )
-        # Geometry: the carried polygon edges must sit on the geodesic at
-        # the recorded parameters.
-        for s in e.segments:
-            face = T.faces(s.color)[s.face]
-            k = s.face_edge
-            v0 = face.vertices[k % len(face)]
-            v1 = face.vertices[(k + 1) % len(face)]
-            if s.deck is not None:
-                v0 = s.deck @ v0
-                v1 = s.deck @ v1
-            p0 = e.point_at(ops, s.corner_param(True))
-            p1 = e.point_at(ops, s.corner_param(False))
-            err = max(np.linalg.norm(p0 - v0), np.linalg.norm(p1 - v1))
-            if err > 1e-6 * tol_scale:
-                failures.append(
-                    f"edge {ei}: {s.color} face {s.face} edge {k} off geodesic "
-                    f"by {err:.2e}"
-                )
+    verts, starts, sizes = _stack(faces)
+    if T.edges:
+        failures += _edge_failures(T, ops, verts, starts, sizes, 1e-7 * tol_scale,
+                                   1e-6 * tol_scale)
 
-    # Linked corners coincide (deck-translated for hyperbolic quotients).
-    for color in (BLACK, WHITE):
-        other = T.faces(WHITE if color == BLACK else BLACK)
-        for fi, f in enumerate(T.faces(color)):
-            for k in range(len(f)):
-                g = other[f.links[k]]
-                pts = g.vertices
-                if f.decks is not None and f.decks[k] is not None:
-                    pts = pts @ f.decks[k].T
-                d = np.min(np.linalg.norm(pts - f.vertices[k], axis=1))
-                if d > 1e-6 * tol_scale:
-                    failures.append(
-                        f"{color} face {fi} corner {k} does not meet its linked face"
-                    )
+    # Linked corners coincide (deck-translated for hyperbolic quotients):
+    # each corner against every vertex of its linked face, in one gather.
+    linked = np.array([l + (nb if g < nb else 0)
+                       for g, f in enumerate(faces) for l in f.links], dtype=int)
+    counts = sizes[linked]
+    offsets = np.cumsum(counts) - counts
+    corner = np.repeat(np.arange(len(verts)), counts)
+    pts = verts[np.repeat(starts[linked] - offsets, counts) + np.arange(counts.sum())]
+    decks = _deck_rows([g for f in faces
+                        for g in (f.decks if f.decks is not None else (None,) * len(f))])
+    if decks is not None:
+        pts = np.einsum("nij,nj->ni", decks[corner], pts)
+    dist = np.linalg.norm(pts - verts[corner], axis=1)
+    if len(dist):
+        dist = np.minimum.reduceat(dist, offsets)
+    face_of = np.repeat(np.arange(len(faces)), sizes)
+    for r in np.flatnonzero(dist > 1e-6 * tol_scale):
+        g = face_of[r]
+        failures.append(f"{color_of[g]} face {index_of[g]} corner {r - starts[g]} "
+                        "does not meet its linked face")
     return TilingReport(not failures, failures)
+
+
+def _deck_rows(tags):
+    """The deck tags as stacked matrices, the identity for None; None when
+    every tag is None."""
+    if all(g is None for g in tags):
+        return None
+    return np.array([np.eye(3) if g is None else g for g in tags])
+
+
+def _edge_failures(T, ops, verts, starts, sizes, tol, geo_tol):
+    """The per-edge failures of `validate_tiling`, edge by edge."""
+    segs = [s for e in T.edges for s in e.segments]
+
+    def rows(values, dtype):
+        return np.array(values, dtype=dtype).reshape(len(T.edges), 4)
+
+    left = rows([s.side is Side.LEFT for s in segs], bool)
+    black = rows([s.color == BLACK for s in segs], bool)
+    face = rows([s.face for s in segs], int)
+    k = rows([s.face_edge for s in segs], int)
+    rev = rows([s.reversed for s in segs], bool)
+    t0 = rows([s.t0 for s in segs], float)
+    t1 = rows([s.t1 for s in segs], float)
+    want = Side.RIGHT if T.handedness is Side.RIGHT else Side.LEFT
+    pos_ok = rows([s.position == ("forward" if s.side is want else "backward")
+                   for s in segs], bool)
+
+    pair_ok, lo, hi = _side_pairs(left, black, t0)
+    at = np.arange(len(t0))[:, None]
+    abut = np.abs(t1[at, lo] - t0[at, hi]) > tol
+    length = t1 - t0
+    black_len, white_len = length[black].reshape(-1, 2), length[~black].reshape(-1, 2)
+    black_diff = np.abs(black_len[:, 0] - black_len[:, 1]) > tol
+    white_diff = np.abs(white_len[:, 0] - white_len[:, 1]) > tol
+    handed = black & ~pos_ok
+
+    # Geometry: the carried polygon edges must sit on the geodesic at the
+    # recorded parameters.
+    g = np.where(black, face, face + len(T.black))
+    ends = [verts[starts[g] + (k + j) % sizes[g]] for j in (0, 1)]
+    decks = _deck_rows([s.deck for s in segs])
+    if decks is not None:
+        decks = decks.reshape(len(T.edges), 4, 3, 3)
+        ends = [np.einsum("...ij,...j->...i", decks, v) for v in ends]
+    base = np.array([e.base for e in T.edges])[:, None, :]
+    direction = np.array([e.direction for e in T.edges])[:, None, :]
+    err0, err1 = (
+        np.linalg.norm(ops.geodesic(base, direction, t[..., None]) - v, axis=-1)
+        for t, v in zip((np.where(rev, t1, t0), np.where(rev, t0, t1)), ends)
+    )
+    err = np.where(err1 > err0, err1, err0)  # Python's max(err0, err1)
+    off = err > geo_tol
+
+    failures = []
+    bad = ~pair_ok.all(1) | abut.any(1) | black_diff | white_diff | handed.any(1) | off.any(1)
+    for ei in np.flatnonzero(bad):
+        e = T.edges[ei]
+        for j, side in enumerate((Side.LEFT, Side.RIGHT)):
+            if not pair_ok[ei, j]:
+                failures.append(f"edge {ei}: side {side.value} lacks black+white pair")
+            elif abut[ei, j]:
+                failures.append(f"edge {ei}: segments do not abut")
+        if black_diff[ei]:
+            failures.append(f"edge {ei}: black lengths differ")
+        if white_diff[ei]:
+            failures.append(f"edge {ei}: white lengths differ")
+        for q in np.flatnonzero(handed[ei]):
+            s = e.segments[q]
+            failures.append(f"edge {ei}: black is {s.position} on the {s.side.value}")
+        for q in np.flatnonzero(off[ei]):
+            s = e.segments[q]
+            failures.append(f"edge {ei}: {s.color} face {s.face} edge {s.face_edge} "
+                            f"off geodesic by {err[ei, q]:.2e}")
+    return failures
 
 
 # -- comparison up to isometry --------------------------------------------------
