@@ -42,43 +42,49 @@ _F17 = "{:.17g}".format
 
 
 def canonical_json(obj):
-    """Deterministic JSON text with 17-significant-digit floats.
+    """Deterministic JSON text with 17-significant-digit floats."""
+    return _render(obj)
 
-    Dispatches on the exact type of each value; a list of plain floats (a
+
+def _render(o):
+    """Dispatch on the exact type of each value; a list of plain floats (a
     vertex row, say) is rendered in one join.  Subclasses and numpy values
-    take the `isinstance` path of `_render_other`.
-    """
-    t = type(obj)
+    take the `isinstance` path of `_render_other`."""
+    t = type(o)
     if t is list or t is tuple:
-        if all(type(x) is float for x in obj):
-            text = ",".join(map(_F17, obj))
-            if "n" in text:  # only "nan" and "inf" spell an n
-                raise SchemaError("non-finite number in output")
-            return "[" + text + "]"
-        return "[" + ",".join(map(canonical_json, obj)) + "]"
+        if all(type(x) is float for x in o):
+            return "[" + _float_text(o) + "]"
+        return "[" + ",".join(map(_render, o)) + "]"
     if t is dict:
         return "{" + ",".join(
-            f"{_json_str(k) if type(k) is str else json.dumps(k)}:{canonical_json(v)}"
-            for k, v in sorted(obj.items())) + "}"
+            f"{_json_str(k) if type(k) is str else json.dumps(k)}:{_render(v)}"
+            for k, v in sorted(o.items())) + "}"
     if t is str:
-        return _json_str(obj)
+        return _json_str(o)
     if t is float:
-        return _fmt_float(obj)
+        return _float_text((o,))
     if t is int:
-        return str(obj)
+        return str(o)
     if t is bool:
-        return "true" if obj else "false"
-    if obj is None:
+        return "true" if o else "false"
+    if o is None:
         return "null"
-    return _render_other(obj)
+    return _render_other(o)
 
+
+def _float_text(xs):
+    """Comma-joined plain floats, refused when one is not finite."""
+    text = ",".join(map(_F17, xs))
+    if "n" in text:  # of the 17-digit forms, only "nan" and "inf" spell an n
+        raise SchemaError("non-finite number in output")
+    return text
 
 
 def _render_other(o):
     if isinstance(o, dict):
-        return canonical_json(dict(o))
+        return _render(dict(o))
     if isinstance(o, (list, tuple)):
-        return "[" + ",".join(map(canonical_json, o)) + "]"
+        return "[" + ",".join(map(_render, o)) + "]"
     if isinstance(o, bool):
         return "true" if o else "false"
     if isinstance(o, (int, np.integer)):
@@ -88,7 +94,7 @@ def _render_other(o):
     if isinstance(o, str):
         return json.dumps(o)
     if isinstance(o, np.ndarray):
-        return canonical_json(o.tolist())
+        return _render(o.tolist())
     raise SchemaError(f"cannot serialize {type(o)!r}")
 
 
@@ -270,13 +276,19 @@ def _objects(items, required, optional, what):
     """A JSON list of objects, each with the given fields."""
     if not isinstance(items, list):
         raise SchemaError(f"{what}s: expected a list")
+    every = set(required) | set(optional)
     for item in items:
-        _require_keys(item, required, optional, what)
+        if type(item) is not dict or item.keys() != every:
+            _require_keys(item, required, optional, what)
     return items
 
 
 def _enum(values, allowed, what):
-    if any(v not in allowed for v in values):
+    try:
+        ok = set(values) <= set(allowed)
+    except TypeError:  # an unhashable value
+        ok = False
+    if not ok:
         raise SchemaError(f"{what} must be {' or '.join(allowed)}")
 
 
@@ -291,14 +303,20 @@ def _indices(values, bound, what, nullable=False):
     """JSON integer indices in [0, bound) as an int array; `bound` is one
     number or one per index, and null (read as -1) is allowed if
     `nullable`."""
-    null = np.array([nullable and i is None for i in values], dtype=bool)
-    arr = np.array([-1 if n else i for i, n in zip(values, null)])
+    if nullable:
+        null = np.array([i is None for i in values], dtype=bool)
+        values = [-1 if i is None else i for i in values]
+    arr = np.array(values)
     if arr.size and arr.dtype.kind not in "iu":
         raise SchemaError(f"{what}: expected integer indices")
     arr = arr.astype(np.int64)
-    if np.any(((arr < 0) | (arr >= bound)) & ~null):
+    bad = (arr < 0) | (arr >= bound)
+    if (bad & ~null if nullable else bad).any():
         raise SchemaError(f"{what}: index out of range")
     return arr
+
+
+SIDES = {s.value: s for s in Side}
 
 
 def _decks(tags, what):
@@ -344,8 +362,10 @@ def tiling_from_dict(data):
             ("word_length", "word_length_cap"),
             "ambient",
         )
-        if amb["type"] != "hyperbolic" or int(amb["genus"]) != 2:
+        if amb["type"] != "hyperbolic" or amb["genus"] != 2:
             raise SchemaError("only the built-in genus-2 hyperbolic ambient is supported")
+        if not all(type(amb.get(k, 0)) is int for k in ("word_length", "word_length_cap")):
+            raise SchemaError("ambient word lengths: expected integers")
         ambient = HyperbolicAmbient(
             genus2_group(),
             _floats(amb["rays"], 3, "ambient rays"),
@@ -372,7 +392,7 @@ def tiling_from_dict(data):
     ids = _indices(ids, len(verts), "face vertices")
     digon = [fd.get("digon_angle") for fd in faces]
     is_digon = np.array([a is not None for a in digon], dtype=bool)
-    if np.any(sizes < 2) or np.any(sizes[is_digon] != 2):
+    if np.any(np.where(is_digon, sizes != 2, sizes < 3)):
         raise SchemaError("face: a digon has two vertices, a polygon at least three")
     angles = iter(_finite_list([a for a in digon if a is not None], "digon angles").tolist())
     digon = [None if a is None else next(angles) for a in digon]
@@ -403,7 +423,7 @@ def tiling_from_dict(data):
     bound[seg_black] = sizes[black][face[seg_black]]
     bound[~seg_black] = sizes[~black][face[~seg_black]]
     face_edge = _indices([sd["face_edge"] for sd in segs], bound, "segment face_edge")
-    if not all(isinstance(sd["reversed"], bool) for sd in segs):
+    if not {type(sd["reversed"]) for sd in segs} <= {bool}:
         raise SchemaError("segment reversed: expected true or false")
     t0 = _finite_list([sd["t0"] for sd in segs], "segment t0").tolist()
     t1 = _finite_list([sd["t1"] for sd in segs], "segment t1").tolist()
@@ -416,16 +436,19 @@ def tiling_from_dict(data):
     t_min = _finite_list([ed["t_min"] for ed in edges], "edge t_min").tolist()
     t_max = _finite_list([ed["t_max"] for ed in edges], "edge t_max").tolist()
 
-    polys = np.split(verts[ids], np.cumsum(sizes)[:-1])
+    ends = np.cumsum(sizes).tolist()
+    corners = verts[ids]
+    polys = [corners[a - n:a] for a, n in zip(ends, sizes.tolist())]
     black_faces, white_faces = [], []
     for fd, v, a, dk in zip(faces, polys, digon, decks):
         (black_faces if fd["color"] == BLACK else white_faces).append(TilingFace(
             fd["color"], v, tuple(fd["links"]), tuple(fd["edge_refs"]),
             digon_angle=a, decks=dk))
     segments = [
-        EdgeSegment(Side(sd["side"]), sd["position"], sd["color"], int(f), int(k),
+        EdgeSegment(SIDES[sd["side"]], sd["position"], sd["color"], f, k,
                     sd["reversed"], a, b, dk)
-        for sd, f, k, a, b, dk in zip(segs, face, face_edge, t0, t1, seg_decks)
+        for sd, f, k, a, b, dk in zip(segs, face.tolist(), face_edge.tolist(), t0, t1,
+                                      seg_decks)
     ]
     tiling_edges = [
         TilingEdge(base[e], direction[e], t_min[e], t_max[e], tuple(segments[4 * e:4 * e + 4]))

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import polyhedron_corpus, random_polyhedron, regular_tetrahedron
 import flipkit
@@ -52,6 +54,80 @@ def test_canonical_json_floats():
     # floats round-trip exactly through 17 significant digits
     for x in (0.12345678901234567, 1e-300, -math.pi, 3.0):
         assert float(format(x, ".17g")) == x
+
+
+def reference_canonical_json(obj):
+    """The recursive `isinstance` renderer `io.canonical_json` replaced:
+    the reference for its bytes and its errors."""
+
+    def render(o):
+        if isinstance(o, dict):
+            items = sorted(o.items())
+            inner = ",".join(f"{json.dumps(k)}:{render(v)}" for k, v in items)
+            return "{" + inner + "}"
+        if isinstance(o, (list, tuple)):
+            return "[" + ",".join(render(v) for v in o) + "]"
+        if isinstance(o, bool):
+            return "true" if o else "false"
+        if isinstance(o, (int, np.integer)):
+            return str(int(o))
+        if isinstance(o, (float, np.floating)):
+            if math.isnan(o) or math.isinf(o):
+                raise SchemaError("non-finite number in output")
+            return format(float(o), ".17g")
+        if o is None:
+            return "null"
+        if isinstance(o, str):
+            return json.dumps(o)
+        if isinstance(o, np.ndarray):
+            return render(o.tolist())
+        raise SchemaError(f"cannot serialize {type(o)!r}")
+
+    return render(obj)
+
+
+def outcome(fn, obj):
+    try:
+        return fn(obj)
+    except SchemaError as exc:
+        return ("SchemaError", str(exc))
+
+
+json_leaves = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([-0.0, 0.0, 1e-300, 5e-324, -5e-324, 1e308]),
+    st.integers(-10 ** 20, 10 ** 20),
+    st.booleans(),
+    st.none(),
+    st.text(max_size=6),
+    st.floats(allow_nan=False).map(np.float64),
+    st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64),
+    st.lists(st.floats(-1e6, 1e6), max_size=4).map(np.array),
+)
+json_values = st.recursive(
+    json_leaves,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=5),
+        st.lists(st.floats(allow_nan=True), max_size=5),  # the all-float rows
+        st.tuples(inner, inner),
+        st.dictionaries(st.text(max_size=5), inner, max_size=5),
+    ),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=100)
+@given(obj=json_values)
+def test_canonical_json_matches_reference(obj):
+    assert outcome(fio.canonical_json, obj) == outcome(reference_canonical_json, obj)
+
+
+def test_canonical_json_refuses_what_the_reference_refuses():
+    for obj in ([1.0, float("nan")], {"a": [float("-inf")]}, float("inf"),
+                [np.float64("nan")], {"a": {1, 2}}, [np.bool_(True)], object()):
+        want = outcome(reference_canonical_json, obj)
+        assert want[0] == "SchemaError"
+        assert outcome(fio.canonical_json, obj) == want
 
 
 def test_polyhedron_round_trip_bytes(tmp_path, tetrahedron):
@@ -156,6 +232,50 @@ def test_cli_project_flip_flip_reproduces(tmp_path, tetrahedron):
     Ta = fio.tiling_from_dict(fio.load_json(t1))
     Tc = fio.tiling_from_dict(fio.load_json(t3))
     assert tiling_congruence_error(Ta, Tc) < 1e-9
+
+
+@pytest.fixture(scope="module")
+def tiling_n8():
+    """The tiling.v1 dict of a projected n = 8 polyhedron."""
+    P = random_polyhedron(np.random.default_rng(8), 8)
+    return json.loads(fio.canonical_json(fio.tiling_to_dict(project(P, Side.LEFT))))
+
+
+def _flip_color(d):
+    seg = d["edges"][0]["segments"][0]
+    seg["color"] = "white" if seg["color"] == "black" else "black"
+
+
+TILING_CORRUPTIONS = {
+    "side-up": lambda d: d["edges"][0]["segments"][0].update(side="up"),
+    "position-sideways": lambda d: d["edges"][0]["segments"][1].update(position="sideways"),
+    "segment-face-999": lambda d: d["edges"][0]["segments"][0].update(face=999),
+    "face-edge-99": lambda d: d["edges"][1]["segments"][2].update(face_edge=99),
+    "color-flipped": _flip_color,
+    "color-purple": lambda d: d["edges"][0]["segments"][0].update(color="purple"),
+    "reversed-not-bool": lambda d: d["edges"][0]["segments"][0].update(reversed="yes"),
+    "three-segments": lambda d: d["edges"][0]["segments"].pop(),
+    "links-999": lambda d: d["faces"][0]["links"].__setitem__(0, 999),
+    "base-two-components": lambda d: d["edges"][0].update(base=d["edges"][0]["base"][:2]),
+    "edge-refs-999": lambda d: d["faces"][0]["edge_refs"].__setitem__(0, 999),
+    "vertex-id-string": lambda d: d["faces"][1]["vertices"].__setitem__(0, "a"),
+    "deck-not-3x3": lambda d: d["edges"][0]["segments"][0].update(deck=[[1.0, 0.0]]),
+}
+
+
+@pytest.mark.parametrize("command", ["check", "flip", "render", "reconstruct"])
+@pytest.mark.parametrize("corruption", sorted(TILING_CORRUPTIONS))
+def test_cli_refuses_malformed_tiling(tmp_path, capsys, tiling_n8, corruption, command):
+    d = json.loads(json.dumps(tiling_n8))
+    TILING_CORRUPTIONS[corruption](d)
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps(d))
+    argv = [command, "--in", str(path)]
+    if command != "check":
+        argv += ["--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_cli_dual_and_reconstruct(tmp_path):

@@ -18,18 +18,24 @@ from hypothesis import strategies as st
 
 from conftest import random_polyhedron
 from flipkit import io as fio
+from flipkit import tilings
 from flipkit.errors import DevelopmentError, GeometryError
 from flipkit.forms import Signature, inv4_sphere, mul4_sphere
+from flipkit.fuchsian import FuchsianConfig, ads_project, genus2_group, orbit_hull
 from flipkit.polyhedra import hull, polar_dual
 from flipkit.spheremath import SphereOps
 from flipkit.tilings import (
     BLACK,
     WHITE,
+    EdgeSegment,
     FlippableTiling,
     Side,
+    TilingEdge,
+    TilingReport,
     black_metric,
     flip,
     make_antipodal_tiling,
+    make_two_circles_tiling,
     polygon_congruent,
     project,
     project_points,
@@ -430,6 +436,311 @@ def test_validate_detects_swapped_labels(small_corpus):
     rep = validate_tiling(T)
     assert not rep.ok
     assert any("forward" in f or "backward" in f for f in rep.failures)
+
+
+
+# -- batched validator and edge builder against the per-item references --------
+
+
+def reference_area(ops, f):
+    """Area of one face from its corners, one scalar angle at a time."""
+    if f.is_digon:
+        return 2.0 * f.digon_angle
+    v = f.vertices
+    k = len(v)
+    angles = [ops.angle(v[i], v[i - 1], v[(i + 1) % k]) for i in range(k)]
+    return float(ops.curvature * (sum(angles) - (k - 2) * np.pi))
+
+
+def reference_validate_tiling(T, tol_scale=1.0):
+    """`validate_tiling` as it was written face by face and segment by
+    segment: the reference for the batched one."""
+    ops = T.ops
+    failures = []
+    if T.handedness not in (Side.LEFT, Side.RIGHT):
+        failures.append("unknown handedness")
+
+    for color in (BLACK, WHITE):
+        for fi, f in enumerate(T.faces(color)):
+            if f.is_digon:
+                continue
+            if reference_area(ops, f) <= 0:
+                failures.append(f"{color} face {fi} has nonpositive area")
+
+    if T.is_spherical:
+        total = sum(reference_area(ops, f) for f in T.black) + sum(
+            reference_area(ops, f) for f in T.white)
+        budget = abs(total - 4 * np.pi)
+        if budget > tilings.EPS_AREA * tol_scale * 10:
+            failures.append(f"area budget off by {budget:.2e}")
+
+    want = Side.RIGHT if T.handedness is Side.RIGHT else Side.LEFT
+    for ei, e in enumerate(T.edges):
+        for side in (Side.LEFT, Side.RIGHT):
+            group = sorted(
+                (s for s in e.segments if s.side is side), key=lambda s: s.t0
+            )
+            if len(group) != 2 or {g.color for g in group} != {BLACK, WHITE}:
+                failures.append(f"edge {ei}: side {side.value} lacks black+white pair")
+                continue
+            if abs(group[0].t1 - group[1].t0) > 1e-7 * tol_scale:
+                failures.append(f"edge {ei}: segments do not abut")
+        blacks = [s for s in e.segments if s.color == BLACK]
+        whites = [s for s in e.segments if s.color == WHITE]
+        if abs(blacks[0].length - blacks[1].length) > 1e-7 * tol_scale:
+            failures.append(f"edge {ei}: black lengths differ")
+        if abs(whites[0].length - whites[1].length) > 1e-7 * tol_scale:
+            failures.append(f"edge {ei}: white lengths differ")
+        for s in blacks:
+            expected = "forward" if s.side is want else "backward"
+            if s.position != expected:
+                failures.append(
+                    f"edge {ei}: black is {s.position} on the {s.side.value}"
+                )
+        for s in e.segments:
+            face = T.faces(s.color)[s.face]
+            k = s.face_edge
+            v0 = face.vertices[k % len(face)]
+            v1 = face.vertices[(k + 1) % len(face)]
+            if s.deck is not None:
+                v0 = s.deck @ v0
+                v1 = s.deck @ v1
+            p0 = e.point_at(ops, s.corner_param(True))
+            p1 = e.point_at(ops, s.corner_param(False))
+            err = max(np.linalg.norm(p0 - v0), np.linalg.norm(p1 - v1))
+            if err > 1e-6 * tol_scale:
+                failures.append(
+                    f"edge {ei}: {s.color} face {s.face} edge {k} off geodesic "
+                    f"by {err:.2e}"
+                )
+
+    for color in (BLACK, WHITE):
+        other = T.faces(WHITE if color == BLACK else BLACK)
+        for fi, f in enumerate(T.faces(color)):
+            for k in range(len(f)):
+                g = other[f.links[k]]
+                pts = g.vertices
+                if f.decks is not None and f.decks[k] is not None:
+                    pts = pts @ f.decks[k].T
+                d = np.min(np.linalg.norm(pts - f.vertices[k], axis=1))
+                if d > 1e-6 * tol_scale:
+                    failures.append(
+                        f"{color} face {fi} corner {k} does not meet its linked face"
+                    )
+    return TilingReport(not failures, failures)
+
+
+def reference_build_edge(ops, base, direction, entries, tol=1e-7):
+    """One tiling edge from its four segment entries, as the per-edge
+    builder made it: the reference for `tilings._build_edges`."""
+    normal = ops.geodesic_normal(base, ops.geodesic(base, direction, 0.5))
+    t_min = min(e["t0"] for e in entries)
+    t_max = max(e["t1"] for e in entries)
+    segments = []
+    for e in entries:
+        s = ops.side(e["probe"], normal)
+        if abs(s) < 1e-12:
+            raise GeometryError("face probe sits on the edge geodesic")
+        side = Side.LEFT if s > 0 else Side.RIGHT
+        segments.append(EdgeSegment(side, "", e["color"], e["face"], e["face_edge"],
+                                    e["reversed"], e["t0"], e["t1"], e.get("deck")))
+    final = []
+    for side in (Side.LEFT, Side.RIGHT):
+        group = sorted((s for s in segments if s.side is side), key=lambda g: g.t0)
+        if len(group) != 2 or {g.color for g in group} != {BLACK, WHITE}:
+            raise GeometryError("each edge side needs one black and one white segment")
+        if (
+            abs(group[0].t0 - t_min) > tol
+            or abs(group[1].t1 - t_max) > tol
+            or abs(group[0].t1 - group[1].t0) > tol
+        ):
+            raise GeometryError("segments do not partition the edge")
+        final.append(replace(group[0], position="backward"))
+        final.append(replace(group[1], position="forward"))
+    black_lengths = [s.length for s in final if s.color == BLACK]
+    white_lengths = [s.length for s in final if s.color == WHITE]
+    if abs(black_lengths[0] - black_lengths[1]) > tol:
+        raise GeometryError("black segment lengths differ")
+    if abs(white_lengths[0] - white_lengths[1]) > tol:
+        raise GeometryError("white segment lengths differ")
+    return TilingEdge(base, direction, t_min, t_max, tuple(final))
+
+
+def batched_build_edges(ops, rows):
+    """`tilings._build_edges` on rows of (base, direction, four entries)."""
+    def col(key):
+        return np.array([[e[key] for e in entries] for _, _, entries in rows])
+
+    return tilings._build_edges(
+        ops, np.array([b for b, _, _ in rows]), np.array([d for _, d, _ in rows]),
+        col("color") == BLACK, col("face"), col("face_edge"), col("reversed"),
+        col("t0"), col("t1"), np.array([[e["probe"] for e in entries]
+                                        for _, _, entries in rows]),
+        [tuple(e.get("deck") for e in entries) for _, _, entries in rows],
+    )
+
+
+def ads_surface(n, side_heights=(0.5, 0.7, 0.62)):
+    pts = [(0.3, 0.1), (-0.4, 0.35), (0.0, -0.5)][:n]
+    rays = np.array([[x, y, np.sqrt(1.0 + x * x + y * y)] for x, y in pts])
+    return orbit_hull(FuchsianConfig(genus2_group(), rays, np.array(side_heights[:n])))
+
+
+def sample_tilings():
+    """Spherical tilings (n = 5..14, both sides, polar duals, flips), AdS
+    quotient tilings (n = 1..3, both sides), the digon and two-circles
+    examples."""
+    out = []
+    for n in range(5, 15):
+        for seed in range(100 * n, 100 * n + 20):  # the first whose flips all develop
+            P = random_polyhedron(np.random.default_rng(seed), n)
+            try:
+                projected = [project(Q, side) for Q in (P, polar_dual(P)) for side in Side]
+                out += [X for T in projected for X in (T, flip(T))]
+                break
+            except DevelopmentError:
+                continue
+    for n in (1, 2, 3):
+        surf = ads_surface(n)
+        out += [ads_project(surf, side) for side in Side]
+    out.append(make_antipodal_tiling(spread_polygon(5), Side.RIGHT))
+    out.append(make_two_circles_tiling([0.1, 0.2, 1.0], [1.0, 0.0, 0.3], Side.LEFT))
+    return out
+
+
+def corruptions(T):
+    """Copies of T with one corruption each: a vertex moved by 1e-5, a
+    segment side swapped, a position swapped, a t0 shifted, a deck
+    perturbed (quotient tilings) and a link redirected."""
+    ops = T.ops
+    out = []
+
+    def with_edge(ei, change):
+        C = FlippableTiling(T.handedness, T.black, T.white, T.edges, T.ambient)
+        e = C.edges[ei]
+        segs = list(e.segments)
+        segs[0] = replace(segs[0], **change(segs[0]))
+        C.edges[ei] = replace(e, segments=tuple(segs))
+        return C
+
+    polygons = [f for f in range(len(T.white)) if not T.white[f].is_digon]
+    if polygons:
+        C = FlippableTiling(T.handedness, T.black, T.white, T.edges, T.ambient)
+        w = C.white[polygons[0]]
+        v = w.vertices.copy()
+        v[0] = ops.geodesic(v[0], ops.tangent(v[0], v[1]), 1e-5)
+        C.white[polygons[0]] = replace(w, vertices=v)
+        out.append(C)
+    ei = len(T.edges) // 2
+    out.append(with_edge(ei, change=lambda s: {"side": s.side.other}))
+    out.append(with_edge(ei, change=lambda s: {
+        "position": "forward" if s.position == "backward" else "backward"}))
+    out.append(with_edge(ei, change=lambda s: {"t0": s.t0 + 1e-5}))
+    if T.edges[ei].segments[0].deck is not None:
+        out.append(with_edge(ei, change=lambda s: {"deck": s.deck + 1e-5}))
+    C = FlippableTiling(T.handedness, T.black, T.white, T.edges, T.ambient)
+    b = C.black[0]
+    C.black[0] = replace(b, links=((b.links[0] + 1) % len(T.white),) + b.links[1:])
+    out.append(C)
+    return out
+
+
+def test_validate_tiling_matches_reference():
+    # identical reports, failures in the same order, on valid tilings and
+    # on corrupted copies of them
+    corrupted = 0
+    samples = sample_tilings()
+    for i, T in enumerate(samples):
+        rep = validate_tiling(T)
+        assert rep.ok
+        assert rep == reference_validate_tiling(T)
+        # the corrupted copies of every fourth spherical tiling and of all
+        # the others
+        if i % 4 and T.is_spherical and i < len(samples) - 2:
+            continue
+        for C in corruptions(T):
+            rep = validate_tiling(C)
+            assert rep == reference_validate_tiling(C)
+            corrupted += len(rep.failures) > 1
+    assert corrupted > 30  # reports with several failures pin their order
+
+
+def edge_rows(T):
+    """The tiling's edges as builder input: (base, direction, entries), the
+    entries in reverse segment order with the face's normalized corner sum
+    (deck-moved) as probe."""
+    ops = T.ops
+    rows = []
+    for e in T.edges:
+        entries = []
+        for s in reversed(e.segments):
+            c = T.faces(s.color)[s.face].vertices.sum(axis=0)
+            c = c / np.sqrt(abs(ops.inner(c, c)))
+            entries.append(dict(color=s.color, face=s.face, face_edge=s.face_edge,
+                                reversed=s.reversed, t0=s.t0, t1=s.t1, deck=s.deck,
+                                probe=c if s.deck is None else s.deck @ c))
+        rows.append((e.base, e.direction, entries))
+    return rows
+
+
+def assert_same_edges(A, B):
+    assert len(A) == len(B)
+    for a, b in zip(A, B):
+        assert np.array_equal(a.base, b.base) and np.array_equal(a.direction, b.direction)
+        assert (a.t_min, a.t_max) == (b.t_min, b.t_max)
+        for s, t in zip(a.segments, b.segments, strict=True):
+            assert replace(s, deck=None) == replace(t, deck=None)
+            assert s.deck is t.deck
+
+
+@pytest.mark.parametrize("kind", ["sphere", "ads"])
+def test_build_edges_matches_reference(kind):
+    T = (project(random_polyhedron(np.random.default_rng(5), 9), Side.LEFT)
+         if kind == "sphere" else ads_project(ads_surface(2), Side.RIGHT))
+    ops, rows = T.ops, edge_rows(T)
+    assert_same_edges(batched_build_edges(ops, rows),
+                      [reference_build_edge(ops, *r) for r in rows])
+
+    def corrupt(ei, j, **change):
+        entries = [dict(e) for e in rows[ei][2]]
+        entries[j].update(change)
+        return entries
+
+    def on_lo_side(ei):
+        # the entry whose segment comes first on its side, and its partner
+        s = reference_build_edge(ops, *rows[ei]).segments
+        idx = [next(j for j, e in enumerate(rows[ei][2])
+                    if (e["color"], e["face"], e["face_edge"]) == (g.color, g.face, g.face_edge))
+               for g in s]
+        return idx
+
+    cases = {}
+    cases["probe on geodesic"] = {1: corrupt(1, 2, probe=rows[1][0])}
+    cases["three on one side"] = {2: corrupt(2, 0, probe=-rows[2][2][0]["probe"])}
+    lo, hi = on_lo_side(3)[:2]
+    gap = [dict(e) for e in rows[3][2]]
+    gap[lo]["t1"] -= 1e-3
+    cases["gap in partition"] = {3: gap}
+    black_lo = next(j for j in (on_lo_side(4)[0], on_lo_side(4)[2])
+                    if rows[4][2][j]["color"] == BLACK)
+    order = on_lo_side(4)
+    partner = order[order.index(black_lo) + 1]
+    shifted = [dict(e) for e in rows[4][2]]
+    shifted[black_lo]["t1"] += 1e-5
+    shifted[partner]["t0"] += 1e-5
+    cases["unequal black lengths"] = {4: shifted}
+    cases["two corrupted edges"] = {5: gap if False else corrupt(5, 1, probe=rows[5][0]),
+                                    2: cases["three on one side"][2]}
+    messages = set()
+    for name, change in cases.items():
+        bad = [(b, d, change.get(ei, entries)) for ei, (b, d, entries) in enumerate(rows)]
+        with pytest.raises(GeometryError) as want:
+            [reference_build_edge(ops, *r) for r in bad]
+        with pytest.raises(GeometryError) as got:
+            batched_build_edges(ops, bad)
+        assert str(got.value) == str(want.value), name
+        messages.add(str(want.value))
+    assert len(messages) == 4
 
 
 if __name__ == "__main__":
