@@ -31,12 +31,6 @@ FUCHSIAN_SCHEMA = "fuchsian.v1"
 SOLUTION_SCHEMA = "solution.v1"
 
 
-def _fmt_float(x):
-    if math.isnan(x) or math.isinf(x):
-        raise SchemaError("non-finite number in output")
-    return format(float(x), ".17g")
-
-
 _json_str = functools.lru_cache(maxsize=4096)(json.dumps)  # called on str only
 _F17 = "{:.17g}".format
 
@@ -47,9 +41,8 @@ def canonical_json(obj):
 
 
 def _render(o):
-    """Dispatch on the exact type of each value; a list of plain floats (a
-    vertex row, say) is rendered in one join.  Subclasses and numpy values
-    take the `isinstance` path of `_render_other`."""
+    """Dispatch on the exact type first; a list of plain floats (a vertex
+    row, say) is one join.  Subclasses and numpy values come last."""
     t = type(o)
     if t is list or t is tuple:
         if all(type(x) is float for x in o):
@@ -69,7 +62,15 @@ def _render(o):
         return "true" if o else "false"
     if o is None:
         return "null"
-    return _render_other(o)
+    for types, plain in _PLAIN:
+        if isinstance(o, types):
+            return _render(plain(o))
+    raise SchemaError(f"cannot serialize {type(o)!r}")
+
+
+# the plain value a subclass or numpy value is rendered as, in order of test
+_PLAIN = ((dict, dict), ((list, tuple), list), ((int, np.integer), int),
+          ((float, np.floating), float), (str, str), (np.ndarray, np.ndarray.tolist))
 
 
 def _float_text(xs):
@@ -78,24 +79,6 @@ def _float_text(xs):
     if "n" in text:  # of the 17-digit forms, only "nan" and "inf" spell an n
         raise SchemaError("non-finite number in output")
     return text
-
-
-def _render_other(o):
-    if isinstance(o, dict):
-        return _render(dict(o))
-    if isinstance(o, (list, tuple)):
-        return "[" + ",".join(map(_render, o)) + "]"
-    if isinstance(o, bool):
-        return "true" if o else "false"
-    if isinstance(o, (int, np.integer)):
-        return str(int(o))
-    if isinstance(o, (float, np.floating)):
-        return _fmt_float(o)
-    if isinstance(o, str):
-        return json.dumps(o)
-    if isinstance(o, np.ndarray):
-        return _render(o.tolist())
-    raise SchemaError(f"cannot serialize {type(o)!r}")
 
 
 def _require_keys(data, required, optional=(), what="object"):
@@ -190,9 +173,8 @@ def _vertex_table(T, tol=1e-9):
 
 
 def _deck_list(decks):
-    if decks is None:
-        return None
-    return [None if d is None else [[float(x) for x in row] for row in d] for d in decks]
+    return None if decks is None else [None if d is None else np.asarray(d).tolist()
+                                       for d in decks]
 
 
 def tiling_to_dict(T):
@@ -224,32 +206,29 @@ def tiling_to_dict(T):
                 }
             )
 
-    edges_out = []
-    for e in T.edges:
-        edges_out.append(
-            {
-                "base": [float(x) for x in e.base],
-                "direction": [float(x) for x in e.direction],
-                "t_min": float(e.t_min),
-                "t_max": float(e.t_max),
-                "segments": [
-                    {
-                        "side": s.side.value,
-                        "position": s.position,
-                        "color": s.color,
-                        "face": rank[s.color][s.face],
-                        "face_edge": s.face_edge,
-                        "reversed": s.reversed,
-                        "t0": float(s.t0),
-                        "t1": float(s.t1),
-                        "deck": None
-                        if s.deck is None
-                        else [[float(x) for x in row] for row in s.deck],
-                    }
-                    for s in e.segments
-                ],
-            }
-        )
+    edges_out = [
+        {
+            "base": np.asarray(e.base, dtype=float).tolist(),
+            "direction": np.asarray(e.direction, dtype=float).tolist(),
+            "t_min": float(e.t_min),
+            "t_max": float(e.t_max),
+            "segments": [
+                {
+                    "side": s.side.value,
+                    "position": s.position,
+                    "color": s.color,
+                    "face": rank[s.color][s.face],
+                    "face_edge": s.face_edge,
+                    "reversed": s.reversed,
+                    "t0": float(s.t0),
+                    "t1": float(s.t1),
+                    "deck": _deck_list((s.deck,))[0],
+                }
+                for s in e.segments
+            ],
+        }
+        for e in T.edges
+    ]
 
     if T.is_spherical:
         ambient = "sphere"

@@ -67,16 +67,13 @@ class SphericalPolygon:
         if self.is_digon:
             return np.array([np.pi, np.pi])
         v = self.vertices
-        return np.array([SphereOps.dist(v[i], v[(i + 1) % len(v)]) for i in range(len(v))])
+        return SphereOps.dist(v, np.roll(v, -1, axis=0))
 
     def interior_angles(self):
         if self.is_digon:
             return np.array([self.digon_angle, self.digon_angle])
         v = self.vertices
-        k = len(v)
-        return np.array(
-            [SphereOps.angle(v[i], v[i - 1], v[(i + 1) % k]) for i in range(k)]
-        )
+        return SphereOps.angle(v, np.roll(v, 1, axis=0), np.roll(v, -1, axis=0))
 
     def area(self):
         if self.is_digon:

@@ -25,7 +25,6 @@ from .forms import Signature, inv4, mul4, neutral
 from .polyhedra import ConvexPolyhedron, from_vertices_and_faces, normalize_rows
 from .spheremath import HyperbolicOps, SphereOps
 
-EPS_LEN = 1e-9
 EPS_AREA = 1e-8
 EPS_DEV = 5e-8
 
@@ -215,14 +214,12 @@ def _corner_angles(ops, faces):
     from one row-wise pass; a digon's corners carry its digon angle.
     Returns the angles and the row where each face starts."""
     verts, starts, sizes = _stack(faces)
-    first = np.repeat(starts, sizes)
-    size = np.repeat(sizes, sizes)
-    local = np.arange(len(verts)) - first
-    poly = np.repeat([not f.is_digon for f in faces], sizes).astype(bool)
+    first, size = np.repeat(starts, sizes), np.repeat(sizes, sizes)
+    poly = np.flatnonzero(np.repeat([not f.is_digon for f in faces], sizes))
     angles = np.repeat([f.digon_angle if f.is_digon else 0.0 for f in faces],
                        sizes).astype(float)
-    row, prev, nxt = (first + (local + s) % size for s in (0, -1, 1))
-    angles[poly] = ops.angle(verts[row[poly]], verts[prev[poly]], verts[nxt[poly]])
+    prev, nxt = (first[poly] + (poly - first[poly] + s) % size[poly] for s in (-1, 1))
+    angles[poly] = ops.angle(verts[poly], verts[prev], verts[nxt])
     return angles, starts
 
 
@@ -257,21 +254,6 @@ def _raise_first(clauses):
         raise GeometryError(msg if isinstance(msg, str) else msg(e))
 
 
-def _first_min(a):
-    """Row minima, the first of equals kept, as Python's `min` keeps it."""
-    out = a[:, 0]
-    for col in a.T[1:]:
-        out = np.where(col < out, col, out)
-    return out
-
-
-def _first_max(a):
-    out = a[:, 0]
-    for col in a.T[1:]:
-        out = np.where(col > out, col, out)
-    return out
-
-
 def _side_pairs(left, black, t0):
     """Per edge and side (left, right): whether that side holds one black
     and one white segment, and its two segments in order of t0 (a stable
@@ -303,16 +285,14 @@ def _build_edges(ops, base, direction, black, face, slot, rev, t0, t1, probes,
     normal = ops.geodesic_normal(base, ops.geodesic(base, direction, 0.5))
     s = ops.side(probes, normal[:, None, :])
     left = s > 0
-    t_min, t_max = _first_min(t0), _first_max(t1)
+    # Python's min and max, which keep the first of equal values
+    t_min, t_max = [min(r) for r in t0.tolist()], [max(r) for r in t1.tolist()]
     pair_ok, lo, hi = _side_pairs(left, black, t0)
-    rows = np.arange(len(t0))[:, None]
-    partition = (
-        (np.abs(t0[rows, lo] - t_min[:, None]) > tol)
-        | (np.abs(t1[rows, hi] - t_max[:, None]) > tol)
-        | (np.abs(t1[rows, lo] - t0[rows, hi]) > tol)
-    )
+    at = np.arange(len(t0))[:, None]
+    partition = ((np.abs(t0[at, lo] - np.array(t_min)[:, None]) > tol)
+                 | (np.abs(t1[at, hi] - np.array(t_max)[:, None]) > tol)
+                 | (np.abs(t1[at, lo] - t0[at, hi]) > tol))
     length = t1 - t0
-    black_len, white_len = length[black].reshape(-1, 2), length[~black].reshape(-1, 2)
     _raise_first([
         *checks,
         ((np.abs(s) < 1e-12).any(axis=1), "face probe sits on the edge geodesic"),
@@ -320,27 +300,21 @@ def _build_edges(ops, base, direction, black, face, slot, rev, t0, t1, probes,
             (~pair_ok[:, j], "each edge side needs one black and one white segment"),
             (partition[:, j], "segments do not partition the edge"),
         )),
-        (np.abs(black_len[:, 0] - black_len[:, 1]) > tol, "black segment lengths differ"),
-        (np.abs(white_len[:, 0] - white_len[:, 1]) > tol, "white segment lengths differ"),
+        *((np.abs(np.subtract(*length[m].reshape(-1, 2).T)) > tol,
+           f"{color} segment lengths differ") for m, color in ((black, BLACK), (~black, WHITE))),
     ])
-    # final segment order: left backward, left forward, right backward,
-    # right forward
+    # final order: left backward, left forward, right backward, right forward
     order = np.stack([lo[:, 0], hi[:, 0], lo[:, 1], hi[:, 1]], axis=1)
-    cols = [np.take_along_axis(a, order, axis=1).tolist()
-            for a in (left, black, face, slot, rev, t0, t1)]
-    order = order.tolist()
-    t_min, t_max = t_min.tolist(), t_max.tolist()
-    edges = []
-    for e in range(len(order)):
-        lf, bk, fc, sl, rv, a, b = (c[e] for c in cols)
-        tags = decks[e] if decks is not None else (None,) * 4
-        edges.append(TilingEdge(base[e], direction[e], t_min[e], t_max[e], tuple(
+    cols = zip(*(np.take_along_axis(a, order, axis=1).tolist()
+                 for a in (left, black, face, slot, rev, t0, t1)), order.tolist())
+    return [
+        TilingEdge(base[e], direction[e], t_min[e], t_max[e], tuple(
             EdgeSegment(Side.LEFT if lf[j] else Side.RIGHT, POSITIONS[j],
                         BLACK if bk[j] else WHITE, fc[j], sl[j], rv[j], a[j], b[j],
-                        tags[order[e][j]])
-            for j in range(4)
-        )))
-    return edges
+                        None if decks is None else decks[e][o[j]])
+            for j in range(4)))
+        for e, (lf, bk, fc, sl, rv, a, b, o) in enumerate(cols)
+    ]
 
 
 def _assert_handedness(T):
@@ -404,13 +378,8 @@ def assemble_tiling(sig, side, poles, points, white, black, edges, ambient="sphe
     spherical = sig is Signature.SPHERE
     ops = SphereOps if spherical else HyperbolicOps
     quads = [((fa, v), (fa, s), (fb, v), (fb, s)) for (v, s, fa, fb), _ in edges]
-    row = {}
-    for corners, _, _ in white + black:
-        for c in corners:
-            row.setdefault(c, len(row))
-    for quad in quads:
-        for c in quad:
-            row.setdefault(c, len(row))
+    keys = [c for cyc, _, _ in white + black for c in cyc] + [c for q in quads for c in q]
+    row = {c: r for r, c in enumerate(dict.fromkeys(keys))}
     img = project_points(np.array([poles[f] for f, _ in row]),
                          points[[v for _, v in row]], side, sig)
 
@@ -419,16 +388,14 @@ def assemble_tiling(sig, side, poles, points, white, black, edges, ambient="sphe
         corners = img[[row[c] for cyc, _, _ in faces for c in cyc]]
         sizes[color] = np.array([len(cyc) for cyc, _, _ in faces])
         starts = np.cumsum(sizes[color]) - sizes[color]
-        polys[color] = np.split(corners, starts[1:])
+        polys[color] = [corners[a:a + n] for a, n in zip(starts, sizes[color])]
         # normalized corner sums: interior points, read only for their side
         sums = np.add.reduceat(corners, starts)
         probes[color] = sums / np.sqrt(np.abs(ops.inner(sums, sums)))[:, None]
 
     E = len(edges)
-    a_v, a_s, b_v, b_s = (
-        img[np.array([[row[c] for c in quad] for quad in quads], dtype=int).reshape(E, 4)[:, j]]
-        for j in range(4)
-    )
+    a_v, a_s, b_v, b_s = img[np.array([[row[c] for c in quad] for quad in quads],
+                                      dtype=int).reshape(E, 4).T]
     direction, defined = ops.tangents(a_v, a_s)
     with np.errstate(invalid="ignore"):
         ell = ops.dist(a_v, a_s)
@@ -438,8 +405,7 @@ def assemble_tiling(sig, side, poles, points, white, black, edges, ambient="sphe
             gap = (gap + np.pi) % (2 * np.pi) - np.pi
     # slot j runs from its first corner at t = p to its second at t = p + d
     zero = np.zeros(E)
-    p = np.stack([zero, delta, zero, ell], axis=1)
-    d = np.stack([ell, ell, delta, delta], axis=1)
+    p, d = np.stack([zero, delta, zero, ell], 1), np.stack([ell, ell, delta, delta], 1)
     end = p + d
     face, k0, k1 = np.array([[seg[:3] for seg in segs] for _, segs in edges],
                             dtype=int).reshape(E, 4, 3).transpose(2, 0, 1)
@@ -449,10 +415,9 @@ def assemble_tiling(sig, side, poles, points, white, black, edges, ambient="sphe
     slot = np.where(forward, k0, k1)
     probe = np.concatenate([probes[WHITE][face[:, :2]], probes[BLACK][face[:, 2:]]], axis=1)
     decks = [tuple(seg[3] for seg in segs) for _, segs in edges]
-    has = np.array([[g is not None for g in tags] for tags in decks], dtype=bool).reshape(E, 4)
-    if has.any():
-        moved = np.array([g for tags in decks for g in tags if g is not None])
-        probe[has] = np.einsum("nij,nj->ni", moved, probe[has])
+    moved = _deck_rows([g for tags in decks for g in tags])
+    if moved is not None:
+        probe = np.einsum("nij,nj->ni", moved, probe.reshape(-1, 3)).reshape(E, 4, 3)
 
     tiling_edges = _build_edges(
         ops, a_v, direction, np.tile(np.array(SLOT_COLORS) == BLACK, (E, 1)), face, slot,
@@ -609,19 +574,8 @@ def recolor(T: FlippableTiling) -> FlippableTiling:
     """Swap black and white; reverses the handedness, involutive."""
     new_black = [replace(f, color=BLACK) for f in T.white]
     new_white = [replace(f, color=WHITE) for f in T.black]
-    edges = [
-        TilingEdge(
-            e.base,
-            e.direction,
-            e.t_min,
-            e.t_max,
-            tuple(
-                replace(s, color=BLACK if s.color == WHITE else WHITE)
-                for s in e.segments
-            ),
-        )
-        for e in T.edges
-    ]
+    edges = [replace(e, segments=tuple(replace(s, color=BLACK if s.color == WHITE else WHITE)
+                                       for s in e.segments)) for e in T.edges]
     return FlippableTiling(T.handedness.other, new_black, new_white, edges, T.ambient)
 
 
@@ -757,13 +711,16 @@ def _build_antipodal(V):
     # -P's; polygon edge 0 -> 1 lies on tiling edge i, edge 1 -> 0 on i+1
     white = [
         TilingFace(WHITE, np.array([V[(i + 1) % n], -V[(i + 1) % n]]), (0, 1),
-                   (i, (i + 1) % n), digon_angle=np.pi - angles[(i + 1) % n])
+                   (i, (i + 1) % n), digon_angle=float(np.pi - angles[(i + 1) % n]))
         for i in range(n)
     ]
 
     ell = ops.dist(V, nxt)
     probe_P = V.sum(axis=0) / np.linalg.norm(V.sum(axis=0))
-    digon = _digon_probes(V)
+    # digon i is bisected at v_{i+1}, between polygon edge i extended and
+    # polygon edge i + 1
+    bis = ops.tangent(nxt, -V) + ops.tangent(nxt, np.roll(V, -2, axis=0))
+    digon = ops.geodesic(nxt, bis / np.linalg.norm(bis, axis=1, keepdims=True), 1e-3)
     # per edge i: P and -P along polygon edge i; digon i-1 by its polygon
     # edge 1 (from -v_i back to v_i), params [0, pi]; digon i by its polygon
     # edge 0 (v_{i+1} to -v_{i+1}), params [ell, pi + ell]
@@ -782,16 +739,12 @@ def _build_antipodal(V):
         None,
     )
 
-    handedness = None
-    for e in edges:
-        for s in e.segments:
-            if s.color == BLACK and s.position == "forward":
-                h = Side.RIGHT if s.side is Side.RIGHT else Side.LEFT
-                if handedness is None:
-                    handedness = h
-                elif handedness is not h:
-                    raise GeometryError("inconsistent handedness")
-    T = FlippableTiling(handedness, black, white, edges)
+    # the tiling's handedness: the side where the black faces sit forward
+    sides = {s.side for e in edges for s in e.segments
+             if s.color == BLACK and s.position == "forward"}
+    if len(sides) != 1:
+        raise GeometryError("inconsistent handedness")
+    T = FlippableTiling(sides.pop(), black, white, edges)
     _assert_handedness(T)
     return T
 
@@ -804,11 +757,6 @@ def make_two_circles_tiling(n1, n2, side: Side) -> FlippableTiling:
     same color.  Both tiling edges are full great circles, parameterized
     over [0, 2 pi].  Swapping the circles yields the other handedness.
     """
-    return _build_two_circles(n1, n2, side)
-
-
-def _build_two_circles(n1, n2, side):
-    ops = SphereOps
     n1 = np.asarray(n1, dtype=float) / np.linalg.norm(n1)
     n2 = np.asarray(n2, dtype=float) / np.linalg.norm(n2)
     v = np.cross(n1, n2)
@@ -834,20 +782,9 @@ def _build_two_circles(n1, n2, side):
     # faces: black = (+,+) and (-,-); white = (+,-) and (-,+); vertex cycle
     # [v, -v]; polygon edge 0 lies on circle 1, edge 1 on circle 2
     signs = {BLACK: [(1, 1), (-1, -1)], WHITE: [(1, -1), (-1, 1)]}
-    placeholder = (0, 0)
-    faces = {
-        color: [
-            TilingFace(
-                color,
-                np.array([v, -v]),
-                placeholder,
-                (0, 1),
-                digon_angle=lune_angle(s1, s2),
-            )
-            for (s1, s2) in signs[color]
-        ]
-        for color in (BLACK, WHITE)
-    }
+    faces = {color: [TilingFace(color, np.array([v, -v]), (0, 0), (0, 1),
+                                digon_angle=lune_angle(s1, s2)) for s1, s2 in signs[color]]
+             for color in (BLACK, WHITE)}
 
     # edge 0 on circle 1, edge 1 on circle 2; per edge the segments of the
     # black lunes, then the white ones
@@ -867,7 +804,7 @@ def _build_two_circles(n1, n2, side):
     black, face, slot, rev, t0, t1, probes = (
         np.array(c).reshape((2, 4) + np.shape(c[0])) for c in zip(*rows)
     )
-    edges = _build_edges(ops, np.array([v, v]), np.array(directions), black, face,
+    edges = _build_edges(SphereOps, np.array([v, v]), np.array(directions), black, face,
                          slot, rev, t0, t1, probes, None)
 
     # association of corners to opposite faces, from the gluing orbits
@@ -904,43 +841,16 @@ def _build_two_circles(n1, n2, side):
     # On a closed geodesic the forward direction of each edge is a genuine
     # choice (the "two choices for the edges" of the construction); orient
     # every edge so the black faces sit forward on the requested side.
-    def black_forward_side(e):
-        return next(
-            s.side for s in e.segments
-            if s.color == BLACK and s.position == "forward"
-        )
-
     want = Side.RIGHT if side is Side.RIGHT else Side.LEFT
-    fixed_edges = []
-    for e in T.edges:
-        if black_forward_side(e) is not want:
-            e = TilingEdge(
-                e.base, e.direction, e.t_min, e.t_max,
-                tuple(
-                    replace(
-                        s,
-                        position="forward" if s.position == "backward" else "backward",
-                    )
-                    for s in e.segments
-                ),
-            )
-        fixed_edges.append(e)
-    T.edges = fixed_edges
+    for ei, e in enumerate(T.edges):
+        if next(s.side for s in e.segments
+                if s.color == BLACK and s.position == "forward") is not want:
+            T.edges[ei] = replace(e, segments=tuple(
+                replace(s, position="forward" if s.position == "backward" else "backward")
+                for s in e.segments))
     T.handedness = side
     _assert_handedness(T)
     return T
-
-
-def _digon_probes(V):
-    """Interior points of the digons, row i that of the digon spanned by
-    vertex i+1 of the polygon."""
-    ops = SphereOps
-    v1, v2 = np.roll(V, -1, axis=0), np.roll(V, -2, axis=0)
-    # the digon is bisected at the shared vertex v_{i+1} of polygon edges
-    # i and i + 1
-    bis = ops.tangent(v1, -V) + ops.tangent(v1, v2)  # along edge i extended, edge i+1
-    bis /= np.linalg.norm(bis, axis=1, keepdims=True)
-    return ops.geodesic(v1, bis, 1e-3)
 
 
 # -- validation ----------------------------------------------------------------
@@ -951,56 +861,45 @@ def validate_tiling(T: FlippableTiling, tol_scale=1.0) -> TilingReport:
 
     Covers: face convexity and positive area, the area budget (sphere),
     per-edge segment structure, the handedness rule, equal black and equal
-    white lengths, and coincidence of linked corners.  Every clause is
-    evaluated over all faces, corners or segments at once; the failures
-    are listed face by face, then edge by edge (each edge's clauses in the
+    white lengths, and coincidence of linked corners.  Each clause is
+    evaluated over all faces, segments or corners at once; failures are
+    listed face by face, then edge by edge (each edge's clauses in the
     order above), then corner by corner.  Assumes the structure the
     `tiling.v1` loader enforces: four segments per edge, two of each color,
     and face, polygon-edge and link indices in range.
     """
     ops = T.ops
-    failures = []
-    if T.handedness not in (Side.LEFT, Side.RIGHT):
-        failures.append("unknown handedness")
-
-    faces = T.black + T.white
-    nb = len(T.black)
-    color_of = [BLACK] * nb + [WHITE] * len(T.white)
-    index_of = list(range(nb)) + list(range(len(T.white)))
-    digon = np.array([f.is_digon for f in faces], dtype=bool)
+    failures = [] if T.handedness in (Side.LEFT, Side.RIGHT) else ["unknown handedness"]
+    faces, nb = T.black + T.white, len(T.black)
+    names = [f"{BLACK} face {i}" for i in range(nb)] + [
+        f"{WHITE} face {i}" for i in range(len(T.white))]
     areas = _face_areas(ops, faces)
-    for g in np.flatnonzero(~digon & (areas <= 0)):
-        failures.append(f"{color_of[g]} face {index_of[g]} has nonpositive area")
+    digon = np.array([f.is_digon for f in faces], dtype=bool)
+    failures += [f"{names[g]} has nonpositive area"
+                 for g in np.flatnonzero(~digon & (areas <= 0))]
     if T.is_spherical:
         budget = abs(float(areas.sum()) - 4 * np.pi)
         if budget > EPS_AREA * tol_scale * 10:
             failures.append(f"area budget off by {budget:.2e}")
-
     verts, starts, sizes = _stack(faces)
     if T.edges:
-        failures += _edge_failures(T, ops, verts, starts, sizes, 1e-7 * tol_scale,
-                                   1e-6 * tol_scale)
+        failures += _edge_failures(T, verts, starts, sizes, tol_scale)
 
     # Linked corners coincide (deck-translated for hyperbolic quotients):
     # each corner against every vertex of its linked face, in one gather.
-    linked = np.array([l + (nb if g < nb else 0)
-                       for g, f in enumerate(faces) for l in f.links], dtype=int)
+    linked = np.array([l + (nb if g < nb else 0) for g, f in enumerate(faces)
+                       for l in f.links], dtype=int)
     counts = sizes[linked]
     offsets = np.cumsum(counts) - counts
     corner = np.repeat(np.arange(len(verts)), counts)
-    pts = verts[np.repeat(starts[linked] - offsets, counts) + np.arange(counts.sum())]
-    decks = _deck_rows([g for f in faces
-                        for g in (f.decks if f.decks is not None else (None,) * len(f))])
+    pts = verts[np.repeat(starts[linked] - offsets, counts) + np.arange(len(corner))]
+    decks = _deck_rows([g for f in faces for g in f.decks or (None,) * len(f)])
     if decks is not None:
         pts = np.einsum("nij,nj->ni", decks[corner], pts)
-    dist = np.linalg.norm(pts - verts[corner], axis=1)
-    if len(dist):
-        dist = np.minimum.reduceat(dist, offsets)
+    dist = np.minimum.reduceat(np.linalg.norm(pts - verts[corner], axis=1), offsets)
     face_of = np.repeat(np.arange(len(faces)), sizes)
-    for r in np.flatnonzero(dist > 1e-6 * tol_scale):
-        g = face_of[r]
-        failures.append(f"{color_of[g]} face {index_of[g]} corner {r - starts[g]} "
-                        "does not meet its linked face")
+    failures += [f"{names[face_of[r]]} corner {r - starts[face_of[r]]} does not meet "
+                 "its linked face" for r in np.flatnonzero(dist > 1e-6 * tol_scale)]
     return TilingReport(not failures, failures)
 
 
@@ -1012,70 +911,54 @@ def _deck_rows(tags):
     return np.array([np.eye(3) if g is None else g for g in tags])
 
 
-def _edge_failures(T, ops, verts, starts, sizes, tol, geo_tol):
-    """The per-edge failures of `validate_tiling`, edge by edge."""
-    segs = [s for e in T.edges for s in e.segments]
-
-    def rows(values, dtype):
-        return np.array(values, dtype=dtype).reshape(len(T.edges), 4)
-
-    left = rows([s.side is Side.LEFT for s in segs], bool)
-    black = rows([s.color == BLACK for s in segs], bool)
-    face = rows([s.face for s in segs], int)
-    k = rows([s.face_edge for s in segs], int)
-    rev = rows([s.reversed for s in segs], bool)
-    t0 = rows([s.t0 for s in segs], float)
-    t1 = rows([s.t1 for s in segs], float)
+def _edge_failures(T, verts, starts, sizes, tol_scale):
+    """The failures of the per-edge clauses, edge by edge."""
+    E, segs = len(T.edges), [s for e in T.edges for s in e.segments]
     want = Side.RIGHT if T.handedness is Side.RIGHT else Side.LEFT
-    pos_ok = rows([s.position == ("forward" if s.side is want else "backward")
-                   for s in segs], bool)
-
+    left, black, rev, pos_ok = (np.array(c, dtype=bool).reshape(E, 4) for c in zip(*(
+        (s.side is Side.LEFT, s.color == BLACK, s.reversed,
+         s.position == ("forward" if s.side is want else "backward")) for s in segs)))
+    face, k, t0, t1 = (np.array(c).reshape(E, 4) for c in zip(*(
+        (s.face, s.face_edge, s.t0, s.t1) for s in segs)))
+    tol = 1e-7 * tol_scale
     pair_ok, lo, hi = _side_pairs(left, black, t0)
-    at = np.arange(len(t0))[:, None]
+    at = np.arange(E)[:, None]
     abut = np.abs(t1[at, lo] - t0[at, hi]) > tol
     length = t1 - t0
-    black_len, white_len = length[black].reshape(-1, 2), length[~black].reshape(-1, 2)
-    black_diff = np.abs(black_len[:, 0] - black_len[:, 1]) > tol
-    white_diff = np.abs(white_len[:, 0] - white_len[:, 1]) > tol
+    unequal = [np.abs(np.subtract(*length[m].reshape(-1, 2).T)) > tol for m in (black, ~black)]
     handed = black & ~pos_ok
-
     # Geometry: the carried polygon edges must sit on the geodesic at the
     # recorded parameters.
-    g = np.where(black, face, face + len(T.black))
+    g = face + np.where(black, 0, len(T.black))
     ends = [verts[starts[g] + (k + j) % sizes[g]] for j in (0, 1)]
     decks = _deck_rows([s.deck for s in segs])
     if decks is not None:
-        decks = decks.reshape(len(T.edges), 4, 3, 3)
-        ends = [np.einsum("...ij,...j->...i", decks, v) for v in ends]
-    base = np.array([e.base for e in T.edges])[:, None, :]
-    direction = np.array([e.direction for e in T.edges])[:, None, :]
-    err0, err1 = (
-        np.linalg.norm(ops.geodesic(base, direction, t[..., None]) - v, axis=-1)
-        for t, v in zip((np.where(rev, t1, t0), np.where(rev, t0, t1)), ends)
-    )
+        ends = [np.einsum("nij,nj->ni", decks, v.reshape(-1, 3)).reshape(E, 4, 3)
+                for v in ends]
+    base, direction = (np.array([getattr(e, a) for e in T.edges])[:, None]
+                       for a in ("base", "direction"))
+    params = (np.where(rev, t1, t0), np.where(rev, t0, t1))
+    err0, err1 = (np.linalg.norm(T.ops.geodesic(base, direction, t[..., None]) - v, axis=-1)
+                  for t, v in zip(params, ends))
     err = np.where(err1 > err0, err1, err0)  # Python's max(err0, err1)
-    off = err > geo_tol
+    off = err > 1e-6 * tol_scale
 
     failures = []
-    bad = ~pair_ok.all(1) | abut.any(1) | black_diff | white_diff | handed.any(1) | off.any(1)
+    bad = ~pair_ok.all(1) | abut.any(1) | unequal[0] | unequal[1] | handed.any(1) | off.any(1)
     for ei in np.flatnonzero(bad):
-        e = T.edges[ei]
-        for j, side in enumerate((Side.LEFT, Side.RIGHT)):
+        segs = T.edges[ei].segments
+        for j, side in enumerate(("left", "right")):
             if not pair_ok[ei, j]:
-                failures.append(f"edge {ei}: side {side.value} lacks black+white pair")
+                failures.append(f"edge {ei}: side {side} lacks black+white pair")
             elif abut[ei, j]:
                 failures.append(f"edge {ei}: segments do not abut")
-        if black_diff[ei]:
-            failures.append(f"edge {ei}: black lengths differ")
-        if white_diff[ei]:
-            failures.append(f"edge {ei}: white lengths differ")
-        for q in np.flatnonzero(handed[ei]):
-            s = e.segments[q]
-            failures.append(f"edge {ei}: black is {s.position} on the {s.side.value}")
-        for q in np.flatnonzero(off[ei]):
-            s = e.segments[q]
-            failures.append(f"edge {ei}: {s.color} face {s.face} edge {s.face_edge} "
-                            f"off geodesic by {err[ei, q]:.2e}")
+        failures += [f"edge {ei}: {c} lengths differ" for c, u in zip((BLACK, WHITE), unequal)
+                     if u[ei]]
+        failures += [f"edge {ei}: black is {segs[q].position} on the {segs[q].side.value}"
+                     for q in np.flatnonzero(handed[ei])]
+        failures += [f"edge {ei}: {segs[q].color} face {segs[q].face} edge "
+                     f"{segs[q].face_edge} off geodesic by {err[ei, q]:.2e}"
+                     for q in np.flatnonzero(off[ei])]
     return failures
 
 
@@ -1094,14 +977,12 @@ def kabsch(A, B):
 
 def tiling_isometry_error(T1, T2):
     """Max vertex distance between matched faces after optimal alignment."""
-    A = np.vstack(
-        [f.vertices for f in T1.black] + [f.vertices for f in T1.white]
-    )
-    B = np.vstack(
-        [f.vertices for f in T2.black] + [f.vertices for f in T2.white]
-    )
+    return _aligned_error(*(_stack(T.black + T.white)[0] for T in (T1, T2)), "tilings")
+
+
+def _aligned_error(A, B, what):
     if A.shape != B.shape:
-        raise GeometryError("tilings are not combinatorially matched")
+        raise GeometryError(f"{what} are not combinatorially matched")
     R = kabsch(A, B)
     return float(np.max(np.linalg.norm(A @ R.T - B, axis=1)))
 
@@ -1125,14 +1006,11 @@ def _match_faces_under(R, faces1, faces2, tol):
                 continue
             k = len(g)
             for r in range(k):
-                idx = [(r + i) % k for i in range(k)]
-                err = float(np.max(np.linalg.norm(moved - g.vertices[idx], axis=1)))
-                if best is None or err < best[0]:
-                    best = (err, j)
-                idx = [(r - i) % k for i in range(k)]
-                err = float(np.max(np.linalg.norm(moved - g.vertices[idx], axis=1)))
-                if err < best[0]:
-                    best = (err, j)
+                for step in (1, -1):
+                    idx = [(r + step * i) % k for i in range(k)]
+                    err = float(np.max(np.linalg.norm(moved - g.vertices[idx], axis=1)))
+                    if best is None or err < best[0]:
+                        best = (err, j)
         if best is None or best[0] > tol:
             return None
         used.add(best[1])
@@ -1191,12 +1069,8 @@ def tiling_equality_error(T1, T2):
 
 def polyhedron_isometry_error(P, Q, vertex_map=None):
     """Max vertex distance between P and Q after optimal SO(4) alignment."""
-    A = P.vertices
     B = Q.vertices if vertex_map is None else Q.vertices[list(vertex_map)]
-    if A.shape != B.shape:
-        raise GeometryError("polyhedra are not combinatorially matched")
-    R = kabsch(A, B)
-    return float(np.max(np.linalg.norm(A @ R.T - B, axis=1)))
+    return _aligned_error(P.vertices, B, "polyhedra")
 
 
 def polygon_congruent(len_a, ang_a, len_b, ang_b, tol=1e-8):
