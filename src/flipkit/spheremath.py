@@ -5,12 +5,12 @@ hyperboloid x1^2 + x2^2 - x3^2 = -1, x3 > 0.  Both expose the same small
 vocabulary (distance, tangent directions, geodesics, sides of an oriented
 geodesic) so the tiling machinery can stay surface-agnostic.
 
-Every helper works row by row: points are arrays (..., 3), and a scalar
-result comes back with the leading shape, so one call serves one vector or
-all corners of a tiling.  Each row gets the bits of the same call on that
-row alone: the sphere's inner product is `np.vecdot` over unit-stride rows,
-which sums a row as `np.dot` sums one vector, and the hyperboloid form is
-the sum over the last axis.
+Every helper works row by row: points are arrays whose last axis holds the
+coordinates, and a scalar result comes back with the leading shape, so one
+call serves one vector or all corners of a tiling.  Each row gets the bits
+of the same call on that row alone: the sphere's inner product is
+`np.vecdot` over unit-stride rows, which sums a row as `np.dot` sums one
+vector, and the hyperboloid form is the sum over the last axis.
 """
 
 import numpy as np

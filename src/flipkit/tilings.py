@@ -732,7 +732,7 @@ def _build_antipodal(V):
         np.column_stack([zero, one, (i - 1) % n, i]),
         np.column_stack([i, i, one, zero]),
         np.tile([False, False, True, False], (n, 1)),
-        np.column_stack([0.0 * pi, pi, 0.0 * pi, ell]),
+        np.column_stack([np.zeros(n), pi, np.zeros(n), ell]),
         np.column_stack([ell, pi + ell, pi, pi + ell]),
         np.stack([np.tile(probe_P, (n, 1)), np.tile(-probe_P, (n, 1)),
                   np.roll(digon, 1, axis=0), digon], axis=1),
