@@ -375,12 +375,12 @@ def tiling_from_dict(data):
         raise SchemaError("face: a digon has two vertices, a polygon at least three")
     angles = iter(_finite_list([a for a in digon if a is not None], "digon angles").tolist())
     digon = [None if a is None else next(angles) for a in digon]
-    links, n = _lists([fd["links"] for fd in faces], "face links")
-    refs, m = _lists([fd["edge_refs"] for fd in faces], "face edge_refs")
+    links, n_links = _lists([fd["links"] for fd in faces], "face links")
+    refs, n_refs = _lists([fd["edge_refs"] for fd in faces], "face edge_refs")
     decks = [fd.get("decks") for fd in faces]
-    tags, k = _lists([d for d in decks if d is not None], "face decks")
-    if not (np.array_equal(n, sizes) and np.array_equal(m, sizes)
-            and np.array_equal(k, sizes[[d is not None for d in decks]])):
+    tags, n_decks = _lists([d for d in decks if d is not None], "face decks")
+    if not (np.array_equal(n_links, sizes) and np.array_equal(n_refs, sizes)
+            and np.array_equal(n_decks, sizes[[d is not None for d in decks]])):
         raise SchemaError("face: links, edge_refs and decks need one entry per vertex")
     _indices(links, np.repeat(np.where(black, count[WHITE], count[BLACK]), sizes),
              "face links")

@@ -859,14 +859,14 @@ def make_two_circles_tiling(n1, n2, side: Side) -> FlippableTiling:
 def validate_tiling(T: FlippableTiling, tol_scale=1.0) -> TilingReport:
     """Check the defining clauses of a flippable tiling.
 
-    Covers: face convexity and positive area, the area budget (sphere),
-    per-edge segment structure, the handedness rule, equal black and equal
-    white lengths, and coincidence of linked corners.  Each clause is
-    evaluated over all faces, segments or corners at once; failures are
-    listed face by face, then edge by edge (each edge's clauses in the
-    order above), then corner by corner.  Assumes the structure the
-    `tiling.v1` loader enforces: four segments per edge, two of each color,
-    and face, polygon-edge and link indices in range.
+    Covers: positive face area, the area budget (sphere), per-edge
+    segment structure, the handedness rule, equal black and equal white
+    lengths, segments on their geodesic, and coincidence of linked
+    corners.  Each clause is evaluated over all faces, segments or corners
+    at once; failures are listed face by face, then edge by edge (each
+    edge's clauses in the order above), then corner by corner.  Assumes
+    the structure the `tiling.v1` loader enforces: four segments per edge,
+    two of each color, and face, polygon-edge and link indices in range.
     """
     ops = T.ops
     failures = [] if T.handedness in (Side.LEFT, Side.RIGHT) else ["unknown handedness"]

@@ -701,46 +701,40 @@ def test_build_edges_matches_reference(kind):
     assert_same_edges(batched_build_edges(ops, rows),
                       [reference_build_edge(ops, *r) for r in rows])
 
-    def corrupt(ei, j, **change):
+    def corrupt(ei, changes):
+        """Edge ei's entries with {entry index: {field: value}} applied.
+        `edge_rows` lists an edge's entries in reverse segment order, so
+        entries 3, 2, 1, 0 are the left backward, left forward, right
+        backward and right forward segments."""
         entries = [dict(e) for e in rows[ei][2]]
-        entries[j].update(change)
+        for j, change in changes.items():
+            entries[j].update(change)
         return entries
 
-    def on_lo_side(ei):
-        # the entry whose segment comes first on its side, and its partner
-        s = reference_build_edge(ops, *rows[ei]).segments
-        idx = [next(j for j, e in enumerate(rows[ei][2])
-                    if (e["color"], e["face"], e["face_edge"]) == (g.color, g.face, g.face_edge))
-               for g in s]
-        return idx
+    def unequal_black(ei):
+        # move the inner end point of the side whose backward segment is black
+        e = rows[ei][2]
+        back, fwd = (3, 2) if e[3]["color"] == BLACK else (1, 0)
+        return corrupt(ei, {back: {"t1": e[back]["t1"] + 1e-5},
+                            fwd: {"t0": e[fwd]["t0"] + 1e-5}})
 
-    cases = {}
-    cases["probe on geodesic"] = {1: corrupt(1, 2, probe=rows[1][0])}
-    cases["three on one side"] = {2: corrupt(2, 0, probe=-rows[2][2][0]["probe"])}
-    lo, hi = on_lo_side(3)[:2]
-    gap = [dict(e) for e in rows[3][2]]
-    gap[lo]["t1"] -= 1e-3
-    cases["gap in partition"] = {3: gap}
-    black_lo = next(j for j in (on_lo_side(4)[0], on_lo_side(4)[2])
-                    if rows[4][2][j]["color"] == BLACK)
-    order = on_lo_side(4)
-    partner = order[order.index(black_lo) + 1]
-    shifted = [dict(e) for e in rows[4][2]]
-    shifted[black_lo]["t1"] += 1e-5
-    shifted[partner]["t0"] += 1e-5
-    cases["unequal black lengths"] = {4: shifted}
-    cases["two corrupted edges"] = {5: gap if False else corrupt(5, 1, probe=rows[5][0]),
-                                    2: cases["three on one side"][2]}
-    messages = set()
-    for name, change in cases.items():
+    three_on_one_side = corrupt(2, {0: {"probe": -rows[2][2][0]["probe"]}})
+    probe = "face probe sits on the edge geodesic"
+    sides = "each edge side needs one black and one white segment"
+    cases = [
+        ({1: corrupt(1, {2: {"probe": rows[1][0]}})}, probe),
+        ({2: three_on_one_side}, sides),
+        ({3: corrupt(3, {3: {"t1": rows[3][2][3]["t1"] - 1e-3}})},
+         "segments do not partition the edge"),
+        ({4: unequal_black(4)}, "black segment lengths differ"),
+        ({5: corrupt(5, {1: {"probe": rows[5][0]}}), 2: three_on_one_side}, sides),
+    ]
+    for change, message in cases:
         bad = [(b, d, change.get(ei, entries)) for ei, (b, d, entries) in enumerate(rows)]
-        with pytest.raises(GeometryError) as want:
+        with pytest.raises(GeometryError, match=f"^{message}$"):
             [reference_build_edge(ops, *r) for r in bad]
-        with pytest.raises(GeometryError) as got:
+        with pytest.raises(GeometryError, match=f"^{message}$"):
             batched_build_edges(ops, bad)
-        assert str(got.value) == str(want.value), name
-        messages.add(str(want.value))
-    assert len(messages) == 4
 
 
 if __name__ == "__main__":
