@@ -254,6 +254,18 @@ def _raise_first(clauses):
         raise GeometryError(msg if isinstance(msg, str) else msg(e))
 
 
+def _first_last(m):
+    """Per row of an (E, 4) mask, its first and its last marked column: the
+    row's pair when it marks two."""
+    return np.argmax(m, axis=1), 3 - np.argmax(m[:, ::-1], axis=1)
+
+
+def _pair_diff(values, m):
+    """|a - b| over the pair each row of the mask m marks."""
+    rows, (first, last) = np.arange(len(m)), _first_last(m)
+    return np.abs(values[rows, first] - values[rows, last])
+
+
 def _side_pairs(left, black, t0):
     """Per edge and side (left, right): whether that side holds one black
     and one white segment, and its two segments in order of t0 (a stable
@@ -261,8 +273,7 @@ def _side_pairs(left, black, t0):
     rows = np.arange(len(t0))
     ok, lo, hi = [], [], []
     for m in (left, ~left):
-        first = np.argmax(m, axis=1)
-        second = 3 - np.argmax(m[:, ::-1], axis=1)
+        first, second = _first_last(m)
         swap = t0[rows, second] < t0[rows, first]
         ok.append((m.sum(axis=1) == 2) & ((m & black).sum(axis=1) == 1))
         lo.append(np.where(swap, second, first))
@@ -300,8 +311,8 @@ def _build_edges(ops, base, direction, black, face, slot, rev, t0, t1, probes,
             (~pair_ok[:, j], "each edge side needs one black and one white segment"),
             (partition[:, j], "segments do not partition the edge"),
         )),
-        *((np.abs(np.subtract(*length[m].reshape(-1, 2).T)) > tol,
-           f"{color} segment lengths differ") for m, color in ((black, BLACK), (~black, WHITE))),
+        *((_pair_diff(length, m) > tol, f"{color} segment lengths differ")
+          for m, color in ((black, BLACK), (~black, WHITE))),
     ])
     # final order: left backward, left forward, right backward, right forward
     order = np.stack([lo[:, 0], hi[:, 0], lo[:, 1], hi[:, 1]], axis=1)
@@ -925,7 +936,7 @@ def _edge_failures(T, verts, starts, sizes, tol_scale):
     at = np.arange(E)[:, None]
     abut = np.abs(t1[at, lo] - t0[at, hi]) > tol
     length = t1 - t0
-    unequal = [np.abs(np.subtract(*length[m].reshape(-1, 2).T)) > tol for m in (black, ~black)]
+    unequal = [_pair_diff(length, m) > tol for m in (black, ~black)]
     handed = black & ~pos_ok
     # Geometry: the carried polygon edges must sit on the geodesic at the
     # recorded parameters.

@@ -728,6 +728,8 @@ def test_build_edges_matches_reference(kind):
          "segments do not partition the edge"),
         ({4: unequal_black(4)}, "black segment lengths differ"),
         ({5: corrupt(5, {1: {"probe": rows[5][0]}}), 2: three_on_one_side}, sides),
+        ({6: corrupt(6, {0: {"color": BLACK if rows[6][2][0]["color"] == WHITE else WHITE}})},
+         sides),
     ]
     for change, message in cases:
         bad = [(b, d, change.get(ei, entries)) for ei, (b, d, entries) in enumerate(rows)]
