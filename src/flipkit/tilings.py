@@ -483,11 +483,6 @@ def project(P: ConvexPolyhedron, side: Side) -> FlippableTiling:
 # -- development back to a polyhedron -----------------------------------------
 
 
-def _equator_points(vertices):
-    """Points of the tiling sphere as points of e* = {x1 = 0} in S^3."""
-    return np.hstack([np.zeros((len(vertices), 1)), vertices])
-
-
 def white_polyhedron(T: FlippableTiling) -> ConvexPolyhedron:
     """Develop the white faces of a spherical tiling into a convex polyhedron.
 
@@ -514,12 +509,12 @@ def white_polyhedron(T: FlippableTiling) -> ConvexPolyhedron:
     frontier, color = [0], BLACK
     while frontier:
         faces = [T.faces(color)[i] for i in frontier]
+        v = np.concatenate([f.vertices for f in faces])
+        q = np.hstack([np.zeros((len(v), 1)), v])  # the corners as points of e* in S^3
         if color == BLACK:
-            done, placed, other = apex, pole, WHITE
-            q = inv4(_equator_points(np.concatenate([f.vertices for f in faces])), sig)
+            done, placed, other, q = apex, pole, WHITE, inv4(q, sig)
         else:
             done, placed, other = pole, apex, BLACK
-            q = _equator_points(np.concatenate([f.vertices for f in faces]))
         g = np.repeat([done[i] for i in frontier], [len(f) for f in faces], axis=0)
         g = mul4(q, g, sig) if left_handed else mul4(g, q, sig)
         frontier, known = [], []
