@@ -8,7 +8,6 @@ round-trips exactly.
 
 import functools
 import json
-import math
 
 import numpy as np
 

@@ -438,7 +438,6 @@ def test_validate_detects_swapped_labels(small_corpus):
     assert any("forward" in f or "backward" in f for f in rep.failures)
 
 
-
 # -- batched validator and edge builder against the per-item references --------
 
 
@@ -580,10 +579,10 @@ def batched_build_edges(ops, rows):
     )
 
 
-def ads_surface(n, side_heights=(0.5, 0.7, 0.62)):
+def ads_surface(n, heights=(0.5, 0.7, 0.62)):
     pts = [(0.3, 0.1), (-0.4, 0.35), (0.0, -0.5)][:n]
     rays = np.array([[x, y, np.sqrt(1.0 + x * x + y * y)] for x, y in pts])
-    return orbit_hull(FuchsianConfig(genus2_group(), rays, np.array(side_heights[:n])))
+    return orbit_hull(FuchsianConfig(genus2_group(), rays, np.array(heights[:n])))
 
 
 def sample_tilings():
