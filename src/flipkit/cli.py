@@ -31,9 +31,13 @@ EXIT_NONCONVERGENCE = 4
 
 def _tol_scale():
     try:
-        return float(os.environ.get("FLIPKIT_TOL", "1.0"))
+        scale = float(os.environ.get("FLIPKIT_TOL", "1.0"))
     except ValueError:
         raise SchemaError("FLIPKIT_TOL must be a number")
+    # with nan or inf every tolerance comparison would be false
+    if not 0.0 < scale < np.inf:
+        raise SchemaError("FLIPKIT_TOL must be a positive finite number")
+    return scale
 
 
 def _side(name):

@@ -19,13 +19,13 @@ fails, R grows by 0.5 up to R_MAX = 10, past which GeometryError is raised.
 Its faces come from the chart hull -> merged faces path of `polyhedra`,
 with the future poles of the space-like planes.
 
-One star kernel serves AdS_3 and S^3 (`star_geometry`, with a
-`StarSignature`): given a vertex and its neighbour cycle as arrays it
-returns the edge lengths, apex angles and wedge angles of the star in one
-pass.  Cone angles are summed from its wedge angles and face areas from
-the same tangent and angle primitives, and one assembly (`_assemble`)
-builds the Jacobian of either signature; only the family (sinh, cosh) or
-(sin, cos) differs.
+One star kernel serves AdS_3 and S^3 (`star_geometry`, on the star
+quadric `spheremath.ADS_STAR` or `SPHERE_STAR`): given a vertex and its
+neighbour cycle as arrays it returns the edge lengths, apex angles and
+wedge angles of the star in one pass.  Cone angles are summed from its
+wedge angles, and one assembly (`_assemble`) builds the Jacobian of either
+quadric; only the family (sinh, cosh) or (sin, cos) differs.  Distances,
+tangents, angles and face areas are the primitives of `spheremath`.
 
 Group elements are identified by one rule.  The elements of a ball
 (`FuchsianGroup.ball`) carry integer ids, their positions in
@@ -44,23 +44,19 @@ import itertools
 import logging
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from scipy.spatial import ConvexHull as EuclideanHull
 from scipy.spatial import QhullError, cKDTree
 
 from .errors import ConvergenceError, DevelopmentError, GeometryError
-from .forms import ADS_E, SPHERE_E, Signature
+from .forms import ADS_E, Signature
 from .polyhedra import cyclic_face_order, hull, merge_triangles, triangle_poles
-from .spheremath import Q_HYP, HyperbolicOps
+from .spheremath import ADS_STAR, SPHERE_STAR, HyperbolicOps
 from .tilings import ConeMetric, ConePoint, assemble_tiling, tiling_equality_error
 from .trig import convexity_sign
 
 logger = logging.getLogger("flipkit.fuchsian")
-
-Q_ADS = np.array([1.0, 1.0, -1.0, -1.0])
-O_APEX = np.array([0.0, 0.0, 0.0, -1.0])    # dual of H antipodal to H* = (0, 0, 0, 1)
 
 EPS_EQUIVARIANT = 1e-8
 
@@ -198,14 +194,11 @@ class FuchsianGroup:
 
     def domain_area(self):
         """Area of the fundamental polygon from its vertex angles."""
-        v = self.vertices
-        k = len(v)
-        angles = [HyperbolicOps.angle(v[i], v[i - 1], v[(i + 1) % k]) for i in range(k)]
-        return (k - 2) * np.pi - float(sum(angles))
+        return HyperbolicOps.polygon_area(self.vertices)
 
     def contains(self, p, tol=1e-9):
         """Is the hyperboloid point p inside the fundamental polygon?"""
-        return bool(np.all(self.side_normals @ (Q_HYP * p) <= tol))
+        return bool(np.all(self.side_normals @ (HyperbolicOps.form * p) <= tol))
 
     def elements(self, radius):
         """The distinct elements moving the center o = (0, 0, 1) by at most
@@ -557,8 +550,7 @@ class FuchsianSurface:
 
     def face_area(self, fi):
         """Hyperbolic area of a space-like face via its angle sum."""
-        angles = polygon_angles(self.points4[self.faces[fi].vertex_ids]).tolist()
-        return (len(angles) - 2) * np.pi - float(sum(angles))
+        return ADS_STAR.polygon_area(self.points4[self.faces[fi].vertex_ids])
 
     def quotient_area(self):
         """Total face area of a fundamental set of faces."""
@@ -718,7 +710,7 @@ def _truncated_hull(config, radius):
     # faces visible from the origin, with future poles; time-like planes
     # are truncation artifacts
     simplices = ch.simplices[ch.equations[:, 3] > 1e-13]
-    poles, q = triangle_poles(points4, simplices, Q_ADS, ADS_E)
+    poles, q = triangle_poles(points4, simplices, ADS_STAR.form, ADS_E)
     spacelike = q < -1e-12
     simplices, poles = simplices[spacelike], poles[spacelike]
     first, ids = merge_triangles(simplices, poles)
@@ -729,94 +721,26 @@ def _truncated_hull(config, radius):
 # -- the star kernel: cone angles and the Jacobian --------------------------------
 
 
-@dataclass(frozen=True)
-class StarSignature:
-    """A quadric <x, x> = kappa of R^4, the apex o its vertex stars look
-    back to, and the trigonometric family of its edges.
-
-    AdS_3 (`ADS_STAR`): kappa = -1, o = -H*, S = sinh and C = cosh.  S^3
-    (`SPHERE_STAR`): kappa = +1, o = e, S = sin and C = cos.  `length` maps
-    kappa <x, y> to the edge length ell; `apex_angle` maps <t_o, t> to the
-    signed angle rho between the apex direction and the edge, S(rho) =
-    <t_o, t>, which on S^3 is the complement of the angle between them.
-    `S` and `C` are `math` functions, `length` and `apex_angle` numpy ones.
-    """
-
-    form: np.ndarray
-    kappa: float
-    apex: np.ndarray
-    S: Callable
-    C: Callable
-    length: Callable
-    apex_angle: Callable
-
-
-ADS_STAR = StarSignature(
-    Q_ADS, -1.0, O_APEX, math.sinh, math.cosh,
-    lambda c: np.arccosh(np.maximum(c, 1.0)), np.arcsinh,
-)
-SPHERE_STAR = StarSignature(
-    np.ones(4), 1.0, SPHERE_E, math.sin, math.cos,
-    lambda c: np.arccos(np.clip(c, -1.0, 1.0)),
-    lambda s: np.arcsin(np.clip(s, -1.0, 1.0)),
-)
-
-
-def _inner(u, v, sig):
-    """Row-wise <u, v>, each row summed left to right like one 4-vector."""
-    return np.sum(u * v * sig.form, axis=-1)
-
-
-def _unit_tangents(at, toward, ip, sig, sign=1.0):
-    """Unit tangents at the points `at` toward `toward`, row-wise, given
-    ip = <at, toward>; `sign` is the sign of their squared length."""
-    w = toward - (sig.kappa * ip)[..., None] * at
-    q = sign * _inner(w, w, sig)
-    if np.any(q <= 1e-26):
-        raise GeometryError("tangent direction is degenerate or of the wrong type")
-    return w / np.sqrt(q)[..., None]
-
-
-def _apex_tangents(pts, sig):
-    return _unit_tangents(pts, sig.apex, _inner(sig.apex, pts, sig), sig, sig.kappa)
-
-
-def _angles(ta, tb, sig):
-    return np.arccos(np.clip(_inner(ta, tb, sig), -1.0, 1.0))
-
-
 def _wedges(x, ys, sig):
-    """<x, ys>, the unit edge tangents at x and the wedge angles of a star."""
-    ip = _inner(x, ys, sig)
-    t = _unit_tangents(x, ys, ip, sig)
-    return ip, t, _angles(t, np.roll(t, -1, axis=0), sig)
+    """The unit edge tangents at x and the wedge angles of a star."""
+    t = sig.tangent(x, ys)
+    return t, sig.angle_between(t, np.roll(t, -1, axis=0))
 
 
 def star_geometry(x, ys, sig=ADS_STAR):
     """Edge lengths ell, apex angles rho_x at x and rho_s at the neighbours,
     and wedge angles omega of the star at x whose neighbour cycle is the
-    rows of ys; omega[j] lies between ys[j] and ys[j + 1 mod m]."""
-    ip, t, omega = _wedges(x, ys, sig)
-    ell = sig.length(sig.kappa * ip)
-    rho_x = sig.apex_angle(_inner(_apex_tangents(x[None], sig), t, sig))
-    back = _unit_tangents(ys, x, ip, sig)
-    rho_s = sig.apex_angle(_inner(_apex_tangents(ys, sig), back, sig))
-    return ell, rho_x, rho_s, omega
-
-
-def polygon_angles(pts):
-    """Angle at each corner of a polygon in AdS_3, between the edges toward
-    the previous and the next corner."""
-    prev, nxt = np.roll(pts, 1, axis=0), np.roll(pts, -1, axis=0)
-    ta = _unit_tangents(pts, prev, _inner(pts, prev, ADS_STAR), ADS_STAR)
-    tb = _unit_tangents(pts, nxt, _inner(pts, nxt, ADS_STAR), ADS_STAR)
-    return _angles(ta, tb, ADS_STAR)
+    rows of ys; omega[j] lies between ys[j] and ys[j + 1 mod m].  `sig` is
+    the star quadric, `ADS_STAR` or `SPHERE_STAR`."""
+    t, omega = _wedges(x, ys, sig)
+    rho_s = sig.apex_angles(ys, sig.tangent(ys, x))
+    return sig.dist(x, ys), sig.apex_angles(x, t), rho_s, omega
 
 
 def _cone_angle(star, pts, sig=ADS_STAR):
     """Total wedge angle of a star with its vertices at `pts`, summed in
     cycle order."""
-    omega = _wedges(pts[star.vertex], pts[star.neighbors], sig)[2]
+    omega = _wedges(pts[star.vertex], pts[star.neighbors], sig)[1]
     return float(np.add.accumulate(omega)[-1])
 
 
@@ -851,8 +775,8 @@ def cone_angles_fixed_combinatorics(surf, heights):
 def _edge_dihedrals(omega, rho, sig):
     """Per edge j of a star, the signed dihedrals along it inside the wedges
     j - 1 and j: (S rho_other - cos omega S rho_j) / (sin omega C rho_j)."""
-    s = [sig.S(r) for r in rho]
-    c = [sig.C(r) for r in rho]
+    s = [sig.trig.S(r) for r in rho]
+    c = [sig.trig.C(r) for r in rho]
     cos_w = [math.cos(w) for w in omega]
     sin_w = [math.sin(w) for w in omega]
     m = len(rho)
@@ -888,7 +812,7 @@ def _assemble(stars, pts, index, n, sig):
     -C(ell) D C(rho_x) / S(ell) on the diagonal; an edge joining x to its
     own orbit gives D C(rho_x) (1 - C(ell)) / S(ell).
     """
-    S, C = sig.S, sig.C
+    S, C = sig.trig.S, sig.trig.C
     J = np.zeros((n, n))
     for star in stars:
         ix = index(star.vertex)
@@ -1076,8 +1000,7 @@ class DualFace:
     plane_pole: np.ndarray
 
     def area(self):
-        angles = polygon_angles(self.vertices).tolist()
-        return (len(angles) - 2) * np.pi - float(sum(angles))
+        return ADS_STAR.polygon_area(self.vertices)
 
 
 def _link_faces(star):

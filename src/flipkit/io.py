@@ -137,13 +137,10 @@ def polyhedron_from_dict(data):
     faces = data.get("faces")
     if faces is None:
         return hull(verts)
-    cycles = []
-    for f in faces:
-        cyc = [int(i) for i in f]
-        if any(i < 0 or i >= len(verts) for i in cyc):
-            raise SchemaError("face references a missing vertex")
-        cycles.append(tuple(cyc))
-    return from_vertices_and_faces(verts, cycles)
+    ids, sizes = _lists(faces, "faces")
+    ids = _indices(ids, len(verts), "faces").tolist()
+    starts = np.cumsum(sizes) - sizes
+    return from_vertices_and_faces(verts, [tuple(ids[a:a + k]) for a, k in zip(starts, sizes)])
 
 
 # -- tiling.v1 -----------------------------------------------------------------
@@ -271,8 +268,8 @@ def _enum(values, allowed, what):
 
 
 def _lists(values, what):
-    """JSON lists, flattened, with the length of each."""
-    if not all(isinstance(v, list) for v in values):
+    """A JSON list of JSON lists, flattened, with the length of each."""
+    if not (isinstance(values, list) and all(isinstance(v, list) for v in values)):
         raise SchemaError(f"{what}: expected a list")
     return [x for v in values for x in v], np.array([len(v) for v in values], dtype=int)
 
@@ -284,8 +281,11 @@ def _indices(values, bound, what, nullable=False):
     if nullable:
         null = np.array([i is None for i in values], dtype=bool)
         values = [-1 if i is None else i for i in values]
-    arr = np.array(values)
-    if arr.size and arr.dtype.kind not in "iu":
+    try:
+        arr = np.array(values)
+    except ValueError:  # lists nested to uneven depths
+        arr = None
+    if arr is None or arr.ndim != 1 or (arr.size and arr.dtype.kind not in "iu"):
         raise SchemaError(f"{what}: expected integer indices")
     arr = arr.astype(np.int64)
     bad = (arr < 0) | (arr >= bound)

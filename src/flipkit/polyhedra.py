@@ -20,7 +20,7 @@ from scipy.spatial import QhullError
 
 from .errors import GeometryError
 from .forms import Signature, cross4
-from .spheremath import SphereOps
+from .spheremath import SPHERE_STAR, SphereOps
 
 EPS_PLANE = 1e-9
 EPS_HEMISPHERE = 1e-8
@@ -51,39 +51,14 @@ def normalize_rows(a):
 
 @dataclass(frozen=True)
 class SphericalPolygon:
-    """Convex polygon on the unit 2-sphere; digons carry their angle."""
+    """Convex polygon on the unit 2-sphere, measured by `SphereOps`."""
 
     vertices: np.ndarray
-    digon_angle: float = None
-
-    @property
-    def is_digon(self):
-        return self.digon_angle is not None
 
     def __len__(self):
         return len(self.vertices)
 
-    def edge_lengths(self):
-        if self.is_digon:
-            return np.array([np.pi, np.pi])
-        v = self.vertices
-        return SphereOps.dist(v, np.roll(v, -1, axis=0))
-
-    def interior_angles(self):
-        if self.is_digon:
-            return np.array([self.digon_angle, self.digon_angle])
-        v = self.vertices
-        return SphereOps.angle(v, np.roll(v, 1, axis=0), np.roll(v, -1, axis=0))
-
-    def area(self):
-        if self.is_digon:
-            return 2.0 * self.digon_angle
-        angles = self.interior_angles()
-        return float(SphereOps.polygon_areas(sum(angles), len(angles)))
-
     def is_convex(self, tol=1e-9):
-        if self.is_digon:
-            return True
         v = self.vertices
         k = len(v)
         signs = []
@@ -101,12 +76,6 @@ class SphericalPolygon:
         return bool(np.all(signs >= -tol) or np.all(signs <= tol))
 
 
-def make_digon(v, angle):
-    """Digon with antipodal vertices v, -v and the given interior angle."""
-    verts = np.array([v, -np.asarray(v)])
-    return SphericalPolygon(verts, digon_angle=float(angle))
-
-
 def _complement_basis(u):
     """Orthonormal basis of the 3-space orthogonal to a unit 4-vector u,
     by Gram-Schmidt over the coordinate axes."""
@@ -121,23 +90,6 @@ def _complement_basis(u):
         if len(basis) == 3:
             break
     return np.array(basis)
-
-
-@dataclass(frozen=True)
-class PolarLink:
-    """Spherical polygon of outward face normals at a vertex."""
-
-    polygon: SphericalPolygon
-    face_order: tuple
-
-    def edge_lengths(self):
-        return self.polygon.edge_lengths()
-
-    def interior_angles(self):
-        return self.polygon.interior_angles()
-
-    def area(self):
-        return self.polygon.area()
 
 
 class ConvexPolyhedron:
@@ -299,48 +251,41 @@ class ConvexPolyhedron:
         return SphericalPolygon(normalize_rows(coords))
 
     def face_area(self, fi):
-        return self.face_polygon(fi).area()
+        return SphereOps.polygon_area(self.face_polygon(fi).vertices)
 
     def boundary_area(self):
         return float(sum(self.face_area(fi) for fi in range(self.n_faces)))
 
     def exterior_dihedral(self, edge):
-        """Exterior dihedral angle along an edge, from the two face poles."""
+        """Exterior dihedral angle along an edge: the distance of its two
+        face poles."""
         i, j, fa, fb = edge
-        c = np.dot(self.face_poles[fa], self.face_poles[fb])
-        return float(np.arccos(np.clip(c, -1.0, 1.0)))
+        return float(SPHERE_STAR.dist(self.face_poles[fa], self.face_poles[fb]))
 
     def polar_link(self, vi):
-        """Link of outward unit normals at vertex vi.
+        """Link of outward unit normals at vertex vi: one corner per face of
+        `face_cycle_at_vertex`, in its order or the reverse.
 
         Edge lengths equal the exterior dihedral angles of the incident
         edges; interior angles are pi minus the face angles at vi.
         """
-        order = self.face_cycle_at_vertex(vi)
         basis = self.tangent_basis(vi)
-        outward = np.array([-self.face_poles[fi] for fi in order])
+        outward = np.array([-self.face_poles[fi] for fi in self.face_cycle_at_vertex(vi)])
         coords = normalize_rows(outward @ basis.T)
         poly = SphericalPolygon(coords)
         if not poly.is_convex(tol=1e-7):
             # The edge walk may run clockwise; both orientations are valid.
             poly = SphericalPolygon(coords[::-1])
-        return PolarLink(poly, tuple(order))
+        return poly
 
     def vertex_cone_angle(self, vi):
         """Sum of the incident face angles at vertex vi."""
-        total = 0.0
-        v = self.vertices[vi]
-        for fi in self.faces_at_vertex(vi):
-            face = self.faces[fi]
-            pos = face.index(vi)
-            prv = self.vertices[face[(pos - 1) % len(face)]]
-            nxt = self.vertices[face[(pos + 1) % len(face)]]
-            ta = prv - np.dot(prv, v) * v
-            tb = nxt - np.dot(nxt, v) * v
-            ta /= np.linalg.norm(ta)
-            tb /= np.linalg.norm(tb)
-            total += float(np.arccos(np.clip(np.dot(ta, tb), -1.0, 1.0)))
-        return total
+        faces = [self.faces[fi] for fi in self.faces_at_vertex(vi)]
+        at = [f.index(vi) for f in faces]
+        prv = [f[k - 1] for f, k in zip(faces, at)]
+        nxt = [f[(k + 1) % len(f)] for f, k in zip(faces, at)]
+        v = self.vertices
+        return float(SPHERE_STAR.angle(v[vi], v[prv], v[nxt]).sum())
 
 
 # -- construction: one chart hull -> merged faces path for S^3 and AdS_3 ------

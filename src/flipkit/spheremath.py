@@ -1,124 +1,195 @@
-"""Intrinsic geometry helpers for the two tiling surfaces.
+"""Row-wise metric primitives of the quadrics flipkit works on.
 
-`SphereOps` works on the unit sphere of R^3, `HyperbolicOps` on the upper
-hyperboloid x1^2 + x2^2 - x3^2 = -1, x3 > 0.  Both expose the same small
-vocabulary (distance, tangent directions, geodesics, sides of an oriented
-geodesic) so the tiling machinery can stay surface-agnostic.
+A `Quadric` is the surface <x, x> = kappa of a diagonal form, with the
+curvature sign kappa = +1 or -1 and the trigonometric family of its
+geodesics, (cos, sin) or (cosh, sinh).  The one type has four instances:
+
+- `SphereOps`, the unit sphere S^2 of R^3, and `HyperbolicOps`, the upper
+  hyperboloid x1^2 + x2^2 - x3^2 = -1, x3 > 0: the surfaces tilings live on;
+- `SPHERE_STAR`, the 3-sphere, and `ADS_STAR`, anti-de Sitter space
+  x1^2 + x2^2 - x3^2 - x4^2 = -1: the quadrics of spherical star polyhedra
+  and Fuchsian surfaces, which carry the apex o their vertex stars look
+  back to.
+
+Each primitive is written once for all four: the distance, the unit
+tangent at x toward y along w = y - kappa <x, y> x, the angle between
+tangents, the corner angles of polygons, their Gauss-Bonnet areas, and the
+geodesics.
 
 Every helper works row by row: points are arrays whose last axis holds the
 coordinates, and a scalar result comes back with the leading shape, so one
 call serves one vector or all corners of a tiling.  Each row gets the bits
-of the same call on that row alone: the sphere's inner product is
+of the same call on that row alone: the inner product of S^2 is
 `np.vecdot` over unit-stride rows, which sums a row as `np.dot` sums one
-vector, and the hyperboloid form is the sum over the last axis.
+vector, and that of the other quadrics is the sum of u * v * form over the
+last axis.
 """
+
+import math
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .errors import GeometryError
+from .forms import SPHERE_E, Signature
 
-Q_HYP = np.array([1.0, 1.0, -1.0])
+TINY = 1e-26   # a tangent whose squared length is below this is undefined
 
 
-class _SurfaceOps:
-    """The helpers both surfaces derive from `inner` and `tangents`."""
+@dataclass(frozen=True)
+class Trig:
+    """A trigonometric family.  C and S are `math` functions of one float,
+    cos and sin numpy functions of rows; arc_c and arc_s invert C and S,
+    clamped to their range, and param(c, s) is the parameter t with
+    (C(t), S(t)) = (c, s)."""
 
-    @classmethod
-    def tangent(cls, u, v):
-        """Unit tangents at u toward v; raises where one is undefined."""
-        t, defined = cls.tangents(u, v)
+    C: Callable
+    S: Callable
+    cos: Callable
+    sin: Callable
+    arc_c: Callable
+    arc_s: Callable
+    param: Callable
+
+
+CIRCULAR = Trig(
+    math.cos, math.sin, np.cos, np.sin,
+    lambda c: np.arccos(np.clip(c, -1.0, 1.0)),
+    lambda s: np.arcsin(np.clip(s, -1.0, 1.0)),
+    lambda c, s: np.arctan2(s, c),
+)
+HYPERBOLIC = Trig(
+    math.cosh, math.sinh, np.cosh, np.sinh,
+    lambda c: np.arccosh(np.maximum(c, 1.0)), np.arcsinh,
+    lambda c, s: np.arcsinh(s),
+)
+
+
+class Quadric:
+    """Row-wise primitives of the quadric <x, x> = kappa of a diagonal form.
+
+    form              : the diagonal of the form
+    kappa             : the curvature sign, +1 or -1
+    trig              : the family of its geodesics, CIRCULAR or HYPERBOLIC
+    tangent_undefined : the message of GeometryError for a tangent with no
+                        direction
+    apex              : the apex o of a star quadric, None on S^2 and H^2
+    inner             : the row-wise inner product, when it is not the sum
+                        of u * v * form over the last axis
+    """
+
+    def __init__(self, form, kappa, trig, tangent_undefined, apex=None, inner=None):
+        self.form = np.asarray(form, dtype=float)
+        self.kappa = kappa
+        self.trig = trig
+        self.tangent_undefined = tangent_undefined
+        self.apex = apex
+        if inner is not None:
+            self.inner = inner
+
+    def inner(self, u, v):
+        """Row-wise <u, v>, each row summed left to right like one vector."""
+        return np.sum(u * v * self.form, axis=-1)
+
+    def dist(self, u, v):
+        return self.trig.arc_c(self.kappa * self.inner(u, v))
+
+    def tangents(self, x, y, sign=1):
+        """Unit tangents at the points x toward y, and where they are
+        defined: w = y - kappa <x, y> x scaled to sign <w, w> = 1, defined
+        where sign <w, w> is not below TINY.  `sign` is the sign of <w, w>:
+        -1 for the time-like directions toward the apex of AdS_3."""
+        w = y - (self.kappa * self.inner(x, y))[..., None] * x
+        q = sign * self.inner(w, w)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return w / np.sqrt(q)[..., None], ~(q < TINY)
+
+    def tangent(self, x, y, sign=1):
+        """Unit tangents at x toward y; raises where one is undefined."""
+        t, defined = self.tangents(x, y, sign)
         if not np.all(defined):
-            raise GeometryError(cls.TANGENT_UNDEFINED)
+            raise GeometryError(self.tangent_undefined)
         return t
 
-    @classmethod
-    def angle(cls, u, a, b):
-        """Angle at u between the geodesics toward a and b."""
-        c = cls.inner(cls.tangent(u, a), cls.tangent(u, b))
-        return np.arccos(np.clip(c, -1.0, 1.0))
+    def angle_between(self, s, t):
+        """Angle between the unit tangents s and t at one point."""
+        return CIRCULAR.arc_c(self.inner(s, t))
 
-    @classmethod
-    def side(cls, x, normal):
-        return cls.inner(x, normal)
+    def angle(self, x, a, b):
+        """Angle at x between the geodesics toward a and b."""
+        return self.angle_between(self.tangent(x, a), self.tangent(x, b))
 
-    @classmethod
-    def polygon_areas(cls, angle_sums, corners):
-        """Areas of geodesic polygons from their angle sums and corner
-        counts (Gauss-Bonnet)."""
-        return cls.curvature * (angle_sums - (corners - 2) * np.pi)
+    def apex_angles(self, x, t):
+        """Signed angles rho at the points x between the direction toward
+        the apex and the unit tangents t: S(rho) = <t_o, t>, which on S^3
+        is the complement of the angle between them."""
+        return self.trig.arc_s(self.inner(self.tangent(x, self.apex, self.kappa), t))
+
+    def corner_angles(self, verts, sizes):
+        """Angle at every corner of polygons stacked as rows of verts,
+        polygon i taking the next sizes[i] rows in cyclic order: the angle
+        between the edges toward the previous and the next corner."""
+        first, k = _cycles(sizes)
+        size = np.repeat(sizes, sizes)
+        return self.angle(verts, verts[first + (k - 1) % size],
+                          verts[first + (k + 1) % size])
+
+    def polygon_areas(self, angles, sizes):
+        """Gauss-Bonnet areas of polygons from their corner angles, stacked
+        as in `corner_angles`; each polygon sums its angles in cycle order."""
+        sizes = np.asarray(sizes)
+        _, k = _cycles(sizes)
+        rows = np.zeros((len(sizes), sizes.max()))
+        rows[np.repeat(np.arange(len(sizes)), sizes), k] = angles
+        sums = np.add.accumulate(rows, axis=1)[:, -1]
+        return self.kappa * (sums - (sizes - 2) * np.pi)
+
+    def polygon_area(self, verts):
+        """Gauss-Bonnet area of the polygon with its corners at the rows of
+        verts."""
+        sizes = [len(verts)]
+        return float(self.polygon_areas(self.corner_angles(verts, sizes), sizes)[0])
+
+    def geodesic(self, p, t, s):
+        return self.trig.cos(s) * p + self.trig.sin(s) * t
+
+    def geodesic_param(self, p, t, x):
+        """The s with geodesic(p, t, s) = x, for x on it; in (-pi, pi] on
+        S^2."""
+        return self.trig.param(self.kappa * self.inner(x, p), self.inner(x, t))
+
+    def geodesic_normal(self, p, q):
+        """Unit normal of the oriented geodesic from p through q (S^2, H^2)."""
+        n = self.form * np.cross(p, q)
+        n2 = self.inner(n, n)
+        if np.any(n2 < TINY):
+            raise GeometryError("geodesic normal undefined (coincident or antipodal points)")
+        return n / np.sqrt(n2)[..., None]
+
+    def side(self, x, normal):
+        return self.inner(x, normal)
 
 
-class SphereOps(_SurfaceOps):
-    curvature = 1
-    TANGENT_UNDEFINED = "tangent direction undefined (coincident or antipodal)"
-
-    @staticmethod
-    def inner(u, v):
-        return np.vecdot(np.ascontiguousarray(u), np.ascontiguousarray(v))
-
-    @staticmethod
-    def dist(u, v):
-        return np.arccos(np.clip(SphereOps.inner(u, v), -1.0, 1.0))
-
-    @staticmethod
-    def tangents(u, v):
-        """Unit tangents at u toward v, and where they are defined."""
-        w = v - SphereOps.inner(u, v)[..., None] * u
-        n = np.sqrt(SphereOps.inner(w, w))  # np.linalg.norm, row by row
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return w / n[..., None], ~(n < 1e-13)
-
-    @staticmethod
-    def geodesic(p, t, s):
-        return np.cos(s) * p + np.sin(s) * t
-
-    @staticmethod
-    def geodesic_param(p, t, x):
-        """The s in (-pi, pi] with geodesic(p, t, s) = x, for x on it."""
-        return np.arctan2(SphereOps.inner(x, t), SphereOps.inner(x, p))
-
-    @staticmethod
-    def geodesic_normal(p, q):
-        """Unit normal of the oriented geodesic from p through q."""
-        n = np.cross(p, q)
-        norm = np.sqrt(SphereOps.inner(n, n))
-        if np.any(norm < 1e-13):
-            raise GeometryError("geodesic through (anti)podal points is not unique")
-        return n / norm[..., None]
+def _cycles(sizes):
+    """Per row of polygons stacked with sizes[i] corners each, the row
+    where its polygon starts and its position in that polygon."""
+    first = np.repeat(np.cumsum(sizes) - sizes, sizes)
+    return first, np.arange(len(first)) - first
 
 
-class HyperbolicOps(_SurfaceOps):
-    curvature = -1
-    TANGENT_UNDEFINED = "tangent direction undefined (coincident points)"
+def _vecdot(u, v):
+    """The inner product of S^2: np.vecdot over unit-stride rows."""
+    return np.vecdot(np.ascontiguousarray(u), np.ascontiguousarray(v))
 
-    @staticmethod
-    def inner(u, v):
-        return np.sum(u * v * Q_HYP, axis=-1)
 
-    @staticmethod
-    def dist(u, v):
-        return np.arccosh(np.maximum(-HyperbolicOps.inner(u, v), 1.0))
+_STAR_UNDEFINED = "tangent direction is degenerate or of the wrong type"
 
-    @staticmethod
-    def tangents(u, v):
-        w = v + HyperbolicOps.inner(u, v)[..., None] * u
-        n = HyperbolicOps.inner(w, w)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return w / np.sqrt(n)[..., None], ~(n < 1e-26)
-
-    @staticmethod
-    def geodesic(p, t, s):
-        return np.cosh(s) * p + np.sinh(s) * t
-
-    @staticmethod
-    def geodesic_param(p, t, x):
-        """The s with geodesic(p, t, s) = x, for x on it."""
-        return np.arcsinh(HyperbolicOps.inner(x, t))
-
-    @staticmethod
-    def geodesic_normal(p, q):
-        n = Q_HYP * np.cross(p, q)
-        norm2 = HyperbolicOps.inner(n, n)
-        if np.any(norm2 < 1e-26):
-            raise GeometryError("degenerate geodesic")
-        return n / np.sqrt(norm2)[..., None]
+SphereOps = Quadric(np.ones(3), 1, CIRCULAR,
+                    "tangent direction undefined (coincident or antipodal)", inner=_vecdot)
+HyperbolicOps = Quadric([1.0, 1.0, -1.0], -1, HYPERBOLIC,
+                        "tangent direction undefined (coincident points)")
+SPHERE_STAR = Quadric(Signature.SPHERE.diag, 1, CIRCULAR, _STAR_UNDEFINED, apex=SPHERE_E)
+# apex -H*: the dual of H antipodal to H* = (0, 0, 0, 1)
+ADS_STAR = Quadric(Signature.ADS.diag, -1, HYPERBOLIC, _STAR_UNDEFINED,
+                   apex=np.array([0.0, 0.0, 0.0, -1.0]))

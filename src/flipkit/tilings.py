@@ -65,18 +65,6 @@ class TilingFace:
     def is_digon(self):
         return self.digon_angle is not None
 
-    def edge_lengths(self, ops):
-        if self.is_digon:
-            return np.array([np.pi, np.pi])
-        v = self.vertices
-        return ops.dist(v, np.roll(v, -1, axis=0))
-
-    def interior_angles(self, ops):
-        return _corner_angles(ops, [self])[0]
-
-    def area(self, ops):
-        return float(_face_areas(ops, [self])[0])
-
 
 @dataclass(frozen=True)
 class EdgeSegment:
@@ -214,25 +202,20 @@ def _corner_angles(ops, faces):
     from one row-wise pass; a digon's corners carry its digon angle.
     Returns the angles and the row where each face starts."""
     verts, starts, sizes = _stack(faces)
-    first, size = np.repeat(starts, sizes), np.repeat(sizes, sizes)
-    poly = np.flatnonzero(np.repeat([not f.is_digon for f in faces], sizes))
+    polygon = np.array([not f.is_digon for f in faces], dtype=bool)
     angles = np.repeat([f.digon_angle if f.is_digon else 0.0 for f in faces],
                        sizes).astype(float)
-    prev, nxt = (first[poly] + (poly - first[poly] + s) % size[poly] for s in (-1, 1))
-    angles[poly] = ops.angle(verts[poly], verts[prev], verts[nxt])
+    rows = np.repeat(polygon, sizes)
+    angles[rows] = ops.corner_angles(verts[rows], sizes[polygon])
     return angles, starts
 
 
 def _face_areas(ops, faces):
-    """Areas of `faces` (Gauss-Bonnet) from one pass over all corners."""
+    """Areas of `faces` (Gauss-Bonnet; a digon's is twice its angle) from
+    one pass over all corners."""
     if not faces:
         return np.empty(0)
-    angles, starts = _corner_angles(ops, faces)
-    areas = ops.polygon_areas(np.add.reduceat(angles, starts),
-                              np.array([len(f) for f in faces]))
-    digon = np.array([f.is_digon for f in faces])
-    areas[digon] = 2.0 * angles[starts[digon]]
-    return areas
+    return ops.polygon_areas(_corner_angles(ops, faces)[0], [len(f) for f in faces])
 
 
 # -- edge assembly ------------------------------------------------------------
@@ -435,7 +418,7 @@ def assemble_tiling(sig, side, poles, points, white, black, edges, ambient="sphe
         np.where(forward, d < 0, d > 0), np.where(end < p, end, p),
         np.where(end > p, end, p), probe, decks,
         checks=[
-            (~defined, ops.TANGENT_UNDEFINED),
+            (~defined, ops.tangent_undefined),
             (np.abs(gap) > (1e-8 if spherical else 1e-7), "projected edge image is not rigid"),
             (~adjacent.all(axis=1), lambda e: f"{SLOT_COLORS[np.argmin(adjacent[e])]} "
                                               "corners of an edge are not adjacent"),
@@ -661,7 +644,7 @@ def _cone_metric(T, color):
         raise GeometryError(
             f"{len(points)} cone points for {expected} opposite faces"
         )
-    return ConeMetric(ops.curvature, points)
+    return ConeMetric(ops.kappa, points)
 
 
 def black_metric(T: FlippableTiling) -> ConeMetric:
@@ -704,7 +687,7 @@ def _build_antipodal(V):
     nxt = np.roll(V, -1, axis=0)
     # blacks: 0 = P, 1 = -P; whites: digon i has vertices (v_{i+1}, -v_{i+1})
     # and is bounded by the great circles of polygon edges i and i+1.
-    angles = ops.angle(V, np.roll(V, 1, axis=0), nxt)
+    angles = ops.corner_angles(V, [n])
 
     # P corner at v_i (index i) meets digon (i-1); polygon edge i lies on
     # tiling edge i.
@@ -779,7 +762,7 @@ def make_two_circles_tiling(n1, n2, side: Side) -> FlippableTiling:
         d2 /= np.linalg.norm(d2)
         if s1 * np.dot(d2, n1) < 0:
             d2 = -d2
-        return float(np.arccos(np.clip(np.dot(d1, d2), -1.0, 1.0)))
+        return float(SphereOps.angle_between(d1, d2))
 
     def lune_probe(s1, s2):
         w = s1 * n1 + s2 * n2

@@ -53,6 +53,17 @@ def random_polyhedron(rng, n, radial=(0.45, 0.95)):
     raise RuntimeError("could not sample a valid polyhedron")
 
 
+def edge_lengths(ops, verts):
+    """Lengths of the edges k -> k + 1 of the polygon whose corners are the
+    rows of verts, on the surface of `ops`."""
+    return ops.dist(verts, np.roll(verts, -1, axis=0))
+
+
+def corner_angles(ops, verts):
+    """Corner angles of the polygon whose corners are the rows of verts."""
+    return ops.corner_angles(verts, [len(verts)])
+
+
 def polyhedron_corpus(seed, count, sizes=(6, 14)):
     rng = np.random.default_rng(seed)
     out = []

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import polyhedron_corpus
+from conftest import corner_angles, edge_lengths, polyhedron_corpus
 from flipkit.errors import DegenerateTriangleError, GeometryError
 from flipkit.fuchsian import (
     FuchsianConfig,
@@ -128,16 +128,16 @@ def test_criterion_2_projection_correspondence(corpus):
             fp = P.face_polygon(fi)
             wf = T.white[fi]
             assert polygon_congruent(
-                fp.edge_lengths(), fp.interior_angles(),
-                wf.edge_lengths(SphereOps), wf.interior_angles(SphereOps),
+                edge_lengths(SphereOps, fp.vertices), corner_angles(SphereOps, fp.vertices),
+                edge_lengths(SphereOps, wf.vertices), corner_angles(SphereOps, wf.vertices),
                 tol=1e-8,
             )
         for vi in range(P.n_vertices):
             link = P.polar_link(vi)
             bf = T.black[vi]
             assert polygon_congruent(
-                link.polygon.edge_lengths(), link.polygon.interior_angles(),
-                bf.edge_lengths(SphereOps), bf.interior_angles(SphereOps),
+                edge_lengths(SphereOps, link.vertices), corner_angles(SphereOps, link.vertices),
+                edge_lengths(SphereOps, bf.vertices), corner_angles(SphereOps, bf.vertices),
                 tol=1e-8,
             )
     elapsed = time.time() - t0
@@ -400,8 +400,8 @@ def test_criterion_10_symmetric_tiling(solved):
         Tr = ads_project(surf, Side.LEFT)
         Tl = ads_project(surf, Side.RIGHT)
         for br, bl in zip(Tr.black, Tl.black):
-            sr = np.sort(br.edge_lengths(HyperbolicOps))
-            sl = np.sort(bl.edge_lengths(HyperbolicOps))
+            sr = np.sort(edge_lengths(HyperbolicOps, br.vertices))
+            sl = np.sort(edge_lengths(HyperbolicOps, bl.vertices))
             worst_spec = max(worst_spec, float(np.max(np.abs(sr - sl))))
         FF = flip(flip(Tr))
         worst_flip = max(worst_flip, tiling_equality_error(Tr, FF))

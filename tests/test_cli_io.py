@@ -478,12 +478,28 @@ def test_cli_check_rejects_malformed_fuchsian(tmp_path, capsys, change):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("face", [
+    ["a", 1, 2], {"a": 1}, 5, [5, [0, 1, 3]], [0, 1, None], [0, 1.5, 2], "012",
+], ids=["index-string", "object", "number", "nested-list", "index-null",
+        "index-float", "string"])
+def test_cli_check_rejects_malformed_polyhedron_faces(tmp_path, capsys, tetrahedron, face):
+    d = fio.polyhedron_to_dict(tetrahedron)
+    d["faces"][d["faces"].index([0, 1, 2])] = face
+    f = tmp_path / "p.json"
+    f.write_text(json.dumps(d))
+    assert main(["check", "--in", str(f)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_cli_tol_env_must_be_numeric(tmp_path, monkeypatch, tetrahedron):
     monkeypatch.setenv("FLIPKIT_TOL", "not-a-number")
     p = write_poly(tmp_path, tetrahedron)
     t = str(tmp_path / "t.json")
     assert main(["project", "--in", p, "--out", t]) == 0  # tol unused here
-    assert main(["check", "--in", t]) == 2
+    # with nan or inf every tolerance comparison is false: all are refused
+    for bad in ("not-a-number", "nan", "inf", "-inf", "0", "-1e-3"):
+        monkeypatch.setenv("FLIPKIT_TOL", bad)
+        assert main(["check", "--in", t]) == 2
     monkeypatch.setenv("FLIPKIT_TOL", "10.0")
     assert main(["check", "--in", t]) == 0
 

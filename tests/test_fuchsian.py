@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import edge_lengths
 from flipkit import fuchsian
 from flipkit import io as fio
 from flipkit.errors import ConvergenceError, GeometryError
@@ -37,13 +38,12 @@ from flipkit.fuchsian import (
     sph_star_jacobian,
     star_polyhedron,
     wedge_convexity,
-    Q_ADS,
     _build_star,
     _certified_hull,
     _truncated_hull,
 )
 from flipkit.polyhedra import cyclic_face_order
-from flipkit.spheremath import HyperbolicOps
+from flipkit.spheremath import ADS_STAR, HyperbolicOps
 from flipkit.tilings import Side, flip, tiling_equality_error, validate_tiling
 from flipkit.trig import ConvexityClass
 
@@ -617,7 +617,7 @@ def test_dual_involution(group):
     surf = out["surface"]
     duals, _ = minkowski_dual(surf)
     for df in duals:
-        pole = Q_ADS * cross4(df.vertices[0], df.vertices[1], df.vertices[2])
+        pole = ADS_STAR.form * cross4(df.vertices[0], df.vertices[1], df.vertices[2])
         pole = pole / math.sqrt(-ads_inner(pole, pole))
         if pole[3] < 0:
             pole = -pole
@@ -639,9 +639,7 @@ def test_projection_handedness_and_validity(surf2):
 def test_projection_area_budget(surf1, surf2):
     for surf in (surf1, surf2):
         T = ads_project(surf, Side.LEFT)
-        total = sum(f.area(HyperbolicOps) for f in T.white) + sum(
-            f.area(HyperbolicOps) for f in T.black
-        )
+        total = T.total_area()
         assert total == pytest.approx(4 * np.pi, abs=1e-6)
 
 
@@ -649,8 +647,8 @@ def test_projection_black_faces_are_links(surf2):
     # black face areas equal minus the curvatures (polar link areas)
     T = ads_project(surf2, Side.LEFT)
     k = curvatures(surf2)
-    for i, b in enumerate(T.black):
-        assert b.area(HyperbolicOps) == pytest.approx(-k[i], abs=1e-8)
+    for i, area in enumerate(T.black_areas()):
+        assert area == pytest.approx(-k[i], abs=1e-8)
 
 
 def test_symmetric_tiling_spectra(surf1, surf2):
@@ -659,8 +657,8 @@ def test_symmetric_tiling_spectra(surf1, surf2):
         Tl = ads_project(surf, Side.RIGHT)
         for br, bl in zip(Tr.black, Tl.black):
             np.testing.assert_allclose(
-                np.sort(br.edge_lengths(HyperbolicOps)),
-                np.sort(bl.edge_lengths(HyperbolicOps)),
+                np.sort(edge_lengths(HyperbolicOps, br.vertices)),
+                np.sort(edge_lengths(HyperbolicOps, bl.vertices)),
                 atol=1e-7,
             )
 

@@ -6,23 +6,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import ConvexHull as EuclideanHull
 
-from conftest import random_polyhedron, regular_tetrahedron
+from conftest import corner_angles, edge_lengths, random_polyhedron, regular_tetrahedron
 from flipkit.errors import GeometryError
 from flipkit.polyhedra import (
     MERGE_TOL,
     ConvexPolyhedron,
-    SphericalPolygon,
     from_chart,
     from_vertices_and_faces,
     hull,
-    make_digon,
     merge_triangles,
     normalize_rows,
     polar_dual,
     to_chart,
 )
 from flipkit.spheremath import SphereOps
-from flipkit.tilings import Side, project, white_polyhedron
+from flipkit.tilings import WHITE, FlippableTiling, Side, TilingFace, project, white_polyhedron
 
 
 def face_pole(points, interior):
@@ -118,11 +116,12 @@ def test_dual_face_congruent_to_link(small_corpus):
         fi = int(np.argmin(np.linalg.norm(D.face_poles - P.vertices[vi], axis=1)))
         assert np.linalg.norm(D.face_poles[fi] - P.vertices[vi]) < 1e-9
         face_poly = D.face_polygon(fi)
-        a = np.sort(link.edge_lengths())
-        b = np.sort(face_poly.edge_lengths())
+        a = np.sort(edge_lengths(SphereOps, link.vertices))
+        b = np.sort(edge_lengths(SphereOps, face_poly.vertices))
         np.testing.assert_allclose(a, b, atol=1e-9)
         np.testing.assert_allclose(
-            np.sort(link.interior_angles()), np.sort(face_poly.interior_angles()), atol=1e-9
+            np.sort(corner_angles(SphereOps, link.vertices)),
+            np.sort(corner_angles(SphereOps, face_poly.vertices)), atol=1e-9
         )
 
 
@@ -130,11 +129,11 @@ def test_polar_link_properties(small_corpus):
     P = small_corpus[1]
     for vi in range(P.n_vertices):
         link = P.polar_link(vi)
-        order = link.face_order
+        order = P.face_cycle_at_vertex(vi)
         if len(order) == 3:
-            assert len(link.polygon) == 3
+            assert len(link) == 3
         # Link edge lengths are the exterior dihedral angles at vi.
-        lengths = link.edge_lengths()
+        lengths = edge_lengths(SphereOps, link.vertices)
         for k in range(len(order)):
             fa, fb = order[k], order[(k + 1) % len(order)]
             match = [
@@ -146,7 +145,7 @@ def test_polar_link_properties(small_corpus):
             assert lengths[k] == pytest.approx(P.exterior_dihedral(match[0]), abs=1e-10)
         # Interior angles are pi minus the face angles at vi; their total
         # complements the cone angle (Gauss-Bonnet of the link).
-        assert link.area() == pytest.approx(
+        assert SphereOps.polygon_area(link.vertices) == pytest.approx(
             2 * np.pi - P.vertex_cone_angle(vi), abs=1e-10
         )
 
@@ -154,9 +153,9 @@ def test_polar_link_properties(small_corpus):
 def test_link_angles_complement_face_angles(tetrahedron):
     P = tetrahedron
     link = P.polar_link(0)
-    angles = np.sort(link.interior_angles())
+    angles = np.sort(corner_angles(SphereOps, link.vertices))
     face_angles = []
-    for fi in link.face_order:
+    for fi in P.face_cycle_at_vertex(0):
         face = P.faces[fi]
         pos = face.index(0)
         prv = P.vertices[face[(pos - 1) % 3]]
@@ -200,12 +199,13 @@ def test_exterior_dihedral_matches_chart_normals(small_corpus):
 
 def test_polygon_area_octant_and_digon():
     v = np.eye(3)
-    tri = SphericalPolygon(v)
-    assert tri.area() == pytest.approx(np.pi / 2, abs=1e-12)
-    dig = make_digon(np.array([0.0, 0.0, 1.0]), 0.8)
+    assert SphereOps.polygon_area(v) == pytest.approx(np.pi / 2, abs=1e-12)
+    # digons live in tilings, with antipodal corners and their angle
+    dig = TilingFace(WHITE, np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]), (0, 0), (0, 0),
+                     digon_angle=0.8)
     assert dig.is_digon
-    assert dig.area() == pytest.approx(1.6)
-    np.testing.assert_allclose(dig.edge_lengths(), [np.pi, np.pi])
+    assert FlippableTiling(Side.RIGHT, [], [dig], []).white_areas()[0] == pytest.approx(1.6)
+    np.testing.assert_allclose(edge_lengths(SphereOps, dig.vertices), [np.pi, np.pi])
 
 
 def test_polygon_area_matches_triangulation(small_corpus):
@@ -215,15 +215,14 @@ def test_polygon_area_matches_triangulation(small_corpus):
         v = poly.vertices
         fan = 0.0
         for k in range(1, len(v) - 1):
-            tri = SphericalPolygon(np.array([v[0], v[k], v[k + 1]]))
-            fan += tri.area()
-        assert poly.area() == pytest.approx(fan, abs=1e-9)
+            fan += SphereOps.polygon_area(np.array([v[0], v[k], v[k + 1]]))
+        assert SphereOps.polygon_area(v) == pytest.approx(fan, abs=1e-9)
 
 
 def test_area_budget_four_pi(small_corpus):
     for P in small_corpus[:8]:
         total = P.boundary_area() + sum(
-            P.polar_link(vi).area() for vi in range(P.n_vertices)
+            SphereOps.polygon_area(P.polar_link(vi).vertices) for vi in range(P.n_vertices)
         )
         assert total == pytest.approx(4 * np.pi, abs=1e-8)
 

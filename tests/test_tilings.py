@@ -16,7 +16,7 @@ from dataclasses import replace
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_polyhedron
+from conftest import corner_angles, edge_lengths, random_polyhedron
 from flipkit import io as fio
 from flipkit import tilings
 from flipkit.errors import DevelopmentError, GeometryError
@@ -146,10 +146,10 @@ def test_project_white_faces_congruent_to_faces(small_corpus):
         fp = P.face_polygon(fi)
         wf = T.white[fi]
         assert polygon_congruent(
-            fp.edge_lengths(),
-            fp.interior_angles(),
-            wf.edge_lengths(SphereOps),
-            wf.interior_angles(SphereOps),
+            edge_lengths(SphereOps, fp.vertices),
+            corner_angles(SphereOps, fp.vertices),
+            edge_lengths(SphereOps, wf.vertices),
+            corner_angles(SphereOps, wf.vertices),
         )
 
 
@@ -160,10 +160,10 @@ def test_project_black_faces_congruent_to_links(small_corpus):
         link = P.polar_link(vi)
         bf = T.black[vi]
         assert polygon_congruent(
-            link.polygon.edge_lengths(),
-            link.polygon.interior_angles(),
-            bf.edge_lengths(SphereOps),
-            bf.interior_angles(SphereOps),
+            edge_lengths(SphereOps, link.vertices),
+            corner_angles(SphereOps, link.vertices),
+            edge_lengths(SphereOps, bf.vertices),
+            corner_angles(SphereOps, bf.vertices),
         )
 
 
@@ -371,7 +371,7 @@ def test_metric_gauss_bonnet_budget(small_corpus):
     T = project(P, Side.LEFT)
     m = black_metric(T)
     # total black area + total singular curvature = 4 pi
-    total = sum(f.area(SphereOps) for f in T.black) + float(
+    total = float(T.black_areas().sum()) + float(
         np.sum(m.singular_curvatures())
     )
     assert total == pytest.approx(4 * np.pi, abs=1e-8)
@@ -448,7 +448,7 @@ def reference_area(ops, f):
     v = f.vertices
     k = len(v)
     angles = [ops.angle(v[i], v[i - 1], v[(i + 1) % k]) for i in range(k)]
-    return float(ops.curvature * (sum(angles) - (k - 2) * np.pi))
+    return float(ops.kappa * (sum(angles) - (k - 2) * np.pi))
 
 
 def reference_validate_tiling(T, tol_scale=1.0):
