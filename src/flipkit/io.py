@@ -40,33 +40,53 @@ def canonical_json(obj):
 
 
 def _render(o):
-    """Dispatch on the exact type first; a list of plain floats (a vertex
-    row, say) is one join.  Subclasses and numpy values come last."""
-    t = type(o)
-    if t is list or t is tuple:
-        if all(type(x) is float for x in o):
-            return "[" + _float_text(o) + "]"
-        return "[" + ",".join(map(_render, o)) + "]"
-    if t is dict:
-        return "{" + ",".join(
-            f"{_json_str(k) if type(k) is str else json.dumps(k)}:{_render(v)}"
-            for k, v in sorted(o.items())) + "}"
-    if t is str:
-        return _json_str(o)
-    if t is float:
-        return _float_text((o,))
-    if t is int:
-        return str(o)
-    if t is bool:
-        return "true" if o else "false"
-    if o is None:
-        return "null"
+    """Dispatch on the exact type first; subclasses and numpy values come
+    last, as the plain value they stand for."""
+    exact = _EXACT.get(type(o))
+    if exact is not None:
+        return exact(o)
     for types, plain in _PLAIN:
         if isinstance(o, types):
             return _render(plain(o))
     raise SchemaError(f"cannot serialize {type(o)!r}")
 
 
+def _list(o):
+    """A list of plain floats (a vertex row, say) or of plain ints is one
+    join; a list of plain dicts with one set of str keys (faces, edges,
+    segments) sorts and quotes the keys once."""
+    first = type(o[0]) if o else float
+    if first is float and all(type(x) is float for x in o):
+        return "[" + _float_text(o) + "]"
+    if first is dict:
+        keys = o[0].keys()
+        if (all(type(d) is dict and d.keys() == keys for d in o)
+                and all(type(k) is str for k in keys)):
+            keys = sorted(keys)
+            heads = [_json_str(k) + ":" for k in keys]
+            return "[" + ",".join(
+                "{" + ",".join([h + _EXACT.get(type(v), _render)(v)
+                                for h, v in zip(heads, map(d.__getitem__, keys))]) + "}"
+                for d in o) + "]"
+    return "[" + ",".join(map(_render, o)) + "]"
+
+
+def _float(x):
+    text = _F17(x)
+    if "n" in text:  # of the 17-digit forms, only "nan" and "inf" spell an n
+        raise SchemaError("non-finite number in output")
+    return text
+
+
+def _dict(o):
+    return "{" + ",".join(
+        f"{_json_str(k) if type(k) is str else json.dumps(k)}:{_render(v)}"
+        for k, v in sorted(o.items())) + "}"
+
+
+_EXACT = {list: _list, tuple: _list, dict: _dict, str: _json_str, int: str,
+          float: _float, bool: lambda b: "true" if b else "false",
+          type(None): lambda _: "null"}
 # the plain value a subclass or numpy value is rendered as, in order of test
 _PLAIN = ((dict, dict), ((list, tuple), list), ((int, np.integer), int),
           ((float, np.floating), float), (str, str), (np.ndarray, np.ndarray.tolist))
@@ -138,6 +158,8 @@ def polyhedron_from_dict(data):
     if faces is None:
         return hull(verts)
     ids, sizes = _lists(faces, "faces")
+    if np.any(sizes < 3):
+        raise SchemaError("faces: a face has at least three vertices")
     ids = _indices(ids, len(verts), "faces").tolist()
     starts = np.cumsum(sizes) - sizes
     return from_vertices_and_faces(verts, [tuple(ids[a:a + k]) for a, k in zip(starts, sizes)])
@@ -147,25 +169,22 @@ def polyhedron_from_dict(data):
 
 
 def _vertex_table(T, tol=1e-9):
-    pts = []
-    index = {}
-
-    def key(p):
-        return tuple(np.round(p / tol).astype(np.int64).tolist())
-
-    def lookup(p):
-        k = key(p)
-        if k in index:
-            return index[k]
-        pts.append([float(x) for x in p])
-        index[k] = len(pts) - 1
-        return index[k]
-
-    face_vertex_ids = {}
-    for color in (BLACK, WHITE):
-        for fi, f in enumerate(T.faces(color)):
-            face_vertex_ids[(color, fi)] = [lookup(p) for p in f.vertices]
-    return pts, face_vertex_ids
+    """The face corners of T, black faces first, merged where they round
+    to one multiple of `tol`: the distinct corners in first-seen order,
+    and the corner ids of each (color, face index)."""
+    faces = [(c, i, f) for c in (BLACK, WHITE) for i, f in enumerate(T.faces(c))]
+    if not faces:
+        return [], {}
+    V = np.concatenate([f.vertices for _, _, f in faces])
+    _, first, inverse = np.unique(np.round(V / tol).astype(np.int64), axis=0,
+                                  return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    ids = rank[inverse.reshape(-1)].tolist()
+    ends = np.cumsum([len(f) for _, _, f in faces]).tolist()
+    return V[first[order]].tolist(), {
+        (c, i): ids[e - len(f):e] for (c, i, f), e in zip(faces, ends)}
 
 
 def _deck_list(decks):
@@ -176,15 +195,9 @@ def _deck_list(decks):
 def tiling_to_dict(T):
     pts, fv = _vertex_table(T)
     # canonical face order: by color, then least vertex-table index
-    order = {}
-    for color in (BLACK, WHITE):
-        idx = list(range(len(T.faces(color))))
-        idx.sort(key=lambda i: (min(fv[(color, i)]), fv[(color, i)]))
-        order[color] = idx
-    rank = {
-        color: {old: new for new, old in enumerate(order[color])}
-        for color in (BLACK, WHITE)
-    }
+    order = {c: sorted(range(len(T.faces(c))), key=lambda i: (min(fv[c, i]), fv[c, i]))
+             for c in (BLACK, WHITE)}
+    rank = {c: {old: new for new, old in enumerate(idx)} for c, idx in order.items()}
 
     faces_out = []
     for color in (BLACK, WHITE):
@@ -285,7 +298,8 @@ def _indices(values, bound, what, nullable=False):
         arr = np.array(values)
     except ValueError:  # lists nested to uneven depths
         arr = None
-    if arr is None or arr.ndim != 1 or (arr.size and arr.dtype.kind not in "iu"):
+    if (arr is None or arr.ndim != 1 or (arr.size and arr.dtype.kind not in "iu")
+            or bool in set(map(type, values))):  # numpy reads [true, 1] as integers
         raise SchemaError(f"{what}: expected integer indices")
     arr = arr.astype(np.int64)
     bad = (arr < 0) | (arr >= bound)

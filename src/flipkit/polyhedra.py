@@ -191,10 +191,13 @@ class ConvexPolyhedron:
         if euler != 2:
             raise GeometryError(f"Euler relation fails: V-E+F = {euler}")
         prods = self.vertices @ self.face_poles.T  # (n, f)
-        for fi, face in enumerate(self.faces):
-            on_plane = np.abs(prods[list(face), fi])
-            if np.max(on_plane) > EPS_PLANE * 10:
-                raise GeometryError(f"face {fi} not coplanar: {np.max(on_plane):.3g}")
+        face_of = np.repeat(np.arange(self.n_faces), [len(f) for f in self.faces])
+        ids = np.fromiter(itertools.chain.from_iterable(self.faces), int, len(face_of))
+        worst = np.full(self.n_faces, -np.inf)
+        np.maximum.at(worst, face_of, np.abs(prods[ids, face_of]))
+        bad = np.flatnonzero(worst > EPS_PLANE * 10)
+        if len(bad):
+            raise GeometryError(f"face {bad[0]} not coplanar: {worst[bad[0]]:.3g}")
         if np.min(prods) < -EPS_PLANE * 10:
             raise GeometryError("a vertex lies strictly outside a face half-space")
         if np.min(self.interior @ self.face_poles.T) <= 0:

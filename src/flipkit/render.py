@@ -3,26 +3,25 @@
 Spherical tilings are drawn through the stereographic projection from the
 pole (0,0,-1); hyperbolic tilings land in the Poincare disk.  Geodesic
 arcs are sampled at most 0.01 radians apart and emitted as polylines, so
-the output is plain paths with no curve primitives.  Face sides are the
-arcs between consecutive vertices, except on digons; tiling edges and digon
-sides are sampled along the edge's own parameter, so closed edges and
-edges longer than pi are drawn whole.  Each arc is sampled as one array,
-projected row-wise and formatted in one pass.
+the output is plain paths with no curve primitives.  Arcs are of two kinds,
+each set up in one row-wise pass over the tiling: polygon sides run from a
+corner to the next (one `dist` and one `tangents` for all of them); tiling
+edges and digon sides run along the edge's own parameter, so closed edges
+and edges longer than pi are drawn whole.  All arcs are then sampled at one
+concatenated parameter vector, equal bit for bit to np.linspace per arc, in
+one geodesic call, projected in one call and formatted in one pass.
 """
 
 import numpy as np
 
 from .errors import GeometryError
 from .spheremath import HyperbolicOps, SphereOps
+from .tilings import BLACK, WHITE
 
 ARC_STEP = 0.01
 BLACK_FILL = "#26262b"
 WHITE_FILL = "#f0ede4"
 EDGE_STROKE = "#c03a2b"
-
-
-def _fmt(x):
-    return format(float(x), ".8f")
 
 
 def stereographic(p):
@@ -40,44 +39,27 @@ def poincare(p):
     return p[..., :2] / (1.0 + p[..., 2:3])
 
 
-def _path(xy, close=""):
-    """SVG path data of a polyline through the rows of xy."""
-    return ("M" + "L".join(["%.8f %.8f"] * len(xy)) + close) % tuple(xy.ravel().tolist())
+def _path(n, close=""):
+    """SVG path data of a polyline through n points, as a %-template."""
+    return "M" + "L".join(["%.8f %.8f"] * n) + close
 
 
-def _sample_arc(ops, a, b):
-    """Rows along the geodesic from a to b, both ends included."""
-    d = ops.dist(a, b)
-    if d < 1e-12:
-        return np.array([a, b])
-    steps = max(2, int(np.ceil(d / ARC_STEP)) + 1)
-    return ops.geodesic(a, ops.tangent(a, b), np.linspace(0.0, d, steps)[:, None])
+def _sample(ops, base, direction, start, stop, whole):
+    """Rows of many arcs along geodesic(base, direction, t) in one pass.
 
-
-def _sample_edge(ops, edge, a, b):
-    """Rows of a tiling edge at parameters a to b, both ends included."""
-    n = max(2, int(np.ceil(abs(b - a) / ARC_STEP)) + 1)
-    return edge.point_at(ops, np.linspace(a, b, n)[:, None])
-
-
-def _face_path(ops, proj, face):
-    v = face.vertices
-    k = len(v)
-    arcs = [_sample_arc(ops, v[i], v[(i + 1) % k])[:-1] for i in range(k)]
-    return _path(proj(np.concatenate(arcs)), "Z")
-
-
-def _digon_path(T, ops, proj, color, fi):
-    """Digon boundary sampled along its two supporting edge records."""
-    f = T.faces(color)[fi]
-    arcs = []
-    for k in range(len(f)):
-        edge = T.edges[f.edge_refs[k]]
-        seg = edge.segment_of(color, fi, k)
-        arcs.append(
-            _sample_edge(ops, edge, seg.corner_param(True), seg.corner_param(False))[:-1]
-        )
-    return _path(proj(np.concatenate(arcs)), "Z")
+    Arc i is sampled at np.linspace(start[i], stop[i], n) with n = max(2,
+    ceil(|stop[i] - start[i]| / ARC_STEP) + 1), bit for bit, and keeps its
+    last row only where whole[i].  Returns the rows and the row after each
+    arc's last."""
+    n = np.maximum(2, np.ceil(np.abs(stop - start) / ARC_STEP).astype(int) + 1)
+    m = n - 1 + whole
+    ends = np.cumsum(m)
+    first = np.repeat(ends - m, m)
+    t = (np.arange(len(first)) - first) * np.repeat((stop - start) / (n - 1), m)
+    t += np.repeat(start, m)
+    t[ends[whole] - 1] = stop[whole]
+    return ops.geodesic(np.repeat(base, m, axis=0), np.repeat(direction, m, axis=0),
+                        t[:, None]), ends
 
 
 def render_svg(T, projection=None):
@@ -99,37 +81,56 @@ def render_svg(T, projection=None):
     else:
         raise GeometryError(f"unknown projection {projection!r}")
 
-    paths = []
-    span = 1.0
-    for color, fill in ((("white"), WHITE_FILL), (("black"), BLACK_FILL)):
-        for fi, f in enumerate(T.faces(color)):
-            if f.is_digon:
-                d = _digon_path(T, ops, proj, color, fi)
-            else:
-                d = _face_path(ops, proj, f)
-            paths.append(f'<path d="{d}" fill="{fill}" stroke="none"/>')
-            span = max(span, float(np.max(np.abs(proj(f.vertices)))))
-    for e in T.edges:
-        xy = proj(_sample_edge(ops, e, e.t_min, e.t_max))
-        paths.append(
-            f'<path d="{_path(xy)}" fill="none" stroke="{EDGE_STROKE}" '
-            f'stroke-width="0.01" stroke-linecap="round"/>'
-        )
-        span = max(span, float(np.max(np.abs(xy[[0, -1]]))))
+    # one arc per face corner, white faces first, then one per tiling edge
+    faces = [(c, i, f) for c in (WHITE, BLACK) for i, f in enumerate(T.faces(c))]
+    sizes = np.array([len(f) for _, _, f in faces], dtype=int)
+    V = np.concatenate([f.vertices for _, _, f in faces]) if faces else np.empty((0, 3))
+    ends = np.cumsum(sizes)
+    nxt = np.arange(1, len(V) + 1)
+    nxt[ends - 1] = ends - sizes
+    stop = ops.dist(V, V[nxt])
+    direction, defined = ops.tangents(V, V[nxt])
+    polygon = np.repeat([not f.is_digon for _, _, f in faces], sizes).astype(bool)
+    flat = polygon & (stop < 1e-12)  # a side of no length is drawn as its corner
+    if np.any(polygon & ~flat & ~defined):
+        raise GeometryError(ops.tangent_undefined)
+    direction[flat] = 0.0
+    base, start = V.copy(), np.zeros(len(V))
+    for row, (color, fi, f) in zip((ends - sizes).tolist(), faces):
+        for k in range(len(f)) if f.is_digon else ():
+            e = T.edges[f.edge_refs[k]]
+            seg = e.segment_of(color, fi, k)
+            base[row + k], direction[row + k] = e.base, e.direction
+            start[row + k], stop[row + k] = seg.corner_param(True), seg.corner_param(False)
+    rows, arc_ends = _sample(
+        ops, np.concatenate([base, np.reshape([e.base for e in T.edges], (-1, 3))]),
+        np.concatenate([direction, np.reshape([e.direction for e in T.edges], (-1, 3))]),
+        np.concatenate([start, [e.t_min for e in T.edges]]),
+        np.concatenate([stop, [e.t_max for e in T.edges]]),
+        np.arange(len(V) + len(T.edges)) >= len(V))
+    rows[arc_ends[:len(V)][flat] - 1] = V[flat]
+    xy = proj(rows)
 
+    F = len(faces)
+    bounds = np.concatenate([[0], arc_ends[ends - 1], arc_ends[len(V):]])
+    span = max(np.max(np.abs(proj(V)), initial=1.0),
+               np.max(np.abs(xy[np.concatenate([bounds[F:-1], bounds[F + 1:] - 1])]),
+                      initial=1.0))
+    counts = np.diff(bounds).tolist()
+    paths = [f'<path d="{_path(n, "Z")}" fill="{WHITE_FILL if c == WHITE else BLACK_FILL}" '
+             'stroke="none"/>' for (c, _, _), n in zip(faces, counts)]
+    paths += [f'<path d="{_path(n)}" fill="none" stroke="{EDGE_STROKE}" '
+              'stroke-width="0.01" stroke-linecap="round"/>' for n in counts[F:]]
     if projection == "poincare":
         lo, hi = -1.05, 1.05
-        paths.insert(
-            0,
-            '<circle cx="0" cy="0" r="1" fill="none" stroke="#888888" '
-            'stroke-width="0.005"/>',
-        )
+        paths.insert(0, '<circle cx="0" cy="0" r="1" fill="none" stroke="#888888" '
+                        'stroke-width="0.005"/>')
     else:
         lo, hi = -1.05 * span, 1.05 * span
     size = hi - lo
     header = (
         '<svg xmlns="http://www.w3.org/2000/svg" '
-        f'viewBox="{_fmt(lo)} {_fmt(lo)} {_fmt(size)} {_fmt(size)}" '
+        f'viewBox="{lo:.8f} {lo:.8f} {size:.8f} {size:.8f}" '
         'width="640" height="640">'
     )
-    return "\n".join([header] + paths + ["</svg>"]) + "\n"
+    return ("\n".join([header] + paths + ["</svg>"]) + "\n") % tuple(xy.ravel().tolist())

@@ -13,11 +13,14 @@ import flipkit
 from flipkit import cli, fuchsian
 from flipkit import io as fio
 from flipkit.cli import main
-from flipkit.errors import SchemaError
+from flipkit.errors import FlipkitError, SchemaError
 from flipkit.polyhedra import polar_dual
 from flipkit.render import render_svg
 from flipkit.tilings import (
+    FlippableTiling,
     Side,
+    TilingFace,
+    flip,
     make_antipodal_tiling,
     project,
     tiling_congruence_error,
@@ -104,6 +107,30 @@ json_leaves = st.one_of(
     st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64),
     st.lists(st.floats(-1e6, 1e6), max_size=4).map(np.array),
 )
+class DictSubclass(dict):
+    pass
+
+
+@st.composite
+def records(draw, values):
+    """A list of dicts with one set of str keys (as the faces, edges and
+    segments of a tiling), or a near miss of one: a member with an extra or
+    a missing key, a dict subclass, or number keys."""
+    keys = draw(st.lists(st.text(max_size=4), max_size=4, unique=True))
+    rows = [{k: draw(values) for k in keys} for _ in range(draw(st.integers(1, 4)))]
+    i = draw(st.integers(0, len(rows) - 1))
+    miss = draw(st.sampled_from(["none", "none", "extra", "missing", "subclass", "numbers"]))
+    if miss == "extra":
+        rows[i]["extra"] = draw(values)  # 5 characters: no drawn key
+    elif miss == "missing" and keys:
+        del rows[i][keys[0]]
+    elif miss == "subclass":
+        rows[i] = DictSubclass(rows[i])
+    elif miss == "numbers":  # 1 and 1.0 are one key of a set, but not one text
+        rows = [dict(zip((1 if j % 2 else 1.0, 2), r.values())) for j, r in enumerate(rows)]
+    return rows
+
+
 json_values = st.recursive(
     json_leaves,
     lambda inner: st.one_of(
@@ -111,6 +138,7 @@ json_values = st.recursive(
         st.lists(st.floats(allow_nan=True), max_size=5),  # the all-float rows
         st.tuples(inner, inner),
         st.dictionaries(st.text(max_size=5), inner, max_size=5),
+        records(st.one_of(json_leaves, inner)),  # numpy and non-finite values inside
     ),
     max_leaves=25,
 )
@@ -128,6 +156,70 @@ def test_canonical_json_refuses_what_the_reference_refuses():
         want = outcome(reference_canonical_json, obj)
         assert want[0] == "SchemaError"
         assert outcome(fio.canonical_json, obj) == want
+
+
+def reference_vertex_table(T, tol=1e-9):
+    """The dict-keyed vertex table `io._vertex_table` replaced: the
+    reference for its ids and its first-seen order."""
+    pts = []
+    index = {}
+
+    def lookup(p):
+        k = tuple(np.round(p / tol).astype(np.int64).tolist())
+        if k not in index:
+            pts.append([float(x) for x in p])
+            index[k] = len(pts) - 1
+        return index[k]
+
+    face_vertex_ids = {}
+    for color in ("black", "white"):
+        for fi, f in enumerate(T.faces(color)):
+            face_vertex_ids[(color, fi)] = [lookup(p) for p in f.vertices]
+    return pts, face_vertex_ids
+
+
+def corpus_tilings():
+    """Projections of corpus polyhedra and their polar duals on both sides,
+    their flips, and a tiling with digons."""
+    out = []
+    for P in polyhedron_corpus(seed=101, count=12):
+        for Q in (P, polar_dual(P)):
+            for side in Side:
+                T = project(Q, side)
+                out.append(T)
+                try:
+                    out.append(flip(T))
+                except FlipkitError:
+                    pass
+    ang = np.linspace(0, 2 * np.pi, 6)[:-1]
+    out.append(make_antipodal_tiling(
+        np.column_stack([np.cos(ang), np.sin(ang), np.full(5, 0.8)]), Side.LEFT))
+    return out
+
+
+def test_vertex_table_matches_reference():
+    for T in corpus_tilings():
+        assert fio._vertex_table(T) == reference_vertex_table(T)
+
+
+@settings(max_examples=60)
+@given(data=st.data())
+def test_vertex_table_matches_reference_across_rounding(data):
+    # corners a few ulp to either side of (k + 1/2) * 1e-9, where two
+    # nearby points may or may not share a key
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    base = rng.integers(-10 ** 6, 10 ** 6, size=(4, 3)) * 1e-9 + 0.5e-9
+    faces = {"black": [], "white": []}
+    for color in faces:
+        for _ in range(data.draw(st.integers(0, 3))):
+            k = data.draw(st.integers(1, 5))
+            pick = base[rng.integers(0, 4, size=k)]
+            ulps = rng.integers(-3, 4, size=(k, 3))
+            v = np.where(rng.random((k, 3)) < 0.5, np.nextafter(pick, np.inf), pick)
+            v = v + ulps * np.spacing(pick)
+            faces[color].append(TilingFace(color, v, (0,) * k, (None,) * k))
+    T = FlippableTiling(Side.LEFT, faces["black"], faces["white"], [])
+    assert fio._vertex_table(T) == reference_vertex_table(T)
 
 
 def test_polyhedron_round_trip_bytes(tmp_path, tetrahedron):
@@ -256,6 +348,7 @@ TILING_CORRUPTIONS = {
     "reversed-not-bool": lambda d: d["edges"][0]["segments"][0].update(reversed="yes"),
     "three-segments": lambda d: d["edges"][0]["segments"].pop(),
     "links-999": lambda d: d["faces"][0]["links"].__setitem__(0, 999),
+    "links-bool": lambda d: d["faces"][0]["links"].__setitem__(0, True),
     "base-two-components": lambda d: d["edges"][0].update(base=d["edges"][0]["base"][:2]),
     "edge-refs-999": lambda d: d["faces"][0]["edge_refs"].__setitem__(0, 999),
     "vertex-id-string": lambda d: d["faces"][1]["vertices"].__setitem__(0, "a"),
@@ -480,8 +573,9 @@ def test_cli_check_rejects_malformed_fuchsian(tmp_path, capsys, change):
 
 @pytest.mark.parametrize("face", [
     ["a", 1, 2], {"a": 1}, 5, [5, [0, 1, 3]], [0, 1, None], [0, 1.5, 2], "012",
+    [True, 1, 2], [False, 1, 2], [], [0, 1],
 ], ids=["index-string", "object", "number", "nested-list", "index-null",
-        "index-float", "string"])
+        "index-float", "string", "index-bool", "index-false", "empty", "two-vertices"])
 def test_cli_check_rejects_malformed_polyhedron_faces(tmp_path, capsys, tetrahedron, face):
     d = fio.polyhedron_to_dict(tetrahedron)
     d["faces"][d["faces"].index([0, 1, 2])] = face

@@ -1,4 +1,4 @@
-"""SVG rendering against committed golden files.
+"""SVG rendering against committed golden files and a per-arc reference.
 
 The goldens in tests/data/render_*.svg pin the renderer's bytes.  After a
 deliberate change to the drawing, rewrite them with
@@ -6,17 +6,36 @@ deliberate change to the drawing, rewrite them with
     PYTHONPATH=src:tests python tests/test_render.py
 
 and say in the change log which files changed and by how much.
+
+`reference_render_svg` is the renderer `render_svg` replaced, which samples
+each arc on its own; the batched renderer must give the same bytes and
+refuse the same tilings.
 """
 
+import functools
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import polyhedron_corpus, random_polyhedron
+from flipkit.errors import FlipkitError, GeometryError
 from flipkit.fuchsian import FuchsianConfig, ads_project, genus2_group, orbit_hull
-from flipkit.render import ARC_STEP, EDGE_STROKE, render_svg
-from flipkit.tilings import Side, flip, make_two_circles_tiling, project
+from flipkit.polyhedra import polar_dual
+from flipkit.render import (ARC_STEP, BLACK_FILL, EDGE_STROKE, WHITE_FILL, _sample,
+                            poincare, render_svg, stereographic)
+from flipkit.spheremath import HyperbolicOps, SphereOps
+from flipkit.tilings import (
+    FlippableTiling,
+    Side,
+    flip,
+    make_antipodal_tiling,
+    make_two_circles_tiling,
+    project,
+)
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 # (seed, vertex count) of the polyhedra whose projections and flips are pinned
@@ -92,6 +111,199 @@ def test_edges_sampled_along_their_parameter():
     assert lengths.max() > np.pi
     expected = [max(2, int(np.ceil(L / ARC_STEP)) + 1) for L in lengths]
     assert _stroke_point_counts(render_svg(T)) == expected
+
+
+# -- the per-arc reference renderer ---------------------------------------------
+
+
+def _path(xy, close=""):
+    return ("M" + "L".join(["%.8f %.8f"] * len(xy)) + close) % tuple(xy.ravel().tolist())
+
+
+def _sample_arc(ops, a, b):
+    """Rows along the geodesic from a to b, both ends included."""
+    d = ops.dist(a, b)
+    if d < 1e-12:
+        return np.array([a, b])
+    steps = max(2, int(np.ceil(d / ARC_STEP)) + 1)
+    return ops.geodesic(a, ops.tangent(a, b), np.linspace(0.0, d, steps)[:, None])
+
+
+def _sample_edge(ops, edge, a, b):
+    """Rows of a tiling edge at parameters a to b, both ends included."""
+    n = max(2, int(np.ceil(abs(b - a) / ARC_STEP)) + 1)
+    return edge.point_at(ops, np.linspace(a, b, n)[:, None])
+
+
+def _face_path(ops, proj, face):
+    v = face.vertices
+    k = len(v)
+    arcs = [_sample_arc(ops, v[i], v[(i + 1) % k])[:-1] for i in range(k)]
+    return _path(proj(np.concatenate(arcs)), "Z")
+
+
+def _digon_path(T, ops, proj, color, fi):
+    """Digon boundary sampled along its two supporting edge records."""
+    f = T.faces(color)[fi]
+    arcs = []
+    for k in range(len(f)):
+        edge = T.edges[f.edge_refs[k]]
+        seg = edge.segment_of(color, fi, k)
+        arcs.append(
+            _sample_edge(ops, edge, seg.corner_param(True), seg.corner_param(False))[:-1]
+        )
+    return _path(proj(np.concatenate(arcs)), "Z")
+
+
+def reference_render_svg(T):
+    """The renderer with one sampling call per arc, in its default
+    projection."""
+    ops, proj = (SphereOps, stereographic) if T.is_spherical else (HyperbolicOps, poincare)
+    paths = []
+    span = 1.0
+    for color, fill in (("white", WHITE_FILL), ("black", BLACK_FILL)):
+        for fi, f in enumerate(T.faces(color)):
+            if f.is_digon:
+                d = _digon_path(T, ops, proj, color, fi)
+            else:
+                d = _face_path(ops, proj, f)
+            paths.append(f'<path d="{d}" fill="{fill}" stroke="none"/>')
+            span = max(span, float(np.max(np.abs(proj(f.vertices)))))
+    for e in T.edges:
+        xy = proj(_sample_edge(ops, e, e.t_min, e.t_max))
+        paths.append(
+            f'<path d="{_path(xy)}" fill="none" stroke="{EDGE_STROKE}" '
+            f'stroke-width="0.01" stroke-linecap="round"/>'
+        )
+        span = max(span, float(np.max(np.abs(xy[[0, -1]]))))
+    if not T.is_spherical:
+        lo, hi = -1.05, 1.05
+        paths.insert(
+            0,
+            '<circle cx="0" cy="0" r="1" fill="none" stroke="#888888" '
+            'stroke-width="0.005"/>',
+        )
+    else:
+        lo, hi = -1.05 * span, 1.05 * span
+    size = hi - lo
+    fmt = lambda x: format(float(x), ".8f")  # noqa: E731
+    header = (
+        '<svg xmlns="http://www.w3.org/2000/svg" '
+        f'viewBox="{fmt(lo)} {fmt(lo)} {fmt(size)} {fmt(size)}" '
+        'width="640" height="640">'
+    )
+    return "\n".join([header] + paths + ["</svg>"]) + "\n"
+
+
+def outcome(render, T):
+    try:
+        return render(T)
+    except FlipkitError as exc:
+        return (type(exc), str(exc))
+
+
+@functools.lru_cache(maxsize=None)
+def ads_tilings(n, level):
+    """Both projections of a genus-2 AdS surface with n rays and their
+    flips."""
+    pts = [(0.3, 0.1), (-0.4, 0.35), (0.05, -0.55)][:n]
+    rays = np.array([[x, y, np.sqrt(1.0 + x * x + y * y)] for x, y in pts])
+    heights = level + np.array([0.0, 0.04, -0.03])[:n]
+    surf = orbit_hull(FuchsianConfig(genus2_group(), rays, heights))
+    tilings = [ads_project(surf, side) for side in Side]
+    return tilings + [flip(T) for T in tilings]
+
+
+@st.composite
+def any_tiling(draw):
+    """Spherical projections (n = 5..14, both sides, polar duals, flips),
+    AdS quotient tilings (n = 1..3), two-circles and antipodal tilings."""
+    kind = draw(st.sampled_from(["sphere"] * 4 + ["ads", "two-circles", "antipodal"]))
+    side = draw(st.sampled_from(Side))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if kind == "ads":
+        return draw(st.sampled_from(ads_tilings(draw(st.integers(1, 3)),
+                                                draw(st.sampled_from([0.55, 0.75, 0.9])))))
+    if kind == "two-circles":
+        return make_two_circles_tiling(*rng.normal(size=(2, 3)), side)
+    if kind == "antipodal":
+        k = draw(st.integers(3, 9))
+        ang = 2 * np.pi * (np.arange(k) + rng.uniform(-0.2, 0.2, size=k)) / k
+        lat = rng.uniform(0.3, 1.2)
+        V = np.column_stack([np.sin(lat) * np.cos(ang), np.sin(lat) * np.sin(ang),
+                             np.full(k, np.cos(lat))])
+        return make_antipodal_tiling(V @ np.linalg.qr(rng.normal(size=(3, 3)))[0].T, side)
+    P = random_polyhedron(rng, draw(st.integers(5, 14)))
+    T = project(polar_dual(P) if draw(st.booleans()) else P, side)
+    if draw(st.booleans()):
+        try:
+            T = flip(T)
+        except FlipkitError:  # a flip that does not develop keeps T
+            pass
+    return T
+
+
+@settings(max_examples=80)
+@given(T=any_tiling())
+def test_render_matches_reference(T):
+    assert render_svg(T) == reference_render_svg(T)
+
+
+@settings(max_examples=50)
+@given(data=st.data())
+def test_sample_is_linspace_per_arc(data):
+    # the batched parameters carry the bits of np.linspace on every arc,
+    # which the 8-decimal SVG text would mostly hide
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    k = data.draw(st.integers(1, 12))
+    start = rng.uniform(-4, 4, size=k)
+    length = rng.choice([0.0, 1e-13, ARC_STEP, 3 * ARC_STEP, 0.37, np.pi, 2 * np.pi], size=k)
+    stop = start + length * rng.choice([-1.0, 1.0], size=k) + rng.uniform(-1e-9, 1e-9, size=k)
+    whole = rng.random(k) < 0.5
+    base, direction = rng.normal(size=(2, k, 3))
+    rows, ends = _sample(SphereOps, base, direction, start, stop, whole)
+    want = []
+    for i in range(k):
+        n = max(2, int(np.ceil(abs(stop[i] - start[i]) / ARC_STEP)) + 1)
+        arc = SphereOps.geodesic(base[i], direction[i], np.linspace(start[i], stop[i], n)[:, None])
+        want.append(arc if whole[i] else arc[:-1])
+    assert np.array_equal(ends, np.cumsum([len(a) for a in want]))
+    assert np.array_equal(rows, np.concatenate(want))
+
+
+def _with_face_vertices(T, change):
+    """A copy of T whose first polygonal white face has its vertices
+    changed by `change`."""
+    C = FlippableTiling(T.handedness, T.black, T.white, T.edges, T.ambient)
+    fi = next(i for i, f in enumerate(C.white) if not f.is_digon)
+    v = C.white[fi].vertices.copy()
+    change(v)
+    C.white[fi] = replace(C.white[fi], vertices=v)
+    return C
+
+
+def _set_row(i, value):
+    def change(v):
+        v[i] = value(v)
+    return change
+
+
+def test_render_degenerate_sides_match_reference():
+    T = project(random_polyhedron(np.random.default_rng(3), 9), Side.LEFT)
+    antipodal = _with_face_vertices(T, _set_row(1, lambda v: -v[0]))
+    want = outcome(reference_render_svg, antipodal)
+    assert want[0] is GeometryError
+    assert outcome(render_svg, antipodal) == want
+    with pytest.raises(GeometryError):
+        render_svg(antipodal)
+    # a side of no length, or of less than 1e-12, is drawn as its corner,
+    # with the sign of a zero coordinate kept
+    corner = np.array([-0.0, 0.6, 0.8])
+    for value in (lambda v: corner, lambda v: corner + np.array([0.0, 0.0, 1e-13])):
+        C = _with_face_vertices(T, lambda v: v.__setitem__(slice(0, 2), [corner, value(v)]))
+        assert render_svg(C) == reference_render_svg(C)
+    at_pole = _with_face_vertices(T, _set_row(2, lambda v: np.array([0.0, 0.0, -1.0])))
+    assert outcome(render_svg, at_pole) == outcome(reference_render_svg, at_pole)
 
 
 if __name__ == "__main__":
