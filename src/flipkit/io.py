@@ -52,9 +52,9 @@ def _render(o):
 
 
 def _list(o):
-    """A list of plain floats (a vertex row, say) or of plain ints is one
-    join; a list of plain dicts with one set of str keys (faces, edges,
-    segments) sorts and quotes the keys once."""
+    """A list of plain floats (a vertex row, say) is one join; a list of
+    plain dicts with one set of str keys (faces, edges, segments) sorts
+    and quotes the keys once."""
     first = type(o[0]) if o else float
     if first is float and all(type(x) is float for x in o):
         return "[" + _float_text(o) + "]"
