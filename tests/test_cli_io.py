@@ -107,6 +107,8 @@ json_leaves = st.one_of(
     st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64),
     st.lists(st.floats(-1e6, 1e6), max_size=4).map(np.array),
 )
+
+
 class DictSubclass(dict):
     pass
 
