@@ -8,26 +8,13 @@ prescribing the singular curvature at the vertices.
 
 from .errors import (
     ConvergenceError,
-    DegenerateTriangleError,
     DevelopmentError,
     FlipkitError,
     GeometryError,
-    LightLikeError,
     SchemaError,
     SignatureMismatchError,
 )
-from .forms import (
-    AngleKind,
-    DualPlane,
-    HSAngle,
-    QuadricPoint,
-    Signature,
-    dual,
-    form,
-    group_inv,
-    group_mul,
-    hs_angle,
-)
+from .forms import Signature
 from .fuchsian import (
     FuchsianConfig,
     FuchsianGroup,
@@ -35,6 +22,7 @@ from .fuchsian import (
     cone_angles,
     curvatures,
     genus2_group,
+    induced_cone_metric,
     jacobian,
     minkowski_dual,
     orbit_hull,
@@ -57,20 +45,14 @@ from .tilings import (
 )
 
 __all__ = [
-    "AngleKind",
     "ConvergenceError",
     "ConvexPolyhedron",
-    "DegenerateTriangleError",
     "DevelopmentError",
-    "DualPlane",
     "FlipkitError",
     "FlippableTiling",
     "FuchsianConfig",
     "FuchsianGroup",
     "GeometryError",
-    "HSAngle",
-    "LightLikeError",
-    "QuadricPoint",
     "SchemaError",
     "Side",
     "Signature",
@@ -80,14 +62,10 @@ __all__ = [
     "black_metric",
     "cone_angles",
     "curvatures",
-    "dual",
     "flip",
-    "form",
     "genus2_group",
-    "group_inv",
-    "group_mul",
-    "hs_angle",
     "hull",
+    "induced_cone_metric",
     "jacobian",
     "make_antipodal_tiling",
     "make_two_circles_tiling",

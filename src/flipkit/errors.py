@@ -13,14 +13,6 @@ class SignatureMismatchError(GeometryError):
     """Operands live on different quadrics."""
 
 
-class LightLikeError(GeometryError):
-    """A vector or span is light-like where that is not allowed."""
-
-
-class DegenerateTriangleError(GeometryError):
-    """Triangle data outside the solvable range."""
-
-
 class DevelopmentError(GeometryError):
     """Development of a tiling into the 3-space failed to close up."""
 

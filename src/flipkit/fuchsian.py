@@ -54,7 +54,6 @@ from .forms import ADS_E, Signature
 from .polyhedra import cyclic_face_order, hull, merge_triangles, triangle_poles
 from .spheremath import ADS_STAR, SPHERE_STAR, HyperbolicOps
 from .tilings import ConeMetric, ConePoint, assemble_tiling, tiling_equality_error
-from .trig import convexity_sign
 
 logger = logging.getLogger("flipkit.fuchsian")
 
@@ -63,6 +62,9 @@ EPS_EQUIVARIANT = 1e-8
 R0 = 5.5        # first truncation radius of an orbit hull
 R_STEP = 0.5    # growth of the radius after an uncertified build
 R_MAX = 10.0    # largest radius tried
+
+MAX_NEWTON = 40        # Newton steps per target of the solver
+MAX_CONTINUATION = 40  # continuation steps toward the prescribed target
 
 MATCH_TOL = 1e-6   # a matrix within this of an element is that element ...
 MATCH_GAP = 0.2    # ... when every other element is more than this away
@@ -380,9 +382,6 @@ class VertexStar:
     neighbors: list
     true_edge: list
     wedge_face: list
-
-    def degree(self):
-        return len(self.neighbors)
 
 
 class SurfaceFace:
@@ -846,30 +845,10 @@ def jacobian(surf):
     return _assemble(stars, surf.points4, surf.base_of, surf.n, ADS_STAR)
 
 
-def wedge_convexity(surf, vid):
-    """Convexity classification of every edge at a fundamental vertex."""
-    star = surf.star_at(vid)
-    _, rho_x, _, omega = star_geometry(
-        surf.points4[vid], surf.points4[star.neighbors]
-    )
-    return [
-        (is_true, convexity_sign(math.asinh(a1), math.asinh(a2)))
-        for is_true, (a1, a2) in zip(
-            star.true_edge, _edge_dihedrals(omega, rho_x, ADS_STAR)
-        )
-    ]
-
-
 # -- the prescribed-curvature solver ---------------------------------------------
 
 
-def solve_prescribed_curvature(
-    config,
-    tol=1e-8,
-    max_newton=40,
-    max_continuation=40,
-    h0=None,
-):
+def solve_prescribed_curvature(config, tol=1e-8, h0=None):
     """Heights whose Fuchsian surface has the prescribed vertex curvatures.
 
     Damped Newton iteration with the analytic Jacobian; when a cold start
@@ -907,10 +886,10 @@ def solve_prescribed_curvature(
     iterations = 0
     last_cond = float("nan")
 
-    def newton_to(target, h, surf, k_now, budget):
+    def newton_to(target, h, surf, k_now):
         nonlocal iterations, last_cond
         r = k_now - target
-        for _ in range(budget):
+        for _ in range(MAX_NEWTON):
             if np.max(np.abs(r)) <= tol:
                 return h, surf, k_now, True
             Jm = jacobian(surf)
@@ -946,16 +925,16 @@ def solve_prescribed_curvature(
         return h, surf, k_now, np.max(np.abs(r)) <= tol
 
     # cold start
-    h, surf, k_now, ok = newton_to(k_target, h, surf, k_now, max_newton)
+    h, surf, k_now, ok = newton_to(k_target, h, surf, k_now)
     if not ok:
         # continuation from the current feasible point along K(n)
         k_anchor = k_now.copy()
         t, t_step = 0.0, 0.25
         cont = 0
-        while t < 1.0 and cont < max_continuation:
+        while t < 1.0 and cont < MAX_CONTINUATION:
             t_next = min(1.0, t + t_step)
             target = (1 - t_next) * k_anchor + t_next * k_target
-            h2, surf2, k2, ok = newton_to(target, h, surf, k_now, max_newton)
+            h2, surf2, k2, ok = newton_to(target, h, surf, k_now)
             if ok:
                 h, surf, k_now = h2, surf2, k2
                 t = t_next

@@ -498,7 +498,7 @@ def fuchsian_config_from_dict(data):
     if heights is None and targets is None:
         raise SchemaError("fuchsian config needs heights or targets")
     cap = data.get("word_len_cap", 10)
-    if not isinstance(cap, int):
+    if type(cap) is not int:
         raise SchemaError("word_len_cap: expected an integer")
     return FuchsianConfig(
         genus2_group(),

@@ -964,82 +964,11 @@ def kabsch(A, B):
     return Vt.T @ D @ U.T
 
 
-def tiling_isometry_error(T1, T2):
-    """Max vertex distance between matched faces after optimal alignment."""
-    return _aligned_error(*(_stack(T.black + T.white)[0] for T in (T1, T2)), "tilings")
-
-
 def _aligned_error(A, B, what):
     if A.shape != B.shape:
         raise GeometryError(f"{what} are not combinatorially matched")
     R = kabsch(A, B)
     return float(np.max(np.linalg.norm(A @ R.T - B, axis=1)))
-
-
-def _frame3(a, b):
-    """Right-handed orthonormal frame from two independent unit vectors."""
-    u = a / np.linalg.norm(a)
-    v = b - np.dot(b, u) * u
-    v /= np.linalg.norm(v)
-    return np.stack([u, v, np.cross(u, v)])
-
-
-def _match_faces_under(R, faces1, faces2, tol):
-    used = set()
-    worst = 0.0
-    for f in faces1:
-        moved = f.vertices @ R.T
-        best = None
-        for j, g in enumerate(faces2):
-            if j in used or len(g) != len(f):
-                continue
-            k = len(g)
-            for r in range(k):
-                for step in (1, -1):
-                    idx = [(r + step * i) % k for i in range(k)]
-                    err = float(np.max(np.linalg.norm(moved - g.vertices[idx], axis=1)))
-                    if best is None or err < best[0]:
-                        best = (err, j)
-        if best is None or best[0] > tol:
-            return None
-        used.add(best[1])
-        worst = max(worst, best[0])
-    return worst
-
-
-def tiling_congruence_error(T1, T2, tol=1e-6):
-    """Smallest max-vertex error over orientation-preserving isometries and
-    face matchings; None if the tilings are not congruent within tol.
-
-    Face indices need not correspond: an anchor black face of T1 is tried
-    against every compatible placement on T2 and the induced rotation is
-    then required to match all faces.
-    """
-    if len(T1.black) != len(T2.black) or len(T1.white) != len(T2.white):
-        return None
-    if not (T1.is_spherical and T2.is_spherical):
-        raise GeometryError("congruence matching is for spherical tilings")
-    a = T1.black[0].vertices
-    best = None
-    for cand in T2.black:
-        if len(cand) != len(a):
-            continue
-        k = len(cand)
-        for r in range(k):
-            for direction in (1, -1):
-                idx = [(r + direction * i) % k for i in range(k)]
-                b = cand.vertices[idx]
-                R = _frame3(b[0], b[1]).T @ _frame3(a[0], a[1])
-                err_b = _match_faces_under(R, T1.black, T2.black, tol)
-                if err_b is None:
-                    continue
-                err_w = _match_faces_under(R, T1.white, T2.white, tol)
-                if err_w is None:
-                    continue
-                err = max(err_b, err_w)
-                if best is None or err < best:
-                    best = err
-    return best
 
 
 def tiling_equality_error(T1, T2):
@@ -1060,20 +989,3 @@ def polyhedron_isometry_error(P, Q, vertex_map=None):
     """Max vertex distance between P and Q after optimal SO(4) alignment."""
     B = Q.vertices if vertex_map is None else Q.vertices[list(vertex_map)]
     return _aligned_error(P.vertices, B, "polyhedra")
-
-
-def polygon_congruent(len_a, ang_a, len_b, ang_b, tol=1e-8):
-    """Cyclic congruence of (edge length, angle) sequences, both orientations."""
-    la, aa = np.asarray(len_a), np.asarray(ang_a)
-    lb, ab = np.asarray(len_b), np.asarray(ang_b)
-    if len(la) != len(lb):
-        return False
-    k = len(la)
-    for flip_dir in (False, True):
-        lbb, abb = (lb, ab) if not flip_dir else (lb[::-1], np.roll(ab[::-1], -1))
-        for r in range(k):
-            if np.max(np.abs(np.roll(lbb, r) - la)) < tol and np.max(
-                np.abs(np.roll(abb, r) - aa)
-            ) < tol:
-                return True
-    return False

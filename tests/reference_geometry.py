@@ -1,0 +1,520 @@
+"""Closed-form geometry that only the tests use.
+
+The library computes everything its commands need from the row-wise
+primitives of `flipkit.spheremath` and the star kernel of
+`flipkit.fuchsian`.  This module keeps the independent references those
+are checked against:
+
+- closed-form triangle laws on the sphere and in the hyperbolic-de Sitter
+  plane, with their analytic partial derivatives: the reference of the
+  star formulas, each derivative with a matching finite-difference test;
+- the convexity class of every edge at a fundamental vertex of a Fuchsian
+  surface, from the sign of sinh(alpha1) + sinh(alpha2) of its two wedges;
+- the bilinear forms as a checked function, points of the unit quadrics,
+  their group products, point/plane duality and the complex-valued angles
+  between vectors of a Minkowski space;
+- comparison of spherical tilings up to isometry and of polygons up to
+  congruence.
+
+It is not collected (its name does not start with `test_`), and no module
+of `src/flipkit` imports it.
+"""
+
+from dataclasses import dataclass
+from enum import Enum
+import math
+
+import numpy as np
+
+from flipkit.errors import GeometryError, SignatureMismatchError
+from flipkit.forms import Signature, inv4, mul4
+from flipkit.fuchsian import _edge_dihedrals, star_geometry
+from flipkit.spheremath import ADS_STAR
+from flipkit.tilings import _aligned_error, _stack
+
+
+class DegenerateTriangleError(GeometryError):
+    """Triangle data outside the solvable range."""
+
+
+class LightLikeError(GeometryError):
+    """A vector or span is light-like where that is not allowed."""
+
+
+# -- triangle laws ----------------------------------------------------------------
+
+EPS_DEG = 1e-8
+EPS_CVX = 1e-10
+
+
+def _safe_acos(x, what):
+    if abs(x) > 1.0 + EPS_DEG:
+        raise DegenerateTriangleError(f"{what}: cosine {x:.6g} out of range")
+    return math.acos(min(1.0, max(-1.0, x)))
+
+
+def _safe_acosh(x, what):
+    if x < 1.0 - EPS_DEG:
+        raise DegenerateTriangleError(f"{what}: cosh value {x:.6g} below 1")
+    return math.acosh(max(1.0, x))
+
+
+@dataclass(frozen=True)
+class SphTriangle:
+    """Spherical triangle; side x is opposite angle chi."""
+
+    a: float
+    b: float
+    c: float
+    alpha: float
+    beta: float
+    gamma: float
+
+
+def sph_solve(a, c, beta):
+    """Solve a spherical triangle from sides a, c and the included angle beta."""
+    for name, val in (("a", a), ("c", c), ("beta", beta)):
+        if not EPS_DEG < val < math.pi - EPS_DEG:
+            raise DegenerateTriangleError(f"sph_solve: {name}={val:.6g} outside (0, pi)")
+    cos_b = math.cos(c) * math.cos(a) + math.sin(c) * math.sin(a) * math.cos(beta)
+    b = _safe_acos(cos_b, "sph_solve")
+    if b < EPS_DEG or b > math.pi - EPS_DEG:
+        raise DegenerateTriangleError(f"sph_solve: side b={b:.6g} degenerate")
+    alpha = _safe_acos(
+        (math.cos(a) - cos_b * math.cos(c)) / (math.sin(b) * math.sin(c)), "sph_solve"
+    )
+    gamma = _safe_acos(
+        (math.cos(c) - cos_b * math.cos(a)) / (math.sin(b) * math.sin(a)), "sph_solve"
+    )
+    return SphTriangle(a, b, c, alpha, beta, gamma)
+
+
+def sph_partials(a, c, beta):
+    """(db/da, dalpha/da, dalpha/dc) at fixed (a, c, beta) parameterization."""
+    t = sph_solve(a, c, beta)
+    if math.sin(t.b) < EPS_DEG:
+        raise DegenerateTriangleError("sph_partials: sin b too small")
+    return (
+        math.cos(t.gamma),
+        math.sin(t.gamma) / math.sin(t.b),
+        -math.sin(t.alpha) * math.cos(t.b) / math.sin(t.b),
+    )
+
+
+@dataclass(frozen=True)
+class DSTriangle:
+    """de Sitter triangle: space-like sides a, c, time-like side i*b.
+
+    The angle between the space-like sides is i*beta; the angles at the
+    ends of the time-like side are the real numbers alpha (opposite a)
+    and gamma (opposite c).
+    """
+
+    a: float
+    b: float
+    c: float
+    alpha: float
+    beta: float
+    gamma: float
+
+    def law_residuals(self):
+        r1 = self.cos_law_a()
+        r2 = self.cos_law_b()
+        r3 = self.cos_law_c()
+        return (r1, r2, r3)
+
+    def cos_law_a(self):
+        return math.cos(self.a) - (
+            math.cosh(self.b) * math.cos(self.c)
+            + math.sinh(self.b) * math.sin(self.c) * math.sinh(self.alpha)
+        )
+
+    def cos_law_b(self):
+        return math.cosh(self.b) - (
+            math.cos(self.c) * math.cos(self.a)
+            + math.sin(self.c) * math.sin(self.a) * math.cosh(self.beta)
+        )
+
+    def cos_law_c(self):
+        return math.cos(self.c) - (
+            math.cos(self.a) * math.cosh(self.b)
+            + math.sin(self.a) * math.sinh(self.b) * math.sinh(self.gamma)
+        )
+
+
+def ds_solve(a, c, beta):
+    """de Sitter triangle from the space-like sides and the imaginary angle."""
+    for name, val in (("a", a), ("c", c)):
+        if not 0.0 < val < math.pi:
+            raise DegenerateTriangleError(f"ds_solve: {name}={val:.6g} outside (0, pi)")
+    cosh_b = math.cos(c) * math.cos(a) + math.sin(c) * math.sin(a) * math.cosh(beta)
+    b = _safe_acosh(cosh_b, "ds_solve")
+    if b < EPS_DEG:
+        raise DegenerateTriangleError(f"ds_solve: side b={b:.6g} degenerate")
+    alpha = math.asinh(
+        (math.cos(a) - cosh_b * math.cos(c)) / (math.sinh(b) * math.sin(c))
+    )
+    gamma = math.asinh(
+        (math.cos(c) - cosh_b * math.cos(a)) / (math.sinh(b) * math.sin(a))
+    )
+    return DSTriangle(a, b, c, alpha, beta, gamma)
+
+
+@dataclass(frozen=True)
+class AdSTimelikeTriangle:
+    """Triangle in a time-like plane of AdS: time-like edges i*a, i*c and a
+    space-like edge b, with real angles alpha (opposite i*a), beta, gamma."""
+
+    a: float
+    b: float
+    c: float
+    alpha: float
+    beta: float
+    gamma: float
+
+
+def ads_solve(a, c, beta):
+    """AdS time-like-plane triangle from the two time-like sides and beta.
+
+    The triangle reduces to a de Sitter triangle with sides (a, i*b, c) and
+    angles (-alpha, i*beta, -gamma); the returned angles are the AdS ones.
+    """
+    ds = ds_solve(a, c, beta)
+    return AdSTimelikeTriangle(a, ds.b, c, -ds.alpha, beta, -ds.gamma)
+
+
+def ads_partials(a, c, beta):
+    """(dalpha/da, dalpha/dc, isosceles dalpha/da) for the AdS triangle."""
+    t = ads_solve(a, c, beta)
+    if math.sinh(t.b) < EPS_DEG:
+        raise DegenerateTriangleError("ads_partials: sinh b too small")
+    d_da = math.cosh(t.gamma) / math.sinh(t.b)
+    d_dc = -math.cosh(t.b) * math.cosh(t.alpha) / math.sinh(t.b)
+    iso = math.cosh(t.alpha) * (1.0 - math.cosh(t.b)) / math.sinh(t.b)
+    return (d_da, d_dc, iso)
+
+
+@dataclass(frozen=True)
+class HS2Triangle:
+    """Triangle with two de Sitter vertices (joined by the space-like side a)
+    and one hyperbolic vertex; b, c are the mixed sides from the hyperbolic
+    vertex, alpha the angle there, beta and gamma at the de Sitter vertices."""
+
+    a: float
+    b: float
+    c: float
+    alpha: float
+    beta: float
+    gamma: float
+
+
+def hs2_laws(b, c, alpha):
+    """Solve the hyperbolic-de Sitter triangle from (b, c, alpha).
+
+    The collapsed case a = 0 (both de Sitter vertices coincide, reached at
+    b = c, alpha = 0) is returned with beta = gamma = 0.
+    """
+    cos_a = -math.sinh(b) * math.sinh(c) + math.cosh(b) * math.cosh(c) * math.cos(alpha)
+    a = _safe_acos(cos_a, "hs2_laws")
+    if a < EPS_DEG:
+        return HS2Triangle(a, b, c, alpha, 0.0, 0.0)
+    if a > math.pi - EPS_DEG:
+        raise DegenerateTriangleError(f"hs2_laws: side a={a:.6g} degenerate")
+    beta = math.asinh((math.sinh(b) - cos_a * math.sinh(c)) / (math.sin(a) * math.cosh(c)))
+    gamma = math.asinh((math.sinh(c) - cos_a * math.sinh(b)) / (math.sin(a) * math.cosh(b)))
+    return HS2Triangle(a, b, c, alpha, beta, gamma)
+
+
+def hs2_partial_a_b(b, c, alpha):
+    """da/db at fixed (c, alpha)."""
+    return math.sinh(hs2_laws(b, c, alpha).gamma)
+
+
+# -- convexity of the edges of a Fuchsian surface ---------------------------------
+
+
+class ConvexityClass(Enum):
+    COPLANAR = "coplanar"
+    CONVEX_SIDE = "convex_side"
+    NOT_CONVEX_SIDE = "not_convex_side"
+
+
+def convexity_sign(alpha1, alpha2, eps=EPS_CVX):
+    """Classify a pair of space-like wedges by sinh(alpha1) + sinh(alpha2).
+
+    The time-like reference half-plane lies inside the convex side of the
+    wedge exactly when the sum is negative; a vanishing sum means the two
+    half-planes are coplanar.
+    """
+    s = math.sinh(alpha1) + math.sinh(alpha2)
+    if abs(s) <= eps:
+        return ConvexityClass.COPLANAR
+    return ConvexityClass.CONVEX_SIDE if s < 0 else ConvexityClass.NOT_CONVEX_SIDE
+
+
+def wedge_convexity(surf, vid):
+    """Convexity classification of every edge at a fundamental vertex."""
+    star = surf.star_at(vid)
+    _, rho_x, _, omega = star_geometry(
+        surf.points4[vid], surf.points4[star.neighbors]
+    )
+    return [
+        (is_true, convexity_sign(math.asinh(a1), math.asinh(a2)))
+        for is_true, (a1, a2) in zip(
+            star.true_edge, _edge_dihedrals(omega, rho_x, ADS_STAR)
+        )
+    ]
+
+
+# -- forms, quadric points, duality and Minkowski angles --------------------------
+
+EPS_NORM = 1e-10
+EPS_ZERO = 1e-12
+
+
+def form(u, v, sig):
+    """Evaluate the bilinear form of `sig` on two coordinate vectors."""
+    u = np.asarray(u, dtype=float)
+    v = np.asarray(v, dtype=float)
+    dim = len(sig.value)
+    if u.shape[-1] != dim or v.shape[-1] != dim:
+        raise SignatureMismatchError(
+            f"{sig.name} expects {dim}-vectors, got {u.shape} and {v.shape}"
+        )
+    return float(np.sum(u * v * sig.diag)) if u.ndim == 1 else np.sum(
+        u * v * sig.diag, axis=-1
+    )
+
+
+def pseudo_norm(u, sig):
+    """Pseudo-norm sqrt(<u,u>); positive imaginary for time-like vectors."""
+    q = form(u, u, sig)
+    if q >= 0.0:
+        return complex(np.sqrt(q), 0.0)
+    return complex(0.0, np.sqrt(-q))
+
+
+def canonical_ads_rep(v, eps=EPS_ZERO):
+    """Representative of {v, -v} whose first coordinate above `eps` is positive."""
+    v = np.asarray(v, dtype=float)
+    for c in v:
+        if abs(c) > eps:
+            return v.copy() if c > 0 else -v
+    return v.copy()
+
+
+@dataclass(frozen=True)
+class QuadricPoint:
+    """Point on one of the unit quadrics, renormalized at construction.
+
+    `norm_class` is the value of <v,v>: +1 on the sphere, -1 on AdS.
+    `hemisphere` asks for x1 > 0 (spherical polyhedron convention), while
+    `canonical` stores the AdS/Z2 representative with positive leading
+    coordinate.
+    """
+
+    v: np.ndarray
+    sig: Signature
+    norm_class: int = 0
+    hemisphere: bool = False
+    canonical: bool = False
+
+    def __post_init__(self):
+        v = np.asarray(self.v, dtype=float)
+        if v.shape != (4,) or not np.all(np.isfinite(v)):
+            raise GeometryError(f"need a finite 4-vector, got {v!r}")
+        q = form(v, v, self.sig)
+        nc = self.norm_class if self.norm_class else (1 if q > 0 else -1)
+        if q * nc <= 0:
+            raise GeometryError(
+                f"vector has <v,v>={q:.3g}, cannot renormalize to class {nc}"
+            )
+        v = v / np.sqrt(abs(q))
+        if self.canonical and self.sig is Signature.ADS:
+            v = canonical_ads_rep(v)
+        if self.hemisphere and v[0] <= 1e-8:
+            raise GeometryError(f"point not in the open hemisphere: x1={v[0]:.3g}")
+        object.__setattr__(self, "v", v)
+        object.__setattr__(self, "norm_class", nc)
+        if abs(form(v, v, self.sig) - nc) > EPS_NORM:
+            raise GeometryError("renormalization failed")
+
+    def __array__(self, dtype=None):
+        return np.asarray(self.v, dtype=dtype)
+
+
+def group_mul(x: QuadricPoint, y: QuadricPoint) -> QuadricPoint:
+    """Group product of two points of the same quadric."""
+    if x.sig is not y.sig:
+        raise SignatureMismatchError(f"{x.sig.name} * {y.sig.name}")
+    return QuadricPoint(mul4(x.v, y.v, x.sig), x.sig, x.norm_class)
+
+
+def group_inv(y: QuadricPoint) -> QuadricPoint:
+    return QuadricPoint(inv4(y.v, y.sig), y.sig, y.norm_class)
+
+
+@dataclass(frozen=True)
+class DualPlane:
+    """Totally geodesic surface {y : <pole,y> = 0} stored through its pole."""
+
+    pole: QuadricPoint
+
+    def contains(self, y, tol=1e-10):
+        return abs(form(self.pole.v, np.asarray(y, dtype=float), self.pole.sig)) <= tol
+
+
+def dual(obj):
+    """Point -> orthogonal plane, plane -> pole.  Involutive by construction."""
+    if isinstance(obj, QuadricPoint):
+        if obj.sig is Signature.ADS and obj.norm_class > 0:
+            raise GeometryError("dual plane of a space-like AdS point is not space-like")
+        return DualPlane(obj)
+    if isinstance(obj, DualPlane):
+        return obj.pole
+    raise TypeError(f"dual() expects a QuadricPoint or DualPlane, got {type(obj)!r}")
+
+
+class AngleKind(Enum):
+    REAL = "real"
+    PURE_IMAGINARY = "pure_imaginary"
+    PI_MINUS_IMAGINARY = "pi_minus_imaginary"
+
+
+@dataclass(frozen=True)
+class HSAngle:
+    """Angle between two non-light-like directions of a Minkowski space.
+
+    kind REAL covers both the circular angle of a space-like span and the
+    real hyperbolic distance of the time-like/mixed cases; the imaginary
+    kinds store theta with angle i*theta resp. pi - i*theta.
+    """
+
+    kind: AngleKind
+    magnitude: float
+
+
+def hs_angle(u, v, sig=Signature.MINK31):
+    """Classify and measure the angle between u and v per the span of {u,v}.
+
+    Raises LightLikeError when either vector or the spanned plane is
+    light-like (within EPS_ZERO of degenerate).
+    """
+    u = np.asarray(u, dtype=float)
+    v = np.asarray(v, dtype=float)
+    qu = form(u, u, sig)
+    qv = form(v, v, sig)
+    quv = form(u, v, sig)
+    if abs(qu) <= EPS_ZERO or abs(qv) <= EPS_ZERO:
+        raise LightLikeError("light-like vector")
+    nu, nv = np.sqrt(abs(qu)), np.sqrt(abs(qv))
+    gram = qu * qv - quv * quv
+    if qu < 0 and qv < 0:
+        # Two time-like vectors: hyperbolic distance on the same sheet.
+        if quv > 0:
+            raise GeometryError("time-like vectors on opposite sheets")
+        c = -quv / (nu * nv)
+        return HSAngle(AngleKind.REAL, float(np.arccosh(max(c, 1.0))))
+    if qu > 0 and qv > 0:
+        c = quv / (nu * nv)
+        if abs(gram) <= EPS_ZERO * max(abs(qu * qv), 1.0):
+            raise LightLikeError("light-like span")
+        if gram > 0:
+            return HSAngle(AngleKind.REAL, float(np.arccos(np.clip(c, -1.0, 1.0))))
+        if c > 0:
+            return HSAngle(AngleKind.PURE_IMAGINARY, float(np.arccosh(c)))
+        return HSAngle(AngleKind.PI_MINUS_IMAGINARY, float(np.arccosh(-c)))
+    # Mixed pair: sinh(theta) = i<u,v>/(|u||v|) is real; magnitude kept >= 0.
+    s = quv / (nu * nv)
+    return HSAngle(AngleKind.REAL, float(np.arcsinh(abs(s))))
+
+
+# -- comparison up to isometry and congruence -------------------------------------
+
+
+def tiling_isometry_error(T1, T2):
+    """Max vertex distance between matched faces after optimal alignment."""
+    return _aligned_error(*(_stack(T.black + T.white)[0] for T in (T1, T2)), "tilings")
+
+
+def _frame3(a, b):
+    """Right-handed orthonormal frame from two independent unit vectors."""
+    u = a / np.linalg.norm(a)
+    v = b - np.dot(b, u) * u
+    v /= np.linalg.norm(v)
+    return np.stack([u, v, np.cross(u, v)])
+
+
+def _match_faces_under(R, faces1, faces2, tol):
+    used = set()
+    worst = 0.0
+    for f in faces1:
+        moved = f.vertices @ R.T
+        best = None
+        for j, g in enumerate(faces2):
+            if j in used or len(g) != len(f):
+                continue
+            k = len(g)
+            for r in range(k):
+                for step in (1, -1):
+                    idx = [(r + step * i) % k for i in range(k)]
+                    err = float(np.max(np.linalg.norm(moved - g.vertices[idx], axis=1)))
+                    if best is None or err < best[0]:
+                        best = (err, j)
+        if best is None or best[0] > tol:
+            return None
+        used.add(best[1])
+        worst = max(worst, best[0])
+    return worst
+
+
+def tiling_congruence_error(T1, T2, tol=1e-6):
+    """Smallest max-vertex error over orientation-preserving isometries and
+    face matchings; None if the tilings are not congruent within tol.
+
+    Face indices need not correspond: an anchor black face of T1 is tried
+    against every compatible placement on T2 and the induced rotation is
+    then required to match all faces.
+    """
+    if len(T1.black) != len(T2.black) or len(T1.white) != len(T2.white):
+        return None
+    if not (T1.is_spherical and T2.is_spherical):
+        raise GeometryError("congruence matching is for spherical tilings")
+    a = T1.black[0].vertices
+    best = None
+    for cand in T2.black:
+        if len(cand) != len(a):
+            continue
+        k = len(cand)
+        for r in range(k):
+            for direction in (1, -1):
+                idx = [(r + direction * i) % k for i in range(k)]
+                b = cand.vertices[idx]
+                R = _frame3(b[0], b[1]).T @ _frame3(a[0], a[1])
+                err_b = _match_faces_under(R, T1.black, T2.black, tol)
+                if err_b is None:
+                    continue
+                err_w = _match_faces_under(R, T1.white, T2.white, tol)
+                if err_w is None:
+                    continue
+                err = max(err_b, err_w)
+                if best is None or err < best:
+                    best = err
+    return best
+
+
+def polygon_congruent(len_a, ang_a, len_b, ang_b, tol=1e-8):
+    """Cyclic congruence of (edge length, angle) sequences, both orientations."""
+    la, aa = np.asarray(len_a), np.asarray(ang_a)
+    lb, ab = np.asarray(len_b), np.asarray(ang_b)
+    if len(la) != len(lb):
+        return False
+    k = len(la)
+    for flip_dir in (False, True):
+        lbb, abb = (lb, ab) if not flip_dir else (lb[::-1], np.roll(ab[::-1], -1))
+        for r in range(k):
+            if np.max(np.abs(np.roll(lbb, r) - la)) < tol and np.max(
+                np.abs(np.roll(abb, r) - aa)
+            ) < tol:
+                return True
+    return False

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import corner_angles, edge_lengths, polyhedron_corpus
-from flipkit.errors import DegenerateTriangleError, GeometryError
+from flipkit.errors import GeometryError
 from flipkit.fuchsian import (
     FuchsianConfig,
     ads_project,
@@ -33,21 +33,22 @@ from flipkit.tilings import (
     Side,
     black_metric,
     flip,
-    polygon_congruent,
     project,
     polyhedron_isometry_error,
     tiling_equality_error,
-    tiling_isometry_error,
     validate_tiling,
     white_polyhedron,
 )
-from flipkit.trig import (
+from reference_geometry import (
+    DegenerateTriangleError,
     ads_partials,
     ads_solve,
     hs2_laws,
     hs2_partial_a_b,
+    polygon_congruent,
     sph_partials,
     sph_solve,
+    tiling_isometry_error,
 )
 
 FD_STEP = 1e-5

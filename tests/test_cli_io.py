@@ -23,8 +23,8 @@ from flipkit.tilings import (
     flip,
     make_antipodal_tiling,
     project,
-    tiling_congruence_error,
 )
+from reference_geometry import tiling_congruence_error
 
 
 @pytest.fixture()
@@ -564,8 +564,11 @@ FUCHSIAN_HEIGHTS = {
     {"heights": 0.5},
     {"heights": [float("nan")]},
     {"word_len_cap": "ten"},
+    {"word_len_cap": True},
+    {"word_len_cap": False},
 ], ids=["ray-not-numeric", "ray-two-components", "rays-not-a-list",
-        "genus-not-a-number", "heights-scalar", "heights-nan", "cap-not-integer"])
+        "genus-not-a-number", "heights-scalar", "heights-nan", "cap-not-integer",
+        "cap-true", "cap-false"])
 def test_cli_check_rejects_malformed_fuchsian(tmp_path, capsys, change):
     f = tmp_path / "f.json"
     f.write_text(json.dumps(dict(FUCHSIAN_HEIGHTS, **change)))  # NaN as a literal

@@ -3,24 +3,27 @@
 import numpy as np
 import pytest
 
-from flipkit.errors import GeometryError, LightLikeError, SignatureMismatchError
+from flipkit.errors import GeometryError, SignatureMismatchError
 from flipkit.forms import (
     ADS_E,
     SPHERE_E,
+    Signature,
+    inv4_ads,
+    inv4_sphere,
+    mul4_ads,
+    mul4_sphere,
+)
+from reference_geometry import (
     AngleKind,
     DualPlane,
+    LightLikeError,
     QuadricPoint,
-    Signature,
     canonical_ads_rep,
     dual,
     form,
     group_inv,
     group_mul,
     hs_angle,
-    inv4_ads,
-    inv4_sphere,
-    mul4_ads,
-    mul4_sphere,
     pseudo_norm,
 )
 

@@ -14,7 +14,7 @@ from conftest import edge_lengths
 from flipkit import fuchsian
 from flipkit import io as fio
 from flipkit.errors import ConvergenceError, GeometryError
-from flipkit.forms import Signature, cross4, form
+from flipkit.forms import Signature, cross4
 from flipkit.fuchsian import (
     R0,
     R_MAX,
@@ -37,7 +37,6 @@ from flipkit.fuchsian import (
     sph_star_cone_angles,
     sph_star_jacobian,
     star_polyhedron,
-    wedge_convexity,
     _build_star,
     _certified_hull,
     _truncated_hull,
@@ -45,7 +44,7 @@ from flipkit.fuchsian import (
 from flipkit.polyhedra import cyclic_face_order
 from flipkit.spheremath import ADS_STAR, HyperbolicOps
 from flipkit.tilings import Side, flip, tiling_equality_error, validate_tiling
-from flipkit.trig import ConvexityClass
+from reference_geometry import ConvexityClass, form, wedge_convexity
 
 Q21 = np.diag([1.0, 1.0, -1.0])
 DATA = os.path.join(os.path.dirname(__file__), "data")

@@ -1,9 +1,11 @@
 """Source hygiene of the package, read with the stdlib `ast` module only.
 
 Every name a module of src/flipkit imports is used in that module (or
-exported through `__all__`), and every module-private top-level name `_x`
-is referenced somewhere in src/flipkit, so a consolidation leaves no
-orphaned import or helper behind.
+exported through `__all__`), every module-private top-level name `_x` is
+referenced somewhere in src/flipkit, and every public top-level function
+or class is read by src/flipkit, listed in `flipkit.__all__` or kept on
+`UNREAD_PUBLIC` for a stated reason, so a consolidation leaves no orphaned
+import or helper behind and the library holds no code only tests call.
 """
 
 import ast
@@ -14,6 +16,18 @@ import pytest
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "flipkit"
 MODULES = sorted(SRC.glob("*.py"))
 TREES = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in MODULES}
+
+# Public top-level functions and classes that no module of src/flipkit reads
+# and `flipkit.__all__` does not list, each with the reason it stays.
+UNREAD_PUBLIC = {
+    "polyhedron_isometry_error": "the benchmark compares reconstructed polyhedra with it",
+    "cone_angles_fixed_combinatorics": "the finite-difference oracle of the Jacobian, and "
+                                       "the trial evaluator of a fixed-combinatorics Newton",
+    "star_polyhedron": "the S^3 star kernel, waiting on a spherical prescribed-curvature solve",
+    "sph_star_cone_angles": "the S^3 star kernel, waiting on a spherical prescribed-curvature "
+                            "solve",
+    "fuchsian_config_to_dict": "the writer for the fuchsian.v1 reader",
+}
 
 
 def _exported(tree):
@@ -64,3 +78,19 @@ def test_every_private_name_is_referenced():
                if defined.startswith("_") and not defined.startswith("__")
                and defined not in referenced]
     assert not orphans, f"private names nothing references: {orphans}"
+
+
+def test_every_public_name_has_a_caller():
+    read = set()
+    for tree in TREES.values():
+        read |= _read_names(tree)
+        read |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    unread = {node.name: name for name, tree in TREES.items() for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+              and not node.name.startswith("_")
+              and node.name not in read | _exported(TREES["__init__.py"])}
+    unlisted = sorted(f"{module}: {defined}" for defined, module in unread.items()
+                      if defined not in UNREAD_PUBLIC)
+    assert not unlisted, f"public names nothing in src/flipkit reads: {unlisted}"
+    stale = sorted(UNREAD_PUBLIC.keys() - unread.keys())
+    assert not stale, f"allowlisted names that are read, exported or gone: {stale}"

@@ -34,8 +34,8 @@ from flipkit.fuchsian import (
     solve_prescribed_curvature,
     sph_star_cone_angles,
     sph_star_jacobian,
-    wedge_convexity,
 )
+from reference_geometry import wedge_convexity
 from test_fuchsian import THREE_RAYS, config, random_star
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "data", "star_jacobian_golden.json")

@@ -36,17 +36,16 @@ from flipkit.tilings import (
     flip,
     make_antipodal_tiling,
     make_two_circles_tiling,
-    polygon_congruent,
     project,
     project_points,
     recolor,
     tiling_equality_error,
-    tiling_isometry_error,
     polyhedron_isometry_error,
     validate_tiling,
     white_metric,
     white_polyhedron,
 )
+from reference_geometry import polygon_congruent, tiling_isometry_error
 
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "data", "project_flip_sphere.json")

@@ -5,10 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from flipkit.errors import DegenerateTriangleError
-from flipkit.trig import (
+from reference_geometry import (
     AdSTimelikeTriangle,
     ConvexityClass,
+    DegenerateTriangleError,
     ads_partials,
     ads_solve,
     convexity_sign,
