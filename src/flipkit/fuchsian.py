@@ -69,6 +69,9 @@ MAX_CONTINUATION = 40  # continuation steps toward the prescribed target
 MATCH_TOL = 1e-6   # a matrix within this of an element is that element ...
 MATCH_GAP = 0.2    # ... when every other element is more than this away
 
+HEIGHT_MIN = 1e-4       # recovered heights stay in [HEIGHT_MIN, pi/2 - HEIGHT_MIN]
+MAX_GAUSS_NEWTON = 20   # Gauss-Newton steps of a height recovery
+
 
 def extend_isometry(g):
     """Extend an SO(2,1) matrix to an AdS isometry fixing {x4 = 0}."""
@@ -1076,16 +1079,11 @@ class HyperbolicAmbient:
         return flip_hyperbolic(T)
 
 
-def ads_project(surf, side):
-    """Left/right projection of a Fuchsian surface onto the quotient
-    hyperbolic plane H = e*: a flippable tiling given by fundamental faces.
-
-    White faces are projected surface faces (one per face orbit), black
-    faces the projected links at the fundamental vertices; corner links
-    carry the deck transformations identifying the incident copies.  The
-    tiling itself is assembled by `tilings.assemble_tiling`; this function
-    supplies the quotient bookkeeping: face orbits, decks and edge orbits.
-    """
+def _ads_layout(surf):
+    """The quotient bookkeeping of the projections of a Fuchsian surface:
+    the side-independent arguments (poles, points, white, black, edges,
+    ambient) of `tilings.assemble_tiling`, read from its face orbits, decks
+    and edge orbits."""
     # face orbits, represented by the first encountered incident copy
     orbit_of = {}
     orbit_rep = []
@@ -1164,8 +1162,38 @@ def ads_project(surf, side):
         surf.group, surf.config.rays, surf.config.word_length,
         surf.config.word_length_cap
     )
-    return assemble_tiling(Signature.ADS, side, poles, surf.points4, white, black,
-                           edges, ambient)
+    return poles, surf.points4, white, black, edges, ambient
+
+
+def ads_project(surf, side):
+    """Left/right projection of a Fuchsian surface onto the quotient
+    hyperbolic plane H = e*: a flippable tiling given by fundamental faces.
+
+    White faces are projected surface faces (one per face orbit), black
+    faces the projected links at the fundamental vertices; corner links
+    carry the deck transformations identifying the incident copies.  The
+    tiling itself is assembled by `tilings.assemble_tiling` from the
+    quotient bookkeeping of `_ads_layout`.
+    """
+    return assemble_tiling(Signature.ADS, side, *_ads_layout(surf))
+
+
+def _height_rows(T):
+    """The equations of `recover_heights` as stacked rows (b1, b2, cosh
+    dbase, cosh ell), one per white polygon edge."""
+    rays = T.ambient.rays
+    sizes = np.array([len(w) for w in T.white])
+    starts = np.repeat(np.cumsum(sizes) - sizes, sizes)
+    size = np.repeat(sizes, sizes)
+    nxt = starts + (np.arange(len(starts)) - starts + 1) % size
+    links = np.array([b for w in T.white for b in w.links], dtype=int)
+    decks = np.array([np.eye(3) if g is None else g for w in T.white for g in w.decks],
+                     dtype=float)
+    verts = np.concatenate([w.vertices for w in T.white])
+    base = (decks @ rays[links][..., None])[..., 0]
+    ops = HyperbolicOps
+    return (links, links[nxt], np.cosh(ops.dist(base, base[nxt])),
+            np.cosh(ops.dist(verts, verts[nxt])))
 
 
 def recover_heights(T):
@@ -1174,68 +1202,58 @@ def recover_heights(T):
     Each white polygon edge joins the apexes of two black-face copies:
     cosh(edge length) = cos(h_i) cos(h_j) cosh(base distance) +
     sin(h_i) sin(h_j), with the base distance read off the rays and the
-    deck labels.  The resulting small system is solved by least squares.
+    deck labels.  The rows of this small system are solved by undamped
+    Gauss-Newton with their analytic derivative, from h = 0.7 and clipped
+    to (HEIGHT_MIN, pi/2 - HEIGHT_MIN), until a step is below 1e-15 or after
+    MAX_GAUSS_NEWTON steps.  A residual above 1e-8, or a Jacobian that is
+    singular or not finite, raises DevelopmentError.
     """
-    from scipy.optimize import least_squares
-
-    amb = T.ambient
-    if amb == "sphere":
+    if T.ambient == "sphere":
         raise GeometryError("recover_heights expects a hyperbolic tiling")
-    rays = amb.rays
+    b1, b2, cd, ce = _height_rows(T)
     n = len(T.black)
-    ops = HyperbolicOps
-    equations = []
-    for w in T.white:
-        k = len(w)
-        for m in range(k):
-            b1, b2 = w.links[m], w.links[(m + 1) % k]
-            g1, g2 = w.decks[m], w.decks[(m + 1) % k]
-            ell = ops.dist(w.vertices[m], w.vertices[(m + 1) % k])
-            dbase = ops.dist(g1 @ rays[b1], g2 @ rays[b2])
-            equations.append((b1, b2, math.cosh(dbase), math.cosh(ell)))
-
-    def residuals(h):
-        out = []
-        for b1, b2, cd, ce in equations:
-            out.append(
-                math.cos(h[b1]) * math.cos(h[b2]) * cd
-                + math.sin(h[b1]) * math.sin(h[b2])
-                - ce
-            )
-        return out
-
-    sol = least_squares(
-        residuals,
-        x0=np.full(n, 0.7),
-        bounds=(1e-4, np.pi / 2 - 1e-4),
-        xtol=1e-15,
-        ftol=1e-15,
-        gtol=1e-15,
-    )
-    res = float(np.max(np.abs(sol.fun)))
-    if res > 1e-8:
+    onehot = np.eye(n)
+    h = np.full(n, 0.7)
+    for _ in range(MAX_GAUSS_NEWTON):
+        c, s = np.cos(h), np.sin(h)
+        r = c[b1] * c[b2] * cd + s[b1] * s[b2] - ce
+        jac = ((c[b1] * s[b2] - s[b1] * c[b2] * cd)[:, None] * onehot[b1]
+               + (s[b1] * c[b2] - c[b1] * s[b2] * cd)[:, None] * onehot[b2])
+        if not (np.all(np.isfinite(jac)) and np.all(np.isfinite(r))):
+            raise DevelopmentError("height equations are not finite")
+        step, _, rank, _ = np.linalg.lstsq(jac, -r, rcond=None)
+        if rank < n:
+            raise DevelopmentError("height equations are singular")
+        new = np.clip(h + step, HEIGHT_MIN, np.pi / 2 - HEIGHT_MIN)
+        done = np.max(np.abs(new - h)) < 1e-15
+        h = new
+        if done:
+            break
+    c, s = np.cos(h), np.sin(h)
+    res = float(np.max(np.abs(c[b1] * c[b2] * cd + s[b1] * s[b2] - ce)))
+    if not res <= 1e-8:
         raise DevelopmentError(
             f"tiling is not consistent with apexes on the rays ({res:.2e})"
         )
-    return sol.x
+    return h
 
 
 def flip_hyperbolic(T):
     """Flip of a symmetric hyperbolic tiling.
 
-    The white polyhedron is re-embedded from the recovered heights, checked
-    against the input tiling, then projected to the other side.
+    The Fuchsian surface is rebuilt at the heights `recover_heights` reads
+    off the white metric; its quotient layout (`_ads_layout`) is assembled
+    once on the side of T, to check T against it, and once on the other.
     """
-    amb = T.ambient
-    h = recover_heights(T)
-    surf = orbit_hull(amb.config(h))
-    same = ads_project(surf, T.handedness.other)
+    surf = orbit_hull(T.ambient.config(recover_heights(T)))
+    layout = _ads_layout(surf)
+    same = assemble_tiling(Signature.ADS, T.handedness.other, *layout)
     err = tiling_equality_error(T, same)
     if err > 1e-7:
         raise DevelopmentError(
             f"tiling does not match its reconstructed surface ({err:.2e})"
         )
-    return ads_project(surf, T.handedness)
+    return assemble_tiling(Signature.ADS, T.handedness, *layout)
 
 
 # -- spherical star polyhedra (interlude) ------------------------------------------

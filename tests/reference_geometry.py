@@ -10,6 +10,9 @@ are checked against:
   star formulas, each derivative with a matching finite-difference test;
 - the convexity class of every edge at a fundamental vertex of a Fuchsian
   surface, from the sign of sinh(alpha1) + sinh(alpha2) of its two wedges;
+- the heights of the Fuchsian surface under a hyperbolic tiling, by
+  bounded least squares over scalar residuals: the oracle of
+  `fuchsian.recover_heights`, and the one importer of `scipy.optimize`;
 - the bilinear forms as a checked function, points of the unit quadrics,
   their group products, point/plane duality and the complex-valued angles
   between vectors of a Minkowski space;
@@ -26,10 +29,10 @@ import math
 
 import numpy as np
 
-from flipkit.errors import GeometryError, SignatureMismatchError
+from flipkit.errors import DevelopmentError, GeometryError, SignatureMismatchError
 from flipkit.forms import Signature, inv4, mul4
 from flipkit.fuchsian import _edge_dihedrals, star_geometry
-from flipkit.spheremath import ADS_STAR
+from flipkit.spheremath import ADS_STAR, HyperbolicOps
 from flipkit.tilings import _aligned_error, _stack
 
 
@@ -264,6 +267,61 @@ def wedge_convexity(surf, vid):
             star.true_edge, _edge_dihedrals(omega, rho_x, ADS_STAR)
         )
     ]
+
+
+# -- heights of a hyperbolic tiling --------------------------------------------------
+
+
+def least_squares_heights(T):
+    """Heights of the Fuchsian surface underlying a symmetric tiling.
+
+    Each white polygon edge joins the apexes of two black-face copies:
+    cosh(edge length) = cos(h_i) cos(h_j) cosh(base distance) +
+    sin(h_i) sin(h_j), with the base distance read off the rays and the
+    deck labels.  The resulting small system is solved by least squares.
+    """
+    from scipy.optimize import least_squares
+
+    amb = T.ambient
+    if amb == "sphere":
+        raise GeometryError("recover_heights expects a hyperbolic tiling")
+    rays = amb.rays
+    n = len(T.black)
+    ops = HyperbolicOps
+    equations = []
+    for w in T.white:
+        k = len(w)
+        for m in range(k):
+            b1, b2 = w.links[m], w.links[(m + 1) % k]
+            g1, g2 = w.decks[m], w.decks[(m + 1) % k]
+            ell = ops.dist(w.vertices[m], w.vertices[(m + 1) % k])
+            dbase = ops.dist(g1 @ rays[b1], g2 @ rays[b2])
+            equations.append((b1, b2, math.cosh(dbase), math.cosh(ell)))
+
+    def residuals(h):
+        out = []
+        for b1, b2, cd, ce in equations:
+            out.append(
+                math.cos(h[b1]) * math.cos(h[b2]) * cd
+                + math.sin(h[b1]) * math.sin(h[b2])
+                - ce
+            )
+        return out
+
+    sol = least_squares(
+        residuals,
+        x0=np.full(n, 0.7),
+        bounds=(1e-4, np.pi / 2 - 1e-4),
+        xtol=1e-15,
+        ftol=1e-15,
+        gtol=1e-15,
+    )
+    res = float(np.max(np.abs(sol.fun)))
+    if res > 1e-8:
+        raise DevelopmentError(
+            f"tiling is not consistent with apexes on the rays ({res:.2e})"
+        )
+    return sol.x
 
 
 # -- forms, quadric points, duality and Minkowski angles --------------------------

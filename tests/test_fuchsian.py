@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +14,8 @@ from hypothesis import strategies as st
 from conftest import edge_lengths
 from flipkit import fuchsian
 from flipkit import io as fio
-from flipkit.errors import ConvergenceError, GeometryError
+from flipkit.cli import main
+from flipkit.errors import ConvergenceError, DevelopmentError, GeometryError
 from flipkit.forms import Signature, cross4
 from flipkit.fuchsian import (
     R0,
@@ -44,7 +46,7 @@ from flipkit.fuchsian import (
 from flipkit.polyhedra import cyclic_face_order
 from flipkit.spheremath import ADS_STAR, HyperbolicOps
 from flipkit.tilings import Side, flip, tiling_equality_error, validate_tiling
-from reference_geometry import ConvexityClass, form, wedge_convexity
+from reference_geometry import ConvexityClass, form, least_squares_heights, wedge_convexity
 
 Q21 = np.diag([1.0, 1.0, -1.0])
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -325,21 +327,44 @@ def test_face_order_turns_counterclockwise_about_outward(surf3):
         assert cyclic_face_order(chart, f.ids, -normal) == cyc[:1] + cyc[:0:-1]
 
 
+def run_in_fresh_interpreter(code):
+    """Run `code` in a new Python process that imports flipkit from src/."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)
+
+
+SURF1_CODE = (
+    "ray = np.array([[0.25, 0.15, (1 + 0.25**2 + 0.15**2) ** 0.5]])\n"
+    "surf = fu.orbit_hull(fu.FuchsianConfig(fu.genus2_group(), ray, heights=np.array([0.55])))\n"
+)
+
+
 def test_hulls_never_load_csgraph():
     # one merge for both quadrics, by min-label propagation: neither a
     # spherical hull nor an orbit hull loads scipy.sparse.csgraph
-    code = (
+    run_in_fresh_interpreter(
         "import sys, numpy as np\n"
         "from flipkit import fuchsian as fu\n"
         "from flipkit.polyhedra import from_chart, hull\n"
         "hull(from_chart(np.random.default_rng(1).normal(size=(12, 3))))\n"
-        "ray = np.array([[0.25, 0.15, (1 + 0.25**2 + 0.15**2) ** 0.5]])\n"
-        "fu.orbit_hull(fu.FuchsianConfig(fu.genus2_group(), ray, heights=np.array([0.55])))\n"
-        "assert 'scipy.sparse.csgraph' not in sys.modules\n"
+        + SURF1_CODE
+        + "assert 'scipy.sparse.csgraph' not in sys.modules\n"
     )
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    subprocess.run([sys.executable, "-c", code], check=True, env=env)
+
+
+def test_hyperbolic_flip_never_loads_scipy_optimize():
+    # the heights are recovered by Gauss-Newton on numpy rows; only the
+    # least-squares reference of the tests imports scipy.optimize
+    run_in_fresh_interpreter(
+        "import sys, numpy as np\n"
+        "import flipkit, flipkit.cli\n"
+        "from flipkit import fuchsian as fu\n"
+        "from flipkit.tilings import Side, flip\n"
+        + SURF1_CODE
+        + "flip(fu.ads_project(surf, Side.LEFT))\n"
+        "assert 'scipy.optimize' not in sys.modules\n"
+    )
 
 
 def test_faces_at_matches_ordered_incidence(surf3):
@@ -677,6 +702,61 @@ def test_recover_heights_round_trip(surf2):
     T = ads_project(surf2, Side.LEFT)
     h = recover_heights(T)
     np.testing.assert_allclose(h, surf2.heights, atol=1e-9)
+
+
+@settings(max_examples=15)
+@given(n=st.integers(1, 3), level=st.floats(0.08, 1.47),
+       offsets=st.lists(st.floats(-0.03, 0.03), min_size=3, max_size=3))
+def test_recover_heights_matches_least_squares(group, n, level, offsets):
+    h = level + np.array(offsets[:n])
+    T = ads_project(orbit_hull(config(group, THREE_RAYS[:n], heights=h)), Side.LEFT)
+    new, old = recover_heights(T), least_squares_heights(T)
+    np.testing.assert_allclose(new, old, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(new, h, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(old, h, rtol=0, atol=1e-12)
+
+
+def moved_white_vertex(surf):
+    """The left projection of surf with one white vertex pushed off by a
+    factor 1 + 1e-6."""
+    T = ads_project(surf, Side.LEFT)
+    T.white[0].vertices[0] = T.white[0].vertices[0] * (1.0 + 1e-6)
+    return T
+
+
+def test_flip_rejects_a_moved_white_vertex(surf1):
+    with pytest.raises(DevelopmentError, match="apexes on the rays"):
+        flip(moved_white_vertex(surf1))
+
+
+def test_flip_rejects_heights_off_its_surface(surf1, monkeypatch):
+    T = ads_project(surf1, Side.LEFT)
+    recover = fuchsian.recover_heights
+    monkeypatch.setattr(fuchsian, "recover_heights", lambda T: recover(T) + 1e-6)
+    with pytest.raises(DevelopmentError, match="does not match its reconstructed surface"):
+        flip(T)
+
+
+def test_cli_flip_of_a_moved_white_vertex_exits_3(surf1, tmp_path, capsys):
+    path = tmp_path / "moved.json"
+    fio.dump_json(fio.tiling_to_dict(moved_white_vertex(surf1)), path)
+    assert main(["flip", "--in", str(path), "--out", str(tmp_path / "flipped.json")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert "Traceback" not in err
+
+
+def test_flip_rejects_singular_and_non_finite_height_equations(surf2):
+    # no white corner links ray 1, so its height is free
+    T = ads_project(surf2, Side.LEFT)
+    T.white[:] = [replace(w, links=(0,) * len(w)) for w in T.white]
+    with pytest.raises(DevelopmentError, match="singular"):
+        flip(T)
+    T = ads_project(surf2, Side.LEFT)
+    w = T.white[0]
+    T.white[0] = replace(w, decks=(np.full((3, 3), np.nan),) + w.decks[1:])
+    with pytest.raises(DevelopmentError, match="not finite"):
+        flip(T)
 
 
 def test_projection_and_flip_match_golden(surf2):
