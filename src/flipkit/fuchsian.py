@@ -1187,13 +1187,12 @@ def _height_rows(T):
     size = np.repeat(sizes, sizes)
     nxt = starts + (np.arange(len(starts)) - starts + 1) % size
     links = np.array([b for w in T.white for b in w.links], dtype=int)
-    decks = np.array([np.eye(3) if g is None else g for w in T.white for g in w.decks],
-                     dtype=float)
+    decks = np.array([np.eye(3) if g is None else g
+                      for w in T.white for g in (w.decks or (None,) * len(w))], dtype=float)
     verts = np.concatenate([w.vertices for w in T.white])
     base = (decks @ rays[links][..., None])[..., 0]
-    ops = HyperbolicOps
-    return (links, links[nxt], np.cosh(ops.dist(base, base[nxt])),
-            np.cosh(ops.dist(verts, verts[nxt])))
+    return (links, links[nxt], np.cosh(HyperbolicOps.dist(base, base[nxt])),
+            np.cosh(HyperbolicOps.dist(verts, verts[nxt])))
 
 
 def recover_heights(T):
@@ -1225,9 +1224,8 @@ def recover_heights(T):
         if rank < n:
             raise DevelopmentError("height equations are singular")
         new = np.clip(h + step, HEIGHT_MIN, np.pi / 2 - HEIGHT_MIN)
-        done = np.max(np.abs(new - h)) < 1e-15
-        h = new
-        if done:
+        step, h = new - h, new
+        if np.max(np.abs(step)) < 1e-15:
             break
     c, s = np.cos(h), np.sin(h)
     res = float(np.max(np.abs(c[b1] * c[b2] * cd + s[b1] * s[b2] - ce)))

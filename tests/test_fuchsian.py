@@ -716,17 +716,22 @@ def test_recover_heights_matches_least_squares(group, n, level, offsets):
     np.testing.assert_allclose(old, h, rtol=0, atol=1e-12)
 
 
-def moved_white_vertex(surf):
-    """The left projection of surf with one white vertex pushed off by a
-    factor 1 + 1e-6."""
-    T = ads_project(surf, Side.LEFT)
+def move_white_vertex(T):
+    """Push one white vertex of T off by a factor 1 + 1e-6."""
     T.white[0].vertices[0] = T.white[0].vertices[0] * (1.0 + 1e-6)
-    return T
+
+
+def drop_white_decks(T):
+    """Drop the deck tags of a white face of T whose corners are not all on
+    the fundamental copies (a tiling.v1 face may carry "decks": null)."""
+    T.white[0] = replace(T.white[0], decks=None)
 
 
 def test_flip_rejects_a_moved_white_vertex(surf1):
+    T = ads_project(surf1, Side.LEFT)
+    move_white_vertex(T)
     with pytest.raises(DevelopmentError, match="apexes on the rays"):
-        flip(moved_white_vertex(surf1))
+        flip(T)
 
 
 def test_flip_rejects_heights_off_its_surface(surf1, monkeypatch):
@@ -737,9 +742,12 @@ def test_flip_rejects_heights_off_its_surface(surf1, monkeypatch):
         flip(T)
 
 
-def test_cli_flip_of_a_moved_white_vertex_exits_3(surf1, tmp_path, capsys):
-    path = tmp_path / "moved.json"
-    fio.dump_json(fio.tiling_to_dict(moved_white_vertex(surf1)), path)
+@pytest.mark.parametrize("damage", [move_white_vertex, drop_white_decks])
+def test_cli_flip_of_a_damaged_tiling_exits_3(surf1, damage, tmp_path, capsys):
+    T = ads_project(surf1, Side.LEFT)
+    damage(T)
+    path = tmp_path / "damaged.json"
+    fio.dump_json(fio.tiling_to_dict(T), path)
     assert main(["flip", "--in", str(path), "--out", str(tmp_path / "flipped.json")]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ") and len(err.splitlines()) == 1
