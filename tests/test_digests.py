@@ -54,7 +54,7 @@ QUOTIENT_FLIP_DIGESTS = {
 
 
 def _rays(n):
-    return np.array([[x, y, math.sqrt(1.0 + x * x + y * y)] for x, y in RAYS[n]])
+    return np.array([[x, y, math.sqrt(1.0 + x ** 2 + y ** 2)] for x, y in RAYS[n]])
 
 
 def solver_digest(group, seed):
