@@ -19,13 +19,20 @@ fails, R grows by 0.5 up to R_MAX = 10, past which GeometryError is raised.
 Its faces come from the chart hull -> merged faces path of `polyhedra`,
 with the future poles of the space-like planes.
 
+A vertex star is built from the fans of its incident faces.  A triangle,
+the face of a generic hull, is its own fan and is read from its vertex set;
+only a larger face, from a coplanar merge, is ordered cyclically for its
+fan, so a generic hull orders no face at all.
+
 One star kernel serves AdS_3 and S^3 (`star_geometry`, on the star
-quadric `spheremath.ADS_STAR` or `SPHERE_STAR`): given a vertex and its
-neighbour cycle as arrays it returns the edge lengths, apex angles and
-wedge angles of the star in one pass.  Cone angles are summed from its
-wedge angles, and one assembly (`_assemble`) builds the Jacobian of either
-quadric; only the family (sinh, cosh) or (sin, cos) differs.  Distances,
-tangents, angles and face areas are the primitives of `spheremath`.
+quadric `spheremath.ADS_STAR` or `SPHERE_STAR`): given the stars of a
+surface as stacked rows, their vertices and their neighbour cycles
+concatenated with per-star offsets, it returns the edge lengths, apex
+angles and wedge angles of all of them in one pass.  Cone angles are the
+wedge angles summed per star in cycle order, and one assembly
+(`_assemble`) builds the Jacobian of either quadric from the same pass;
+only the family (sinh, cosh) or (sin, cos) differs.  Distances, tangents,
+angles and face areas are the primitives of `spheremath`.
 
 Group elements are identified by one rule.  The elements of a ball
 (`FuchsianGroup.ball`) carry integer ids, their positions in
@@ -52,7 +59,7 @@ from scipy.spatial import QhullError, cKDTree
 from .errors import ConvergenceError, DevelopmentError, GeometryError
 from .forms import ADS_E, Signature
 from .polyhedra import cyclic_face_order, hull, merge_triangles, triangle_poles
-from .spheremath import ADS_STAR, SPHERE_STAR, HyperbolicOps
+from .spheremath import ADS_STAR, SPHERE_STAR, HyperbolicOps, cycle_sums
 from .tilings import ConeMetric, ConePoint, assemble_tiling, tiling_equality_error
 
 logger = logging.getLogger("flipkit.fuchsian")
@@ -100,9 +107,10 @@ def _stable_key(m, scale):
     """Quantized matrix bytes: the ordering convention of a ball.
 
     `elements` breaks displacement ties by these bytes, and `ElementBall.rank`
-    is their order; both fix the fan starts of `_triangulate_face` and the
-    star starts of `_build_star`.  Identity is decided by the matching rule
-    (`_identify`), never by these bytes.
+    is their order; through `ElementBall.vertex_keys` it fixes the fan
+    starts of `_triangulate_face` and the star starts of `_build_star`.
+    Identity is decided by the matching rule (`_identify`), never by these
+    bytes.
     """
     q = np.floor(np.asarray(m, dtype=float) * scale + 0.61803398874989485)
     return q.astype(np.int64).tobytes()
@@ -135,6 +143,16 @@ class ElementBall:
         self.rank = rank
         self._tree = None
         self._rows = {}
+        self._keys = {}
+
+    def vertex_keys(self, n):
+        """The order key of each orbit vertex vid of n rays, as a list: the
+        vertex of ray b under element e (vid = n e + b) has the key
+        b len(ball) + rank[e], which orders by ray, then by rank."""
+        if n not in self._keys:
+            rank = np.asarray(self.rank)
+            self._keys[n] = (rank[:, None] + np.arange(n) * len(rank)).ravel().tolist()
+        return self._keys[n]
 
     def _ids(self, mats):
         if self._tree is None:
@@ -392,9 +410,10 @@ class SurfaceFace:
 
     ids        : the face's vertex ids, ascending
     vertex_ids : the same ids in cyclic order, starting from the least;
-                 computed from the chart on first read, because a hull has
-                 thousands of faces and only those near the fundamental
-                 vertices are ever read in order
+                 computed from the chart on first read.  The stars never
+                 read it for a triangle, only for a larger face from a
+                 coplanar merge; the projections and face areas read it
+                 for the faces around the fundamental vertices
     """
 
     __slots__ = ("ids", "pole", "_chart", "_cyclic")
@@ -417,7 +436,8 @@ class FuchsianSurface:
     stars at the fundamental vertices.
 
     Vertex vid is the point of ray vid % n moved by elements[vid // n],
-    the element with id vid // n of `ball`.
+    the element with id vid // n of `ball`; `order_keys[vid]` is its key
+    in the vertex order that starts fans and star cycles.
     """
 
     def __init__(self, config, ball, points4, faces, radius):
@@ -427,6 +447,7 @@ class FuchsianSurface:
         self.points4 = points4
         self.faces = faces
         self.radius = radius
+        self.order_keys = ball.vertex_keys(config.n)
         self.stars = []
         # incidence as CSR: the faces at vertex v, ascending, are
         # _incident_faces[_incidence_start[v]:_incidence_start[v + 1]]
@@ -457,11 +478,6 @@ class FuchsianSurface:
     def element_of(self, vid):
         return self.elements[vid // self.n]
 
-    def vkey(self, vid):
-        """Order key of a vertex: its ray, then the rank of its element."""
-        e, b = divmod(vid, self.n)
-        return (b, self.ball.rank[e])
-
     def star_at(self, vid):
         """Star of a hull vertex.  The fundamental ones are cached; any
         other is certified like them, or GeometryError."""
@@ -471,15 +487,16 @@ class FuchsianSurface:
 
     def star_combinatorics(self):
         """The neighbour cycle of each fundamental star as (ray, element id)
-        labels, started at its least vertex under `vkey` and read in the
-        direction whose keys come first."""
+        labels, started at its least vertex under `order_keys` and read in
+        the direction whose keys come first."""
+        key = self.order_keys
         out = []
         for star in self.stars:
             cyc = star.neighbors
-            pivot = min(range(len(cyc)), key=lambda j: self.vkey(cyc[j]))
+            pivot = min(range(len(cyc)), key=lambda j: key[cyc[j]])
             cyc = cyc[pivot:] + cyc[:pivot]
             rev = [cyc[0]] + cyc[1:][::-1]
-            cyc = min(cyc, rev, key=lambda c: [self.vkey(v) for v in c])
+            cyc = min(cyc, rev, key=lambda c: [key[v] for v in c])
             out.append(tuple((v % self.n, v // self.n) for v in cyc))
         return tuple(out)
 
@@ -572,10 +589,14 @@ def _face_labels(surf, ids, v):
                     surf.ball.relative(v // n, [u // n for u in ids])))
 
 
-def _triangulate_face(vertex_ids, key):
-    """Fan from the least vertex under `key`: triangles and false edges."""
-    ids = list(vertex_ids)
-    start = min(range(len(ids)), key=lambda i: key(ids[i]))
+def _triangulate_face(face, key):
+    """Fan of a face from its least vertex under `key`: triangles and false
+    edges.  A triangle is its own fan, in either orientation, so it is read
+    from `ids`; only a larger face is read in its cyclic order."""
+    if len(face.ids) == 3:
+        return [face.ids], ()
+    ids = face.vertex_ids
+    start = min(range(len(ids)), key=lambda i: key[ids[i]])
     ids = ids[start:] + ids[:start]
     v0 = ids[0]
     tris = [(v0, ids[t], ids[t + 1]) for t in range(1, len(ids) - 1)]
@@ -584,47 +605,47 @@ def _triangulate_face(vertex_ids, key):
 
 
 def _build_star(surf, vid):
+    """Star of hull vertex vid: the wedges at vid of the fans of its
+    incident faces, closed into one cycle that starts at the neighbour of
+    least order key and turns toward the lesser of that neighbour's two
+    neighbours."""
     incident = surf.faces_at(vid)
     if len(incident) < 2:
         raise GeometryError("vertex star is incomplete (truncation too small)")
-    tris = []
+    key = surf.order_keys
+    adj = {}
     false_edges = set()
     wedge_face = {}
     for fi in incident:
-        t, fe = _triangulate_face(surf.faces[fi].vertex_ids, surf.vkey)
-        false_edges |= fe
-        for tri in t:
+        tris, fe = _triangulate_face(surf.faces[fi], key)
+        false_edges.update(fe)
+        for tri in tris:
             if vid in tri:
-                rest = tuple(u for u in tri if u != vid)
-                tris.append(rest)
-                wedge_face[frozenset(rest) | {vid}] = fi
-    adj = {}
-    for a, b in tris:
-        adj.setdefault(a, []).append(b)
-        adj.setdefault(b, []).append(a)
+                a, b = (u for u in tri if u != vid)
+                adj.setdefault(a, []).append(b)
+                adj.setdefault(b, []).append(a)
+                wedge_face[a, b] = wedge_face[b, a] = fi
     if not adj or any(len(vs) != 2 for vs in adj.values()):
         raise GeometryError("vertex star is not a disk")
-    start = min(adj, key=surf.vkey)
+    m = len(adj)
+    start = min(adj, key=key.__getitem__)
     cycle = [start]
     prev = None
     while True:
         cands = [u for u in adj[cycle[-1]] if u != prev]
-        nxt = cands[0] if len(cands) == 1 else min(cands, key=surf.vkey)
+        nxt = cands[0] if len(cands) == 1 else min(cands, key=key.__getitem__)
         prev = cycle[-1]
         if nxt == start:
             break
         cycle.append(nxt)
-        if len(cycle) > len(tris) + 1:
+        if len(cycle) > m:
             raise GeometryError("vertex star does not close")
-    if len(cycle) != len(tris):
+    if len(cycle) != m:
         raise GeometryError("vertex star does not close")
     true_edge = [frozenset((vid, u)) not in false_edges for u in cycle]
-    wf = []
-    for j in range(len(cycle)):
-        tri_key = frozenset((cycle[j], cycle[(j + 1) % len(cycle)])) | {vid}
-        if tri_key not in wedge_face:
-            raise GeometryError("wedge missing from the star triangulation")
-        wf.append(wedge_face[tri_key])
+    wf = [wedge_face.get((u, cycle[(j + 1) % m])) for j, u in enumerate(cycle)]
+    if None in wf:
+        raise GeometryError("wedge missing from the star triangulation")
     return VertexStar(vid, cycle, true_edge, wf)
 
 
@@ -723,37 +744,70 @@ def _truncated_hull(config, radius):
 # -- the star kernel: cone angles and the Jacobian --------------------------------
 
 
-def _wedges(x, ys, sig):
-    """The unit edge tangents at x and the wedge angles of a star."""
+def _stack_stars(stars):
+    """Stars as stacked rows: their vertex ids, their neighbour ids
+    concatenated in cycle order, and the offsets of each star's neighbours
+    in that concatenation."""
+    nbrs = [u for star in stars for u in star.neighbors]
+    offsets = [0]
+    for star in stars:
+        offsets.append(offsets[-1] + len(star.neighbors))
+    return [star.vertex for star in stars], np.array(nbrs, dtype=np.intp), offsets
+
+
+def _star_rows(offsets):
+    """Per row of the stars stacked at `offsets`: its star, and the rows of
+    the next and of the previous neighbour in that star's cycle."""
+    star, nxt, prv = [], [], []
+    for i, (lo, hi) in enumerate(zip(offsets[:-1], offsets[1:])):
+        rows = list(range(lo, hi))
+        star += [i] * (hi - lo)
+        nxt += rows[1:] + rows[:1]
+        prv += rows[-1:] + rows[:-1]
+    return np.array(star, dtype=np.intp), np.array(nxt, dtype=np.intp), np.array(
+        prv, dtype=np.intp)
+
+
+def _wedges(x, ys, nxt, sig):
+    """The unit edge tangents at the star vertices x (one row per
+    neighbour) toward ys, and the wedge angles between each tangent and the
+    one of the next neighbour."""
     t = sig.tangent(x, ys)
-    return t, sig.angle_between(t, np.roll(t, -1, axis=0))
+    return t, sig.angle_between(t, t[nxt])
 
 
-def star_geometry(x, ys, sig=ADS_STAR):
-    """Edge lengths ell, apex angles rho_x at x and rho_s at the neighbours,
-    and wedge angles omega of the star at x whose neighbour cycle is the
-    rows of ys; omega[j] lies between ys[j] and ys[j + 1 mod m].  `sig` is
-    the star quadric, `ADS_STAR` or `SPHERE_STAR`."""
-    t, omega = _wedges(x, ys, sig)
+def star_geometry(xs, ys, offsets, sig=ADS_STAR):
+    """Edge lengths ell, apex angles rho_x at the star vertex and rho_s at
+    the neighbours, and wedge angles omega of stacked stars: star i has its
+    vertex at xs[i] and its neighbour cycle at ys[offsets[i]:offsets[i + 1]].
+    Each result is one row per neighbour, stacked the same way; omega[j]
+    lies between neighbour j and the next one of its star.  One star is the
+    call with offsets [0, m].  `sig` is the star quadric, `ADS_STAR` or
+    `SPHERE_STAR`."""
+    star, nxt, _ = _star_rows(offsets)
+    x = xs[star]
+    t, omega = _wedges(x, ys, nxt, sig)
     rho_s = sig.apex_angles(ys, sig.tangent(ys, x))
     return sig.dist(x, ys), sig.apex_angles(x, t), rho_s, omega
 
 
-def _cone_angle(star, pts, sig=ADS_STAR):
-    """Total wedge angle of a star with its vertices at `pts`, summed in
+def _cone_angles(stars, pts, sig=ADS_STAR):
+    """Total wedge angle of each star with its vertices at `pts`, summed in
     cycle order."""
-    omega = _wedges(pts[star.vertex], pts[star.neighbors], sig)[1]
-    return float(np.add.accumulate(omega)[-1])
+    vertex, nbrs, offsets = _stack_stars(stars)
+    star, nxt, _ = _star_rows(offsets)
+    omega = _wedges(pts[vertex][star], pts[nbrs], nxt, sig)[1]
+    return cycle_sums(omega, np.diff(offsets))
 
 
 def cone_angle_at(surf, vid):
     """Total face angle around one hull vertex, from its star."""
-    return _cone_angle(surf.star_at(vid), surf.points4)
+    return float(_cone_angles([surf.star_at(vid)], surf.points4)[0])
 
 
 def cone_angles(surf):
     """Cone angles at the fundamental vertices."""
-    return np.array([cone_angle_at(surf, vid) for vid in range(surf.n)])
+    return _cone_angles(surf.stars, surf.points4)
 
 
 def curvatures(surf):
@@ -770,23 +824,13 @@ def cone_angles_fixed_combinatorics(surf, heights):
     """Cone angles at the fundamental vertices after re-embedding the
     vertices at new heights while keeping the face structure fixed; the
     finite-difference oracle for the Jacobian."""
-    pts = reembedded_points(surf, heights)
-    return np.array([_cone_angle(star, pts) for star in surf.stars])
+    return _cone_angles(surf.stars, reembedded_points(surf, heights))
 
 
-def _edge_dihedrals(omega, rho, sig):
-    """Per edge j of a star, the signed dihedrals along it inside the wedges
-    j - 1 and j: (S rho_other - cos omega S rho_j) / (sin omega C rho_j)."""
-    s = [sig.trig.S(r) for r in rho]
-    c = [sig.trig.C(r) for r in rho]
-    cos_w = [math.cos(w) for w in omega]
-    sin_w = [math.sin(w) for w in omega]
-    m = len(rho)
-    return [
-        ((s[j - 1] - cos_w[j - 1] * s[j]) / (sin_w[j - 1] * c[j]),
-         (s[(j + 1) % m] - cos_w[j] * s[j]) / (sin_w[j] * c[j]))
-        for j in range(m)
-    ]
+def _scalar_map(f, x):
+    """f of one float, entry by entry over the array x: the `math`
+    functions of a Trig, whose bits the numpy ones do not always match."""
+    return np.fromiter(map(f, x.tolist()), dtype=float, count=len(x))
 
 
 @dataclass
@@ -804,39 +848,49 @@ class JacobianMatrix:
 
 
 def _assemble(stars, pts, index, n, sig):
-    """d omega_x / d h_y from vertex stars whose vertices sit at `pts`;
-    vertex v is row and column index(v) of the n x n matrix.
+    """d omega_x / d h_y from vertex stars whose vertices sit at `pts`, in
+    one stacked pass; vertex v is row and column index(v) of the n x n
+    matrix, `index` taking arrays of vertex ids.
 
     Per neighbour y of x, the dihedral sum D of the two wedges at the edge
-    xy vanishes on false edges and has the sign of kappa on true edges of
-    a convex surface (negative in AdS_3, positive on S^3).  The chain rule
-    through the apex triangles gives D C(rho_y) / S(ell) at (x, y) and
-    -C(ell) D C(rho_x) / S(ell) on the diagonal; an edge joining x to its
-    own orbit gives D C(rho_x) (1 - C(ell)) / S(ell).
+    xy, (S rho_other - cos omega S rho_y) / (sin omega C rho_y) over each
+    of them, vanishes on false edges and has the sign of kappa on true
+    edges of a convex surface (negative in AdS_3, positive on S^3); the
+    first edge in star and cycle order that breaks this raises
+    GeometryError.  The chain rule through the apex triangles gives
+    D C(rho_y) / S(ell) at (x, y) and -C(ell) D C(rho_x) / S(ell) on the
+    diagonal; an edge joining x to its own orbit gives
+    D C(rho_x) (1 - C(ell)) / S(ell).  Each entry adds its terms in star
+    and cycle order.
     """
     S, C = sig.trig.S, sig.trig.C
-    J = np.zeros((n, n))
-    for star in stars:
-        ix = index(star.vertex)
-        ell, rho_x, rho_s, omega = star_geometry(
-            pts[star.vertex], pts[star.neighbors], sig
+    vertex, nbrs, offsets = _stack_stars(stars)
+    star, nxt, prv = _star_rows(offsets)
+    ell, rho_x, rho_s, omega = star_geometry(pts[vertex], pts[nbrs], offsets, sig)
+    s, c = _scalar_map(S, rho_x), _scalar_map(C, rho_x)
+    cos_w, sin_w = _scalar_map(math.cos, omega), _scalar_map(math.sin, omega)
+    d = ((s[prv] - cos_w[prv] * s) / (sin_w[prv] * c)
+         + (s[nxt] - cos_w * s) / (sin_w * c))
+    true = np.fromiter(itertools.chain.from_iterable(st.true_edge for st in stars),
+                       dtype=bool, count=len(nbrs))
+    flat = ~true & (np.abs(d) > 1e-6)
+    bad = np.flatnonzero(flat | (true & (-sig.kappa * d > 1e-9)))
+    if len(bad):
+        j = bad[0]
+        if flat[j]:
+            raise GeometryError(f"false edge with nonzero dihedral sum {d[j]:.2e}")
+        raise GeometryError(
+            f"surface is not convex along a true edge (dihedral sum {d[j]:.2e})"
         )
-        for j, (a1, a2) in enumerate(_edge_dihedrals(omega, rho_x, sig)):
-            d = a1 + a2
-            if not star.true_edge[j]:
-                if abs(d) > 1e-6:
-                    raise GeometryError(f"false edge with nonzero dihedral sum {d:.2e}")
-                continue
-            if -sig.kappa * d > 1e-9:
-                raise GeometryError(
-                    f"surface is not convex along a true edge (dihedral sum {d:.2e})"
-                )
-            iy = index(star.neighbors[j])
-            if iy == ix:
-                J[ix, ix] += d * C(rho_x[j]) * (1.0 - C(ell[j])) / S(ell[j])
-            else:
-                J[ix, iy] += d * C(rho_s[j]) / S(ell[j])
-                J[ix, ix] += -C(ell[j]) * d * C(rho_x[j]) / S(ell[j])
+    ix, iy = index(np.asarray(vertex)[star][true]), index(nbrs[true])
+    d, c, ell = d[true], c[true], ell[true]
+    s_ell, c_ell = _scalar_map(S, ell), _scalar_map(C, ell)
+    loop = ix == iy
+    diag = np.where(loop, d * c * (1.0 - c_ell) / s_ell, -c_ell * d * c / s_ell)
+    off = d * _scalar_map(C, rho_s[true]) / s_ell
+    # one bincount adds each cell's terms in star and cycle order
+    cells = np.concatenate([(ix * n + iy)[~loop], ix * (n + 1)])
+    J = np.bincount(cells, np.concatenate([off[~loop], diag]), n * n).reshape(n, n)
     cond = float(np.linalg.cond(J))
     logger.debug("jacobian condition number: %.3e", cond)
     return JacobianMatrix(J, cond)
@@ -844,8 +898,7 @@ def _assemble(stars, pts, index, n, sig):
 
 def jacobian(surf):
     """d omega_x / d h_y of a Fuchsian surface, from its fundamental stars."""
-    stars = [surf.star_at(vid) for vid in range(surf.n)]
-    return _assemble(stars, surf.points4, surf.base_of, surf.n, ADS_STAR)
+    return _assemble(surf.stars, surf.points4, surf.base_of, surf.n, ADS_STAR)
 
 
 # -- the prescribed-curvature solver ---------------------------------------------
@@ -1303,8 +1356,8 @@ def _sph_star(P, vi):
 def sph_star_cone_angles(P, order):
     """Cone angle (total face angle) at each vertex, indexed by ray."""
     out = np.empty(P.n_vertices)
-    for vi in range(P.n_vertices):
-        out[order[vi]] = _cone_angle(_sph_star(P, vi), P.vertices, SPHERE_STAR)
+    out[order] = _cone_angles([_sph_star(P, vi) for vi in range(P.n_vertices)],
+                              P.vertices, SPHERE_STAR)
     return out
 
 
@@ -1313,4 +1366,5 @@ def sph_star_jacobian(P, order):
     the assembly of `jacobian` with sin and cos.  Off-diagonal entries are
     positive by convexity."""
     stars = [_sph_star(P, vi) for vi in range(P.n_vertices)]
-    return _assemble(stars, P.vertices, order.__getitem__, P.n_vertices, SPHERE_STAR)
+    return _assemble(stars, P.vertices, np.asarray(order).__getitem__, P.n_vertices,
+                     SPHERE_STAR)

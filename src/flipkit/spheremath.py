@@ -90,7 +90,7 @@ class Quadric:
 
     def inner(self, u, v):
         """Row-wise <u, v>, each row summed left to right like one vector."""
-        return np.sum(u * v * self.form, axis=-1)
+        return (u * v * self.form).sum(axis=-1)
 
     def dist(self, u, v):
         return self.trig.arc_c(self.kappa * self.inner(u, v))
@@ -108,7 +108,7 @@ class Quadric:
     def tangent(self, x, y, sign=1):
         """Unit tangents at x toward y; raises where one is undefined."""
         t, defined = self.tangents(x, y, sign)
-        if not np.all(defined):
+        if not defined.all():
             raise GeometryError(self.tangent_undefined)
         return t
 
@@ -139,11 +139,7 @@ class Quadric:
         """Gauss-Bonnet areas of polygons from their corner angles, stacked
         as in `corner_angles`; each polygon sums its angles in cycle order."""
         sizes = np.asarray(sizes)
-        _, k = _cycles(sizes)
-        rows = np.zeros((len(sizes), sizes.max()))
-        rows[np.repeat(np.arange(len(sizes)), sizes), k] = angles
-        sums = np.add.accumulate(rows, axis=1)[:, -1]
-        return self.kappa * (sums - (sizes - 2) * np.pi)
+        return self.kappa * (cycle_sums(angles, sizes) - (sizes - 2) * np.pi)
 
     def polygon_area(self, verts):
         """Gauss-Bonnet area of the polygon with its corners at the rows of
@@ -176,6 +172,18 @@ def _cycles(sizes):
     where its polygon starts and its position in that polygon."""
     first = np.repeat(np.cumsum(sizes) - sizes, sizes)
     return first, np.arange(len(first)) - first
+
+
+def cycle_sums(values, sizes):
+    """Per cycle of values stacked with sizes[i] entries each, their sum in
+    cycle order: np.add.accumulate along zero-padded rows adds strictly left
+    to right, like a loop over one cycle, where np.add.reduceat sums pairwise
+    past eight entries."""
+    sizes = np.asarray(sizes)
+    _, k = _cycles(sizes)
+    rows = np.zeros((len(sizes), sizes.max()))
+    rows[np.repeat(np.arange(len(sizes)), sizes), k] = values
+    return np.add.accumulate(rows, axis=1)[:, -1]
 
 
 def _vecdot(u, v):

@@ -10,6 +10,10 @@ are checked against:
   star formulas, each derivative with a matching finite-difference test;
 - the convexity class of every edge at a fundamental vertex of a Fuchsian
   surface, from the sign of sinh(alpha1) + sinh(alpha2) of its two wedges;
+- the vertex stars of a Fuchsian surface one at a time: the star builder
+  that orders every incident face and compares order keys per call, and the
+  per-star kernel, cone angle and Jacobian assembly, the references of the
+  stacked star layer of `flipkit.fuchsian`;
 - the heights of the Fuchsian surface under a hyperbolic tiling, by
   bounded least squares over scalar residuals: the oracle of
   `fuchsian.recover_heights`, and the one importer of `scipy.optimize`;
@@ -31,7 +35,7 @@ import numpy as np
 
 from flipkit.errors import DevelopmentError, GeometryError, SignatureMismatchError
 from flipkit.forms import Signature, inv4, mul4
-from flipkit.fuchsian import _edge_dihedrals, star_geometry
+from flipkit.fuchsian import VertexStar
 from flipkit.spheremath import ADS_STAR, HyperbolicOps
 from flipkit.tilings import _aligned_error, _stack
 
@@ -258,15 +262,148 @@ def convexity_sign(alpha1, alpha2, eps=EPS_CVX):
 def wedge_convexity(surf, vid):
     """Convexity classification of every edge at a fundamental vertex."""
     star = surf.star_at(vid)
-    _, rho_x, _, omega = star_geometry(
+    _, rho_x, _, omega = reference_star_geometry(
         surf.points4[vid], surf.points4[star.neighbors]
     )
     return [
         (is_true, convexity_sign(math.asinh(a1), math.asinh(a2)))
         for is_true, (a1, a2) in zip(
-            star.true_edge, _edge_dihedrals(omega, rho_x, ADS_STAR)
+            star.true_edge, reference_edge_dihedrals(omega, rho_x, ADS_STAR)
         )
     ]
+
+
+# -- vertex stars one at a time ------------------------------------------------------
+
+
+def reference_vkey(surf, vid):
+    """Order key of a vertex: its ray, then the rank of its element."""
+    e, b = divmod(vid, surf.n)
+    return (b, surf.ball.rank[e])
+
+
+def reference_triangulate_face(vertex_ids, key):
+    """Fan from the least vertex under `key`: triangles and false edges."""
+    ids = list(vertex_ids)
+    start = min(range(len(ids)), key=lambda i: key(ids[i]))
+    ids = ids[start:] + ids[:start]
+    v0 = ids[0]
+    tris = [(v0, ids[t], ids[t + 1]) for t in range(1, len(ids) - 1)]
+    false_edges = {frozenset((v0, ids[t])) for t in range(2, len(ids) - 1)}
+    return tris, false_edges
+
+
+def reference_build_star(surf, vid):
+    """The star of hull vertex vid from the fans of its incident faces, each
+    face read in its cyclic order."""
+    def vkey(v):
+        return reference_vkey(surf, v)
+
+    incident = surf.faces_at(vid)
+    if len(incident) < 2:
+        raise GeometryError("vertex star is incomplete (truncation too small)")
+    tris = []
+    false_edges = set()
+    wedge_face = {}
+    for fi in incident:
+        t, fe = reference_triangulate_face(surf.faces[fi].vertex_ids, vkey)
+        false_edges |= fe
+        for tri in t:
+            if vid in tri:
+                rest = tuple(u for u in tri if u != vid)
+                tris.append(rest)
+                wedge_face[frozenset(rest) | {vid}] = fi
+    adj = {}
+    for a, b in tris:
+        adj.setdefault(a, []).append(b)
+        adj.setdefault(b, []).append(a)
+    if not adj or any(len(vs) != 2 for vs in adj.values()):
+        raise GeometryError("vertex star is not a disk")
+    start = min(adj, key=vkey)
+    cycle = [start]
+    prev = None
+    while True:
+        cands = [u for u in adj[cycle[-1]] if u != prev]
+        nxt = cands[0] if len(cands) == 1 else min(cands, key=vkey)
+        prev = cycle[-1]
+        if nxt == start:
+            break
+        cycle.append(nxt)
+        if len(cycle) > len(tris) + 1:
+            raise GeometryError("vertex star does not close")
+    if len(cycle) != len(tris):
+        raise GeometryError("vertex star does not close")
+    true_edge = [frozenset((vid, u)) not in false_edges for u in cycle]
+    wf = []
+    for j in range(len(cycle)):
+        tri_key = frozenset((cycle[j], cycle[(j + 1) % len(cycle)])) | {vid}
+        if tri_key not in wedge_face:
+            raise GeometryError("wedge missing from the star triangulation")
+        wf.append(wedge_face[tri_key])
+    return VertexStar(vid, cycle, true_edge, wf)
+
+
+def _reference_wedges(x, ys, sig):
+    t = sig.tangent(x, ys)
+    return t, sig.angle_between(t, np.roll(t, -1, axis=0))
+
+
+def reference_star_geometry(x, ys, sig=ADS_STAR):
+    """Edge lengths, apex angles at x and at the neighbours, and wedge
+    angles of the one star at x whose neighbour cycle is the rows of ys."""
+    t, omega = _reference_wedges(x, ys, sig)
+    rho_s = sig.apex_angles(ys, sig.tangent(ys, x))
+    return sig.dist(x, ys), sig.apex_angles(x, t), rho_s, omega
+
+
+def reference_cone_angle(star, pts, sig=ADS_STAR):
+    """Total wedge angle of one star, summed in cycle order."""
+    omega = _reference_wedges(pts[star.vertex], pts[star.neighbors], sig)[1]
+    return float(np.add.accumulate(omega)[-1])
+
+
+def reference_edge_dihedrals(omega, rho, sig):
+    """Per edge j of one star, the signed dihedrals along it inside the
+    wedges j - 1 and j, one `math` call per trigonometric value."""
+    s = [sig.trig.S(r) for r in rho]
+    c = [sig.trig.C(r) for r in rho]
+    cos_w = [math.cos(w) for w in omega]
+    sin_w = [math.sin(w) for w in omega]
+    m = len(rho)
+    return [
+        ((s[j - 1] - cos_w[j - 1] * s[j]) / (sin_w[j - 1] * c[j]),
+         (s[(j + 1) % m] - cos_w[j] * s[j]) / (sin_w[j] * c[j]))
+        for j in range(m)
+    ]
+
+
+def reference_assemble(stars, pts, index, n, sig):
+    """d omega_x / d h_y star by star and edge by edge; vertex v is row and
+    column index(v)."""
+    S, C = sig.trig.S, sig.trig.C
+    J = np.zeros((n, n))
+    for star in stars:
+        ix = index(star.vertex)
+        ell, rho_x, rho_s, omega = reference_star_geometry(
+            pts[star.vertex], pts[star.neighbors], sig
+        )
+        for j, (a1, a2) in enumerate(reference_edge_dihedrals(omega, rho_x, sig)):
+            d = a1 + a2
+            if not star.true_edge[j]:
+                if abs(d) > 1e-6:
+                    raise GeometryError(f"false edge with nonzero dihedral sum {d:.2e}")
+                continue
+            if -sig.kappa * d > 1e-9:
+                raise GeometryError(
+                    f"surface is not convex along a true edge (dihedral sum {d:.2e})"
+                )
+            iy = index(star.neighbors[j])
+            if iy == ix:
+                J[ix, ix] += d * C(rho_x[j]) * (1.0 - C(ell[j])) / S(ell[j])
+            else:
+                J[ix, iy] += d * C(rho_s[j]) / S(ell[j])
+                J[ix, ix] += -C(ell[j]) * d * C(rho_x[j]) / S(ell[j])
+    return J
 
 
 # -- heights of a hyperbolic tiling --------------------------------------------------

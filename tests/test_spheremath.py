@@ -305,7 +305,8 @@ def test_sphere_star_geometry_keeps_the_former_bits(seed):
     for vi in range(P.n_vertices):
         star = _sph_star(P, vi)
         x, ys = P.vertices[vi], P.vertices[star.neighbors]
-        assert_bits(star_geometry(x, ys, SPHERE_STAR), former_star_geometry(x, ys, "S3"))
+        assert_bits(star_geometry(x[None], ys, [0, len(ys)], SPHERE_STAR),
+                    former_star_geometry(x, ys, "S3"))
 
 
 @pytest.fixture(scope="module")
@@ -318,7 +319,8 @@ def test_ads_star_geometry_and_areas_keep_the_former_bits(surfaces):
     for surf in surfaces:
         for star in surf.stars:
             x, ys = surf.points4[star.vertex], surf.points4[star.neighbors]
-            assert_bits(star_geometry(x, ys), former_star_geometry(x, ys, "AdS3"))
+            assert_bits(star_geometry(x[None], ys, [0, len(ys)]),
+                        former_star_geometry(x, ys, "AdS3"))
         for fi in sorted({fi for star in surf.stars for fi in star.wedge_face}):
             pts = surf.points4[surf.faces[fi].vertex_ids]
             angles = former_polygon_angles(pts)
