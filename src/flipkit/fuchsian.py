@@ -1256,7 +1256,8 @@ def recover_heights(T):
     sin(h_i) sin(h_j), with the base distance read off the rays and the
     deck labels.  The rows of this small system are solved by undamped
     Gauss-Newton with their analytic derivative, from h = 0.7 and clipped
-    to (HEIGHT_MIN, pi/2 - HEIGHT_MIN), until a step is below 1e-15 or after
+    to (HEIGHT_MIN, pi/2 - HEIGHT_MIN), until a step is below 1e-15, or
+    below 1e-13 and no smaller than the step before it, or after
     MAX_GAUSS_NEWTON steps.  A residual above 1e-8, or a Jacobian that is
     singular or not finite, raises DevelopmentError.
     """
@@ -1266,6 +1267,7 @@ def recover_heights(T):
     n = len(T.black)
     onehot = np.eye(n)
     h = np.full(n, 0.7)
+    last = np.inf
     for _ in range(MAX_GAUSS_NEWTON):
         c, s = np.cos(h), np.sin(h)
         r = c[b1] * c[b2] * cd + s[b1] * s[b2] - ce
@@ -1277,9 +1279,11 @@ def recover_heights(T):
         if rank < n:
             raise DevelopmentError("height equations are singular")
         new = np.clip(h + step, HEIGHT_MIN, np.pi / 2 - HEIGHT_MIN)
-        step, h = new - h, new
-        if np.max(np.abs(step)) < 1e-15:
+        size, h = float(np.max(np.abs(new - h))), new
+        # near h = 0 the rows flatten and the steps stall at rounding level
+        if size < 1e-15 or last <= size < 1e-13:
             break
+        last = size
     c, s = np.cos(h), np.sin(h)
     res = float(np.max(np.abs(c[b1] * c[b2] * cd + s[b1] * s[b2] - ce)))
     if not res <= 1e-8:

@@ -972,16 +972,23 @@ def _aligned_error(A, B, what):
 
 
 def tiling_equality_error(T1, T2):
-    """Max coordinate distance between matched faces, with no alignment.
+    """Max coordinate distance between matched faces, with no alignment:
+    inf when a distance is not finite, GeometryError when the faces do not
+    match in number or size.
 
     Used for hyperbolic tilings, whose construction is anchored on the
     rays and therefore canonical.
     """
+    if (len(T1.black), len(T1.white)) != (len(T2.black), len(T2.white)):
+        raise GeometryError("tilings have different numbers of faces")
     err = 0.0
     for a, b in zip(T1.black + T1.white, T2.black + T2.white):
         if a.vertices.shape != b.vertices.shape:
             raise GeometryError("tilings are not combinatorially matched")
-        err = max(err, float(np.max(np.linalg.norm(a.vertices - b.vertices, axis=1))))
+        d = float(np.max(np.linalg.norm(a.vertices - b.vertices, axis=1)))
+        if not np.isfinite(d):
+            return np.inf
+        err = max(err, d)
     return err
 
 

@@ -44,9 +44,17 @@ from flipkit.fuchsian import (
     _truncated_hull,
 )
 from flipkit.polyhedra import cyclic_face_order
-from flipkit.spheremath import ADS_STAR, HyperbolicOps
-from flipkit.tilings import Side, flip, tiling_equality_error, validate_tiling
-from reference_geometry import ConvexityClass, form, least_squares_heights, wedge_convexity
+from flipkit.spheremath import ADS_STAR, SPHERE_STAR, HyperbolicOps
+from flipkit.tilings import FlippableTiling, Side, flip, tiling_equality_error, validate_tiling
+from reference_geometry import (
+    ConvexityClass,
+    form,
+    least_squares_heights,
+    reference_assemble,
+    reference_build_star,
+    reference_cone_angle,
+    wedge_convexity,
+)
 
 Q21 = np.diag([1.0, 1.0, -1.0])
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -301,11 +309,16 @@ def test_orbit_points_match_ray_point_loop(group, surf2):
     assert np.array_equal(reembedded_points(surf2, h), ref)
 
 
+def ordered_faces(surf):
+    return {fi for fi, f in enumerate(surf.faces) if f._cyclic is not None}
+
+
 def test_face_order_is_lazy(group):
+    # the faces of a generic hull are triangles, each its own fan: building
+    # the stars orders no face
     surf = orbit_hull(config(group, THREE_RAYS, heights=[0.5, 0.7, 0.62]))
-    near = {fi for vid in range(surf.n) for fi in surf.faces_at(vid)}
-    ordered = {fi for fi, f in enumerate(surf.faces) if f._cyclic is not None}
-    assert ordered <= near < set(range(len(surf.faces)))
+    assert all(len(surf.faces[fi].ids) == 3 for star in surf.stars for fi in star.wedge_face)
+    assert ordered_faces(surf) == set()
 
 
 def test_lazy_face_order_matches_eager(surf3):
@@ -436,6 +449,73 @@ def test_certified_stars_match_wider_oracle(group, n, level, offsets):
     )
     assert np.array_equal(curvatures(surf), curvatures(oracle))
     assert surf.check_equivariance()
+
+
+def assert_stars_match_reference(surf, sig=ADS_STAR):
+    """The stars, cone angles and Jacobian of `surf` equal those of the
+    one-star-at-a-time references: combinatorics exactly, numbers bit for
+    bit."""
+    for vid, star in enumerate(surf.stars):
+        ref = reference_build_star(surf, vid)
+        assert (star.vertex, star.neighbors, star.true_edge, star.wedge_face) == (
+            ref.vertex, ref.neighbors, ref.true_edge, ref.wedge_face)
+    pts = surf.points4
+    assert np.array_equal(
+        cone_angles(surf), [reference_cone_angle(star, pts) for star in surf.stars])
+    shifted = reembedded_points(surf, surf.heights + 0.01)
+    assert np.array_equal(
+        cone_angles_fixed_combinatorics(surf, surf.heights + 0.01),
+        [reference_cone_angle(star, shifted) for star in surf.stars])
+    assert np.array_equal(
+        jacobian(surf).matrix,
+        reference_assemble(surf.stars, pts, surf.base_of, surf.n, sig))
+
+
+@settings(max_examples=20)
+@given(n=st.integers(1, 3), level=st.floats(0.55, 0.95),
+       offsets=st.lists(st.floats(-0.08, 0.08), min_size=3, max_size=3))
+def test_stars_match_one_star_references(group, n, level, offsets):
+    cfg = config(group, THREE_RAYS[:n], heights=level + np.array(offsets[:n]))
+    assert_stars_match_reference(orbit_hull(cfg))
+
+
+def test_false_edge_stars_match_one_star_references(group):
+    # the octagon-center surface merges coplanar triangles into larger
+    # faces: only those are ordered, for their fans and false edges
+    surf = orbit_hull(config(group, [(0.0, 0.0)], heights=[0.3]))
+    merged = {fi for fi in surf.stars[0].wedge_face if len(surf.faces[fi].ids) > 3}
+    assert merged and ordered_faces(surf) == merged
+    assert not all(surf.stars[0].true_edge)
+    assert_stars_match_reference(surf)
+
+
+def test_sphere_stars_match_one_star_references():
+    rng = np.random.default_rng(11)
+    for _ in range(3):
+        _, _, P, order = random_star(rng)
+        stars = [fuchsian._sph_star(P, vi) for vi in range(P.n_vertices)]
+        cone = np.empty(P.n_vertices)
+        cone[order] = [reference_cone_angle(star, P.vertices, SPHERE_STAR) for star in stars]
+        assert np.array_equal(sph_star_cone_angles(P, order), cone)
+        assert np.array_equal(
+            sph_star_jacobian(P, order).matrix,
+            reference_assemble(stars, P.vertices, order.__getitem__, P.n_vertices,
+                               SPHERE_STAR))
+
+
+def test_solver_orders_no_face(group, monkeypatch):
+    calls = []
+    ordering = fuchsian.cyclic_face_order
+
+    def counting(*args):
+        calls.append(args)
+        return ordering(*args)
+
+    monkeypatch.setattr(fuchsian, "cyclic_face_order", counting)
+    cfg = config(group, THREE_RAYS, targets=[-1.5, -2.0, -1.0])
+    out = solve_prescribed_curvature(cfg)
+    assert out["residual"] <= 1e-8 and out["iterations"] > 0
+    assert calls == []
 
 
 def test_hull_equivariant_faces(surf1):
@@ -716,6 +796,23 @@ def test_recover_heights_matches_least_squares(group, n, level, offsets):
     np.testing.assert_allclose(old, h, rtol=0, atol=1e-12)
 
 
+def test_recover_heights_stops_when_steps_stall_near_zero(group, monkeypatch):
+    # at h = 0.02 the rows are nearly flat (their derivative goes like
+    # sin 2h) and the steps stall at a few 1e-15 instead of vanishing
+    T = ads_project(orbit_hull(config(group, [(0.25, 0.15)], heights=[0.02])), Side.LEFT)
+    steps = []
+    lstsq = np.linalg.lstsq
+
+    def counting(*args, **kwargs):
+        steps.append(args)
+        return lstsq(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", counting)
+    h = recover_heights(T)
+    assert len(steps) < fuchsian.MAX_GAUSS_NEWTON
+    assert abs(h[0] - 0.02) <= 3e-14
+
+
 def move_white_vertex(T):
     """Push one white vertex of T off by a factor 1 + 1e-6."""
     T.white[0].vertices[0] = T.white[0].vertices[0] * (1.0 + 1e-6)
@@ -725,6 +822,27 @@ def drop_white_decks(T):
     """Drop the deck tags of a white face of T whose corners are not all on
     the fundamental copies (a tiling.v1 face may carry "decks": null)."""
     T.white[0] = replace(T.white[0], decks=None)
+
+
+def test_equality_error_of_a_non_finite_vertex_is_inf(surf2):
+    T = ads_project(surf2, Side.LEFT)
+    bad = ads_project(surf2, Side.LEFT)
+    bad.white[-1].vertices[0, 2] = np.nan
+    assert tiling_equality_error(T, bad) == np.inf
+    assert tiling_equality_error(bad, T) == np.inf
+    bad.white[-1].vertices[0, 2] = np.inf
+    assert tiling_equality_error(T, bad) == np.inf
+
+
+def test_equality_error_refuses_unmatched_face_counts(surf2):
+    # the left projection of surf2 against copies missing its last white or
+    # black face: zip alone would compare the faces they share
+    T = ads_project(surf2, Side.LEFT)
+    for black, white in ((T.black, T.white[:-1]), (T.black[:-1], T.white)):
+        fewer = FlippableTiling(T.handedness, black, white, T.edges, T.ambient)
+        for pair in ((T, fewer), (fewer, T)):
+            with pytest.raises(GeometryError, match="different numbers of faces"):
+                tiling_equality_error(*pair)
 
 
 def test_flip_rejects_a_moved_white_vertex(surf1):
