@@ -1,8 +1,8 @@
 """Linear algebra of R^4 with the two signatures.
 
-Covers the diagonal forms of the 3-sphere, the anti-de Sitter space and
-the Minkowski spaces, the group structures of the two quadrics and the
-generalized cross product of 4-vectors.
+Covers the diagonal forms of the 3-sphere and the anti-de Sitter space,
+the group structures of the two quadrics and the generalized cross product
+of 4-vectors.
 """
 
 from enum import Enum
@@ -20,8 +20,6 @@ class Signature(Enum):
 
     SPHERE = (1.0, 1.0, 1.0, 1.0)
     ADS = (1.0, 1.0, -1.0, -1.0)
-    MINK31 = (1.0, 1.0, 1.0, -1.0)
-    MINK21 = (1.0, -1.0, -1.0)
 
     @property
     def diag(self):

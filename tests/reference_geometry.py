@@ -17,7 +17,8 @@ are checked against:
 - the heights of the Fuchsian surface under a hyperbolic tiling, by
   bounded least squares over scalar residuals: the oracle of
   `fuchsian.recover_heights`, and the one importer of `scipy.optimize`;
-- the bilinear forms as a checked function, points of the unit quadrics,
+- the Minkowski forms (+,+,+,-) and (+,-,-) beside the two of the library,
+  the bilinear forms as a checked function, points of the unit quadrics,
   their group products, point/plane duality and the complex-valued angles
   between vectors of a Minkowski space;
 - comparison of spherical tilings up to isometry and of polygons up to
@@ -467,8 +468,22 @@ EPS_NORM = 1e-10
 EPS_ZERO = 1e-12
 
 
+class Minkowski(Enum):
+    """The Minkowski forms of the angle classification, beside the forms of
+    the two quadrics (`flipkit.forms.Signature`): (+,+,+,-) on R^4 and its
+    reduction (+,-,-) on R^3."""
+
+    MINK31 = (1.0, 1.0, 1.0, -1.0)
+    MINK21 = (1.0, -1.0, -1.0)
+
+    @property
+    def diag(self):
+        return np.array(self.value)
+
+
 def form(u, v, sig):
-    """Evaluate the bilinear form of `sig` on two coordinate vectors."""
+    """Evaluate the bilinear form of `sig`, a `Signature` or a `Minkowski`
+    form, on two coordinate vectors."""
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     dim = len(sig.value)
@@ -589,7 +604,7 @@ class HSAngle:
     magnitude: float
 
 
-def hs_angle(u, v, sig=Signature.MINK31):
+def hs_angle(u, v, sig=Minkowski.MINK31):
     """Classify and measure the angle between u and v per the span of {u,v}.
 
     Raises LightLikeError when either vector or the spanned plane is

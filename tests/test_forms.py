@@ -17,6 +17,7 @@ from reference_geometry import (
     AngleKind,
     DualPlane,
     LightLikeError,
+    Minkowski,
     QuadricPoint,
     canonical_ads_rep,
     dual,
@@ -64,13 +65,13 @@ def test_form_rejects_wrong_dimension():
 
 def test_mink21_three_coordinate_form():
     # (+,-,-) on 3 coordinates, the reduction used by the planar kernels
-    assert form((1, 0, 0), (1, 0, 0), Signature.MINK21) == 1.0
-    assert form((0, 1, 0), (0, 1, 0), Signature.MINK21) == -1.0
+    assert form((1, 0, 0), (1, 0, 0), Minkowski.MINK21) == 1.0
+    assert form((0, 1, 0), (0, 1, 0), Minkowski.MINK21) == -1.0
     u, v = RNG.normal(size=3), RNG.normal(size=3)
     expected = u[0] * v[0] - u[1] * v[1] - u[2] * v[2]
-    assert form(u, v, Signature.MINK21) == pytest.approx(expected, abs=1e-14)
+    assert form(u, v, Minkowski.MINK21) == pytest.approx(expected, abs=1e-14)
     with pytest.raises(SignatureMismatchError):
-        form((1, 0, 0, 0), (1, 0, 0, 0), Signature.MINK21)
+        form((1, 0, 0, 0), (1, 0, 0, 0), Minkowski.MINK21)
 
 
 def su2_oracle_mul(x, y):
@@ -254,17 +255,17 @@ def test_hs_angle_classification():
 def test_hs_angle_mixed_pair_sinh_relation():
     for _ in range(30):
         u = RNG.normal(size=4)
-        qu = form(u, u, Signature.MINK31)
+        qu = form(u, u, Minkowski.MINK31)
         if abs(qu) < 0.1:
             continue
         v = RNG.normal(size=4)
-        qv = form(v, v, Signature.MINK31)
+        qv = form(v, v, Minkowski.MINK31)
         if abs(qv) < 0.1 or qu * qv > 0:
             continue
         a = hs_angle(u, v)
         assert a.kind is AngleKind.REAL
         lhs = np.sinh(a.magnitude)
-        rhs = abs(form(u, v, Signature.MINK31)) / np.sqrt(abs(qu) * abs(qv))
+        rhs = abs(form(u, v, Minkowski.MINK31)) / np.sqrt(abs(qu) * abs(qv))
         assert lhs == pytest.approx(rhs, rel=1e-10)
 
 
@@ -280,10 +281,10 @@ def test_antisym_norm_flip():
     # ||x||_1 = -i ||x||', a time-like one has ||x||_1 = +i ||x||'.
     for _ in range(30):
         u = RNG.normal(size=4)
-        q = form(u, u, Signature.MINK31)
+        q = form(u, u, Minkowski.MINK31)
         if abs(q) < 0.05:
             continue
-        n1 = pseudo_norm(u, Signature.MINK31)
+        n1 = pseudo_norm(u, Minkowski.MINK31)
         qp = -q
         nprime = complex(np.sqrt(qp), 0.0) if qp >= 0 else complex(0.0, np.sqrt(-qp))
         if q > 0:
