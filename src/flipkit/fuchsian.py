@@ -658,8 +658,9 @@ def orbit_hull(config):
     starting at R = R0 = 5.5, and every face of the fundamental vertex
     stars is certified to support the whole orbit (`_supports_orbit`), so
     the stars are exact.  An uncertified build grows R by R_STEP = 0.5; past
-    R_MAX = 10 the build raises GeometryError.  Each build orders cyclically
-    only the faces incident to the fundamental vertices, for their stars;
+    R_MAX = 10 the build raises GeometryError.  A build orders no triangle:
+    the stars read a triangle's vertices from its vertex set, and order
+    only the larger faces of coplanar merges at the fundamental vertices;
     any other face is ordered when its `vertex_ids` is first read.
     """
     return _certified_hull(config)
