@@ -19,20 +19,15 @@ fails, R grows by 0.5 up to R_MAX = 10, past which GeometryError is raised.
 Its faces come from the chart hull -> merged faces path of `polyhedra`,
 with the future poles of the space-like planes.
 
-A vertex star is built from the fans of its incident faces.  A triangle,
-the face of a generic hull, is its own fan and is read from its vertex set;
-only a larger face, from a coplanar merge, is ordered cyclically for its
-fan, so a generic hull orders no face at all.
-
-One star kernel serves AdS_3 and S^3 (`star_geometry`, on the star
-quadric `spheremath.ADS_STAR` or `SPHERE_STAR`): given the stars of a
-surface as stacked rows, their vertices and their neighbour cycles
-concatenated with per-star offsets, it returns the edge lengths, apex
-angles and wedge angles of all of them in one pass.  Cone angles are the
-wedge angles summed per star in cycle order, and one assembly
-(`_assemble`) builds the Jacobian of either quadric from the same pass;
-only the family (sinh, cosh) or (sin, cos) differs.  Distances, tangents,
-angles and face areas are the primitives of `spheremath`.
+A vertex star is cut from the fans of its faces; a triangle is its own fan,
+so only the larger faces of coplanar merges are ordered.  One star kernel
+(`star_geometry`, on `spheremath.ADS_STAR` or `SPHERE_STAR`) returns the
+edge lengths, apex angles and wedge angles of all stars of a surface, as
+neighbour rows with per-star offsets, in one pass.  Cone angles sum each
+star's wedge angles in cycle order, and one assembly (`_assemble`) builds
+the Jacobian of either quadric; only the family (sinh, cosh) or (sin, cos)
+differs.  Distances, tangents, angles and face areas are the primitives of
+`spheremath`.
 
 Group elements are identified by one rule.  The elements of a ball
 (`FuchsianGroup.ball`) carry integer ids, their positions in
@@ -107,10 +102,9 @@ def _stable_key(m, scale):
     """Quantized matrix bytes: the ordering convention of a ball.
 
     `elements` breaks displacement ties by these bytes, and `ElementBall.rank`
-    is their order; through `ElementBall.vertex_keys` it fixes the fan
-    starts of `_triangulate_face` and the star starts of `_build_star`.
-    Identity is decided by the matching rule (`_identify`), never by these
-    bytes.
+    is their order; both fix the fan starts of `_triangulate_face` and the
+    star starts of `_build_star`.  Identity is decided by the matching rule
+    (`_identify`), never by these bytes.
     """
     q = np.floor(np.asarray(m, dtype=float) * scale + 0.61803398874989485)
     return q.astype(np.int64).tobytes()
@@ -143,16 +137,6 @@ class ElementBall:
         self.rank = rank
         self._tree = None
         self._rows = {}
-        self._keys = {}
-
-    def vertex_keys(self, n):
-        """The order key of each orbit vertex vid of n rays, as a list: the
-        vertex of ray b under element e (vid = n e + b) has the key
-        b len(ball) + rank[e], which orders by ray, then by rank."""
-        if n not in self._keys:
-            rank = np.asarray(self.rank)
-            self._keys[n] = (rank[:, None] + np.arange(n) * len(rank)).ravel().tolist()
-        return self._keys[n]
 
     def _ids(self, mats):
         if self._tree is None:
@@ -261,7 +245,7 @@ class FuchsianGroup:
         keys = [_stable_key(m, 10.0) for m in elems]
         order = sorted(range(len(elems)), key=lambda i: (elems[i][2, 2], keys[i]))
         by_key = sorted(range(len(order)), key=lambda p: keys[order[p]])
-        rank = np.argsort(by_key).tolist()
+        rank = np.argsort(by_key)
         self._element_cache[key] = ElementBall(elems[order], rank)
         return self._element_cache[key]
 
@@ -436,8 +420,9 @@ class FuchsianSurface:
     stars at the fundamental vertices.
 
     Vertex vid is the point of ray vid % n moved by elements[vid // n],
-    the element with id vid // n of `ball`; `order_keys[vid]` is its key
-    in the vertex order that starts fans and star cycles.
+    the element with id vid // n of `ball`.  Fans and star cycles start at
+    the least vertex by ray, then by element rank: the order of the keys
+    order_keys[vid] = ray len(ball) + rank.
     """
 
     def __init__(self, config, ball, points4, faces, radius):
@@ -447,7 +432,8 @@ class FuchsianSurface:
         self.points4 = points4
         self.faces = faces
         self.radius = radius
-        self.order_keys = ball.vertex_keys(config.n)
+        self.order_keys = (ball.rank[:, None] + np.arange(self.n) * len(ball.rank)
+                           ).ravel().tolist()
         self.stars = []
         # incidence as CSR: the faces at vertex v, ascending, are
         # _incident_faces[_incidence_start[v]:_incidence_start[v + 1]]
@@ -590,9 +576,8 @@ def _face_labels(surf, ids, v):
 
 
 def _triangulate_face(face, key):
-    """Fan of a face from its least vertex under `key`: triangles and false
-    edges.  A triangle is its own fan, in either orientation, so it is read
-    from `ids`; only a larger face is read in its cyclic order."""
+    """Fan from the least vertex under `key`: triangles and false edges.  A
+    triangle is its own fan, read from `ids`; a larger face, in cyclic order."""
     if len(face.ids) == 3:
         return [face.ids], ()
     ids = face.vertex_ids
@@ -605,10 +590,9 @@ def _triangulate_face(face, key):
 
 
 def _build_star(surf, vid):
-    """Star of hull vertex vid: the wedges at vid of the fans of its
-    incident faces, closed into one cycle that starts at the neighbour of
-    least order key and turns toward the lesser of that neighbour's two
-    neighbours."""
+    """Star of hull vertex vid: the wedges at vid of the fans of its faces,
+    closed into a cycle from the neighbour of least order key toward the
+    lesser of its two neighbours."""
     incident = surf.faces_at(vid)
     if len(incident) < 2:
         raise GeometryError("vertex star is incomplete (truncation too small)")
@@ -627,6 +611,7 @@ def _build_star(surf, vid):
                 wedge_face[a, b] = wedge_face[b, a] = fi
     if not adj or any(len(vs) != 2 for vs in adj.values()):
         raise GeometryError("vertex star is not a disk")
+    # every neighbour has two: the walk returns to the start, maybe early
     m = len(adj)
     start = min(adj, key=key.__getitem__)
     cycle = [start]
@@ -638,8 +623,6 @@ def _build_star(surf, vid):
         if nxt == start:
             break
         cycle.append(nxt)
-        if len(cycle) > m:
-            raise GeometryError("vertex star does not close")
     if len(cycle) != m:
         raise GeometryError("vertex star does not close")
     true_edge = [frozenset((vid, u)) not in false_edges for u in cycle]
@@ -747,13 +730,10 @@ def _truncated_hull(config, radius):
 
 def _stack_stars(stars):
     """Stars as stacked rows: their vertex ids, their neighbour ids
-    concatenated in cycle order, and the offsets of each star's neighbours
-    in that concatenation."""
-    nbrs = [u for star in stars for u in star.neighbors]
-    offsets = [0]
-    for star in stars:
-        offsets.append(offsets[-1] + len(star.neighbors))
-    return [star.vertex for star in stars], np.array(nbrs, dtype=np.intp), offsets
+    concatenated in cycle order, and the offsets of each star's neighbours."""
+    nbrs = np.array([u for star in stars for u in star.neighbors], dtype=np.intp)
+    offsets = list(itertools.accumulate((len(s.neighbors) for s in stars), initial=0))
+    return [star.vertex for star in stars], nbrs, offsets
 
 
 def _star_rows(offsets):
@@ -765,14 +745,12 @@ def _star_rows(offsets):
         star += [i] * (hi - lo)
         nxt += rows[1:] + rows[:1]
         prv += rows[-1:] + rows[:-1]
-    return np.array(star, dtype=np.intp), np.array(nxt, dtype=np.intp), np.array(
-        prv, dtype=np.intp)
+    return tuple(np.array(a, dtype=np.intp) for a in (star, nxt, prv))
 
 
 def _wedges(x, ys, nxt, sig):
-    """The unit edge tangents at the star vertices x (one row per
-    neighbour) toward ys, and the wedge angles between each tangent and the
-    one of the next neighbour."""
+    """The unit edge tangents at the star vertices x (a row per neighbour)
+    toward ys, and the wedge angles between each and the next, nxt."""
     t = sig.tangent(x, ys)
     return t, sig.angle_between(t, t[nxt])
 
@@ -854,15 +832,12 @@ def _assemble(stars, pts, index, n, sig):
     matrix, `index` taking arrays of vertex ids.
 
     Per neighbour y of x, the dihedral sum D of the two wedges at the edge
-    xy, (S rho_other - cos omega S rho_y) / (sin omega C rho_y) over each
-    of them, vanishes on false edges and has the sign of kappa on true
-    edges of a convex surface (negative in AdS_3, positive on S^3); the
-    first edge in star and cycle order that breaks this raises
-    GeometryError.  The chain rule through the apex triangles gives
-    D C(rho_y) / S(ell) at (x, y) and -C(ell) D C(rho_x) / S(ell) on the
-    diagonal; an edge joining x to its own orbit gives
-    D C(rho_x) (1 - C(ell)) / S(ell).  Each entry adds its terms in star
-    and cycle order.
+    xy, each (S rho_other - cos omega S rho_y) / (sin omega C rho_y),
+    vanishes on false edges and has the sign of kappa on true edges of a
+    convex surface (negative in AdS_3, positive on S^3).  The chain rule
+    through the apex triangles gives D C(rho_y) / S(ell) at (x, y) and
+    -C(ell) D C(rho_x) / S(ell) on the diagonal; an edge joining x to its
+    own orbit gives D C(rho_x) (1 - C(ell)) / S(ell).
     """
     S, C = sig.trig.S, sig.trig.C
     vertex, nbrs, offsets = _stack_stars(stars)
@@ -872,8 +847,7 @@ def _assemble(stars, pts, index, n, sig):
     cos_w, sin_w = _scalar_map(math.cos, omega), _scalar_map(math.sin, omega)
     d = ((s[prv] - cos_w[prv] * s) / (sin_w[prv] * c)
          + (s[nxt] - cos_w * s) / (sin_w * c))
-    true = np.fromiter(itertools.chain.from_iterable(st.true_edge for st in stars),
-                       dtype=bool, count=len(nbrs))
+    true = np.array([t for st in stars for t in st.true_edge], dtype=bool)
     flat = ~true & (np.abs(d) > 1e-6)
     bad = np.flatnonzero(flat | (true & (-sig.kappa * d > 1e-9)))
     if len(bad):

@@ -175,10 +175,8 @@ def _cycles(sizes):
 
 
 def cycle_sums(values, sizes):
-    """Per cycle of values stacked with sizes[i] entries each, their sum in
-    cycle order: np.add.accumulate along zero-padded rows adds strictly left
-    to right, like a loop over one cycle, where np.add.reduceat sums pairwise
-    past eight entries."""
+    """Per cycle of values stacked with sizes[i] entries each, their sum
+    strictly in cycle order (np.add.reduceat sums pairwise past eight)."""
     sizes = np.asarray(sizes)
     _, k = _cycles(sizes)
     rows = np.zeros((len(sizes), sizes.max()))
