@@ -469,7 +469,7 @@ class FuchsianSurface:
         other is certified like them, or GeometryError."""
         if vid < self.n:
             return self.stars[vid]
-        return _certified_star(self, vid)
+        return _certified_stars(self, [vid])[0]
 
     def star_combinatorics(self):
         """The neighbour cycle of each fundamental star as (ray, element id)
@@ -656,7 +656,7 @@ def _certified_hull(config, radius=R0):
     while True:
         surf = _truncated_hull(config, radius)
         try:
-            surf.stars = [_certified_star(surf, vid) for vid in range(config.n)]
+            surf.stars = _certified_stars(surf, range(config.n))
             return surf
         except GeometryError as exc:
             if radius + R_STEP > R_MAX:
@@ -666,14 +666,15 @@ def _certified_hull(config, radius=R0):
         radius += R_STEP
 
 
-def _certified_star(surf, vid):
-    star = _build_star(surf, vid)
-    if not _supports_orbit(surf, star.wedge_face):
+def _certified_stars(surf, vids):
+    """The stars at `vids`, once every face of them is certified at once."""
+    stars = [_build_star(surf, vid) for vid in vids]
+    if not _supports_orbit(surf, [fi for star in stars for fi in star.wedge_face]):
         raise GeometryError(
-            f"a face at vertex {vid} may not support the orbit beyond "
+            f"a face at vertices {list(vids)} may not support the orbit beyond "
             f"radius {surf.radius:g}"
         )
-    return star
+    return stars
 
 
 def _supports_orbit(surf, face_ids):
@@ -748,13 +749,6 @@ def _star_rows(offsets):
     return tuple(np.array(a, dtype=np.intp) for a in (star, nxt, prv))
 
 
-def _wedges(x, ys, nxt, sig):
-    """The unit edge tangents at the star vertices x (a row per neighbour)
-    toward ys, and the wedge angles between each and the next, nxt."""
-    t = sig.tangent(x, ys)
-    return t, sig.angle_between(t, t[nxt])
-
-
 def star_geometry(xs, ys, offsets, sig=ADS_STAR):
     """Edge lengths ell, apex angles rho_x at the star vertex and rho_s at
     the neighbours, and wedge angles omega of stacked stars: star i has its
@@ -764,10 +758,13 @@ def star_geometry(xs, ys, offsets, sig=ADS_STAR):
     call with offsets [0, m].  `sig` is the star quadric, `ADS_STAR` or
     `SPHERE_STAR`."""
     star, nxt, _ = _star_rows(offsets)
-    x = xs[star]
-    t, omega = _wedges(x, ys, nxt, sig)
-    rho_s = sig.apex_angles(ys, sig.tangent(ys, x))
-    return sig.dist(x, ys), sig.apex_angles(x, t), rho_s, omega
+    x, m = xs[star], len(ys)
+    # both ends of every edge in one pass: the tangents at x toward ys, then
+    # those at ys toward x
+    ends = np.concatenate([x, ys])
+    t = sig.tangent(ends, np.concatenate([ys, x]))
+    rho = sig.apex_angles(ends, t)
+    return sig.dist(x, ys), rho[:m], rho[m:], sig.angle_between(t[:m], t[nxt])
 
 
 def _cone_angles(stars, pts, sig=ADS_STAR):
@@ -775,8 +772,8 @@ def _cone_angles(stars, pts, sig=ADS_STAR):
     cycle order."""
     vertex, nbrs, offsets = _stack_stars(stars)
     star, nxt, _ = _star_rows(offsets)
-    omega = _wedges(pts[vertex][star], pts[nbrs], nxt, sig)[1]
-    return cycle_sums(omega, np.diff(offsets))
+    t = sig.tangent(pts[vertex][star], pts[nbrs])
+    return cycle_sums(sig.angle_between(t, t[nxt]), np.diff(offsets))
 
 
 def cone_angle_at(surf, vid):

@@ -414,7 +414,7 @@ def test_uncertified_star_is_rejected(group):
     small = _truncated_hull(cfg, 5.0)
     _build_star(small, 0)
     with pytest.raises(GeometryError):
-        fuchsian._certified_star(small, 0)
+        fuchsian._certified_stars(small, [0])
     assert _certified_hull(cfg, 5.0).radius == R0
 
 
