@@ -611,7 +611,8 @@ def _build_star(surf, vid):
                 wedge_face[a, b] = wedge_face[b, a] = fi
     if not adj or any(len(vs) != 2 for vs in adj.values()):
         raise GeometryError("vertex star is not a disk")
-    # every neighbour has two: the walk returns to the start, maybe early
+    # each neighbour has two neighbours in the link, so the walk comes back
+    # to its start; it comes back early when the link is not one cycle
     m = len(adj)
     start = min(adj, key=key.__getitem__)
     cycle = [start]
@@ -667,7 +668,8 @@ def _certified_hull(config, radius=R0):
 
 
 def _certified_stars(surf, vids):
-    """The stars at `vids`, once every face of them is certified at once."""
+    """The stars at `vids`, once one `_supports_orbit` call certifies all
+    their faces; else GeometryError."""
     stars = [_build_star(surf, vid) for vid in vids]
     if not _supports_orbit(surf, [fi for star in stars for fi in star.wedge_face]):
         raise GeometryError(

@@ -451,7 +451,7 @@ def test_certified_stars_match_wider_oracle(group, n, level, offsets):
     assert surf.check_equivariance()
 
 
-def assert_stars_match_reference(surf, sig=ADS_STAR):
+def assert_stars_match_reference(surf):
     """The stars, cone angles and Jacobian of `surf` equal those of the
     one-star-at-a-time references: combinatorics exactly, numbers bit for
     bit."""
@@ -468,7 +468,7 @@ def assert_stars_match_reference(surf, sig=ADS_STAR):
         [reference_cone_angle(star, shifted) for star in surf.stars])
     assert np.array_equal(
         jacobian(surf).matrix,
-        reference_assemble(surf.stars, pts, surf.base_of, surf.n, sig))
+        reference_assemble(surf.stars, pts, surf.base_of, surf.n, ADS_STAR))
 
 
 @settings(max_examples=20)
