@@ -111,9 +111,7 @@ def cmd_render(args):
     kind, obj = fio.load_any(args.input)
     if kind != "tiling":
         raise SchemaError("render expects a tiling.v1 file")
-    svg = frender.render_svg(obj, args.projection)
-    with open(args.output, "w") as fh:
-        fh.write(svg)
+    fio.write_text(frender.render_svg(obj), args.output)
     print(f"rendered {len(obj.black) + len(obj.white)} faces -> {args.output}")
 
 
@@ -187,8 +185,6 @@ def build_parser():
     sv = sub.add_parser("render", help="tiling -> SVG")
     sv.add_argument("--in", dest="input", required=True)
     sv.add_argument("--out", dest="output", required=True)
-    sv.add_argument("--projection", choices=("stereographic", "poincare"),
-                    default=None)
     sv.set_defaults(func=cmd_render)
 
     sc = sub.add_parser("check", help="validate artifacts")

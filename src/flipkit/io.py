@@ -14,15 +14,7 @@ import numpy as np
 from .errors import SchemaError
 from .fuchsian import FuchsianConfig, HyperbolicAmbient, genus2_group
 from .polyhedra import from_vertices_and_faces, hull
-from .tilings import (
-    BLACK,
-    WHITE,
-    EdgeSegment,
-    FlippableTiling,
-    Side,
-    TilingEdge,
-    TilingFace,
-)
+from .tilings import BLACK, WHITE, FlippableTiling, Side, TilingEdges, TilingFace
 
 POLYHEDRON_SCHEMA = "polyhedron.v1"
 TILING_SCHEMA = "tiling.v1"
@@ -215,28 +207,26 @@ def tiling_to_dict(T):
                 }
             )
 
+    E = T.edges
+    # the segments' faces renumbered, by the ranks of the black faces, then
+    # of the white ones (the inverse of each order)
+    ranks = np.concatenate([np.argsort(order[c]) for c in (BLACK, WHITE)])
+    face = ranks[E.face + np.where(E.black, 0, len(T.black))]
+    decks = [None] * E.t0.size if E.decks is None else _deck_list(
+        [g for tags in E.decks for g in tags])
+    segments = [
+        {"side": "left" if lf else "right", "position": "forward" if fw else "backward",
+         "color": BLACK if bk else WHITE, "face": f, "face_edge": k, "reversed": rv,
+         "t0": a, "t1": b, "deck": dk}
+        for lf, fw, bk, f, k, rv, a, b, dk in zip(
+            *(c.ravel().tolist() for c in (E.left, E.forward, E.black, face, E.face_edge,
+                                           E.reversed, E.t0, E.t1)), decks)
+    ]
     edges_out = [
-        {
-            "base": np.asarray(e.base, dtype=float).tolist(),
-            "direction": np.asarray(e.direction, dtype=float).tolist(),
-            "t_min": float(e.t_min),
-            "t_max": float(e.t_max),
-            "segments": [
-                {
-                    "side": s.side.value,
-                    "position": s.position,
-                    "color": s.color,
-                    "face": rank[s.color][s.face],
-                    "face_edge": s.face_edge,
-                    "reversed": s.reversed,
-                    "t0": float(s.t0),
-                    "t1": float(s.t1),
-                    "deck": _deck_list((s.deck,))[0],
-                }
-                for s in e.segments
-            ],
-        }
-        for e in T.edges
+        {"base": b, "direction": d, "t_min": lo, "t_max": hi,
+         "segments": segments[4 * e:4 * e + 4]}
+        for e, (b, d, lo, hi) in enumerate(zip(E.base.tolist(), E.direction.tolist(),
+                                               E.t_min.tolist(), E.t_max.tolist()))
     ]
 
     if T.is_spherical:
@@ -306,9 +296,6 @@ def _indices(values, bound, what, nullable=False):
     if (bad & ~null if nullable else bad).any():
         raise SchemaError(f"{what}: index out of range")
     return arr
-
-
-SIDES = {s.value: s for s in Side}
 
 
 def _decks(tags, what):
@@ -417,16 +404,16 @@ def tiling_from_dict(data):
     face_edge = _indices([sd["face_edge"] for sd in segs], bound, "segment face_edge")
     if not {type(sd["reversed"]) for sd in segs} <= {bool}:
         raise SchemaError("segment reversed: expected true or false")
-    t0 = _finite_list([sd["t0"] for sd in segs], "segment t0").tolist()
-    t1 = _finite_list([sd["t1"] for sd in segs], "segment t1").tolist()
+    t0 = _finite_list([sd["t0"] for sd in segs], "segment t0")
+    t1 = _finite_list([sd["t1"] for sd in segs], "segment t1")
     seg_decks = _decks([sd.get("deck") for sd in segs], "segment deck")
     if edges:
         base = _floats([ed["base"] for ed in edges], 3, "edge base")
         direction = _floats([ed["direction"] for ed in edges], 3, "edge direction")
     else:
         base = direction = np.empty((0, 3))
-    t_min = _finite_list([ed["t_min"] for ed in edges], "edge t_min").tolist()
-    t_max = _finite_list([ed["t_max"] for ed in edges], "edge t_max").tolist()
+    t_min = _finite_list([ed["t_min"] for ed in edges], "edge t_min")
+    t_max = _finite_list([ed["t_max"] for ed in edges], "edge t_max")
 
     ends = np.cumsum(sizes).tolist()
     corners = verts[ids]
@@ -436,16 +423,14 @@ def tiling_from_dict(data):
         (black_faces if fd["color"] == BLACK else white_faces).append(TilingFace(
             fd["color"], v, tuple(fd["links"]), tuple(fd["edge_refs"]),
             digon_angle=a, decks=dk))
-    segments = [
-        EdgeSegment(SIDES[sd["side"]], sd["position"], sd["color"], f, k,
-                    sd["reversed"], a, b, dk)
-        for sd, f, k, a, b, dk in zip(segs, face.tolist(), face_edge.tolist(), t0, t1,
-                                      seg_decks)
-    ]
-    tiling_edges = [
-        TilingEdge(base[e], direction[e], t_min[e], t_max[e], tuple(segments[4 * e:4 * e + 4]))
-        for e in range(len(edges))
-    ]
+    left = np.array([sd["side"] == "left" for sd in segs], dtype=bool)
+    forward = np.array([sd["position"] == "forward" for sd in segs], dtype=bool)
+    rev = np.array([sd["reversed"] for sd in segs], dtype=bool)
+    tiling_edges = TilingEdges(
+        base, direction, t_min, t_max,
+        *(c.reshape(-1, 4) for c in (left, forward, seg_black, face, face_edge, rev, t0, t1)),
+        None if all(d is None for d in seg_decks) else [
+            tuple(seg_decks[i:i + 4]) for i in range(0, len(seg_decks), 4)])
     return FlippableTiling(handedness, black_faces, white_faces, tiling_edges,
                            ambient=ambient)
 
@@ -523,18 +508,34 @@ def solution_to_dict(result):
 # -- entry points ------------------------------------------------------------------
 
 
+def _json_int(text):
+    """A JSON integer; "-0", which the writer prints only for the float
+    -0.0, is read back as that float."""
+    return -0.0 if text == "-0" else int(text)
+
+
 def load_json(path):
+    """The JSON value in a file; an unreadable, undecodable, malformed or
+    too deeply nested one is a SchemaError."""
     try:
         with open(path) as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+            return json.load(fh, parse_int=_json_int)
+    except (OSError, ValueError, RecursionError) as exc:  # ValueError: bad JSON or bytes
         raise SchemaError(f"cannot parse {path}: {exc}") from exc
+
+
+def write_text(text, path):
+    """Write `text` to a file; one that cannot be written is a SchemaError."""
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise SchemaError(f"cannot write {path}: {exc}") from exc
 
 
 def dump_json(obj, path):
     text = canonical_json(obj) + "\n"
-    with open(path, "w") as fh:
-        fh.write(text)
+    write_text(text, path)
     return text
 
 

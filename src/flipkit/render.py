@@ -62,24 +62,10 @@ def _sample(ops, base, direction, start, stop, whole):
                         t[:, None]), ends
 
 
-def render_svg(T, projection=None):
-    """Render a tiling to an SVG string.
-
-    The projection defaults to stereographic for spherical tilings and to
-    the Poincare disk for hyperbolic ones.
-    """
-    if projection is None:
-        projection = "stereographic" if T.is_spherical else "poincare"
-    if projection == "stereographic":
-        if not T.is_spherical:
-            raise GeometryError("stereographic projection applies to spherical tilings")
-        ops, proj = SphereOps, stereographic
-    elif projection == "poincare":
-        if T.is_spherical:
-            raise GeometryError("poincare projection applies to hyperbolic tilings")
-        ops, proj = HyperbolicOps, poincare
-    else:
-        raise GeometryError(f"unknown projection {projection!r}")
+def render_svg(T):
+    """Render a tiling to an SVG string: stereographic for a spherical
+    tiling, in the Poincare disk for a hyperbolic one."""
+    ops, proj = (SphereOps, stereographic) if T.is_spherical else (HyperbolicOps, poincare)
 
     # one arc per face corner, white faces first, then one per tiling edge
     faces = [(c, i, f) for c in (WHITE, BLACK) for i, f in enumerate(T.faces(c))]
@@ -95,19 +81,17 @@ def render_svg(T, projection=None):
     if np.any(polygon & ~flat & ~defined):
         raise GeometryError(ops.tangent_undefined)
     direction[flat] = 0.0
-    base, start = V.copy(), np.zeros(len(V))
+    base, start, E = V.copy(), np.zeros(len(V)), T.edges
     for row, (color, fi, f) in zip((ends - sizes).tolist(), faces):
         for k in range(len(f)) if f.is_digon else ():
-            e = T.edges[f.edge_refs[k]]
-            seg = e.segment_of(color, fi, k)
-            base[row + k], direction[row + k] = e.base, e.direction
-            start[row + k], stop[row + k] = seg.corner_param(True), seg.corner_param(False)
+            e = f.edge_refs[k]
+            j = E.slot(e, color == BLACK, fi, k)
+            base[row + k], direction[row + k] = E.base[e], E.direction[e]
+            start[row + k], stop[row + k] = E.corner_param(e, j, True), E.corner_param(e, j, False)
     rows, arc_ends = _sample(
-        ops, np.concatenate([base, np.reshape([e.base for e in T.edges], (-1, 3))]),
-        np.concatenate([direction, np.reshape([e.direction for e in T.edges], (-1, 3))]),
-        np.concatenate([start, [e.t_min for e in T.edges]]),
-        np.concatenate([stop, [e.t_max for e in T.edges]]),
-        np.arange(len(V) + len(T.edges)) >= len(V))
+        ops, np.concatenate([base, E.base]), np.concatenate([direction, E.direction]),
+        np.concatenate([start, E.t_min]), np.concatenate([stop, E.t_max]),
+        np.arange(len(V) + len(E)) >= len(V))
     rows[arc_ends[:len(V)][flat] - 1] = V[flat]
     xy = proj(rows)
 
@@ -121,7 +105,7 @@ def render_svg(T, projection=None):
              'stroke="none"/>' for (c, _, _), n in zip(faces, counts)]
     paths += [f'<path d="{_path(n)}" fill="none" stroke="{EDGE_STROKE}" '
               'stroke-width="0.01" stroke-linecap="round"/>' for n in counts[F:]]
-    if projection == "poincare":
+    if not T.is_spherical:
         lo, hi = -1.05, 1.05
         paths.insert(0, '<circle cx="0" cy="0" r="1" fill="none" stroke="#888888" '
                         'stroke-width="0.005"/>')

@@ -2,11 +2,12 @@
 
 A tiling face stores its polygon together with, per corner, the index of
 the opposite-color face whose corner coincides there, and, per polygon
-edge, the tiling edge carrying it.  Tiling edges record the supporting
-geodesic and the four incident face-edge segments with their side
-(left/right of the oriented geodesic), position (forward/backward) and
-color.  This is enough to check the definition clauses, glue the black
-and white cone metrics, and develop the white polyhedron back.
+edge, the tiling edge carrying it.  The tiling edges form one table
+(`TilingEdges`): per edge the supporting geodesic, and per edge and slot
+one of its four face-edge segments with its side (left/right of the
+oriented geodesic), position (forward/backward) and color.  This is
+enough to check the definition clauses, glue the black and white cone
+metrics, and develop the white polyhedron back.
 
 One pipeline (`assemble_tiling`) projects a spherical polyhedron and a
 Fuchsian AdS surface alike; the quotient projection `ads_project` adds
@@ -67,54 +68,69 @@ class TilingFace:
 
 
 @dataclass(frozen=True)
-class EdgeSegment:
-    side: Side
-    position: str  # "forward" | "backward"
-    color: str
-    face: int
-    face_edge: int
-    reversed: bool  # polygon edge runs against the geodesic direction
-    t0: float
-    t1: float
-    deck: np.ndarray = None  # face copy incident here = deck . stored face
+class TilingEdges:
+    """All tiling edges of a tiling as one table.
 
-    @property
-    def length(self):
-        return self.t1 - self.t0
+    Row e is the geodesic base[e] + direction[e], (E, 3), covered over
+    [t_min[e], t_max[e]]; column j of the (E, 4) arrays is its face-edge
+    segment j, the slots in the order left backward, left forward, right
+    backward, right forward as built (in file order as loaded):
 
-    def corner_param(self, corner_is_start):
-        """Edge parameter of the polygon vertex k (start) or k+1 (end)."""
-        if corner_is_start:
-            return self.t1 if self.reversed else self.t0
-        return self.t0 if self.reversed else self.t1
+    left, forward   : the face lies left of the oriented geodesic; the
+                      segment is the forward one on its side
+    black           : the face's color
+    face, face_edge : the face (an index among its color) and its polygon
+                      edge carried here
+    reversed        : the polygon edge runs against the geodesic direction
+    t0, t1          : the segment's parameters, t0 < t1
+    decks           : per edge, the four deck tags (the face copy incident
+                      here = deck . stored face), or None when every tag
+                      is None
+    """
 
-
-@dataclass(frozen=True)
-class TilingEdge:
     base: np.ndarray
     direction: np.ndarray
-    t_min: float
-    t_max: float
-    segments: tuple
+    t_min: np.ndarray
+    t_max: np.ndarray
+    left: np.ndarray
+    forward: np.ndarray
+    black: np.ndarray
+    face: np.ndarray
+    face_edge: np.ndarray
+    reversed: np.ndarray
+    t0: np.ndarray
+    t1: np.ndarray
+    decks: list = None
 
-    def point_at(self, ops, t):
-        return ops.geodesic(self.base, self.direction, t)
+    def __len__(self):
+        return len(self.base)
 
-    def segment_of(self, color, face, face_edge):
-        for s in self.segments:
-            if s.color == color and s.face == face and s.face_edge == face_edge:
-                return s
-        raise GeometryError("segment not found on edge")
+    def slot(self, e, black, face, face_edge):
+        """The slot of edge e carrying polygon edge `face_edge` of a face."""
+        hit = (self.black[e] == black) & (self.face[e] == face) & (self.face_edge[e] == face_edge)
+        if not hit.any():
+            raise GeometryError("segment not found on edge")
+        return int(np.argmax(hit))
 
-    def partner(self, seg):
-        for s in self.segments:
-            if s.color == seg.color and s.side is not seg.side:
-                return s
-        raise GeometryError("partner segment missing")
+    def partner(self, e, j):
+        """The slot of edge e with slot j's color on the other side."""
+        hit = (self.black[e] == self.black[e, j]) & (self.left[e] != self.left[e, j])
+        if not hit.any():
+            raise GeometryError("partner segment missing")
+        return int(np.argmax(hit))
 
-    def black_offset(self):
-        """Length of the black intersections (the white-to-white gap)."""
-        return min(s.length for s in self.segments if s.color == BLACK)
+    def corner_param(self, e, j, corner_is_start):
+        """Edge parameter of the polygon vertex k (start) or k+1 (end) of
+        the polygon edge k in slot j."""
+        return float(self.t1[e, j] if self.reversed[e, j] == corner_is_start else self.t0[e, j])
+
+
+def _side_name(left):
+    return "left" if left else "right"
+
+
+def _position(forward):
+    return "forward" if forward else "backward"
 
 
 @dataclass
@@ -154,7 +170,7 @@ class FlippableTiling:
         self.handedness = handedness
         self.black = list(black)
         self.white = list(white)
-        self.edges = list(edges)
+        self.edges = edges
         self.ambient = ambient
 
     @property
@@ -220,8 +236,6 @@ def _face_areas(ops, faces):
 
 # -- edge assembly ------------------------------------------------------------
 
-POSITIONS = ("backward", "forward", "backward", "forward")
-
 
 def _raise_first(clauses):
     """Raise the first failing clause of the first failing edge.
@@ -266,13 +280,14 @@ def _side_pairs(left, black, t0):
 
 def _build_edges(ops, base, direction, black, face, slot, rev, t0, t1, probes,
                  decks, checks=(), tol=1e-7):
-    """The tiling edges of E geodesics, each with its four labeled segments.
+    """The table of the tiling edges of E geodesics and their four labeled
+    segments.
 
     Row e holds the geodesic base[e] + direction[e] and, per segment, the
     (E, 4) arrays color (`black`), face, polygon edge `slot`, `rev` (the
     polygon edge runs against the geodesic) and parameters t0 < t1; probes
     (E, 4, 3) are interior points of the incident face copies, deciding the
-    sides, and decks[e] the four deck tags (or None for all None).
+    sides, and decks[e] the four deck tags (or decks None for all None).
     `checks` are the caller's (mask, message) clauses, tested on an edge
     before these; the first failing edge raises its first failing clause.
     """
@@ -299,30 +314,32 @@ def _build_edges(ops, base, direction, black, face, slot, rev, t0, t1, probes,
     ])
     # final order: left backward, left forward, right backward, right forward
     order = np.stack([lo[:, 0], hi[:, 0], lo[:, 1], hi[:, 1]], axis=1)
-    cols = zip(*(np.take_along_axis(a, order, axis=1).tolist()
-                 for a in (left, black, face, slot, rev, t0, t1)), order.tolist())
-    return [
-        TilingEdge(base[e], direction[e], t_min[e], t_max[e], tuple(
-            EdgeSegment(Side.LEFT if lf[j] else Side.RIGHT, POSITIONS[j],
-                        BLACK if bk[j] else WHITE, fc[j], sl[j], rv[j], a[j], b[j],
-                        None if decks is None else decks[e][o[j]])
-            for j in range(4)))
-        for e, (lf, bk, fc, sl, rv, a, b, o) in enumerate(cols)
-    ]
+    if decks is not None and all(g is None for tags in decks for g in tags):
+        decks = None
+    left, black, face, slot, rev, t0, t1 = (np.take_along_axis(a, order, axis=1)
+                                            for a in (left, black, face, slot, rev, t0, t1))
+    return TilingEdges(
+        base, direction, np.array(t_min, dtype=float), np.array(t_max, dtype=float), left,
+        np.tile([False, True], (len(order), 2)), black, face, slot, rev, t0, t1,
+        None if decks is None else [tuple(tags[o] for o in row)
+                                    for tags, row in zip(decks, order.tolist())])
+
+
+def _misplaced_black(T):
+    """Per edge and slot: a black segment not forward on the handedness
+    side (nor backward on the other)."""
+    E = T.edges
+    return E.black & (E.forward != (E.left == (T.handedness is not Side.RIGHT)))
 
 
 def _assert_handedness(T):
     """The black face must be forward on the handedness side of each edge."""
-    want = Side.RIGHT if T.handedness is Side.RIGHT else Side.LEFT
-    for e in T.edges:
-        for s in e.segments:
-            if s.color != BLACK:
-                continue
-            expected = "forward" if s.side is want else "backward"
-            if s.position != expected:
-                raise GeometryError(
-                    f"handedness rule violated: black {s.position} on {s.side.value}"
-                )
+    bad = _misplaced_black(T)
+    if bad.any():
+        e, j = np.unravel_index(np.argmax(bad), bad.shape)
+        raise GeometryError(f"handedness rule violated: black "
+                            f"{_position(T.edges.forward[e, j])} on "
+                            f"{_side_name(T.edges.left[e, j])}")
 
 
 # -- projection: one pipeline for S^3 and AdS_3 --------------------------------
@@ -563,9 +580,8 @@ def recolor(T: FlippableTiling) -> FlippableTiling:
     """Swap black and white; reverses the handedness, involutive."""
     new_black = [replace(f, color=BLACK) for f in T.white]
     new_white = [replace(f, color=WHITE) for f in T.black]
-    edges = [replace(e, segments=tuple(replace(s, color=BLACK if s.color == WHITE else WHITE)
-                                       for s in e.segments)) for e in T.edges]
-    return FlippableTiling(T.handedness.other, new_black, new_white, edges, T.ambient)
+    return FlippableTiling(T.handedness.other, new_black, new_white,
+                           replace(T.edges, black=~T.edges.black), T.ambient)
 
 
 # -- cone metrics -------------------------------------------------------------
@@ -578,25 +594,22 @@ def _corner_walk(T, color, start):
     polygon edge after the corner, lands on the matched corner of the glued
     face, and leaves through that face's other incident edge.
     """
-    faces = T.faces(color)
+    faces, E = T.faces(color), T.edges
     visited = []
     f, k, exit_edge = start[0], start[1], start[1]
     while True:
         visited.append((f, k))
         if len(visited) > 4 * sum(len(x) for x in faces) + 8:
             raise GeometryError("cone walk does not close")
-        face = faces[f]
-        eidx = face.edge_refs[exit_edge]
-        edge = T.edges[eidx]
-        seg = edge.segment_of(color, f, exit_edge)
-        partner = edge.partner(seg)
-        t = seg.corner_param(corner_is_start=(exit_edge == k))
-        t_partner = t - seg.t0 + partner.t0
-        f2 = partner.face
-        k2 = partner.face_edge
+        e = faces[f].edge_refs[exit_edge]
+        j = E.slot(e, color == BLACK, f, exit_edge)
+        p = E.partner(e, j)
+        t = E.corner_param(e, j, corner_is_start=(exit_edge == k))
+        t_partner = t - E.t0[e, j] + E.t0[e, p]
+        f2, k2 = int(E.face[e, p]), int(E.face_edge[e, p])
         face2 = faces[f2]
-        start_param = partner.corner_param(corner_is_start=True)
-        end_param = partner.corner_param(corner_is_start=False)
+        start_param = E.corner_param(e, p, corner_is_start=True)
+        end_param = E.corner_param(e, p, corner_is_start=False)
         if abs(t_partner - start_param) < 1e-7:
             corner2 = k2
         elif abs(t_partner - end_param) < 1e-7:
@@ -669,16 +682,12 @@ def make_antipodal_tiling(polygon_vertices, side: Side) -> FlippableTiling:
     n = len(V)
     if n < 3:
         raise GeometryError("polygon needs at least 3 vertices")
-    for attempt in range(2):
-        try:
-            T = _build_antipodal(V)
-        except GeometryError:
-            V = V[::-1].copy()
-            continue
-        if T.handedness is side:
-            return T
-        V = V[::-1].copy()
-    raise GeometryError("could not realize the requested handedness")
+    T = _build_antipodal(V)
+    if T.handedness is not side:  # reversing the polygon reverses the hand
+        T = _build_antipodal(V[::-1].copy())
+        if T.handedness is not side:
+            raise GeometryError("could not realize the requested handedness")
+    return T
 
 
 def _build_antipodal(V):
@@ -729,11 +738,10 @@ def _build_antipodal(V):
     )
 
     # the tiling's handedness: the side where the black faces sit forward
-    sides = {s.side for e in edges for s in e.segments
-             if s.color == BLACK and s.position == "forward"}
+    sides = set(edges.left[edges.black & edges.forward].tolist())
     if len(sides) != 1:
         raise GeometryError("inconsistent handedness")
-    T = FlippableTiling(sides.pop(), black, white, edges)
+    T = FlippableTiling(Side.LEFT if sides.pop() else Side.RIGHT, black, white, edges)
     _assert_handedness(T)
     return T
 
@@ -796,48 +804,30 @@ def make_two_circles_tiling(n1, n2, side: Side) -> FlippableTiling:
     edges = _build_edges(SphereOps, np.array([v, v]), np.array(directions), black, face,
                          slot, rev, t0, t1, probes, None)
 
-    # association of corners to opposite faces, from the gluing orbits
-    T = FlippableTiling(Side.RIGHT, faces[BLACK], faces[WHITE], edges)
+    # On a closed geodesic the forward direction of each edge is a genuine
+    # choice (the "two choices for the edges" of the construction); orient
+    # every edge so the black faces sit forward on the requested side.
+    lead = np.argmax(edges.black & edges.forward, axis=1)
+    turn = edges.left[[0, 1], lead] != (side is not Side.RIGHT)
+    T = FlippableTiling(side, faces[BLACK], faces[WHITE],
+                        replace(edges, forward=edges.forward ^ turn[:, None]))
+
+    # association of corners to opposite faces, from the gluing orbits: the
+    # two lunes of the other color have one angle, so the orbits are linked
+    # in the order they are found
     for color in (BLACK, WHITE):
-        other = WHITE if color == BLACK else BLACK
-        flist = T.faces(color)
-        links = {fi: [None, None] for fi in range(2)}
-        seen = set()
-        orbits = []
+        links, orbits = [[None, None], [None, None]], 0
         for fi in range(2):
             for k in range(2):
-                if (fi, k) in seen:
-                    continue
-                orbit = _corner_walk(T, color, (fi, k))
-                seen |= {(a, b) for a, b in orbit}
-                orbits.append(orbit)
-        # every face is a lune: its corners carry the lune angle, its area
-        # is twice that
-        areas = [2.0 * f.digon_angle for f in T.faces(other)]
-        for oi, orbit in enumerate(orbits):
-            angle = sum(flist[a].digon_angle for a, b in orbit)
-            target = 2 * np.pi - angle
-            cands = [j for j in range(2) if abs(areas[j] - target) < 1e-9]
-            j = cands[0] if len(cands) == 1 else oi
-            for a, b in orbit:
-                links[a][b] = j
-        new = [replace(f, links=tuple(links[fi])) for fi, f in enumerate(flist)]
+                if links[fi][k] is None:
+                    for a, b in _corner_walk(T, color, (fi, k)):
+                        links[a][b] = orbits
+                    orbits += 1
+        new = [replace(f, links=tuple(links[fi])) for fi, f in enumerate(T.faces(color))]
         if color == BLACK:
             T.black = new
         else:
             T.white = new
-
-    # On a closed geodesic the forward direction of each edge is a genuine
-    # choice (the "two choices for the edges" of the construction); orient
-    # every edge so the black faces sit forward on the requested side.
-    want = Side.RIGHT if side is Side.RIGHT else Side.LEFT
-    for ei, e in enumerate(T.edges):
-        if next(s.side for s in e.segments
-                if s.color == BLACK and s.position == "forward") is not want:
-            T.edges[ei] = replace(e, segments=tuple(
-                replace(s, position="forward" if s.position == "backward" else "backward")
-                for s in e.segments))
-    T.handedness = side
     _assert_handedness(T)
     return T
 
@@ -902,32 +892,27 @@ def _deck_rows(tags):
 
 def _edge_failures(T, verts, starts, sizes, tol_scale):
     """The failures of the per-edge clauses, edge by edge."""
-    E, segs = len(T.edges), [s for e in T.edges for s in e.segments]
-    want = Side.RIGHT if T.handedness is Side.RIGHT else Side.LEFT
-    left, black, rev, pos_ok = (np.array(c, dtype=bool).reshape(E, 4) for c in zip(*(
-        (s.side is Side.LEFT, s.color == BLACK, s.reversed,
-         s.position == ("forward" if s.side is want else "backward")) for s in segs)))
-    face, k, t0, t1 = (np.array(c).reshape(E, 4) for c in zip(*(
-        (s.face, s.face_edge, s.t0, s.t1) for s in segs)))
+    E = T.edges
+    left, black, rev, face, k, t0, t1 = (E.left, E.black, E.reversed, E.face, E.face_edge,
+                                         E.t0, E.t1)
     tol = 1e-7 * tol_scale
     pair_ok, lo, hi = _side_pairs(left, black, t0)
-    at = np.arange(E)[:, None]
+    at = np.arange(len(E))[:, None]
     abut = np.abs(t1[at, lo] - t0[at, hi]) > tol
     length = t1 - t0
     unequal = [_pair_diff(length, m) > tol for m in (black, ~black)]
-    handed = black & ~pos_ok
+    handed = _misplaced_black(T)
     # Geometry: the carried polygon edges must sit on the geodesic at the
     # recorded parameters.
     g = face + np.where(black, 0, len(T.black))
     ends = [verts[starts[g] + (k + j) % sizes[g]] for j in (0, 1)]
-    decks = _deck_rows([s.deck for s in segs])
+    decks = None if E.decks is None else _deck_rows([tag for tags in E.decks for tag in tags])
     if decks is not None:
-        ends = [np.einsum("nij,nj->ni", decks, v.reshape(-1, 3)).reshape(E, 4, 3)
+        ends = [np.einsum("nij,nj->ni", decks, v.reshape(-1, 3)).reshape(len(E), 4, 3)
                 for v in ends]
-    base, direction = (np.array([getattr(e, a) for e in T.edges])[:, None]
-                       for a in ("base", "direction"))
     params = (np.where(rev, t1, t0), np.where(rev, t0, t1))
-    err0, err1 = (np.linalg.norm(T.ops.geodesic(base, direction, t[..., None]) - v, axis=-1)
+    err0, err1 = (np.linalg.norm(T.ops.geodesic(E.base[:, None], E.direction[:, None],
+                                                t[..., None]) - v, axis=-1)
                   for t, v in zip(params, ends))
     err = np.where(err1 > err0, err1, err0)  # Python's max(err0, err1)
     off = err > 1e-6 * tol_scale
@@ -935,7 +920,6 @@ def _edge_failures(T, verts, starts, sizes, tol_scale):
     failures = []
     bad = ~pair_ok.all(1) | abut.any(1) | unequal[0] | unequal[1] | handed.any(1) | off.any(1)
     for ei in np.flatnonzero(bad):
-        segs = T.edges[ei].segments
         for j, side in enumerate(("left", "right")):
             if not pair_ok[ei, j]:
                 failures.append(f"edge {ei}: side {side} lacks black+white pair")
@@ -943,10 +927,10 @@ def _edge_failures(T, verts, starts, sizes, tol_scale):
                 failures.append(f"edge {ei}: segments do not abut")
         failures += [f"edge {ei}: {c} lengths differ" for c, u in zip((BLACK, WHITE), unequal)
                      if u[ei]]
-        failures += [f"edge {ei}: black is {segs[q].position} on the {segs[q].side.value}"
-                     for q in np.flatnonzero(handed[ei])]
-        failures += [f"edge {ei}: {segs[q].color} face {segs[q].face} edge "
-                     f"{segs[q].face_edge} off geodesic by {err[ei, q]:.2e}"
+        failures += [f"edge {ei}: black is {_position(E.forward[ei, q])} on the "
+                     f"{_side_name(left[ei, q])}" for q in np.flatnonzero(handed[ei])]
+        failures += [f"edge {ei}: {BLACK if black[ei, q] else WHITE} face {face[ei, q]} edge "
+                     f"{k[ei, q]} off geodesic by {err[ei, q]:.2e}"
                      for q in np.flatnonzero(off[ei])]
     return failures
 

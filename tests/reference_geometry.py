@@ -22,7 +22,9 @@ are checked against:
   their group products, point/plane duality and the complex-valued angles
   between vectors of a Minkowski space;
 - comparison of spherical tilings up to isometry and of polygons up to
-  congruence.
+  congruence;
+- the segments of a tiling edge as one record each, the per-item view of
+  the library's edge table that the per-segment references read.
 
 It is not collected (its name does not start with `test_`), and no module
 of `src/flipkit` imports it.
@@ -38,7 +40,7 @@ from flipkit.errors import DevelopmentError, GeometryError, SignatureMismatchErr
 from flipkit.forms import Signature, inv4, mul4
 from flipkit.fuchsian import VertexStar
 from flipkit.spheremath import ADS_STAR, HyperbolicOps
-from flipkit.tilings import _aligned_error, _stack
+from flipkit.tilings import BLACK, WHITE, Side, _aligned_error, _stack
 
 
 class DegenerateTriangleError(GeometryError):
@@ -728,3 +730,43 @@ def polygon_congruent(len_a, ang_a, len_b, ang_b, tol=1e-8):
             ) < tol:
                 return True
     return False
+
+
+# -- tiling edge segments as records ------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Segment:
+    """One face-edge segment of a tiling edge."""
+
+    side: Side
+    position: str  # "forward" | "backward"
+    color: str
+    face: int
+    face_edge: int
+    reversed: bool  # polygon edge runs against the geodesic direction
+    t0: float
+    t1: float
+    deck: np.ndarray = None  # face copy incident here = deck . stored face
+
+    @property
+    def length(self):
+        return self.t1 - self.t0
+
+    def corner_param(self, corner_is_start):
+        """Edge parameter of the polygon vertex k (start) or k+1 (end)."""
+        if corner_is_start:
+            return self.t1 if self.reversed else self.t0
+        return self.t0 if self.reversed else self.t1
+
+
+def segments(edges, e):
+    """The four segments of edge e of a `tilings.TilingEdges` table, in slot
+    order."""
+    return [Segment(Side.LEFT if edges.left[e, j] else Side.RIGHT,
+                    "forward" if edges.forward[e, j] else "backward",
+                    BLACK if edges.black[e, j] else WHITE, int(edges.face[e, j]),
+                    int(edges.face_edge[e, j]), bool(edges.reversed[e, j]),
+                    float(edges.t0[e, j]), float(edges.t1[e, j]),
+                    None if edges.decks is None else edges.decks[e][j])
+            for j in range(4)]

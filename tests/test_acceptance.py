@@ -46,6 +46,7 @@ from reference_geometry import (
     hs2_laws,
     hs2_partial_a_b,
     polygon_congruent,
+    segments,
     sph_partials,
     sph_solve,
     tiling_isometry_error,
@@ -155,8 +156,8 @@ def test_criterion_3_flip_involution(corpus):
         T = project(P, Side.LEFT)
         F = flip(T)
         assert F.handedness is Side.LEFT
-        for e in F.edges:
-            for s in e.segments:
+        for ei in range(len(F.edges)):
+            for s in segments(F.edges, ei):
                 if s.color == BLACK:
                     expected = "forward" if s.side is Side.LEFT else "backward"
                     assert s.position == expected

@@ -400,6 +400,28 @@ def test_cli_check_and_exit_codes(tmp_path, tetrahedron):
     assert main(["flip", "--in", tpath, "--out", str(tmp_path / "y.json")]) == 3
 
 
+@pytest.mark.parametrize("content", [b"\xff\xfe{\x00", b"[" * 100000 + b"]" * 100000],
+                         ids=["undecodable-bytes", "nested-too-deep"])
+def test_cli_unreadable_input_exit_code(tmp_path, capsys, content):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    assert main(["check", "--in", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot parse {bad}: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["dual", "render"])
+def test_cli_unwritable_output_exit_code(tmp_path, capsys, tetrahedron, command):
+    src = write_poly(tmp_path, tetrahedron)
+    if command == "render":
+        src = str(tmp_path / "t.json")
+        fio.dump_json(fio.tiling_to_dict(project(tetrahedron, Side.LEFT)), src)
+    out = tmp_path / "missing" / "x.out"
+    assert main([command, "--in", src, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out}: ") and err.count("\n") == 1
+
+
 def write_digon_tiling(tmp_path):
     ang = np.linspace(0, 2 * np.pi, 4)[:-1]
     V = np.array(

@@ -1,15 +1,21 @@
-"""SHA-256 pins of the Fuchsian outputs: byte identity as a test.
+"""SHA-256 pins of the outputs: byte identity as a test.
 
 Two digests per seed, over the inputs of the `solve-genus2` and
-`quotient-flip` benchmark workloads, drawn by the recipe of
-`perfbench/README.md` (nothing here imports the benchmark):
+`quotient-flip` benchmark workloads, and one over the `sphere-cli`
+workload, drawn by the recipe of `perfbench/README.md` (nothing here
+imports the benchmark):
 
 - solver: per n = 1, 2, 3 of round 0, targets -U(0.5, 3.5) per vertex,
   redrawn until the sum exceeds -4 pi + 0.5; the digest covers the bytes of
   the solved heights and of the achieved curvatures;
 - quotient flip: per n = 1, 2, 3 of rounds 0 and 1, heights U(0.55, 0.95)
   plus U(-0.08, 0.08) per ray; the digest covers the canonical JSON of the
-  flipped left projection and the bytes of the curvatures.
+  flipped left projection and the bytes of the curvatures;
+- sphere cli: the first 9 polyhedra of the seed-20240817 corpus (sizes 6
+  to 14, drawn by `random_polyhedron` from one stream), each run through
+  the six commands of the workload in a scratch directory with relative
+  file names; the digest covers every exit code, stdout and stderr and
+  the bytes of every output file.
 
 A change that is meant to keep every output bit leaves these digests as
 they are.  After a deliberate change, print the new ones with
@@ -19,12 +25,18 @@ they are.  After a deliberate change, print the new ones with
 and say in the change log what changed and why.
 """
 
+import contextlib
 import hashlib
+import io
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
 
+from conftest import random_polyhedron
+from flipkit import cli
 from flipkit import io as fio
 from flipkit.fuchsian import (
     FuchsianConfig,
@@ -51,6 +63,18 @@ QUOTIENT_FLIP_DIGESTS = {
     7: "1a0e9c70f9e70896de2a0e55d5e7f07fd1256e806a00478d11fa74fd592e41e7",
     31: "c7de59a0c052f3d207798e7fa8f0306036f67048df138b553eb4839c312491dc",
 }
+
+SPHERE_CLI_SEED = 20240817
+SPHERE_CLI_DIGEST = "3f0d4eae725d419504b9b05537bdcd43ff7440edf5f2b68e1b4459fcfdc0d59c"
+SPHERE_CLI_COMMANDS = (
+    ["dual", "--in", "{src}", "--out", "dual.json"],
+    ["project", "--in", "{src}", "--out", "tiling.json", "--side", "left"],
+    ["flip", "--in", "tiling.json", "--out", "flipped.json"],
+    ["reconstruct", "--in", "flipped.json", "--out", "poly2.json"],
+    ["check", "--in", "tiling.json", "--batch", "flipped.json", "dual.json", "poly2.json"],
+    ["render", "--in", "tiling.json", "--out", "tiling.svg"],
+)
+SPHERE_CLI_OUTPUTS = ("dual.json", "tiling.json", "flipped.json", "poly2.json", "tiling.svg")
 
 
 def _rays(n):
@@ -85,6 +109,25 @@ def quotient_flip_digest(group, seed, rounds=2):
     return digest.hexdigest()
 
 
+def sphere_cli_digest(count=9):
+    """Run the sphere-cli commands over the first `count` corpus polyhedra
+    in the current directory and digest what they print and write."""
+    rng = np.random.default_rng(SPHERE_CLI_SEED)
+    digest = hashlib.sha256()
+    for i in range(count):
+        src = f"p{i:03d}.json"
+        fio.dump_json(fio.polyhedron_to_dict(random_polyhedron(rng, 6 + i % 9)), src)
+        for argv in SPHERE_CLI_COMMANDS:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main([a.format(src=src) for a in argv])
+            digest.update(f"{code}\n{out.getvalue()}\n{err.getvalue()}\n".encode())
+        for name in SPHERE_CLI_OUTPUTS:
+            with open(name, "rb") as fh:
+                digest.update(fh.read())
+    return digest.hexdigest()
+
+
 @pytest.fixture(scope="module")
 def group():
     return genus2_group()
@@ -100,8 +143,16 @@ def test_quotient_flip_digest(group, seed):
     assert quotient_flip_digest(group, seed) == QUOTIENT_FLIP_DIGESTS[seed]
 
 
+def test_sphere_cli_digest(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert sphere_cli_digest() == SPHERE_CLI_DIGEST
+
+
 if __name__ == "__main__":
     g = genus2_group()
     print("SOLVER_DIGESTS", {s: solver_digest(g, s) for s in SOLVER_DIGESTS})
     print("QUOTIENT_FLIP_DIGESTS",
           {s: quotient_flip_digest(g, s) for s in QUOTIENT_FLIP_DIGESTS})
+    with tempfile.TemporaryDirectory() as work:
+        os.chdir(work)
+        print("SPHERE_CLI_DIGEST", sphere_cli_digest())

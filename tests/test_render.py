@@ -36,6 +36,7 @@ from flipkit.tilings import (
     make_two_circles_tiling,
     project,
 )
+from reference_geometry import segments
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 # (seed, vertex count) of the polyhedra whose projections and flips are pinned
@@ -107,7 +108,7 @@ def test_edges_sampled_along_their_parameter():
     # Acceptance-corpus polyhedron 74 projects to a tiling with an edge of
     # length 3.30 > pi, which the shortest arc between its ends would miss.
     T = project(polyhedron_corpus(20240817, 75)[74], Side.LEFT)
-    lengths = np.array([e.t_max - e.t_min for e in T.edges])
+    lengths = T.edges.t_max - T.edges.t_min
     assert lengths.max() > np.pi
     expected = [max(2, int(np.ceil(L / ARC_STEP)) + 1) for L in lengths]
     assert _stroke_point_counts(render_svg(T)) == expected
@@ -133,10 +134,10 @@ def _sample_arc(ops, a, b):
     return ops.geodesic(a, ops.tangent(a, b), np.linspace(0.0, d, steps)[:, None])
 
 
-def _sample_edge(ops, edge, a, b):
+def _sample_edge(ops, base, direction, a, b):
     """Rows of a tiling edge at parameters a to b, both ends included."""
     n = max(2, int(np.ceil(abs(b - a) / ARC_STEP)) + 1)
-    return edge.point_at(ops, np.linspace(a, b, n)[:, None])
+    return ops.geodesic(base, direction, np.linspace(a, b, n)[:, None])
 
 
 def _face_path(ops, proj, face):
@@ -151,11 +152,11 @@ def _digon_path(T, ops, proj, color, fi):
     f = T.faces(color)[fi]
     arcs = []
     for k in range(len(f)):
-        edge = T.edges[f.edge_refs[k]]
-        seg = edge.segment_of(color, fi, k)
-        arcs.append(
-            _sample_edge(ops, edge, seg.corner_param(True), seg.corner_param(False))[:-1]
-        )
+        e = f.edge_refs[k]
+        seg = next(s for s in segments(T.edges, e)
+                   if (s.color, s.face, s.face_edge) == (color, fi, k))
+        arcs.append(_sample_edge(ops, T.edges.base[e], T.edges.direction[e],
+                                 seg.corner_param(True), seg.corner_param(False))[:-1])
     return _path(proj(np.concatenate(arcs)), "Z")
 
 
@@ -173,8 +174,9 @@ def reference_render_svg(T):
                 d = _face_path(ops, proj, f)
             paths.append(f'<path d="{d}" fill="{fill}" stroke="none"/>')
             span = max(span, float(np.max(np.abs(proj(f.vertices)))))
-    for e in T.edges:
-        xy = proj(_sample_edge(ops, e, e.t_min, e.t_max))
+    E = T.edges
+    for e in range(len(E)):
+        xy = proj(_sample_edge(ops, E.base[e], E.direction[e], E.t_min[e], E.t_max[e]))
         paths.append(
             f'<path d="{_path(xy)}" fill="none" stroke="{EDGE_STROKE}" '
             f'stroke-width="0.01" stroke-linecap="round"/>'

@@ -8,6 +8,7 @@ and flip.  After a deliberate change to either, rewrite it with
 and say in the change log why it changed.
 """
 
+import json
 import os
 
 import numpy as np
@@ -27,10 +28,8 @@ from flipkit.spheremath import SphereOps
 from flipkit.tilings import (
     BLACK,
     WHITE,
-    EdgeSegment,
     FlippableTiling,
     Side,
-    TilingEdge,
     TilingReport,
     black_metric,
     flip,
@@ -45,10 +44,11 @@ from flipkit.tilings import (
     white_metric,
     white_polyhedron,
 )
-from reference_geometry import polygon_congruent, tiling_isometry_error
+from reference_geometry import Segment, polygon_congruent, segments, tiling_isometry_error
 
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "data", "project_flip_sphere.json")
+ADS_GOLDEN_N2 = os.path.join(os.path.dirname(__file__), "data", "ads_project_flip_n2.json")
 # (seed, vertex count) of the pinned polyhedra, those of the render goldens
 POLYHEDRA = ((1, 6), (2, 10))
 
@@ -172,9 +172,9 @@ def test_project_incidence_graph_is_one_skeleton(small_corpus):
     # one tiling edge per polyhedron edge, joining the black faces of its
     # endpoints and the white faces of its sides
     assert len(T.edges) == P.n_edges
-    for e, (i, j, fa, fb) in zip(T.edges, P.edges):
-        blacks = {s.face for s in e.segments if s.color == BLACK}
-        whites = {s.face for s in e.segments if s.color == WHITE}
+    for ei, (i, j, fa, fb) in enumerate(P.edges):
+        blacks = {s.face for s in segments(T.edges, ei) if s.color == BLACK}
+        whites = {s.face for s in segments(T.edges, ei) if s.color == WHITE}
         assert blacks == {i, j}
         assert whites == {fa, fb}
 
@@ -182,10 +182,10 @@ def test_project_incidence_graph_is_one_skeleton(small_corpus):
 def test_project_gap_equals_dihedral(small_corpus):
     for P in small_corpus[:6]:
         T = project(P, Side.LEFT)
-        for e, pe in zip(T.edges, P.edges):
-            assert e.black_offset() == pytest.approx(
-                P.exterior_dihedral(pe), abs=1e-9
-            )
+        for ei, pe in enumerate(P.edges):
+            # the length of the black intersections (the white-to-white gap)
+            offset = min(s.length for s in segments(T.edges, ei) if s.color == BLACK)
+            assert offset == pytest.approx(P.exterior_dihedral(pe), abs=1e-9)
 
 
 def test_projected_tiling_validates(small_corpus):
@@ -398,6 +398,15 @@ def test_antipodal_tiling_both_hands():
     assert Tl.handedness is Side.LEFT
 
 
+def test_antipodal_tiling_refuses_coincident_vertices():
+    # the polygon edge between two equal vertices has no tangent, on either
+    # orientation of the polygon
+    V = spread_polygon(4)
+    V[1] = V[0]
+    with pytest.raises(GeometryError, match="^tangent direction undefined"):
+        make_antipodal_tiling(V, Side.RIGHT)
+
+
 def test_two_great_circles_special_case():
     # A digon (n = 2) of the antipodal family is the two-great-circles
     # example: 2 black + 2 white faces; built directly here.
@@ -424,14 +433,9 @@ def test_validate_detects_moved_vertex(small_corpus):
 def test_validate_detects_swapped_labels(small_corpus):
     P = small_corpus[4]
     T = project(P, Side.LEFT)
-    e = T.edges[0]
-    swapped = tuple(
-        replace(
-            s, position="forward" if s.position == "backward" else "backward"
-        )
-        for s in e.segments
-    )
-    T.edges[0] = replace(e, segments=swapped)
+    forward = T.edges.forward.copy()
+    forward[0] = ~forward[0]
+    T.edges = replace(T.edges, forward=forward)
     rep = validate_tiling(T)
     assert not rep.ok
     assert any("forward" in f or "backward" in f for f in rep.failures)
@@ -473,18 +477,19 @@ def reference_validate_tiling(T, tol_scale=1.0):
             failures.append(f"area budget off by {budget:.2e}")
 
     want = Side.RIGHT if T.handedness is Side.RIGHT else Side.LEFT
-    for ei, e in enumerate(T.edges):
+    for ei in range(len(T.edges)):
+        segs = segments(T.edges, ei)
         for side in (Side.LEFT, Side.RIGHT):
             group = sorted(
-                (s for s in e.segments if s.side is side), key=lambda s: s.t0
+                (s for s in segs if s.side is side), key=lambda s: s.t0
             )
             if len(group) != 2 or {g.color for g in group} != {BLACK, WHITE}:
                 failures.append(f"edge {ei}: side {side.value} lacks black+white pair")
                 continue
             if abs(group[0].t1 - group[1].t0) > 1e-7 * tol_scale:
                 failures.append(f"edge {ei}: segments do not abut")
-        blacks = [s for s in e.segments if s.color == BLACK]
-        whites = [s for s in e.segments if s.color == WHITE]
+        blacks = [s for s in segs if s.color == BLACK]
+        whites = [s for s in segs if s.color == WHITE]
         if abs(blacks[0].length - blacks[1].length) > 1e-7 * tol_scale:
             failures.append(f"edge {ei}: black lengths differ")
         if abs(whites[0].length - whites[1].length) > 1e-7 * tol_scale:
@@ -495,7 +500,7 @@ def reference_validate_tiling(T, tol_scale=1.0):
                 failures.append(
                     f"edge {ei}: black is {s.position} on the {s.side.value}"
                 )
-        for s in e.segments:
+        for s in segs:
             face = T.faces(s.color)[s.face]
             k = s.face_edge
             v0 = face.vertices[k % len(face)]
@@ -503,8 +508,9 @@ def reference_validate_tiling(T, tol_scale=1.0):
             if s.deck is not None:
                 v0 = s.deck @ v0
                 v1 = s.deck @ v1
-            p0 = e.point_at(ops, s.corner_param(True))
-            p1 = e.point_at(ops, s.corner_param(False))
+            base, direction = T.edges.base[ei], T.edges.direction[ei]
+            p0 = ops.geodesic(base, direction, s.corner_param(True))
+            p1 = ops.geodesic(base, direction, s.corner_param(False))
             err = max(np.linalg.norm(p0 - v0), np.linalg.norm(p1 - v1))
             if err > 1e-6 * tol_scale:
                 failures.append(
@@ -530,21 +536,22 @@ def reference_validate_tiling(T, tol_scale=1.0):
 
 def reference_build_edge(ops, base, direction, entries, tol=1e-7):
     """One tiling edge from its four segment entries, as the per-edge
-    builder made it: the reference for `tilings._build_edges`."""
+    builder made it: the reference for `tilings._build_edges`.  Returns
+    (base, direction, t_min, t_max, segments in slot order)."""
     normal = ops.geodesic_normal(base, ops.geodesic(base, direction, 0.5))
     t_min = min(e["t0"] for e in entries)
     t_max = max(e["t1"] for e in entries)
-    segments = []
+    segs = []
     for e in entries:
         s = ops.side(e["probe"], normal)
         if abs(s) < 1e-12:
             raise GeometryError("face probe sits on the edge geodesic")
         side = Side.LEFT if s > 0 else Side.RIGHT
-        segments.append(EdgeSegment(side, "", e["color"], e["face"], e["face_edge"],
-                                    e["reversed"], e["t0"], e["t1"], e.get("deck")))
+        segs.append(Segment(side, "", e["color"], e["face"], e["face_edge"],
+                            e["reversed"], e["t0"], e["t1"], e.get("deck")))
     final = []
     for side in (Side.LEFT, Side.RIGHT):
-        group = sorted((s for s in segments if s.side is side), key=lambda g: g.t0)
+        group = sorted((s for s in segs if s.side is side), key=lambda g: g.t0)
         if len(group) != 2 or {g.color for g in group} != {BLACK, WHITE}:
             raise GeometryError("each edge side needs one black and one white segment")
         if (
@@ -561,7 +568,7 @@ def reference_build_edge(ops, base, direction, entries, tol=1e-7):
         raise GeometryError("black segment lengths differ")
     if abs(white_lengths[0] - white_lengths[1]) > tol:
         raise GeometryError("white segment lengths differ")
-    return TilingEdge(base, direction, t_min, t_max, tuple(final))
+    return base, direction, t_min, t_max, final
 
 
 def batched_build_edges(ops, rows):
@@ -613,13 +620,17 @@ def corruptions(T):
     ops = T.ops
     out = []
 
-    def with_edge(ei, change):
-        C = FlippableTiling(T.handedness, T.black, T.white, T.edges, T.ambient)
-        e = C.edges[ei]
-        segs = list(e.segments)
-        segs[0] = replace(segs[0], **change(segs[0]))
-        C.edges[ei] = replace(e, segments=tuple(segs))
-        return C
+    def with_edge(ei, column, change):
+        """A copy of T whose column of the edge table holds change(value)
+        at slot 0 of edge ei; the column is copied, not shared with T."""
+        if column == "decks":
+            col = list(T.edges.decks)
+            col[ei] = (change(col[ei][0]),) + col[ei][1:]
+        else:
+            col = getattr(T.edges, column).copy()
+            col[ei, 0] = change(col[ei, 0])
+        return FlippableTiling(T.handedness, T.black, T.white,
+                               replace(T.edges, **{column: col}), T.ambient)
 
     polygons = [f for f in range(len(T.white)) if not T.white[f].is_digon]
     if polygons:
@@ -630,12 +641,11 @@ def corruptions(T):
         C.white[polygons[0]] = replace(w, vertices=v)
         out.append(C)
     ei = len(T.edges) // 2
-    out.append(with_edge(ei, change=lambda s: {"side": s.side.other}))
-    out.append(with_edge(ei, change=lambda s: {
-        "position": "forward" if s.position == "backward" else "backward"}))
-    out.append(with_edge(ei, change=lambda s: {"t0": s.t0 + 1e-5}))
-    if T.edges[ei].segments[0].deck is not None:
-        out.append(with_edge(ei, change=lambda s: {"deck": s.deck + 1e-5}))
+    out.append(with_edge(ei, "left", change=lambda left: not left))
+    out.append(with_edge(ei, "forward", change=lambda forward: not forward))
+    out.append(with_edge(ei, "t0", change=lambda t0: t0 + 1e-5))
+    if T.edges.decks is not None and T.edges.decks[ei][0] is not None:
+        out.append(with_edge(ei, "decks", change=lambda deck: deck + 1e-5))
     C = FlippableTiling(T.handedness, T.black, T.white, T.edges, T.ambient)
     b = C.black[0]
     C.black[0] = replace(b, links=((b.links[0] + 1) % len(T.white),) + b.links[1:])
@@ -663,30 +673,55 @@ def test_validate_tiling_matches_reference():
     assert corrupted > 30  # reports with several failures pin their order
 
 
+def test_tiling_dict_round_trip_bytes(tmp_path):
+    # every sample tiling re-dumps to the same canonical bytes after a load,
+    # a negative zero included (the antipodal example has one)
+    path = tmp_path / "t.json"
+    for T in sample_tilings():
+        text = fio.dump_json(fio.tiling_to_dict(T), path)
+        _, again = fio.load_any(path)
+        assert fio.canonical_json(fio.tiling_to_dict(again)) + "\n" == text
+
+
+def test_mixed_segment_decks_round_trip():
+    # a quotient tiling whose identity segment decks are written as null
+    with open(ADS_GOLDEN_N2) as fh:
+        data = json.load(fh)["projected"]
+    segs = [s for e in data["edges"] for s in e["segments"]]
+    for s in segs:
+        if np.array_equal(s["deck"], np.eye(3)):
+            s["deck"] = None
+    assert 0 < sum(s["deck"] is None for s in segs) < len(segs)
+    T = fio.tiling_from_dict(data)
+    assert validate_tiling(T).ok
+    assert fio.canonical_json(fio.tiling_to_dict(T)) == fio.canonical_json(data)
+
+
 def edge_rows(T):
     """The tiling's edges as builder input: (base, direction, entries), the
     entries in reverse segment order with the face's normalized corner sum
     (deck-moved) as probe."""
     ops = T.ops
     rows = []
-    for e in T.edges:
+    for ei in range(len(T.edges)):
         entries = []
-        for s in reversed(e.segments):
+        for s in reversed(segments(T.edges, ei)):
             c = T.faces(s.color)[s.face].vertices.sum(axis=0)
             c = c / np.sqrt(abs(ops.inner(c, c)))
             entries.append(dict(color=s.color, face=s.face, face_edge=s.face_edge,
                                 reversed=s.reversed, t0=s.t0, t1=s.t1, deck=s.deck,
                                 probe=c if s.deck is None else s.deck @ c))
-        rows.append((e.base, e.direction, entries))
+        rows.append((T.edges.base[ei], T.edges.direction[ei], entries))
     return rows
 
 
 def assert_same_edges(A, B):
+    """The edge table A holds the reference edges B, row by row."""
     assert len(A) == len(B)
-    for a, b in zip(A, B):
-        assert np.array_equal(a.base, b.base) and np.array_equal(a.direction, b.direction)
-        assert (a.t_min, a.t_max) == (b.t_min, b.t_max)
-        for s, t in zip(a.segments, b.segments, strict=True):
+    for e, (base, direction, t_min, t_max, segs) in enumerate(B):
+        assert np.array_equal(A.base[e], base) and np.array_equal(A.direction[e], direction)
+        assert (A.t_min[e], A.t_max[e]) == (t_min, t_max)
+        for s, t in zip(segments(A, e), segs, strict=True):
             assert replace(s, deck=None) == replace(t, deck=None)
             assert s.deck is t.deck
 
