@@ -26,18 +26,21 @@ class Signature(Enum):
         return np.array(self.value)
 
 
+_MINOR_COLUMNS = np.array([[j for j in range(4) if j != i] for i in range(4)])
+_MINOR_SIGNS = np.array([1.0, -1.0, 1.0, -1.0])
+
+
 def cross4(a, b, c):
     """Euclidean generalized cross product of 4-vectors, row-wise.
 
     a, b, c are arrays of one shape (..., 4).  The result is orthogonal to
-    all three; entry i is the signed determinant of the 3x3 minor that
-    leaves out column i.
+    all three; entry i is (-1)^i times the determinant of the 3x3 minor that
+    leaves out column i.  The four minors are one (..., 4, 3, 3) stack under
+    one `det` call, which takes each determinant on its own.
     """
     stack = np.stack([a, b, c], axis=-2)  # (..., 3, 4)
-    out = np.empty(stack.shape[:-2] + (4,))
-    for i in range(4):
-        out[..., i] = ((-1) ** i) * np.linalg.det(stack[..., [j for j in range(4) if j != i]])
-    return out
+    minors = np.swapaxes(stack[..., _MINOR_COLUMNS], -3, -2)  # (..., 4, 3, 3)
+    return np.linalg.det(minors) * _MINOR_SIGNS
 
 
 # Group structure.  On the sphere the coordinates multiply as quaternions

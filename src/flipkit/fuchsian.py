@@ -29,6 +29,18 @@ the Jacobian of either quadric; only the family (sinh, cosh) or (sin, cos)
 differs.  Distances, tangents, angles and face areas are the primitives of
 `spheremath`.
 
+The prescribed-curvature solver builds a hull only where the stars may
+change.  A line-search trial keeps the fundamental stars of its current
+surface, re-embedded at the trial heights, when a certificate
+(`_fixed_star_trial`) proves that the certified hull there has the same
+stars: every star triangle is a space-like hull face that supports all
+orbit points of the ball strictly, far enough to merge with no other
+triangle, and its plane passes the `_supports_orbit` bound at R0 with a
+margin.  The trial's cone angles and Jacobian are then those of that hull
+bit for bit.  A trial the certificate refuses builds its certified hull,
+and a solve that ends on a certified trial builds its returned surface
+once, with `orbit_hull`.
+
 Group elements are identified by one rule.  The elements of a ball
 (`FuchsianGroup.ball`) carry integer ids, their positions in
 `elements(R)`; a 3x3 matrix is the element with id i when it lies within
@@ -53,7 +65,14 @@ from scipy.spatial import QhullError, cKDTree
 
 from .errors import ConvergenceError, DevelopmentError, GeometryError
 from .forms import ADS_E, Signature
-from .polyhedra import cyclic_face_order, hull, merge_triangles, triangle_poles
+from .polyhedra import (
+    MERGE_TOL,
+    cyclic_face_order,
+    hull,
+    merge_triangles,
+    qhull_reason,
+    triangle_poles,
+)
 from .spheremath import ADS_STAR, SPHERE_STAR, HyperbolicOps, cycle_sums
 from .tilings import ConeMetric, ConePoint, assemble_tiling, tiling_equality_error
 
@@ -691,13 +710,78 @@ def _supports_orbit(surf, face_ids):
     the truncation.
     """
     poles = np.array([surf.faces[fi].pole for fi in face_ids])
-    h = surf.heights
-    s = surf.radius - np.arccosh(np.maximum(surf.config.rays[:, 2], 1.0))
+    rise, b, bound = _orbit_bound(poles, surf.heights, surf.config.rays, surf.radius)
+    return bool(np.all((rise >= b) & (bound > 0)))
+
+
+def _orbit_bound(poles, heights, rays, radius):
+    """The terms of `_supports_orbit`, per pole (row) and ray (column):
+    tanh(s_b) (-p3), |p12| and the lower bound on <x, p> at s_b."""
+    s = radius - np.arccosh(np.maximum(rays[:, 2], 1.0))
     a = -poles[:, 2:3]
     b = np.hypot(poles[:, 0], poles[:, 1])[:, None]
-    rising = np.tanh(s) * a >= b
-    bound = np.cos(h) * (a * np.cosh(s) - b * np.sinh(s)) - np.sin(h) * poles[:, 3:4]
-    return bool(np.all(rising & (bound > 0)))
+    bound = (np.cos(heights) * (a * np.cosh(s) - b * np.sinh(s))
+             - np.sin(heights) * poles[:, 3:4])
+    return np.tanh(s) * a, b, bound
+
+
+class _FixedStars:
+    """The fundamental stars of an orbit hull re-embedded at other heights,
+    where `_fixed_star_trial` has certified them to be the stars of the
+    orbit hull: what `curvatures`, `jacobian` and the next certificate read
+    of a surface."""
+
+    def __init__(self, surf, config, points4):
+        self.config = config
+        self.points4 = points4
+        self.elements = surf.elements
+        self.radius = surf.radius
+        self.stars = surf.stars
+
+    @property
+    def n(self):
+        return self.config.n
+
+    def base_of(self, vid):
+        return vid % self.n
+
+
+def _fixed_star_trial(surf, config):
+    """The stars of `surf` at the heights of `config` when a certificate
+    proves that `_certified_hull(config)` has the same stars; else None.
+
+    The certificate asks that surf was certified at R0, so the same ball
+    gives the same vertex ids and star starts, and that every star edge is
+    true.  At the new points, each star triangle (v, y_j, y_j+1) must be
+    space-like (<p, p> < -1e-12 before scaling) and visible from the chart
+    origin (p4 > 1e-9 |p123|), and every other orbit point x of the ball
+    must lie strictly on its plane's hull side, <x, p> > 4 MERGE_TOL |x|: by
+    Cauchy-Schwarz no other hull triangle's pole lies within MERGE_TOL of p,
+    so the triangle is a hull face of its own.  The `_supports_orbit` bound
+    at R0 must hold with a margin (bound > 1e-12, rising by a relative
+    1e-9), so the hull certifies these faces at R0.  The stars then close
+    over the same triangles, and their cone angles and Jacobian are those
+    of the hull bit for bit.
+    """
+    if surf.radius != R0 or not all(all(st.true_edge) for st in surf.stars):
+        return None
+    points4 = orbit_points(surf.elements, config.rays, config.heights)
+    tris = np.array([(st.vertex, y, st.neighbors[(j + 1) % len(st.neighbors)])
+                     for st in surf.stars for j, y in enumerate(st.neighbors)])
+    poles, q = triangle_poles(points4, tris, ADS_STAR.form, ADS_E)
+    if not (np.all(q < -1e-12)
+            and np.all(poles[:, 3] > 1e-9 * np.linalg.norm(poles[:, :3], axis=1))):
+        return None
+    # <x, p> under the form is the Euclidean product with form * p
+    side = points4 @ (poles * ADS_STAR.form).T
+    side[tris, np.arange(len(tris))[:, None]] = np.inf
+    margin = 4 * MERGE_TOL * np.linalg.norm(points4, axis=1)
+    if not np.all(side > margin[:, None]):
+        return None
+    rise, b, bound = _orbit_bound(poles, config.heights, config.rays, R0)
+    if not np.all((rise > (1 + 1e-9) * b) & (bound > 1e-12)):
+        return None
+    return _FixedStars(surf, config, points4)
 
 
 def _truncated_hull(config, radius):
@@ -710,7 +794,7 @@ def _truncated_hull(config, radius):
     try:
         ch = EuclideanHull(chart)
     except QhullError as exc:
-        raise GeometryError(f"degenerate orbit configuration: {exc}") from exc
+        raise GeometryError(f"degenerate orbit configuration: {qhull_reason(exc)}") from exc
 
     if not np.all(np.isin(np.arange(n), ch.vertices)):
         raise GeometryError(
@@ -884,8 +968,17 @@ def solve_prescribed_curvature(config, tol=1e-8, h0=None):
     Damped Newton iteration with the analytic Jacobian; when a cold start
     stalls, the target is reached by continuation along the straight
     segment (inside K(n)) from an evaluated feasible configuration.
+
+    The starting surface is a certified hull.  Each line-search trial is
+    evaluated on the current surface's fundamental stars at the trial
+    heights when `_fixed_star_trial` certifies that the hull there has the
+    same stars, and builds its certified hull otherwise; both give the
+    same curvature and Jacobian bits.  A solve that ends on a certified
+    trial builds the returned surface with `orbit_hull` at the final
+    heights and reports that surface's curvatures.
+
     Returns a dict with heights, achieved curvatures, residual, Jacobian
-    condition number and iteration count.
+    condition number, iteration count and the surface.
     """
     if config.targets is None:
         raise GeometryError("config has no curvature targets")
@@ -893,9 +986,9 @@ def solve_prescribed_curvature(config, tol=1e-8, h0=None):
     n = config.n
     h = np.full(n, 0.75) if h0 is None else np.asarray(h0, dtype=float).copy()
 
-    # Every hull is certified exact, so each line-search trial is final.
-    # Starts whose vertices are not in convex position are blended toward
-    # equal heights, which always are.
+    # Every trial is exact, a certified hull or certified fixed stars, so
+    # each line-search trial is final.  Starts whose vertices are not in
+    # convex position are blended toward equal heights, which always are.
     surf = None
     for _ in range(12):
         try:
@@ -906,10 +999,12 @@ def solve_prescribed_curvature(config, tol=1e-8, h0=None):
     if surf is None:
         raise GeometryError("could not find a feasible starting surface")
 
-    # line-search trials call the builder, not `orbit_hull`, so a trace
-    # tells them apart from the starting hull
-    def evaluate(hvec):
-        s = _certified_hull(config.with_heights(hvec))
+    # a trial keeps the stars of the current surface when the certificate
+    # allows, else builds its hull; that fallback calls the builder, not
+    # `orbit_hull`, so a trace tells it apart from the starting hull
+    def evaluate(surf, hvec):
+        cfg = config.with_heights(hvec)
+        s = _fixed_star_trial(surf, cfg) or _certified_hull(cfg)
         return s, curvatures(s)
 
     k_now = curvatures(surf)
@@ -939,7 +1034,7 @@ def solve_prescribed_curvature(config, tol=1e-8, h0=None):
             while lam > 1e-6:
                 h_try = np.clip(h + lam * step, 1e-3, np.pi / 2 - 1e-3)
                 try:
-                    surf_try, k_try = evaluate(h_try)
+                    surf_try, k_try = evaluate(surf, h_try)
                 except GeometryError:
                     lam *= 0.5
                     continue
@@ -980,6 +1075,9 @@ def solve_prescribed_curvature(config, tol=1e-8, h0=None):
                 residual=float(np.max(np.abs(k_now - k_target))),
                 iterations=iterations,
             )
+    if isinstance(surf, _FixedStars):
+        surf = orbit_hull(surf.config)
+        k_now = curvatures(surf)
     residual = float(np.max(np.abs(k_now - k_target)))
     if residual > tol:
         raise ConvergenceError(

@@ -379,6 +379,12 @@ def _svd_poles(faces, interior):
     return n
 
 
+def qhull_reason(exc):
+    """The first line of a QhullError, which names the failure; the lines
+    after it are Qhull's diagnostic dump."""
+    return str(exc).partition("\n")[0]
+
+
 def hull(points):
     """Convex hull of points of the open hemisphere, via the projective chart.
 
@@ -394,7 +400,7 @@ def hull(points):
     try:
         ch = EuclideanHull(chart)
     except QhullError as exc:
-        raise GeometryError(f"degenerate input: {exc}") from exc
+        raise GeometryError(f"degenerate input: {qhull_reason(exc)}") from exc
     keep = np.sort(ch.vertices)
     interior = from_chart(chart[keep].mean(axis=0)[None, :])[0]
 

@@ -18,7 +18,8 @@ are checked against:
   bounded least squares over scalar residuals: the oracle of
   `fuchsian.recover_heights`, and the one importer of `scipy.optimize`;
 - the Minkowski forms (+,+,+,-) and (+,-,-) beside the two of the library,
-  the bilinear forms as a checked function, points of the unit quadrics,
+  the bilinear forms as a checked function, the generalized cross product
+  as one `det` call per minor, points of the unit quadrics,
   their group products, point/plane duality and the complex-valued angles
   between vectors of a Minkowski space;
 - comparison of spherical tilings up to isometry and of polygons up to
@@ -496,6 +497,16 @@ def form(u, v, sig):
     return float(np.sum(u * v * sig.diag)) if u.ndim == 1 else np.sum(
         u * v * sig.diag, axis=-1
     )
+
+
+def reference_cross4(a, b, c):
+    """The generalized cross product of `flipkit.forms.cross4` as four `det`
+    calls, one per minor: the reference of its one-call form."""
+    stack = np.stack([a, b, c], axis=-2)  # (..., 3, 4)
+    out = np.empty(stack.shape[:-2] + (4,))
+    for i in range(4):
+        out[..., i] = ((-1) ** i) * np.linalg.det(stack[..., [j for j in range(4) if j != i]])
+    return out
 
 
 def pseudo_norm(u, sig):

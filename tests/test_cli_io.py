@@ -2,6 +2,8 @@
 
 import json
 import math
+import os
+import re
 
 import numpy as np
 import pytest
@@ -420,6 +422,34 @@ def test_cli_unwritable_output_exit_code(tmp_path, capsys, tetrahedron, command)
     assert main([command, "--in", src, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot write {out}: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", [["check"], ["dual", "--out", "{tmp}/d.json"],
+                                     ["project", "--out", "{tmp}/t.json"]],
+                         ids=["check", "dual", "project"])
+def test_cli_coplanar_polyhedron_fails_on_one_line(tmp_path, capsys, command):
+    # five vertices in one chart plane: Qhull refuses the flat input, and
+    # only the first line of its message, not its diagnostic dump, is shown
+    d = {"schema": "polyhedron.v1", "model": "S3",
+         "vertices": [[0.8, 0.6, 0.0, 0.0], [0.8, 0.0, 0.6, 0.0], [0.8, -0.6, 0.0, 0.0],
+                      [0.8, 0.0, -0.6, 0.0], [0.8, 0.36, 0.48, 0.0]]}
+    src = tmp_path / "flat.json"
+    src.write_text(json.dumps(d))
+    argv = [a.format(tmp=tmp_path) for a in command] + ["--in", str(src)]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: degenerate input: QH") and err.count("\n") == 1
+
+
+def test_readme_json_examples_pass_check(tmp_path, capsys):
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        examples = re.findall(r"```json\n(.*?)```", fh.read(), re.S)
+    assert len(examples) >= 2
+    for i, text in enumerate(examples):
+        path = tmp_path / f"example{i}.json"
+        path.write_text(text)
+        assert main(["check", "--in", str(path)]) == 0, capsys.readouterr().err
 
 
 def write_digon_tiling(tmp_path):

@@ -8,6 +8,7 @@ from flipkit.forms import (
     ADS_E,
     SPHERE_E,
     Signature,
+    cross4,
     inv4_ads,
     inv4_sphere,
     mul4_ads,
@@ -26,6 +27,7 @@ from reference_geometry import (
     group_mul,
     hs_angle,
     pseudo_norm,
+    reference_cross4,
 )
 
 RNG = np.random.default_rng(20240817)
@@ -293,3 +295,17 @@ def test_antisym_norm_flip():
         else:
             assert nprime.imag == 0.0 and nprime.real > 0.0
             assert n1 == pytest.approx(1j * nprime, abs=1e-12)
+
+
+@pytest.mark.parametrize("rows", [10, 237, 2000])
+def test_cross4_matches_four_det_calls_bit_for_bit(rows):
+    # one det over the stacked minors takes each 3x3 determinant on its
+    # own, so every bit, signs of zeros included, is that of four calls
+    rng = np.random.default_rng(rows)
+    a, b, c = rng.normal(size=(3, rows, 4))
+    c[::7] = a[::7]  # singular rows: zero entries keep their signs too
+    out, ref = cross4(a, b, c), reference_cross4(a, b, c)
+    assert out.shape == (rows, 4)
+    assert out.tobytes() == ref.tobytes()
+    assert np.array_equal(np.signbit(out), np.signbit(ref))
+    assert cross4(a[0], b[0], c[0]).tobytes() == ref[0].tobytes()

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import QhullError
 
 from conftest import edge_lengths
 from flipkit import fuchsian
@@ -418,6 +419,17 @@ def test_uncertified_star_is_rejected(group):
     assert _certified_hull(cfg, 5.0).radius == R0
 
 
+def test_degenerate_orbit_configuration_fails_on_one_line(group, monkeypatch):
+    def flat(chart):
+        raise QhullError("QH6154 Qhull precision error: flat\n\nWhile executing: | qhull i")
+
+    monkeypatch.setattr(fuchsian, "EuclideanHull", flat)
+    with pytest.raises(GeometryError) as info:
+        _truncated_hull(config(group, [(0.25, 0.15)], heights=[0.55]), R0)
+    assert str(info.value) == (
+        "degenerate orbit configuration: QH6154 Qhull precision error: flat")
+
+
 def test_uncertified_hull_stops_at_r_max(group, monkeypatch):
     radii = []
     truncated = fuchsian._truncated_hull
@@ -673,6 +685,95 @@ def test_solver_singular_jacobian_is_nonconvergence(group, monkeypatch):
         solve_prescribed_curvature(cfg)
     # the first singular Jacobian ends the solve: no retry reassembles it
     assert len(calls) == 1
+
+
+def jacobian_or_error(surf):
+    try:
+        return jacobian(surf).matrix.tobytes()
+    except GeometryError as exc:
+        return str(exc)
+
+
+def assert_trial_is_hull(trial, hull):
+    """A certified fixed-star trial is the certified hull at its heights:
+    same radius and stars, the same curvature and Jacobian bits."""
+    assert hull.radius == R0
+    assert [s.neighbors for s in hull.stars] == [s.neighbors for s in trial.stars]
+    assert [s.true_edge for s in hull.stars] == [s.true_edge for s in trial.stars]
+    assert curvatures(hull).tobytes() == curvatures(trial).tobytes()
+    assert jacobian_or_error(hull) == jacobian_or_error(trial)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 3), level=st.floats(0.55, 0.95),
+       offsets=st.lists(st.floats(-0.08, 0.08), min_size=3, max_size=3),
+       direction=st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3),
+       size=st.floats(1e-3, 0.15))
+def test_certified_fixed_star_trial_is_the_hull(group, n, level, offsets, direction, size):
+    # a Newton-sized step of up to 0.15 per height; the certificate passes
+    # for most small steps and refuses most large ones
+    cfg = config(group, THREE_RAYS[:n], heights=level + np.array(offsets[:n]))
+    trial_cfg = cfg.with_heights(cfg.heights + size * np.array(direction[:n]))
+    trial = fuchsian._fixed_star_trial(orbit_hull(cfg), trial_cfg)
+    if trial is not None:
+        assert_trial_is_hull(trial, _certified_hull(trial_cfg))
+
+
+def test_fixed_star_trial_certifies_small_steps(surf1, surf3):
+    for surf in (surf1, surf3):
+        trial_cfg = surf.config.with_heights(surf.heights + 0.01)
+        trial = fuchsian._fixed_star_trial(surf, trial_cfg)
+        assert trial is not None
+        assert_trial_is_hull(trial, _certified_hull(trial_cfg))
+        # a trial surface certifies the next trial as its hull would
+        again = surf.config.with_heights(surf.heights + 0.02)
+        assert_trial_is_hull(fuchsian._fixed_star_trial(trial, again),
+                             _certified_hull(again))
+
+
+def test_fixed_star_trial_refuses_new_combinatorics(surf2):
+    # from heights (0.5, 0.7) to (0.55, 0.6) the stars change: the hull
+    # there has other neighbours, and the certificate refuses the trial
+    trial_cfg = surf2.config.with_heights([0.55, 0.6])
+    hull = _certified_hull(trial_cfg)
+    assert [s.neighbors for s in hull.stars] != [s.neighbors for s in surf2.stars]
+    assert fuchsian._fixed_star_trial(surf2, trial_cfg) is None
+
+
+def test_fixed_star_trial_needs_a_hull_at_r0_with_true_edges(group, surf1):
+    trial_cfg = surf1.config.with_heights(surf1.heights + 0.01)
+    wide = _certified_hull(surf1.config, R0 + 0.5)
+    assert fuchsian._fixed_star_trial(wide, trial_cfg) is None
+    # the octagon-center surface has false edges from a coplanar merge
+    merged = orbit_hull(config(group, [(0.0, 0.0)], heights=[0.3]))
+    assert fuchsian._fixed_star_trial(
+        merged, merged.config.with_heights([0.31])) is None
+
+
+def test_seed_99_n1_solve_builds_at_most_two_hulls(group, monkeypatch):
+    # round 0, n = 1 of the seed-99 solver inputs (`tests/test_digests.py`):
+    # the starting hull and the returned one; every trial keeps its stars
+    rng = np.random.default_rng(99)
+    while True:
+        k = -rng.uniform(0.5, 3.5, size=1)
+        if np.sum(k) > -4 * np.pi + 0.5:
+            break
+    radii = []
+    truncated = fuchsian._truncated_hull
+
+    def counting(cfg, radius):
+        radii.append(radius)
+        return truncated(cfg, radius)
+
+    monkeypatch.setattr(fuchsian, "_truncated_hull", counting)
+    out = solve_prescribed_curvature(config(group, [(0.25, 0.15)], targets=k))
+    assert out["residual"] <= 1e-8 and out["iterations"] > 0
+    assert len(radii) <= 2
+    # the returned surface is a certified hull at the solved heights
+    surf = out["surface"]
+    assert isinstance(surf, fuchsian.FuchsianSurface)
+    assert np.array_equal(surf.heights, out["heights"])
+    assert out["achieved_curvatures"].tobytes() == curvatures(surf).tobytes()
 
 
 def test_solver_rejects_bad_targets(group):
