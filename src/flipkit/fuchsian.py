@@ -17,7 +17,10 @@ face of the fundamental vertex stars is then certified: a lower bound on
 whole orbit, so the stars are those of the infinite surface.  When a face
 fails, R grows by 0.5 up to R_MAX = 10, past which GeometryError is raised.
 Its faces come from the chart hull -> merged faces path of `polyhedra`,
-with the future poles of the space-like planes.
+with the future poles of the space-like planes, and are kept as arrays,
+with no object per face: the hull triangles with a merge label, the face
+poles, the vertex -> face incidence and a cyclic order per face computed
+on first read (`FuchsianSurface`).
 
 A vertex star is cut from the fans of its faces; a triangle is its own fan,
 so only the larger faces of coplanar merges are ordered.  One star kernel
@@ -52,6 +55,13 @@ radius 7 differ by at least 6.83 in some entry, so the rule never splits
 an element and never merges two.  Surface vertices, face orbits, edge
 orbits and face decks are then integer labels (ray, id), read from the
 relative table rel[i, j] = id(g_i^-1 g_j) of the ball.
+
+The projections lay out the quotient bookkeeping of a surface (`_ads_layout`:
+face orbits, the decks carrying each face copy onto its orbit's
+representative, link corners and edge orbits) array-at-a-time from the
+face arrays: the orbit labels of all faces from one gather of the relative
+table, the decks from one batched `inv`, the orders of the representative
+faces from one SVD per face size and the edge orbits in one pass.
 """
 
 import itertools
@@ -67,7 +77,6 @@ from .errors import ConvergenceError, DevelopmentError, GeometryError
 from .forms import ADS_E, Signature
 from .polyhedra import (
     MERGE_TOL,
-    cyclic_face_order,
     hull,
     merge_triangles,
     qhull_reason,
@@ -147,15 +156,17 @@ class ElementBall:
 
     rank[i] is the position of element i in the byte order of its
     `_stable_key`.  Row i of the relative table rel[i, j] = id(g_i^-1 g_j)
-    is computed on first use and kept with the ball; an entry whose product
-    lies outside the ball is -1, and reading it raises GeometryError.
+    is computed on first use and kept with the ball, as row _slot[i] of
+    _table; an entry whose product lies outside the ball is -1, and reading
+    it raises GeometryError.
     """
 
     def __init__(self, mats, rank):
         self.mats = mats
         self.rank = rank
         self._tree = None
-        self._rows = {}
+        self._slot = np.full(len(mats), -1, dtype=np.intp)
+        self._table = np.empty((0, len(mats)), dtype=np.intp)
 
     def _ids(self, mats):
         if self._tree is None:
@@ -169,16 +180,26 @@ class ElementBall:
             raise GeometryError("matrix is not an element of the ball")
         return i
 
-    def relative(self, i, js):
-        """The ids rel[i, j] of g_i^-1 g_j for the ids j in `js`."""
-        row = self._rows.get(i)
-        if row is None:
-            row = self._ids(np.linalg.inv(self.mats[i]) @ self.mats).tolist()
-            self._rows[i] = row
-        out = [row[j] for j in js]
-        if -1 in out:
+    def relative_ids(self, i, j):
+        """The ids rel[i, j] of g_i^-1 g_j, entry by entry over the
+        broadcast integer arrays i and j; the rows still missing are
+        computed together, from one batched `inv` and one tree query."""
+        i = np.asarray(i)
+        need = self._slot[i] < 0
+        if need.any():
+            missing = np.unique(i[need])
+            inv = np.linalg.inv(self.mats[missing])
+            rows = self._ids(inv[:, None] @ self.mats).reshape(len(missing), -1)
+            self._slot[missing] = len(self._table) + np.arange(len(missing))
+            self._table = np.concatenate([self._table, rows])
+        out = self._table[self._slot[i], j]
+        if np.any(out < 0):
             raise GeometryError("relative element outside the ball")
         return out
+
+    def relative(self, i, js):
+        """The ids rel[i, j] of g_i^-1 g_j for the ids j in `js`, as a list."""
+        return self.relative_ids(i, np.fromiter(js, dtype=np.intp)).tolist()
 
 
 def _boost(t):
@@ -337,6 +358,33 @@ def admissible_targets(k, chi):
     return bool(np.all(k < 0) and np.sum(k) > 2 * np.pi * chi)
 
 
+def check_rays(group, rays):
+    """The ray base points as an (n, 3) array, once each is checked to lie
+    on the hyperboloid and inside the fundamental domain of `group`; else
+    GeometryError."""
+    rays = np.atleast_2d(np.asarray(rays, dtype=float))
+    if rays.ndim != 2 or rays.shape[1] != 3:
+        raise GeometryError(f"rays must be an (n, 3) array, got {rays.shape}")
+    for p in rays:
+        if abs(HyperbolicOps.inner(p, p) + 1.0) > 1e-9 or p[2] <= 0:
+            raise GeometryError("ray base point not on the hyperboloid")
+        if not group.contains(p, tol=1e-6):
+            raise GeometryError("ray base point outside the fundamental domain")
+    return rays
+
+
+def _check_heights(heights, n):
+    """The heights as an array, once there is one per ray, each strictly
+    inside (0, pi/2); else GeometryError."""
+    heights = np.asarray(heights, dtype=float)
+    if heights.shape != (n,):
+        raise GeometryError("one height per ray required")
+    # NaN fails both comparisons, so it is rejected too
+    if not np.all((heights > 0) & (heights < np.pi / 2)):
+        raise GeometryError("heights must lie strictly inside (0, pi/2)")
+    return heights
+
+
 @dataclass
 class FuchsianConfig:
     """Half-ray base points in the fundamental domain plus heights/targets.
@@ -354,21 +402,9 @@ class FuchsianConfig:
     word_length_cap: int = 10
 
     def __post_init__(self):
-        self.rays = np.atleast_2d(np.asarray(self.rays, dtype=float))
-        if self.rays.ndim != 2 or self.rays.shape[1] != 3:
-            raise GeometryError(f"rays must be an (n, 3) array, got {self.rays.shape}")
-        for p in self.rays:
-            if abs(HyperbolicOps.inner(p, p) + 1.0) > 1e-9 or p[2] <= 0:
-                raise GeometryError("ray base point not on the hyperboloid")
-            if not self.group.contains(p, tol=1e-6):
-                raise GeometryError("ray base point outside the fundamental domain")
+        self.rays = check_rays(self.group, self.rays)
         if self.heights is not None:
-            self.heights = np.asarray(self.heights, dtype=float)
-            if self.heights.shape != (len(self.rays),):
-                raise GeometryError("one height per ray required")
-            # NaN fails both comparisons, so it is rejected too
-            if not np.all((self.heights > 0) & (self.heights < np.pi / 2)):
-                raise GeometryError("heights must lie strictly inside (0, pi/2)")
+            self.heights = _check_heights(self.heights, len(self.rays))
         if self.targets is not None:
             self.targets = np.asarray(self.targets, dtype=float)
             if self.targets.shape != (len(self.rays),):
@@ -383,10 +419,20 @@ class FuchsianConfig:
         return len(self.rays)
 
     def with_heights(self, h):
-        return FuchsianConfig(
-            self.group, self.rays, np.asarray(h, dtype=float), None,
-            self.word_length, self.word_length_cap
-        )
+        """This configuration at the heights h, without targets; its rays
+        were checked once, so only the heights are."""
+        return _config_on_checked_rays(self.group, self.rays, h, self.word_length,
+                                       self.word_length_cap)
+
+
+def _config_on_checked_rays(group, rays, heights, word_length, word_length_cap):
+    """A `FuchsianConfig` on rays that `check_rays` has accepted, at the
+    given heights and without targets: only the heights are checked."""
+    cfg = object.__new__(FuchsianConfig)
+    cfg.group, cfg.rays, cfg.targets = group, rays, None
+    cfg.word_length, cfg.word_length_cap = word_length, word_length_cap
+    cfg.heights = _check_heights(heights, len(rays))
+    return cfg
 
 
 # -- orbit hulls and vertex stars -----------------------------------------------
@@ -408,32 +454,6 @@ class VertexStar:
     wedge_face: list
 
 
-class SurfaceFace:
-    """Merged hull face: its vertex set, AdS plane pole and hull chart.
-
-    ids        : the face's vertex ids, ascending
-    vertex_ids : the same ids in cyclic order, starting from the least;
-                 computed from the chart on first read.  The stars never
-                 read it for a triangle, only for a larger face from a
-                 coplanar merge; the projections and face areas read it
-                 for the faces around the fundamental vertices
-    """
-
-    __slots__ = ("ids", "pole", "_chart", "_cyclic")
-
-    def __init__(self, ids, pole, chart):
-        self.ids = ids
-        self.pole = pole
-        self._chart = chart
-        self._cyclic = None
-
-    @property
-    def vertex_ids(self):
-        if self._cyclic is None:
-            self._cyclic = cyclic_face_order(self._chart, self.ids)
-        return self._cyclic
-
-
 class FuchsianSurface:
     """Orbit hull truncated at displacement `radius`, with the certified
     stars at the fundamental vertices.
@@ -442,28 +462,50 @@ class FuchsianSurface:
     the element with id vid // n of `ball`.  Fans and star cycles start at
     the least vertex by ray, then by element rank: the order of the keys
     order_keys[vid] = ray len(ball) + rank.
+
+    The faces are arrays; no object stands for a face:
+    triangles     : (T, 3) the space-like hull triangles visible from the
+                    chart origin, each row ascending
+    triangle_face : (T,) the merge label of each triangle, the face it
+                    belongs to; faces are numbered by their least triangle
+    poles         : (F, 4) the future unit pole of each face plane
+    `face_rows(fis)` reads the vertex ids of faces, ascending, and
+    `faces_at(vid)` the faces at a vertex, ascending; both are CSR rows.
+    `face_cycle(fi)` is the cyclic order of the face from its least vertex,
+    computed from the chart on first read.  The stars never read it for a
+    triangle, only for a larger face from a coplanar merge; the layout and
+    the face areas read it for the faces around the fundamental vertices.
     """
 
-    def __init__(self, config, ball, points4, faces, radius):
+    def __init__(self, config, ball, points4, chart, triangles, triangle_face, poles,
+                 radius):
         self.config = config
         self.ball = ball
         self.elements = ball.mats
         self.points4 = points4
-        self.faces = faces
+        self.chart = chart
+        self.triangles = triangles
+        self.triangle_face = triangle_face
+        self.poles = poles
         self.radius = radius
         self.order_keys = (ball.rank[:, None] + np.arange(self.n) * len(ball.rank)
                            ).ravel().tolist()
         self.stars = []
+        self._cycles = {}
+        # the vertex set of each face, ascending, from one sort of the
+        # (face, vertex) pairs of its triangles; face fi has the vertices
+        # _face_vertices[_face_start[fi]:_face_start[fi + 1]]
+        m = len(points4)
+        pairs = np.sort(triangle_face[:, None] * m + triangles, axis=None)
+        pairs = pairs[np.concatenate([[True], pairs[1:] != pairs[:-1]])]
+        face, self._face_vertices = np.divmod(pairs, m)
+        self._face_start = np.searchsorted(face, np.arange(len(poles) + 1))
         # incidence as CSR: the faces at vertex v, ascending, are
         # _incident_faces[_incidence_start[v]:_incidence_start[v + 1]]
-        sizes = np.array([len(f.ids) for f in faces], dtype=np.intp)
-        flat = np.fromiter(itertools.chain.from_iterable(f.ids for f in faces),
-                           dtype=np.intp, count=int(sizes.sum()))
-        by_vertex = np.argsort(flat, kind="stable")
-        self._incident_faces = np.repeat(np.arange(len(faces)), sizes)[by_vertex]
-        self._incidence_start = np.searchsorted(
-            flat[by_vertex], np.arange(len(points4) + 1)
-        )
+        by_vertex = np.argsort(self._face_vertices, kind="stable")
+        self._incident_faces = face[by_vertex]
+        self._incidence_start = np.searchsorted(self._face_vertices[by_vertex],
+                                                np.arange(m + 1))
 
     @property
     def group(self):
@@ -505,6 +547,44 @@ class FuchsianSurface:
             out.append(tuple((v % self.n, v // self.n) for v in cyc))
         return tuple(out)
 
+    def face_rows(self, fis):
+        """The faces fis by size k: per size, the positions in fis of the
+        faces of k vertices and their vertex ids (m, k), ascending."""
+        lo = self._face_start[fis]
+        sizes = self._face_start[np.asarray(fis) + 1] - lo
+        out = []
+        for k in sorted(set(sizes.tolist())):
+            at = np.flatnonzero(sizes == k)
+            out.append((at, self._face_vertices[lo[at, None] + np.arange(k)]))
+        return out
+
+    def fans(self, vid):
+        """The faces at vertex vid, ascending, each with its fan from its
+        least vertex under `order_keys` and the false edges of the fan.  A
+        triangle is its own fan, read from its vertex ids; a larger face is
+        read in cyclic order."""
+        lo, hi = self._incidence_start[vid:vid + 2]
+        fis = self._incident_faces[lo:hi]
+        start = self._face_start[fis]
+        sizes = self._face_start[fis + 1] - start
+        heads = self._face_vertices[start[:, None] + np.arange(3)].tolist()
+        return [(fi, ([ids], ()) if k == 3 else _fan(self.face_cycle(fi), self.order_keys))
+                for fi, k, ids in zip(fis.tolist(), sizes.tolist(), heads)]
+
+    def face_cycle(self, fi):
+        """The vertex ids of face fi in cyclic order, from the least one."""
+        return self.face_cycles([fi])[0]
+
+    def face_cycles(self, fis):
+        """`face_cycle` of each face of fis: those not yet ordered are
+        ordered together, one batched SVD per face size."""
+        todo = [fi for fi in dict.fromkeys(fis) if fi not in self._cycles]
+        if todo:
+            for at, rows in self.face_rows(todo):
+                self._cycles.update(zip([todo[p] for p in at.tolist()],
+                                        _cyclic_orders(self.chart, rows).tolist()))
+        return [self._cycles[fi] for fi in fis]
+
     def faces_at(self, vid):
         lo, hi = self._incidence_start[vid:vid + 2]
         return self._incident_faces[lo:hi].tolist()
@@ -534,17 +614,12 @@ class FuchsianSurface:
                         f"cone angle not equivariant: {a:.12f} vs {b:.12f}"
                     )
                 # face planes at the vertex map onto face planes at the image
-                for fi in self.faces_at(vid):
-                    pole = self.faces[fi].pole
-                    moved_pole = m @ pole
-                    if moved_pole[3] < 0:
-                        moved_pole = -moved_pole
-                    ok = any(
-                        np.linalg.norm(wide.faces[fj].pole - moved_pole) < tol * 10
-                        for fj in wide.faces_at(target)
-                    )
-                    if not ok:
-                        raise GeometryError("face planes not equivariant")
+                moved_poles = self.poles[self.faces_at(vid)] @ m.T
+                moved_poles[moved_poles[:, 3] < 0] *= -1.0
+                there = wide.poles[wide.faces_at(target)]
+                gap = np.linalg.norm(moved_poles[:, None] - there[None], axis=2)
+                if not np.all(np.any(gap < tol * 10, axis=1)):
+                    raise GeometryError("face planes not equivariant")
         return True
 
     def _find_vertex(self, point, tol):
@@ -559,49 +634,37 @@ class FuchsianSurface:
             sum(1 for t in star.true_edge if t) for star in self.stars
         )
         E = deg // 2
-        orbits = set()
-        for star in self.stars:
-            for fi in star.wedge_face:
-                orbits.add(self.face_orbit_key(fi))
-        return V, E, len(orbits)
-
-    def face_orbit_key(self, fi):
-        """Canonical key of the face orbit under the group action: over the
-        face's vertices v, the least of its sorted vertex labels
-        (ray of u, id of g_v^-1 g_u)."""
-        ids = self.faces[fi].ids
-        return min(tuple(sorted(_face_labels(self, ids, v))) for v in ids)
+        _, _, reps = _face_orbits(self, _wedge_faces(self))
+        return V, E, len(reps)
 
     def face_area(self, fi):
         """Hyperbolic area of a space-like face via its angle sum."""
-        return ADS_STAR.polygon_area(self.points4[self.faces[fi].vertex_ids])
+        return ADS_STAR.polygon_area(self.points4[self.face_cycle(fi)])
 
     def quotient_area(self):
-        """Total face area of a fundamental set of faces."""
-        seen = {}
-        for star in self.stars:
-            for fi in star.wedge_face:
-                seen[self.face_orbit_key(fi)] = fi
-        return float(sum(self.face_area(fi) for fi in seen.values()))
+        """Total face area of a fundamental set of faces: per face orbit,
+        the copy met last among the wedges of the fundamental stars."""
+        wedges = [fi for star in self.stars for fi in star.wedge_face]
+        faces = list(dict.fromkeys(wedges))
+        _, orbit, _ = _face_orbits(self, faces)
+        at = dict(zip(faces, orbit.tolist()))
+        last = {}
+        for fi in wedges:
+            last[at[fi]] = fi
+        return float(sum(self.face_area(last[o]) for o in sorted(last)))
 
 
-def _face_labels(surf, ids, v):
-    """(ray of u, id of g_v^-1 g_u) for each vertex id u of a face: the
-    same set for two faces exactly when g_v' g_v^-1 maps the face with
-    vertex v onto the face with vertex v'."""
-    n = surf.n
-    return list(zip([u % n for u in ids],
-                    surf.ball.relative(v // n, [u // n for u in ids])))
+def _wedge_faces(surf):
+    """The faces of the wedges of the fundamental stars, each once, in the
+    order first met."""
+    return list(dict.fromkeys(fi for star in surf.stars for fi in star.wedge_face))
 
 
-def _triangulate_face(face, key):
-    """Fan from the least vertex under `key`: triangles and false edges.  A
-    triangle is its own fan, read from `ids`; a larger face, in cyclic order."""
-    if len(face.ids) == 3:
-        return [face.ids], ()
-    ids = face.vertex_ids
-    start = min(range(len(ids)), key=lambda i: key[ids[i]])
-    ids = ids[start:] + ids[:start]
+def _fan(cycle, key):
+    """Fan of a face in cyclic order from its least vertex under `key`:
+    triangles and false edges."""
+    start = min(range(len(cycle)), key=lambda i: key[cycle[i]])
+    ids = cycle[start:] + cycle[:start]
     v0 = ids[0]
     tris = [(v0, ids[t], ids[t + 1]) for t in range(1, len(ids) - 1)]
     false_edges = {frozenset((v0, ids[t])) for t in range(2, len(ids) - 1)}
@@ -612,15 +675,14 @@ def _build_star(surf, vid):
     """Star of hull vertex vid: the wedges at vid of the fans of its faces,
     closed into a cycle from the neighbour of least order key toward the
     lesser of its two neighbours."""
-    incident = surf.faces_at(vid)
-    if len(incident) < 2:
+    fans = surf.fans(vid)
+    if len(fans) < 2:
         raise GeometryError("vertex star is incomplete (truncation too small)")
     key = surf.order_keys
     adj = {}
     false_edges = set()
     wedge_face = {}
-    for fi in incident:
-        tris, fe = _triangulate_face(surf.faces[fi], key)
+    for fi, (tris, fe) in fans:
         false_edges.update(fe)
         for tri in tris:
             if vid in tri:
@@ -661,10 +723,12 @@ def orbit_hull(config):
     starting at R = R0 = 5.5, and every face of the fundamental vertex
     stars is certified to support the whole orbit (`_supports_orbit`), so
     the stars are exact.  An uncertified build grows R by R_STEP = 0.5; past
-    R_MAX = 10 the build raises GeometryError.  A build orders no triangle:
-    the stars read a triangle's vertices from its vertex set, and order
-    only the larger faces of coplanar merges at the fundamental vertices;
-    any other face is ordered when its `vertex_ids` is first read.
+    R_MAX = 10 the build raises GeometryError.  The faces are arrays, not
+    objects (see `FuchsianSurface`).  A build orders no triangle: the stars
+    read a triangle's vertices from its vertex set, and order only the
+    larger faces of coplanar merges at the fundamental vertices; any other
+    face is ordered when its `face_cycle` is first read, and the faces that
+    the projections read are ordered together, one SVD per face size.
     """
     return _certified_hull(config)
 
@@ -709,8 +773,8 @@ def _supports_orbit(surf, face_ids):
     on the side <x, p> > 0 of the plane, where the hull keeps the points of
     the truncation.
     """
-    poles = np.array([surf.faces[fi].pole for fi in face_ids])
-    rise, b, bound = _orbit_bound(poles, surf.heights, surf.config.rays, surf.radius)
+    rise, b, bound = _orbit_bound(surf.poles[face_ids], surf.heights, surf.config.rays,
+                                  surf.radius)
     return bool(np.all((rise >= b) & (bound > 0)))
 
 
@@ -796,7 +860,10 @@ def _truncated_hull(config, radius):
     except QhullError as exc:
         raise GeometryError(f"degenerate orbit configuration: {qhull_reason(exc)}") from exc
 
-    if not np.all(np.isin(np.arange(n), ch.vertices)):
+    # the hull vertices ascending: the fundamental ones are hull vertices
+    # when the first n of them are 0, ..., n - 1
+    hull_vertices = np.sort(ch.vertices)
+    if len(hull_vertices) < n or hull_vertices[n - 1] != n - 1:
         raise GeometryError(
             "vertices not in convex position (a ray point is inside the hull)"
         )
@@ -807,9 +874,15 @@ def _truncated_hull(config, radius):
     poles, q = triangle_poles(points4, simplices, ADS_STAR.form, ADS_E)
     spacelike = q < -1e-12
     simplices, poles = simplices[spacelike], poles[spacelike]
-    first, ids = merge_triangles(simplices, poles)
-    faces = [SurfaceFace(f, pole, chart) for f, pole in zip(ids, poles[first])]
-    return FuchsianSurface(config, ball, points4, faces, radius)
+    # merged over the triangle indices, each face's "vertex ids" are the
+    # indices of its triangles, so the merge labels come out exact
+    first, members = merge_triangles(np.arange(len(simplices))[:, None], poles)
+    sizes = np.fromiter(map(len, members), dtype=np.intp, count=len(members))
+    triangle_face = np.empty(len(simplices), dtype=np.intp)
+    triangle_face[np.fromiter(itertools.chain.from_iterable(members), dtype=np.intp,
+                              count=len(simplices))] = np.repeat(np.arange(len(sizes)), sizes)
+    return FuchsianSurface(config, ball, points4, chart, np.sort(simplices, axis=1),
+                           triangle_face, poles[first], radius)
 
 
 # -- the star kernel: cone angles and the Jacobian --------------------------------
@@ -1133,7 +1206,7 @@ def minkowski_dual(surf):
     out = []
     ks = curvatures(surf)
     for vid in range(surf.n):
-        verts = np.array([surf.faces[fi].pole for fi in _link_faces(surf.stars[vid])])
+        verts = surf.poles[_link_faces(surf.stars[vid])]
         out.append(
             DualFace(vid, verts, surf.points4[vid].copy())
         )
@@ -1154,38 +1227,14 @@ def induced_cone_metric(surf):
 # -- projections to hyperbolic tilings --------------------------------------------
 
 
-def _edge_orbit_key(surf, u, v):
-    (eu, bu), (ev, bv) = divmod(u, surf.n), divmod(v, surf.n)
-    return min((bu, bv, surf.ball.relative(eu, [ev])[0]),
-               (bv, bu, surf.ball.relative(ev, [eu])[0]))
-
-
-def _face_deck(surf, fi, rep_fi):
-    """Deck g with face fi = g . face rep_fi, and the map from each vertex
-    of fi to the vertex of rep_fi that g moves onto it.
-
-    g = g_u0 g_w^-1 for the least vertex u0 of fi and the vertex w of
-    rep_fi whose face labels (`_face_labels`) are those of fi at u0.
-    """
-    f_ids, rep_ids = surf.faces[fi].ids, surf.faces[rep_fi].ids
-    u0 = f_ids[0]
-    at_u0 = dict(zip(_face_labels(surf, f_ids, u0), f_ids))
-    for w in rep_ids:
-        if w % surf.n != u0 % surf.n:
-            continue
-        labels = _face_labels(surf, rep_ids, w)
-        if set(labels) == at_u0.keys():
-            deck = surf.element_of(u0) @ np.linalg.inv(surf.element_of(w))
-            return deck, {at_u0[lab]: r for lab, r in zip(labels, rep_ids)}
-    raise GeometryError("face deck transformation not found")
-
-
 @dataclass
 class HyperbolicAmbient:
     """Quotient surface data attached to a hyperbolic tiling.
 
     `word_length` and `word_length_cap` are kept for `tiling.v1` format
-    compatibility and no longer affect the hull.
+    compatibility and no longer affect the hull.  The rays are those of a
+    checked configuration, or checked by `check_rays` when a `tiling.v1`
+    file is read.
     """
 
     group: FuchsianGroup
@@ -1194,95 +1243,192 @@ class HyperbolicAmbient:
     word_length_cap: int = 10
 
     def config(self, heights):
-        return FuchsianConfig(
-            self.group, self.rays, np.asarray(heights, dtype=float), None,
-            self.word_length, self.word_length_cap
-        )
+        """The configuration of these rays at the given heights; only the
+        heights are checked."""
+        return _config_on_checked_rays(self.group, self.rays, heights, self.word_length,
+                                       self.word_length_cap)
 
     def flip(self, T):
         """Flip of a hyperbolic tiling over this quotient: `flip_hyperbolic`."""
         return flip_hyperbolic(T)
 
 
+def _cyclic_orders(chart, rows):
+    """The rule of `polyhedra.cyclic_face_order` for each row of ascending
+    vertex ids in rows (m, k): the chart points ordered by their angle about
+    the centroid in the plane of the first two right singular vectors, from
+    the least id, with one batched SVD."""
+    pts = chart[rows]
+    rel = pts - pts.mean(axis=1, keepdims=True)
+    _, _, vt = np.linalg.svd(rel)
+    ang = np.arctan2(np.einsum("mkc,mc->mk", rel, vt[:, 1]),
+                     np.einsum("mkc,mc->mk", rel, vt[:, 0]))
+    m, k = rows.shape
+    each = np.arange(m)[:, None]
+    out = rows[each, np.argsort(ang, axis=1)]
+    return out[each, (np.argmin(out, axis=1)[:, None] + np.arange(k)) % k]
+
+
+def _least_rows(a):
+    """Per block of the stack a (m, k, k), its lexicographically least row."""
+    best = a[:, 0]
+    each = np.arange(len(a))
+    for i in range(1, a.shape[1]):
+        row = a[:, i]
+        first = np.argmax(row != best, axis=1)
+        best = np.where((row < best)[each, first][:, None], row, best)
+    return best
+
+
+def _face_orbits(surf, faces):
+    """The face orbits of the hull faces `faces`, numbered by first
+    encounter, and per face size the labels that identify them.
+
+    Vertex u of a face, seen from its vertex v, has the label
+    ray(u) M + id(g_v^-1 g_u), M the size of the ball: two faces carry the
+    same labels, seen from v and from v', exactly when g_v' g_v^-1 maps the
+    first onto the second.  The orbit key of a face is the lexicographic
+    least of its sorted labels over the vertices it is seen from.  The
+    labels of all faces come from one gather of the relative table.
+
+    Returns (groups, orbit, reps): faces[p] lies in orbit[p], the first
+    copy met of orbit o is faces[reps[o]], and a group (at, rows, labels,
+    ordered) holds the faces of one size k at positions `at`, their vertex
+    ids rows (m, k) ascending, their labels (m, k, k), labels[f, i, j]
+    being vertex j seen from vertex i, and those labels sorted along the
+    last axis.
+    """
+    n, size = surf.n, len(surf.ball.mats)
+    groups, keys = [], [None] * len(faces)
+    for at, rows in surf.face_rows(faces):
+        e, ray = np.divmod(rows, n)
+        labels = ray[:, None, :] * size + surf.ball.relative_ids(e[:, :, None], e[:, None, :])
+        ordered = np.sort(labels, axis=2)
+        k = rows.shape[1]
+        for p, key in zip(at.tolist(), _least_rows(ordered).tolist()):
+            keys[p] = (k, *key)
+        groups.append((at, rows, labels, ordered))
+    first, orbit, reps = {}, [], []
+    for p, key in enumerate(keys):
+        orbit.append(first.setdefault(key, len(first)))
+        if orbit[-1] == len(reps):
+            reps.append(p)
+    return groups, np.array(orbit, dtype=np.intp), np.array(reps, dtype=np.intp)
+
+
+def _face_decks(surf, groups, orbit, reps):
+    """Per face of `_face_orbits`: the deck g = g_u0 g_w^-1 that carries the
+    representative copy of its orbit (faces[reps[orbit]]) onto it, and the
+    vertices of that copy that g moves onto its vertices, in their order.
+
+    u0 is the least vertex of the face and w the first vertex of the
+    representative, by id, on the ray of u0 whose sorted labels equal those
+    of the face at u0.  The decks come from one batched `inv`.
+    """
+    n, m = surf.n, len(orbit)
+    local, u0, w = (np.empty(m, dtype=np.intp) for _ in range(3))
+    to_rep = [None] * m
+    for at, rows, labels, ordered in groups:
+        local[at] = np.arange(len(at))
+        rep = local[reps[orbit[at]]]
+        ray = rows % n
+        fits = (ray[rep] == ray[:, :1]) & np.all(ordered[rep] == ordered[:, :1], axis=2)
+        if not np.all(np.any(fits, axis=1)):
+            raise GeometryError("face deck transformation not found")
+        i = np.argmax(fits, axis=1)
+        # vertex j of the face has the label, seen from u0, that vertex
+        # pos[j] of the representative has seen from w
+        pos = np.argmax(labels[:, 0, :, None] == labels[rep, i][:, None, :], axis=2)
+        u0[at], w[at] = rows[:, 0], rows[rep, i]
+        for p, moved in zip(at.tolist(), rows[rep[:, None], pos].tolist()):
+            to_rep[p] = moved
+    decks = surf.elements[u0 // n] @ np.linalg.inv(surf.elements[w // n])
+    return decks, to_rep
+
+
 def _ads_layout(surf):
     """The quotient bookkeeping of the projections of a Fuchsian surface:
     the side-independent arguments (poles, points, white, black, edges,
     ambient) of `tilings.assemble_tiling`, read from its face orbits, decks
-    and edge orbits."""
-    # face orbits, represented by the first encountered incident copy
-    orbit_of = {}
-    orbit_rep = []
-    face_orbit = {}
-    for star in surf.stars:
-        for fi in star.wedge_face:
-            if fi in face_orbit:
-                continue
-            key = surf.face_orbit_key(fi)
-            if key not in orbit_of:
-                orbit_of[key] = len(orbit_rep)
-                orbit_rep.append(fi)
-            face_orbit[fi] = orbit_of[key]
-    deck_cache = {}
+    and edge orbits.
 
-    def face_deck(fi):
-        """The deck of face fi and, per vertex of fi, the corner of the
-        white polygon of its orbit that the deck moves onto it."""
-        if fi not in deck_cache:
-            rep_fi = orbit_rep[face_orbit[fi]]
-            deck, to_rep = _face_deck(surf, fi, rep_fi)
-            corner = {w: k for k, w in enumerate(surf.faces[rep_fi].vertex_ids)}
-            deck_cache[fi] = deck, {u: corner[w] for u, w in to_rep.items()}
-        return deck_cache[fi]
+    It is built array-at-a-time from the face arrays: the face orbits from
+    one gather of the relative table (`_face_orbits`), the decks from one
+    batched `inv` (`_face_decks`), the orders of the representative faces
+    from one SVD per face size (`face_cycles`) and the edge orbits in one
+    pass.
+    """
+    n = surf.n
+    faces = _wedge_faces(surf)
+    # each face orbit is represented by its first encountered copy
+    groups, orbit, reps = _face_orbits(surf, faces)
+    decks, to_rep = _face_decks(surf, groups, orbit, reps)
+    rep_faces = [faces[p] for p in reps.tolist()]
+    cycles = surf.face_cycles(rep_faces)
+    corners = [{v: k for k, v in enumerate(cyc)} for cyc in cycles]
+    orbit_of = dict(zip(faces, orbit.tolist()))
+    deck_of = dict(zip(faces, decks))
+    # per face, the corner of the white polygon of its orbit that its deck
+    # moves onto each of its vertices
+    corner_of = {}
+    for at, rows, _, _ in groups:
+        for p, ids in zip(at.tolist(), rows.tolist()):
+            corner = corners[orbit[p]]
+            corner_of[faces[p]] = {u: corner[r] for u, r in zip(ids, to_rep[p])}
 
     # white faces: projections of the representative copies
-    white = []
-    for fi in orbit_rep:
-        ids = surf.faces[fi].vertex_ids
-        white.append(([(fi, v) for v in ids], tuple(surf.base_of(v) for v in ids),
-                      tuple(surf.element_of(v) for v in ids)))
+    white = [([(fi, v) for v in cyc], tuple(surf.base_of(v) for v in cyc),
+              tuple(surf.element_of(v) for v in cyc))
+             for fi, cyc in zip(rep_faces, cycles)]
 
     # black faces: projected links at the fundamental vertices; a link
     # corner is known by the orbit of its face and the white corner at vid
     black = []
     black_corner = []
-    for vid in range(surf.n):
+    for vid in range(n):
         seq = _link_faces(surf.stars[vid])
-        black.append(([(fi, vid) for fi in seq], tuple(face_orbit[fi] for fi in seq),
-                      tuple(face_deck(fi)[0] for fi in seq)))
+        black.append(([(fi, vid) for fi in seq], tuple(orbit_of[fi] for fi in seq),
+                      tuple(deck_of[fi] for fi in seq)))
         black_corner.append(
-            {(face_orbit[fi], face_deck(fi)[1][vid]): k for k, fi in enumerate(seq)}
+            {(orbit_of[fi], corner_of[fi][vid]): k for k, fi in enumerate(seq)}
         )
 
-    # one tiling edge per true-edge orbit met at a fundamental vertex
-    edge_slots = {}
-    for vid in range(surf.n):
-        star = surf.stars[vid]
-        for j, s in enumerate(star.neighbors):
-            if star.true_edge[j]:
-                edge_slots.setdefault(_edge_orbit_key(surf, vid, s), (vid, j))
+    # one tiling edge per true-edge orbit met at a fundamental vertex: the
+    # first star row of each orbit key min((b_v, b_s, id(g_v^-1 g_s)),
+    # (b_s, b_v, id(g_s^-1 g_v))), the keys encoded as integers
+    vertex, nbrs, offsets = _stack_stars(surf.stars)
+    star, _, _ = _star_rows(offsets)
+    true = np.flatnonzero([t for st in surf.stars for t in st.true_edge])
+    (ev, bv), (es, bs) = np.divmod(np.asarray(vertex)[star][true], n), np.divmod(nbrs[true], n)
+    size = len(surf.ball.mats)
+    rel = surf.ball.relative_ids(np.stack([ev, es]), np.stack([es, ev]))
+    key = np.minimum((bv * n + bs) * size + rel[0], (bs * n + bv) * size + rel[1])
+    first_row = {}
+    for row, k in zip(true.tolist(), key.tolist()):
+        first_row.setdefault(k, row)
+    slots = np.array(sorted(first_row.values()), dtype=np.intp)
 
     edges = []
-    for vid, j in sorted(edge_slots.values()):
-        star = surf.stars[vid]
-        s = star.neighbors[j]
-        fa, fb = star.wedge_face[j - 1], star.wedge_face[j]
+    for row, si in zip(slots.tolist(), star[slots].tolist()):
+        st = surf.stars[si]
+        vid, j = st.vertex, row - offsets[si]
+        s = st.neighbors[j]
+        fa, fb = st.wedge_face[j - 1], st.wedge_face[j]
         if fa == fb:
             raise GeometryError("true edge inside a single face")
-        segments = []
-        for fi in (fa, fb):
-            deck, corner = face_deck(fi)
-            segments.append((face_orbit[fi], corner[vid], corner[s], deck))
+        segments = [(orbit_of[fi], corner_of[fi][vid], corner_of[fi][s], deck_of[fi])
+                    for fi in (fa, fb)]
         # black segments: at vid (deck identity) and at s (deck of its orbit)
         for vtx in (vid, s):
             b = surf.base_of(vtx)
-            ka = black_corner[b].get((face_orbit[fa], face_deck(fa)[1][vtx]))
-            kb = black_corner[b].get((face_orbit[fb], face_deck(fb)[1][vtx]))
+            ka = black_corner[b].get((orbit_of[fa], corner_of[fa][vtx]))
+            kb = black_corner[b].get((orbit_of[fb], corner_of[fb][vtx]))
             if ka is None or kb is None:
                 raise GeometryError("edge face missing from the vertex link")
             segments.append((b, ka, kb, surf.element_of(vtx)))
         edges.append(((vid, s, fa, fb), segments))
 
-    poles = {fi: surf.faces[fi].pole for star in surf.stars for fi in star.wedge_face}
+    poles = dict(zip(faces, surf.poles[faces]))
     ambient = HyperbolicAmbient(
         surf.group, surf.config.rays, surf.config.word_length,
         surf.config.word_length_cap

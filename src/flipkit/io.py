@@ -11,8 +11,8 @@ import json
 
 import numpy as np
 
-from .errors import SchemaError
-from .fuchsian import FuchsianConfig, HyperbolicAmbient, genus2_group
+from .errors import GeometryError, SchemaError
+from .fuchsian import FuchsianConfig, HyperbolicAmbient, check_rays, genus2_group
 from .polyhedra import from_vertices_and_faces, hull
 from .tilings import BLACK, WHITE, FlippableTiling, Side, TilingEdges, TilingFace
 
@@ -314,11 +314,29 @@ def _decks(tags, what):
     return [None if d is None else next(rows) for d in tags]
 
 
+def _check_vertices(verts, spherical):
+    """Refuse a tiling vertex off its quadric: on the sphere when
+    |(|v| - 1)| > 1e-9, on the hyperboloid when
+    |<v, v> + 1| > 1e-9 v3^2 or v3 <= 0 (GeometryError)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        if spherical:
+            on = np.abs(np.sqrt(np.einsum("ij,ij->i", verts, verts)) - 1.0) <= 1e-9
+        else:
+            z2 = verts[:, 2] ** 2
+            q = verts[:, 0] ** 2 + verts[:, 1] ** 2 - z2
+            on = (np.abs(q + 1.0) <= 1e-9 * z2) & (verts[:, 2] > 0)
+    if not np.all(on):
+        where = "unit sphere" if spherical else "hyperboloid"
+        raise GeometryError(f"tiling vertex {int(np.argmin(on))} is not on the {where}")
+
+
 def tiling_from_dict(data):
     """A tiling from a `tiling.v1` dict, its structure checked first: enum
-    values, index ranges, four segments (two of each color) per edge and
-    the shapes of all arrays, so that a malformed file is a SchemaError and
-    the tiling code can index without guards."""
+    values, index ranges, four segments (two of each color) per edge, one
+    ambient ray per black face and the shapes of all arrays, so that a
+    malformed file is a SchemaError and the tiling code can index without
+    guards.  Then its geometry is checked: every vertex on its quadric and
+    every ambient ray as in `fuchsian.check_rays` (GeometryError)."""
     _require_keys(
         data,
         ("schema", "handedness", "ambient", "vertices", "faces", "edges"),
@@ -414,6 +432,12 @@ def tiling_from_dict(data):
         base = direction = np.empty((0, 3))
     t_min = _finite_list([ed["t_min"] for ed in edges], "edge t_min")
     t_max = _finite_list([ed["t_max"] for ed in edges], "edge t_max")
+    if ambient != "sphere" and len(ambient.rays) != count[BLACK]:
+        raise SchemaError("ambient rays: expected one ray per black face")
+
+    _check_vertices(verts, ambient == "sphere")
+    if ambient != "sphere":
+        check_rays(ambient.group, ambient.rays)
 
     ends = np.cumsum(sizes).tolist()
     corners = verts[ids]

@@ -14,6 +14,11 @@ are checked against:
   that orders every incident face and compares order keys per call, and the
   per-star kernel, cone angle and Jacobian assembly, the references of the
   stacked star layer of `flipkit.fuchsian`;
+- the faces of an orbit hull as one record each (`FaceRecord`), the
+  per-item view of the face arrays of `fuchsian.FuchsianSurface`, and the
+  quotient layout of its projections one face at a time: face orbit keys,
+  decks and edge orbit keys from per-face label lists, the oracle of the
+  array-at-a-time `fuchsian._ads_layout`;
 - the heights of the Fuchsian surface under a hyperbolic tiling, by
   bounded least squares over scalar residuals: the oracle of
   `fuchsian.recover_heights`, and the one importer of `scipy.optimize`;
@@ -39,7 +44,7 @@ import numpy as np
 
 from flipkit.errors import DevelopmentError, GeometryError, SignatureMismatchError
 from flipkit.forms import Signature, inv4, mul4
-from flipkit.fuchsian import VertexStar
+from flipkit.fuchsian import HyperbolicAmbient, VertexStar, _link_faces
 from flipkit.spheremath import ADS_STAR, HyperbolicOps
 from flipkit.tilings import BLACK, WHITE, Side, _aligned_error, _stack
 
@@ -310,7 +315,7 @@ def reference_build_star(surf, vid):
     false_edges = set()
     wedge_face = {}
     for fi in incident:
-        t, fe = reference_triangulate_face(surf.faces[fi].vertex_ids, vkey)
+        t, fe = reference_triangulate_face(FaceRecord(surf, fi).vertex_ids, vkey)
         false_edges |= fe
         for tri in t:
             if vid in tri:
@@ -408,6 +413,166 @@ def reference_assemble(stars, pts, index, n, sig):
                 J[ix, iy] += d * C(rho_s[j]) / S(ell[j])
                 J[ix, ix] += -C(ell[j]) * d * C(rho_x[j]) / S(ell[j])
     return J
+
+
+# -- the faces of an orbit hull one at a time ----------------------------------------
+
+
+class FaceRecord:
+    """One face of an orbit hull, read from the surface's face arrays.
+
+    ids        : its vertex ids, ascending
+    pole       : the future unit pole of its plane
+    vertex_ids : its vertex ids in cyclic order from the least, the lazy
+                 order of the surface: reading it orders the face
+    ordered    : whether the surface has ordered the face
+    """
+
+    def __init__(self, surf, fi):
+        self.surf = surf
+        self.fi = fi
+
+    @property
+    def ids(self):
+        (_, rows), = self.surf.face_rows([self.fi])
+        return rows[0].tolist()
+
+    @property
+    def pole(self):
+        return self.surf.poles[self.fi]
+
+    @property
+    def vertex_ids(self):
+        return self.surf.face_cycle(self.fi)
+
+    @property
+    def ordered(self):
+        return self.fi in self.surf._cycles
+
+
+def face_records(surf):
+    """Every face of an orbit hull as a `FaceRecord`, by face id."""
+    return [FaceRecord(surf, fi) for fi in range(len(surf.poles))]
+
+
+def reference_face_labels(surf, ids, v):
+    """(ray of u, id of g_v^-1 g_u) for each vertex id u of a face: the
+    same set for two faces exactly when g_v' g_v^-1 maps the face with
+    vertex v onto the face with vertex v'."""
+    n = surf.n
+    return list(zip([u % n for u in ids],
+                    surf.ball.relative(v // n, [u // n for u in ids])))
+
+
+def reference_face_orbit_key(surf, fi):
+    """Canonical key of the face orbit under the group action: over the
+    face's vertices v, the least of its sorted vertex labels
+    (ray of u, id of g_v^-1 g_u)."""
+    ids = FaceRecord(surf, fi).ids
+    return min(tuple(sorted(reference_face_labels(surf, ids, v))) for v in ids)
+
+
+def reference_edge_orbit_key(surf, u, v):
+    (eu, bu), (ev, bv) = divmod(u, surf.n), divmod(v, surf.n)
+    return min((bu, bv, surf.ball.relative(eu, [ev])[0]),
+               (bv, bu, surf.ball.relative(ev, [eu])[0]))
+
+
+def reference_face_deck(surf, fi, rep_fi):
+    """Deck g with face fi = g . face rep_fi, and the map from each vertex
+    of fi to the vertex of rep_fi that g moves onto it.
+
+    g = g_u0 g_w^-1 for the least vertex u0 of fi and the vertex w of
+    rep_fi whose face labels are those of fi at u0.
+    """
+    f_ids, rep_ids = FaceRecord(surf, fi).ids, FaceRecord(surf, rep_fi).ids
+    u0 = f_ids[0]
+    at_u0 = dict(zip(reference_face_labels(surf, f_ids, u0), f_ids))
+    for w in rep_ids:
+        if w % surf.n != u0 % surf.n:
+            continue
+        labels = reference_face_labels(surf, rep_ids, w)
+        if set(labels) == at_u0.keys():
+            deck = surf.element_of(u0) @ np.linalg.inv(surf.element_of(w))
+            return deck, {at_u0[lab]: r for lab, r in zip(labels, rep_ids)}
+    raise GeometryError("face deck transformation not found")
+
+
+def reference_ads_layout(surf):
+    """The arguments of `tilings.assemble_tiling` for the projections of a
+    Fuchsian surface, face by face: the oracle of `fuchsian._ads_layout`."""
+    # face orbits, represented by the first encountered incident copy
+    orbit_of = {}
+    orbit_rep = []
+    face_orbit = {}
+    for star in surf.stars:
+        for fi in star.wedge_face:
+            if fi in face_orbit:
+                continue
+            key = reference_face_orbit_key(surf, fi)
+            if key not in orbit_of:
+                orbit_of[key] = len(orbit_rep)
+                orbit_rep.append(fi)
+            face_orbit[fi] = orbit_of[key]
+    deck_cache = {}
+
+    def face_deck(fi):
+        if fi not in deck_cache:
+            rep_fi = orbit_rep[face_orbit[fi]]
+            deck, to_rep = reference_face_deck(surf, fi, rep_fi)
+            corner = {w: k for k, w in enumerate(FaceRecord(surf, rep_fi).vertex_ids)}
+            deck_cache[fi] = deck, {u: corner[w] for u, w in to_rep.items()}
+        return deck_cache[fi]
+
+    white = []
+    for fi in orbit_rep:
+        ids = FaceRecord(surf, fi).vertex_ids
+        white.append(([(fi, v) for v in ids], tuple(surf.base_of(v) for v in ids),
+                      tuple(surf.element_of(v) for v in ids)))
+
+    black = []
+    black_corner = []
+    for vid in range(surf.n):
+        seq = _link_faces(surf.stars[vid])
+        black.append(([(fi, vid) for fi in seq], tuple(face_orbit[fi] for fi in seq),
+                      tuple(face_deck(fi)[0] for fi in seq)))
+        black_corner.append(
+            {(face_orbit[fi], face_deck(fi)[1][vid]): k for k, fi in enumerate(seq)}
+        )
+
+    edge_slots = {}
+    for vid in range(surf.n):
+        star = surf.stars[vid]
+        for j, s in enumerate(star.neighbors):
+            if star.true_edge[j]:
+                edge_slots.setdefault(reference_edge_orbit_key(surf, vid, s), (vid, j))
+
+    edges = []
+    for vid, j in sorted(edge_slots.values()):
+        star = surf.stars[vid]
+        s = star.neighbors[j]
+        fa, fb = star.wedge_face[j - 1], star.wedge_face[j]
+        if fa == fb:
+            raise GeometryError("true edge inside a single face")
+        segments = []
+        for fi in (fa, fb):
+            deck, corner = face_deck(fi)
+            segments.append((face_orbit[fi], corner[vid], corner[s], deck))
+        for vtx in (vid, s):
+            b = surf.base_of(vtx)
+            ka = black_corner[b].get((face_orbit[fa], face_deck(fa)[1][vtx]))
+            kb = black_corner[b].get((face_orbit[fb], face_deck(fb)[1][vtx]))
+            if ka is None or kb is None:
+                raise GeometryError("edge face missing from the vertex link")
+            segments.append((b, ka, kb, surf.element_of(vtx)))
+        edges.append(((vid, s, fa, fb), segments))
+
+    poles = {fi: FaceRecord(surf, fi).pole for star in surf.stars for fi in star.wedge_face}
+    ambient = HyperbolicAmbient(
+        surf.group, surf.config.rays, surf.config.word_length,
+        surf.config.word_length_cap
+    )
+    return poles, surf.points4, white, black, edges, ambient
 
 
 # -- heights of a hyperbolic tiling --------------------------------------------------

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -373,6 +374,22 @@ def test_cli_refuses_malformed_tiling(tmp_path, capsys, tiling_n8, corruption, c
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["check", "flip", "render", "reconstruct"])
+@pytest.mark.parametrize("scale", [1e300, 1 + 1e-6])
+def test_cli_refuses_a_vertex_off_the_sphere(tmp_path, capsys, tiling_n8, scale, command):
+    d = json.loads(json.dumps(tiling_n8))
+    d["vertices"][3][0] *= scale
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps(d))
+    argv = [command, "--in", str(path)]
+    if command != "check":
+        argv += ["--out", str(tmp_path / "out")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 3
+    assert capsys.readouterr().err == "error: tiling vertex 3 is not on the unit sphere\n"
 
 
 def test_cli_dual_and_reconstruct(tmp_path):

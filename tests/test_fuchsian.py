@@ -1,9 +1,12 @@
 """Genus-2 group, orbit hulls, Jacobian, solver, dual, projections."""
 
+import json
 import math
 import os
+import re
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -22,6 +25,7 @@ from flipkit.fuchsian import (
     R0,
     R_MAX,
     FuchsianConfig,
+    HyperbolicAmbient,
     ads_project,
     admissible_targets,
     cone_angle_at,
@@ -49,8 +53,10 @@ from flipkit.spheremath import ADS_STAR, SPHERE_STAR, HyperbolicOps
 from flipkit.tilings import FlippableTiling, Side, flip, tiling_equality_error, validate_tiling
 from reference_geometry import (
     ConvexityClass,
+    face_records,
     form,
     least_squares_heights,
+    reference_ads_layout,
     reference_assemble,
     reference_build_star,
     reference_cone_angle,
@@ -277,6 +283,29 @@ def test_config_validation(group):
         FuchsianConfig(group, np.array([[5.0, 0.0, 0.0]]))  # not on hyperboloid
 
 
+def test_new_heights_check_only_the_heights(group, monkeypatch):
+    cfg = config(group, THREE_RAYS, heights=[0.5, 0.7, 0.62])
+    ambient = HyperbolicAmbient(group, cfg.rays)
+    calls = []
+    contains = group.contains
+    monkeypatch.setattr(group, "contains",
+                        lambda *args, **kw: calls.append(args) or contains(*args, **kw))
+    for make in (cfg.with_heights, ambient.config):
+        new = make([0.55, 0.6, 0.65])
+        assert new.rays is cfg.rays and new.targets is None
+        assert np.array_equal(new.heights, [0.55, 0.6, 0.65])
+        for heights, message in (
+            ([float("nan"), 0.6, 0.65], "heights must lie strictly inside (0, pi/2)"),
+            ([0.55, 1.6, 0.65], "heights must lie strictly inside (0, pi/2)"),
+            ([0.0, 0.6, 0.65], "heights must lie strictly inside (0, pi/2)"),
+            ([0.55, 0.6], "one height per ray required"),
+            (0.6, "one height per ray required"),
+        ):
+            with pytest.raises(GeometryError, match=re.escape(message)):
+                make(heights)
+    assert calls == []
+
+
 @pytest.mark.parametrize("kwargs", [
     {"heights": 0.7},                 # scalar heights
     {"targets": -1.0},                # scalar targets
@@ -311,20 +340,21 @@ def test_orbit_points_match_ray_point_loop(group, surf2):
 
 
 def ordered_faces(surf):
-    return {fi for fi, f in enumerate(surf.faces) if f._cyclic is not None}
+    return {fi for fi, f in enumerate(face_records(surf)) if f.ordered}
 
 
 def test_face_order_is_lazy(group):
     # the faces of a generic hull are triangles, each its own fan: building
     # the stars orders no face
     surf = orbit_hull(config(group, THREE_RAYS, heights=[0.5, 0.7, 0.62]))
-    assert all(len(surf.faces[fi].ids) == 3 for star in surf.stars for fi in star.wedge_face)
+    faces = face_records(surf)
+    assert all(len(faces[fi].ids) == 3 for star in surf.stars for fi in star.wedge_face)
     assert ordered_faces(surf) == set()
 
 
 def test_lazy_face_order_matches_eager(surf3):
     chart = surf3.points4[:, :3] / surf3.points4[:, 3:4]
-    for f in surf3.faces:
+    for f in face_records(surf3):
         assert f.ids == sorted(f.vertex_ids)
         assert f.vertex_ids == cyclic_face_order(chart, f.ids)
 
@@ -333,7 +363,7 @@ def test_face_order_turns_counterclockwise_about_outward(surf3):
     # the rule of the spherical hull: given a normal, the cycle turns
     # counterclockwise about it, from the same least vertex
     chart = surf3.points4[:, :3] / surf3.points4[:, 3:4]
-    for f in surf3.faces[:200]:
+    for f in face_records(surf3)[:200]:
         cyc = f.vertex_ids
         p = chart[cyc]
         normal = np.cross(p[1] - p[0], p[2] - p[0])
@@ -383,7 +413,7 @@ def test_hyperbolic_flip_never_loads_scipy_optimize():
 
 def test_faces_at_matches_ordered_incidence(surf3):
     incidence = {}
-    for fi, f in enumerate(surf3.faces):
+    for fi, f in enumerate(face_records(surf3)):
         for v in f.vertex_ids:
             incidence.setdefault(v, []).append(fi)
     for vid in range(surf3.n):
@@ -495,10 +525,70 @@ def test_false_edge_stars_match_one_star_references(group):
     # the octagon-center surface merges coplanar triangles into larger
     # faces: only those are ordered, for their fans and false edges
     surf = orbit_hull(config(group, [(0.0, 0.0)], heights=[0.3]))
-    merged = {fi for fi in surf.stars[0].wedge_face if len(surf.faces[fi].ids) > 3}
+    faces = face_records(surf)
+    merged = {fi for fi in surf.stars[0].wedge_face if len(faces[fi].ids) > 3}
     assert merged and ordered_faces(surf) == merged
     assert not all(surf.stars[0].true_edge)
     assert_stars_match_reference(surf)
+
+
+def assert_same_bits(a, b):
+    """a and b have the same structure, types and bits."""
+    assert type(a) is type(b)
+    if isinstance(a, np.ndarray):
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+    elif isinstance(a, (list, tuple)):
+        assert len(a) == len(b)
+        for x, y in zip(a, b):
+            assert_same_bits(x, y)
+    elif isinstance(a, dict):
+        assert_same_bits(list(a.items()), list(b.items()))
+    else:
+        assert a == b
+
+
+def assert_layout_matches_oracle(cfg):
+    """The array-at-a-time layout of the hull of cfg equals the face by face
+    one bit for bit; each reads a hull of its own, so neither sees the face
+    orders the other computed."""
+    *layout, ambient = fuchsian._ads_layout(orbit_hull(cfg))
+    *oracle, oracle_ambient = reference_ads_layout(orbit_hull(cfg))
+    assert_same_bits(layout, oracle)
+    assert ambient.group is oracle_ambient.group and ambient.rays is oracle_ambient.rays
+    assert (ambient.word_length, ambient.word_length_cap) == (
+        oracle_ambient.word_length, oracle_ambient.word_length_cap)
+
+
+@settings(max_examples=20)
+@given(n=st.integers(1, 3), level=st.floats(0.55, 0.95),
+       offsets=st.lists(st.floats(-0.08, 0.08), min_size=3, max_size=3))
+def test_layout_matches_face_by_face_oracle(group, n, level, offsets):
+    assert_layout_matches_oracle(
+        config(group, THREE_RAYS[:n], heights=level + np.array(offsets[:n])))
+
+
+def test_merged_face_layout_matches_face_by_face_oracle(group):
+    # the octagon-center surface: merged faces and false edges
+    cfg = config(group, [(0.0, 0.0)], heights=[0.3])
+    surf = orbit_hull(cfg)
+    faces = face_records(surf)
+    assert any(len(faces[fi].ids) > 3 for fi in surf.stars[0].wedge_face)
+    assert not all(surf.stars[0].true_edge)
+    assert_layout_matches_oracle(cfg)
+
+
+@settings(max_examples=15)
+@given(n=st.integers(1, 3), level=st.floats(0.55, 0.95),
+       offsets=st.lists(st.floats(-0.08, 0.08), min_size=3, max_size=3))
+def test_paper_invariants_hold_on_generated_surfaces(group, n, level, offsets):
+    # dual face area = -k, Gauss-Bonnet and the Euler characteristic of the
+    # quotient, all read from the face arrays
+    surf = orbit_hull(config(group, THREE_RAYS[:n], heights=level + np.array(offsets[:n])))
+    duals, k = minkowski_dual(surf)
+    assert max(abs(df.area() + k[df.ray_index]) for df in duals) <= 1e-9
+    assert abs(surf.quotient_area() - (np.sum(k) - 2 * np.pi * group.chi)) <= 1e-9
+    V, E, F = surf.quotient_counts()
+    assert V - E + F == group.chi
 
 
 def test_sphere_stars_match_one_star_references():
@@ -517,13 +607,13 @@ def test_sphere_stars_match_one_star_references():
 
 def test_solver_orders_no_face(group, monkeypatch):
     calls = []
-    ordering = fuchsian.cyclic_face_order
+    ordering = fuchsian._cyclic_orders
 
     def counting(*args):
         calls.append(args)
         return ordering(*args)
 
-    monkeypatch.setattr(fuchsian, "cyclic_face_order", counting)
+    monkeypatch.setattr(fuchsian, "_cyclic_orders", counting)
     cfg = config(group, THREE_RAYS, targets=[-1.5, -2.0, -1.0])
     out = solve_prescribed_curvature(cfg)
     assert out["residual"] <= 1e-8 and out["iterations"] > 0
@@ -959,6 +1049,56 @@ def test_flip_rejects_heights_off_its_surface(surf1, monkeypatch):
     monkeypatch.setattr(fuchsian, "recover_heights", lambda T: recover(T) + 1e-6)
     with pytest.raises(DevelopmentError, match="does not match its reconstructed surface"):
         flip(T)
+
+
+TILING_COMMANDS = ["check", "flip", "render", "reconstruct"]
+AMBIENT_DAMAGE = {
+    "off-hyperboloid": (lambda rays: rays[0].__setitem__(2, 5.0), 3),
+    "outside-octagon": (lambda rays: rays.__setitem__(0, lift((0.0, 8.0)).tolist()), 3),
+    "two-rays": (lambda rays: rays.append(lift((-0.4, 0.35)).tolist()), 2),
+}
+
+
+def run_on_tiling(d, command, tmp_path, capsys):
+    """Exit code and stderr of a command on the tiling.v1 dict d, failing
+    on any warning."""
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps(d))
+    argv = [command, "--in", str(path)]
+    if command != "check":
+        argv += ["--out", str(tmp_path / "out")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(argv)
+    return code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", TILING_COMMANDS)
+@pytest.mark.parametrize("damage", sorted(AMBIENT_DAMAGE))
+def test_cli_checks_the_rays_of_a_hyperbolic_tiling(surf1, damage, command, tmp_path,
+                                                    capsys):
+    d = fio.tiling_to_dict(ads_project(surf1, Side.LEFT))
+    change, expected = AMBIENT_DAMAGE[damage]
+    change(d["ambient"]["rays"])
+    code, err = run_on_tiling(d, command, tmp_path, capsys)
+    assert code == expected
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", TILING_COMMANDS)
+@pytest.mark.parametrize("change", ["huge", "scaled", "below"])
+def test_cli_refuses_a_vertex_off_the_hyperboloid(surf1, change, command, tmp_path, capsys):
+    d = fio.tiling_to_dict(ads_project(surf1, Side.LEFT))
+    v = d["vertices"][3]
+    if change == "huge":
+        v[0] = 1e300
+    elif change == "scaled":
+        v[:] = [x * (1 + 1e-6) for x in v]
+    else:
+        v[:] = [-x for x in v]
+    code, err = run_on_tiling(d, command, tmp_path, capsys)
+    assert code == 3
+    assert err == "error: tiling vertex 3 is not on the hyperboloid\n"
 
 
 @pytest.mark.parametrize("damage", [move_white_vertex, drop_white_decks])

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from flipkit.errors import GeometryError
 from flipkit.fuchsian import _sph_star, genus2_group, minkowski_dual, star_geometry
 from flipkit.spheremath import ADS_STAR, SPHERE_STAR, HyperbolicOps, SphereOps
+from reference_geometry import FaceRecord
 from test_fuchsian import FIXTURES, fixture_surface, random_star
 
 QUADRICS = {"S2": SphereOps, "H2": HyperbolicOps, "S3": SPHERE_STAR, "AdS3": ADS_STAR}
@@ -322,7 +323,7 @@ def test_ads_star_geometry_and_areas_keep_the_former_bits(surfaces):
             assert_bits(star_geometry(x[None], ys, [0, len(ys)]),
                         former_star_geometry(x, ys, "AdS3"))
         for fi in sorted({fi for star in surf.stars for fi in star.wedge_face}):
-            pts = surf.points4[surf.faces[fi].vertex_ids]
+            pts = surf.points4[FaceRecord(surf, fi).vertex_ids]
             angles = former_polygon_angles(pts)
             assert np.array_equal(ADS_STAR.corner_angles(pts, [len(pts)]), angles)
             assert surf.face_area(fi) == former_area(-1, angles)
