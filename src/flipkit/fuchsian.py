@@ -1452,16 +1452,13 @@ def ads_project(surf, side):
 def _height_rows(T):
     """The equations of `recover_heights` as stacked rows (b1, b2, cosh
     dbase, cosh ell), one per white polygon edge."""
-    rays = T.ambient.rays
-    sizes = np.array([len(w) for w in T.white])
-    starts = np.repeat(np.cumsum(sizes) - sizes, sizes)
-    size = np.repeat(sizes, sizes)
-    nxt = starts + (np.arange(len(starts)) - starts + 1) % size
-    links = np.array([b for w in T.white for b in w.links], dtype=int)
-    decks = np.array([np.eye(3) if g is None else g
-                      for w in T.white for g in (w.decks or (None,) * len(w))], dtype=float)
-    verts = np.concatenate([w.vertices for w in T.white])
-    base = (decks @ rays[links][..., None])[..., 0]
+    rays, W = T.ambient.rays, T.white
+    sizes = W.sizes
+    starts = np.repeat(W.offsets[:-1], sizes)
+    nxt = starts + (np.arange(len(starts)) - starts + 1) % np.repeat(sizes, sizes)
+    links, verts = W.links, W.vertices
+    decks = np.array([np.eye(3) if g is None else g for g in W.tags()], dtype=float)
+    base = (decks.reshape(-1, 3, 3) @ rays[links][..., None])[..., 0]
     return (links, links[nxt], np.cosh(HyperbolicOps.dist(base, base[nxt])),
             np.cosh(HyperbolicOps.dist(verts, verts[nxt])))
 

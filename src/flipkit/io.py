@@ -14,7 +14,7 @@ import numpy as np
 from .errors import GeometryError, SchemaError
 from .fuchsian import FuchsianConfig, HyperbolicAmbient, check_rays, genus2_group
 from .polyhedra import from_vertices_and_faces, hull
-from .tilings import BLACK, WHITE, FlippableTiling, Side, TilingEdges, TilingFace
+from .tilings import BLACK, WHITE, FlippableTiling, Side, TilingEdges, TilingFaces
 
 POLYHEDRON_SCHEMA = "polyhedron.v1"
 TILING_SCHEMA = "tiling.v1"
@@ -164,19 +164,18 @@ def _vertex_table(T, tol=1e-9):
     """The face corners of T, black faces first, merged where they round
     to one multiple of `tol`: the distinct corners in first-seen order,
     and the corner ids of each (color, face index)."""
-    faces = [(c, i, f) for c in (BLACK, WHITE) for i, f in enumerate(T.faces(c))]
-    if not faces:
+    if not len(T.black) + len(T.white):
         return [], {}
-    V = np.concatenate([f.vertices for _, _, f in faces])
+    V = np.concatenate([T.black.vertices, T.white.vertices])
     _, first, inverse = np.unique(np.round(V / tol).astype(np.int64), axis=0,
                                   return_index=True, return_inverse=True)
     order = np.argsort(first)
     rank = np.empty_like(order)
     rank[order] = np.arange(len(order))
     ids = rank[inverse.reshape(-1)].tolist()
-    ends = np.cumsum([len(f) for _, _, f in faces]).tolist()
-    return V[first[order]].tolist(), {
-        (c, i): ids[e - len(f):e] for (c, i, f), e in zip(faces, ends)}
+    offsets = np.concatenate([T.black.offsets, T.white.offsets[1:] + len(T.black.links)]).tolist()
+    keys = [(c, i) for c in (BLACK, WHITE) for i in range(len(T.faces(c)))]
+    return V[first[order]].tolist(), {k: ids[a:b] for k, a, b in zip(keys, offsets, offsets[1:])}
 
 
 def _deck_list(decks):
@@ -189,29 +188,24 @@ def tiling_to_dict(T):
     # canonical face order: by color, then least vertex-table index
     order = {c: sorted(range(len(T.faces(c))), key=lambda i: (min(fv[c, i]), fv[c, i]))
              for c in (BLACK, WHITE)}
-    rank = {c: {old: new for new, old in enumerate(idx)} for c, idx in order.items()}
+    rank = {c: np.argsort(order[c]) for c in (BLACK, WHITE)}  # each face's new index
 
     faces_out = []
-    for color in (BLACK, WHITE):
-        other = WHITE if color == BLACK else BLACK
-        for old in order[color]:
-            f = T.faces(color)[old]
-            faces_out.append(
-                {
-                    "color": color,
-                    "vertices": fv[(color, old)],
-                    "links": [rank[other][l] for l in f.links],
-                    "edge_refs": list(f.edge_refs),
-                    "digon_angle": f.digon_angle,
-                    "decks": _deck_list(f.decks),
-                }
-            )
+    for color, other in ((BLACK, WHITE), (WHITE, BLACK)):
+        F = T.faces(color)
+        offsets, decked, tags = F.offsets.tolist(), F.decked.tolist(), F.tags()
+        links = rank[other][F.links].tolist()
+        refs = [None if e < 0 else e for e in F.edge_refs.tolist()]
+        angles = [None if a != a else a for a in F.digon_angle.tolist()]
+        faces_out += [{"color": color, "vertices": fv[color, i], "links": links[a:b],
+                       "edge_refs": refs[a:b], "digon_angle": angles[i],
+                       "decks": _deck_list(tags[a:b]) if decked[i] else None}
+                      for i in order[color] for a, b in [offsets[i:i + 2]]]
 
     E = T.edges
-    # the segments' faces renumbered, by the ranks of the black faces, then
-    # of the white ones (the inverse of each order)
-    ranks = np.concatenate([np.argsort(order[c]) for c in (BLACK, WHITE)])
-    face = ranks[E.face + np.where(E.black, 0, len(T.black))]
+    # the segments' faces renumbered by the new indices, black faces first
+    face = np.concatenate([rank[BLACK], rank[WHITE]])
+    face = face[E.face + np.where(E.black, 0, len(T.black))]
     decks = [None] * E.t0.size if E.decks is None else _deck_list(
         [g for tags in E.decks for g in tags])
     segments = [
@@ -391,8 +385,8 @@ def tiling_from_dict(data):
     is_digon = np.array([a is not None for a in digon], dtype=bool)
     if np.any(np.where(is_digon, sizes != 2, sizes < 3)):
         raise SchemaError("face: a digon has two vertices, a polygon at least three")
-    angles = iter(_finite_list([a for a in digon if a is not None], "digon angles").tolist())
-    digon = [None if a is None else next(angles) for a in digon]
+    angles = np.full(len(faces), np.nan)
+    angles[is_digon] = _finite_list([a for a in digon if a is not None], "digon angles")
     links, n_links = _lists([fd["links"] for fd in faces], "face links")
     refs, n_refs = _lists([fd["edge_refs"] for fd in faces], "face edge_refs")
     decks = [fd.get("decks") for fd in faces]
@@ -400,13 +394,14 @@ def tiling_from_dict(data):
     if not (np.array_equal(n_links, sizes) and np.array_equal(n_refs, sizes)
             and np.array_equal(n_decks, sizes[[d is not None for d in decks]])):
         raise SchemaError("face: links, edge_refs and decks need one entry per vertex")
-    _indices(links, np.repeat(np.where(black, count[WHITE], count[BLACK]), sizes),
-             "face links")
+    links = _indices(links, np.repeat(np.where(black, count[WHITE], count[BLACK]), sizes),
+                     "face links")
     refs = _indices(refs, len(edges), "face edge_refs", nullable=True)
     if np.any(refs[np.repeat(is_digon, sizes)] < 0):
         raise SchemaError("face: a digon lies on two tiling edges")
+    decked = np.array([d is not None for d in decks], dtype=bool)
     tags = iter(_decks(tags, "face decks"))
-    decks = [None if d is None else tuple(next(tags) for _ in d) for d in decks]
+    tags = [next(tags) if d else None for d in np.repeat(decked, sizes).tolist()]
 
     _enum([sd["side"] for sd in segs], ("left", "right"), "segment side")
     _enum([sd["position"] for sd in segs], ("forward", "backward"), "segment position")
@@ -439,14 +434,11 @@ def tiling_from_dict(data):
     if ambient != "sphere":
         check_rays(ambient.group, ambient.rays)
 
-    ends = np.cumsum(sizes).tolist()
-    corners = verts[ids]
-    polys = [corners[a - n:a] for a, n in zip(ends, sizes.tolist())]
-    black_faces, white_faces = [], []
-    for fd, v, a, dk in zip(faces, polys, digon, decks):
-        (black_faces if fd["color"] == BLACK else white_faces).append(TilingFace(
-            fd["color"], v, tuple(fd["links"]), tuple(fd["edge_refs"]),
-            digon_angle=a, decks=dk))
+    # each color's faces (mask m) and their corner rows, in file order
+    black_faces, white_faces = (
+        TilingFaces.stacked(verts[ids[rows]], sizes[m], links[rows], refs[rows], angles[m],
+                            [tags[r] for r in np.flatnonzero(rows)], decked[m])
+        for m, rows in ((m, np.repeat(m, sizes)) for m in (black, ~black)))
     left = np.array([sd["side"] == "left" for sd in segs], dtype=bool)
     forward = np.array([sd["position"] == "forward" for sd in segs], dtype=bool)
     rev = np.array([sd["reversed"] for sd in segs], dtype=bool)

@@ -16,7 +16,6 @@ import numpy as np
 
 from .errors import GeometryError
 from .spheremath import HyperbolicOps, SphereOps
-from .tilings import BLACK, WHITE
 
 ARC_STEP = 0.01
 BLACK_FILL = "#26262b"
@@ -68,26 +67,28 @@ def render_svg(T):
     ops, proj = (SphereOps, stereographic) if T.is_spherical else (HyperbolicOps, poincare)
 
     # one arc per face corner, white faces first, then one per tiling edge
-    faces = [(c, i, f) for c in (WHITE, BLACK) for i, f in enumerate(T.faces(c))]
-    sizes = np.array([len(f) for _, _, f in faces], dtype=int)
-    V = np.concatenate([f.vertices for _, _, f in faces]) if faces else np.empty((0, 3))
+    W, B, E = T.white, T.black, T.edges
+    sizes = np.concatenate([W.sizes, B.sizes])
+    V = np.concatenate([W.vertices, B.vertices])
     ends = np.cumsum(sizes)
     nxt = np.arange(1, len(V) + 1)
     nxt[ends - 1] = ends - sizes
     stop = ops.dist(V, V[nxt])
     direction, defined = ops.tangents(V, V[nxt])
-    polygon = np.repeat([not f.is_digon for _, _, f in faces], sizes).astype(bool)
+    polygon = np.repeat(~np.concatenate([W.is_digon, B.is_digon]), sizes)
     flat = polygon & (stop < 1e-12)  # a side of no length is drawn as its corner
     if np.any(polygon & ~flat & ~defined):
         raise GeometryError(ops.tangent_undefined)
     direction[flat] = 0.0
-    base, start, E = V.copy(), np.zeros(len(V)), T.edges
-    for row, (color, fi, f) in zip((ends - sizes).tolist(), faces):
-        for k in range(len(f)) if f.is_digon else ():
-            e = f.edge_refs[k]
-            j = E.slot(e, color == BLACK, fi, k)
-            base[row + k], direction[row + k] = E.base[e], E.direction[e]
-            start[row + k], stop[row + k] = E.corner_param(e, j, True), E.corner_param(e, j, False)
+    base, start = V.copy(), np.zeros(len(V))
+    # a digon side runs along its segment of the tiling edge it lies on
+    side = np.flatnonzero(~polygon)
+    of = np.repeat(np.arange(len(sizes)), sizes)[side]  # its face, white faces first
+    black = of >= len(W)
+    e = np.concatenate([W.edge_refs, B.edge_refs])[side]
+    j = E.slot(e, black, of - np.where(black, len(W), 0), side - (ends - sizes)[of])
+    base[side], direction[side] = E.base[e], E.direction[e]
+    start[side], stop[side] = E.corner_param(e, j, True), E.corner_param(e, j, False)
     rows, arc_ends = _sample(
         ops, np.concatenate([base, E.base]), np.concatenate([direction, E.direction]),
         np.concatenate([start, E.t_min]), np.concatenate([stop, E.t_max]),
@@ -95,14 +96,14 @@ def render_svg(T):
     rows[arc_ends[:len(V)][flat] - 1] = V[flat]
     xy = proj(rows)
 
-    F = len(faces)
+    F = len(sizes)
     bounds = np.concatenate([[0], arc_ends[ends - 1], arc_ends[len(V):]])
     span = max(np.max(np.abs(proj(V)), initial=1.0),
                np.max(np.abs(xy[np.concatenate([bounds[F:-1], bounds[F + 1:] - 1])]),
                       initial=1.0))
     counts = np.diff(bounds).tolist()
-    paths = [f'<path d="{_path(n, "Z")}" fill="{WHITE_FILL if c == WHITE else BLACK_FILL}" '
-             'stroke="none"/>' for (c, _, _), n in zip(faces, counts)]
+    paths = [f'<path d="{_path(n, "Z")}" fill="{WHITE_FILL if f < len(W) else BLACK_FILL}" '
+             'stroke="none"/>' for f, n in enumerate(counts[:F])]
     paths += [f'<path d="{_path(n)}" fill="none" stroke="{EDGE_STROKE}" '
               'stroke-width="0.01" stroke-linecap="round"/>' for n in counts[F:]]
     if not T.is_spherical:

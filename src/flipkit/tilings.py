@@ -1,8 +1,8 @@
 """Flippable tilings: projection of polyhedra, reconstruction, flip.
 
-A tiling face stores its polygon together with, per corner, the index of
-the opposite-color face whose corner coincides there, and, per polygon
-edge, the tiling edge carrying it.  The tiling edges form one table
+The faces of each color form one table (`TilingFaces`): per corner the
+opposite-color face whose corner coincides there and the tiling edge
+carrying the polygon edge after it.  The tiling edges form one table too
 (`TilingEdges`): per edge the supporting geodesic, and per edge and slot
 one of its four face-edge segments with its side (left/right of the
 oriented geodesic), position (forward/backward) and color.  This is
@@ -43,28 +43,63 @@ BLACK = "black"
 WHITE = "white"
 
 
-@dataclass(frozen=True)
-class TilingFace:
-    """One black or white face with its corner and edge incidences.
+@dataclass(frozen=True, eq=False)
+class TilingFaces:
+    """The faces of one color of a tiling as one table.
 
-    links[k]     : index of the opposite-color face meeting corner k
-    edge_refs[k] : index of the tiling edge carrying polygon edge k -> k+1
-    decks[k]     : deck transformation tags (hyperbolic quotient tilings)
+    Face i has the corners vertices[offsets[i]:offsets[i + 1]], (N, 3) rows
+    stacked face after face in cyclic order.  Per corner row r, links[r] is
+    the opposite-color face meeting it, edge_refs[r] the tiling edge
+    carrying the polygon edge from it to the next corner (-1 for none) and
+    decks[r] its deck tag (the copy of the linked face met there = deck .
+    stored face), a 3x3 matrix or None; decks is None when no tag is set.
+    Per face, digon_angle is a digon's angle (NaN for a polygon) and decked
+    tells whether the face carries a list of deck tags.
     """
 
-    color: str
     vertices: np.ndarray
-    links: tuple
-    edge_refs: tuple
-    digon_angle: float = None
-    decks: tuple = None
+    offsets: np.ndarray
+    links: np.ndarray
+    edge_refs: np.ndarray
+    digon_angle: np.ndarray
+    decked: np.ndarray
+    decks: list = None
+
+    @classmethod
+    def stacked(cls, vertices, sizes, links, edge_refs, digon_angle=np.nan, decks=(),
+                decked=False):
+        """The table of faces of sizes[i] corners each; the digon angle and
+        the decked flag are given per face or once for all faces."""
+        return cls(np.asarray(vertices, dtype=float).reshape(-1, 3),
+                   np.concatenate([[0], np.cumsum(sizes, dtype=int)]),
+                   np.ravel(links).astype(int), np.ravel(edge_refs).astype(int),
+                   np.resize(np.asarray(digon_angle, dtype=float), len(sizes)),
+                   np.resize(np.asarray(decked, dtype=bool), len(sizes)),
+                   list(decks) if any(g is not None for g in decks) else None)
 
     def __len__(self):
-        return len(self.vertices)
+        return len(self.offsets) - 1
+
+    @property
+    def sizes(self):
+        return np.diff(self.offsets)
 
     @property
     def is_digon(self):
-        return self.digon_angle is not None
+        return ~np.isnan(self.digon_angle)
+
+    def tags(self):
+        """The deck tag of every corner, None where none is set."""
+        return [None] * len(self.links) if self.decks is None else self.decks
+
+    def __getitem__(self, i):
+        """Face i as a table of its own, to read one face: its columns are
+        slices of these, so a write to its vertices reaches this table."""
+        i = range(len(self))[i]
+        a, b = self.offsets[i:i + 2].tolist()
+        return TilingFaces(self.vertices[a:b], self.offsets[i:i + 2] - a, self.links[a:b],
+                           self.edge_refs[a:b], self.digon_angle[i:i + 1],
+                           self.decked[i:i + 1], self.decks and self.decks[a:b])
 
 
 @dataclass(frozen=True)
@@ -106,11 +141,12 @@ class TilingEdges:
         return len(self.base)
 
     def slot(self, e, black, face, face_edge):
-        """The slot of edge e carrying polygon edge `face_edge` of a face."""
+        """The slot of edge e carrying polygon edge `face_edge` of a face, row-wise."""
+        black, face, face_edge = (np.expand_dims(a, -1) for a in (black, face, face_edge))
         hit = (self.black[e] == black) & (self.face[e] == face) & (self.face_edge[e] == face_edge)
-        if not hit.any():
+        if not hit.any(axis=-1).all():
             raise GeometryError("segment not found on edge")
-        return int(np.argmax(hit))
+        return np.argmax(hit, axis=-1)
 
     def partner(self, e, j):
         """The slot of edge e with slot j's color on the other side."""
@@ -122,7 +158,7 @@ class TilingEdges:
     def corner_param(self, e, j, corner_is_start):
         """Edge parameter of the polygon vertex k (start) or k+1 (end) of
         the polygon edge k in slot j."""
-        return float(self.t1[e, j] if self.reversed[e, j] == corner_is_start else self.t0[e, j])
+        return np.where(self.reversed[e, j] == corner_is_start, self.t1[e, j], self.t0[e, j])
 
 
 def _side_name(left):
@@ -168,8 +204,7 @@ class FlippableTiling:
 
     def __init__(self, handedness, black, white, edges, ambient="sphere"):
         self.handedness = handedness
-        self.black = list(black)
-        self.white = list(white)
+        self.black, self.white = black, white  # a `TilingFaces` table each
         self.edges = edges
         self.ambient = ambient
 
@@ -193,7 +228,7 @@ class FlippableTiling:
         return self.black if color == BLACK else self.white
 
     def total_area(self):
-        return float(_face_areas(self.ops, self.black + self.white).sum())
+        return float(np.concatenate([self.black_areas(), self.white_areas()]).sum())
 
     def black_areas(self):
         return _face_areas(self.ops, self.black)
@@ -205,33 +240,22 @@ class FlippableTiling:
 # -- faces as stacked corner rows -----------------------------------------------
 
 
-def _stack(faces):
-    """The vertices of `faces`, stacked face after face, with the row where
-    each face starts and its number of corners."""
-    sizes = np.array([len(f) for f in faces], dtype=int)
-    verts = np.concatenate([f.vertices for f in faces]) if faces else np.empty((0, 3))
-    return verts, np.cumsum(sizes) - sizes, sizes
-
-
-def _corner_angles(ops, faces):
-    """Interior angle of every corner of `faces`, stacked face after face,
-    from one row-wise pass; a digon's corners carry its digon angle.
-    Returns the angles and the row where each face starts."""
-    verts, starts, sizes = _stack(faces)
-    polygon = np.array([not f.is_digon for f in faces], dtype=bool)
-    angles = np.repeat([f.digon_angle if f.is_digon else 0.0 for f in faces],
-                       sizes).astype(float)
+def _corner_angles(ops, F):
+    """Interior angle of every corner of the faces F, stacked as its rows,
+    from one row-wise pass; a digon's corners carry its digon angle."""
+    sizes, polygon = F.sizes, ~F.is_digon
+    angles = np.repeat(np.where(polygon, 0.0, F.digon_angle), sizes)
     rows = np.repeat(polygon, sizes)
-    angles[rows] = ops.corner_angles(verts[rows], sizes[polygon])
-    return angles, starts
+    angles[rows] = ops.corner_angles(F.vertices[rows], sizes[polygon])
+    return angles
 
 
-def _face_areas(ops, faces):
-    """Areas of `faces` (Gauss-Bonnet; a digon's is twice its angle) from
-    one pass over all corners."""
-    if not faces:
+def _face_areas(ops, F):
+    """Areas of the faces F (Gauss-Bonnet; a digon's is twice its angle)
+    from one pass over all corners."""
+    if not len(F):
         return np.empty(0)
-    return ops.polygon_areas(_corner_angles(ops, faces)[0], [len(f) for f in faces])
+    return ops.polygon_areas(_corner_angles(ops, F), F.sizes)
 
 
 # -- edge assembly ------------------------------------------------------------
@@ -394,14 +418,13 @@ def assemble_tiling(sig, side, poles, points, white, black, edges, ambient="sphe
     img = project_points(np.array([poles[f] for f, _ in row]),
                          points[[v for _, v in row]], side, sig)
 
-    polys, probes, sizes = {}, {}, {}
+    corners, probes, sizes, starts = {}, {}, {}, {}
     for color, faces in ((WHITE, white), (BLACK, black)):
-        corners = img[[row[c] for cyc, _, _ in faces for c in cyc]]
+        corners[color] = img[[row[c] for cyc, _, _ in faces for c in cyc]]
         sizes[color] = np.array([len(cyc) for cyc, _, _ in faces])
-        starts = np.cumsum(sizes[color]) - sizes[color]
-        polys[color] = [corners[a:a + n] for a, n in zip(starts, sizes[color])]
+        starts[color] = np.cumsum(sizes[color]) - sizes[color]
         # normalized corner sums: interior points, read only for their side
-        sums = np.add.reduceat(corners, starts)
+        sums = np.add.reduceat(corners[color], starts[color])
         probes[color] = sums / np.sqrt(np.abs(ops.inner(sums, sums)))[:, None]
 
     E = len(edges)
@@ -442,17 +465,17 @@ def assemble_tiling(sig, side, poles, points, white, black, edges, ambient="sphe
         ],
     )
 
-    refs = {color: [[None] * len(p) for p in polys[color]] for color in (WHITE, BLACK)}
-    for ei, (fs, ks) in enumerate(zip(face.tolist(), slot.tolist())):
-        for color, f, k in zip(SLOT_COLORS, fs, ks):
-            if refs[color][f][k] is None:
-                refs[color][f][k] = ei
-    white_faces, black_faces = (
-        [TilingFace(color, polys[color][f], links, tuple(refs[color][f]), decks=decks)
-         for f, (_, links, decks) in enumerate(faces)]
-        for color, faces in ((WHITE, white), (BLACK, black))
-    )
-    T = FlippableTiling(side.other, black_faces, white_faces, tiling_edges, ambient)
+    # per polygon edge, the first tiling edge met carrying it
+    tables = {}
+    for color, faces, cols in ((WHITE, white, slice(0, 2)), (BLACK, black, slice(2, 4))):
+        refs = np.full(len(corners[color]), -1)
+        at, first = np.unique(starts[color][face[:, cols]] + slot[:, cols], return_index=True)
+        refs[at] = first // 2
+        tables[color] = TilingFaces.stacked(
+            corners[color], sizes[color], [l for _, links, _ in faces for l in links], refs,
+            decks=[g for cyc, _, tags in faces for g in tags or (None,) * len(cyc)],
+            decked=[tags is not None for _, _, tags in faces])
+    T = FlippableTiling(side.other, tables[BLACK], tables[WHITE], tiling_edges, ambient)
     _assert_handedness(T)
     return T
 
@@ -508,17 +531,20 @@ def white_polyhedron(T: FlippableTiling) -> ConvexPolyhedron:
     apex[0] = neutral(sig)
     frontier, color = [0], BLACK
     while frontier:
-        faces = [T.faces(color)[i] for i in frontier]
-        v = np.concatenate([f.vertices for f in faces])
+        F = T.faces(color)
+        sizes = F.sizes[frontier]
+        ends = np.cumsum(sizes)  # the frontier's corner rows, face after face:
+        rows = np.repeat(F.offsets[frontier] - ends + sizes, sizes) + np.arange(ends[-1])
+        v = F.vertices[rows]
         q = np.hstack([np.zeros((len(v), 1)), v])  # the corners as points of e* in S^3
         if color == BLACK:
             done, placed, other, q = apex, pole, WHITE, inv4(q, sig)
         else:
             done, placed, other = pole, apex, BLACK
-        g = np.repeat([done[i] for i in frontier], [len(f) for f in faces], axis=0)
+        g = np.repeat([done[i] for i in frontier], sizes, axis=0)
         g = mul4(q, g, sig) if left_handed else mul4(g, q, sig)
         frontier, known = [], []
-        for r, j in enumerate(j for f in faces for j in f.links):
+        for r, j in enumerate(F.links[rows].tolist()):
             if placed[j] is None:
                 placed[j] = g[r]
                 frontier.append(j)
@@ -554,7 +580,8 @@ def white_polyhedron(T: FlippableTiling) -> ConvexPolyhedron:
         eu = np.outer(e, e) + np.outer(v, v)
         rot = np.eye(4) + (cos_t - 1.0) * eu + sin_t * (np.outer(e, v) - np.outer(v, e))
         verts = verts @ rot.T
-    faces = [tuple(w.links) for w in T.white]
+    links, offsets = T.white.links.tolist(), T.white.offsets.tolist()
+    faces = [tuple(links[a:b]) for a, b in zip(offsets, offsets[1:])]
     try:
         return from_vertices_and_faces(verts, faces)
     except GeometryError as exc:
@@ -578,9 +605,7 @@ def flip(T: FlippableTiling) -> FlippableTiling:
 
 def recolor(T: FlippableTiling) -> FlippableTiling:
     """Swap black and white; reverses the handedness, involutive."""
-    new_black = [replace(f, color=BLACK) for f in T.white]
-    new_white = [replace(f, color=WHITE) for f in T.black]
-    return FlippableTiling(T.handedness.other, new_black, new_white,
+    return FlippableTiling(T.handedness.other, T.white, T.black,
                            replace(T.edges, black=~T.edges.black), T.ambient)
 
 
@@ -588,39 +613,40 @@ def recolor(T: FlippableTiling) -> FlippableTiling:
 
 
 def _corner_walk(T, color, start):
-    """Corners of `color` faces glued around one point, starting at `start`.
+    """Corner rows of `color` faces glued around one point, from row `start`.
 
-    A corner is (face index, vertex index); the walk repeatedly crosses the
-    polygon edge after the corner, lands on the matched corner of the glued
-    face, and leaves through that face's other incident edge.
+    The walk repeatedly crosses the polygon edge after the corner, lands on
+    the matched corner of the glued face, and leaves through that face's
+    other incident edge.
     """
-    faces, E = T.faces(color), T.edges
+    F, E = T.faces(color), T.edges
+    starts, sizes, refs = F.offsets.tolist(), F.sizes.tolist(), F.edge_refs.tolist()
+    f = int(np.searchsorted(F.offsets, start, side="right")) - 1
     visited = []
-    f, k, exit_edge = start[0], start[1], start[1]
+    k = exit_edge = start - starts[f]
     while True:
-        visited.append((f, k))
-        if len(visited) > 4 * sum(len(x) for x in faces) + 8:
+        visited.append(starts[f] + k)
+        if len(visited) > 4 * len(refs) + 8:
             raise GeometryError("cone walk does not close")
-        e = faces[f].edge_refs[exit_edge]
+        e = refs[starts[f] + exit_edge]
         j = E.slot(e, color == BLACK, f, exit_edge)
         p = E.partner(e, j)
         t = E.corner_param(e, j, corner_is_start=(exit_edge == k))
         t_partner = t - E.t0[e, j] + E.t0[e, p]
         f2, k2 = int(E.face[e, p]), int(E.face_edge[e, p])
-        face2 = faces[f2]
         start_param = E.corner_param(e, p, corner_is_start=True)
         end_param = E.corner_param(e, p, corner_is_start=False)
         if abs(t_partner - start_param) < 1e-7:
             corner2 = k2
         elif abs(t_partner - end_param) < 1e-7:
-            corner2 = (k2 + 1) % len(face2)
+            corner2 = (k2 + 1) % sizes[f2]
         else:
             raise GeometryError("glued point is not a corner of the partner face")
         # The corner is incident to polygon edges corner2-1 and corner2; we
         # entered through k2, so we leave through the other one.
-        other = (corner2 - 1) % len(face2) if k2 == corner2 else corner2
+        other = (corner2 - 1) % sizes[f2] if k2 == corner2 else corner2
         f, k, exit_edge = f2, corner2, other
-        if (f, k) == (start[0], start[1]):
+        if starts[f] + k == start:
             return visited
 
 
@@ -632,25 +658,19 @@ def _cone_metric(T, color):
             "cone metrics of hyperbolic quotient tilings come from the "
             "underlying Fuchsian surface (induced_cone_metric)"
         )
-    faces = T.faces(color)
-    ops = T.ops
-    angles, starts = _corner_angles(ops, faces)
-    seen = set()
-    points = []
-    for f in range(len(faces)):
-        for k in range(len(faces[f])):
-            if (f, k) in seen:
-                continue
-            orbit = _corner_walk(T, color, (f, k))
-            for c in orbit:
-                seen.add(c)
-            angle = float(sum(angles[starts[a] + b] for a, b in orbit))
-            linked = {faces[a].links[b] for a, b in orbit}
-            if len(linked) != 1:
-                raise GeometryError(
-                    f"corners around a cone point link to several faces: {linked}"
-                )
-            points.append(ConePoint(angle, linked.pop()))
+    F, ops = T.faces(color), T.ops
+    angles = _corner_angles(ops, F)
+    links, seen, points = F.links.tolist(), set(), []
+    for r in range(len(links)):
+        if r in seen:
+            continue
+        orbit = _corner_walk(T, color, r)
+        seen.update(orbit)
+        angle = float(sum(angles[o] for o in orbit))
+        linked = {links[o] for o in orbit}
+        if len(linked) != 1:
+            raise GeometryError(f"corners around a cone point link to several faces: {linked}")
+        points.append(ConePoint(angle, linked.pop()))
     points.sort(key=lambda c: c.associated_face)
     expected = len(T.faces(WHITE if color == BLACK else BLACK))
     if len(points) != expected:
@@ -700,18 +720,14 @@ def _build_antipodal(V):
 
     # P corner at v_i (index i) meets digon (i-1); polygon edge i lies on
     # tiling edge i.
-    links = tuple((i - 1) % n for i in range(n))
-    black = [
-        TilingFace(BLACK, V.copy(), links, tuple(range(n))),
-        TilingFace(BLACK, -V.copy(), links, tuple(range(n))),
-    ]
+    i = np.arange(n)
+    black = TilingFaces.stacked(np.concatenate([V, -V]), [n, n], np.tile((i - 1) % n, 2),
+                                np.tile(i, 2))
     # digon i: corner 0 (v_{i+1}) coincides with P's corner, corner 1 with
     # -P's; polygon edge 0 -> 1 lies on tiling edge i, edge 1 -> 0 on i+1
-    white = [
-        TilingFace(WHITE, np.array([V[(i + 1) % n], -V[(i + 1) % n]]), (0, 1),
-                   (i, (i + 1) % n), digon_angle=float(np.pi - angles[(i + 1) % n]))
-        for i in range(n)
-    ]
+    white = TilingFaces.stacked(np.stack([nxt, -nxt], axis=1), np.full(n, 2),
+                                np.tile([0, 1], n), np.stack([i, (i + 1) % n], axis=1),
+                                np.pi - np.roll(angles, -1))
 
     ell = ops.dist(V, nxt)
     probe_P = V.sum(axis=0) / np.linalg.norm(V.sum(axis=0))
@@ -722,7 +738,6 @@ def _build_antipodal(V):
     # per edge i: P and -P along polygon edge i; digon i-1 by its polygon
     # edge 1 (from -v_i back to v_i), params [0, pi]; digon i by its polygon
     # edge 0 (v_{i+1} to -v_{i+1}), params [ell, pi + ell]
-    i = np.arange(n)
     zero, one, pi = np.zeros(n, dtype=int), np.ones(n, dtype=int), np.full(n, np.pi)
     edges = _build_edges(
         ops, V, ops.tangent(V, nxt),
@@ -779,8 +794,8 @@ def make_two_circles_tiling(n1, n2, side: Side) -> FlippableTiling:
     # faces: black = (+,+) and (-,-); white = (+,-) and (-,+); vertex cycle
     # [v, -v]; polygon edge 0 lies on circle 1, edge 1 on circle 2
     signs = {BLACK: [(1, 1), (-1, -1)], WHITE: [(1, -1), (-1, 1)]}
-    faces = {color: [TilingFace(color, np.array([v, -v]), (0, 0), (0, 1),
-                                digon_angle=lune_angle(s1, s2)) for s1, s2 in signs[color]]
+    faces = {color: TilingFaces.stacked(np.tile([v, -v], (2, 1)), [2, 2], [0] * 4, [0, 1] * 2,
+                                        [lune_angle(s1, s2) for s1, s2 in signs[color]])
              for color in (BLACK, WHITE)}
 
     # edge 0 on circle 1, edge 1 on circle 2; per edge the segments of the
@@ -815,19 +830,14 @@ def make_two_circles_tiling(n1, n2, side: Side) -> FlippableTiling:
     # association of corners to opposite faces, from the gluing orbits: the
     # two lunes of the other color have one angle, so the orbits are linked
     # in the order they are found
+    links = {}
     for color in (BLACK, WHITE):
-        links, orbits = [[None, None], [None, None]], 0
-        for fi in range(2):
-            for k in range(2):
-                if links[fi][k] is None:
-                    for a, b in _corner_walk(T, color, (fi, k)):
-                        links[a][b] = orbits
-                    orbits += 1
-        new = [replace(f, links=tuple(links[fi])) for fi, f in enumerate(T.faces(color))]
-        if color == BLACK:
-            T.black = new
-        else:
-            T.white = new
+        links[color], orbits = np.full(4, -1), 0
+        for r in range(4):
+            if links[color][r] < 0:
+                links[color][_corner_walk(T, color, r)] = orbits
+                orbits += 1
+    T.black, T.white = (replace(T.faces(c), links=links[c]) for c in (BLACK, WHITE))
     _assert_handedness(T)
     return T
 
@@ -849,34 +859,33 @@ def validate_tiling(T: FlippableTiling, tol_scale=1.0) -> TilingReport:
     """
     ops = T.ops
     failures = [] if T.handedness in (Side.LEFT, Side.RIGHT) else ["unknown handedness"]
-    faces, nb = T.black + T.white, len(T.black)
+    B, W, nb = T.black, T.white, len(T.black)
     names = [f"{BLACK} face {i}" for i in range(nb)] + [
-        f"{WHITE} face {i}" for i in range(len(T.white))]
-    areas = _face_areas(ops, faces)
-    digon = np.array([f.is_digon for f in faces], dtype=bool)
-    failures += [f"{names[g]} has nonpositive area"
-                 for g in np.flatnonzero(~digon & (areas <= 0))]
+        f"{WHITE} face {i}" for i in range(len(W))]
+    areas = np.concatenate([T.black_areas(), T.white_areas()])
+    failures += [f"{names[g]} has nonpositive area" for g in np.flatnonzero(
+        ~np.concatenate([B.is_digon, W.is_digon]) & (areas <= 0))]
     if T.is_spherical:
         budget = abs(float(areas.sum()) - 4 * np.pi)
         if budget > EPS_AREA * tol_scale * 10:
             failures.append(f"area budget off by {budget:.2e}")
-    verts, starts, sizes = _stack(faces)
+    verts, sizes = np.concatenate([B.vertices, W.vertices]), np.concatenate([B.sizes, W.sizes])
+    starts = np.cumsum(sizes) - sizes
     if T.edges:
         failures += _edge_failures(T, verts, starts, sizes, tol_scale)
 
     # Linked corners coincide (deck-translated for hyperbolic quotients):
     # each corner against every vertex of its linked face, in one gather.
-    linked = np.array([l + (nb if g < nb else 0) for g, f in enumerate(faces)
-                       for l in f.links], dtype=int)
+    linked = np.concatenate([B.links + nb, W.links])
     counts = sizes[linked]
     offsets = np.cumsum(counts) - counts
     corner = np.repeat(np.arange(len(verts)), counts)
     pts = verts[np.repeat(starts[linked] - offsets, counts) + np.arange(len(corner))]
-    decks = _deck_rows([g for f in faces for g in f.decks or (None,) * len(f)])
+    decks = _deck_rows(B.tags() + W.tags())
     if decks is not None:
         pts = np.einsum("nij,nj->ni", decks[corner], pts)
     dist = np.minimum.reduceat(np.linalg.norm(pts - verts[corner], axis=1), offsets)
-    face_of = np.repeat(np.arange(len(faces)), sizes)
+    face_of = np.repeat(np.arange(len(sizes)), sizes)
     failures += [f"{names[face_of[r]]} corner {r - starts[face_of[r]]} does not meet "
                  "its linked face" for r in np.flatnonzero(dist > 1e-6 * tol_scale)]
     return TilingReport(not failures, failures)
@@ -965,15 +974,13 @@ def tiling_equality_error(T1, T2):
     """
     if (len(T1.black), len(T1.white)) != (len(T2.black), len(T2.white)):
         raise GeometryError("tilings have different numbers of faces")
-    err = 0.0
-    for a, b in zip(T1.black + T1.white, T2.black + T2.white):
-        if a.vertices.shape != b.vertices.shape:
-            raise GeometryError("tilings are not combinatorially matched")
-        d = float(np.max(np.linalg.norm(a.vertices - b.vertices, axis=1)))
-        if not np.isfinite(d):
-            return np.inf
-        err = max(err, d)
-    return err
+    pairs = ((T1.black, T2.black), (T1.white, T2.white))
+    if not all(np.array_equal(a.offsets, b.offsets) for a, b in pairs):
+        raise GeometryError("tilings are not combinatorially matched")
+    d = np.concatenate([np.linalg.norm(a.vertices - b.vertices, axis=1) for a, b in pairs])
+    if not np.all(np.isfinite(d)):
+        return np.inf
+    return float(np.max(d, initial=0.0))
 
 
 def polyhedron_isometry_error(P, Q, vertex_map=None):

@@ -30,13 +30,15 @@ are checked against:
 - comparison of spherical tilings up to isometry and of polygons up to
   congruence;
 - the segments of a tiling edge as one record each, the per-item view of
-  the library's edge table that the per-segment references read.
+  the library's edge table that the per-segment references read, and the
+  faces of a tiling as one record each (`Face`), the per-item view of its
+  face tables, from which the tests that replace a face build new tables.
 
 It is not collected (its name does not start with `test_`), and no module
 of `src/flipkit` imports it.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 import math
 
@@ -46,7 +48,7 @@ from flipkit.errors import DevelopmentError, GeometryError, SignatureMismatchErr
 from flipkit.forms import Signature, inv4, mul4
 from flipkit.fuchsian import HyperbolicAmbient, VertexStar, _link_faces
 from flipkit.spheremath import ADS_STAR, HyperbolicOps
-from flipkit.tilings import BLACK, WHITE, Side, _aligned_error, _stack
+from flipkit.tilings import BLACK, WHITE, FlippableTiling, Side, TilingFaces, _aligned_error
 
 
 class DegenerateTriangleError(GeometryError):
@@ -595,7 +597,7 @@ def least_squares_heights(T):
     n = len(T.black)
     ops = HyperbolicOps
     equations = []
-    for w in T.white:
+    for w in tiling_faces(T.white):
         k = len(w)
         for m in range(k):
             b1, b2 = w.links[m], w.links[(m + 1) % k]
@@ -822,7 +824,8 @@ def hs_angle(u, v, sig=Minkowski.MINK31):
 
 def tiling_isometry_error(T1, T2):
     """Max vertex distance between matched faces after optimal alignment."""
-    return _aligned_error(*(_stack(T.black + T.white)[0] for T in (T1, T2)), "tilings")
+    return _aligned_error(*(np.concatenate([T.black.vertices, T.white.vertices])
+                            for T in (T1, T2)), "tilings")
 
 
 def _frame3(a, b):
@@ -868,9 +871,11 @@ def tiling_congruence_error(T1, T2, tol=1e-6):
         return None
     if not (T1.is_spherical and T2.is_spherical):
         raise GeometryError("congruence matching is for spherical tilings")
-    a = T1.black[0].vertices
+    (black1, white1), (black2, white2) = ((tiling_faces(T.black), tiling_faces(T.white))
+                                          for T in (T1, T2))
+    a = black1[0].vertices
     best = None
-    for cand in T2.black:
+    for cand in black2:
         if len(cand) != len(a):
             continue
         k = len(cand)
@@ -879,10 +884,10 @@ def tiling_congruence_error(T1, T2, tol=1e-6):
                 idx = [(r + direction * i) % k for i in range(k)]
                 b = cand.vertices[idx]
                 R = _frame3(b[0], b[1]).T @ _frame3(a[0], a[1])
-                err_b = _match_faces_under(R, T1.black, T2.black, tol)
+                err_b = _match_faces_under(R, black1, black2, tol)
                 if err_b is None:
                     continue
-                err_w = _match_faces_under(R, T1.white, T2.white, tol)
+                err_w = _match_faces_under(R, white1, white2, tol)
                 if err_w is None:
                     continue
                 err = max(err_b, err_w)
@@ -946,3 +951,65 @@ def segments(edges, e):
                     float(edges.t0[e, j]), float(edges.t1[e, j]),
                     None if edges.decks is None else edges.decks[e][j])
             for j in range(4)]
+
+
+# -- tiling faces as records -------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Face:
+    """One face of a `tilings.TilingFaces` table; None stands for no edge
+    ref, no digon angle (a polygon) or no list of deck tags."""
+
+    vertices: np.ndarray
+    links: tuple
+    edge_refs: tuple
+    digon_angle: float = None
+    decks: tuple = None
+
+    def __len__(self):
+        return len(self.vertices)
+
+    @property
+    def is_digon(self):
+        return self.digon_angle is not None
+
+
+def tiling_faces(table):
+    """The faces of a `tilings.TilingFaces` table as records, their vertices
+    slices of the table's rows."""
+    tags, out = table.tags(), []
+    for i, (a, b) in enumerate(zip(table.offsets.tolist(), table.offsets[1:].tolist())):
+        angle = float(table.digon_angle[i])
+        out.append(Face(table.vertices[a:b], tuple(table.links[a:b].tolist()),
+                        tuple(None if e < 0 else e for e in table.edge_refs[a:b].tolist()),
+                        None if math.isnan(angle) else angle,
+                        tuple(tags[a:b]) if table.decked[i] else None))
+    return out
+
+
+def faces_table(faces):
+    """The `tilings.TilingFaces` table of `Face` records."""
+    faces = list(faces)
+    return TilingFaces.stacked(
+        np.concatenate([f.vertices for f in faces]) if faces else np.empty((0, 3)),
+        [len(f) for f in faces], [l for f in faces for l in f.links],
+        [-1 if e is None else e for f in faces for e in f.edge_refs],
+        [np.nan if f.digon_angle is None else f.digon_angle for f in faces],
+        [g for f in faces for g in f.decks or (None,) * len(f)],
+        [f.decks is not None for f in faces])
+
+
+def with_faces(T, color, faces):
+    """A copy of T whose faces of `color` are the records `faces`; the
+    other color's table and the edge table are shared."""
+    table = faces_table(faces)
+    black, white = (table, T.white) if color == BLACK else (T.black, table)
+    return FlippableTiling(T.handedness, black, white, T.edges, T.ambient)
+
+
+def with_face(T, color, i, **fields):
+    """A copy of T whose face i of `color` has the given fields replaced."""
+    faces = tiling_faces(T.faces(color))
+    faces[i] = replace(faces[i], **fields)
+    return with_faces(T, color, faces)

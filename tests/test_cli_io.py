@@ -22,12 +22,11 @@ from flipkit.render import render_svg
 from flipkit.tilings import (
     FlippableTiling,
     Side,
-    TilingFace,
     flip,
     make_antipodal_tiling,
     project,
 )
-from reference_geometry import tiling_congruence_error
+from reference_geometry import Face, faces_table, tiling_congruence_error, tiling_faces
 
 
 @pytest.fixture()
@@ -222,8 +221,8 @@ def test_vertex_table_matches_reference_across_rounding(data):
             ulps = rng.integers(-3, 4, size=(k, 3))
             v = np.where(rng.random((k, 3)) < 0.5, np.nextafter(pick, np.inf), pick)
             v = v + ulps * np.spacing(pick)
-            faces[color].append(TilingFace(color, v, (0,) * k, (None,) * k))
-    T = FlippableTiling(Side.LEFT, faces["black"], faces["white"], [])
+            faces[color].append(Face(v, (0,) * k, (None,) * k))
+    T = FlippableTiling(Side.LEFT, faces_table(faces["black"]), faces_table(faces["white"]), [])
     assert fio._vertex_table(T) == reference_vertex_table(T)
 
 
@@ -286,7 +285,7 @@ def test_digon_tiling_serializes(tmp_path):
     )
     T = make_antipodal_tiling(V, Side.RIGHT)
     T2 = fio.tiling_from_dict(fio.tiling_to_dict(T))
-    assert sum(1 for f in T2.white if f.is_digon) == 4
+    assert sum(1 for f in tiling_faces(T2.white) if f.is_digon) == 4
 
 
 def test_fuchsian_schema_round_trip(tmp_path):

@@ -50,17 +50,22 @@ from flipkit.fuchsian import (
 )
 from flipkit.polyhedra import cyclic_face_order
 from flipkit.spheremath import ADS_STAR, SPHERE_STAR, HyperbolicOps
-from flipkit.tilings import FlippableTiling, Side, flip, tiling_equality_error, validate_tiling
+from flipkit.tilings import (WHITE, FlippableTiling, Side, flip, tiling_equality_error,
+                             validate_tiling)
 from reference_geometry import (
     ConvexityClass,
     face_records,
+    faces_table,
     form,
     least_squares_heights,
     reference_ads_layout,
     reference_assemble,
     reference_build_star,
     reference_cone_angle,
+    tiling_faces,
     wedge_convexity,
+    with_face,
+    with_faces,
 )
 
 Q21 = np.diag([1.0, 1.0, -1.0])
@@ -1012,7 +1017,7 @@ def move_white_vertex(T):
 def drop_white_decks(T):
     """Drop the deck tags of a white face of T whose corners are not all on
     the fundamental copies (a tiling.v1 face may carry "decks": null)."""
-    T.white[0] = replace(T.white[0], decks=None)
+    T.white = with_face(T, WHITE, 0, decks=None).white
 
 
 def test_equality_error_of_a_non_finite_vertex_is_inf(surf2):
@@ -1029,7 +1034,8 @@ def test_equality_error_refuses_unmatched_face_counts(surf2):
     # the left projection of surf2 against copies missing its last white or
     # black face: zip alone would compare the faces they share
     T = ads_project(surf2, Side.LEFT)
-    for black, white in ((T.black, T.white[:-1]), (T.black[:-1], T.white)):
+    for black, white in ((T.black, faces_table(tiling_faces(T.white)[:-1])),
+                         (faces_table(tiling_faces(T.black)[:-1]), T.white)):
         fewer = FlippableTiling(T.handedness, black, white, T.edges, T.ambient)
         for pair in ((T, fewer), (fewer, T)):
             with pytest.raises(GeometryError, match="different numbers of faces"):
@@ -1116,12 +1122,12 @@ def test_cli_flip_of_a_damaged_tiling_exits_3(surf1, damage, tmp_path, capsys):
 def test_flip_rejects_singular_and_non_finite_height_equations(surf2):
     # no white corner links ray 1, so its height is free
     T = ads_project(surf2, Side.LEFT)
-    T.white[:] = [replace(w, links=(0,) * len(w)) for w in T.white]
+    T = with_faces(T, WHITE, [replace(w, links=(0,) * len(w)) for w in tiling_faces(T.white)])
     with pytest.raises(DevelopmentError, match="singular"):
         flip(T)
     T = ads_project(surf2, Side.LEFT)
-    w = T.white[0]
-    T.white[0] = replace(w, decks=(np.full((3, 3), np.nan),) + w.decks[1:])
+    w = tiling_faces(T.white)[0]
+    T = with_face(T, WHITE, 0, decks=(np.full((3, 3), np.nan),) + w.decks[1:])
     with pytest.raises(DevelopmentError, match="not finite"):
         flip(T)
 

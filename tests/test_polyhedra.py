@@ -20,7 +20,8 @@ from flipkit.polyhedra import (
     to_chart,
 )
 from flipkit.spheremath import SphereOps
-from flipkit.tilings import WHITE, FlippableTiling, Side, TilingFace, project, white_polyhedron
+from flipkit.tilings import FlippableTiling, Side, project, white_polyhedron
+from reference_geometry import Face, faces_table
 
 
 def face_pole(points, interior):
@@ -201,10 +202,10 @@ def test_polygon_area_octant_and_digon():
     v = np.eye(3)
     assert SphereOps.polygon_area(v) == pytest.approx(np.pi / 2, abs=1e-12)
     # digons live in tilings, with antipodal corners and their angle
-    dig = TilingFace(WHITE, np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]), (0, 0), (0, 0),
-                     digon_angle=0.8)
+    dig = Face(np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]), (0, 0), (0, 0), digon_angle=0.8)
     assert dig.is_digon
-    assert FlippableTiling(Side.RIGHT, [], [dig], []).white_areas()[0] == pytest.approx(1.6)
+    T = FlippableTiling(Side.RIGHT, faces_table([]), faces_table([dig]), [])
+    assert T.white_areas()[0] == pytest.approx(1.6)
     np.testing.assert_allclose(edge_lengths(SphereOps, dig.vertices), [np.pi, np.pi])
 
 

@@ -14,7 +14,6 @@ refuse the same tilings.
 
 import functools
 import os
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -29,14 +28,14 @@ from flipkit.render import (ARC_STEP, BLACK_FILL, EDGE_STROKE, WHITE_FILL, _samp
                             poincare, render_svg, stereographic)
 from flipkit.spheremath import HyperbolicOps, SphereOps
 from flipkit.tilings import (
-    FlippableTiling,
+    WHITE,
     Side,
     flip,
     make_antipodal_tiling,
     make_two_circles_tiling,
     project,
 )
-from reference_geometry import segments
+from reference_geometry import segments, tiling_faces, with_face
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 # (seed, vertex count) of the polyhedra whose projections and flips are pinned
@@ -149,7 +148,7 @@ def _face_path(ops, proj, face):
 
 def _digon_path(T, ops, proj, color, fi):
     """Digon boundary sampled along its two supporting edge records."""
-    f = T.faces(color)[fi]
+    f = tiling_faces(T.faces(color))[fi]
     arcs = []
     for k in range(len(f)):
         e = f.edge_refs[k]
@@ -167,7 +166,7 @@ def reference_render_svg(T):
     paths = []
     span = 1.0
     for color, fill in (("white", WHITE_FILL), ("black", BLACK_FILL)):
-        for fi, f in enumerate(T.faces(color)):
+        for fi, f in enumerate(tiling_faces(T.faces(color))):
             if f.is_digon:
                 d = _digon_path(T, ops, proj, color, fi)
             else:
@@ -279,13 +278,11 @@ def test_sample_is_linspace_per_arc(data):
 def _with_corners(T, rows):
     """A copy of T whose first polygonal white face has corner i set to
     rows[i](corners), for each i in rows."""
-    C = FlippableTiling(T.handedness, T.black, T.white, T.edges, T.ambient)
-    fi = next(i for i, f in enumerate(C.white) if not f.is_digon)
-    v = C.white[fi].vertices.copy()
+    fi = next(i for i, f in enumerate(tiling_faces(T.white)) if not f.is_digon)
+    v = T.white[fi].vertices.copy()
     for i, value in rows.items():
         v[i] = value(v)
-    C.white[fi] = replace(C.white[fi], vertices=v)
-    return C
+    return with_face(T, WHITE, fi, vertices=v)
 
 
 def test_render_degenerate_sides_match_reference():

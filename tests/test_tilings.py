@@ -44,7 +44,14 @@ from flipkit.tilings import (
     white_metric,
     white_polyhedron,
 )
-from reference_geometry import Segment, polygon_congruent, segments, tiling_isometry_error
+from reference_geometry import (
+    Segment,
+    polygon_congruent,
+    segments,
+    tiling_faces,
+    tiling_isometry_error,
+    with_face,
+)
 
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "data", "project_flip_sphere.json")
@@ -263,7 +270,7 @@ def test_white_polyhedron_detects_corruption(small_corpus):
     c = bad.mean(axis=0)
     c /= np.linalg.norm(c)
     bad[0] = SphereOps.geodesic(bad[0], SphereOps.tangent(bad[0], c), -1e-3)
-    T.white[0] = replace(w, vertices=bad)
+    T = with_face(T, WHITE, 0, vertices=bad)
     with pytest.raises(DevelopmentError):
         white_polyhedron(T)
 
@@ -293,9 +300,9 @@ def test_flip_preserves_face_multisets(small_corpus):
         np.sort(T.white_areas()), np.sort(F.white_areas()), atol=1e-10
     )
     # combinatorics preserved face by face
-    for a, b in zip(T.black, F.black):
+    for a, b in zip(tiling_faces(T.black), tiling_faces(F.black)):
         assert a.links == b.links
-    for a, b in zip(T.white, F.white):
+    for a, b in zip(tiling_faces(T.white), tiling_faces(F.white)):
         assert b.links == a.links
 
 
@@ -385,7 +392,7 @@ def test_antipodal_tiling_structure():
         assert len(T.black) == 2
         assert len(T.white) == n
         assert len(T.edges) == n
-        assert all(w.is_digon for w in T.white)
+        assert all(w.is_digon for w in tiling_faces(T.white))
         assert T.total_area() == pytest.approx(4 * np.pi, abs=1e-10)
         assert validate_tiling(T).ok
 
@@ -424,7 +431,7 @@ def test_validate_detects_moved_vertex(small_corpus):
     bad = w.vertices.copy()
     t = SphereOps.tangent(bad[0], bad[1])
     bad[0] = SphereOps.geodesic(bad[0], t, 1e-3)
-    T.white[0] = replace(w, vertices=bad)
+    T = with_face(T, WHITE, 0, vertices=bad)
     rep = validate_tiling(T)
     assert not rep.ok
     assert rep.first is not None
@@ -458,20 +465,21 @@ def reference_validate_tiling(T, tol_scale=1.0):
     """`validate_tiling` as it was written face by face and segment by
     segment: the reference for the batched one."""
     ops = T.ops
+    faces = {color: tiling_faces(T.faces(color)) for color in (BLACK, WHITE)}
     failures = []
     if T.handedness not in (Side.LEFT, Side.RIGHT):
         failures.append("unknown handedness")
 
     for color in (BLACK, WHITE):
-        for fi, f in enumerate(T.faces(color)):
+        for fi, f in enumerate(faces[color]):
             if f.is_digon:
                 continue
             if reference_area(ops, f) <= 0:
                 failures.append(f"{color} face {fi} has nonpositive area")
 
     if T.is_spherical:
-        total = sum(reference_area(ops, f) for f in T.black) + sum(
-            reference_area(ops, f) for f in T.white)
+        total = sum(reference_area(ops, f) for f in faces[BLACK]) + sum(
+            reference_area(ops, f) for f in faces[WHITE])
         budget = abs(total - 4 * np.pi)
         if budget > tilings.EPS_AREA * tol_scale * 10:
             failures.append(f"area budget off by {budget:.2e}")
@@ -501,7 +509,7 @@ def reference_validate_tiling(T, tol_scale=1.0):
                     f"edge {ei}: black is {s.position} on the {s.side.value}"
                 )
         for s in segs:
-            face = T.faces(s.color)[s.face]
+            face = faces[s.color][s.face]
             k = s.face_edge
             v0 = face.vertices[k % len(face)]
             v1 = face.vertices[(k + 1) % len(face)]
@@ -519,8 +527,8 @@ def reference_validate_tiling(T, tol_scale=1.0):
                 )
 
     for color in (BLACK, WHITE):
-        other = T.faces(WHITE if color == BLACK else BLACK)
-        for fi, f in enumerate(T.faces(color)):
+        other = faces[WHITE if color == BLACK else BLACK]
+        for fi, f in enumerate(faces[color]):
             for k in range(len(f)):
                 g = other[f.links[k]]
                 pts = g.vertices
@@ -632,24 +640,19 @@ def corruptions(T):
         return FlippableTiling(T.handedness, T.black, T.white,
                                replace(T.edges, **{column: col}), T.ambient)
 
-    polygons = [f for f in range(len(T.white)) if not T.white[f].is_digon]
+    polygons = [f for f, w in enumerate(tiling_faces(T.white)) if not w.is_digon]
     if polygons:
-        C = FlippableTiling(T.handedness, T.black, T.white, T.edges, T.ambient)
-        w = C.white[polygons[0]]
-        v = w.vertices.copy()
+        v = T.white[polygons[0]].vertices.copy()
         v[0] = ops.geodesic(v[0], ops.tangent(v[0], v[1]), 1e-5)
-        C.white[polygons[0]] = replace(w, vertices=v)
-        out.append(C)
+        out.append(with_face(T, WHITE, polygons[0], vertices=v))
     ei = len(T.edges) // 2
     out.append(with_edge(ei, "left", change=lambda left: not left))
     out.append(with_edge(ei, "forward", change=lambda forward: not forward))
     out.append(with_edge(ei, "t0", change=lambda t0: t0 + 1e-5))
     if T.edges.decks is not None and T.edges.decks[ei][0] is not None:
         out.append(with_edge(ei, "decks", change=lambda deck: deck + 1e-5))
-    C = FlippableTiling(T.handedness, T.black, T.white, T.edges, T.ambient)
-    b = C.black[0]
-    C.black[0] = replace(b, links=((b.links[0] + 1) % len(T.white),) + b.links[1:])
-    out.append(C)
+    b = tiling_faces(T.black)[0]
+    out.append(with_face(T, BLACK, 0, links=((b.links[0] + 1) % len(T.white),) + b.links[1:]))
     return out
 
 
