@@ -77,6 +77,7 @@ from .errors import ConvergenceError, DevelopmentError, GeometryError
 from .forms import ADS_E, Signature
 from .polyhedra import (
     MERGE_TOL,
+    cyclic_orders,
     hull,
     merge_triangles,
     qhull_reason,
@@ -366,7 +367,9 @@ def check_rays(group, rays):
     if rays.ndim != 2 or rays.shape[1] != 3:
         raise GeometryError(f"rays must be an (n, 3) array, got {rays.shape}")
     for p in rays:
-        if abs(HyperbolicOps.inner(p, p) + 1.0) > 1e-9 or p[2] <= 0:
+        with np.errstate(over="ignore", invalid="ignore"):  # a huge ray is refused here
+            on = abs(HyperbolicOps.inner(p, p) + 1.0) <= 1e-9 and p[2] > 0
+        if not on:
             raise GeometryError("ray base point not on the hyperboloid")
         if not group.contains(p, tol=1e-6):
             raise GeometryError("ray base point outside the fundamental domain")
@@ -582,7 +585,7 @@ class FuchsianSurface:
         if todo:
             for at, rows in self.face_rows(todo):
                 self._cycles.update(zip([todo[p] for p in at.tolist()],
-                                        _cyclic_orders(self.chart, rows).tolist()))
+                                        cyclic_orders(self.chart, rows).tolist()))
         return [self._cycles[fi] for fi in fis]
 
     def faces_at(self, vid):
@@ -1253,22 +1256,6 @@ class HyperbolicAmbient:
         return flip_hyperbolic(T)
 
 
-def _cyclic_orders(chart, rows):
-    """The rule of `polyhedra.cyclic_face_order` for each row of ascending
-    vertex ids in rows (m, k): the chart points ordered by their angle about
-    the centroid in the plane of the first two right singular vectors, from
-    the least id, with one batched SVD."""
-    pts = chart[rows]
-    rel = pts - pts.mean(axis=1, keepdims=True)
-    _, _, vt = np.linalg.svd(rel)
-    ang = np.arctan2(np.einsum("mkc,mc->mk", rel, vt[:, 1]),
-                     np.einsum("mkc,mc->mk", rel, vt[:, 0]))
-    m, k = rows.shape
-    each = np.arange(m)[:, None]
-    out = rows[each, np.argsort(ang, axis=1)]
-    return out[each, (np.argmin(out, axis=1)[:, None] + np.arange(k)) % k]
-
-
 def _least_rows(a):
     """Per block of the stack a (m, k, k), its lexicographically least row."""
     best = a[:, 0]
@@ -1458,9 +1445,10 @@ def _height_rows(T):
     nxt = starts + (np.arange(len(starts)) - starts + 1) % np.repeat(sizes, sizes)
     links, verts = W.links, W.vertices
     decks = np.array([np.eye(3) if g is None else g for g in W.tags()], dtype=float)
-    base = (decks.reshape(-1, 3, 3) @ rays[links][..., None])[..., 0]
-    return (links, links[nxt], np.cosh(HyperbolicOps.dist(base, base[nxt])),
-            np.cosh(HyperbolicOps.dist(verts, verts[nxt])))
+    with np.errstate(over="ignore", invalid="ignore"):  # huge decks: refused by the caller
+        base = (decks.reshape(-1, 3, 3) @ rays[links][..., None])[..., 0]
+        return (links, links[nxt], np.cosh(HyperbolicOps.dist(base, base[nxt])),
+                np.cosh(HyperbolicOps.dist(verts, verts[nxt])))
 
 
 def recover_heights(T):
@@ -1473,12 +1461,14 @@ def recover_heights(T):
     Gauss-Newton with their analytic derivative, from h = 0.7 and clipped
     to (HEIGHT_MIN, pi/2 - HEIGHT_MIN), until a step is below 1e-15, or
     below 1e-13 and no smaller than the step before it, or after
-    MAX_GAUSS_NEWTON steps.  A residual above 1e-8, or a Jacobian that is
-    singular or not finite, raises DevelopmentError.
+    MAX_GAUSS_NEWTON steps.  A residual above 1e-8, or rows or a Jacobian
+    that are singular or not finite, raise DevelopmentError.
     """
     if T.ambient == "sphere":
         raise GeometryError("recover_heights expects a hyperbolic tiling")
     b1, b2, cd, ce = _height_rows(T)
+    if not (np.all(np.isfinite(cd)) and np.all(np.isfinite(ce))):
+        raise DevelopmentError("height equations are not finite")
     n = len(T.black)
     onehot = np.eye(n)
     h = np.full(n, 0.7)

@@ -308,20 +308,34 @@ def _decks(tags, what):
     return [None if d is None else next(rows) for d in tags]
 
 
-def _check_vertices(verts, spherical):
-    """Refuse a tiling vertex off its quadric: on the sphere when
-    |(|v| - 1)| > 1e-9, on the hyperboloid when
-    |<v, v> + 1| > 1e-9 v3^2 or v3 <= 0 (GeometryError)."""
+def _check_vertices(verts, spherical, what="tiling vertex {}"):
+    """Refuse a tiling vertex (or edge base) off its quadric: on the sphere
+    when |(|v| - 1)| > 1e-9, on the hyperboloid when
+    |<v, v> + 1| > 1e-9 v3^2, v3 <= 0 or v3^2 overflows (GeometryError)."""
     with np.errstate(over="ignore", invalid="ignore"):
         if spherical:
             on = np.abs(np.sqrt(np.einsum("ij,ij->i", verts, verts)) - 1.0) <= 1e-9
         else:
             z2 = verts[:, 2] ** 2
             q = verts[:, 0] ** 2 + verts[:, 1] ** 2 - z2
-            on = (np.abs(q + 1.0) <= 1e-9 * z2) & (verts[:, 2] > 0)
+            on = (np.abs(q + 1.0) <= 1e-9 * z2) & (verts[:, 2] > 0) & (z2 < np.inf)
     if not np.all(on):
         where = "unit sphere" if spherical else "hyperboloid"
-        raise GeometryError(f"tiling vertex {int(np.argmin(on))} is not on the {where}")
+        raise GeometryError(f"{what.format(int(np.argmin(on)))} is not on the {where}")
+
+
+def _check_tangents(base, direction, spherical):
+    """Refuse an edge direction d that is not a unit tangent at its base b:
+    |<d, d> - 1| > 1e-9 |d|^2 or |<b, d>| > 1e-9 |b| |d|, with <,> the form
+    of the quadric and |.| the Euclidean norm (GeometryError)."""
+    form = np.array([1.0, 1.0, 1.0 if spherical else -1.0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        dd, bb = (np.einsum("ij,ij->i", a, a) for a in (direction, base))
+        ok = ((np.abs(np.einsum("ij,ij->i", direction * form, direction) - 1.0) <= 1e-9 * dd)
+              & (np.abs(np.einsum("ij,ij->i", base * form, direction)) <= 1e-9 * np.sqrt(bb * dd)))
+    if not np.all(ok):
+        raise GeometryError(f"tiling edge {int(np.argmin(ok))} direction is not a unit "
+                            "tangent at its base")
 
 
 def tiling_from_dict(data):
@@ -329,8 +343,9 @@ def tiling_from_dict(data):
     values, index ranges, four segments (two of each color) per edge, one
     ambient ray per black face and the shapes of all arrays, so that a
     malformed file is a SchemaError and the tiling code can index without
-    guards.  Then its geometry is checked: every vertex on its quadric and
-    every ambient ray as in `fuchsian.check_rays` (GeometryError)."""
+    guards.  Then its geometry is checked: every vertex and edge base on
+    its quadric, every edge direction a unit tangent at its base and every
+    ambient ray as in `fuchsian.check_rays` (GeometryError)."""
     _require_keys(
         data,
         ("schema", "handedness", "ambient", "vertices", "faces", "edges"),
@@ -431,6 +446,8 @@ def tiling_from_dict(data):
         raise SchemaError("ambient rays: expected one ray per black face")
 
     _check_vertices(verts, ambient == "sphere")
+    _check_vertices(base, ambient == "sphere", "base of tiling edge {}")
+    _check_tangents(base, direction, ambient == "sphere")
     if ambient != "sphere":
         check_rays(ambient.group, ambient.rays)
 

@@ -8,7 +8,7 @@ derived from that picture.
 This module owns the one chart hull -> merged faces path, for the
 polyhedra of S^3 here and the orbit hulls of AdS_3 in `fuchsian`: after
 each caller's Qhull call, `triangle_poles`, `merge_triangles` and
-`cyclic_face_order` give the faces; spherical polyhedra keep SVD poles.
+`cyclic_orders` give the faces; spherical polyhedra keep SVD poles.
 """
 
 import itertools
@@ -351,21 +351,23 @@ def merge_triangles(simplices, poles):
     return first, ids
 
 
-def cyclic_face_order(chart, ids, outward=None):
-    """Order coplanar chart points cyclically around their centroid,
-    starting from the least id; counterclockwise seen from the side that
-    `outward` points to, when it is given."""
-    pts = chart[ids]
-    ctr = pts.mean(axis=0)
-    rel = pts - ctr
+def cyclic_orders(chart, rows, outward=None):
+    """Each row of vertex ids of rows (m, k) ordered cyclically around the
+    centroid of its coplanar chart points, from its least id: by the angle
+    in the plane of the first two right singular vectors, with one batched
+    SVD, counterclockwise seen from the side that outward[i] points to when
+    `outward` (m, 3) is given."""
+    pts = chart[rows]
+    rel = pts - pts.mean(axis=1, keepdims=True)
     _, _, vt = np.linalg.svd(rel)
-    u1, u2 = vt[0], vt[1]
-    if outward is not None and np.dot(np.cross(u1, u2), outward) < 0:
-        u2 = -u2
-    ang = np.arctan2(rel @ u2, rel @ u1)
-    out = [ids[k] for k in np.argsort(ang)]
-    pivot = out.index(min(out))
-    return out[pivot:] + out[:pivot]
+    u1, u2 = vt[:, 0], vt[:, 1]
+    if outward is not None:
+        u2 = np.where((np.einsum("mc,mc->m", np.cross(u1, u2), outward) < 0)[:, None], -u2, u2)
+    ang = np.arctan2(np.einsum("mkc,mc->mk", rel, u2), np.einsum("mkc,mc->mk", rel, u1))
+    m, k = rows.shape
+    each = np.arange(m)[:, None]
+    out = rows[each, np.argsort(ang, axis=1)]
+    return out[each, (np.argmin(out, axis=1)[:, None] + np.arange(k)) % k]
 
 
 def _svd_poles(faces, interior):
@@ -413,8 +415,13 @@ def hull(points):
     rank = np.empty(len(pts), dtype=int)
     rank[keep] = np.arange(len(keep))
     verts, chart = pts[keep], chart[keep]
-    faces = [tuple(cyclic_face_order(chart, rank[f].tolist(), -pole[1:]))
-             for f, pole in zip(ids, poles)]
+    sizes = np.array([len(f) for f in ids])
+    faces = [None] * len(ids)
+    for k in np.unique(sizes).tolist():  # one batch per face size
+        at = np.flatnonzero(sizes == k)
+        rows = rank[np.array([ids[i] for i in at])]
+        for i, cycle in zip(at.tolist(), cyclic_orders(chart, rows, -poles[at, 1:]).tolist()):
+            faces[i] = tuple(cycle)
     face_order = sorted(range(len(faces)), key=faces.__getitem__)
     return ConvexPolyhedron(verts, [faces[i] for i in face_order], poles[face_order],
                             interior)

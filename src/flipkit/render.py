@@ -18,6 +18,8 @@ from .errors import GeometryError
 from .spheremath import HyperbolicOps, SphereOps
 
 ARC_STEP = 0.01
+# arc samples of one picture; the valid tilings of the benchmark need at most about 15,000
+MAX_RENDER_SAMPLES = 10 ** 6
 BLACK_FILL = "#26262b"
 WHITE_FILL = "#f0ede4"
 EDGE_STROKE = "#c03a2b"
@@ -49,8 +51,18 @@ def _sample(ops, base, direction, start, stop, whole):
     Arc i is sampled at np.linspace(start[i], stop[i], n) with n = max(2,
     ceil(|stop[i] - start[i]| / ARC_STEP) + 1), bit for bit, and keeps its
     last row only where whole[i].  Returns the rows and the row after each
-    arc's last."""
-    n = np.maximum(2, np.ceil(np.abs(stop - start) / ARC_STEP).astype(int) + 1)
+    arc's last.  The samples are counted first: an arc that is not finite,
+    or more than MAX_RENDER_SAMPLES in all, is a GeometryError."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        span = np.abs(stop - start)
+        n = np.maximum(2.0, np.ceil(span / ARC_STEP) + 1)
+    total = float(np.sum(n - 1 + whole))
+    if not np.all(np.isfinite(span)):
+        raise GeometryError("an arc to render has no finite length")
+    if total > MAX_RENDER_SAMPLES:
+        raise GeometryError(f"rendering needs {total:.0f} arc samples, more than "
+                            f"{MAX_RENDER_SAMPLES}")
+    n = n.astype(int)
     m = n - 1 + whole
     ends = np.cumsum(m)
     first = np.repeat(ends - m, m)
@@ -89,12 +101,15 @@ def render_svg(T):
     j = E.slot(e, black, of - np.where(black, len(W), 0), side - (ends - sizes)[of])
     base[side], direction[side] = E.base[e], E.direction[e]
     start[side], stop[side] = E.corner_param(e, j, True), E.corner_param(e, j, False)
-    rows, arc_ends = _sample(
-        ops, np.concatenate([base, E.base]), np.concatenate([direction, E.direction]),
-        np.concatenate([start, E.t_min]), np.concatenate([stop, E.t_max]),
-        np.arange(len(V) + len(E)) >= len(V))
-    rows[arc_ends[:len(V)][flat] - 1] = V[flat]
-    xy = proj(rows)
+    with np.errstate(over="ignore", invalid="ignore"):  # huge parameters: refused below
+        rows, arc_ends = _sample(
+            ops, np.concatenate([base, E.base]), np.concatenate([direction, E.direction]),
+            np.concatenate([start, E.t_min]), np.concatenate([stop, E.t_max]),
+            np.arange(len(V) + len(E)) >= len(V))
+        rows[arc_ends[:len(V)][flat] - 1] = V[flat]
+        xy = proj(rows)
+    if not np.all(np.isfinite(xy)):
+        raise GeometryError("a point of the picture is not finite")
 
     F = len(sizes)
     bounds = np.concatenate([[0], arc_ends[ends - 1], arc_ends[len(V):]])

@@ -862,13 +862,13 @@ def validate_tiling(T: FlippableTiling, tol_scale=1.0) -> TilingReport:
     B, W, nb = T.black, T.white, len(T.black)
     names = [f"{BLACK} face {i}" for i in range(nb)] + [
         f"{WHITE} face {i}" for i in range(len(W))]
-    areas = np.concatenate([T.black_areas(), T.white_areas()])
+    with np.errstate(over="ignore", invalid="ignore"):  # huge digon angles
+        areas = np.concatenate([T.black_areas(), T.white_areas()])
+        budget = abs(float(areas.sum()) - 4 * np.pi)
     failures += [f"{names[g]} has nonpositive area" for g in np.flatnonzero(
         ~np.concatenate([B.is_digon, W.is_digon]) & (areas <= 0))]
-    if T.is_spherical:
-        budget = abs(float(areas.sum()) - 4 * np.pi)
-        if budget > EPS_AREA * tol_scale * 10:
-            failures.append(f"area budget off by {budget:.2e}")
+    if T.is_spherical and not budget <= EPS_AREA * tol_scale * 10:
+        failures.append(f"area budget off by {budget:.2e}")
     verts, sizes = np.concatenate([B.vertices, W.vertices]), np.concatenate([B.sizes, W.sizes])
     starts = np.cumsum(sizes) - sizes
     if T.edges:
@@ -882,12 +882,13 @@ def validate_tiling(T: FlippableTiling, tol_scale=1.0) -> TilingReport:
     corner = np.repeat(np.arange(len(verts)), counts)
     pts = verts[np.repeat(starts[linked] - offsets, counts) + np.arange(len(corner))]
     decks = _deck_rows(B.tags() + W.tags())
-    if decks is not None:
-        pts = np.einsum("nij,nj->ni", decks[corner], pts)
-    dist = np.minimum.reduceat(np.linalg.norm(pts - verts[corner], axis=1), offsets)
+    with np.errstate(over="ignore", invalid="ignore"):  # huge decks
+        if decks is not None:
+            pts = np.einsum("nij,nj->ni", decks[corner], pts)
+        dist = np.minimum.reduceat(np.linalg.norm(pts - verts[corner], axis=1), offsets)
     face_of = np.repeat(np.arange(len(sizes)), sizes)
     failures += [f"{names[face_of[r]]} corner {r - starts[face_of[r]]} does not meet "
-                 "its linked face" for r in np.flatnonzero(dist > 1e-6 * tol_scale)]
+                 "its linked face" for r in np.flatnonzero(~(dist <= 1e-6 * tol_scale))]
     return TilingReport(not failures, failures)
 
 
@@ -907,33 +908,41 @@ def _edge_failures(T, verts, starts, sizes, tol_scale):
     tol = 1e-7 * tol_scale
     pair_ok, lo, hi = _side_pairs(left, black, t0)
     at = np.arange(len(E))[:, None]
-    abut = np.abs(t1[at, lo] - t0[at, hi]) > tol
-    length = t1 - t0
-    unequal = [_pair_diff(length, m) > tol for m in (black, ~black)]
-    handed = _misplaced_black(T)
-    # Geometry: the carried polygon edges must sit on the geodesic at the
-    # recorded parameters.
-    g = face + np.where(black, 0, len(T.black))
-    ends = [verts[starts[g] + (k + j) % sizes[g]] for j in (0, 1)]
-    decks = None if E.decks is None else _deck_rows([tag for tags in E.decks for tag in tags])
-    if decks is not None:
-        ends = [np.einsum("nij,nj->ni", decks, v.reshape(-1, 3)).reshape(len(E), 4, 3)
-                for v in ends]
-    params = (np.where(rev, t1, t0), np.where(rev, t0, t1))
-    err0, err1 = (np.linalg.norm(T.ops.geodesic(E.base[:, None], E.direction[:, None],
-                                                t[..., None]) - v, axis=-1)
-                  for t, v in zip(params, ends))
+    # evaluated under errstate: huge parameters overflow and fail a clause
+    with np.errstate(over="ignore", invalid="ignore"):
+        abut = np.abs(t1[at, lo] - t0[at, hi]) > tol
+        cover = ((np.abs(t0[at, lo] - E.t_min[:, None]) > tol)
+                 | (np.abs(t1[at, hi] - E.t_max[:, None]) > tol))
+        length = t1 - t0
+        unequal = [_pair_diff(length, m) > tol for m in (black, ~black)]
+        handed = _misplaced_black(T)
+        # Geometry: the carried polygon edges must sit on the geodesic at
+        # the recorded parameters.
+        g = face + np.where(black, 0, len(T.black))
+        ends = [verts[starts[g] + (k + j) % sizes[g]] for j in (0, 1)]
+        decks = None if E.decks is None else _deck_rows([tag for tags in E.decks for tag in tags])
+        if decks is not None:
+            ends = [np.einsum("nij,nj->ni", decks, v.reshape(-1, 3)).reshape(len(E), 4, 3)
+                    for v in ends]
+        params = (np.where(rev, t1, t0), np.where(rev, t0, t1))
+        err0, err1 = (np.linalg.norm(T.ops.geodesic(E.base[:, None], E.direction[:, None],
+                                                    t[..., None]) - v, axis=-1)
+                      for t, v in zip(params, ends))
     err = np.where(err1 > err0, err1, err0)  # Python's max(err0, err1)
-    off = err > 1e-6 * tol_scale
+    off = ~(err <= 1e-6 * tol_scale)  # a distance that is not finite is off too
 
     failures = []
-    bad = ~pair_ok.all(1) | abut.any(1) | unequal[0] | unequal[1] | handed.any(1) | off.any(1)
+    bad = (~pair_ok.all(1) | abut.any(1) | cover.any(1) | unequal[0] | unequal[1]
+           | handed.any(1) | off.any(1))
     for ei in np.flatnonzero(bad):
         for j, side in enumerate(("left", "right")):
             if not pair_ok[ei, j]:
                 failures.append(f"edge {ei}: side {side} lacks black+white pair")
-            elif abut[ei, j]:
+                continue
+            if abut[ei, j]:
                 failures.append(f"edge {ei}: segments do not abut")
+            if cover[ei, j]:
+                failures.append(f"edge {ei}: segments do not cover [t_min, t_max]")
         failures += [f"edge {ei}: {c} lengths differ" for c, u in zip((BLACK, WHITE), unequal)
                      if u[ei]]
         failures += [f"edge {ei}: black is {_position(E.forward[ei, q])} on the "

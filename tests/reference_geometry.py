@@ -15,7 +15,9 @@ are checked against:
   per-star kernel, cone angle and Jacobian assembly, the references of the
   stacked star layer of `flipkit.fuchsian`;
 - the faces of an orbit hull as one record each (`FaceRecord`), the
-  per-item view of the face arrays of `fuchsian.FuchsianSurface`, and the
+  per-item view of the face arrays of `fuchsian.FuchsianSurface`, the
+  cyclic order of one face (`cyclic_face_order`), the oracle of the batched
+  `polyhedra.cyclic_orders`, and the
   quotient layout of its projections one face at a time: face orbit keys,
   decks and edge orbit keys from per-face label lists, the oracle of the
   array-at-a-time `fuchsian._ads_layout`;
@@ -455,6 +457,24 @@ class FaceRecord:
 def face_records(surf):
     """Every face of an orbit hull as a `FaceRecord`, by face id."""
     return [FaceRecord(surf, fi) for fi in range(len(surf.poles))]
+
+
+def cyclic_face_order(chart, ids, outward=None):
+    """Order coplanar chart points cyclically around their centroid,
+    starting from the least id; counterclockwise seen from the side that
+    `outward` points to, when it is given: the per-face reference of the
+    batched `polyhedra.cyclic_orders`."""
+    pts = chart[ids]
+    ctr = pts.mean(axis=0)
+    rel = pts - ctr
+    _, _, vt = np.linalg.svd(rel)
+    u1, u2 = vt[0], vt[1]
+    if outward is not None and np.dot(np.cross(u1, u2), outward) < 0:
+        u2 = -u2
+    ang = np.arctan2(rel @ u2, rel @ u1)
+    out = [ids[k] for k in np.argsort(ang)]
+    pivot = out.index(min(out))
+    return out[pivot:] + out[:pivot]
 
 
 def reference_face_labels(surf, ids, v):

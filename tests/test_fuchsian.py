@@ -48,12 +48,12 @@ from flipkit.fuchsian import (
     _certified_hull,
     _truncated_hull,
 )
-from flipkit.polyhedra import cyclic_face_order
 from flipkit.spheremath import ADS_STAR, SPHERE_STAR, HyperbolicOps
 from flipkit.tilings import (WHITE, FlippableTiling, Side, flip, tiling_equality_error,
                              validate_tiling)
 from reference_geometry import (
     ConvexityClass,
+    cyclic_face_order,
     face_records,
     faces_table,
     form,
@@ -612,13 +612,13 @@ def test_sphere_stars_match_one_star_references():
 
 def test_solver_orders_no_face(group, monkeypatch):
     calls = []
-    ordering = fuchsian._cyclic_orders
+    ordering = fuchsian.cyclic_orders
 
     def counting(*args):
         calls.append(args)
         return ordering(*args)
 
-    monkeypatch.setattr(fuchsian, "_cyclic_orders", counting)
+    monkeypatch.setattr(fuchsian, "cyclic_orders", counting)
     cfg = config(group, THREE_RAYS, targets=[-1.5, -2.0, -1.0])
     out = solve_prescribed_curvature(cfg)
     assert out["residual"] <= 1e-8 and out["iterations"] > 0

@@ -21,7 +21,7 @@ from flipkit.polyhedra import (
 )
 from flipkit.spheremath import SphereOps
 from flipkit.tilings import FlippableTiling, Side, project, white_polyhedron
-from reference_geometry import Face, faces_table
+from reference_geometry import Face, cyclic_face_order, faces_table
 
 
 def face_pole(points, interior):
@@ -196,6 +196,16 @@ def test_exterior_dihedral_matches_chart_normals(small_corpus):
         na, nb = plane_normal(fa), plane_normal(fb)
         ang = np.arccos(np.clip(np.dot(na, nb), -1, 1))
         assert ang == pytest.approx(P.exterior_dihedral(e), abs=1e-9)
+
+
+def test_hull_orders_faces_by_the_per_face_rule(small_corpus):
+    # one batched SVD per face size gives each face the order of the
+    # per-face rule, counterclockwise about its outward normal
+    for P in small_corpus:
+        for Q in (P, polar_dual(P)):
+            chart = to_chart(Q.vertices)
+            for face, pole in zip(Q.faces, Q.face_poles):
+                assert tuple(cyclic_face_order(chart, sorted(face), -pole[1:])) == face
 
 
 def test_polygon_area_octant_and_digon():

@@ -325,6 +325,10 @@ def test_recolor_involution_and_handedness(small_corpus):
     assert RR.handedness is T.handedness
     assert tiling_isometry_error(T, RR) < 1e-12
     assert validate_tiling(R).ok
+    # the tables themselves come back, and so do those of a quotient tiling
+    assert_same_tiling(RR, T)
+    Q = ads_project(ads_surface(2), Side.LEFT)
+    assert_same_tiling(recolor(recolor(Q)), Q)
 
 
 def test_recolor_relates_black_and_white_polyhedra(small_corpus):
@@ -481,7 +485,7 @@ def reference_validate_tiling(T, tol_scale=1.0):
         total = sum(reference_area(ops, f) for f in faces[BLACK]) + sum(
             reference_area(ops, f) for f in faces[WHITE])
         budget = abs(total - 4 * np.pi)
-        if budget > tilings.EPS_AREA * tol_scale * 10:
+        if not budget <= tilings.EPS_AREA * tol_scale * 10:
             failures.append(f"area budget off by {budget:.2e}")
 
     want = Side.RIGHT if T.handedness is Side.RIGHT else Side.LEFT
@@ -496,6 +500,9 @@ def reference_validate_tiling(T, tol_scale=1.0):
                 continue
             if abs(group[0].t1 - group[1].t0) > 1e-7 * tol_scale:
                 failures.append(f"edge {ei}: segments do not abut")
+            if (abs(group[0].t0 - T.edges.t_min[ei]) > 1e-7 * tol_scale
+                    or abs(group[1].t1 - T.edges.t_max[ei]) > 1e-7 * tol_scale):
+                failures.append(f"edge {ei}: segments do not cover [t_min, t_max]")
         blacks = [s for s in segs if s.color == BLACK]
         whites = [s for s in segs if s.color == WHITE]
         if abs(blacks[0].length - blacks[1].length) > 1e-7 * tol_scale:
@@ -520,7 +527,7 @@ def reference_validate_tiling(T, tol_scale=1.0):
             p0 = ops.geodesic(base, direction, s.corner_param(True))
             p1 = ops.geodesic(base, direction, s.corner_param(False))
             err = max(np.linalg.norm(p0 - v0), np.linalg.norm(p1 - v1))
-            if err > 1e-6 * tol_scale:
+            if not err <= 1e-6 * tol_scale:
                 failures.append(
                     f"edge {ei}: {s.color} face {s.face} edge {k} off geodesic "
                     f"by {err:.2e}"
@@ -535,7 +542,7 @@ def reference_validate_tiling(T, tol_scale=1.0):
                 if f.decks is not None and f.decks[k] is not None:
                     pts = pts @ f.decks[k].T
                 d = np.min(np.linalg.norm(pts - f.vertices[k], axis=1))
-                if d > 1e-6 * tol_scale:
+                if not d <= 1e-6 * tol_scale:
                     failures.append(
                         f"{color} face {fi} corner {k} does not meet its linked face"
                     )
@@ -677,17 +684,22 @@ def test_validate_tiling_matches_reference():
 
 
 def test_tiling_dict_round_trip_bytes(tmp_path):
-    # every sample tiling re-dumps to the same canonical bytes after a load,
-    # a negative zero included (the antipodal example has one)
+    # every sample tiling and the flips of the quotient ones re-dump to the
+    # same canonical bytes after a load, a negative zero included (the
+    # antipodal example has one); a second load gives the same tables
     path = tmp_path / "t.json"
-    for T in sample_tilings():
+    samples = sample_tilings()
+    for T in samples + [flip(T) for T in samples if not T.is_spherical]:
         text = fio.dump_json(fio.tiling_to_dict(T), path)
         _, again = fio.load_any(path)
         assert fio.canonical_json(fio.tiling_to_dict(again)) + "\n" == text
+        assert_same_tiling(fio.tiling_from_dict(json.loads(text)), again)
 
 
 def test_mixed_segment_decks_round_trip():
-    # a quotient tiling whose identity segment decks are written as null
+    # a quotient tiling whose identity segment decks and face deck tags are
+    # written as null, and a face whose tags are all the identity as a null
+    # list of decks
     with open(ADS_GOLDEN_N2) as fh:
         data = json.load(fh)["projected"]
     segs = [s for e in data["edges"] for s in e["segments"]]
@@ -695,9 +707,36 @@ def test_mixed_segment_decks_round_trip():
         if np.array_equal(s["deck"], np.eye(3)):
             s["deck"] = None
     assert 0 < sum(s["deck"] is None for s in segs) < len(segs)
+    for f in data["faces"]:
+        tags = [None if np.array_equal(g, np.eye(3)) else g for g in f["decks"]]
+        f["decks"] = None if all(g is None for g in tags) else tags
+    assert sum(f["decks"] is None for f in data["faces"]) == 1
+    assert 0 < sum(None in (f["decks"] or ()) for f in data["faces"])
     T = fio.tiling_from_dict(data)
     assert validate_tiling(T).ok
     assert fio.canonical_json(fio.tiling_to_dict(T)) == fio.canonical_json(data)
+
+
+def _tags(decks):
+    """The deck tags of a face table (one per corner) or an edge table (a
+    tuple of four per edge), flattened."""
+    return [g for t in decks for g in (t if isinstance(t, tuple) else (t,))]
+
+
+def assert_same_tiling(S, T):
+    """S and T hold the same handedness, ambient and tables, column by
+    column (deck tags and NaN digon angles included)."""
+    assert S.handedness is T.handedness and S.is_spherical == T.is_spherical
+    for A, B in ((S.black, T.black), (S.white, T.white), (S.edges, T.edges)):
+        for name, a in vars(A).items():
+            b = getattr(B, name)
+            if name != "decks":
+                assert np.array_equal(a, b, equal_nan=a.dtype.kind == "f"), name
+            elif a is None or b is None:
+                assert a is b
+            else:
+                assert all(g is h is None or np.array_equal(g, h)
+                           for g, h in zip(_tags(a), _tags(b), strict=True))
 
 
 def edge_rows(T):
