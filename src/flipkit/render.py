@@ -53,9 +53,8 @@ def _sample(ops, base, direction, start, stop, whole):
     last row only where whole[i].  Returns the rows and the row after each
     arc's last.  The samples are counted first: an arc that is not finite,
     or more than MAX_RENDER_SAMPLES in all, is a GeometryError."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        span = np.abs(stop - start)
-        n = np.maximum(2.0, np.ceil(span / ARC_STEP) + 1)
+    span = np.abs(stop - start)
+    n = np.maximum(2.0, np.ceil(span / ARC_STEP) + 1)
     total = float(np.sum(n - 1 + whole))
     if not np.all(np.isfinite(span)):
         raise GeometryError("an arc to render has no finite length")
@@ -101,7 +100,7 @@ def render_svg(T):
     j = E.slot(e, black, of - np.where(black, len(W), 0), side - (ends - sizes)[of])
     base[side], direction[side] = E.base[e], E.direction[e]
     start[side], stop[side] = E.corner_param(e, j, True), E.corner_param(e, j, False)
-    with np.errstate(over="ignore", invalid="ignore"):  # huge parameters: refused below
+    with np.errstate(over="ignore", invalid="ignore"):  # huge parameters are refused below
         rows, arc_ends = _sample(
             ops, np.concatenate([base, E.base]), np.concatenate([direction, E.direction]),
             np.concatenate([start, E.t_min]), np.concatenate([stop, E.t_max]),

@@ -200,11 +200,15 @@ class TilingReport:
 
 
 class FlippableTiling:
-    """Black/white tiling of the sphere or of a hyperbolic quotient."""
+    """Black/white tiling of the sphere or of a hyperbolic quotient: the
+    faces of each color as a `TilingFaces` table (`black`, `white`), the
+    tiling edges as a `TilingEdges` table, and the ambient, "sphere" or
+    the quotient's `HyperbolicAmbient`."""
 
     def __init__(self, handedness, black, white, edges, ambient="sphere"):
         self.handedness = handedness
-        self.black, self.white = black, white  # a `TilingFaces` table each
+        self.black = black
+        self.white = white
         self.edges = edges
         self.ambient = ambient
 
