@@ -73,8 +73,8 @@ class TilingFaces:
         return cls(np.asarray(vertices, dtype=float).reshape(-1, 3),
                    np.concatenate([[0], np.cumsum(sizes, dtype=int)]),
                    np.ravel(links).astype(int), np.ravel(edge_refs).astype(int),
-                   np.resize(np.asarray(digon_angle, dtype=float), len(sizes)),
-                   np.resize(np.asarray(decked, dtype=bool), len(sizes)),
+                   np.broadcast_to(np.asarray(digon_angle, dtype=float), len(sizes)).copy(),
+                   np.broadcast_to(np.asarray(decked, dtype=bool), len(sizes)).copy(),
                    list(decks) if any(g is not None for g in decks) else None)
 
     def __len__(self):
