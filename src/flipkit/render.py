@@ -86,7 +86,7 @@ def render_svg(T):
     nxt[ends - 1] = ends - sizes
     stop = ops.dist(V, V[nxt])
     direction, defined = ops.tangents(V, V[nxt])
-    polygon = np.repeat(~np.concatenate([W.is_digon, B.is_digon]), sizes)
+    polygon = np.repeat(np.isnan(np.concatenate([W.digon_angle, B.digon_angle])), sizes)
     flat = polygon & (stop < 1e-12)  # a side of no length is drawn as its corner
     if np.any(polygon & ~flat & ~defined):
         raise GeometryError(ops.tangent_undefined)

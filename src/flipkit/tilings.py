@@ -73,8 +73,8 @@ class TilingFaces:
         return cls(np.asarray(vertices, dtype=float).reshape(-1, 3),
                    np.concatenate([[0], np.cumsum(sizes, dtype=int)]),
                    np.ravel(links).astype(int), np.ravel(edge_refs).astype(int),
-                   np.broadcast_to(np.asarray(digon_angle, dtype=float), len(sizes)).copy(),
-                   np.broadcast_to(np.asarray(decked, dtype=bool), len(sizes)).copy(),
+                   np.full(len(sizes), digon_angle, dtype=float),
+                   np.full(len(sizes), decked, dtype=bool),
                    list(decks) if any(g is not None for g in decks) else None)
 
     def __len__(self):
@@ -83,10 +83,6 @@ class TilingFaces:
     @property
     def sizes(self):
         return np.diff(self.offsets)
-
-    @property
-    def is_digon(self):
-        return ~np.isnan(self.digon_angle)
 
     def tags(self):
         """The deck tag of every corner, None where none is set."""
@@ -235,31 +231,34 @@ class FlippableTiling:
         return float(np.concatenate([self.black_areas(), self.white_areas()]).sum())
 
     def black_areas(self):
-        return _face_areas(self.ops, self.black)
+        B = self.black
+        return _face_areas(self.ops, B.vertices, B.sizes, B.digon_angle)
 
     def white_areas(self):
-        return _face_areas(self.ops, self.white)
+        W = self.white
+        return _face_areas(self.ops, W.vertices, W.sizes, W.digon_angle)
 
 
 # -- faces as stacked corner rows -----------------------------------------------
 
 
-def _corner_angles(ops, F):
-    """Interior angle of every corner of the faces F, stacked as its rows,
-    from one row-wise pass; a digon's corners carry its digon angle."""
-    sizes, polygon = F.sizes, ~F.is_digon
-    angles = np.repeat(np.where(polygon, 0.0, F.digon_angle), sizes)
+def _corner_angles(ops, verts, sizes, digon_angle):
+    """Interior angle of every corner of faces stacked as the rows of verts,
+    face i taking sizes[i] rows, from one row-wise pass; a digon's corners
+    carry its digon angle (NaN for a polygon)."""
+    polygon = np.isnan(digon_angle)
+    angles = np.repeat(np.where(polygon, 0.0, digon_angle), sizes)
     rows = np.repeat(polygon, sizes)
-    angles[rows] = ops.corner_angles(F.vertices[rows], sizes[polygon])
+    angles[rows] = ops.corner_angles(verts[rows], sizes[polygon])
     return angles
 
 
-def _face_areas(ops, F):
-    """Areas of the faces F (Gauss-Bonnet; a digon's is twice its angle)
-    from one pass over all corners."""
-    if not len(F):
+def _face_areas(ops, verts, sizes, digon_angle):
+    """Areas of faces stacked as in `_corner_angles` (Gauss-Bonnet; a
+    digon's is twice its angle) from one pass over all corners."""
+    if not len(sizes):
         return np.empty(0)
-    return ops.polygon_areas(_corner_angles(ops, F), F.sizes)
+    return ops.polygon_areas(_corner_angles(ops, verts, sizes, digon_angle), sizes)
 
 
 # -- edge assembly ------------------------------------------------------------
@@ -663,7 +662,7 @@ def _cone_metric(T, color):
             "underlying Fuchsian surface (induced_cone_metric)"
         )
     F, ops = T.faces(color), T.ops
-    angles = _corner_angles(ops, F)
+    angles = _corner_angles(ops, F.vertices, F.sizes, F.digon_angle)
     links, seen, points = F.links.tolist(), set(), []
     for r in range(len(links)):
         if r in seen:
@@ -866,14 +865,16 @@ def validate_tiling(T: FlippableTiling, tol_scale=1.0) -> TilingReport:
     B, W, nb = T.black, T.white, len(T.black)
     names = [f"{BLACK} face {i}" for i in range(nb)] + [
         f"{WHITE} face {i}" for i in range(len(W))]
+    # both colors' faces stacked, black first
+    verts, sizes = np.concatenate([B.vertices, W.vertices]), np.concatenate([B.sizes, W.sizes])
+    digon = np.concatenate([B.digon_angle, W.digon_angle])
     with np.errstate(over="ignore", invalid="ignore"):  # huge digon angles
-        areas = np.concatenate([T.black_areas(), T.white_areas()])
+        areas = _face_areas(ops, verts, sizes, digon)
         budget = abs(float(areas.sum()) - 4 * np.pi)
-    failures += [f"{names[g]} has nonpositive area" for g in np.flatnonzero(
-        ~np.concatenate([B.is_digon, W.is_digon]) & (areas <= 0))]
+    failures += [f"{names[g]} has nonpositive area"
+                 for g in np.flatnonzero(np.isnan(digon) & (areas <= 0))]
     if T.is_spherical and not budget <= EPS_AREA * tol_scale * 10:
         failures.append(f"area budget off by {budget:.2e}")
-    verts, sizes = np.concatenate([B.vertices, W.vertices]), np.concatenate([B.sizes, W.sizes])
     starts = np.cumsum(sizes) - sizes
     if T.edges:
         failures += _edge_failures(T, verts, starts, sizes, tol_scale)
