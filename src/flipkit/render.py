@@ -72,6 +72,7 @@ def _sample(ops, base, direction, start, stop, whole):
                         t[:, None]), ends
 
 
+@np.errstate(all="ignore")  # what is not finite is refused below, with one message
 def render_svg(T):
     """Render a tiling to an SVG string: stereographic for a spherical
     tiling, in the Poincare disk for a hyperbolic one."""
@@ -100,13 +101,12 @@ def render_svg(T):
     j = E.slot(e, black, of - np.where(black, len(W), 0), side - (ends - sizes)[of])
     base[side], direction[side] = E.base[e], E.direction[e]
     start[side], stop[side] = E.corner_param(e, j, True), E.corner_param(e, j, False)
-    with np.errstate(over="ignore", invalid="ignore"):  # huge parameters are refused below
-        rows, arc_ends = _sample(
-            ops, np.concatenate([base, E.base]), np.concatenate([direction, E.direction]),
-            np.concatenate([start, E.t_min]), np.concatenate([stop, E.t_max]),
-            np.arange(len(V) + len(E)) >= len(V))
-        rows[arc_ends[:len(V)][flat] - 1] = V[flat]
-        xy = proj(rows)
+    rows, arc_ends = _sample(
+        ops, np.concatenate([base, E.base]), np.concatenate([direction, E.direction]),
+        np.concatenate([start, E.t_min]), np.concatenate([stop, E.t_max]),
+        np.arange(len(V) + len(E)) >= len(V))
+    rows[arc_ends[:len(V)][flat] - 1] = V[flat]
+    xy = proj(rows)
     if not np.all(np.isfinite(xy)):
         raise GeometryError("a point of the picture is not finite")
 

@@ -151,3 +151,14 @@ def test_edge_parameters_off_their_edge_fail_check_and_render(damage, tmp_path):
         tracemalloc.stop()
     assert code == 3 and err.startswith("error: ") and len(err.splitlines()) == 1
     assert peak < 20 * 2 ** 20  # no array sized by the damaged parameter
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_a_far_light_like_vertex_keeps_the_contract(command, tmp_path):
+    # (1e150, 0, 1e150) passes the relative vertex check
+    # |<v, v> + 1| <= 1e-9 v3^2, and its products overflow
+    path = tmp_path / "t.json"
+    path.write_text(damaged("ads", lambda d: d["vertices"].__setitem__(3, [1e150, 0.0, 1e150])))
+    code, _, err = run(command, path, tmp_path / "out")
+    assert code == 3
+    assert_contract(code, None, err)
