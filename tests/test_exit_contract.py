@@ -96,7 +96,7 @@ def assert_contract(code, _, err):
         assert err.startswith("error: ") and len(err.splitlines()) == 1, err
 
 
-@settings(max_examples=45)
+@settings(max_examples=200)
 @given(data=st.data())
 def test_mutated_tilings_keep_the_exit_contract(data, tmp_path_factory):
     name = data.draw(st.sampled_from(sorted(BASES)), label="tiling")
