@@ -14,7 +14,6 @@ from .errors import (
     SchemaError,
     SignatureMismatchError,
 )
-from .forms import Signature
 from .fuchsian import (
     FuchsianConfig,
     FuchsianGroup,
@@ -55,7 +54,6 @@ __all__ = [
     "GeometryError",
     "SchemaError",
     "Side",
-    "Signature",
     "SignatureMismatchError",
     "SphericalPolygon",
     "ads_project",

@@ -74,7 +74,6 @@ from scipy.spatial import ConvexHull as EuclideanHull
 from scipy.spatial import QhullError, cKDTree
 
 from .errors import ConvergenceError, DevelopmentError, GeometryError
-from .forms import ADS_E, Signature
 from .polyhedra import (
     MERGE_TOL,
     cyclic_orders,
@@ -835,7 +834,7 @@ def _fixed_star_trial(surf, config):
     points4 = orbit_points(surf.elements, config.rays, config.heights)
     tris = np.array([(st.vertex, y, st.neighbors[(j + 1) % len(st.neighbors)])
                      for st in surf.stars for j, y in enumerate(st.neighbors)])
-    poles, q = triangle_poles(points4, tris, ADS_STAR.form, ADS_E)
+    poles, q = triangle_poles(points4, tris, ADS_STAR, ADS_STAR.e)
     if not (np.all(q < -1e-12)
             and np.all(poles[:, 3] > 1e-9 * np.linalg.norm(poles[:, :3], axis=1))):
         return None
@@ -874,7 +873,7 @@ def _truncated_hull(config, radius):
     # faces visible from the origin, with future poles; time-like planes
     # are truncation artifacts
     simplices = ch.simplices[ch.equations[:, 3] > 1e-13]
-    poles, q = triangle_poles(points4, simplices, ADS_STAR.form, ADS_E)
+    poles, q = triangle_poles(points4, simplices, ADS_STAR, ADS_STAR.e)
     spacelike = q < -1e-12
     simplices, poles = simplices[spacelike], poles[spacelike]
     # merged over the triangle indices, each face's "vertex ids" are the
@@ -1433,7 +1432,7 @@ def ads_project(surf, side):
     tiling itself is assembled by `tilings.assemble_tiling` from the
     quotient bookkeeping of `_ads_layout`.
     """
-    return assemble_tiling(Signature.ADS, side, *_ads_layout(surf))
+    return assemble_tiling(ADS_STAR, side, *_ads_layout(surf))
 
 
 def _height_rows(T):
@@ -1507,13 +1506,13 @@ def flip_hyperbolic(T):
     """
     surf = orbit_hull(T.ambient.config(recover_heights(T)))
     layout = _ads_layout(surf)
-    same = assemble_tiling(Signature.ADS, T.handedness.other, *layout)
+    same = assemble_tiling(ADS_STAR, T.handedness.other, *layout)
     err = tiling_equality_error(T, same)
     if err > 1e-7:
         raise DevelopmentError(
             f"tiling does not match its reconstructed surface ({err:.2e})"
         )
-    return assemble_tiling(Signature.ADS, T.handedness, *layout)
+    return assemble_tiling(ADS_STAR, T.handedness, *layout)
 
 
 # -- spherical star polyhedra (interlude) ------------------------------------------

@@ -22,6 +22,13 @@ FUCHSIAN_SCHEMA = "fuchsian.v1"
 SOLUTION_SCHEMA = "solution.v1"
 
 
+@functools.cache
+def _shared_group():
+    """The genus-2 group of every loaded tiling and configuration: one per
+    process, so the balls it caches are built once."""
+    return genus2_group()
+
+
 _json_str = functools.lru_cache(maxsize=4096)(json.dumps)  # called on str only
 _F17 = "{:.17g}".format
 
@@ -308,27 +315,26 @@ def _decks(tags, what):
     return [None if d is None else next(rows) for d in tags]
 
 
-def _check_vertices(verts, spherical, what="tiling vertex {}"):
-    """Refuse a tiling vertex (or edge base) off its quadric: on the sphere
-    when |(|v| - 1)| > 1e-9, on the hyperboloid when
-    |<v, v> + 1| > 1e-9 v3^2, v3 <= 0 or v3^2 overflows (GeometryError)."""
+def _check_vertices(verts, ops, what="tiling vertex {}"):
+    """Refuse a tiling vertex (or edge base) v off the surface quadric `ops`
+    (GeometryError): |<v, v> - kappa| > 1e-9 |v|^2, with |.| the Euclidean
+    norm; |v|^2 >= 1e9, where that tolerance reaches |kappa| and no longer
+    tells the quadric from its light cone; or a time-like coordinate that
+    is not positive (the lower sheet of the hyperboloid)."""
     with np.errstate(over="ignore", invalid="ignore"):
-        if spherical:
-            on = np.abs(np.sqrt(np.einsum("ij,ij->i", verts, verts)) - 1.0) <= 1e-9
-        else:
-            z2 = verts[:, 2] ** 2
-            q = verts[:, 0] ** 2 + verts[:, 1] ** 2 - z2
-            on = (np.abs(q + 1.0) <= 1e-9 * z2) & (verts[:, 2] > 0) & (z2 < np.inf)
+        n2 = np.einsum("ij,ij->i", verts, verts)
+        q = np.einsum("ij,ij->i", verts * ops.form, verts)
+        on = ((np.abs(q - ops.kappa) <= 1e-9 * n2) & (n2 < 1e9)
+              & np.all(verts[:, ops.form < 0] > 0, axis=1))
     if not np.all(on):
-        where = "unit sphere" if spherical else "hyperboloid"
-        raise GeometryError(f"{what.format(int(np.argmin(on)))} is not on the {where}")
+        raise GeometryError(f"{what.format(int(np.argmin(on)))} is not on the {ops.name}")
 
 
-def _check_tangents(base, direction, spherical):
-    """Refuse an edge direction d that is not a unit tangent at its base b:
-    |<d, d> - 1| > 1e-9 |d|^2 or |<b, d>| > 1e-9 |b| |d|, with <,> the form
-    of the quadric and |.| the Euclidean norm (GeometryError)."""
-    form = np.array([1.0, 1.0, 1.0 if spherical else -1.0])
+def _check_tangents(base, direction, ops):
+    """Refuse an edge direction d that is not a unit tangent at its base b
+    on the surface quadric `ops`: |<d, d> - 1| > 1e-9 |d|^2 or
+    |<b, d>| > 1e-9 |b| |d|, with |.| the Euclidean norm (GeometryError)."""
+    form = ops.form
     with np.errstate(over="ignore", invalid="ignore"):
         dd, bb = (np.einsum("ij,ij->i", a, a) for a in (direction, base))
         ok = ((np.abs(np.einsum("ij,ij->i", direction * form, direction) - 1.0) <= 1e-9 * dd)
@@ -373,7 +379,7 @@ def tiling_from_dict(data):
         if not all(type(amb.get(k, 0)) is int for k in ("word_length", "word_length_cap")):
             raise SchemaError("ambient word lengths: expected integers")
         ambient = HyperbolicAmbient(
-            genus2_group(),
+            _shared_group(),
             _floats(amb["rays"], 3, "ambient rays"),
             int(amb.get("word_length", 4)),
             int(amb.get("word_length_cap", 10)),
@@ -445,12 +451,6 @@ def tiling_from_dict(data):
     if ambient != "sphere" and len(ambient.rays) != count[BLACK]:
         raise SchemaError("ambient rays: expected one ray per black face")
 
-    _check_vertices(verts, ambient == "sphere")
-    _check_vertices(base, ambient == "sphere", "base of tiling edge {}")
-    _check_tangents(base, direction, ambient == "sphere")
-    if ambient != "sphere":
-        check_rays(ambient.group, ambient.rays)
-
     # each color's faces (mask m) and their corner rows, in file order
     black_faces, white_faces = (
         TilingFaces.stacked(verts[ids[rows]], sizes[m], links[rows], refs[rows], angles[m],
@@ -464,8 +464,13 @@ def tiling_from_dict(data):
         *(c.reshape(-1, 4) for c in (left, forward, seg_black, face, face_edge, rev, t0, t1)),
         None if all(d is None for d in seg_decks) else [
             tuple(seg_decks[i:i + 4]) for i in range(0, len(seg_decks), 4)])
-    return FlippableTiling(handedness, black_faces, white_faces, tiling_edges,
-                           ambient=ambient)
+    T = FlippableTiling(handedness, black_faces, white_faces, tiling_edges, ambient=ambient)
+    _check_vertices(verts, T.ops)
+    _check_vertices(base, T.ops, "base of tiling edge {}")
+    _check_tangents(base, direction, T.ops)
+    if not T.is_spherical:
+        check_rays(ambient.group, ambient.rays)
+    return T
 
 
 # -- fuchsian.v1 ----------------------------------------------------------------
@@ -519,7 +524,7 @@ def fuchsian_config_from_dict(data):
     if type(cap) is not int:
         raise SchemaError("word_len_cap: expected an integer")
     return FuchsianConfig(
-        genus2_group(),
+        _shared_group(),
         rays,
         None if heights is None else _finite_list(heights, "heights"),
         None if targets is None else _finite_list(targets, "targets"),

@@ -19,7 +19,7 @@ from scipy.spatial import ConvexHull as EuclideanHull
 from scipy.spatial import QhullError
 
 from .errors import GeometryError
-from .forms import Signature, cross4
+from .forms import cross4
 from .spheremath import SPHERE_STAR, SphereOps
 
 EPS_PLANE = 1e-9
@@ -294,8 +294,8 @@ class ConvexPolyhedron:
 # -- construction: one chart hull -> merged faces path for S^3 and AdS_3 ------
 
 
-def triangle_poles(points4, simplices, form, toward):
-    """Plane poles of hull triangles under the diagonal `form` of a quadric.
+def triangle_poles(points4, simplices, star, toward):
+    """Plane poles of hull triangles on the star quadric `star`.
 
     The pole of the plane through the rows of points4[s] is form * cross4,
     from one `cross4` over all triangles, scaled to |<p, p>| = 1 under the
@@ -304,8 +304,8 @@ def triangle_poles(points4, simplices, form, toward):
     tells space-like (< 0) from time-like planes on AdS_3.
     """
     tri = points4[simplices]  # (S, 3, 4)
-    poles = cross4(tri[:, 0], tri[:, 1], tri[:, 2]) * form
-    q = np.sum(poles * poles * form, axis=1)
+    poles = cross4(tri[:, 0], tri[:, 1], tri[:, 2]) * star.form
+    q = star.inner(poles, poles)
     poles /= np.sqrt(np.abs(q))[:, None]
     poles[poles @ toward < 0] *= -1.0
     return poles, q
@@ -406,7 +406,7 @@ def hull(points):
     keep = np.sort(ch.vertices)
     interior = from_chart(chart[keep].mean(axis=0)[None, :])[0]
 
-    tri_poles, _ = triangle_poles(pts, ch.simplices, Signature.SPHERE.diag, interior)
+    tri_poles, _ = triangle_poles(pts, ch.simplices, SPHERE_STAR, interior)
     first, ids = merge_triangles(ch.simplices, tri_poles)
     poles = _svd_poles(pts[ch.simplices[first]], interior)
 

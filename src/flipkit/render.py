@@ -15,7 +15,6 @@ one geodesic call, projected in one call and formatted in one pass.
 import numpy as np
 
 from .errors import GeometryError
-from .spheremath import HyperbolicOps, SphereOps
 
 ARC_STEP = 0.01
 # arc samples of one picture; the valid tilings of the benchmark need at most about 15,000
@@ -76,7 +75,7 @@ def _sample(ops, base, direction, start, stop, whole):
 def render_svg(T):
     """Render a tiling to an SVG string: stereographic for a spherical
     tiling, in the Poincare disk for a hyperbolic one."""
-    ops, proj = (SphereOps, stereographic) if T.is_spherical else (HyperbolicOps, poincare)
+    ops, proj = T.ops, stereographic if T.is_spherical else poincare
 
     # one arc per face corner, white faces first, then one per tiling edge
     W, B, E = T.white, T.black, T.edges

@@ -9,7 +9,9 @@ geodesics, (cos, sin) or (cosh, sinh).  The one type has four instances:
 - `SPHERE_STAR`, the 3-sphere, and `ADS_STAR`, anti-de Sitter space
   x1^2 + x2^2 - x3^2 - x4^2 = -1: the quadrics of spherical star polyhedra
   and Fuchsian surfaces, which carry the apex o their vertex stars look
-  back to.
+  back to, and their group: the row-wise product and inverse, the neutral
+  element e and the surface quadric of the plane e*, `SphereOps` or
+  `HyperbolicOps`, that the left and right projections land in.
 
 Each primitive is written once for all four: the distance, the unit
 tangent at x toward y along w = y - kappa <x, y> x, the angle between
@@ -32,7 +34,6 @@ from typing import Callable
 import numpy as np
 
 from .errors import GeometryError
-from .forms import SPHERE_E, Signature
 
 TINY = 1e-26   # a tangent whose squared length is below this is undefined
 
@@ -41,8 +42,9 @@ TINY = 1e-26   # a tangent whose squared length is below this is undefined
 class Trig:
     """A trigonometric family.  C and S are `math` functions of one float,
     cos and sin numpy functions of rows; arc_c and arc_s invert C and S,
-    clamped to their range, and param(c, s) is the parameter t with
-    (C(t), S(t)) = (c, s)."""
+    clamped to their range, param(c, s) is the parameter t with
+    (C(t), S(t)) = (c, s), and wrap(d) a difference of parameters as the
+    least one of its class: in [-pi, pi) for angles, d itself otherwise."""
 
     C: Callable
     S: Callable
@@ -51,6 +53,7 @@ class Trig:
     arc_c: Callable
     arc_s: Callable
     param: Callable
+    wrap: Callable
 
 
 CIRCULAR = Trig(
@@ -58,17 +61,20 @@ CIRCULAR = Trig(
     lambda c: np.arccos(np.clip(c, -1.0, 1.0)),
     lambda s: np.arcsin(np.clip(s, -1.0, 1.0)),
     lambda c, s: np.arctan2(s, c),
+    lambda d: (d + np.pi) % (2 * np.pi) - np.pi,
 )
 HYPERBOLIC = Trig(
     math.cosh, math.sinh, np.cosh, np.sinh,
     lambda c: np.arccosh(np.maximum(c, 1.0)), np.arcsinh,
     lambda c, s: np.arcsinh(s),
+    lambda d: d,
 )
 
 
 class Quadric:
     """Row-wise primitives of the quadric <x, x> = kappa of a diagonal form.
 
+    name              : what messages call it
     form              : the diagonal of the form
     kappa             : the curvature sign, +1 or -1
     trig              : the family of its geodesics, CIRCULAR or HYPERBOLIC
@@ -77,9 +83,16 @@ class Quadric:
     apex              : the apex o of a star quadric, None on S^2 and H^2
     inner             : the row-wise inner product, when it is not the sum
                         of u * v * form over the last axis
+    group             : on a star quadric, (mul, inv, e, plane, tol): the
+                        row-wise product and inverse, the neutral element e,
+                        a coordinate vector, the surface quadric of the plane
+                        e*, and how far a product may leave e* (`tol`); None
+                        on S^2 and H^2
     """
 
-    def __init__(self, form, kappa, trig, tangent_undefined, apex=None, inner=None):
+    def __init__(self, name, form, kappa, trig, tangent_undefined, apex=None, inner=None,
+                 group=None):
+        self.name = name
         self.form = np.asarray(form, dtype=float)
         self.kappa = kappa
         self.trig = trig
@@ -87,6 +100,7 @@ class Quadric:
         self.apex = apex
         if inner is not None:
             self.inner = inner
+        self.mul, self.inv, self.e, self.plane, self.tol = group or (None,) * 5
 
     def inner(self, u, v):
         """Row-wise <u, v>, each row summed left to right like one vector."""
@@ -189,13 +203,64 @@ def _vecdot(u, v):
     return np.vecdot(np.ascontiguousarray(u), np.ascontiguousarray(v))
 
 
+# Group structure of the star quadrics.  On S^3 the coordinates multiply as
+# quaternions with real part first; on AdS_3 they multiply through the
+# SL(2,R) picture with neutral element (0,0,0,1).  Products and inverses
+# take 4-vectors or arrays of rows (..., 4), row by row.
+
+def _mul_quaternion(x, y):
+    x1, x2, x3, x4 = np.asarray(x).T
+    y1, y2, y3, y4 = np.asarray(y).T
+    return np.array([
+        x1 * y1 - x2 * y2 - x3 * y3 - x4 * y4,
+        x1 * y2 + x2 * y1 + x3 * y4 - x4 * y3,
+        x1 * y3 + x3 * y1 - x2 * y4 + x4 * y2,
+        x1 * y4 + x2 * y3 - x3 * y2 + x4 * y1,
+    ]).T
+
+
+def _ads_to_mat(x):
+    x = np.asarray(x)
+    x1, x2, x3, x4 = np.moveaxis(x, -1, 0)
+    m = np.stack([x2 + x4, x1 + x3, x1 - x3, x4 - x2], axis=-1)
+    return m.reshape(x.shape[:-1] + (2, 2))
+
+
+def _mat_to_ads(m):
+    return np.stack([
+        0.5 * (m[..., 0, 1] + m[..., 1, 0]),
+        0.5 * (m[..., 0, 0] - m[..., 1, 1]),
+        0.5 * (m[..., 0, 1] - m[..., 1, 0]),
+        0.5 * (m[..., 0, 0] + m[..., 1, 1]),
+    ], axis=-1)
+
+
+def _mul_sl2(x, y):
+    # np.matmul, not a written-out 2x2 product: the two round differently,
+    # and the pinned AdS projections carry the bits of np.matmul
+    return _mat_to_ads(np.matmul(_ads_to_mat(x), _ads_to_mat(y)))
+
+
+def _conjugate(signs):
+    """The inverse of a unit point: each coordinate times its sign."""
+    signs = np.array(signs)
+    return lambda y: np.asarray(y) * signs
+
+
 _STAR_UNDEFINED = "tangent direction is degenerate or of the wrong type"
 
-SphereOps = Quadric(np.ones(3), 1, CIRCULAR,
+SphereOps = Quadric("unit sphere", np.ones(3), 1, CIRCULAR,
                     "tangent direction undefined (coincident or antipodal)", inner=_vecdot)
-HyperbolicOps = Quadric([1.0, 1.0, -1.0], -1, HYPERBOLIC,
+HyperbolicOps = Quadric("hyperboloid", [1.0, 1.0, -1.0], -1, HYPERBOLIC,
                         "tangent direction undefined (coincident points)")
-SPHERE_STAR = Quadric(Signature.SPHERE.diag, 1, CIRCULAR, _STAR_UNDEFINED, apex=SPHERE_E)
-# apex -H*: the dual of H antipodal to H* = (0, 0, 0, 1)
-ADS_STAR = Quadric(Signature.ADS.diag, -1, HYPERBOLIC, _STAR_UNDEFINED,
-                   apex=np.array([0.0, 0.0, 0.0, -1.0]))
+_SPHERE_E = np.array([1.0, 0.0, 0.0, 0.0])
+_ADS_E = np.array([0.0, 0.0, 0.0, 1.0])
+SPHERE_STAR = Quadric("3-sphere", np.ones(4), 1, CIRCULAR, _STAR_UNDEFINED, apex=_SPHERE_E,
+                      group=(_mul_quaternion, _conjugate([1.0, -1.0, -1.0, -1.0]), _SPHERE_E,
+                             SphereOps, 1e-9))
+# apex -H*: the dual of H antipodal to H* = e
+ADS_STAR = Quadric("anti-de Sitter space", [1.0, 1.0, -1.0, -1.0], -1, HYPERBOLIC,
+                   _STAR_UNDEFINED,
+                   apex=np.array([0.0, 0.0, 0.0, -1.0]),
+                   group=(_mul_sl2, _conjugate([-1.0, -1.0, -1.0, 1.0]), _ADS_E,
+                          HyperbolicOps, 1e-8))

@@ -22,9 +22,9 @@ from enum import Enum
 import numpy as np
 
 from .errors import DevelopmentError, GeometryError
-from .forms import Signature, inv4, mul4, neutral
+from .forms import inv4, mul4
 from .polyhedra import ConvexPolyhedron, from_vertices_and_faces, normalize_rows
-from .spheremath import HyperbolicOps, SphereOps
+from .spheremath import SPHERE_STAR, HyperbolicOps, SphereOps
 
 EPS_AREA = 1e-8
 EPS_DEV = 5e-8
@@ -372,25 +372,23 @@ def _assert_handedness(T):
 # -- projection: one pipeline for S^3 and AdS_3 --------------------------------
 
 
-def project_points(poles, points, side, sig):
+def project_points(poles, points, side, star):
     """Left projections a^{-1} x, or right projections x a^{-1}, into e*.
 
-    `poles` and `points` are (m, 4) rows, paired row by row.  Returns the
-    (m, 3) coordinates in e*: (x2, x3, x4) on S^3, where e* = {x1 = 0}, and
-    (x1, x2, x3) on AdS_3, where e* = {x4 = 0}.  No sheet is chosen on
-    AdS_3: future face poles move a Fuchsian surface's vertices onto the
-    upper sheet x3 >= 1 (over the property-test and benchmark surfaces,
-    both sides and their flips, the least third coordinate is 1.00008).
+    `poles` and `points` are (m, 4) rows of the star quadric `star`, paired
+    row by row.  Returns the (m, 3) coordinates in e*, those other than e's:
+    (x2, x3, x4) on S^3, where e* = {x1 = 0}, and (x1, x2, x3) on AdS_3,
+    where e* = {x4 = 0}.  No sheet is chosen on AdS_3: future face poles
+    move a Fuchsian surface's vertices onto the upper sheet x3 >= 1 (over
+    the property-test and benchmark surfaces, both sides and their flips,
+    the least third coordinate is 1.00008).
     """
-    ainv = inv4(poles, sig)
-    w = mul4(ainv, points, sig) if side is Side.LEFT else mul4(points, ainv, sig)
-    if sig is Signature.SPHERE:
-        off, tol, out = w[:, 0], 1e-9, w[:, 1:]
-    else:
-        off, tol, out = w[:, 3], 1e-8, w[:, :3]
-    if np.any(np.abs(off) > tol):
+    ainv = inv4(poles, star)
+    w = mul4(ainv, points, star) if side is Side.LEFT else mul4(points, ainv, star)
+    plane = star.e == 0
+    if np.any(np.abs(w[:, ~plane]) > star.tol):
         raise GeometryError("projection left the reference plane e*")
-    return out
+    return w[:, plane]
 
 
 # segment slots of a projected edge: the white faces fa, fb, then the black
@@ -398,13 +396,14 @@ def project_points(poles, points, side, sig):
 SLOT_COLORS = (WHITE, WHITE, BLACK, BLACK)
 
 
-def assemble_tiling(sig, side, poles, points, white, black, edges, ambient="sphere"):
+def assemble_tiling(star, side, poles, points, white, black, edges, ambient="sphere"):
     """The tiling of projected faces: the construction behind `project` and
     `ads_project`.
 
-    A corner (f, v) is the vertex points[v] of the face with pole poles[f];
-    each corner is projected once, by the `side` projection
-    (`project_points`), and the tiling has the other handedness.
+    A corner (f, v) is the vertex points[v] of the face with pole poles[f]
+    on the star quadric `star`; each corner is projected once, by the
+    `side` projection (`project_points`) onto the surface `star.plane`, and
+    the tiling has the other handedness.
     white, black : per face, (its corners in cyclic order, links, decks)
     edges        : per true edge from v to s between the faces fa and fb,
                    ((v, s, fa, fb), segments).  The segments are those of
@@ -413,13 +412,12 @@ def assemble_tiling(sig, side, poles, points, white, black, edges, ambient="sphe
                    (white) or of fa and fb (black), and the deck carrying
                    the stored face onto the edge, None for the identity.
     """
-    spherical = sig is Signature.SPHERE
-    ops = SphereOps if spherical else HyperbolicOps
+    ops = star.plane
     quads = [((fa, v), (fa, s), (fb, v), (fb, s)) for (v, s, fa, fb), _ in edges]
     keys = [c for cyc, _, _ in white + black for c in cyc] + [c for q in quads for c in q]
     row = {c: r for r, c in enumerate(dict.fromkeys(keys))}
     img = project_points(np.array([poles[f] for f, _ in row]),
-                         points[[v for _, v in row]], side, sig)
+                         points[[v for _, v in row]], side, star)
 
     corners, probes, sizes, starts = {}, {}, {}, {}
     for color, faces in ((WHITE, white), (BLACK, black)):
@@ -437,9 +435,7 @@ def assemble_tiling(sig, side, poles, points, white, black, edges, ambient="sphe
     with np.errstate(invalid="ignore"):
         ell = ops.dist(a_v, a_s)
         delta = ops.geodesic_param(a_v, direction, b_v)
-        gap = ops.geodesic_param(a_v, direction, b_s) - (delta + ell)
-        if spherical:  # parameters are angles, defined mod 2 pi
-            gap = (gap + np.pi) % (2 * np.pi) - np.pi
+        gap = ops.trig.wrap(ops.geodesic_param(a_v, direction, b_s) - (delta + ell))
     # slot j runs from its first corner at t = p to its second at t = p + d
     zero = np.zeros(E)
     p, d = np.stack([zero, delta, zero, ell], 1), np.stack([ell, ell, delta, delta], 1)
@@ -462,7 +458,7 @@ def assemble_tiling(sig, side, poles, points, white, black, edges, ambient="sphe
         np.where(end > p, end, p), probe, decks,
         checks=[
             (~defined, ops.tangent_undefined),
-            (np.abs(gap) > (1e-8 if spherical else 1e-7), "projected edge image is not rigid"),
+            (np.abs(gap) > 10 * star.tol, "projected edge image is not rigid"),
             (~adjacent.all(axis=1), lambda e: f"{SLOT_COLORS[np.argmin(adjacent[e])]} "
                                               "corners of an edge are not adjacent"),
         ],
@@ -502,7 +498,7 @@ def project(P: ConvexPolyhedron, side: Side) -> FlippableTiling:
         ])
         for i, j, fa, fb in P.edges
     ]
-    return assemble_tiling(Signature.SPHERE, side, P.face_poles, P.vertices,
+    return assemble_tiling(SPHERE_STAR, side, P.face_poles, P.vertices,
                            white, black, edges)
 
 
@@ -525,13 +521,12 @@ def white_polyhedron(T: FlippableTiling) -> ConvexPolyhedron:
             "degenerate tiling: two black faces develop to a hosohedron, "
             "two white faces to a dihedron"
         )
-    sig = Signature.SPHERE
     left_handed = T.handedness is Side.LEFT
     # apex[b]: the vertex developed from black face b; pole[w]: the group
     # element placing white face w
     apex = [None] * len(T.black)
     pole = [None] * len(T.white)
-    apex[0] = neutral(sig)
+    apex[0] = e = SPHERE_STAR.e
     frontier, color = [0], BLACK
     while frontier:
         F = T.faces(color)
@@ -539,13 +534,14 @@ def white_polyhedron(T: FlippableTiling) -> ConvexPolyhedron:
         ends = np.cumsum(sizes)  # the frontier's corner rows, face after face:
         rows = np.repeat(F.offsets[frontier] - ends + sizes, sizes) + np.arange(ends[-1])
         v = F.vertices[rows]
-        q = np.hstack([np.zeros((len(v), 1)), v])  # the corners as points of e* in S^3
+        q = np.zeros((len(v), 4))  # the corners as points of e* in S^3
+        q[:, e == 0] = v
         if color == BLACK:
-            done, placed, other, q = apex, pole, WHITE, inv4(q, sig)
+            done, placed, other, q = apex, pole, WHITE, inv4(q, SPHERE_STAR)
         else:
             done, placed, other = pole, apex, BLACK
         g = np.repeat([done[i] for i in frontier], sizes, axis=0)
-        g = mul4(q, g, sig) if left_handed else mul4(g, q, sig)
+        g = mul4(q, g, SPHERE_STAR) if left_handed else mul4(g, q, SPHERE_STAR)
         frontier, known = [], []
         for r, j in enumerate(F.links[rows].tolist()):
             if placed[j] is None:
@@ -574,7 +570,6 @@ def white_polyhedron(T: FlippableTiling) -> ConvexPolyhedron:
     if norm_c < 1e-9:
         raise DevelopmentError("developed vertices have no hemisphere center")
     c /= norm_c
-    e = neutral(sig)
     cos_t = float(np.clip(np.dot(c, e), -1.0, 1.0))
     if cos_t < 1.0 - 1e-14:
         v = c - cos_t * e

@@ -47,9 +47,9 @@ import math
 import numpy as np
 
 from flipkit.errors import DevelopmentError, GeometryError, SignatureMismatchError
-from flipkit.forms import Signature, inv4, mul4
+from flipkit.forms import inv4, mul4
 from flipkit.fuchsian import HyperbolicAmbient, VertexStar, _link_faces
-from flipkit.spheremath import ADS_STAR, HyperbolicOps
+from flipkit.spheremath import ADS_STAR, SPHERE_STAR, HyperbolicOps
 from flipkit.tilings import BLACK, WHITE, FlippableTiling, Side, TilingFaces, _aligned_error
 
 
@@ -658,10 +658,26 @@ EPS_NORM = 1e-10
 EPS_ZERO = 1e-12
 
 
+class Signature(Enum):
+    """The forms of the two quadrics of `QuadricPoint`: the 3-sphere and
+    anti-de Sitter space, whose group is that of `star`."""
+
+    SPHERE = (1.0, 1.0, 1.0, 1.0)
+    ADS = (1.0, 1.0, -1.0, -1.0)
+
+    @property
+    def diag(self):
+        return np.array(self.value)
+
+    @property
+    def star(self):
+        return SPHERE_STAR if self is Signature.SPHERE else ADS_STAR
+
+
 class Minkowski(Enum):
     """The Minkowski forms of the angle classification, beside the forms of
-    the two quadrics (`flipkit.forms.Signature`): (+,+,+,-) on R^4 and its
-    reduction (+,-,-) on R^3."""
+    the two quadrics (`Signature`): (+,+,+,-) on R^4 and its reduction
+    (+,-,-) on R^3."""
 
     MINK31 = (1.0, 1.0, 1.0, -1.0)
     MINK21 = (1.0, -1.0, -1.0)
@@ -757,11 +773,11 @@ def group_mul(x: QuadricPoint, y: QuadricPoint) -> QuadricPoint:
     """Group product of two points of the same quadric."""
     if x.sig is not y.sig:
         raise SignatureMismatchError(f"{x.sig.name} * {y.sig.name}")
-    return QuadricPoint(mul4(x.v, y.v, x.sig), x.sig, x.norm_class)
+    return QuadricPoint(mul4(x.v, y.v, x.sig.star), x.sig, x.norm_class)
 
 
 def group_inv(y: QuadricPoint) -> QuadricPoint:
-    return QuadricPoint(inv4(y.v, y.sig), y.sig, y.norm_class)
+    return QuadricPoint(inv4(y.v, y.sig.star), y.sig, y.norm_class)
 
 
 @dataclass(frozen=True)

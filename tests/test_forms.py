@@ -1,25 +1,20 @@
 """Bilinear forms, group structure and duality on the two quadrics."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 
 from flipkit.errors import GeometryError, SignatureMismatchError
-from flipkit.forms import (
-    ADS_E,
-    SPHERE_E,
-    Signature,
-    cross4,
-    inv4_ads,
-    inv4_sphere,
-    mul4_ads,
-    mul4_sphere,
-)
+from flipkit.forms import cross4, inv4, mul4
+from flipkit.spheremath import ADS_STAR, SPHERE_STAR, HyperbolicOps, SphereOps
 from reference_geometry import (
     AngleKind,
     DualPlane,
     LightLikeError,
     Minkowski,
     QuadricPoint,
+    Signature,
     canonical_ads_rep,
     dual,
     form,
@@ -31,6 +26,11 @@ from reference_geometry import (
 )
 
 RNG = np.random.default_rng(20240817)
+
+# the group of each star quadric, through the library's mul4 / inv4
+SPHERE_E, ADS_E = SPHERE_STAR.e, ADS_STAR.e
+mul4_sphere, inv4_sphere = partial(mul4, star=SPHERE_STAR), partial(inv4, star=SPHERE_STAR)
+mul4_ads, inv4_ads = partial(mul4, star=ADS_STAR), partial(inv4, star=ADS_STAR)
 
 
 def random_sphere_point():

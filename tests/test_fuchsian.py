@@ -20,7 +20,7 @@ from flipkit import fuchsian
 from flipkit import io as fio
 from flipkit.cli import main
 from flipkit.errors import ConvergenceError, DevelopmentError, GeometryError
-from flipkit.forms import Signature, cross4
+from flipkit.forms import cross4
 from flipkit.fuchsian import (
     R0,
     R_MAX,
@@ -53,6 +53,7 @@ from flipkit.tilings import (WHITE, FlippableTiling, Side, flip, tiling_equality
                              validate_tiling)
 from reference_geometry import (
     ConvexityClass,
+    Signature,
     cyclic_face_order,
     face_records,
     faces_table,

@@ -21,10 +21,10 @@ from conftest import corner_angles, edge_lengths, random_polyhedron
 from flipkit import io as fio
 from flipkit import tilings
 from flipkit.errors import DevelopmentError, GeometryError
-from flipkit.forms import Signature, inv4_sphere, mul4_sphere
+from flipkit.forms import inv4, mul4
 from flipkit.fuchsian import FuchsianConfig, ads_project, genus2_group, orbit_hull
 from flipkit.polyhedra import hull, polar_dual
-from flipkit.spheremath import SphereOps
+from flipkit.spheremath import SPHERE_STAR, SphereOps
 from flipkit.tilings import (
     BLACK,
     WHITE,
@@ -80,7 +80,7 @@ def angle_project(a, b, x, side):
         raise GeometryError("digon angle (a = +-b) unsupported by angle_project")
     for pole in (a, b):
         if abs(float(np.dot(pole, x))) <= 1e-10:
-            return project_points(pole[None], x[None], side, Signature.SPHERE)[0]
+            return project_points(pole[None], x[None], side, SPHERE_STAR)[0]
     raise GeometryError("point does not lie on the angle a* union b*")
 
 
@@ -106,8 +106,8 @@ def test_angle_project_edge_distance_is_dihedral():
         ia = angle_project(a, b, x, Side.LEFT)
         ib = angle_project(b, a, x, Side.LEFT)
         # both branches: x in a* and x in b*, so both group elements apply
-        ya = mul4_sphere(inv4_sphere(a), x)[1:]
-        yb = mul4_sphere(inv4_sphere(b), x)[1:]
+        ya = mul4(inv4(a, SPHERE_STAR), x, SPHERE_STAR)[1:]
+        yb = mul4(inv4(b, SPHERE_STAR), x, SPHERE_STAR)[1:]
         d = SphereOps.dist(ya, yb)
         expected = np.arccos(np.clip(np.dot(a, b), -1, 1))
         assert d == pytest.approx(expected, abs=1e-10)
