@@ -153,6 +153,12 @@ def polyhedron_from_dict(data):
     if data["model"] != "S3":
         raise SchemaError("only the S3 model is supported")
     verts = _floats(data["vertices"], 4, "vertices")
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(verts, axis=1)
+    scalable = (norms > 0) & (norms < np.inf)  # rows that normalize to points of S3
+    if not np.all(scalable):
+        raise GeometryError(f"polyhedron vertex {int(np.argmin(scalable))} has no finite "
+                            "nonzero length")
     faces = data.get("faces")
     if faces is None:
         return hull(verts)

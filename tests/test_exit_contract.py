@@ -1,12 +1,17 @@
-"""The exit-code contract of the commands that read `tiling.v1`, as a
-generated property.
+"""The exit-code contract of the commands, as a generated property over
+each input schema.
 
-A valid spherical, antipodal-digon and AdS n = 1 tiling each get one field
-mutated (type swaps, null, booleans, -0, huge numbers, empty and nested
-lists, out-of-range and negative indices), and `check`, `flip`, `render`
-and `reconstruct` run on the result in process, with every warning an
-error.  The contract: the exit code is 0, 2, 3 or 4, and a failing command
-writes exactly one stderr line, starting `error:`; nothing else escapes.
+Valid files get one node mutated: replaced (type swaps, null, booleans,
+-0, huge numbers, empty and nested lists, out-of-range and negative
+indices), removed (a missing key, or a list entry fewer), or joined by an
+extra one (an unknown key beside it, or a list entry repeated).  The
+mutants are a spherical, an antipodal-digon and an AdS n = 1 `tiling.v1`
+through `check`, `flip`, `render` and `reconstruct`; a polyhedron with and
+without faces (`polyhedron.v1`) through `check`, `dual` and `project`; and
+an n = 1 solver input (`fuchsian.v1`) through `check` and `solve`.  Each
+command runs in process, with every warning an error.  The contract: the
+exit code is 0, 2, 3 or 4, and a failing command writes exactly one stderr
+line, starting `error:`; nothing else escapes.
 """
 
 import contextlib
@@ -29,8 +34,10 @@ from flipkit.tilings import Side, make_antipodal_tiling, project
 
 COMMANDS = ("check", "flip", "render", "reconstruct")
 NEG_ZERO = "-0 literal"  # written as the JSON integer -0
+DROP = "drop the node"  # a missing key, or a list entry fewer
+EXTRA = "add a node"  # an unknown key beside the node, or the list entry repeated
 MUTANTS = ("x", None, True, False, NEG_ZERO, -0.0, 1e308, 1e6, -1, 999, {}, [], [[]],
-           [[0.5, 1]])
+           [[0.5, 1]], DROP, EXTRA)
 
 
 def base_tilings():
@@ -66,16 +73,48 @@ def node_paths(value, path=()):
     return groups
 
 
-PATHS = {name: node_paths(d) for name, d in BASES.items()}
+def polyhedron_bases():
+    """The valid polyhedra mutated: an n = 7 polyhedron with its faces, and
+    an n = 6 one as bare vertices for the hull."""
+    with_faces = fio.polyhedron_to_dict(random_polyhedron(np.random.default_rng(7), 7))
+    bare = fio.polyhedron_to_dict(random_polyhedron(np.random.default_rng(6), 6))
+    del bare["faces"]
+    return {"faces": with_faces, "hull": bare}
+
+
+def fuchsian_bases():
+    """The valid solver input mutated: README's n = 1 ray with a height and
+    a target, so that `check` builds a hull and `solve` runs a short solve."""
+    ray = [0.25, 0.15, math.sqrt(1.0 + 0.25 ** 2 + 0.15 ** 2)]
+    cfg = FuchsianConfig(genus2_group(), np.array([ray]), np.array([0.55]),
+                         np.array([-2 * np.pi]))
+    return {"n1": json.loads(fio.canonical_json(fio.fuchsian_config_to_dict(cfg)))}
+
+
+# per schema: its valid files and the commands that read it
+SCHEMAS = {
+    "tiling.v1": (BASES, COMMANDS),
+    "polyhedron.v1": (polyhedron_bases(), ("check", "dual", "project")),
+    "fuchsian.v1": (fuchsian_bases(), ("check", "solve")),
+}
+PATHS = {name: node_paths(d) for bases, _ in SCHEMAS.values() for name, d in bases.items()}
 
 
 def mutated_text(d, path, value):
-    """The JSON text of d with the node at `path` replaced by `value`."""
+    """The JSON text of d with the node at `path` replaced by `value`, or
+    dropped (DROP) or joined by another (EXTRA)."""
     d = json.loads(json.dumps(d))
     node = d
     for key in path[:-1]:
         node = node[key]
-    node[path[-1]] = value
+    if value == DROP:
+        del node[path[-1]]
+    elif value == EXTRA and isinstance(node, dict):
+        node["extra"] = 0
+    elif value == EXTRA:
+        node.append(node[path[-1]])
+    else:
+        node[path[-1]] = value
     return json.dumps(d).replace(json.dumps(NEG_ZERO), "-0")
 
 
@@ -96,17 +135,36 @@ def assert_contract(code, _, err):
         assert err.startswith("error: ") and len(err.splitlines()) == 1, err
 
 
-@settings(max_examples=200)
-@given(data=st.data())
-def test_mutated_tilings_keep_the_exit_contract(data, tmp_path_factory):
-    name = data.draw(st.sampled_from(sorted(BASES)), label="tiling")
+def check_a_mutant(data, tmp_path_factory, schema):
+    """Draw one mutant of a valid file of `schema` and run every command that
+    reads it."""
+    bases, commands = SCHEMAS[schema]
+    name = data.draw(st.sampled_from(sorted(bases)), label="file")
     pattern = data.draw(st.sampled_from(list(PATHS[name])), label="field")
     path = data.draw(st.sampled_from(PATHS[name][pattern]), label="node")
     value = data.draw(st.sampled_from(MUTANTS), label="value")
     work = tmp_path_factory.mktemp("mutant")
-    (work / "t.json").write_text(mutated_text(BASES[name], path, value))
-    for command in COMMANDS:
+    (work / "t.json").write_text(mutated_text(bases[name], path, value))
+    for command in commands:
         assert_contract(*run(command, work / "t.json", work / "out"))
+
+
+@settings(max_examples=200)
+@given(data=st.data())
+def test_mutated_tilings_keep_the_exit_contract(data, tmp_path_factory):
+    check_a_mutant(data, tmp_path_factory, "tiling.v1")
+
+
+@settings(max_examples=200)
+@given(data=st.data())
+def test_mutated_polyhedra_keep_the_exit_contract(data, tmp_path_factory):
+    check_a_mutant(data, tmp_path_factory, "polyhedron.v1")
+
+
+@settings(max_examples=100)
+@given(data=st.data())
+def test_mutated_solver_inputs_keep_the_exit_contract(data, tmp_path_factory):
+    check_a_mutant(data, tmp_path_factory, "fuchsian.v1")
 
 
 def damaged(name, change):
@@ -153,12 +211,62 @@ def test_edge_parameters_off_their_edge_fail_check_and_render(damage, tmp_path):
     assert peak < 20 * 2 ** 20  # no array sized by the damaged parameter
 
 
+FAR_LIGHT_LIKE = ([1e150, 0.0, 1e150], [1e5, 0.0, 1e5])
+
+
 @pytest.mark.parametrize("command", COMMANDS)
-def test_a_far_light_like_vertex_keeps_the_contract(command, tmp_path):
-    # (1e150, 0, 1e150) passes the relative vertex check
-    # |<v, v> + 1| <= 1e-9 v3^2, and its products overflow
+@pytest.mark.parametrize("point", FAR_LIGHT_LIKE, ids=str)
+def test_a_far_light_like_vertex_keeps_the_contract(command, point, tmp_path):
+    # a relative rule |<v, v> + 1| <= 1e-9 |v|^2 alone accepts these light-like
+    # points; the squared-norm bound 1e9 refuses them on load
     path = tmp_path / "t.json"
-    path.write_text(damaged("ads", lambda d: d["vertices"].__setitem__(3, [1e150, 0.0, 1e150])))
-    code, _, err = run(command, path, tmp_path / "out")
-    assert code == 3
-    assert_contract(code, None, err)
+    path.write_text(damaged("ads", lambda d: d["vertices"].__setitem__(3, point)))
+    assert run(command, path, tmp_path / "out") == (
+        3, "", "error: tiling vertex 3 is not on the hyperboloid\n")
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_a_far_light_like_edge_base_keeps_the_contract(command, tmp_path):
+    path = tmp_path / "t.json"
+    path.write_text(damaged("ads", lambda d: d["edges"][0].__setitem__("base", [1e5, 0.0, 1e5])))
+    assert run(command, path, tmp_path / "out") == (
+        3, "", "error: base of tiling edge 0 is not on the hyperboloid\n")
+
+
+@pytest.mark.parametrize("command", ("check", "dual", "project"))
+@pytest.mark.parametrize("name", ("faces", "hull"))
+@pytest.mark.parametrize("row", ([1e308, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0], [1e-320, 0.0, 0.0, 0.0]),
+                         ids=str)
+def test_a_polyhedron_vertex_of_no_length_is_refused(command, name, row, tmp_path):
+    # its norm overflows or vanishes, so it has no unit multiple to normalize to
+    bases, _ = SCHEMAS["polyhedron.v1"]
+    d = json.loads(json.dumps(bases[name]))
+    d["vertices"][2] = row
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(d))
+    assert run(command, path, tmp_path / "out") == (
+        3, "", "error: polyhedron vertex 2 has no finite nonzero length\n")
+
+
+def _coplanar(d):
+    """Move vertex 3 into the plane (in the chart) of vertices 0, 1 and 2."""
+    v = np.array(d["vertices"][:3])
+    d["vertices"][3] = list(v.mean(axis=0) / np.linalg.norm(v.mean(axis=0)))
+
+
+@pytest.mark.parametrize("command", ("check", "dual", "project"))
+@pytest.mark.parametrize("change", ("repeated", "coplanar"))
+def test_degenerate_hull_input_keeps_the_exit_contract(command, change, tmp_path):
+    bases, _ = SCHEMAS["polyhedron.v1"]
+    d = json.loads(json.dumps(bases["hull"]))
+    if change == "repeated":
+        d["vertices"] += [d["vertices"][0]] * 3
+    else:
+        d["vertices"] = d["vertices"][:4]
+        _coplanar(d)
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(d))
+    code, out, err = run(command, path, tmp_path / "out")
+    assert_contract(code, out, err)
+    # a repeated point is no new hull vertex; four coplanar points have no hull
+    assert code == (0 if change == "repeated" else 3)

@@ -1108,6 +1108,20 @@ def test_cli_refuses_a_vertex_off_the_hyperboloid(surf1, change, command, tmp_pa
     assert err == "error: tiling vertex 3 is not on the hyperboloid\n"
 
 
+def test_loaders_share_one_group_and_its_balls(surf1, group):
+    d = fio.tiling_to_dict(ads_project(surf1, Side.LEFT))
+    first = fio.tiling_from_dict(d)
+    flip(first)  # builds the balls of its group
+    balls = dict(first.ambient.group._element_cache)
+    assert balls
+    second = fio.tiling_from_dict(d)
+    cfg = fio.fuchsian_config_from_dict(fio.fuchsian_config_to_dict(surf1.config))
+    assert second.ambient.group is first.ambient.group is cfg.group
+    assert all(second.ambient.group.ball(r) is ball for r, ball in balls.items())
+    # the group of the library is still built fresh on each call
+    assert genus2_group() is not genus2_group() and not genus2_group()._element_cache
+
+
 @pytest.mark.parametrize("damage", [move_white_vertex, drop_white_decks])
 def test_cli_flip_of_a_damaged_tiling_exits_3(surf1, damage, tmp_path, capsys):
     T = ads_project(surf1, Side.LEFT)

@@ -6,6 +6,8 @@ referenced somewhere in src/flipkit, and every public top-level function
 or class is read by src/flipkit, listed in `flipkit.__all__` or kept on
 `UNREAD_PUBLIC` for a stated reason, so a consolidation leaves no orphaned
 import or helper behind and the library holds no code only tests call.
+Every flipkit function the benchmark's tracer wraps by name is still
+bound where it looks for it.
 """
 
 import ast
@@ -14,6 +16,7 @@ import pathlib
 import pytest
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "flipkit"
+TRACER = SRC.parent.parent / "perfbench" / "tracer.py"
 MODULES = sorted(SRC.glob("*.py"))
 TREES = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in MODULES}
 
@@ -94,3 +97,29 @@ def test_every_public_name_has_a_caller():
     assert not unlisted, f"public names nothing in src/flipkit reads: {unlisted}"
     stale = sorted(UNREAD_PUBLIC.keys() - unread.keys())
     assert not stale, f"allowlisted names that are read, exported or gone: {stale}"
+
+
+def _top_level_names(tree):
+    """The names a module binds at top level, imports included."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+        else:
+            names |= set(_defined_names(node))
+    return names
+
+
+def test_every_name_the_tracer_wraps_resolves():
+    # the tracer's tables are literals: read them without importing perfbench/
+    tables = {node.targets[0].id: ast.literal_eval(node.value)
+              for node in ast.parse(TRACER.read_text()).body
+              if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)
+              and node.targets[0].id in ("SPANNED", "COUNTED", "MODULES")}
+    assert tables.keys() == {"SPANNED", "COUNTED", "MODULES"}
+    missing = sorted(f"flipkit.{m}" for m in tables["MODULES"] if f"{m}.py" not in TREES)
+    missing += sorted(f"flipkit.{module}.{name}"
+                      for module, name in {**tables["SPANNED"], **tables["COUNTED"]}.values()
+                      if module != "scipy.spatial"
+                      and name not in _top_level_names(TREES.get(f"{module}.py", ast.Module([]))))
+    assert not missing, f"names the benchmark traces that flipkit no longer binds: {missing}"
