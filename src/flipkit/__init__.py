@@ -4,6 +4,9 @@ Geometry of convex polyhedra in the 3-sphere and of Fuchsian polyhedral
 surfaces in anti-de Sitter space, the projections that turn them into
 black/white flippable tilings, the flip itself, and a Newton solver for
 prescribing the singular curvature at the vertices.
+
+A 4-dimensional geometry is named by its star quadric (`spheremath`'s
+`SPHERE_STAR`, `ADS_STAR`); `forms` holds the R^4 products over them.
 """
 
 from .errors import (

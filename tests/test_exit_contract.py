@@ -215,14 +215,14 @@ FAR_LIGHT_LIKE = ([1e150, 0.0, 1e150], [1e5, 0.0, 1e5])
 
 
 @pytest.mark.parametrize("command", COMMANDS)
-@pytest.mark.parametrize("point", FAR_LIGHT_LIKE, ids=str)
-def test_a_far_light_like_vertex_keeps_the_contract(command, point, tmp_path):
+def test_a_far_light_like_vertex_keeps_the_contract(command, tmp_path):
     # a relative rule |<v, v> + 1| <= 1e-9 |v|^2 alone accepts these light-like
     # points; the squared-norm bound 1e9 refuses them on load
     path = tmp_path / "t.json"
-    path.write_text(damaged("ads", lambda d: d["vertices"].__setitem__(3, point)))
-    assert run(command, path, tmp_path / "out") == (
-        3, "", "error: tiling vertex 3 is not on the hyperboloid\n")
+    for point in FAR_LIGHT_LIKE:
+        path.write_text(damaged("ads", lambda d: d["vertices"].__setitem__(3, point)))
+        assert run(command, path, tmp_path / "out") == (
+            3, "", "error: tiling vertex 3 is not on the hyperboloid\n")
 
 
 @pytest.mark.parametrize("command", COMMANDS)

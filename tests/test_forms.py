@@ -159,6 +159,15 @@ def test_group_mul_signature_mismatch():
     assert np.allclose(group_inv(b).v, ADS_E)
 
 
+@pytest.mark.parametrize("ops", (SphereOps, HyperbolicOps), ids=("S2", "H2"))
+def test_products_refuse_a_quadric_without_group(ops):
+    x = np.array([[0.0, 0.0, 1.0]])
+    with pytest.raises(SignatureMismatchError, match=f"no group structure on the {ops.name}"):
+        mul4(x, x, ops)
+    with pytest.raises(SignatureMismatchError):
+        inv4(x, ops)
+
+
 def test_multiplication_is_isometry():
     g = random_sphere_point()
     for _ in range(20):
