@@ -7,7 +7,9 @@ carrying the polygon edge after it.  The tiling edges form one table too
 one of its four face-edge segments with its side (left/right of the
 oriented geodesic), position (forward/backward) and color.  This is
 enough to check the definition clauses, glue the black and white cone
-metrics, and develop the white polyhedron back.
+metrics, and develop the white polyhedron back.  The edge clauses are
+one ordered list (`_edge_clauses`, then `_handedness_clauses`):
+assembly raises the first that fails, `validate_tiling` lists them all.
 
 One pipeline (`assemble_tiling`) projects a spherical polyhedron and a
 Fuchsian AdS surface alike; the quotient projection `ads_project` adds
@@ -157,14 +159,6 @@ class TilingEdges:
         return np.where(self.reversed[e, j] == corner_is_start, self.t1[e, j], self.t0[e, j])
 
 
-def _side_name(left):
-    return "left" if left else "right"
-
-
-def _position(forward):
-    return "forward" if forward else "backward"
-
-
 @dataclass
 class ConePoint:
     angle: float
@@ -264,18 +258,23 @@ def _face_areas(ops, verts, sizes, digon_angle):
 # -- edge assembly ------------------------------------------------------------
 
 
-def _raise_first(clauses):
-    """Raise the first failing clause of the first failing edge.
+def _failing(clauses):
+    """The messages of the failing clauses, edge by edge and, on each edge,
+    in clause order.
 
     `clauses` are (per-edge failure mask, message) in the order one edge is
     checked; a message is a string or a function of the edge index.
     """
     fails = np.array([mask for mask, _ in clauses], dtype=bool)
-    bad = fails.any(axis=0)
-    if bad.any():
-        e = int(np.argmax(bad))
-        msg = clauses[int(np.argmax(fails[:, e]))][1]
-        raise GeometryError(msg if isinstance(msg, str) else msg(e))
+    for e, c in zip(*np.nonzero(fails.T)):
+        msg = clauses[c][1]
+        yield msg if isinstance(msg, str) else msg(int(e))
+
+
+def _raise_first(clauses):
+    """Raise the first failing clause of the first failing edge."""
+    for msg in _failing(clauses):
+        raise GeometryError(msg)
 
 
 def _first_last(m):
@@ -305,6 +304,32 @@ def _side_pairs(left, black, t0):
     return np.stack(ok, 1), np.stack(lo, 1), np.stack(hi, 1)
 
 
+def _edge_clauses(left, black, t0, t1, t_min, t_max, tol):
+    """The segment clauses of the edges, in the order one edge is checked,
+    and the two segments of each side in order of t0 (`_side_pairs`): per
+    side (left, then right) one black and one white segment, which abut and
+    cover [t_min, t_max]; then equal black, then equal white lengths.  The
+    handedness clauses follow.  Huge parameters overflow and fail a clause.
+    """
+    pair_ok, lo, hi = _side_pairs(left, black, t0)
+    at = np.arange(len(t0))[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        abut = np.abs(t1[at, lo] - t0[at, hi]) > tol
+        cover = ((np.abs(t0[at, lo] - t_min[:, None]) > tol)
+                 | (np.abs(t1[at, hi] - t_max[:, None]) > tol))
+        length = t1 - t0
+        unequal = [_pair_diff(length, m) > tol for m in (black, ~black)]
+    clauses = [clause for j, side in enumerate(("left", "right")) for clause in (
+        (~pair_ok[:, j], lambda e, side=side: f"edge {e}: side {side} lacks black+white pair"),
+        (pair_ok[:, j] & abut[:, j], lambda e: f"edge {e}: segments do not abut"),
+        (pair_ok[:, j] & cover[:, j],
+         lambda e: f"edge {e}: segments do not cover [t_min, t_max]"),
+    )]
+    clauses += [(u, lambda e, color=color: f"edge {e}: {color} lengths differ")
+                for color, u in zip((BLACK, WHITE), unequal)]
+    return clauses, lo, hi
+
+
 def _build_edges(ops, base, direction, black, face, slot, rev, t0, t1, probes,
                  decks, checks=(), tol=1e-7):
     """The table of the tiling edges of E geodesics and their four labeled
@@ -322,22 +347,15 @@ def _build_edges(ops, base, direction, black, face, slot, rev, t0, t1, probes,
     s = ops.side(probes, normal[:, None, :])
     left = s > 0
     # Python's min and max, which keep the first of equal values
-    t_min, t_max = [min(r) for r in t0.tolist()], [max(r) for r in t1.tolist()]
-    pair_ok, lo, hi = _side_pairs(left, black, t0)
-    at = np.arange(len(t0))[:, None]
-    partition = ((np.abs(t0[at, lo] - np.array(t_min)[:, None]) > tol)
-                 | (np.abs(t1[at, hi] - np.array(t_max)[:, None]) > tol)
-                 | (np.abs(t1[at, lo] - t0[at, hi]) > tol))
-    length = t1 - t0
+    t_min, t_max = (np.array([f(r) for r in t.tolist()], dtype=float)
+                    for f, t in ((min, t0), (max, t1)))
+    # checked on the columns as given: the reorder below can repeat one
+    # segment of a side that lacks its pair and drop another
+    clauses, lo, hi = _edge_clauses(left, black, t0, t1, t_min, t_max, tol)
     _raise_first([
         *checks,
         ((np.abs(s) < 1e-12).any(axis=1), "face probe sits on the edge geodesic"),
-        *(clause for j in (0, 1) for clause in (
-            (~pair_ok[:, j], "each edge side needs one black and one white segment"),
-            (partition[:, j], "segments do not partition the edge"),
-        )),
-        *((_pair_diff(length, m) > tol, f"{color} segment lengths differ")
-          for m, color in ((black, BLACK), (~black, WHITE))),
+        *clauses,
     ])
     # final order: left backward, left forward, right backward, right forward
     order = np.stack([lo[:, 0], hi[:, 0], lo[:, 1], hi[:, 1]], axis=1)
@@ -346,27 +364,24 @@ def _build_edges(ops, base, direction, black, face, slot, rev, t0, t1, probes,
     left, black, face, slot, rev, t0, t1 = (np.take_along_axis(a, order, axis=1)
                                             for a in (left, black, face, slot, rev, t0, t1))
     return TilingEdges(
-        base, direction, np.array(t_min, dtype=float), np.array(t_max, dtype=float), left,
+        base, direction, t_min, t_max, left,
         np.tile([False, True], (len(order), 2)), black, face, slot, rev, t0, t1,
         None if decks is None else [tuple(tags[o] for o in row)
                                     for tags, row in zip(decks, order.tolist())])
 
 
-def _misplaced_black(T):
-    """Per edge and slot: a black segment not forward on the handedness
-    side (nor backward on the other)."""
+def _handedness_clauses(T):
+    """The handedness clause, one per slot: a black segment is forward on
+    the handedness side of its edge and backward on the other."""
     E = T.edges
-    return E.black & (E.forward != (E.left == (T.handedness is not Side.RIGHT)))
+    bad = E.black & (E.forward != (E.left == (T.handedness is not Side.RIGHT)))
+    return [(bad[:, q], lambda e, q=q: f"edge {e}: black is "
+             f"{'forward' if E.forward[e, q] else 'backward'} on the "
+             f"{'left' if E.left[e, q] else 'right'}") for q in range(4)]
 
 
 def _assert_handedness(T):
-    """The black face must be forward on the handedness side of each edge."""
-    bad = _misplaced_black(T)
-    if bad.any():
-        e, j = np.unravel_index(np.argmax(bad), bad.shape)
-        raise GeometryError(f"handedness rule violated: black "
-                            f"{_position(T.edges.forward[e, j])} on "
-                            f"{_side_name(T.edges.left[e, j])}")
+    _raise_first(_handedness_clauses(T))
 
 
 # -- projection: one pipeline for S^3 and AdS_3 --------------------------------
@@ -901,23 +916,15 @@ def _deck_rows(tags):
 
 
 def _edge_failures(T, verts, starts, sizes, tol_scale):
-    """The failures of the per-edge clauses, edge by edge."""
+    """The failures of the per-edge clauses, edge by edge: those of the
+    definition (`_edge_clauses`, `_handedness_clauses`), then the segments
+    that sit off their geodesic."""
     E = T.edges
-    left, black, rev, face, k, t0, t1 = (E.left, E.black, E.reversed, E.face, E.face_edge,
-                                         E.t0, E.t1)
-    tol = 1e-7 * tol_scale
-    pair_ok, lo, hi = _side_pairs(left, black, t0)
-    at = np.arange(len(E))[:, None]
-    # evaluated under errstate: huge parameters overflow and fail a clause
+    black, rev, face, k, t0, t1 = E.black, E.reversed, E.face, E.face_edge, E.t0, E.t1
+    clauses, _, _ = _edge_clauses(E.left, black, t0, t1, E.t_min, E.t_max, 1e-7 * tol_scale)
+    # Geometry: the carried polygon edges must sit on the geodesic at the
+    # recorded parameters.
     with np.errstate(over="ignore", invalid="ignore"):
-        abut = np.abs(t1[at, lo] - t0[at, hi]) > tol
-        cover = ((np.abs(t0[at, lo] - E.t_min[:, None]) > tol)
-                 | (np.abs(t1[at, hi] - E.t_max[:, None]) > tol))
-        length = t1 - t0
-        unequal = [_pair_diff(length, m) > tol for m in (black, ~black)]
-        handed = _misplaced_black(T)
-        # Geometry: the carried polygon edges must sit on the geodesic at
-        # the recorded parameters.
         g = face + np.where(black, 0, len(T.black))
         ends = [verts[starts[g] + (k + j) % sizes[g]] for j in (0, 1)]
         decks = None if E.decks is None else _deck_rows([tag for tags in E.decks for tag in tags])
@@ -930,27 +937,10 @@ def _edge_failures(T, verts, starts, sizes, tol_scale):
                       for t, v in zip(params, ends))
     err = np.where(err1 > err0, err1, err0)  # Python's max(err0, err1)
     off = ~(err <= 1e-6 * tol_scale)  # a distance that is not finite is off too
-
-    failures = []
-    bad = (~pair_ok.all(1) | abut.any(1) | cover.any(1) | unequal[0] | unequal[1]
-           | handed.any(1) | off.any(1))
-    for ei in np.flatnonzero(bad):
-        for j, side in enumerate(("left", "right")):
-            if not pair_ok[ei, j]:
-                failures.append(f"edge {ei}: side {side} lacks black+white pair")
-                continue
-            if abut[ei, j]:
-                failures.append(f"edge {ei}: segments do not abut")
-            if cover[ei, j]:
-                failures.append(f"edge {ei}: segments do not cover [t_min, t_max]")
-        failures += [f"edge {ei}: {c} lengths differ" for c, u in zip((BLACK, WHITE), unequal)
-                     if u[ei]]
-        failures += [f"edge {ei}: black is {_position(E.forward[ei, q])} on the "
-                     f"{_side_name(left[ei, q])}" for q in np.flatnonzero(handed[ei])]
-        failures += [f"edge {ei}: {BLACK if black[ei, q] else WHITE} face {face[ei, q]} edge "
-                     f"{k[ei, q]} off geodesic by {err[ei, q]:.2e}"
-                     for q in np.flatnonzero(off[ei])]
-    return failures
+    return list(_failing([*clauses, *_handedness_clauses(T), *(
+        (off[:, q], lambda e, q=q: f"edge {e}: {BLACK if black[e, q] else WHITE} face "
+                                   f"{face[e, q]} edge {k[e, q]} off geodesic by {err[e, q]:.2e}")
+        for q in range(4))]))
 
 
 # -- comparison up to isometry --------------------------------------------------

@@ -10,6 +10,7 @@ and say in the change log why it changed.
 
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -549,8 +550,8 @@ def reference_validate_tiling(T, tol_scale=1.0):
     return TilingReport(not failures, failures)
 
 
-def reference_build_edge(ops, base, direction, entries, tol=1e-7):
-    """One tiling edge from its four segment entries, as the per-edge
+def reference_build_edge(ops, ei, base, direction, entries, tol=1e-7):
+    """Tiling edge ei from its four segment entries, as the per-edge
     builder made it: the reference for `tilings._build_edges`.  Returns
     (base, direction, t_min, t_max, segments in slot order)."""
     normal = ops.geodesic_normal(base, ops.geodesic(base, direction, 0.5))
@@ -568,21 +569,19 @@ def reference_build_edge(ops, base, direction, entries, tol=1e-7):
     for side in (Side.LEFT, Side.RIGHT):
         group = sorted((s for s in segs if s.side is side), key=lambda g: g.t0)
         if len(group) != 2 or {g.color for g in group} != {BLACK, WHITE}:
-            raise GeometryError("each edge side needs one black and one white segment")
-        if (
-            abs(group[0].t0 - t_min) > tol
-            or abs(group[1].t1 - t_max) > tol
-            or abs(group[0].t1 - group[1].t0) > tol
-        ):
-            raise GeometryError("segments do not partition the edge")
+            raise GeometryError(f"edge {ei}: side {side.value} lacks black+white pair")
+        if abs(group[0].t1 - group[1].t0) > tol:
+            raise GeometryError(f"edge {ei}: segments do not abut")
+        if abs(group[0].t0 - t_min) > tol or abs(group[1].t1 - t_max) > tol:
+            raise GeometryError(f"edge {ei}: segments do not cover [t_min, t_max]")
         final.append(replace(group[0], position="backward"))
         final.append(replace(group[1], position="forward"))
     black_lengths = [s.length for s in final if s.color == BLACK]
     white_lengths = [s.length for s in final if s.color == WHITE]
     if abs(black_lengths[0] - black_lengths[1]) > tol:
-        raise GeometryError("black segment lengths differ")
+        raise GeometryError(f"edge {ei}: black lengths differ")
     if abs(white_lengths[0] - white_lengths[1]) > tol:
-        raise GeometryError("white segment lengths differ")
+        raise GeometryError(f"edge {ei}: white lengths differ")
     return base, direction, t_min, t_max, final
 
 
@@ -774,7 +773,7 @@ def test_build_edges_matches_reference(kind):
          if kind == "sphere" else ads_project(ads_surface(2), Side.RIGHT))
     ops, rows = T.ops, edge_rows(T)
     assert_same_edges(batched_build_edges(ops, rows),
-                      [reference_build_edge(ops, *r) for r in rows])
+                      [reference_build_edge(ops, ei, *r) for ei, r in enumerate(rows)])
 
     def corrupt(ei, changes):
         """Edge ei's entries with {entry index: {field: value}} applied.
@@ -793,25 +792,82 @@ def test_build_edges_matches_reference(kind):
         return corrupt(ei, {back: {"t1": e[back]["t1"] + 1e-5},
                             fwd: {"t0": e[fwd]["t0"] + 1e-5}})
 
+    def unequal_white(ei):
+        # stretch a white segment at both ends, each within the tolerance
+        e = rows[ei][2]
+        w = next(j for j, entry in enumerate(e) if entry["color"] == WHITE)
+        return corrupt(ei, {w: {"t0": e[w]["t0"] - 6e-8, "t1": e[w]["t1"] + 6e-8}})
+
     three_on_one_side = corrupt(2, {0: {"probe": -rows[2][2][0]["probe"]}})
     probe = "face probe sits on the edge geodesic"
-    sides = "each edge side needs one black and one white segment"
+    cover = "segments do not cover [t_min, t_max]"
     cases = [
         ({1: corrupt(1, {2: {"probe": rows[1][0]}})}, probe),
-        ({2: three_on_one_side}, sides),
+        ({2: three_on_one_side}, "edge 2: side left lacks black+white pair"),
         ({3: corrupt(3, {3: {"t1": rows[3][2][3]["t1"] - 1e-3}})},
-         "segments do not partition the edge"),
-        ({4: unequal_black(4)}, "black segment lengths differ"),
-        ({5: corrupt(5, {1: {"probe": rows[5][0]}}), 2: three_on_one_side}, sides),
+         "edge 3: segments do not abut"),
+        ({4: unequal_black(4)}, "edge 4: black lengths differ"),
+        ({5: corrupt(5, {1: {"probe": rows[5][0]}}), 2: three_on_one_side},
+         "edge 2: side left lacks black+white pair"),
         ({6: corrupt(6, {0: {"color": BLACK if rows[6][2][0]["color"] == WHITE else WHITE}})},
-         sides),
+         "edge 6: side right lacks black+white pair"),
+        ({7: unequal_white(7)}, "edge 7: white lengths differ"),
+        ({8: corrupt(8, {0: {"t0": rows[8][2][0]["t0"] + 1e-5}})},
+         "edge 8: segments do not abut"),
+        ({0: corrupt(0, {3: {"t0": rows[0][2][3]["t0"] + 1e-5}})}, f"edge 0: {cover}"),
     ]
     for change, message in cases:
         bad = [(b, d, change.get(ei, entries)) for ei, (b, d, entries) in enumerate(rows)]
-        with pytest.raises(GeometryError, match=f"^{message}$"):
-            [reference_build_edge(ops, *r) for r in bad]
-        with pytest.raises(GeometryError, match=f"^{message}$"):
+        with pytest.raises(GeometryError, match=f"^{re.escape(message)}$"):
+            [reference_build_edge(ops, ei, *r) for ei, r in enumerate(bad)]
+        with pytest.raises(GeometryError, match=f"^{re.escape(message)}$"):
             batched_build_edges(ops, bad)
+
+
+
+def test_validation_and_assembly_share_the_edge_clauses():
+    # one edge of a projected tiling corrupted per clause: validation's
+    # first failure names the clause, and assembly raises the same message
+    # on the same columns
+    T = project(random_polyhedron(np.random.default_rng(5), 9), Side.LEFT)
+    ops, E, ei = T.ops, T.edges, 2
+    white, black = int(np.argmin(E.black[ei])), int(np.argmax(E.black[ei]))
+
+    def changed(j, **changes):
+        """T with slot j of edge ei changed, column by column."""
+        cols = {column: getattr(E, column).copy() for column in changes}
+        for column, change in changes.items():
+            cols[column][ei, j] = change(cols[column][ei, j])
+        return FlippableTiling(T.handedness, T.black, T.white, replace(E, **cols), T.ambient)
+
+    def assembled(C):
+        """`_build_edges` on C's edge columns, a probe on each slot's side."""
+        X = C.edges
+        normal = ops.geodesic_normal(X.base, ops.geodesic(X.base, X.direction, 0.5))
+        probes = np.where(X.left[..., None], normal[:, None], -normal[:, None])
+        return tilings._build_edges(ops, X.base, X.direction, X.black, X.face, X.face_edge,
+                                    X.reversed, X.t0, X.t1, probes, X.decks)
+
+    misplaced = (f"black is {'backward' if E.forward[ei, black] else 'forward'} on the "
+                 f"{'left' if E.left[ei, black] else 'right'}")
+    cases = [
+        # slot 0 is the left backward segment: t0 its outer end, t1 its inner
+        (changed(0, left=np.logical_not), assembled, "side left lacks black+white pair"),
+        (changed(0, t1=lambda t: t + 1e-5), assembled, "segments do not abut"),
+        (changed(0, t0=lambda t: t + 1e-5), assembled, "segments do not cover [t_min, t_max]"),
+        # both ends within the tolerance, the length beyond it
+        (changed(white, t0=lambda t: t - 6e-8, t1=lambda t: t + 6e-8), assembled,
+         "white lengths differ"),
+        (changed(black, forward=np.logical_not), tilings._assert_handedness, misplaced),
+    ]
+    assert validate_tiling(T).ok
+    assert_same_tiling(FlippableTiling(T.handedness, T.black, T.white, assembled(T)), T)
+    for C, check, clause in cases:
+        first = validate_tiling(C).first
+        assert first == f"edge {ei}: {clause}"
+        with pytest.raises(GeometryError) as raised:
+            check(C)
+        assert str(raised.value) == first
 
 
 if __name__ == "__main__":
