@@ -391,17 +391,13 @@ def _check_heights(heights, n):
 class FuchsianConfig:
     """Half-ray base points in the fundamental domain plus heights/targets.
 
-    `word_length` and `word_length_cap` are kept for format compatibility
-    (`fuchsian.v1` reads and writes `word_len_cap`, `tiling.v1` both) and
-    no longer affect the hull, which is truncated by a certified radius.
+    The hull is truncated by a certified radius, not by word length.
     """
 
     group: FuchsianGroup
     rays: np.ndarray
     heights: np.ndarray = None
     targets: np.ndarray = None
-    word_length: int = 4
-    word_length_cap: int = 10
 
     def __post_init__(self):
         self.rays = check_rays(self.group, self.rays)
@@ -423,16 +419,14 @@ class FuchsianConfig:
     def with_heights(self, h):
         """This configuration at the heights h, without targets; its rays
         were checked once, so only the heights are."""
-        return _config_on_checked_rays(self.group, self.rays, h, self.word_length,
-                                       self.word_length_cap)
+        return _config_on_checked_rays(self.group, self.rays, h)
 
 
-def _config_on_checked_rays(group, rays, heights, word_length, word_length_cap):
+def _config_on_checked_rays(group, rays, heights):
     """A `FuchsianConfig` on rays that `check_rays` has accepted, at the
     given heights and without targets: only the heights are checked."""
     cfg = object.__new__(FuchsianConfig)
     cfg.group, cfg.rays, cfg.targets = group, rays, None
-    cfg.word_length, cfg.word_length_cap = word_length, word_length_cap
     cfg.heights = _check_heights(heights, len(rays))
     return cfg
 
@@ -901,13 +895,12 @@ def _stack_stars(stars):
 def _star_rows(offsets):
     """Per row of the stars stacked at `offsets`: its star, and the rows of
     the next and of the previous neighbour in that star's cycle."""
-    star, nxt, prv = [], [], []
-    for i, (lo, hi) in enumerate(zip(offsets[:-1], offsets[1:])):
-        rows = list(range(lo, hi))
-        star += [i] * (hi - lo)
-        nxt += rows[1:] + rows[:1]
-        prv += rows[-1:] + rows[:-1]
-    return tuple(np.array(a, dtype=np.intp) for a in (star, nxt, prv))
+    offsets = np.asarray(offsets, dtype=np.intp)
+    sizes = np.diff(offsets)
+    star = np.repeat(np.arange(len(sizes)), sizes)
+    first, size = offsets[star], sizes[star]
+    k = np.arange(offsets[0], offsets[-1]) - first
+    return star, first + (k + 1) % size, first + (k - 1) % size
 
 
 def star_geometry(xs, ys, offsets, sig=ADS_STAR):
@@ -1233,22 +1226,17 @@ def induced_cone_metric(surf):
 class HyperbolicAmbient:
     """Quotient surface data attached to a hyperbolic tiling.
 
-    `word_length` and `word_length_cap` are kept for `tiling.v1` format
-    compatibility and no longer affect the hull.  The rays are those of a
-    checked configuration, or checked by `check_rays` when a `tiling.v1`
-    file is read.
+    The rays are those of a checked configuration, or checked by
+    `check_rays` when a `tiling.v1` file is read.
     """
 
     group: FuchsianGroup
     rays: np.ndarray
-    word_length: int = 4
-    word_length_cap: int = 10
 
     def config(self, heights):
         """The configuration of these rays at the given heights; only the
         heights are checked."""
-        return _config_on_checked_rays(self.group, self.rays, heights, self.word_length,
-                                       self.word_length_cap)
+        return _config_on_checked_rays(self.group, self.rays, heights)
 
     def flip(self, T):
         """Flip of a hyperbolic tiling over this quotient: `flip_hyperbolic`."""
@@ -1415,10 +1403,7 @@ def _ads_layout(surf):
         edges.append(((vid, s, fa, fb), segments))
 
     poles = dict(zip(faces, surf.poles[faces]))
-    ambient = HyperbolicAmbient(
-        surf.group, surf.config.rays, surf.config.word_length,
-        surf.config.word_length_cap
-    )
+    ambient = HyperbolicAmbient(surf.group, surf.config.rays)
     return poles, surf.points4, white, black, edges, ambient
 
 

@@ -243,9 +243,10 @@ def tiling_to_dict(T):
             "type": "hyperbolic",
             "genus": int(T.ambient.group.genus),
             "rays": [[float(x) for x in p] for p in T.ambient.rays],
-            # kept for format compatibility; the hull no longer reads them
-            "word_length": int(T.ambient.word_length),
-            "word_length_cap": int(T.ambient.word_length_cap),
+            # kept for format compatibility, at their former defaults;
+            # nothing reads them
+            "word_length": 4,
+            "word_length_cap": 10,
         }
     return {
         "schema": TILING_SCHEMA,
@@ -384,12 +385,7 @@ def tiling_from_dict(data):
             raise SchemaError("only the built-in genus-2 hyperbolic ambient is supported")
         if not all(type(amb.get(k, 0)) is int for k in ("word_length", "word_length_cap")):
             raise SchemaError("ambient word lengths: expected integers")
-        ambient = HyperbolicAmbient(
-            _shared_group(),
-            _floats(amb["rays"], 3, "ambient rays"),
-            int(amb.get("word_length", 4)),
-            int(amb.get("word_length_cap", 10)),
-        )
+        ambient = HyperbolicAmbient(_shared_group(), _floats(amb["rays"], 3, "ambient rays"))
     verts = _floats(data["vertices"], 3, "vertices")
 
     faces = _objects(data["faces"], ("color", "vertices", "links", "edge_refs"),
@@ -483,7 +479,7 @@ def tiling_from_dict(data):
 
 
 def fuchsian_config_to_dict(cfg, labels=None):
-    """`fuchsian.v1` dict; `word_len_cap` is written for format
+    """`fuchsian.v1` dict; `word_len_cap` is written, as 10, for format
     compatibility and no longer affects the hull."""
     out = {
         "schema": FUCHSIAN_SCHEMA,
@@ -495,7 +491,7 @@ def fuchsian_config_to_dict(cfg, labels=None):
             }
             for i, p in enumerate(cfg.rays)
         ],
-        "word_len_cap": int(cfg.word_length_cap),
+        "word_len_cap": 10,
     }
     if cfg.heights is not None:
         out["heights"] = [float(h) for h in cfg.heights]
@@ -505,8 +501,8 @@ def fuchsian_config_to_dict(cfg, labels=None):
 
 
 def fuchsian_config_from_dict(data):
-    """FuchsianConfig from a `fuchsian.v1` dict; `word_len_cap` is accepted
-    for format compatibility and no longer affects the hull."""
+    """FuchsianConfig from a `fuchsian.v1` dict; an integer `word_len_cap`
+    is accepted for format compatibility and ignored."""
     _require_keys(
         data,
         ("schema", "genus", "rays"),
@@ -526,15 +522,13 @@ def fuchsian_config_from_dict(data):
     targets = data.get("targets")
     if heights is None and targets is None:
         raise SchemaError("fuchsian config needs heights or targets")
-    cap = data.get("word_len_cap", 10)
-    if type(cap) is not int:
+    if type(data.get("word_len_cap", 0)) is not int:
         raise SchemaError("word_len_cap: expected an integer")
     return FuchsianConfig(
         _shared_group(),
         rays,
         None if heights is None else _finite_list(heights, "heights"),
         None if targets is None else _finite_list(targets, "targets"),
-        word_length_cap=cap,
     )
 
 

@@ -200,6 +200,9 @@ class ConvexPolyhedron:
             raise GeometryError(f"face {bad[0]} not coplanar: {worst[bad[0]]:.3g}")
         if np.min(prods) < -EPS_PLANE * 10:
             raise GeometryError("a vertex lies strictly outside a face half-space")
+        flat = np.flatnonzero(prods.max(axis=0) <= EPS_PLANE * 10)
+        if len(flat):
+            raise GeometryError(f"face {flat[0]} has no vertex inside its plane: flat polyhedron")
         if np.min(self.interior @ self.face_poles.T) <= 0:
             raise GeometryError("empty interior")
         bad = np.nonzero(~self.faces_convex())[0]

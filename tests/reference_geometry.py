@@ -590,10 +590,7 @@ def reference_ads_layout(surf):
         edges.append(((vid, s, fa, fb), segments))
 
     poles = {fi: FaceRecord(surf, fi).pole for star in surf.stars for fi in star.wedge_face}
-    ambient = HyperbolicAmbient(
-        surf.group, surf.config.rays, surf.config.word_length,
-        surf.config.word_length_cap
-    )
+    ambient = HyperbolicAmbient(surf.group, surf.config.rays)
     return poles, surf.points4, white, black, edges, ambient
 
 

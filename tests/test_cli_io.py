@@ -25,8 +25,17 @@ from flipkit.tilings import (
     flip,
     make_antipodal_tiling,
     project,
+    validate_tiling,
 )
 from reference_geometry import Face, faces_table, tiling_congruence_error, tiling_faces
+
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+
+
+def readme_blocks(language):
+    """The fenced code blocks of README.md in `language`."""
+    with open(README, encoding="utf-8") as fh:
+        return re.findall(rf"```{language}\n(.*?)```", fh.read(), re.S)
 
 
 @pytest.fixture()
@@ -458,14 +467,23 @@ def test_cli_coplanar_polyhedron_fails_on_one_line(tmp_path, capsys, command):
 
 
 def test_readme_json_examples_pass_check(tmp_path, capsys):
-    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
-    with open(readme, encoding="utf-8") as fh:
-        examples = re.findall(r"```json\n(.*?)```", fh.read(), re.S)
+    examples = readme_blocks("json")
     assert len(examples) >= 2
     for i, text in enumerate(examples):
         path = tmp_path / f"example{i}.json"
         path.write_text(text)
         assert main(["check", "--in", str(path)]) == 0, capsys.readouterr().err
+
+
+def test_readme_library_example_runs():
+    # the Python example as written: the flip of the solved quotient tiling
+    # validates and is the left tiling its comment promises
+    (example,) = readme_blocks("python")
+    names = {}
+    exec(example, names)
+    tiling, flipped = names["tiling"], names["flipped"]
+    assert validate_tiling(flipped).ok
+    assert flipped.handedness is tiling.handedness.other is Side.LEFT
 
 
 def write_digon_tiling(tmp_path):
@@ -532,9 +550,6 @@ def test_cli_check_non_convex_face_exit_code(tmp_path, capsys):
     assert f"face {first_bad} is not convex" in capsys.readouterr().err
 
 
-@pytest.mark.xfail(strict=True, reason="validation tolerances are absolute, not "
-                   "scaled to the polyhedron: check accepts a 1e-12 tetrahedron "
-                   "that dual and project reject")
 def test_cli_check_rejects_tiny_tetrahedron(tmp_path):
     t = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]]) / np.sqrt(3)
     verts = np.hstack([np.ones((4, 1)), 1e-12 * t])
@@ -622,6 +637,17 @@ FUCHSIAN_HEIGHTS = {
     "rays": [{"p": [0.25, 0.15, math.sqrt(1 + 0.25 ** 2 + 0.15 ** 2)]}],
     "heights": [0.6],
 }
+
+
+def test_word_length_keys_are_written_as_the_defaults():
+    # kept for format compatibility only: any integer is accepted, and
+    # flipkit writes 10 (fuchsian.v1) and 4 and 10 (tiling.v1) back
+    cfg = fio.fuchsian_config_from_dict(dict(FUCHSIAN_HEIGHTS, word_len_cap=7))
+    assert fio.fuchsian_config_to_dict(cfg)["word_len_cap"] == 10
+    data = fio.tiling_to_dict(fuchsian.ads_project(fuchsian.orbit_hull(cfg), Side.LEFT))
+    data["ambient"].update(word_length=2, word_length_cap=3)
+    ambient = fio.tiling_to_dict(fio.tiling_from_dict(data))["ambient"]
+    assert (ambient["word_length"], ambient["word_length_cap"]) == (4, 10)
 
 
 @pytest.mark.parametrize("change", [
