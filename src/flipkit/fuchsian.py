@@ -62,18 +62,24 @@ representative, link corners and edge orbits) array-at-a-time from the
 face arrays: the orbit labels of all faces from one gather of the relative
 table, the decks from one batched `inv`, the orders of the representative
 faces from one SVD per face size and the edge orbits in one pass.
+
+The flip of a quotient tiling builds no orbit hull (`flip_hyperbolic`): it
+develops the Fuchsian surface from the tiling's own tables at the heights
+read off its white metric, certifies the development convex edge by edge,
+checks the tiling against it and assembles the other projection once.
 """
 
 import itertools
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.spatial import ConvexHull as EuclideanHull
 from scipy.spatial import QhullError, cKDTree
 
 from .errors import ConvergenceError, DevelopmentError, GeometryError
+from .forms import mul4
 from .polyhedra import (
     MERGE_TOL,
     cyclic_orders,
@@ -83,11 +89,25 @@ from .polyhedra import (
     triangle_poles,
 )
 from .spheremath import ADS_STAR, SPHERE_STAR, HyperbolicOps, cycle_sums
-from .tilings import ConeMetric, ConePoint, assemble_tiling, tiling_equality_error
+from .tilings import (
+    BLACK,
+    WHITE,
+    ConeMetric,
+    ConePoint,
+    FlippableTiling,
+    Side,
+    assemble_corners,
+    assemble_tiling,
+    project_points,
+    tiling_equality_error,
+    validate_tiling,
+)
 
 logger = logging.getLogger("flipkit.fuchsian")
 
 EPS_EQUIVARIANT = 1e-8
+EPS_SPACELIKE = 1e-12  # a plane is space-like when <p, p> < -EPS_SPACELIKE before scaling
+EPS_MATCH = 1e-7       # a flipped tiling's corners lie this close to its development's
 
 R0 = 5.5        # first truncation radius of an orbit hull
 R_STEP = 0.5    # growth of the radius after an uncertified build
@@ -829,7 +849,7 @@ def _fixed_star_trial(surf, config):
     tris = np.array([(st.vertex, y, st.neighbors[(j + 1) % len(st.neighbors)])
                      for st in surf.stars for j, y in enumerate(st.neighbors)])
     poles, q = triangle_poles(points4, tris, ADS_STAR, ADS_STAR.e)
-    if not (np.all(q < -1e-12)
+    if not (np.all(q < -EPS_SPACELIKE)
             and np.all(poles[:, 3] > 1e-9 * np.linalg.norm(poles[:, :3], axis=1))):
         return None
     # <x, p> under the form is the Euclidean product with form * p
@@ -868,7 +888,7 @@ def _truncated_hull(config, radius):
     # are truncation artifacts
     simplices = ch.simplices[ch.equations[:, 3] > 1e-13]
     poles, q = triangle_poles(points4, simplices, ADS_STAR, ADS_STAR.e)
-    spacelike = q < -1e-12
+    spacelike = q < -EPS_SPACELIKE
     simplices, poles = simplices[spacelike], poles[spacelike]
     # merged over the triangle indices, each face's "vertex ids" are the
     # indices of its triangles, so the merge labels come out exact
@@ -1239,7 +1259,9 @@ class HyperbolicAmbient:
         return _config_on_checked_rays(self.group, self.rays, heights)
 
     def flip(self, T):
-        """Flip of a hyperbolic tiling over this quotient: `flip_hyperbolic`."""
+        """Flip of a hyperbolic tiling over this quotient: `flip_hyperbolic`,
+        a development of T's tables at its recovered heights, certified
+        convex and checked against T; no orbit hull."""
         return flip_hyperbolic(T)
 
 
@@ -1428,9 +1450,8 @@ def _height_rows(T):
     starts = np.repeat(W.offsets[:-1], sizes)
     nxt = starts + (np.arange(len(starts)) - starts + 1) % np.repeat(sizes, sizes)
     links, verts = W.links, W.vertices
-    decks = np.array([np.eye(3) if g is None else g for g in W.tags()], dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):  # huge decks: refused by the caller
-        base = (decks.reshape(-1, 3, 3) @ rays[links][..., None])[..., 0]
+        base = (_decks(W.tags()) @ rays[links][..., None])[..., 0]
         return (links, links[nxt], np.cosh(HyperbolicOps.dist(base, base[nxt])),
                 np.cosh(HyperbolicOps.dist(verts, verts[nxt])))
 
@@ -1454,14 +1475,15 @@ def recover_heights(T):
     if not (np.all(np.isfinite(cd)) and np.all(np.isfinite(ce))):
         raise DevelopmentError("height equations are not finite")
     n = len(T.black)
-    onehot = np.eye(n)
+    one1, one2 = np.eye(n)[b1], np.eye(n)[b2]
     h = np.full(n, 0.7)
     last = np.inf
     for _ in range(MAX_GAUSS_NEWTON):
         c, s = np.cos(h), np.sin(h)
-        r = c[b1] * c[b2] * cd + s[b1] * s[b2] - ce
-        jac = ((c[b1] * s[b2] - s[b1] * c[b2] * cd)[:, None] * onehot[b1]
-               + (s[b1] * c[b2] - c[b1] * s[b2] * cd)[:, None] * onehot[b2])
+        c1, c2, s1, s2 = c[b1], c[b2], s[b1], s[b2]
+        r = c1 * c2 * cd + s1 * s2 - ce
+        jac = ((c1 * s2 - s1 * c2 * cd)[:, None] * one1
+               + (s1 * c2 - c1 * s2 * cd)[:, None] * one2)
         if not (np.all(np.isfinite(jac)) and np.all(np.isfinite(r))):
             raise DevelopmentError("height equations are not finite")
         step, _, rank, _ = np.linalg.lstsq(jac, -r, rcond=None)
@@ -1482,22 +1504,185 @@ def recover_heights(T):
     return h
 
 
-def flip_hyperbolic(T):
-    """Flip of a symmetric hyperbolic tiling.
+def _decks(tags):
+    """Deck tags as stacked (m, 3, 3) matrices, the identity for None."""
+    return np.array([np.eye(3) if g is None else g for g in tags],
+                    dtype=float).reshape(-1, 3, 3)
 
-    The Fuchsian surface is rebuilt at the heights `recover_heights` reads
-    off the white metric; its quotient layout (`_ads_layout`) is assembled
-    once on the side of T, to check T against it, and once on the other.
+
+def _moved(g, x):
+    """The rows x (m, 4) moved by the AdS isometries extending the rows g
+    (m, 3, 3), row by row."""
+    out = x.copy()
+    out[:, :3] = np.einsum("nij,nj->ni", g, x[:, :3])
+    return out
+
+
+def _develop(T, heights):
+    """The Fuchsian surface under the hyperbolic tiling T, developed from
+    its tables with its ray points at `heights`.
+
+    Returns the vertex of every white corner in the frame of its stored
+    face, extend_isometry(deck) @ apex[link] computed as `orbit_points`
+    computes the hull's vertices; the pole of every white face, from the
+    three corners 0, k // 3 and 2k // 3 of its k (`triangle_poles`), with
+    <p, p> before scaling; and the pole of the face copy at every black
+    corner, the white pole of its link moved by its deck.
     """
-    surf = orbit_hull(T.ambient.config(recover_heights(T)))
-    layout = _ads_layout(surf)
-    same = assemble_tiling(ADS_STAR, T.handedness.other, *layout)
-    err = tiling_equality_error(T, same)
-    if err > 1e-7:
+    W, B = T.white, T.black
+    n = len(T.ambient.rays)
+    points = orbit_points(_decks(W.tags()), T.ambient.rays, heights)[
+        np.arange(len(W.links)) * n + W.links]
+    thirds = W.offsets[:-1, None] + W.sizes[:, None] * np.arange(3) // 3
+    with np.errstate(divide="ignore", invalid="ignore"):  # flat: refused by the certificate
+        poles, q = triangle_poles(points, thirds, ADS_STAR, ADS_STAR.e)
+    return points, poles, q, _moved(_decks(B.tags()), poles[B.links])
+
+
+def _edge_slots(T):
+    """The slots of each tiling edge of T read as an edge from v to s
+    between the white face copies fa and fb, in the order of
+    `tilings.assemble_corners`: per edge the slots (E, 4) of fa, fb, the
+    black face at v and the black face at s; the corners of each (E, 4, 2),
+    at v and at s (white) or of fa and of fb (black); and their decks (E,
+    4, 3, 3).
+
+    fa is the white segment with an end nearest the base of the edge's
+    geodesic, and v that end; the black segment ending nearest v is the
+    one at v, the other black segment the one at s, and the other ends of
+    these place fb's corners.  A projection puts the base at (fa, v), so a
+    flip of a flip reads its edges as they were built.
+    """
+    E = T.edges
+    rows = np.arange(len(E))
+    ends = np.stack([E.t0, E.t1], axis=2)  # (E, 4, 2) parameters of both ends
+    nb = len(T.black)
+    size = np.concatenate([T.black.sizes, T.white.sizes])[E.face + np.where(E.black, 0, nb)]
+    k = E.face_edge[..., None] + np.where(E.reversed[..., None], [1, 0], [0, 1])
+    corner = k % size[..., None]  # the corner at each end
+    white = np.broadcast_to(~E.black[..., None], ends.shape)
+
+    def nearest(t, allowed):
+        d = np.where(allowed, np.abs(ends - t[:, None, None]), np.inf)
+        return np.divmod(np.argmin(d.reshape(len(E), 8), axis=1), 2)
+
+    a, ea = nearest(np.zeros(len(E)), white)
+    bv, ebv = nearest(ends[rows, a, ea], ~white)
+    other = np.arange(4)[None, :, None]
+    bs, ebs = nearest(ends[rows, a, 1 - ea], ~white & (other != bv[:, None, None]))
+    b, eb = nearest(ends[rows, bv, 1 - ebv], white & (other != a[:, None, None]))
+    order, near = np.stack([a, b, bv, bs], axis=1), np.stack([ea, eb, ebv, ebs], axis=1)
+    at = rows[:, None]
+    corners = np.stack([corner[at, order, near], corner[at, order, 1 - near]], axis=2)
+    decks = _decks([tag for tags in E.decks for tag in tags] if E.decks else [None] * 4 * len(E))
+    return order, corners, decks.reshape(-1, 4, 3, 3)[at, order]
+
+
+def _certify_development(T, points, poles, q, order, corners, decks):
+    """Check that the development of T is a convex Fuchsian surface, else
+    raise DevelopmentError naming the white face or the tiling edge.
+
+    `order`, `corners` and `decks` read T's edges (`_edge_slots`).  Every
+    white plane is space-like (<p, p> < -EPS_SPACELIKE before scaling),
+    every white corner lies on its plane (|<x, p>| <= 4 MERGE_TOL |x|; only
+    the corners of a coplanar merge can fail), and every tiling edge folds
+    convexly by the rule of `_fixed_star_trial`: the far corners of each of
+    its white face copies lie strictly on the hull side of the other's
+    plane, <x, p> > 4 MERGE_TOL |x|.  A locally convex surface at these
+    heights is the convex Fuchsian one, which is unique (Fillastre, Math.
+    Ann. 2011).
+    """
+    W = T.white
+    bad = np.flatnonzero(~(q < -EPS_SPACELIKE))
+    if len(bad):
+        raise DevelopmentError(f"white face {bad[0]} of the development is not space-like")
+    face = np.repeat(np.arange(len(W)), W.sizes)
+    with np.errstate(over="ignore", invalid="ignore"):
+        lift = np.abs(ADS_STAR.inner(points, poles[face]))
+        off = ~(lift <= 4 * MERGE_TOL * np.linalg.norm(points, axis=1))
+    if off.any():
+        raise DevelopmentError(f"white face {face[np.argmax(off)]} of the development is "
+                               "not planar")
+    # per edge and white copy (the rows of fa, then those of fb), the
+    # corners of that copy against the plane of the other one
+    n = len(order)
+    copy = T.edges.face[np.arange(n)[:, None], order[:, :2]].T.ravel()
+    deck = decks[:, :2].transpose(1, 0, 2, 3).reshape(-1, 3, 3)
+    across = np.concatenate([np.arange(n, 2 * n), np.arange(n)])
+    shared = corners[:, :2].transpose(1, 0, 2).reshape(-1, 2)  # the corners at v and s
+    m = W.sizes[copy]
+    pair = np.repeat(np.arange(2 * n), m)
+    j = np.arange(len(pair)) - np.repeat(np.cumsum(m) - m, m)
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = _moved(deck[pair], points[W.offsets[copy][pair] + j])
+        p = _moved(deck, poles[copy])[across][pair]
+        inside = ADS_STAR.inner(x, p) > 4 * MERGE_TOL * np.linalg.norm(x, axis=1)
+    folds = inside | np.any(j[:, None] == shared[pair], axis=1)
+    if not folds.all():
+        raise DevelopmentError("the development does not fold convexly at tiling edge "
+                               f"{pair[np.argmin(folds)] % n}")
+
+
+def flip_hyperbolic(T):
+    """Flip of a symmetric hyperbolic tiling, developed from its own tables.
+
+    T must pass `validate_tiling`, else GeometryError with its first
+    failure.  The Fuchsian surface is developed at the heights that
+    `recover_heights` reads off the white metric (`_develop`), and it must
+    pass the convexity certificate (`_certify_development`); its projection
+    on the side of T must lie within EPS_MATCH of T's corners (the rule of
+    `tiling_equality_error`), else DevelopmentError.
+
+    The flip is the projection on the other side, assembled once
+    (`tilings.assemble_corners`) with T's face order, links and decks; no
+    orbit hull is built.  The white corners are projected from the
+    development.  A black corner's face copy reaches its black face through
+    two decks, which costs digits, so the black faces are pushed instead:
+    the other projection of (a, x) is x u x^-1 (or x^-1 u x) for the corner
+    u = a^-1 x (or x a^-1) of T, so each black face of T is conjugated by
+    its ray point x.  The edges read their corners off the black faces,
+    whose decks are the elements of the vertices.
+    """
+    report = validate_tiling(T)
+    if not report.ok:
+        raise GeometryError(report.first)
+    W, B = T.white, T.black
+    if np.any(W.sizes < 3) or np.any(B.sizes < 3):
+        raise DevelopmentError("a face of fewer than three corners has no Fuchsian surface")
+    heights = recover_heights(T)
+    points, poles, q, black_poles = _develop(T, heights)
+    order, corners, decks = _edge_slots(T)
+    _certify_development(T, points, poles, q, order, corners, decks)
+    nw = len(W.links)
+    white_poles = poles[np.repeat(np.arange(len(W)), W.sizes)]
+    x = orbit_points(np.eye(3)[None], T.ambient.rays, heights)[
+        np.repeat(np.arange(len(B)), B.sizes)]
+    same = project_points(np.concatenate([white_poles, black_poles]),
+                          np.concatenate([points, x]), T.handedness.other, ADS_STAR)
+    err = tiling_equality_error(T, FlippableTiling(
+        T.handedness, replace(B, vertices=same[nw:]), replace(W, vertices=same[:nw]),
+        T.edges, T.ambient))
+    if err > EPS_MATCH:
         raise DevelopmentError(
             f"tiling does not match its reconstructed surface ({err:.2e})"
         )
-    return assemble_tiling(ADS_STAR, T.handedness, *layout)
+    u = np.zeros((len(x), 4))
+    u[:, :3] = B.vertices
+    pushed = mul4(x, u, ADS_STAR) if T.handedness is Side.RIGHT else mul4(u, x, ADS_STAR)
+    img = project_points(np.concatenate([white_poles, x]), np.concatenate([points, pushed]),
+                         T.handedness, ADS_STAR)
+    # the corners of fa and fb on the black faces at v and s, moved onto the edge
+    rows = np.arange(len(order))[:, None]
+    face = T.edges.face[rows, order]
+    at = nw + B.offsets[face[:, 2:, None]] + corners[:, 2:]  # (E, 2, 2)
+    quad = (decks[:, 2:, None] @ img[at][..., None])[..., 0].transpose(2, 1, 0, 3)
+    tags = T.edges.decks or [(None,) * 4] * len(order)
+    faces = {WHITE: (img[:nw], W.sizes, W.links, W.tags(), W.decked),
+             BLACK: (img[nw:], B.sizes, B.links, B.tags(), B.decked)}
+    return assemble_corners(
+        ADS_STAR, T.handedness, faces, quad.reshape(4, -1, 3),
+        np.concatenate([face[..., None], corners], axis=2),
+        [tuple(t[j] for j in row) for t, row in zip(tags, order.tolist())], T.ambient)
 
 
 # -- spherical star polyhedra (interlude) ------------------------------------------

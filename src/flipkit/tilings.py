@@ -361,7 +361,8 @@ def _build_edges(ops, base, direction, black, face, slot, rev, t0, t1, probes,
     order = np.stack([lo[:, 0], hi[:, 0], lo[:, 1], hi[:, 1]], axis=1)
     if decks is not None and all(g is None for tags in decks for g in tags):
         decks = None
-    left, black, face, slot, rev, t0, t1 = (np.take_along_axis(a, order, axis=1)
+    at = np.arange(len(order))[:, None]
+    left, black, face, slot, rev, t0, t1 = (a[at, order]
                                             for a in (left, black, face, slot, rev, t0, t1))
     return TilingEdges(
         base, direction, t_min, t_max, left,
@@ -426,26 +427,53 @@ def assemble_tiling(star, side, poles, points, white, black, edges, ambient="sph
                    and s, each (face, k, k', deck): the corners at v and s
                    (white) or of fa and fb (black), and the deck carrying
                    the stored face onto the edge, None for the identity.
+    The projected corners are assembled by `assemble_corners`.
     """
-    ops = star.plane
     quads = [((fa, v), (fa, s), (fb, v), (fb, s)) for (v, s, fa, fb), _ in edges]
     keys = [c for cyc, _, _ in white + black for c in cyc] + [c for q in quads for c in q]
     row = {c: r for r, c in enumerate(dict.fromkeys(keys))}
     img = project_points(np.array([poles[f] for f, _ in row]),
                          points[[v for _, v in row]], side, star)
+    faces = {color: (img[[row[c] for cyc, _, _ in fs for c in cyc]],
+                     np.array([len(cyc) for cyc, _, _ in fs]),
+                     [l for _, links, _ in fs for l in links],
+                     [g for cyc, _, tags in fs for g in tags or (None,) * len(cyc)],
+                     [tags is not None for _, _, tags in fs])
+             for color, fs in ((WHITE, white), (BLACK, black))}
+    E = len(edges)
+    quad = img[np.array([[row[c] for c in q] for q in quads], dtype=int).reshape(E, 4).T]
+    segments = np.array([[seg[:3] for seg in segs] for _, segs in edges],
+                        dtype=int).reshape(E, 4, 3)
+    decks = [tuple(seg[3] for seg in segs) for _, segs in edges]
+    return assemble_corners(star, side, faces, quad, segments, decks, ambient)
 
-    corners, probes, sizes, starts = {}, {}, {}, {}
-    for color, faces in ((WHITE, white), (BLACK, black)):
-        corners[color] = img[[row[c] for cyc, _, _ in faces for c in cyc]]
-        sizes[color] = np.array([len(cyc) for cyc, _, _ in faces])
-        starts[color] = np.cumsum(sizes[color]) - sizes[color]
+
+def assemble_corners(star, side, faces, quad, segments, decks, ambient="sphere"):
+    """The tiling of corners projected by the `side` projection onto the
+    surface `star.plane`: the geometry of `assemble_tiling`, which the
+    hyperbolic flip reaches with corners of its own.
+
+    faces    : per color, (corners (N, 3) in cyclic order face after face,
+               sizes, links, deck tags per corner, decked per face)
+    quad     : (4, E, 3) per edge from v to s between the white face
+               copies fa and fb, the corners (fa, v), (fa, s), (fb, v),
+               (fb, s)
+    segments : (E, 4, 3) per edge, the slots fa, fb, black at v, black at
+               s, each (face, k, k'): the corners at v and s (white) or of
+               fa and fb (black)
+    decks    : per edge, the deck tags of the four slots
+    """
+    ops = star.plane
+    probes, sizes, starts = {}, {}, {}
+    for color, (corners, size, _, _, _) in faces.items():
+        sizes[color] = size
+        starts[color] = np.cumsum(size) - size
         # normalized corner sums: interior points, read only for their side
-        sums = np.add.reduceat(corners[color], starts[color])
+        sums = np.add.reduceat(corners, starts[color])
         probes[color] = sums / np.sqrt(np.abs(ops.inner(sums, sums)))[:, None]
 
-    E = len(edges)
-    a_v, a_s, b_v, b_s = img[np.array([[row[c] for c in quad] for quad in quads],
-                                      dtype=int).reshape(E, 4).T]
+    E = len(decks)
+    a_v, a_s, b_v, b_s = quad
     direction, defined = ops.tangents(a_v, a_s)
     with np.errstate(invalid="ignore"):
         ell = ops.dist(a_v, a_s)
@@ -455,14 +483,12 @@ def assemble_tiling(star, side, poles, points, white, black, edges, ambient="sph
     zero = np.zeros(E)
     p, d = np.stack([zero, delta, zero, ell], 1), np.stack([ell, ell, delta, delta], 1)
     end = p + d
-    face, k0, k1 = np.array([[seg[:3] for seg in segs] for _, segs in edges],
-                            dtype=int).reshape(E, 4, 3).transpose(2, 0, 1)
+    face, k0, k1 = segments.transpose(2, 0, 1)
     m = np.concatenate([sizes[WHITE][face[:, :2]], sizes[BLACK][face[:, 2:]]], axis=1)
     forward = (k0 + 1) % m == k1
     adjacent = forward | ((k1 + 1) % m == k0)
     slot = np.where(forward, k0, k1)
     probe = np.concatenate([probes[WHITE][face[:, :2]], probes[BLACK][face[:, 2:]]], axis=1)
-    decks = [tuple(seg[3] for seg in segs) for _, segs in edges]
     moved = _deck_rows([g for tags in decks for g in tags])
     if moved is not None:
         probe = np.einsum("nij,nj->ni", moved, probe.reshape(-1, 3)).reshape(E, 4, 3)
@@ -481,14 +507,13 @@ def assemble_tiling(star, side, poles, points, white, black, edges, ambient="sph
 
     # per polygon edge, the first tiling edge met carrying it
     tables = {}
-    for color, faces, cols in ((WHITE, white, slice(0, 2)), (BLACK, black, slice(2, 4))):
-        refs = np.full(len(corners[color]), -1)
+    for color, cols in ((WHITE, slice(0, 2)), (BLACK, slice(2, 4))):
+        corners, size, links, tags, decked = faces[color]
+        refs = np.full(len(corners), -1)
         at, first = np.unique(starts[color][face[:, cols]] + slot[:, cols], return_index=True)
         refs[at] = first // 2
-        tables[color] = TilingFaces.stacked(
-            corners[color], sizes[color], [l for _, links, _ in faces for l in links], refs,
-            decks=[g for cyc, _, tags in faces for g in tags or (None,) * len(cyc)],
-            decked=[tags is not None for _, _, tags in faces])
+        tables[color] = TilingFaces.stacked(corners, size, links, refs, decks=tags,
+                                            decked=decked)
     T = FlippableTiling(side.other, tables[BLACK], tables[WHITE], tiling_edges, ambient)
     _assert_handedness(T)
     return T
@@ -606,7 +631,9 @@ def flip(T: FlippableTiling) -> FlippableTiling:
 
     Implemented as the opposite-side projection of the white polyhedron;
     face indices are preserved, handedness is reversed.  A hyperbolic
-    tiling is flipped by its ambient quotient (`HyperbolicAmbient.flip`).
+    tiling is flipped by its ambient quotient (`HyperbolicAmbient.flip`),
+    which develops its Fuchsian surface from the tiling's own tables and
+    builds no orbit hull.
     """
     if T.degenerate:
         raise GeometryError("flip is undefined on hosohedral/dihedral tilings")

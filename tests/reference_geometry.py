@@ -24,6 +24,9 @@ are checked against:
 - the heights of the Fuchsian surface under a hyperbolic tiling, by
   bounded least squares over scalar residuals: the oracle of
   `fuchsian.recover_heights`, and the one importer of `scipy.optimize`;
+- the flip of a hyperbolic tiling by its rebuilt orbit hull, laid out and
+  assembled on both sides: the oracle of the developed
+  `fuchsian.flip_hyperbolic`;
 - the Minkowski forms (+,+,+,-) and (+,-,-) beside the two of the library,
   the bilinear forms as a checked function, the generalized cross product
   as one `det` call per minor, points of the unit quadrics,
@@ -48,9 +51,11 @@ import numpy as np
 
 from flipkit.errors import DevelopmentError, GeometryError, SignatureMismatchError
 from flipkit.forms import inv4, mul4
-from flipkit.fuchsian import HyperbolicAmbient, VertexStar, _link_faces
+from flipkit.fuchsian import (HyperbolicAmbient, VertexStar, _ads_layout, _link_faces,
+                              orbit_hull, recover_heights)
 from flipkit.spheremath import ADS_STAR, SPHERE_STAR, HyperbolicOps
-from flipkit.tilings import BLACK, WHITE, FlippableTiling, Side, TilingFaces, _aligned_error
+from flipkit.tilings import (BLACK, WHITE, FlippableTiling, Side, TilingFaces, _aligned_error,
+                             assemble_tiling, tiling_equality_error)
 
 
 class DegenerateTriangleError(GeometryError):
@@ -647,6 +652,27 @@ def least_squares_heights(T):
             f"tiling is not consistent with apexes on the rays ({res:.2e})"
         )
     return sol.x
+
+
+
+def reference_flip_hyperbolic(T):
+    """The flip of a hyperbolic tiling by its orbit hull: the oracle of the
+    developed `fuchsian.flip_hyperbolic`.
+
+    The Fuchsian surface is rebuilt as the certified orbit hull at the
+    heights `recover_heights` reads off the white metric; its quotient
+    layout (`_ads_layout`) is assembled once on the side of T, to check T
+    against it at 1e-7, and once on the other side as the flip.
+    """
+    surf = orbit_hull(T.ambient.config(recover_heights(T)))
+    layout = _ads_layout(surf)
+    same = assemble_tiling(ADS_STAR, T.handedness.other, *layout)
+    err = tiling_equality_error(T, same)
+    if err > 1e-7:
+        raise DevelopmentError(
+            f"tiling does not match its reconstructed surface ({err:.2e})"
+        )
+    return assemble_tiling(ADS_STAR, T.handedness, *layout)
 
 
 # -- forms, quadric points, duality and Minkowski angles --------------------------

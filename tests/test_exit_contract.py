@@ -6,7 +6,8 @@ Valid files get one node mutated: replaced (type swaps, null, booleans,
 indices), removed (a missing key, or a list entry fewer), or joined by an
 extra one (an unknown key beside it, or a list entry repeated).  The
 mutants are a spherical, an antipodal-digon and an AdS n = 1 `tiling.v1`
-through `check`, `flip`, `render` and `reconstruct`; a polyhedron with and
+through `check`, `flip`, `render` and `reconstruct` (and, with two nodes
+mutated at once, through `flip` and `check`); a polyhedron with and
 without faces (`polyhedron.v1`) through `check`, `dual` and `project`; and
 an n = 1 solver input (`fuchsian.v1`) through `check` and `solve`.  Each
 command runs in process, with every warning an error.  The contract: the
@@ -100,21 +101,28 @@ SCHEMAS = {
 PATHS = {name: node_paths(d) for bases, _ in SCHEMAS.values() for name, d in bases.items()}
 
 
-def mutated_text(d, path, value):
-    """The JSON text of d with the node at `path` replaced by `value`, or
-    dropped (DROP) or joined by another (EXTRA)."""
+def mutated_text(d, *changes):
+    """The JSON text of d with each (path, value) of `changes` applied in
+    turn: the node at `path` replaced by `value`, or dropped (DROP) or
+    joined by another (EXTRA).  A path that an earlier change removed or
+    retyped is left alone."""
     d = json.loads(json.dumps(d))
-    node = d
-    for key in path[:-1]:
-        node = node[key]
-    if value == DROP:
-        del node[path[-1]]
-    elif value == EXTRA and isinstance(node, dict):
-        node["extra"] = 0
-    elif value == EXTRA:
-        node.append(node[path[-1]])
-    else:
-        node[path[-1]] = value
+    for path, value in changes:
+        node = d
+        try:
+            for key in path[:-1]:
+                node = node[key]
+            node[path[-1]]
+        except (KeyError, IndexError, TypeError):
+            continue
+        if value == DROP:
+            del node[path[-1]]
+        elif value == EXTRA and isinstance(node, dict):
+            node["extra"] = 0
+        elif value == EXTRA:
+            node.append(node[path[-1]])
+        else:
+            node[path[-1]] = value
     return json.dumps(d).replace(json.dumps(NEG_ZERO), "-0")
 
 
@@ -135,17 +143,23 @@ def assert_contract(code, _, err):
         assert err.startswith("error: ") and len(err.splitlines()) == 1, err
 
 
-def check_a_mutant(data, tmp_path_factory, schema):
-    """Draw one mutant of a valid file of `schema` and run every command that
-    reads it."""
-    bases, commands = SCHEMAS[schema]
-    name = data.draw(st.sampled_from(sorted(bases)), label="file")
+def draw_change(data, name):
+    """One (path, value) change of the base file `name`: a field pattern, a
+    node of it and a mutant."""
     pattern = data.draw(st.sampled_from(list(PATHS[name])), label="field")
     path = data.draw(st.sampled_from(PATHS[name][pattern]), label="node")
-    value = data.draw(st.sampled_from(MUTANTS), label="value")
+    return path, data.draw(st.sampled_from(MUTANTS), label="value")
+
+
+def check_a_mutant(data, tmp_path_factory, schema, commands=None, changes=1):
+    """Draw one mutant of a valid file of `schema`, with `changes` nodes
+    mutated, and run every command that reads it (or `commands`)."""
+    bases, reading = SCHEMAS[schema]
+    name = data.draw(st.sampled_from(sorted(bases)), label="file")
+    text = mutated_text(bases[name], *(draw_change(data, name) for _ in range(changes)))
     work = tmp_path_factory.mktemp("mutant")
-    (work / "t.json").write_text(mutated_text(bases[name], path, value))
-    for command in commands:
+    (work / "t.json").write_text(text)
+    for command in commands or reading:
         assert_contract(*run(command, work / "t.json", work / "out"))
 
 
@@ -153,6 +167,14 @@ def check_a_mutant(data, tmp_path_factory, schema):
 @given(data=st.data())
 def test_mutated_tilings_keep_the_exit_contract(data, tmp_path_factory):
     check_a_mutant(data, tmp_path_factory, "tiling.v1")
+
+
+@settings(max_examples=100)
+@given(data=st.data())
+def test_doubly_mutated_tilings_keep_the_exit_contract(data, tmp_path_factory):
+    # two nodes at once reach the numeric paths of a flip past the checks
+    # that catch one damage alone
+    check_a_mutant(data, tmp_path_factory, "tiling.v1", ("flip", "check"), changes=2)
 
 
 @settings(max_examples=200)

@@ -63,6 +63,7 @@ from reference_geometry import (
     reference_assemble,
     reference_build_star,
     reference_cone_angle,
+    reference_flip_hyperbolic,
     tiling_faces,
     wedge_convexity,
     with_face,
@@ -1062,10 +1063,13 @@ def test_equality_error_refuses_unmatched_face_counts(surf2):
 
 
 def test_flip_rejects_a_moved_white_vertex(surf1):
+    # the flip validates T first; the height recovery refuses it too
     T = ads_project(surf1, Side.LEFT)
     move_white_vertex(T)
-    with pytest.raises(DevelopmentError, match="apexes on the rays"):
+    with pytest.raises(GeometryError, match="off geodesic"):
         flip(T)
+    with pytest.raises(DevelopmentError, match="apexes on the rays"):
+        recover_heights(T)
 
 
 def test_flip_rejects_heights_off_its_surface(surf1, monkeypatch):
@@ -1129,7 +1133,7 @@ def test_cli_refuses_a_vertex_off_the_hyperboloid(surf1, change, command, tmp_pa
 def test_loaders_share_one_group_and_its_balls(surf1, group):
     d = fio.tiling_to_dict(ads_project(surf1, Side.LEFT))
     first = fio.tiling_from_dict(d)
-    flip(first)  # builds the balls of its group
+    reference_flip_hyperbolic(first)  # its orbit hull builds the balls of its group
     balls = dict(first.ambient.group._element_cache)
     assert balls
     second = fio.tiling_from_dict(d)
@@ -1153,15 +1157,20 @@ def test_cli_flip_of_a_damaged_tiling_exits_3(surf1, damage, tmp_path, capsys):
 
 
 def test_flip_rejects_singular_and_non_finite_height_equations(surf2):
-    # no white corner links ray 1, so its height is free
+    # no white corner links ray 1, so its height is free; the flip refuses
+    # such tilings in validation, before the heights
     T = ads_project(surf2, Side.LEFT)
     T = with_faces(T, WHITE, [replace(w, links=(0,) * len(w)) for w in tiling_faces(T.white)])
     with pytest.raises(DevelopmentError, match="singular"):
+        recover_heights(T)
+    with pytest.raises(GeometryError, match="does not meet its linked face"):
         flip(T)
     T = ads_project(surf2, Side.LEFT)
     w = tiling_faces(T.white)[0]
     T = with_face(T, WHITE, 0, decks=(np.full((3, 3), np.nan),) + w.decks[1:])
     with pytest.raises(DevelopmentError, match="not finite"):
+        recover_heights(T)
+    with pytest.raises(GeometryError, match="does not meet its linked face"):
         flip(T)
 
 
@@ -1223,7 +1232,9 @@ def test_projection_validates_and_flip_is_involution(group, n, level, offsets, s
     cfg = config(group, THREE_RAYS[:n], heights=level + np.array(offsets[:n]))
     T = ads_project(orbit_hull(cfg), side)
     assert validate_tiling(T).ok
-    assert tiling_equality_error(T, flip(flip(T))) <= 1e-10
+    F = flip(T)
+    assert tiling_equality_error(F, reference_flip_hyperbolic(T)) <= 1e-12
+    assert tiling_equality_error(T, flip(F)) <= 1e-10
 
 
 def test_hyperbolic_flip_round_trip(surf1, surf2):
@@ -1234,6 +1245,94 @@ def test_hyperbolic_flip_round_trip(surf1, surf2):
         assert validate_tiling(F).ok
         FF = flip(F)
         assert tiling_equality_error(T, FF) < 1e-7
+
+
+# -- the developed flip --------------------------------------------------------------
+
+
+def damage_black_deck(T):
+    """Compose the deck of black corner 0 with a 1e-3 boost."""
+    T.black.decks[0] = T.black.decks[0] @ fuchsian._boost(1e-3)
+
+
+def damage_segment_deck(T):
+    """Compose the deck of segment 0 of edge 0 with a 1e-3 boost."""
+    tags = T.edges.decks[0]
+    T.edges.decks[0] = (tags[0] @ fuchsian._boost(1e-3),) + tags[1:]
+
+
+@pytest.mark.parametrize("damage", [damage_black_deck, damage_segment_deck])
+def test_flip_refuses_what_check_refuses(group, damage, tmp_path, capsys):
+    # the development reads every deck, so a flip validates its input first
+    T = ads_project(orbit_hull(config(group, [(0.25, 0.15)], heights=[0.7])), Side.LEFT)
+    damage(T)
+    first = validate_tiling(T).first
+    assert first is not None
+    with pytest.raises(GeometryError) as info:
+        flip(T)
+    assert str(info.value) == first
+    path = tmp_path / "damaged.json"
+    fio.dump_json(fio.tiling_to_dict(T), path)
+    for argv in (["check", "--in", str(path)],
+                 ["flip", "--in", str(path), "--out", str(tmp_path / "flipped.json")]):
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert not (tmp_path / "flipped.json").exists()
+
+
+@pytest.mark.parametrize("name", ["surf1", "surf2", "surf3"])
+def test_hyperbolic_flip_builds_no_hull(name, request, monkeypatch):
+    T = ads_project(request.getfixturevalue(name), Side.LEFT)
+    expected = reference_flip_hyperbolic(T)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a hyperbolic flip built an orbit hull")
+
+    monkeypatch.setattr(fuchsian, "EuclideanHull", refuse)
+    monkeypatch.setattr(fuchsian, "orbit_hull", refuse)
+    F = flip(T)
+    assert tiling_equality_error(F, expected) <= 1e-12
+
+
+def certify(T, heights):
+    """`_certify_development` of T developed at `heights`."""
+    points, poles, q, _ = fuchsian._develop(T, np.asarray(heights, dtype=float))
+    fuchsian._certify_development(T, points, poles, q, *fuchsian._edge_slots(T))
+
+
+def test_certificate_names_the_edge_an_apex_was_pushed_across(surf2):
+    T = ads_project(surf2, Side.LEFT)
+    certify(T, surf2.heights)
+    # ray point 0 lowered from h = 0.5 to 0.3 lies across the plane of a
+    # face next to it, so the two faces of tiling edge 0 fold inward
+    with pytest.raises(DevelopmentError, match="does not fold convexly at tiling edge 0$"):
+        certify(T, [0.3, 0.7])
+
+
+def test_certificate_names_a_merged_face_with_a_corner_off_its_plane(group):
+    surf = orbit_hull(config(group, [(0.0, 0.0)], heights=[0.3]))
+    T = ads_project(surf, Side.LEFT)
+    big = int(np.argmax(T.white.sizes))
+    assert T.white.sizes[big] > 3
+    points, poles, q, _ = fuchsian._develop(T, surf.heights)
+    slots = fuchsian._edge_slots(T)
+    fuchsian._certify_development(T, points, poles, q, *slots)
+    # corner 1 is none of the three corners the face's pole is taken from
+    points[T.white.offsets[big] + 1] += 1e-4 * poles[big]
+    with pytest.raises(DevelopmentError, match=f"white face {big} of the development is "
+                                               "not planar"):
+        fuchsian._certify_development(T, points, poles, q, *slots)
+
+
+@pytest.mark.parametrize("side", list(Side))
+def test_octagon_centre_flip_matches_the_hull_oracle(group, side):
+    # one white octagon from a coplanar merge
+    T = ads_project(orbit_hull(config(group, [(0.0, 0.0)], heights=[0.3])), side)
+    assert max(T.white.sizes) >= 4
+    F = flip(T)
+    assert validate_tiling(F).ok
+    assert tiling_equality_error(F, reference_flip_hyperbolic(T)) <= 1e-12
 
 
 # -- spherical star polyhedra ---------------------------------------------------------
