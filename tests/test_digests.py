@@ -60,8 +60,8 @@ SOLVER_DIGESTS = {
     5: "a6ae9e4312a27ab3fd3caacf7e0aaf855ce38f309e3ac6fdad866bc17191c630",
 }
 QUOTIENT_FLIP_DIGESTS = {
-    7: "1a0e9c70f9e70896de2a0e55d5e7f07fd1256e806a00478d11fa74fd592e41e7",
-    31: "c7de59a0c052f3d207798e7fa8f0306036f67048df138b553eb4839c312491dc",
+    7: "f4b49e9c1491d103ab670dab2adacd768634582c159dedd89a7c5f9540e9fe64",
+    31: "4bf6d5965d23635e5f2ade944b15849450a4d23499c577867605cae1f4a4194c",
 }
 
 SPHERE_CLI_SEED = 20240817
