@@ -1627,7 +1627,9 @@ def flip_hyperbolic(T):
     """Flip of a symmetric hyperbolic tiling, developed from its own tables.
 
     T must pass `validate_tiling`, else GeometryError with its first
-    failure.  The Fuchsian surface is developed at the heights that
+    failure, and its black faces, tiling edges and white faces must be the
+    cells of the quotient once (V - E + F = chi).  The Fuchsian surface is
+    developed at the heights that
     `recover_heights` reads off the white metric (`_develop`), and it must
     pass the convexity certificate (`_certify_development`); its projection
     on the side of T must lie within EPS_MATCH of T's corners (the rule of
@@ -1649,6 +1651,9 @@ def flip_hyperbolic(T):
     W, B = T.white, T.black
     if np.any(W.sizes < 3) or np.any(B.sizes < 3):
         raise DevelopmentError("a face of fewer than three corners has no Fuchsian surface")
+    # black faces, tiling edges and white faces are the cells of the quotient
+    if len(B) - len(T.edges) + len(W) != T.ambient.group.chi:
+        raise DevelopmentError("tiling does not cover its quotient once (V - E + F != chi)")
     heights = recover_heights(T)
     points, poles, q, black_poles = _develop(T, heights)
     order, corners, decks = _edge_slots(T)

@@ -13,7 +13,9 @@ assembly raises the first that fails, `validate_tiling` lists them all.
 
 One pipeline (`assemble_tiling`) projects a spherical polyhedron and a
 Fuchsian AdS surface alike; the quotient projection `ads_project` adds
-only the bookkeeping of face orbits and deck transformations.  A
+only the bookkeeping of face orbits and deck transformations.  Its corner
+assembly (`assemble_corners`) also builds the hyperbolic flip from the
+corners of a developed surface.  A
 hyperbolic tiling carries its quotient as `ambient`, which also flips it,
 so this module never imports the Fuchsian one.
 """

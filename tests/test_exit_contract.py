@@ -115,6 +115,8 @@ def mutated_text(d, *changes):
             node[path[-1]]
         except (KeyError, IndexError, TypeError):
             continue
+        if not isinstance(node, (dict, list)):  # a string indexes, but takes no item
+            continue
         if value == DROP:
             del node[path[-1]]
         elif value == EXTRA and isinstance(node, dict):

@@ -1281,6 +1281,17 @@ def test_flip_refuses_what_check_refuses(group, damage, tmp_path, capsys):
     assert not (tmp_path / "flipped.json").exists()
 
 
+def test_flip_refuses_a_repeated_face(surf1):
+    # validation passes a white face listed twice; the hull-based flip
+    # refused it by its face count, the development by V - E + F
+    T = ads_project(surf1, Side.LEFT)
+    faces = tiling_faces(T.white)
+    T = with_faces(T, WHITE, faces + faces[:1])
+    assert validate_tiling(T).ok
+    with pytest.raises(DevelopmentError, match="does not cover its quotient once"):
+        flip(T)
+
+
 @pytest.mark.parametrize("name", ["surf1", "surf2", "surf3"])
 def test_hyperbolic_flip_builds_no_hull(name, request, monkeypatch):
     T = ads_project(request.getfixturevalue(name), Side.LEFT)
