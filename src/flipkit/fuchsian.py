@@ -32,17 +32,24 @@ the Jacobian of either quadric; only the family (sinh, cosh) or (sin, cos)
 differs.  Distances, tangents, angles and face areas are the primitives of
 `spheremath`.
 
-The prescribed-curvature solver builds a hull only where the stars may
-change.  A line-search trial keeps the fundamental stars of its current
-surface, re-embedded at the trial heights, when a certificate
-(`_fixed_star_trial`) proves that the certified hull there has the same
-stars: every star triangle is a space-like hull face that supports all
-orbit points of the ball strictly, far enough to merge with no other
-triangle, and its plane passes the `_supports_orbit` bound at R0 with a
-margin.  The trial's cone angles and Jacobian are then those of that hull
-bit for bit.  A trial the certificate refuses builds its certified hull,
-and a solve that ends on a certified trial builds its returned surface
-once, with `orbit_hull`.
+The prescribed-curvature solver builds a hull only to start, after a
+failed repair and to end.  A line-search trial keeps the fundamental stars
+of its current surface, re-embedded at the trial heights, when a
+certificate (`_fixed_star_trial`) proves that the certified hull there has
+the same stars: every star triangle is a space-like hull face that
+supports all orbit points of the ball strictly, far enough to merge with
+no other triangle, and its plane passes the `_supports_orbit` bound at R0
+with a margin.  The trial's cone angles and Jacobian are then those of
+that hull bit for bit.  When the certificate finds orbit points on the
+wrong side of star triangles, those stars are repaired at the trial
+heights (`_recut_stars`): re-cut as the extreme directions, seen from the
+star's vertex, of its neighbours and those points (a 2-D hull of their
+gnomonic images, with no Qhull call), read in `_build_star`'s order and
+certified again, at most MAX_REPAIRS times.  Certified repaired stars are
+the hull's stars by the same argument, so only a trial whose repair fails
+builds its certified hull; a solve that ends on certified stars builds
+its returned surface once, with `orbit_hull`.  A trial's curvatures and
+the next Newton step's Jacobian read one `star_geometry` pass.
 
 Group elements are identified by one rule.  The elements of a ball
 (`FuchsianGroup.ball`) carry integer ids, their positions in
@@ -79,7 +86,7 @@ from scipy.spatial import ConvexHull as EuclideanHull
 from scipy.spatial import QhullError, cKDTree
 
 from .errors import ConvergenceError, DevelopmentError, GeometryError
-from .forms import mul4
+from .forms import cross4, mul4
 from .polyhedra import (
     MERGE_TOL,
     cyclic_orders,
@@ -115,6 +122,7 @@ R_MAX = 10.0    # largest radius tried
 
 MAX_NEWTON = 40        # Newton steps per target of the solver
 MAX_CONTINUATION = 40  # continuation steps toward the prescribed target
+MAX_REPAIRS = 3        # star repairs of a line-search trial before its hull is built
 
 MATCH_TOL = 1e-6   # a matrix within this of an element is that element ...
 MATCH_GAP = 0.2    # ... when every other element is more than this away
@@ -461,7 +469,8 @@ class VertexStar:
     neighbors : vertex ids in cyclic order; wedge j is the triangle
                 (x, neighbors[j], neighbors[j+1 mod m])
     true_edge : per neighbor, False for triangulation diagonals
-    wedge_face: per wedge, the index of the merged face it belongs to
+    wedge_face: per wedge, the index of the merged face it belongs to;
+                None for a star re-cut by `_recut_stars`, which has no faces
     """
 
     vertex: int
@@ -491,6 +500,8 @@ class FuchsianSurface:
     computed from the chart on first read.  The stars never read it for a
     triangle, only for a larger face from a coplanar merge; the layout and
     the face areas read it for the faces around the fundamental vertices.
+    `star_pass` is the `_star_pass` that the solver took a surface's
+    curvatures from, which `jacobian` reads; None outside a solve.
     """
 
     def __init__(self, config, ball, points4, chart, triangles, triangle_face, poles,
@@ -507,6 +518,7 @@ class FuchsianSurface:
         self.order_keys = (ball.rank[:, None] + np.arange(self.n) * len(ball.rank)
                            ).ravel().tolist()
         self.stars = []
+        self.star_pass = None
         self._cycles = {}
         # the vertex set of each face, ascending, from one sort of the
         # (face, vertex) pairs of its triangles; face fi has the vertices
@@ -806,17 +818,19 @@ def _orbit_bound(poles, heights, rays, radius):
 
 
 class _FixedStars:
-    """The fundamental stars of an orbit hull re-embedded at other heights,
-    where `_fixed_star_trial` has certified them to be the stars of the
-    orbit hull: what `curvatures`, `jacobian` and the next certificate read
-    of a surface."""
+    """Fundamental stars at other heights than those of the orbit hull they
+    came from, certified by `_fixed_star_trial` to be the stars of the
+    orbit hull there: what `curvatures`, `jacobian` and the next
+    certificate read of a surface."""
 
-    def __init__(self, surf, config, points4):
+    def __init__(self, surf, config, points4, stars):
         self.config = config
         self.points4 = points4
         self.elements = surf.elements
+        self.order_keys = surf.order_keys
         self.radius = surf.radius
-        self.stars = surf.stars
+        self.stars = stars
+        self.star_pass = None
 
     @property
     def n(self):
@@ -826,42 +840,136 @@ class _FixedStars:
         return vid % self.n
 
 
-def _fixed_star_trial(surf, config):
+def _fixed_star_trial(surf, config, repairs=MAX_REPAIRS):
     """The stars of `surf` at the heights of `config` when a certificate
     proves that `_certified_hull(config)` has the same stars; else None.
+    Stars the certificate refuses are re-cut where it found orbit points
+    on the wrong side of them (`_recut_stars`) and certified again, at
+    most `repairs` times; with repairs=0 this is the certificate alone.
 
     The certificate asks that surf was certified at R0, so the same ball
-    gives the same vertex ids and star starts, and that every star edge is
-    true.  At the new points, each star triangle (v, y_j, y_j+1) must be
-    space-like (<p, p> < -1e-12 before scaling) and visible from the chart
-    origin (p4 > 1e-9 |p123|), and every other orbit point x of the ball
-    must lie strictly on its plane's hull side, <x, p> > 4 MERGE_TOL |x|: by
-    Cauchy-Schwarz no other hull triangle's pole lies within MERGE_TOL of p,
-    so the triangle is a hull face of its own.  The `_supports_orbit` bound
-    at R0 must hold with a margin (bound > 1e-12, rising by a relative
-    1e-9), so the hull certifies these faces at R0.  The stars then close
-    over the same triangles, and their cone angles and Jacobian are those
-    of the hull bit for bit.
+    gives the same vertex ids, and that every star edge is true.  At the
+    new points, each star triangle (v, y_j, y_j+1) must be space-like
+    (<p, p> < -1e-12 before scaling) and visible from the chart origin
+    (p4 > 1e-9 |p123|), and every other orbit point x of the ball must lie
+    strictly on its plane's hull side, <x, p> > 4 MERGE_TOL |x|: by
+    Cauchy-Schwarz no other hull triangle's pole lies within MERGE_TOL of
+    p, so the triangle is a hull face of its own.  The `_supports_orbit`
+    bound at R0 must hold with a margin (bound > 1e-12, rising by a
+    relative 1e-9), so the hull certifies these faces at R0.  The triangles
+    around v then close into the hull's star at v, which is read in
+    `_build_star`'s order, so the cone angles and Jacobian are those of the
+    hull bit for bit.  A repaired star is read in that order too, so the
+    certificate makes no difference between kept and re-cut stars.
     """
     if surf.radius != R0 or not all(all(st.true_edge) for st in surf.stars):
         return None
     points4 = orbit_points(surf.elements, config.rays, config.heights)
+    margin = 4 * MERGE_TOL * np.linalg.norm(points4, axis=1)[:, None]
+    stars = surf.stars
+    for attempt in range(repairs + 1):
+        poles, wrong, planes = _star_certificate(stars, points4, margin, config)
+        if not wrong.any():
+            return _FixedStars(surf, config, points4, stars) if planes else None
+        if attempt < repairs:
+            stars = _recut_stars(stars, points4, poles, wrong, surf.order_keys)
+            if stars is None:
+                return None
+    return None
+
+
+def _star_certificate(stars, points4, margin, config):
+    """The certificate of `_fixed_star_trial` on `stars` with their
+    vertices at points4: (poles, wrong, planes), the future unit poles p_t
+    of the star triangles t in stacking order, wrong[x, t] telling that
+    orbit point x, not a vertex of t, fails <x, p_t> > margin[x], and
+    planes that every triangle is a space-like plane visible from the
+    chart origin which passes the `_supports_orbit` bound with its
+    margin."""
     tris = np.array([(st.vertex, y, st.neighbors[(j + 1) % len(st.neighbors)])
-                     for st in surf.stars for j, y in enumerate(st.neighbors)])
+                     for st in stars for j, y in enumerate(st.neighbors)])
     poles, q = triangle_poles(points4, tris, ADS_STAR, ADS_STAR.e)
-    if not (np.all(q < -EPS_SPACELIKE)
-            and np.all(poles[:, 3] > 1e-9 * np.linalg.norm(poles[:, :3], axis=1))):
-        return None
-    # <x, p> under the form is the Euclidean product with form * p
-    side = points4 @ (poles * ADS_STAR.form).T
-    side[tris, np.arange(len(tris))[:, None]] = np.inf
-    margin = 4 * MERGE_TOL * np.linalg.norm(points4, axis=1)
-    if not np.all(side > margin[:, None]):
-        return None
+    # <x, p> under the form is the Euclidean product with form * p; a NaN
+    # side is wrong too
+    wrong = ~(points4 @ (poles * ADS_STAR.form).T > margin)
+    wrong[tris, np.arange(len(tris))[:, None]] = False
     rise, b, bound = _orbit_bound(poles, config.heights, config.rays, R0)
-    if not np.all((rise > (1 + 1e-9) * b) & (bound > 1e-12)):
+    return poles, wrong, bool(
+        np.all(q < -EPS_SPACELIKE)
+        and np.all(poles[:, 3] > 1e-9 * np.linalg.norm(poles[:, :3], axis=1))
+        and np.all((rise > (1 + 1e-9) * b) & (bound > 1e-12)))
+
+
+def _recut_stars(stars, points4, poles, wrong, keys):
+    """The stars re-cut where the certificate found orbit points on the
+    wrong side of their triangles; None when a star cannot be re-cut.
+
+    A star's candidates are its neighbours and the points on the wrong
+    side of one of its triangles.  Its new neighbours are the candidates
+    that are extreme seen from its vertex v: the vertices of the 2-D hull
+    of their gnomonic images x -> (x . u, x . w) / x . a, where a is the
+    sum of form * p over the poles p of the star's triangles (`poles`, in
+    the certificate's order), u is form * p of its first triangle and
+    w = cross4(v, a, u), so that u, w and a span the covectors that vanish
+    at v.  When x . a > 0 for every candidate they lie in one open
+    half-space, and the hull's vertices are the extreme rays of the cone
+    they span from v.  The cycle is read in `_build_star`'s order: from
+    the neighbour of least key toward the lesser of its two.  All stars
+    share one pass: the candidates from one mask, the images from one
+    `einsum` and one sort, then a pure-Python hull per star.
+    """
+    sizes = [len(st.neighbors) for st in stars]
+    col_star = np.repeat(np.arange(len(stars)), sizes)
+    first = np.cumsum(sizes) - sizes
+    covectors = poles * ADS_STAR.form
+    a, u = np.add.reduceat(covectors, first), covectors[first]
+    vertex = [st.vertex for st in stars]
+    basis = np.stack([u, cross4(points4[vertex], a, u), a], axis=1)  # (s, 3, 4)
+    cand = np.zeros((len(stars), len(points4)), dtype=bool)
+    cand[col_star, [y for st in stars for y in st.neighbors]] = True
+    rows, cols = np.nonzero(wrong)
+    cand[col_star[cols], rows] = True
+    star_of, ids = np.nonzero(cand)
+    uwa = np.einsum("kd,kcd->kc", points4[ids], basis[star_of])
+    if not np.all(uwa[:, 2] > 0):
         return None
-    return _FixedStars(surf, config, points4)
+    x, y = uwa[:, 0] / uwa[:, 2], uwa[:, 1] / uwa[:, 2]
+    # each star's candidates by x, then y: the order of the monotone chain
+    order = np.lexsort((y, x, star_of))
+    ends = np.cumsum(np.bincount(star_of, minlength=len(stars))).tolist()
+    ids, x, y = ids[order].tolist(), x[order].tolist(), y[order].tolist()
+    out, lo = [], 0
+    for st, hi in zip(stars, ends):
+        cycle = [ids[i] for i in _hull_2d(x, y, range(lo, hi))]
+        lo = hi
+        if len(cycle) < 3:
+            return None
+        i = min(range(len(cycle)), key=lambda j: keys[cycle[j]])
+        cycle = cycle[i:] + cycle[:i]
+        if keys[cycle[-1]] < keys[cycle[1]]:
+            cycle = cycle[:1] + cycle[:0:-1]
+        out.append(VertexStar(st.vertex, cycle, [True] * len(cycle), None))
+    return out
+
+
+def _hull_2d(x, y, order):
+    """The vertices of the convex hull of the points (x[i], y[i]) for i in
+    `order`, which runs by x, then y: Andrew's monotone chain, counter-
+    clockwise; points on an edge are not vertices."""
+
+    def chain(idx):
+        out = []
+        for i in idx:
+            xi, yi = x[i], y[i]
+            while len(out) > 1:
+                a, b = out[-2], out[-1]
+                if (x[b] - x[a]) * (yi - y[a]) - (y[b] - y[a]) * (xi - x[a]) > 0:
+                    break
+                out.pop()
+            out.append(i)
+        return out
+
+    return chain(order)[:-1] + chain(order[::-1])[:-1]
 
 
 def _truncated_hull(config, radius):
@@ -941,6 +1049,23 @@ def star_geometry(xs, ys, offsets, sig=ADS_STAR):
     return sig.dist(x, ys), rho[:m], rho[m:], sig.angle_between(t[:m], t[nxt])
 
 
+def _star_pass(stars, pts, sig=ADS_STAR):
+    """The stars stacked (`_stack_stars`) with their `star_geometry` at
+    `pts`: (vertex, nbrs, offsets, (ell, rho_x, rho_s, omega)), what
+    `_assemble` reads."""
+    vertex, nbrs, offsets = _stack_stars(stars)
+    return vertex, nbrs, offsets, star_geometry(pts[vertex], pts[nbrs], offsets, sig)
+
+
+def _pass_curvatures(surf):
+    """`curvatures` of a solver surface from one `_star_pass`, which the
+    surface keeps for `jacobian`: 2 pi minus the cycle sums of its wedge
+    angles, which have the bits of those of `_cone_angles`."""
+    surf.star_pass = _star_pass(surf.stars, surf.points4)
+    _, _, offsets, (_, _, _, omega) = surf.star_pass
+    return 2.0 * np.pi - cycle_sums(omega, np.diff(offsets))
+
+
 def _cone_angles(stars, pts, sig=ADS_STAR):
     """Total wedge angle of each star with its vertices at `pts`, summed in
     cycle order."""
@@ -997,10 +1122,10 @@ class JacobianMatrix:
         return bool(np.all(d > col))
 
 
-def _assemble(stars, pts, index, n, sig):
-    """d omega_x / d h_y from vertex stars whose vertices sit at `pts`, in
-    one stacked pass; vertex v is row and column index(v) of the n x n
-    matrix, `index` taking arrays of vertex ids.
+def _assemble(stars, star_pass, index, n, sig):
+    """d omega_x / d h_y from vertex stars and their `_star_pass`; vertex v
+    is row and column index(v) of the n x n matrix, `index` taking arrays
+    of vertex ids.
 
     Per neighbour y of x, the dihedral sum D of the two wedges at the edge
     xy, each (S rho_other - cos omega S rho_y) / (sin omega C rho_y),
@@ -1011,9 +1136,8 @@ def _assemble(stars, pts, index, n, sig):
     own orbit gives D C(rho_x) (1 - C(ell)) / S(ell).
     """
     S, C = sig.trig.S, sig.trig.C
-    vertex, nbrs, offsets = _stack_stars(stars)
+    vertex, nbrs, offsets, (ell, rho_x, rho_s, omega) = star_pass
     star, nxt, prv = _star_rows(offsets)
-    ell, rho_x, rho_s, omega = star_geometry(pts[vertex], pts[nbrs], offsets, sig)
     s, c = _scalar_map(S, rho_x), _scalar_map(C, rho_x)
     cos_w, sin_w = _scalar_map(math.cos, omega), _scalar_map(math.sin, omega)
     d = ((s[prv] - cos_w[prv] * s) / (sin_w[prv] * c)
@@ -1043,8 +1167,10 @@ def _assemble(stars, pts, index, n, sig):
 
 
 def jacobian(surf):
-    """d omega_x / d h_y of a Fuchsian surface, from its fundamental stars."""
-    return _assemble(surf.stars, surf.points4, surf.base_of, surf.n, ADS_STAR)
+    """d omega_x / d h_y of a Fuchsian surface, from its fundamental stars;
+    a solver surface reads the star pass its curvatures came from."""
+    star_pass = surf.star_pass or _star_pass(surf.stars, surf.points4)
+    return _assemble(surf.stars, star_pass, surf.base_of, surf.n, ADS_STAR)
 
 
 # -- the prescribed-curvature solver ---------------------------------------------
@@ -1060,10 +1186,15 @@ def solve_prescribed_curvature(config, tol=1e-8, h0=None):
     The starting surface is a certified hull.  Each line-search trial is
     evaluated on the current surface's fundamental stars at the trial
     heights when `_fixed_star_trial` certifies that the hull there has the
-    same stars, and builds its certified hull otherwise; both give the
-    same curvature and Jacobian bits.  A solve that ends on a certified
-    trial builds the returned surface with `orbit_hull` at the final
-    heights and reports that surface's curvatures.
+    same stars.  When the certificate finds orbit points on the wrong side
+    of star triangles, the stars are re-cut through those points and
+    certified again, up to MAX_REPAIRS times, with no Qhull call; only a
+    trial whose repair fails builds its certified hull.  Kept, repaired
+    and built stars give the same curvature and Jacobian bits, so a solve
+    builds a hull to start, for each failed repair and, when it ends on
+    certified stars, once more for the returned surface at the final
+    heights, whose curvatures it reports.  The curvatures of a trial and
+    the Jacobian of the Newton step from it read one `star_geometry` pass.
 
     Returns a dict with heights, achieved curvatures, residual, Jacobian
     condition number, iteration count and the surface.
@@ -1088,14 +1219,15 @@ def solve_prescribed_curvature(config, tol=1e-8, h0=None):
         raise GeometryError("could not find a feasible starting surface")
 
     # a trial keeps the stars of the current surface when the certificate
-    # allows, else builds its hull; that fallback calls the builder, not
-    # `orbit_hull`, so a trace tells it apart from the starting hull
+    # allows, or repairs them, else builds its hull; that fallback calls the
+    # builder, not `orbit_hull`, so a trace tells it apart from the starting
+    # hull
     def evaluate(surf, hvec):
         cfg = config.with_heights(hvec)
         s = _fixed_star_trial(surf, cfg) or _certified_hull(cfg)
-        return s, curvatures(s)
+        return s, _pass_curvatures(s)
 
-    k_now = curvatures(surf)
+    k_now = _pass_curvatures(surf)
     iterations = 0
     last_cond = float("nan")
 
@@ -1166,6 +1298,7 @@ def solve_prescribed_curvature(config, tol=1e-8, h0=None):
     if isinstance(surf, _FixedStars):
         surf = orbit_hull(surf.config)
         k_now = curvatures(surf)
+    surf.star_pass = None  # the returned surface carries no solver state
     residual = float(np.max(np.abs(k_now - k_target)))
     if residual > tol:
         raise ConvergenceError(
@@ -1627,13 +1760,12 @@ def flip_hyperbolic(T):
     """Flip of a symmetric hyperbolic tiling, developed from its own tables.
 
     T must pass `validate_tiling`, else GeometryError with its first
-    failure, and its black faces, tiling edges and white faces must be the
-    cells of the quotient once (V - E + F = chi).  The Fuchsian surface is
-    developed at the heights that
-    `recover_heights` reads off the white metric (`_develop`), and it must
-    pass the convexity certificate (`_certify_development`); its projection
-    on the side of T must lie within EPS_MATCH of T's corners (the rule of
-    `tiling_equality_error`), else DevelopmentError.
+    failure; so its black faces, tiling edges and white faces are cells
+    that count V - E + F = chi.  The Fuchsian surface is developed at the
+    heights that `recover_heights` reads off the white metric (`_develop`),
+    and it must pass the convexity certificate (`_certify_development`);
+    its projection on the side of T must lie within EPS_MATCH of T's
+    corners (the rule of `tiling_equality_error`), else DevelopmentError.
 
     The flip is the projection on the other side, assembled once
     (`tilings.assemble_corners`) with T's face order, links and decks; no
@@ -1651,9 +1783,6 @@ def flip_hyperbolic(T):
     W, B = T.white, T.black
     if np.any(W.sizes < 3) or np.any(B.sizes < 3):
         raise DevelopmentError("a face of fewer than three corners has no Fuchsian surface")
-    # black faces, tiling edges and white faces are the cells of the quotient
-    if len(B) - len(T.edges) + len(W) != T.ambient.group.chi:
-        raise DevelopmentError("tiling does not cover its quotient once (V - E + F != chi)")
     heights = recover_heights(T)
     points, poles, q, black_poles = _develop(T, heights)
     order, corners, decks = _edge_slots(T)
@@ -1749,5 +1878,5 @@ def sph_star_jacobian(P, order):
     the assembly of `jacobian` with sin and cos.  Off-diagonal entries are
     positive by convexity."""
     stars = [_sph_star(P, vi) for vi in range(P.n_vertices)]
-    return _assemble(stars, P.vertices, np.asarray(order).__getitem__, P.n_vertices,
-                     SPHERE_STAR)
+    return _assemble(stars, _star_pass(stars, P.vertices, SPHERE_STAR),
+                     np.asarray(order).__getitem__, P.n_vertices, SPHERE_STAR)

@@ -890,8 +890,9 @@ def make_two_circles_tiling(n1, n2, side: Side) -> FlippableTiling:
 def validate_tiling(T: FlippableTiling, tol_scale=1.0) -> TilingReport:
     """Check the defining clauses of a flippable tiling.
 
-    Covers: positive face area, the area budget (sphere), per-edge
-    segment structure, the handedness rule, equal black and equal white
+    Covers: positive face area, the area budget (sphere), V - E + F = chi
+    over black faces, tiling edges and white faces (hyperbolic quotients),
+    per-edge segment structure, the handedness rule, equal black and equal white
     lengths, segments on their geodesic, and coincidence of linked
     corners.  Each clause is evaluated over all faces, segments or corners
     at once; failures are listed face by face, then edge by edge (each
@@ -914,6 +915,11 @@ def validate_tiling(T: FlippableTiling, tol_scale=1.0) -> TilingReport:
                  for g in np.flatnonzero(np.isnan(digon) & (areas <= 0))]
     if T.is_spherical and not budget <= EPS_AREA * tol_scale * 10:
         failures.append(f"area budget off by {budget:.2e}")
+    # a quotient's cells: black faces, tiling edges and white faces
+    euler = nb - len(T.edges) + len(W)
+    if not T.is_spherical and euler != T.ambient.group.chi:
+        failures.append(f"V - E + F = {euler} is not chi = {T.ambient.group.chi}: "
+                        "the cells do not cover the quotient once")
     starts = np.cumsum(sizes) - sizes
     if T.edges:
         failures += _edge_failures(T, verts, starts, sizes, tol_scale)

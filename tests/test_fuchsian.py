@@ -11,7 +11,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 from scipy.spatial import QhullError
 
@@ -75,6 +75,12 @@ DATA = os.path.join(os.path.dirname(__file__), "data")
 GOLDEN_N2 = os.path.join(DATA, "ads_project_flip_n2.json")
 GOLDEN_STARS = os.path.join(DATA, "star_combinatorics_golden.json")
 THREE_RAYS = [(0.3, 0.1), (-0.4, 0.35), (0.0, -0.5)]
+# the rays of the benchmark's solver inputs (`tests/test_digests.py`)
+SEED_RAYS = {
+    1: [(0.25, 0.15)],
+    2: [(0.3, 0.1), (-0.4, 0.35)],
+    3: [(0.3, 0.1), (-0.4, 0.35), (0.05, -0.55)],
+}
 # (rays, heights) of the surf1 / surf2 / surf3 fixtures
 FIXTURES = {
     "surf1": ([(0.25, 0.15)], [0.55]),
@@ -826,10 +832,18 @@ def assert_trial_is_hull(trial, hull):
        size=st.floats(1e-3, 0.15))
 def test_certified_fixed_star_trial_is_the_hull(group, n, level, offsets, direction, size):
     # a Newton-sized step of up to 0.15 per height; the certificate passes
-    # for most small steps and refuses most large ones
+    # for most small steps and refuses most large ones, and the repair
+    # re-cuts most of those it refuses (`--hypothesis-show-statistics`
+    # counts the paths)
     cfg = config(group, THREE_RAYS[:n], heights=level + np.array(offsets[:n]))
     trial_cfg = cfg.with_heights(cfg.heights + size * np.array(direction[:n]))
-    trial = fuchsian._fixed_star_trial(orbit_hull(cfg), trial_cfg)
+    surf = orbit_hull(cfg)
+    trial = fuchsian._fixed_star_trial(surf, trial_cfg, repairs=0)
+    if trial is None:
+        trial = fuchsian._fixed_star_trial(surf, trial_cfg)
+        event("refused, repaired" if trial is not None else "refused, not repaired")
+    else:
+        event("certified")
     if trial is not None:
         assert_trial_is_hull(trial, _certified_hull(trial_cfg))
 
@@ -837,12 +851,12 @@ def test_certified_fixed_star_trial_is_the_hull(group, n, level, offsets, direct
 def test_fixed_star_trial_certifies_small_steps(surf1, surf3):
     for surf in (surf1, surf3):
         trial_cfg = surf.config.with_heights(surf.heights + 0.01)
-        trial = fuchsian._fixed_star_trial(surf, trial_cfg)
+        trial = fuchsian._fixed_star_trial(surf, trial_cfg, repairs=0)
         assert trial is not None
         assert_trial_is_hull(trial, _certified_hull(trial_cfg))
         # a trial surface certifies the next trial as its hull would
         again = surf.config.with_heights(surf.heights + 0.02)
-        assert_trial_is_hull(fuchsian._fixed_star_trial(trial, again),
+        assert_trial_is_hull(fuchsian._fixed_star_trial(trial, again, repairs=0),
                              _certified_hull(again))
 
 
@@ -852,7 +866,16 @@ def test_fixed_star_trial_refuses_new_combinatorics(surf2):
     trial_cfg = surf2.config.with_heights([0.55, 0.6])
     hull = _certified_hull(trial_cfg)
     assert [s.neighbors for s in hull.stars] != [s.neighbors for s in surf2.stars]
-    assert fuchsian._fixed_star_trial(surf2, trial_cfg) is None
+    assert fuchsian._fixed_star_trial(surf2, trial_cfg, repairs=0) is None
+    # the repair re-cuts the stars where the certificate found points on
+    # the wrong side, and they are the hull's
+    assert_trial_is_hull(fuchsian._fixed_star_trial(surf2, trial_cfg), hull)
+    # at (0.2, 0.7) the first ray point sinks inside the hull: the repair
+    # refuses the trial, whose hull raises
+    sunk = surf2.config.with_heights([0.2, 0.7])
+    assert fuchsian._fixed_star_trial(surf2, sunk) is None
+    with pytest.raises(GeometryError, match="not in convex position"):
+        _certified_hull(sunk)
 
 
 def test_fixed_star_trial_needs_a_hull_at_r0_with_true_edges(group, surf1):
@@ -865,25 +888,43 @@ def test_fixed_star_trial_needs_a_hull_at_r0_with_true_edges(group, surf1):
         merged, merged.config.with_heights([0.31])) is None
 
 
-def test_seed_99_n1_solve_builds_at_most_two_hulls(group, monkeypatch):
-    # round 0, n = 1 of the seed-99 solver inputs (`tests/test_digests.py`):
-    # the starting hull and the returned one; every trial keeps its stars
+@pytest.mark.parametrize("n, budget", [(1, 2), (2, 2), (3, 3)])
+def test_seed_99_solve_builds_few_hulls(group, monkeypatch, n, budget):
+    # round 0 of the seed-99 solver inputs (`tests/test_digests.py`): the
+    # starting hull, the returned one and, for n = 3, one trial whose
+    # stars cannot be repaired; the repairs build no hull
     rng = np.random.default_rng(99)
-    while True:
-        k = -rng.uniform(0.5, 3.5, size=1)
-        if np.sum(k) > -4 * np.pi + 0.5:
-            break
-    radii = []
-    truncated = fuchsian._truncated_hull
+    for m in range(1, n + 1):
+        while True:
+            k = -rng.uniform(0.5, 3.5, size=m)
+            if np.sum(k) > -4 * np.pi + 0.5:
+                break
+    radii, qhull_in_trials, in_trial = [], [], []
+    truncated, euclidean, trial = (fuchsian._truncated_hull, fuchsian.EuclideanHull,
+                                   fuchsian._fixed_star_trial)
 
     def counting(cfg, radius):
         radii.append(radius)
         return truncated(cfg, radius)
 
+    def qhull(*args, **kwargs):
+        qhull_in_trials.append(bool(in_trial))
+        return euclidean(*args, **kwargs)
+
+    def watched_trial(*args):
+        in_trial.append(True)
+        try:
+            return trial(*args)
+        finally:
+            in_trial.pop()
+
     monkeypatch.setattr(fuchsian, "_truncated_hull", counting)
-    out = solve_prescribed_curvature(config(group, [(0.25, 0.15)], targets=k))
+    monkeypatch.setattr(fuchsian, "EuclideanHull", qhull)
+    monkeypatch.setattr(fuchsian, "_fixed_star_trial", watched_trial)
+    out = solve_prescribed_curvature(config(group, SEED_RAYS[n], targets=k))
     assert out["residual"] <= 1e-8 and out["iterations"] > 0
-    assert len(radii) <= 2
+    assert len(radii) <= budget
+    assert len(qhull_in_trials) == len(radii) and not any(qhull_in_trials)
     # the returned surface is a certified hull at the solved heights
     surf = out["surface"]
     assert isinstance(surf, fuchsian.FuchsianSurface)
@@ -1282,14 +1323,33 @@ def test_flip_refuses_what_check_refuses(group, damage, tmp_path, capsys):
 
 
 def test_flip_refuses_a_repeated_face(surf1):
-    # validation passes a white face listed twice; the hull-based flip
-    # refused it by its face count, the development by V - E + F
+    # a white face listed twice misses V - E + F = chi: validation, and so
+    # the flip, refuses it
     T = ads_project(surf1, Side.LEFT)
     faces = tiling_faces(T.white)
     T = with_faces(T, WHITE, faces + faces[:1])
-    assert validate_tiling(T).ok
-    with pytest.raises(DevelopmentError, match="does not cover its quotient once"):
+    first = validate_tiling(T).first
+    assert first == "V - E + F = -1 is not chi = -2: the cells do not cover the quotient once"
+    with pytest.raises(GeometryError) as info:
         flip(T)
+    assert str(info.value) == first
+
+
+@pytest.mark.parametrize("entry", ["faces", "edges"])
+def test_check_and_flip_refuse_a_repeated_cell(surf1, entry, tmp_path, capsys):
+    # a face or a tiling edge listed twice in a tiling.v1 file exits 3
+    # under check and flip, both naming the V - E + F clause
+    data = fio.tiling_to_dict(ads_project(surf1, Side.LEFT))
+    data[entry].append(data[entry][-1])
+    path = tmp_path / "repeated.json"
+    fio.dump_json(data, path)
+    for argv in (["check", "--in", str(path)],
+                 ["flip", "--in", str(path), "--out", str(tmp_path / "flipped.json")]):
+        assert main(argv) == 3
+        out, err = capsys.readouterr()
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert "is not chi = -2" in out + err
+    assert not (tmp_path / "flipped.json").exists()
 
 
 @pytest.mark.parametrize("name", ["surf1", "surf2", "surf3"])
