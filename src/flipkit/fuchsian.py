@@ -45,11 +45,11 @@ wrong side of star triangles, those stars are repaired at the trial
 heights (`_recut_stars`): re-cut as the extreme directions, seen from the
 star's vertex, of its neighbours and those points (a 2-D hull of their
 gnomonic images, with no Qhull call), read in `_build_star`'s order and
-certified again, at most MAX_REPAIRS times.  Certified repaired stars are
-the hull's stars by the same argument, so only a trial whose repair fails
-builds its certified hull; a solve that ends on certified stars builds
-its returned surface once, with `orbit_hull`.  A trial's curvatures and
-the next Newton step's Jacobian read one `star_geometry` pass.
+certified once more.  Certified repaired stars are the hull's stars by
+the same argument, so only a trial whose repair fails builds its
+certified hull; a solve that ends on certified stars builds its returned
+surface once, with `orbit_hull`.  A trial's curvatures and the next
+Newton step's Jacobian read one `star_geometry` pass.
 
 Group elements are identified by one rule.  The elements of a ball
 (`FuchsianGroup.ball`) carry integer ids, their positions in
@@ -122,7 +122,6 @@ R_MAX = 10.0    # largest radius tried
 
 MAX_NEWTON = 40        # Newton steps per target of the solver
 MAX_CONTINUATION = 40  # continuation steps toward the prescribed target
-MAX_REPAIRS = 3        # star repairs of a line-search trial before its hull is built
 
 MATCH_TOL = 1e-6   # a matrix within this of an element is that element ...
 MATCH_GAP = 0.2    # ... when every other element is more than this away
@@ -500,8 +499,6 @@ class FuchsianSurface:
     computed from the chart on first read.  The stars never read it for a
     triangle, only for a larger face from a coplanar merge; the layout and
     the face areas read it for the faces around the fundamental vertices.
-    `star_pass` is the `_star_pass` that the solver took a surface's
-    curvatures from, which `jacobian` reads; None outside a solve.
     """
 
     def __init__(self, config, ball, points4, chart, triangles, triangle_face, poles,
@@ -518,7 +515,6 @@ class FuchsianSurface:
         self.order_keys = (ball.rank[:, None] + np.arange(self.n) * len(ball.rank)
                            ).ravel().tolist()
         self.stars = []
-        self.star_pass = None
         self._cycles = {}
         # the vertex set of each face, ascending, from one sort of the
         # (face, vertex) pairs of its triangles; face fi has the vertices
@@ -830,7 +826,6 @@ class _FixedStars:
         self.order_keys = surf.order_keys
         self.radius = surf.radius
         self.stars = stars
-        self.star_pass = None
 
     @property
     def n(self):
@@ -840,12 +835,12 @@ class _FixedStars:
         return vid % self.n
 
 
-def _fixed_star_trial(surf, config, repairs=MAX_REPAIRS):
+def _fixed_star_trial(surf, config):
     """The stars of `surf` at the heights of `config` when a certificate
     proves that `_certified_hull(config)` has the same stars; else None.
-    Stars the certificate refuses are re-cut where it found orbit points
-    on the wrong side of them (`_recut_stars`) and certified again, at
-    most `repairs` times; with repairs=0 this is the certificate alone.
+    When the certificate finds orbit points on the wrong side of star
+    triangles, the stars are re-cut there (`_recut_stars`) and certified
+    once more.
 
     The certificate asks that surf was certified at R0, so the same ball
     gives the same vertex ids, and that every star edge is true.  At the
@@ -867,15 +862,15 @@ def _fixed_star_trial(surf, config, repairs=MAX_REPAIRS):
     points4 = orbit_points(surf.elements, config.rays, config.heights)
     margin = 4 * MERGE_TOL * np.linalg.norm(points4, axis=1)[:, None]
     stars = surf.stars
-    for attempt in range(repairs + 1):
-        poles, wrong, planes = _star_certificate(stars, points4, margin, config)
-        if not wrong.any():
-            return _FixedStars(surf, config, points4, stars) if planes else None
-        if attempt < repairs:
-            stars = _recut_stars(stars, points4, poles, wrong, surf.order_keys)
-            if stars is None:
-                return None
-    return None
+    poles, wrong, planes = _star_certificate(stars, points4, margin, config)
+    if wrong.any():
+        stars = _recut_stars(stars, points4, poles, wrong, surf.order_keys)
+        if stars is None:
+            return None
+        _, wrong, planes = _star_certificate(stars, points4, margin, config)
+    if wrong.any() or not planes:
+        return None
+    return _FixedStars(surf, config, points4, stars)
 
 
 def _star_certificate(stars, points4, margin, config):
@@ -1058,12 +1053,12 @@ def _star_pass(stars, pts, sig=ADS_STAR):
 
 
 def _pass_curvatures(surf):
-    """`curvatures` of a solver surface from one `_star_pass`, which the
-    surface keeps for `jacobian`: 2 pi minus the cycle sums of its wedge
-    angles, which have the bits of those of `_cone_angles`."""
-    surf.star_pass = _star_pass(surf.stars, surf.points4)
-    _, _, offsets, (_, _, _, omega) = surf.star_pass
-    return 2.0 * np.pi - cycle_sums(omega, np.diff(offsets))
+    """`curvatures` of a solver surface and the `_star_pass` they came
+    from, for `jacobian`: 2 pi minus the cycle sums of its wedge angles,
+    which have the bits of those of `_cone_angles`."""
+    star_pass = _star_pass(surf.stars, surf.points4)
+    _, _, offsets, (_, _, _, omega) = star_pass
+    return 2.0 * np.pi - cycle_sums(omega, np.diff(offsets)), star_pass
 
 
 def _cone_angles(stars, pts, sig=ADS_STAR):
@@ -1166,10 +1161,11 @@ def _assemble(stars, star_pass, index, n, sig):
     return JacobianMatrix(J, cond)
 
 
-def jacobian(surf):
+def jacobian(surf, star_pass=None):
     """d omega_x / d h_y of a Fuchsian surface, from its fundamental stars;
-    a solver surface reads the star pass its curvatures came from."""
-    star_pass = surf.star_pass or _star_pass(surf.stars, surf.points4)
+    `star_pass` is their `_star_pass` when the caller has taken it."""
+    if star_pass is None:
+        star_pass = _star_pass(surf.stars, surf.points4)
     return _assemble(surf.stars, star_pass, surf.base_of, surf.n, ADS_STAR)
 
 
@@ -1188,13 +1184,13 @@ def solve_prescribed_curvature(config, tol=1e-8, h0=None):
     heights when `_fixed_star_trial` certifies that the hull there has the
     same stars.  When the certificate finds orbit points on the wrong side
     of star triangles, the stars are re-cut through those points and
-    certified again, up to MAX_REPAIRS times, with no Qhull call; only a
-    trial whose repair fails builds its certified hull.  Kept, repaired
-    and built stars give the same curvature and Jacobian bits, so a solve
-    builds a hull to start, for each failed repair and, when it ends on
-    certified stars, once more for the returned surface at the final
-    heights, whose curvatures it reports.  The curvatures of a trial and
-    the Jacobian of the Newton step from it read one `star_geometry` pass.
+    certified once more, with no Qhull call; only a trial whose repair
+    fails builds its certified hull.  Kept, repaired and built stars give
+    the same curvature and Jacobian bits, so a solve builds a hull to
+    start, for each failed repair and, when it ends on certified stars,
+    once more for the returned surface at the final heights, whose
+    curvatures it reports.  The curvatures of a trial and the Jacobian of
+    the Newton step from it read one `star_geometry` pass.
 
     Returns a dict with heights, achieved curvatures, residual, Jacobian
     condition number, iteration count and the surface.
@@ -1225,19 +1221,20 @@ def solve_prescribed_curvature(config, tol=1e-8, h0=None):
     def evaluate(surf, hvec):
         cfg = config.with_heights(hvec)
         s = _fixed_star_trial(surf, cfg) or _certified_hull(cfg)
-        return s, _pass_curvatures(s)
+        return (s, *_pass_curvatures(s))
 
-    k_now = _pass_curvatures(surf)
+    k_now, pass_now = _pass_curvatures(surf)
     iterations = 0
     last_cond = float("nan")
 
-    def newton_to(target, h, surf, k_now):
+    # the Newton state: heights, surface, its curvatures and their star pass
+    def newton_to(target, h, surf, k_now, pass_now):
         nonlocal iterations, last_cond
         r = k_now - target
         for _ in range(MAX_NEWTON):
             if np.max(np.abs(r)) <= tol:
-                return h, surf, k_now, True
-            Jm = jacobian(surf)
+                return h, surf, k_now, pass_now, True
+            Jm = jacobian(surf, pass_now)
             last_cond = Jm.condition
             # k = 2 pi - omega, so dk/dh = -J; a singular J ends the solve,
             # since a retry from the same surface meets the same J
@@ -1254,23 +1251,23 @@ def solve_prescribed_curvature(config, tol=1e-8, h0=None):
             while lam > 1e-6:
                 h_try = np.clip(h + lam * step, 1e-3, np.pi / 2 - 1e-3)
                 try:
-                    surf_try, k_try = evaluate(surf, h_try)
+                    surf_try, k_try, pass_try = evaluate(surf, h_try)
                 except GeometryError:
                     lam *= 0.5
                     continue
                 if np.max(np.abs(k_try - target)) < np.max(np.abs(r)):
-                    h, surf, k_now = h_try, surf_try, k_try
+                    h, surf, k_now, pass_now = h_try, surf_try, k_try, pass_try
                     r = k_now - target
                     improved = True
                     iterations += 1
                     break
                 lam *= 0.5
             if not improved:
-                return h, surf, k_now, False
-        return h, surf, k_now, np.max(np.abs(r)) <= tol
+                return h, surf, k_now, pass_now, False
+        return h, surf, k_now, pass_now, np.max(np.abs(r)) <= tol
 
     # cold start
-    h, surf, k_now, ok = newton_to(k_target, h, surf, k_now)
+    h, surf, k_now, pass_now, ok = newton_to(k_target, h, surf, k_now, pass_now)
     if not ok:
         # continuation from the current feasible point along K(n)
         k_anchor = k_now.copy()
@@ -1279,9 +1276,9 @@ def solve_prescribed_curvature(config, tol=1e-8, h0=None):
         while t < 1.0 and cont < MAX_CONTINUATION:
             t_next = min(1.0, t + t_step)
             target = (1 - t_next) * k_anchor + t_next * k_target
-            h2, surf2, k2, ok = newton_to(target, h, surf, k_now)
+            h2, surf2, k2, pass2, ok = newton_to(target, h, surf, k_now, pass_now)
             if ok:
-                h, surf, k_now = h2, surf2, k2
+                h, surf, k_now, pass_now = h2, surf2, k2, pass2
                 t = t_next
                 t_step = min(0.5, t_step * 1.5)
             else:
@@ -1298,7 +1295,6 @@ def solve_prescribed_curvature(config, tol=1e-8, h0=None):
     if isinstance(surf, _FixedStars):
         surf = orbit_hull(surf.config)
         k_now = curvatures(surf)
-    surf.star_pass = None  # the returned surface carries no solver state
     residual = float(np.max(np.abs(k_now - k_target)))
     if residual > tol:
         raise ConvergenceError(

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import warnings
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -796,7 +797,7 @@ def test_solver_n2_converges_and_unique(group):
 def test_solver_singular_jacobian_is_nonconvergence(group, monkeypatch):
     calls = []
 
-    def singular(surf, require_convex=True):
+    def singular(surf, star_pass=None):
         calls.append(surf)
         return fuchsian.JacobianMatrix(np.zeros((surf.n, surf.n)), math.inf)
 
@@ -825,6 +826,13 @@ def assert_trial_is_hull(trial, hull):
     assert jacobian_or_error(hull) == jacobian_or_error(trial)
 
 
+def trial_and_repair(surf, cfg):
+    """`_fixed_star_trial(surf, cfg)` and whether it re-cut the stars, that
+    is whether the certificate found points on the wrong side of them."""
+    with mock.patch.object(fuchsian, "_recut_stars", wraps=fuchsian._recut_stars) as recut:
+        return fuchsian._fixed_star_trial(surf, cfg), recut.called
+
+
 @settings(max_examples=40, deadline=None)
 @given(n=st.integers(1, 3), level=st.floats(0.55, 0.95),
        offsets=st.lists(st.floats(-0.08, 0.08), min_size=3, max_size=3),
@@ -838,12 +846,11 @@ def test_certified_fixed_star_trial_is_the_hull(group, n, level, offsets, direct
     cfg = config(group, THREE_RAYS[:n], heights=level + np.array(offsets[:n]))
     trial_cfg = cfg.with_heights(cfg.heights + size * np.array(direction[:n]))
     surf = orbit_hull(cfg)
-    trial = fuchsian._fixed_star_trial(surf, trial_cfg, repairs=0)
-    if trial is None:
-        trial = fuchsian._fixed_star_trial(surf, trial_cfg)
+    trial, repaired = trial_and_repair(surf, trial_cfg)
+    if repaired:
         event("refused, repaired" if trial is not None else "refused, not repaired")
     else:
-        event("certified")
+        event("certified" if trial is not None else "refused")
     if trial is not None:
         assert_trial_is_hull(trial, _certified_hull(trial_cfg))
 
@@ -851,13 +858,14 @@ def test_certified_fixed_star_trial_is_the_hull(group, n, level, offsets, direct
 def test_fixed_star_trial_certifies_small_steps(surf1, surf3):
     for surf in (surf1, surf3):
         trial_cfg = surf.config.with_heights(surf.heights + 0.01)
-        trial = fuchsian._fixed_star_trial(surf, trial_cfg, repairs=0)
-        assert trial is not None
+        trial, repaired = trial_and_repair(surf, trial_cfg)
+        assert trial is not None and not repaired
         assert_trial_is_hull(trial, _certified_hull(trial_cfg))
         # a trial surface certifies the next trial as its hull would
         again = surf.config.with_heights(surf.heights + 0.02)
-        assert_trial_is_hull(fuchsian._fixed_star_trial(trial, again, repairs=0),
-                             _certified_hull(again))
+        trial, repaired = trial_and_repair(trial, again)
+        assert not repaired
+        assert_trial_is_hull(trial, _certified_hull(again))
 
 
 def test_fixed_star_trial_refuses_new_combinatorics(surf2):
@@ -866,10 +874,11 @@ def test_fixed_star_trial_refuses_new_combinatorics(surf2):
     trial_cfg = surf2.config.with_heights([0.55, 0.6])
     hull = _certified_hull(trial_cfg)
     assert [s.neighbors for s in hull.stars] != [s.neighbors for s in surf2.stars]
-    assert fuchsian._fixed_star_trial(surf2, trial_cfg, repairs=0) is None
     # the repair re-cuts the stars where the certificate found points on
     # the wrong side, and they are the hull's
-    assert_trial_is_hull(fuchsian._fixed_star_trial(surf2, trial_cfg), hull)
+    trial, repaired = trial_and_repair(surf2, trial_cfg)
+    assert repaired
+    assert_trial_is_hull(trial, hull)
     # at (0.2, 0.7) the first ray point sinks inside the hull: the repair
     # refuses the trial, whose hull raises
     sunk = surf2.config.with_heights([0.2, 0.7])
