@@ -1474,8 +1474,8 @@ def _face_decks(surf, groups, orbit, reps):
 def _ads_layout(surf):
     """The quotient bookkeeping of the projections of a Fuchsian surface:
     the side-independent arguments (poles, points, white, black, edges,
-    ambient) of `tilings.assemble_tiling`, read from its face orbits, decks
-    and edge orbits.
+    decks, ambient) of `tilings.assemble_tiling`, read from its face orbits,
+    decks (rows of the face decks and the vertices' elements) and edge orbits.
 
     It is built array-at-a-time from the face arrays: the face orbits from
     one gather of the relative table (`_face_orbits`), the decks from one
@@ -1492,7 +1492,7 @@ def _ads_layout(surf):
     cycles = surf.face_cycles(rep_faces)
     corners = [{v: k for k, v in enumerate(cyc)} for cyc in cycles]
     orbit_of = dict(zip(faces, orbit.tolist()))
-    deck_of = dict(zip(faces, decks))
+    index_of = {fi: i for i, fi in enumerate(faces)}
     # per face, the corner of the white polygon of its orbit that its deck
     # moves onto each of its vertices
     corner_of = {}
@@ -1502,18 +1502,17 @@ def _ads_layout(surf):
             corner_of[faces[p]] = {u: corner[r] for u, r in zip(ids, to_rep[p])}
 
     # white faces: projections of the representative copies
-    white = [([(fi, v) for v in cyc], tuple(surf.base_of(v) for v in cyc),
-              tuple(surf.element_of(v) for v in cyc))
+    white = [([(fi, v) for v in cyc], tuple(surf.base_of(v) for v in cyc))
              for fi, cyc in zip(rep_faces, cycles)]
 
     # black faces: projected links at the fundamental vertices; a link
     # corner is known by the orbit of its face and the white corner at vid
-    black = []
+    black, black_rows = [], []
     black_corner = []
     for vid in range(n):
         seq = _link_faces(surf.stars[vid])
-        black.append(([(fi, vid) for fi in seq], tuple(orbit_of[fi] for fi in seq),
-                      tuple(deck_of[fi] for fi in seq)))
+        black.append(([(fi, vid) for fi in seq], tuple(orbit_of[fi] for fi in seq)))
+        black_rows += [index_of[fi] for fi in seq]
         black_corner.append(
             {(orbit_of[fi], corner_of[fi][vid]): k for k, fi in enumerate(seq)}
         )
@@ -1533,7 +1532,7 @@ def _ads_layout(surf):
         first_row.setdefault(k, row)
     slots = np.array(sorted(first_row.values()), dtype=np.intp)
 
-    edges = []
+    edges, edge_rows = [], []
     for row, si in zip(slots.tolist(), star[slots].tolist()):
         st = surf.stars[si]
         vid, j = st.vertex, row - offsets[si]
@@ -1541,8 +1540,7 @@ def _ads_layout(surf):
         fa, fb = st.wedge_face[j - 1], st.wedge_face[j]
         if fa == fb:
             raise GeometryError("true edge inside a single face")
-        segments = [(orbit_of[fi], corner_of[fi][vid], corner_of[fi][s], deck_of[fi])
-                    for fi in (fa, fb)]
+        segments = [(orbit_of[fi], corner_of[fi][vid], corner_of[fi][s]) for fi in (fa, fb)]
         # black segments: at vid (deck identity) and at s (deck of its orbit)
         for vtx in (vid, s):
             b = surf.base_of(vtx)
@@ -1550,12 +1548,17 @@ def _ads_layout(surf):
             kb = black_corner[b].get((orbit_of[fb], corner_of[fb][vtx]))
             if ka is None or kb is None:
                 raise GeometryError("edge face missing from the vertex link")
-            segments.append((b, ka, kb, surf.element_of(vtx)))
+            segments.append((b, ka, kb))
         edges.append(((vid, s, fa, fb), segments))
+        edge_rows.append((index_of[fa], index_of[fb], vid // n, s // n))
 
+    # the segment decks: the face decks of fa and fb, the elements of v and s
+    rows = np.array(edge_rows, dtype=np.intp).reshape(-1, 4)
+    decks = (surf.elements[[v // n for cyc in cycles for v in cyc]], decks[black_rows],
+             np.concatenate([decks[rows[:, :2]], surf.elements[rows[:, 2:]]], axis=1))
     poles = dict(zip(faces, surf.poles[faces]))
     ambient = HyperbolicAmbient(surf.group, surf.config.rays)
-    return poles, surf.points4, white, black, edges, ambient
+    return poles, surf.points4, white, black, edges, decks, ambient
 
 
 def ads_project(surf, side):
@@ -1580,7 +1583,7 @@ def _height_rows(T):
     nxt = starts + (np.arange(len(starts)) - starts + 1) % np.repeat(sizes, sizes)
     links, verts = W.links, W.vertices
     with np.errstate(over="ignore", invalid="ignore"):  # huge decks: refused by the caller
-        base = (_decks(W.tags()) @ rays[links][..., None])[..., 0]
+        base = (W.decks @ rays[links][..., None])[..., 0]
         return (links, links[nxt], np.cosh(HyperbolicOps.dist(base, base[nxt])),
                 np.cosh(HyperbolicOps.dist(verts, verts[nxt])))
 
@@ -1633,12 +1636,6 @@ def recover_heights(T):
     return h
 
 
-def _decks(tags):
-    """Deck tags as stacked (m, 3, 3) matrices, the identity for None."""
-    return np.array([np.eye(3) if g is None else g for g in tags],
-                    dtype=float).reshape(-1, 3, 3)
-
-
 def _moved(g, x):
     """The rows x (m, 4) moved by the AdS isometries extending the rows g
     (m, 3, 3), row by row."""
@@ -1660,12 +1657,12 @@ def _develop(T, heights):
     """
     W, B = T.white, T.black
     n = len(T.ambient.rays)
-    points = orbit_points(_decks(W.tags()), T.ambient.rays, heights)[
+    points = orbit_points(W.decks, T.ambient.rays, heights)[
         np.arange(len(W.links)) * n + W.links]
     thirds = W.offsets[:-1, None] + W.sizes[:, None] * np.arange(3) // 3
     with np.errstate(divide="ignore", invalid="ignore"):  # flat: refused by the certificate
         poles, q = triangle_poles(points, thirds, ADS_STAR, ADS_STAR.e)
-    return points, poles, q, _moved(_decks(B.tags()), poles[B.links])
+    return points, poles, q, _moved(B.decks, poles[B.links])
 
 
 def _edge_slots(T):
@@ -1703,8 +1700,7 @@ def _edge_slots(T):
     order, near = np.stack([a, b, bv, bs], axis=1), np.stack([ea, eb, ebv, ebs], axis=1)
     at = rows[:, None]
     corners = np.stack([corner[at, order, near], corner[at, order, 1 - near]], axis=2)
-    decks = _decks([tag for tags in E.decks for tag in tags] if E.decks else [None] * 4 * len(E))
-    return order, corners, decks.reshape(-1, 4, 3, 3)[at, order]
+    return order, corners, E.decks[at, order]
 
 
 def _certify_development(T, points, poles, q, order, corners, decks):
@@ -1806,13 +1802,12 @@ def flip_hyperbolic(T):
     face = T.edges.face[rows, order]
     at = nw + B.offsets[face[:, 2:, None]] + corners[:, 2:]  # (E, 2, 2)
     quad = (decks[:, 2:, None] @ img[at][..., None])[..., 0].transpose(2, 1, 0, 3)
-    tags = T.edges.decks or [(None,) * 4] * len(order)
-    faces = {WHITE: (img[:nw], W.sizes, W.links, W.tags(), W.decked),
-             BLACK: (img[nw:], B.sizes, B.links, B.tags(), B.decked)}
+    faces = {WHITE: (img[:nw], W.sizes, W.links, W.decks, W.tagged, W.decked),
+             BLACK: (img[nw:], B.sizes, B.links, B.decks, B.tagged, B.decked)}
     return assemble_corners(
         ADS_STAR, T.handedness, faces, quad.reshape(4, -1, 3),
-        np.concatenate([face[..., None], corners], axis=2),
-        [tuple(t[j] for j in row) for t, row in zip(tags, order.tolist())], T.ambient)
+        np.concatenate([face[..., None], corners], axis=2), decks,
+        T.edges.tagged[rows, order], T.ambient)
 
 
 # -- spherical star polyhedra (interlude) ------------------------------------------

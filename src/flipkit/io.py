@@ -191,9 +191,11 @@ def _vertex_table(T, tol=1e-9):
     return V[first[order]].tolist(), {k: ids[a:b] for k, a, b in zip(keys, offsets, offsets[1:])}
 
 
-def _deck_list(decks):
-    return None if decks is None else [None if d is None else np.asarray(d).tolist()
-                                       for d in decks]
+def _tag_list(decks, tagged):
+    """The deck tags as the file writes them: a nested list per tagged
+    matrix, null for the others."""
+    mats = iter(decks[tagged].tolist())
+    return [next(mats) if t else None for t in tagged.tolist()]
 
 
 def tiling_to_dict(T):
@@ -206,21 +208,21 @@ def tiling_to_dict(T):
     faces_out = []
     for color, other in ((BLACK, WHITE), (WHITE, BLACK)):
         F = T.faces(color)
-        offsets, decked, tags = F.offsets.tolist(), F.decked.tolist(), F.tags()
+        offsets, decked = F.offsets.tolist(), F.decked.tolist()
+        tags = _tag_list(F.decks, F.tagged)
         links = rank[other][F.links].tolist()
         refs = [None if e < 0 else e for e in F.edge_refs.tolist()]
         angles = [None if a != a else a for a in F.digon_angle.tolist()]
         faces_out += [{"color": color, "vertices": fv[color, i], "links": links[a:b],
                        "edge_refs": refs[a:b], "digon_angle": angles[i],
-                       "decks": _deck_list(tags[a:b]) if decked[i] else None}
+                       "decks": tags[a:b] if decked[i] else None}
                       for i in order[color] for a, b in [offsets[i:i + 2]]]
 
     E = T.edges
     # the segments' faces renumbered by the new indices, black faces first
     face = np.concatenate([rank[BLACK], rank[WHITE]])
     face = face[E.face + np.where(E.black, 0, len(T.black))]
-    decks = [None] * E.t0.size if E.decks is None else _deck_list(
-        [g for tags in E.decks for g in tags])
+    decks = _tag_list(E.decks.reshape(-1, 3, 3), E.tagged.ravel())
     segments = [
         {"side": "left" if lf else "right", "position": "forward" if fw else "backward",
          "color": BLACK if bk else WHITE, "face": f, "face_edge": k, "reversed": rv,
@@ -307,19 +309,19 @@ def _indices(values, bound, what, nullable=False):
 
 
 def _decks(tags, what):
-    """Deck tags, each null or a 3x3 matrix of finite numbers, the matrices
-    as rows of one array."""
-    mats = [d for d in tags if d is not None]
-    if not mats:
-        return list(tags)
-    try:
-        arr = np.array(mats, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"{what}: not numeric") from exc
-    if arr.shape[1:] != (3, 3) or not np.all(np.isfinite(arr)):
-        raise SchemaError(f"{what}: expected 3x3 matrices of finite numbers")
-    rows = iter(arr)
-    return [None if d is None else next(rows) for d in tags]
+    """Deck tags, each null or a 3x3 matrix of finite numbers: the (m, 3, 3)
+    matrices, the identity for null, and the (m,) flags of the others."""
+    tagged = np.array([d is not None for d in tags], dtype=bool)
+    decks = np.tile(np.eye(3), (len(tags), 1, 1))
+    if tagged.any():
+        try:
+            arr = np.array([d for d in tags if d is not None], dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise SchemaError(f"{what}: not numeric") from exc
+        if arr.shape[1:] != (3, 3) or not np.all(np.isfinite(arr)):
+            raise SchemaError(f"{what}: expected 3x3 matrices of finite numbers")
+        decks[tagged] = arr
+    return decks, tagged
 
 
 def _check_vertices(verts, ops, what="tiling vertex {}"):
@@ -413,7 +415,7 @@ def tiling_from_dict(data):
     links, n_links = _lists([fd["links"] for fd in faces], "face links")
     refs, n_refs = _lists([fd["edge_refs"] for fd in faces], "face edge_refs")
     decks = [fd.get("decks") for fd in faces]
-    tags, n_decks = _lists([d for d in decks if d is not None], "face decks")
+    _, n_decks = _lists([d for d in decks if d is not None], "face decks")
     if not (np.array_equal(n_links, sizes) and np.array_equal(n_refs, sizes)
             and np.array_equal(n_decks, sizes[[d is not None for d in decks]])):
         raise SchemaError("face: links, edge_refs and decks need one entry per vertex")
@@ -423,8 +425,9 @@ def tiling_from_dict(data):
     if np.any(refs[np.repeat(is_digon, sizes)] < 0):
         raise SchemaError("face: a digon lies on two tiling edges")
     decked = np.array([d is not None for d in decks], dtype=bool)
-    tags = iter(_decks(tags, "face decks"))
-    tags = [next(tags) if d else None for d in np.repeat(decked, sizes).tolist()]
+    # the corners of a face with no list of tags are untagged
+    tags, tagged = _decks([g for d, k in zip(decks, sizes.tolist()) for g in d or [None] * k],
+                          "face decks")
 
     _enum([sd["side"] for sd in segs], ("left", "right"), "segment side")
     _enum([sd["position"] for sd in segs], ("forward", "backward"), "segment position")
@@ -442,7 +445,10 @@ def tiling_from_dict(data):
         raise SchemaError("segment reversed: expected true or false")
     t0 = _finite_list([sd["t0"] for sd in segs], "segment t0")
     t1 = _finite_list([sd["t1"] for sd in segs], "segment t1")
-    seg_decks = _decks([sd.get("deck") for sd in segs], "segment deck")
+    seg_decks, seg_tagged = _decks([sd.get("deck") for sd in segs], "segment deck")
+    if ambient == "sphere" and (decked.any() or seg_tagged.any()):
+        raise SchemaError("a spherical tiling carries no deck tags: face decks and "
+                          "segment decks must be null")
     if edges:
         base = _floats([ed["base"] for ed in edges], 3, "edge base")
         direction = _floats([ed["direction"] for ed in edges], 3, "edge direction")
@@ -456,7 +462,7 @@ def tiling_from_dict(data):
     # each color's faces (mask m) and their corner rows, in file order
     black_faces, white_faces = (
         TilingFaces.stacked(verts[ids[rows]], sizes[m], links[rows], refs[rows], angles[m],
-                            [tags[r] for r in np.flatnonzero(rows)], decked[m])
+                            tags[rows], tagged[rows], decked[m])
         for m, rows in ((m, np.repeat(m, sizes)) for m in (black, ~black)))
     left = np.array([sd["side"] == "left" for sd in segs], dtype=bool)
     forward = np.array([sd["position"] == "forward" for sd in segs], dtype=bool)
@@ -464,8 +470,7 @@ def tiling_from_dict(data):
     tiling_edges = TilingEdges(
         base, direction, t_min, t_max,
         *(c.reshape(-1, 4) for c in (left, forward, seg_black, face, face_edge, rev, t0, t1)),
-        None if all(d is None for d in seg_decks) else [
-            tuple(seg_decks[i:i + 4]) for i in range(0, len(seg_decks), 4)])
+        seg_decks.reshape(-1, 4, 3, 3), seg_tagged.reshape(-1, 4))
     T = FlippableTiling(handedness, black_faces, white_faces, tiling_edges, ambient=ambient)
     _check_vertices(verts, T.ops)
     _check_vertices(base, T.ops, "base of tiling edge {}")

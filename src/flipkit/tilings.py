@@ -5,7 +5,11 @@ opposite-color face whose corner coincides there and the tiling edge
 carrying the polygon edge after it.  The tiling edges form one table too
 (`TilingEdges`): per edge the supporting geodesic, and per edge and slot
 one of its four face-edge segments with its side (left/right of the
-oriented geodesic), position (forward/backward) and color.  This is
+oriented geodesic), position (forward/backward) and color.  Every corner
+and segment of every tiling carries a 3x3 deck tag; the sphere is the
+quotient by the trivial group, so its tags are the identity, and no
+reader tells the two apart (the `tagged` and `decked` flags only record
+which tags the `tiling.v1` file writes).  This is
 enough to check the definition clauses, glue the black and white cone
 metrics, and develop the white polyhedron back.  The edge clauses are
 one ordered list (`_edge_clauses`, then `_handedness_clauses`):
@@ -56,9 +60,11 @@ class TilingFaces:
     the opposite-color face meeting it, edge_refs[r] the tiling edge
     carrying the polygon edge from it to the next corner (-1 for none) and
     decks[r] its deck tag (the copy of the linked face met there = deck .
-    stored face), a 3x3 matrix or None; decks is None when no tag is set.
-    Per face, digon_angle is a digon's angle (NaN for a polygon) and decked
-    tells whether the face carries a list of deck tags.
+    stored face), a 3x3 matrix, the identity where none is set (on the
+    sphere, everywhere).  Per face, digon_angle is a digon's angle (NaN for
+    a polygon).  For the `tiling.v1` file only: per face, decked tells
+    whether it lists deck tags, and per corner, tagged whether it writes
+    the tag (else null).
     """
 
     vertices: np.ndarray
@@ -67,19 +73,22 @@ class TilingFaces:
     edge_refs: np.ndarray
     digon_angle: np.ndarray
     decked: np.ndarray
-    decks: list = None
+    decks: np.ndarray
+    tagged: np.ndarray
 
     @classmethod
-    def stacked(cls, vertices, sizes, links, edge_refs, digon_angle=np.nan, decks=(),
-                decked=False):
+    def stacked(cls, vertices, sizes, links, edge_refs, digon_angle=np.nan, decks=np.eye(3),
+                tagged=False, decked=False):
         """The table of faces of sizes[i] corners each; the digon angle and
-        the decked flag are given per face or once for all faces."""
+        the decked flag are given per face or once for all faces, the deck
+        tags and the tagged flag per corner or once for all corners."""
+        n = int(np.sum(sizes))
         return cls(np.asarray(vertices, dtype=float).reshape(-1, 3),
                    np.concatenate([[0], np.cumsum(sizes, dtype=int)]),
                    np.ravel(links).astype(int), np.ravel(edge_refs).astype(int),
                    np.full(len(sizes), digon_angle, dtype=float),
                    np.full(len(sizes), decked, dtype=bool),
-                   list(decks) if any(g is not None for g in decks) else None)
+                   np.full((n, 3, 3), decks, dtype=float), np.full(n, tagged, dtype=bool))
 
     def __len__(self):
         return len(self.offsets) - 1
@@ -88,10 +97,6 @@ class TilingFaces:
     def sizes(self):
         return np.diff(self.offsets)
 
-    def tags(self):
-        """The deck tag of every corner, None where none is set."""
-        return [None] * len(self.links) if self.decks is None else self.decks
-
     def __getitem__(self, i):
         """Face i as a table of its own, to read one face: its columns are
         slices of these, so a write to its vertices reaches this table."""
@@ -99,7 +104,7 @@ class TilingFaces:
         a, b = self.offsets[i:i + 2].tolist()
         return TilingFaces(self.vertices[a:b], self.offsets[i:i + 2] - a, self.links[a:b],
                            self.edge_refs[a:b], self.digon_angle[i:i + 1],
-                           self.decked[i:i + 1], self.decks and self.decks[a:b])
+                           self.decked[i:i + 1], self.decks[a:b], self.tagged[a:b])
 
 
 @dataclass(frozen=True)
@@ -118,9 +123,10 @@ class TilingEdges:
                       edge carried here
     reversed        : the polygon edge runs against the geodesic direction
     t0, t1          : the segment's parameters, t0 < t1
-    decks           : per edge, the four deck tags (the face copy incident
-                      here = deck . stored face), or None when every tag
-                      is None
+    decks           : (E, 4, 3, 3) the deck tags (the face copy incident
+                      here = deck . stored face), the identity where no tag
+                      is set, as on every segment of a spherical tiling
+    tagged          : whether the `tiling.v1` file writes the tag, else null
     """
 
     base: np.ndarray
@@ -135,7 +141,8 @@ class TilingEdges:
     reversed: np.ndarray
     t0: np.ndarray
     t1: np.ndarray
-    decks: list = None
+    decks: np.ndarray
+    tagged: np.ndarray
 
     def __len__(self):
         return len(self.base)
@@ -333,7 +340,7 @@ def _edge_clauses(left, black, t0, t1, t_min, t_max, tol):
 
 
 def _build_edges(ops, base, direction, black, face, slot, rev, t0, t1, probes,
-                 decks, checks=(), tol=1e-7):
+                 decks=np.eye(3), tagged=False, checks=(), tol=1e-7):
     """The table of the tiling edges of E geodesics and their four labeled
     segments.
 
@@ -341,7 +348,8 @@ def _build_edges(ops, base, direction, black, face, slot, rev, t0, t1, probes,
     (E, 4) arrays color (`black`), face, polygon edge `slot`, `rev` (the
     polygon edge runs against the geodesic) and parameters t0 < t1; probes
     (E, 4, 3) are interior points of the incident face copies, deciding the
-    sides, and decks[e] the four deck tags (or decks None for all None).
+    sides, and decks (E, 4, 3, 3) and tagged (E, 4) the deck tags and their
+    file flags, by default the identity and untagged on every segment.
     `checks` are the caller's (mask, message) clauses, tested on an edge
     before these; the first failing edge raises its first failing clause.
     """
@@ -361,16 +369,15 @@ def _build_edges(ops, base, direction, black, face, slot, rev, t0, t1, probes,
     ])
     # final order: left backward, left forward, right backward, right forward
     order = np.stack([lo[:, 0], hi[:, 0], lo[:, 1], hi[:, 1]], axis=1)
-    if decks is not None and all(g is None for tags in decks for g in tags):
-        decks = None
     at = np.arange(len(order))[:, None]
-    left, black, face, slot, rev, t0, t1 = (a[at, order]
-                                            for a in (left, black, face, slot, rev, t0, t1))
+    decks = np.broadcast_to(decks, order.shape + (3, 3))
+    tagged = np.broadcast_to(tagged, order.shape)
+    left, black, face, slot, rev, t0, t1, decks, tagged = (
+        a[at, order] for a in (left, black, face, slot, rev, t0, t1, decks, tagged))
     return TilingEdges(
         base, direction, t_min, t_max, left,
-        np.tile([False, True], (len(order), 2)), black, face, slot, rev, t0, t1,
-        None if decks is None else [tuple(tags[o] for o in row)
-                                    for tags, row in zip(decks, order.tolist())])
+        np.tile([False, True], (len(order), 2)), black, face, slot, rev, t0, t1, decks,
+        tagged)
 
 
 def _handedness_clauses(T):
@@ -414,7 +421,8 @@ def project_points(poles, points, side, star):
 SLOT_COLORS = (WHITE, WHITE, BLACK, BLACK)
 
 
-def assemble_tiling(star, side, poles, points, white, black, edges, ambient="sphere"):
+def assemble_tiling(star, side, poles, points, white, black, edges, decks=(np.eye(3),) * 3,
+                    ambient="sphere"):
     """The tiling of projected faces: the construction behind `project` and
     `ads_project`.
 
@@ -422,59 +430,61 @@ def assemble_tiling(star, side, poles, points, white, black, edges, ambient="sph
     on the star quadric `star`; each corner is projected once, by the
     `side` projection (`project_points`) onto the surface `star.plane`, and
     the tiling has the other handedness.
-    white, black : per face, (its corners in cyclic order, links, decks)
+    white, black : per face, (its corners in cyclic order, links)
     edges        : per true edge from v to s between the faces fa and fb,
                    ((v, s, fa, fb), segments).  The segments are those of
                    the white faces of fa and fb and the black faces at v
-                   and s, each (face, k, k', deck): the corners at v and s
-                   (white) or of fa and fb (black), and the deck carrying
-                   the stored face onto the edge, None for the identity.
+                   and s, each (face, k, k'): the corners at v and s
+                   (white) or of fa and fb (black).
+    decks        : the deck tags of the white corners (Nw, 3, 3), the black
+                   corners (Nb, 3, 3) and the segments (E, 4, 3, 3); the
+                   identity by default.  A quotient's tiling writes them all.
     The projected corners are assembled by `assemble_corners`.
     """
     quads = [((fa, v), (fa, s), (fb, v), (fb, s)) for (v, s, fa, fb), _ in edges]
-    keys = [c for cyc, _, _ in white + black for c in cyc] + [c for q in quads for c in q]
+    keys = [c for cyc, _ in white + black for c in cyc] + [c for q in quads for c in q]
     row = {c: r for r, c in enumerate(dict.fromkeys(keys))}
     img = project_points(np.array([poles[f] for f, _ in row]),
                          points[[v for _, v in row]], side, star)
-    faces = {color: (img[[row[c] for cyc, _, _ in fs for c in cyc]],
-                     np.array([len(cyc) for cyc, _, _ in fs]),
-                     [l for _, links, _ in fs for l in links],
-                     [g for cyc, _, tags in fs for g in tags or (None,) * len(cyc)],
-                     [tags is not None for _, _, tags in fs])
-             for color, fs in ((WHITE, white), (BLACK, black))}
+    tagged = ambient != "sphere"
+    faces = {color: (img[[row[c] for cyc, _ in fs for c in cyc]],
+                     np.array([len(cyc) for cyc, _ in fs]),
+                     [l for _, links in fs for l in links], tags, tagged, tagged)
+             for color, fs, tags in ((WHITE, white, decks[0]), (BLACK, black, decks[1]))}
     E = len(edges)
     quad = img[np.array([[row[c] for c in q] for q in quads], dtype=int).reshape(E, 4).T]
-    segments = np.array([[seg[:3] for seg in segs] for _, segs in edges],
-                        dtype=int).reshape(E, 4, 3)
-    decks = [tuple(seg[3] for seg in segs) for _, segs in edges]
-    return assemble_corners(star, side, faces, quad, segments, decks, ambient)
+    segments = np.array([segs for _, segs in edges], dtype=int).reshape(E, 4, 3)
+    return assemble_corners(star, side, faces, quad, segments, decks[2], tagged, ambient)
 
 
-def assemble_corners(star, side, faces, quad, segments, decks, ambient="sphere"):
+def assemble_corners(star, side, faces, quad, segments, decks, tagged, ambient="sphere"):
     """The tiling of corners projected by the `side` projection onto the
     surface `star.plane`: the geometry of `assemble_tiling`, which the
     hyperbolic flip reaches with corners of its own.
 
     faces    : per color, (corners (N, 3) in cyclic order face after face,
-               sizes, links, deck tags per corner, decked per face)
+               sizes, links, deck tags and tagged flags per corner, decked
+               per face)
     quad     : (4, E, 3) per edge from v to s between the white face
                copies fa and fb, the corners (fa, v), (fa, s), (fb, v),
                (fb, s)
     segments : (E, 4, 3) per edge, the slots fa, fb, black at v, black at
                s, each (face, k, k'): the corners at v and s (white) or of
                fa and fb (black)
-    decks    : per edge, the deck tags of the four slots
+    decks    : (E, 4, 3, 3) the deck tags of the four slots, and tagged
+               (E, 4) their flags; either may be given once for all slots
     """
     ops = star.plane
     probes, sizes, starts = {}, {}, {}
-    for color, (corners, size, _, _, _) in faces.items():
+    for color, (corners, size, *_) in faces.items():
         sizes[color] = size
         starts[color] = np.cumsum(size) - size
         # normalized corner sums: interior points, read only for their side
         sums = np.add.reduceat(corners, starts[color])
         probes[color] = sums / np.sqrt(np.abs(ops.inner(sums, sums)))[:, None]
 
-    E = len(decks)
+    E = len(segments)
+    decks = np.broadcast_to(decks, (E, 4, 3, 3))
     a_v, a_s, b_v, b_s = quad
     direction, defined = ops.tangents(a_v, a_s)
     with np.errstate(invalid="ignore"):
@@ -491,14 +501,13 @@ def assemble_corners(star, side, faces, quad, segments, decks, ambient="sphere")
     adjacent = forward | ((k1 + 1) % m == k0)
     slot = np.where(forward, k0, k1)
     probe = np.concatenate([probes[WHITE][face[:, :2]], probes[BLACK][face[:, 2:]]], axis=1)
-    moved = _deck_rows([g for tags in decks for g in tags])
-    if moved is not None:
-        probe = np.einsum("nij,nj->ni", moved, probe.reshape(-1, 3)).reshape(E, 4, 3)
+    probe = np.einsum("nij,nj->ni", decks.reshape(-1, 3, 3),
+                      probe.reshape(-1, 3)).reshape(E, 4, 3)
 
     tiling_edges = _build_edges(
         ops, a_v, direction, np.tile(np.array(SLOT_COLORS) == BLACK, (E, 1)), face, slot,
         np.where(forward, d < 0, d > 0), np.where(end < p, end, p),
-        np.where(end > p, end, p), probe, decks,
+        np.where(end > p, end, p), probe, decks, tagged,
         checks=[
             (~defined, ops.tangent_undefined),
             (np.abs(gap) > 10 * star.tol, "projected edge image is not rigid"),
@@ -510,12 +519,12 @@ def assemble_corners(star, side, faces, quad, segments, decks, ambient="sphere")
     # per polygon edge, the first tiling edge met carrying it
     tables = {}
     for color, cols in ((WHITE, slice(0, 2)), (BLACK, slice(2, 4))):
-        corners, size, links, tags, decked = faces[color]
+        corners, size, links, tags, flags, decked = faces[color]
         refs = np.full(len(corners), -1)
         at, first = np.unique(starts[color][face[:, cols]] + slot[:, cols], return_index=True)
         refs[at] = first // 2
         tables[color] = TilingFaces.stacked(corners, size, links, refs, decks=tags,
-                                            decked=decked)
+                                            tagged=flags, decked=decked)
     T = FlippableTiling(side.other, tables[BLACK], tables[WHITE], tiling_edges, ambient)
     _assert_handedness(T)
     return T
@@ -529,14 +538,14 @@ def project(P: ConvexPolyhedron, side: Side) -> FlippableTiling:
     versa.
     """
     cycles = [P.face_cycle_at_vertex(v) for v in range(P.n_vertices)]
-    white = [([(fi, v) for v in face], face, None) for fi, face in enumerate(P.faces)]
-    black = [([(fi, vi) for fi in cyc], tuple(cyc), None) for vi, cyc in enumerate(cycles)]
+    white = [([(fi, v) for v in face], face) for fi, face in enumerate(P.faces)]
+    black = [([(fi, vi) for fi in cyc], tuple(cyc)) for vi, cyc in enumerate(cycles)]
     edges = [
         ((i, j, fa, fb), [
-            (fa, P.faces[fa].index(i), P.faces[fa].index(j), None),
-            (fb, P.faces[fb].index(i), P.faces[fb].index(j), None),
-            (i, cycles[i].index(fa), cycles[i].index(fb), None),
-            (j, cycles[j].index(fa), cycles[j].index(fb), None),
+            (fa, P.faces[fa].index(i), P.faces[fa].index(j)),
+            (fb, P.faces[fb].index(i), P.faces[fb].index(j)),
+            (i, cycles[i].index(fa), cycles[i].index(fb)),
+            (j, cycles[j].index(fa), cycles[j].index(fb)),
         ])
         for i, j, fa, fb in P.edges
     ]
@@ -791,7 +800,6 @@ def _build_antipodal(V):
         np.column_stack([ell, pi + ell, pi, pi + ell]),
         np.stack([np.tile(probe_P, (n, 1)), np.tile(-probe_P, (n, 1)),
                   np.roll(digon, 1, axis=0), digon], axis=1),
-        None,
     )
 
     # the tiling's handedness: the side where the black faces sit forward
@@ -859,7 +867,7 @@ def make_two_circles_tiling(n1, n2, side: Side) -> FlippableTiling:
         np.array(c).reshape((2, 4) + np.shape(c[0])) for c in zip(*rows)
     )
     edges = _build_edges(SphereOps, np.array([v, v]), np.array(directions), black, face,
-                         slot, rev, t0, t1, probes, None)
+                         slot, rev, t0, t1, probes)
 
     # On a closed geodesic the forward direction of each edge is a genuine
     # choice (the "two choices for the edges" of the construction); orient
@@ -931,23 +939,14 @@ def validate_tiling(T: FlippableTiling, tol_scale=1.0) -> TilingReport:
     offsets = np.cumsum(counts) - counts
     corner = np.repeat(np.arange(len(verts)), counts)
     pts = verts[np.repeat(starts[linked] - offsets, counts) + np.arange(len(corner))]
-    decks = _deck_rows(B.tags() + W.tags())
+    decks = np.concatenate([B.decks, W.decks])
     with np.errstate(over="ignore", invalid="ignore"):  # huge decks
-        if decks is not None:
-            pts = np.einsum("nij,nj->ni", decks[corner], pts)
+        pts = np.einsum("nij,nj->ni", decks[corner], pts)
         dist = np.minimum.reduceat(np.linalg.norm(pts - verts[corner], axis=1), offsets)
     face_of = np.repeat(np.arange(len(sizes)), sizes)
     failures += [f"{names[face_of[r]]} corner {r - starts[face_of[r]]} does not meet "
                  "its linked face" for r in np.flatnonzero(~(dist <= 1e-6 * tol_scale))]
     return TilingReport(not failures, failures)
-
-
-def _deck_rows(tags):
-    """The deck tags as stacked matrices, the identity for None; None when
-    every tag is None."""
-    if all(g is None for g in tags):
-        return None
-    return np.array([np.eye(3) if g is None else g for g in tags])
 
 
 def _edge_failures(T, verts, starts, sizes, tol_scale):
@@ -962,10 +961,9 @@ def _edge_failures(T, verts, starts, sizes, tol_scale):
     with np.errstate(over="ignore", invalid="ignore"):
         g = face + np.where(black, 0, len(T.black))
         ends = [verts[starts[g] + (k + j) % sizes[g]] for j in (0, 1)]
-        decks = None if E.decks is None else _deck_rows([tag for tags in E.decks for tag in tags])
-        if decks is not None:
-            ends = [np.einsum("nij,nj->ni", decks, v.reshape(-1, 3)).reshape(len(E), 4, 3)
-                    for v in ends]
+        decks = E.decks.reshape(-1, 3, 3)
+        ends = [np.einsum("nij,nj->ni", decks, v.reshape(-1, 3)).reshape(len(E), 4, 3)
+                for v in ends]
         params = (np.where(rev, t1, t0), np.where(rev, t0, t1))
         err0, err1 = (np.linalg.norm(T.ops.geodesic(E.base[:, None], E.direction[:, None],
                                                     t[..., None]) - v, axis=-1)

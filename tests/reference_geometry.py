@@ -551,18 +551,18 @@ def reference_ads_layout(surf):
             deck_cache[fi] = deck, {u: corner[w] for u, w in to_rep.items()}
         return deck_cache[fi]
 
-    white = []
+    white, white_decks = [], []
     for fi in orbit_rep:
         ids = FaceRecord(surf, fi).vertex_ids
-        white.append(([(fi, v) for v in ids], tuple(surf.base_of(v) for v in ids),
-                      tuple(surf.element_of(v) for v in ids)))
+        white.append(([(fi, v) for v in ids], tuple(surf.base_of(v) for v in ids)))
+        white_decks += [surf.element_of(v) for v in ids]
 
-    black = []
+    black, black_decks = [], []
     black_corner = []
     for vid in range(surf.n):
         seq = _link_faces(surf.stars[vid])
-        black.append(([(fi, vid) for fi in seq], tuple(face_orbit[fi] for fi in seq),
-                      tuple(face_deck(fi)[0] for fi in seq)))
+        black.append(([(fi, vid) for fi in seq], tuple(face_orbit[fi] for fi in seq)))
+        black_decks += [face_deck(fi)[0] for fi in seq]
         black_corner.append(
             {(face_orbit[fi], face_deck(fi)[1][vid]): k for k, fi in enumerate(seq)}
         )
@@ -574,29 +574,34 @@ def reference_ads_layout(surf):
             if star.true_edge[j]:
                 edge_slots.setdefault(reference_edge_orbit_key(surf, vid, s), (vid, j))
 
-    edges = []
+    edges, segment_decks = [], []
     for vid, j in sorted(edge_slots.values()):
         star = surf.stars[vid]
         s = star.neighbors[j]
         fa, fb = star.wedge_face[j - 1], star.wedge_face[j]
         if fa == fb:
             raise GeometryError("true edge inside a single face")
-        segments = []
+        segments, decks = [], []
         for fi in (fa, fb):
             deck, corner = face_deck(fi)
-            segments.append((face_orbit[fi], corner[vid], corner[s], deck))
+            segments.append((face_orbit[fi], corner[vid], corner[s]))
+            decks.append(deck)
         for vtx in (vid, s):
             b = surf.base_of(vtx)
             ka = black_corner[b].get((face_orbit[fa], face_deck(fa)[1][vtx]))
             kb = black_corner[b].get((face_orbit[fb], face_deck(fb)[1][vtx]))
             if ka is None or kb is None:
                 raise GeometryError("edge face missing from the vertex link")
-            segments.append((b, ka, kb, surf.element_of(vtx)))
+            segments.append((b, ka, kb))
+            decks.append(surf.element_of(vtx))
         edges.append(((vid, s, fa, fb), segments))
+        segment_decks.append(decks)
 
     poles = {fi: FaceRecord(surf, fi).pole for star in surf.stars for fi in star.wedge_face}
     ambient = HyperbolicAmbient(surf.group, surf.config.rays)
-    return poles, surf.points4, white, black, edges, ambient
+    decks = tuple(np.array(d).reshape(shape) for d, shape in (
+        (white_decks, (-1, 3, 3)), (black_decks, (-1, 3, 3)), (segment_decks, (-1, 4, 3, 3))))
+    return poles, surf.points4, white, black, edges, decks, ambient
 
 
 # -- heights of a hyperbolic tiling --------------------------------------------------
@@ -987,7 +992,8 @@ class Segment:
     reversed: bool  # polygon edge runs against the geodesic direction
     t0: float
     t1: float
-    deck: np.ndarray = None  # face copy incident here = deck . stored face
+    deck: np.ndarray  # face copy incident here = deck . stored face
+    tagged: bool  # the file writes the deck (else null)
 
     @property
     def length(self):
@@ -1007,8 +1013,8 @@ def segments(edges, e):
                     "forward" if edges.forward[e, j] else "backward",
                     BLACK if edges.black[e, j] else WHITE, int(edges.face[e, j]),
                     int(edges.face_edge[e, j]), bool(edges.reversed[e, j]),
-                    float(edges.t0[e, j]), float(edges.t1[e, j]),
-                    None if edges.decks is None else edges.decks[e][j])
+                    float(edges.t0[e, j]), float(edges.t1[e, j]), edges.decks[e, j],
+                    bool(edges.tagged[e, j]))
             for j in range(4)]
 
 
@@ -1018,13 +1024,15 @@ def segments(edges, e):
 @dataclass(frozen=True)
 class Face:
     """One face of a `tilings.TilingFaces` table; None stands for no edge
-    ref, no digon angle (a polygon) or no list of deck tags."""
+    ref, no digon angle (a polygon), the identity deck at every corner
+    (decks) or no list of deck tags (tagged)."""
 
     vertices: np.ndarray
     links: tuple
     edge_refs: tuple
     digon_angle: float = None
-    decks: tuple = None
+    decks: np.ndarray = None  # (k, 3, 3) deck tags
+    tagged: tuple = None  # per corner, whether the file writes its tag
 
     def __len__(self):
         return len(self.vertices)
@@ -1037,13 +1045,13 @@ class Face:
 def tiling_faces(table):
     """The faces of a `tilings.TilingFaces` table as records, their vertices
     slices of the table's rows."""
-    tags, out = table.tags(), []
+    out = []
     for i, (a, b) in enumerate(zip(table.offsets.tolist(), table.offsets[1:].tolist())):
         angle = float(table.digon_angle[i])
         out.append(Face(table.vertices[a:b], tuple(table.links[a:b].tolist()),
                         tuple(None if e < 0 else e for e in table.edge_refs[a:b].tolist()),
-                        None if math.isnan(angle) else angle,
-                        tuple(tags[a:b]) if table.decked[i] else None))
+                        None if math.isnan(angle) else angle, table.decks[a:b],
+                        tuple(table.tagged[a:b].tolist()) if table.decked[i] else None))
     return out
 
 
@@ -1055,8 +1063,10 @@ def faces_table(faces):
         [len(f) for f in faces], [l for f in faces for l in f.links],
         [-1 if e is None else e for f in faces for e in f.edge_refs],
         [np.nan if f.digon_angle is None else f.digon_angle for f in faces],
-        [g for f in faces for g in f.decks or (None,) * len(f)],
-        [f.decks is not None for f in faces])
+        np.concatenate([np.tile(np.eye(3), (len(f), 1, 1)) if f.decks is None else f.decks
+                        for f in faces]) if faces else np.eye(3),
+        [t for f in faces for t in f.tagged or (False,) * len(f)],
+        [f.tagged is not None for f in faces])
 
 
 def with_faces(T, color, faces):

@@ -400,6 +400,38 @@ def test_cli_refuses_a_vertex_off_the_sphere(tmp_path, capsys, tiling_n8, scale,
     assert capsys.readouterr().err == "error: tiling vertex 3 is not on the unit sphere\n"
 
 
+def _white_face(d):
+    return next(f for f in d["faces"] if f["color"] == "white")
+
+
+SPHERE_DECK_TAGS = {
+    "face-decks": lambda d: _white_face(d).update(
+        decks=[(2 * np.eye(3)).tolist()] * len(_white_face(d)["vertices"])),
+    "face-null-decks": lambda d: _white_face(d).update(
+        decks=[None] * len(_white_face(d)["vertices"])),
+    "segment-deck": lambda d: d["edges"][0]["segments"][0].update(deck=np.eye(3).tolist()),
+}
+
+
+@pytest.mark.parametrize("command", ["check", "flip", "render", "reconstruct"])
+@pytest.mark.parametrize("tags", sorted(SPHERE_DECK_TAGS))
+def test_cli_refuses_deck_tags_on_the_sphere(tmp_path, capsys, tags, command):
+    # the sphere is the quotient by the trivial group: a deck tag there
+    # was applied by check alone and dropped by the other commands
+    P = random_polyhedron(np.random.default_rng(1), 8)
+    d = json.loads(fio.canonical_json(fio.tiling_to_dict(project(P, Side.LEFT))))
+    SPHERE_DECK_TAGS[tags](d)
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps(d))
+    argv = [command, "--in", str(path)]
+    if command != "check":
+        argv += ["--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == ("error: a spherical tiling carries no deck tags: "
+                                       "face decks and segment decks must be null\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_dual_and_reconstruct(tmp_path):
     rng = np.random.default_rng(2)
     P = random_polyhedron(rng, 7)

@@ -1087,7 +1087,7 @@ def move_white_vertex(T):
 def drop_white_decks(T):
     """Drop the deck tags of a white face of T whose corners are not all on
     the fundamental copies (a tiling.v1 face may carry "decks": null)."""
-    T.white = with_face(T, WHITE, 0, decks=None).white
+    T.white = with_face(T, WHITE, 0, decks=None, tagged=None).white
 
 
 def test_equality_error_of_a_non_finite_vertex_is_inf(surf2):
@@ -1216,8 +1216,9 @@ def test_flip_rejects_singular_and_non_finite_height_equations(surf2):
     with pytest.raises(GeometryError, match="does not meet its linked face"):
         flip(T)
     T = ads_project(surf2, Side.LEFT)
-    w = tiling_faces(T.white)[0]
-    T = with_face(T, WHITE, 0, decks=(np.full((3, 3), np.nan),) + w.decks[1:])
+    decks = tiling_faces(T.white)[0].decks.copy()
+    decks[0] = np.nan
+    T = with_face(T, WHITE, 0, decks=decks)
     with pytest.raises(DevelopmentError, match="not finite"):
         recover_heights(T)
     with pytest.raises(GeometryError, match="does not meet its linked face"):
@@ -1307,8 +1308,7 @@ def damage_black_deck(T):
 
 def damage_segment_deck(T):
     """Compose the deck of segment 0 of edge 0 with a 1e-3 boost."""
-    tags = T.edges.decks[0]
-    T.edges.decks[0] = (tags[0] @ fuchsian._boost(1e-3),) + tags[1:]
+    T.edges.decks[0, 0] = T.edges.decks[0, 0] @ fuchsian._boost(1e-3)
 
 
 @pytest.mark.parametrize("damage", [damage_black_deck, damage_segment_deck])

@@ -521,9 +521,8 @@ def reference_validate_tiling(T, tol_scale=1.0):
             k = s.face_edge
             v0 = face.vertices[k % len(face)]
             v1 = face.vertices[(k + 1) % len(face)]
-            if s.deck is not None:
-                v0 = s.deck @ v0
-                v1 = s.deck @ v1
+            v0 = s.deck @ v0
+            v1 = s.deck @ v1
             base, direction = T.edges.base[ei], T.edges.direction[ei]
             p0 = ops.geodesic(base, direction, s.corner_param(True))
             p1 = ops.geodesic(base, direction, s.corner_param(False))
@@ -539,9 +538,7 @@ def reference_validate_tiling(T, tol_scale=1.0):
         for fi, f in enumerate(faces[color]):
             for k in range(len(f)):
                 g = other[f.links[k]]
-                pts = g.vertices
-                if f.decks is not None and f.decks[k] is not None:
-                    pts = pts @ f.decks[k].T
+                pts = g.vertices @ f.decks[k].T
                 d = np.min(np.linalg.norm(pts - f.vertices[k], axis=1))
                 if not d <= 1e-6 * tol_scale:
                     failures.append(
@@ -564,7 +561,7 @@ def reference_build_edge(ops, ei, base, direction, entries, tol=1e-7):
             raise GeometryError("face probe sits on the edge geodesic")
         side = Side.LEFT if s > 0 else Side.RIGHT
         segs.append(Segment(side, "", e["color"], e["face"], e["face_edge"],
-                            e["reversed"], e["t0"], e["t1"], e.get("deck")))
+                            e["reversed"], e["t0"], e["t1"], e["deck"], e["tagged"]))
     final = []
     for side in (Side.LEFT, Side.RIGHT):
         group = sorted((s for s in segs if s.side is side), key=lambda g: g.t0)
@@ -593,9 +590,7 @@ def batched_build_edges(ops, rows):
     return tilings._build_edges(
         ops, np.array([b for b, _, _ in rows]), np.array([d for _, d, _ in rows]),
         col("color") == BLACK, col("face"), col("face_edge"), col("reversed"),
-        col("t0"), col("t1"), np.array([[e["probe"] for e in entries]
-                                        for _, _, entries in rows]),
-        [tuple(e.get("deck") for e in entries) for _, _, entries in rows],
+        col("t0"), col("t1"), col("probe"), col("deck").reshape(-1, 4, 3, 3), col("tagged"),
     )
 
 
@@ -637,12 +632,8 @@ def corruptions(T):
     def with_edge(ei, column, change):
         """A copy of T whose column of the edge table holds change(value)
         at slot 0 of edge ei; the column is copied, not shared with T."""
-        if column == "decks":
-            col = list(T.edges.decks)
-            col[ei] = (change(col[ei][0]),) + col[ei][1:]
-        else:
-            col = getattr(T.edges, column).copy()
-            col[ei, 0] = change(col[ei, 0])
+        col = getattr(T.edges, column).copy()
+        col[ei, 0] = change(col[ei, 0])
         return FlippableTiling(T.handedness, T.black, T.white,
                                replace(T.edges, **{column: col}), T.ambient)
 
@@ -655,7 +646,7 @@ def corruptions(T):
     out.append(with_edge(ei, "left", change=lambda left: not left))
     out.append(with_edge(ei, "forward", change=lambda forward: not forward))
     out.append(with_edge(ei, "t0", change=lambda t0: t0 + 1e-5))
-    if T.edges.decks is not None and T.edges.decks[ei][0] is not None:
+    if T.edges.tagged[ei, 0]:
         out.append(with_edge(ei, "decks", change=lambda deck: deck + 1e-5))
     b = tiling_faces(T.black)[0]
     out.append(with_face(T, BLACK, 0, links=((b.links[0] + 1) % len(T.white),) + b.links[1:]))
@@ -695,47 +686,54 @@ def test_tiling_dict_round_trip_bytes(tmp_path):
         assert_same_tiling(fio.tiling_from_dict(json.loads(text)), again)
 
 
-def test_mixed_segment_decks_round_trip():
-    # a quotient tiling whose identity segment decks and face deck tags are
-    # written as null, and a face whose tags are all the identity as a null
-    # list of decks
-    with open(ADS_GOLDEN_N2) as fh:
-        data = json.load(fh)["projected"]
+def null_identity_tags(data):
+    """Write the identity segment decks and face deck tags of a `tiling.v1`
+    dict as null, and a face whose tags are all the identity as a null list
+    of decks; return the counts of null deck lists, other lists holding a
+    null, null corner tags in these, null segment decks and segments."""
     segs = [s for e in data["edges"] for s in e["segments"]]
     for s in segs:
         if np.array_equal(s["deck"], np.eye(3)):
             s["deck"] = None
-    assert 0 < sum(s["deck"] is None for s in segs) < len(segs)
     for f in data["faces"]:
         tags = [None if np.array_equal(g, np.eye(3)) else g for g in f["decks"]]
         f["decks"] = None if all(g is None for g in tags) else tags
-    assert sum(f["decks"] is None for f in data["faces"]) == 1
-    assert 0 < sum(None in (f["decks"] or ()) for f in data["faces"])
+    lists = [f["decks"] for f in data["faces"] if f["decks"] is not None]
+    return (len(data["faces"]) - len(lists), sum(None in tags for tags in lists),
+            sum(tags.count(None) for tags in lists),
+            sum(s["deck"] is None for s in segs), len(segs))
+
+
+def test_mixed_segment_decks_round_trip():
+    # a quotient tiling whose identity deck tags are written as null (a null
+    # tag acts as the identity) re-dumps to its bytes, and flips to the
+    # corners of the fully tagged tiling's flip, bit for bit, its null tags
+    # kept null
+    with open(ADS_GOLDEN_N2) as fh:
+        data = json.load(fh)["projected"]
+    full = fio.tiling_from_dict(data)
+    assert null_identity_tags(data) == (1, 9, 16, 30, 48)
     T = fio.tiling_from_dict(data)
     assert validate_tiling(T).ok
     assert fio.canonical_json(fio.tiling_to_dict(T)) == fio.canonical_json(data)
-
-
-def _tags(decks):
-    """The deck tags of a face table (one per corner) or an edge table (a
-    tuple of four per edge), flattened."""
-    return [g for t in decks for g in (t if isinstance(t, tuple) else (t,))]
+    F, G = flip(T), flip(full)
+    assert validate_tiling(F).ok
+    for color in (BLACK, WHITE):
+        a, b = F.faces(color).vertices, G.faces(color).vertices
+        assert a.tobytes() == b.tobytes()
+    flipped, expected = fio.tiling_to_dict(F), fio.tiling_to_dict(G)
+    assert null_identity_tags(expected) == (1, 9, 16, 30, 48)
+    assert fio.canonical_json(flipped) == fio.canonical_json(expected)
 
 
 def assert_same_tiling(S, T):
     """S and T hold the same handedness, ambient and tables, column by
-    column (deck tags and NaN digon angles included)."""
+    column (deck tags, their flags and NaN digon angles included)."""
     assert S.handedness is T.handedness and S.is_spherical == T.is_spherical
     for A, B in ((S.black, T.black), (S.white, T.white), (S.edges, T.edges)):
         for name, a in vars(A).items():
             b = getattr(B, name)
-            if name != "decks":
-                assert np.array_equal(a, b, equal_nan=a.dtype.kind == "f"), name
-            elif a is None or b is None:
-                assert a is b
-            else:
-                assert all(g is h is None or np.array_equal(g, h)
-                           for g, h in zip(_tags(a), _tags(b), strict=True))
+            assert np.array_equal(a, b, equal_nan=a.dtype.kind == "f"), name
 
 
 def edge_rows(T):
@@ -751,7 +749,7 @@ def edge_rows(T):
             c = c / np.sqrt(abs(ops.inner(c, c)))
             entries.append(dict(color=s.color, face=s.face, face_edge=s.face_edge,
                                 reversed=s.reversed, t0=s.t0, t1=s.t1, deck=s.deck,
-                                probe=c if s.deck is None else s.deck @ c))
+                                tagged=s.tagged, probe=s.deck @ c))
         rows.append((T.edges.base[ei], T.edges.direction[ei], entries))
     return rows
 
@@ -764,7 +762,7 @@ def assert_same_edges(A, B):
         assert (A.t_min[e], A.t_max[e]) == (t_min, t_max)
         for s, t in zip(segments(A, e), segs, strict=True):
             assert replace(s, deck=None) == replace(t, deck=None)
-            assert s.deck is t.deck
+            assert s.deck.tobytes() == t.deck.tobytes()
 
 
 @pytest.mark.parametrize("kind", ["sphere", "ads"])
@@ -845,7 +843,7 @@ def test_validation_and_assembly_share_the_edge_clauses():
         normal = ops.geodesic_normal(X.base, ops.geodesic(X.base, X.direction, 0.5))
         probes = np.where(X.left[..., None], normal[:, None], -normal[:, None])
         return tilings._build_edges(ops, X.base, X.direction, X.black, X.face, X.face_edge,
-                                    X.reversed, X.t0, X.t1, probes, X.decks)
+                                    X.reversed, X.t0, X.t1, probes, X.decks, X.tagged)
 
     misplaced = (f"black is {'backward' if E.forward[ei, black] else 'forward'} on the "
                  f"{'left' if E.left[ei, black] else 'right'}")
