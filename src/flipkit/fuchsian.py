@@ -22,34 +22,28 @@ with no object per face: the hull triangles with a merge label, the face
 poles, the vertex -> face incidence and a cyclic order per face computed
 on first read (`FuchsianSurface`).
 
-A vertex star is cut from the fans of its faces; a triangle is its own fan,
-so only the larger faces of coplanar merges are ordered.  One star kernel
-(`star_geometry`, on `spheremath.ADS_STAR` or `SPHERE_STAR`) returns the
-edge lengths, apex angles and wedge angles of all stars of a surface, as
-neighbour rows with per-star offsets, in one pass.  Cone angles sum each
-star's wedge angles in cycle order, and one assembly (`_assemble`) builds
-the Jacobian of either quadric; only the family (sinh, cosh) or (sin, cos)
-differs.  Distances, tangents, angles and face areas are the primitives of
-`spheremath`.
+The stars of a surface are one table (`VertexStars`): per star its vertex
+and the offsets of its rows, per row a neighbour in cycle order, whether
+the edge to it is true and the face of the wedge after it.  A star is cut
+from the fans of its faces; a triangle is its own fan, so only the larger
+faces of coplanar merges are ordered.  One star kernel (`star_geometry`,
+on `spheremath.ADS_STAR` or `SPHERE_STAR`) returns the edge lengths, apex
+angles and wedge angles of all rows in one pass.  The cone angles are the
+cycle sums of its wedge angles, and one assembly (`_assemble`) builds the
+Jacobian of either quadric from the same pass; only the family (sinh,
+cosh) or (sin, cos) differs.  The certificate, the repair and the quotient
+layout read the same columns.  Distances, tangents, angles and face areas
+are the primitives of `spheremath`.
 
 The prescribed-curvature solver builds a hull only to start, after a
-failed repair and to end.  A line-search trial keeps the fundamental stars
-of its current surface, re-embedded at the trial heights, when a
-certificate (`_fixed_star_trial`) proves that the certified hull there has
-the same stars: every star triangle is a space-like hull face that
-supports all orbit points of the ball strictly, far enough to merge with
-no other triangle, and its plane passes the `_supports_orbit` bound at R0
-with a margin.  The trial's cone angles and Jacobian are then those of
-that hull bit for bit.  When the certificate finds orbit points on the
-wrong side of star triangles, those stars are repaired at the trial
-heights (`_recut_stars`): re-cut as the extreme directions, seen from the
-star's vertex, of its neighbours and those points (a 2-D hull of their
-gnomonic images, with no Qhull call), read in `_build_star`'s order and
-certified once more.  Certified repaired stars are the hull's stars by
-the same argument, so only a trial whose repair fails builds its
-certified hull; a solve that ends on certified stars builds its returned
-surface once, with `orbit_hull`.  A trial's curvatures and the next
-Newton step's Jacobian read one `star_geometry` pass.
+failed repair and to end.  A line-search trial keeps the stars of its
+current surface at the trial heights when a certificate
+(`_fixed_star_trial`) proves that the certified hull there has the same
+stars; where it finds orbit points on the wrong side of star triangles,
+those stars are re-cut through them (`_recut_stars`, a 2-D hull of
+gnomonic images with no Qhull call) and certified once more.  Certified
+stars are the hull's, so a trial's curvatures and the next Newton step's
+Jacobian are the hull's bit for bit, from one `star_geometry` pass.
 
 Group elements are identified by one rule.  The elements of a ball
 (`FuchsianGroup.ball`) carry integer ids, their positions in
@@ -157,8 +151,8 @@ def _stable_key(m, scale):
     """Quantized matrix bytes: the ordering convention of a ball.
 
     `elements` breaks displacement ties by these bytes, and `ElementBall.rank`
-    is their order; both fix the fan starts of `_triangulate_face` and the
-    star starts of `_build_star`.  Identity is decided by the matching rule
+    is their order; both fix the fan starts of `_fan` and the
+    star starts of `_build_stars`.  Identity is decided by the matching rule
     (`_identify`), never by these bytes.
     """
     q = np.floor(np.asarray(m, dtype=float) * scale + 0.61803398874989485)
@@ -461,26 +455,51 @@ def _config_on_checked_rays(group, rays, heights):
 # -- orbit hulls and vertex stars -----------------------------------------------
 
 
-@dataclass
-class VertexStar:
-    """Fan data around one hull vertex.
+@dataclass(frozen=True, eq=False)
+class VertexStars:
+    """The vertex stars of a surface as one table.
 
-    neighbors : vertex ids in cyclic order; wedge j is the triangle
-                (x, neighbors[j], neighbors[j+1 mod m])
-    true_edge : per neighbor, False for triangulation diagonals
-    wedge_face: per wedge, the index of the merged face it belongs to;
-                None for a star re-cut by `_recut_stars`, which has no faces
+    Star i is at vertex[i], with its neighbour cycle
+    neighbors[offsets[i]:offsets[i + 1]]; its rows are stacked star after
+    star in cycle order, and row j is also wedge j of its star, the
+    triangle (vertex, neighbors[j], the next neighbour of its star).  Per
+    row, true_edge[j] is False for a triangulation diagonal and
+    wedge_face[j] is the merged face of wedge j, -1 for a star re-cut by
+    `_recut_stars`, which has no faces.  The star kernel (`star_geometry`)
+    returns one row per row of the table, so the cone angles are the cycle
+    sums of its wedge angles and `_assemble` reads the table as it stands.
     """
 
-    vertex: int
-    neighbors: list
-    true_edge: list
-    wedge_face: list
+    vertex: np.ndarray
+    offsets: np.ndarray
+    neighbors: np.ndarray
+    true_edge: np.ndarray
+    wedge_face: np.ndarray
+
+    @classmethod
+    def stacked(cls, vertex, cycles, true_edge=True, wedge_face=-1):
+        """The table of the stars at `vertex` with the neighbour `cycles`;
+        the true-edge flags and wedge faces per row or once for all rows."""
+        sizes = [len(c) for c in cycles]
+        m = sum(sizes)
+        return cls(np.asarray(vertex, dtype=np.intp), np.cumsum([0] + sizes, dtype=np.intp),
+                   np.fromiter(itertools.chain.from_iterable(cycles), dtype=np.intp, count=m),
+                   np.full(m, true_edge, dtype=bool), np.full(m, wedge_face, dtype=np.intp))
+
+    def __len__(self):
+        return len(self.vertex)
+
+    def __getitem__(self, i):
+        """Star i as a table of its own, its columns slices of these."""
+        i = range(len(self))[i]
+        a, b = self.offsets[i:i + 2].tolist()
+        return VertexStars(self.vertex[i:i + 1], self.offsets[i:i + 2] - a,
+                           self.neighbors[a:b], self.true_edge[a:b], self.wedge_face[a:b])
 
 
 class FuchsianSurface:
     """Orbit hull truncated at displacement `radius`, with the certified
-    stars at the fundamental vertices.
+    stars at the fundamental vertices as one `VertexStars` table, `stars`.
 
     Vertex vid is the point of ray vid % n moved by elements[vid // n],
     the element with id vid // n of `ball`.  Fans and star cycles start at
@@ -514,7 +533,7 @@ class FuchsianSurface:
         self.radius = radius
         self.order_keys = (ball.rank[:, None] + np.arange(self.n) * len(ball.rank)
                            ).ravel().tolist()
-        self.stars = []
+        self.stars = None
         self._cycles = {}
         # the vertex set of each face, ascending, from one sort of the
         # (face, vertex) pairs of its triangles; face fi has the vertices
@@ -550,20 +569,24 @@ class FuchsianSurface:
         return self.elements[vid // self.n]
 
     def star_at(self, vid):
-        """Star of a hull vertex.  The fundamental ones are cached; any
-        other is certified like them, or GeometryError."""
+        """Star of a hull vertex, as a table of one star.  The fundamental
+        ones are cached; any other is certified like them, or
+        GeometryError, as for an id that is no vertex of the hull."""
+        if not 0 <= vid < len(self.points4):
+            raise GeometryError(f"vertex {vid} is not a vertex of the hull")
         if vid < self.n:
             return self.stars[vid]
-        return _certified_stars(self, [vid])[0]
+        return _certified_stars(self, [vid])
 
     def star_combinatorics(self):
         """The neighbour cycle of each fundamental star as (ray, element id)
         labels, started at its least vertex under `order_keys` and read in
         the direction whose keys come first."""
         key = self.order_keys
+        nbrs, offsets = self.stars.neighbors.tolist(), self.stars.offsets.tolist()
         out = []
-        for star in self.stars:
-            cyc = star.neighbors
+        for lo, hi in zip(offsets, offsets[1:]):
+            cyc = nbrs[lo:hi]
             pivot = min(range(len(cyc)), key=lambda j: key[cyc[j]])
             cyc = cyc[pivot:] + cyc[:pivot]
             rev = [cyc[0]] + cyc[1:][::-1]
@@ -654,10 +677,7 @@ class FuchsianSurface:
     def quotient_counts(self):
         """(V, E, F) of the quotient cell structure (true edges only)."""
         V = self.n
-        deg = sum(
-            sum(1 for t in star.true_edge if t) for star in self.stars
-        )
-        E = deg // 2
+        E = int(np.count_nonzero(self.stars.true_edge)) // 2
         _, _, reps = _face_orbits(self, _wedge_faces(self))
         return V, E, len(reps)
 
@@ -668,20 +688,17 @@ class FuchsianSurface:
     def quotient_area(self):
         """Total face area of a fundamental set of faces: per face orbit,
         the copy met last among the wedges of the fundamental stars."""
-        wedges = [fi for star in self.stars for fi in star.wedge_face]
-        faces = list(dict.fromkeys(wedges))
+        faces = _wedge_faces(self)
         _, orbit, _ = _face_orbits(self, faces)
         at = dict(zip(faces, orbit.tolist()))
-        last = {}
-        for fi in wedges:
-            last[at[fi]] = fi
+        last = {at[fi]: fi for fi in self.stars.wedge_face.tolist()}
         return float(sum(self.face_area(last[o]) for o in sorted(last)))
 
 
 def _wedge_faces(surf):
     """The faces of the wedges of the fundamental stars, each once, in the
     order first met."""
-    return list(dict.fromkeys(fi for star in surf.stars for fi in star.wedge_face))
+    return list(dict.fromkeys(surf.stars.wedge_face.tolist()))
 
 
 def _fan(cycle, key):
@@ -695,47 +712,52 @@ def _fan(cycle, key):
     return tris, false_edges
 
 
-def _build_star(surf, vid):
-    """Star of hull vertex vid: the wedges at vid of the fans of its faces,
-    closed into a cycle from the neighbour of least order key toward the
-    lesser of its two neighbours."""
-    fans = surf.fans(vid)
-    if len(fans) < 2:
-        raise GeometryError("vertex star is incomplete (truncation too small)")
+def _build_stars(surf, vids):
+    """The stars at `vids` as one table.  The star at vid holds the wedges
+    at vid of the fans of its faces, closed into a cycle from the neighbour
+    of least order key toward the lesser of its two."""
+    vids = list(vids)
     key = surf.order_keys
-    adj = {}
-    false_edges = set()
-    wedge_face = {}
-    for fi, (tris, fe) in fans:
-        false_edges.update(fe)
-        for tri in tris:
-            if vid in tri:
-                a, b = (u for u in tri if u != vid)
-                adj.setdefault(a, []).append(b)
-                adj.setdefault(b, []).append(a)
-                wedge_face[a, b] = wedge_face[b, a] = fi
-    if not adj or any(len(vs) != 2 for vs in adj.values()):
-        raise GeometryError("vertex star is not a disk")
-    # each neighbour has two neighbours in the link, so the walk comes back
-    # to its start; it comes back early when the link is not one cycle
-    m = len(adj)
-    start = min(adj, key=key.__getitem__)
-    cycle = [start]
-    prev = None
-    while True:
-        cands = [u for u in adj[cycle[-1]] if u != prev]
-        nxt = cands[0] if len(cands) == 1 else min(cands, key=key.__getitem__)
-        prev = cycle[-1]
-        if nxt == start:
-            break
-        cycle.append(nxt)
-    if len(cycle) != m:
-        raise GeometryError("vertex star does not close")
-    true_edge = [frozenset((vid, u)) not in false_edges for u in cycle]
-    wf = [wedge_face.get((u, cycle[(j + 1) % m])) for j, u in enumerate(cycle)]
-    if None in wf:
-        raise GeometryError("wedge missing from the star triangulation")
-    return VertexStar(vid, cycle, true_edge, wf)
+    cycles, true_edge, wedge_faces = [], [], []
+    for vid in vids:
+        fans = surf.fans(vid)
+        if len(fans) < 2:
+            raise GeometryError("vertex star is incomplete (truncation too small)")
+        adj = {}
+        false_edges = set()
+        wedge_face = {}
+        for fi, (tris, fe) in fans:
+            false_edges.update(fe)
+            for tri in tris:
+                if vid in tri:
+                    a, b = (u for u in tri if u != vid)
+                    adj.setdefault(a, []).append(b)
+                    adj.setdefault(b, []).append(a)
+                    wedge_face[a, b] = wedge_face[b, a] = fi
+        if not adj or any(len(vs) != 2 for vs in adj.values()):
+            raise GeometryError("vertex star is not a disk")
+        # each neighbour has two neighbours in the link, so the walk comes
+        # back to its start; it comes back early when the link is not one cycle
+        m = len(adj)
+        start = min(adj, key=key.__getitem__)
+        cycle = [start]
+        prev = None
+        while True:
+            cands = [u for u in adj[cycle[-1]] if u != prev]
+            nxt = cands[0] if len(cands) == 1 else min(cands, key=key.__getitem__)
+            prev = cycle[-1]
+            if nxt == start:
+                break
+            cycle.append(nxt)
+        if len(cycle) != m:
+            raise GeometryError("vertex star does not close")
+        wf = [wedge_face.get((u, cycle[(j + 1) % m])) for j, u in enumerate(cycle)]
+        if None in wf:
+            raise GeometryError("wedge missing from the star triangulation")
+        cycles.append(cycle)
+        true_edge += [frozenset((vid, u)) not in false_edges for u in cycle]
+        wedge_faces += wf
+    return VertexStars.stacked(vids, cycles, true_edge, wedge_faces)
 
 
 def orbit_hull(config):
@@ -777,8 +799,8 @@ def _certified_hull(config, radius=R0):
 def _certified_stars(surf, vids):
     """The stars at `vids`, once one `_supports_orbit` call certifies all
     their faces; else GeometryError."""
-    stars = [_build_star(surf, vid) for vid in vids]
-    if not _supports_orbit(surf, [fi for star in stars for fi in star.wedge_face]):
+    stars = _build_stars(surf, vids)
+    if not _supports_orbit(surf, stars.wedge_face):
         raise GeometryError(
             f"a face at vertices {list(vids)} may not support the orbit beyond "
             f"radius {surf.radius:g}"
@@ -827,12 +849,8 @@ class _FixedStars:
         self.radius = surf.radius
         self.stars = stars
 
-    @property
-    def n(self):
-        return self.config.n
-
-    def base_of(self, vid):
-        return vid % self.n
+    n = FuchsianSurface.n
+    base_of = FuchsianSurface.base_of
 
 
 def _fixed_star_trial(surf, config):
@@ -852,12 +870,12 @@ def _fixed_star_trial(surf, config):
     p, so the triangle is a hull face of its own.  The `_supports_orbit`
     bound at R0 must hold with a margin (bound > 1e-12, rising by a
     relative 1e-9), so the hull certifies these faces at R0.  The triangles
-    around v then close into the hull's star at v, which is read in
-    `_build_star`'s order, so the cone angles and Jacobian are those of the
+    around v then close into the hull's star at v, read in the order of
+    `_build_stars`, so the cone angles and Jacobian are those of the
     hull bit for bit.  A repaired star is read in that order too, so the
     certificate makes no difference between kept and re-cut stars.
     """
-    if surf.radius != R0 or not all(all(st.true_edge) for st in surf.stars):
+    if surf.radius != R0 or not surf.stars.true_edge.all():
         return None
     points4 = orbit_points(surf.elements, config.rays, config.heights)
     margin = 4 * MERGE_TOL * np.linalg.norm(points4, axis=1)[:, None]
@@ -881,8 +899,8 @@ def _star_certificate(stars, points4, margin, config):
     planes that every triangle is a space-like plane visible from the
     chart origin which passes the `_supports_orbit` bound with its
     margin."""
-    tris = np.array([(st.vertex, y, st.neighbors[(j + 1) % len(st.neighbors)])
-                     for st in stars for j, y in enumerate(st.neighbors)])
+    star, nxt, _ = _star_rows(stars.offsets)
+    tris = np.stack([stars.vertex[star], stars.neighbors, stars.neighbors[nxt]], axis=1)
     poles, q = triangle_poles(points4, tris, ADS_STAR, ADS_STAR.e)
     # <x, p> under the form is the Euclidean product with form * p; a NaN
     # side is wrong too
@@ -908,20 +926,18 @@ def _recut_stars(stars, points4, poles, wrong, keys):
     w = cross4(v, a, u), so that u, w and a span the covectors that vanish
     at v.  When x . a > 0 for every candidate they lie in one open
     half-space, and the hull's vertices are the extreme rays of the cone
-    they span from v.  The cycle is read in `_build_star`'s order: from
+    they span from v.  The cycle is read in the order of `_build_stars`: from
     the neighbour of least key toward the lesser of its two.  All stars
     share one pass: the candidates from one mask, the images from one
     `einsum` and one sort, then a pure-Python hull per star.
     """
-    sizes = [len(st.neighbors) for st in stars]
-    col_star = np.repeat(np.arange(len(stars)), sizes)
-    first = np.cumsum(sizes) - sizes
+    col_star, _, _ = _star_rows(stars.offsets)
+    first = stars.offsets[:-1]
     covectors = poles * ADS_STAR.form
     a, u = np.add.reduceat(covectors, first), covectors[first]
-    vertex = [st.vertex for st in stars]
-    basis = np.stack([u, cross4(points4[vertex], a, u), a], axis=1)  # (s, 3, 4)
+    basis = np.stack([u, cross4(points4[stars.vertex], a, u), a], axis=1)  # (s, 3, 4)
     cand = np.zeros((len(stars), len(points4)), dtype=bool)
-    cand[col_star, [y for st in stars for y in st.neighbors]] = True
+    cand[col_star, stars.neighbors] = True
     rows, cols = np.nonzero(wrong)
     cand[col_star[cols], rows] = True
     star_of, ids = np.nonzero(cand)
@@ -933,18 +949,17 @@ def _recut_stars(stars, points4, poles, wrong, keys):
     order = np.lexsort((y, x, star_of))
     ends = np.cumsum(np.bincount(star_of, minlength=len(stars))).tolist()
     ids, x, y = ids[order].tolist(), x[order].tolist(), y[order].tolist()
-    out, lo = [], 0
-    for st, hi in zip(stars, ends):
+    cycles = []
+    for lo, hi in zip([0] + ends, ends):
         cycle = [ids[i] for i in _hull_2d(x, y, range(lo, hi))]
-        lo = hi
         if len(cycle) < 3:
             return None
         i = min(range(len(cycle)), key=lambda j: keys[cycle[j]])
         cycle = cycle[i:] + cycle[:i]
         if keys[cycle[-1]] < keys[cycle[1]]:
             cycle = cycle[:1] + cycle[:0:-1]
-        out.append(VertexStar(st.vertex, cycle, [True] * len(cycle), None))
-    return out
+        cycles.append(cycle)
+    return VertexStars.stacked(stars.vertex, cycles)
 
 
 def _hull_2d(x, y, order):
@@ -1007,14 +1022,6 @@ def _truncated_hull(config, radius):
 # -- the star kernel: cone angles and the Jacobian --------------------------------
 
 
-def _stack_stars(stars):
-    """Stars as stacked rows: their vertex ids, their neighbour ids
-    concatenated in cycle order, and the offsets of each star's neighbours."""
-    nbrs = np.array([u for star in stars for u in star.neighbors], dtype=np.intp)
-    offsets = list(itertools.accumulate((len(s.neighbors) for s in stars), initial=0))
-    return [star.vertex for star in stars], nbrs, offsets
-
-
 def _star_rows(offsets):
     """Per row of the stars stacked at `offsets`: its star, and the rows of
     the next and of the previous neighbour in that star's cycle."""
@@ -1045,34 +1052,28 @@ def star_geometry(xs, ys, offsets, sig=ADS_STAR):
 
 
 def _star_pass(stars, pts, sig=ADS_STAR):
-    """The stars stacked (`_stack_stars`) with their `star_geometry` at
-    `pts`: (vertex, nbrs, offsets, (ell, rho_x, rho_s, omega)), what
+    """`star_geometry` of the star table `stars` with its vertices at
+    `pts`: (ell, rho_x, rho_s, omega), one row per row of the table, what
     `_assemble` reads."""
-    vertex, nbrs, offsets = _stack_stars(stars)
-    return vertex, nbrs, offsets, star_geometry(pts[vertex], pts[nbrs], offsets, sig)
+    return star_geometry(pts[stars.vertex], pts[stars.neighbors], stars.offsets, sig)
+
+
+def _cone_angles(stars, pts, sig=ADS_STAR):
+    """Total wedge angle of each star with its vertices at `pts`: the cycle
+    sums of the wedge angles of its `_star_pass`."""
+    return cycle_sums(_star_pass(stars, pts, sig)[3], np.diff(stars.offsets))
 
 
 def _pass_curvatures(surf):
     """`curvatures` of a solver surface and the `_star_pass` they came
-    from, for `jacobian`: 2 pi minus the cycle sums of its wedge angles,
-    which have the bits of those of `_cone_angles`."""
+    from, for `jacobian`."""
     star_pass = _star_pass(surf.stars, surf.points4)
-    _, _, offsets, (_, _, _, omega) = star_pass
-    return 2.0 * np.pi - cycle_sums(omega, np.diff(offsets)), star_pass
-
-
-def _cone_angles(stars, pts, sig=ADS_STAR):
-    """Total wedge angle of each star with its vertices at `pts`, summed in
-    cycle order."""
-    vertex, nbrs, offsets = _stack_stars(stars)
-    star, nxt, _ = _star_rows(offsets)
-    t = sig.tangent(pts[vertex][star], pts[nbrs])
-    return cycle_sums(sig.angle_between(t, t[nxt]), np.diff(offsets))
+    return 2.0 * np.pi - cycle_sums(star_pass[3], np.diff(surf.stars.offsets)), star_pass
 
 
 def cone_angle_at(surf, vid):
     """Total face angle around one hull vertex, from its star."""
-    return float(_cone_angles([surf.star_at(vid)], surf.points4)[0])
+    return float(_cone_angles(surf.star_at(vid), surf.points4)[0])
 
 
 def cone_angles(surf):
@@ -1118,9 +1119,9 @@ class JacobianMatrix:
 
 
 def _assemble(stars, star_pass, index, n, sig):
-    """d omega_x / d h_y from vertex stars and their `_star_pass`; vertex v
-    is row and column index(v) of the n x n matrix, `index` taking arrays
-    of vertex ids.
+    """d omega_x / d h_y from the star table `stars` and its `_star_pass`;
+    vertex v is row and column index(v) of the n x n matrix, `index` taking
+    arrays of vertex ids.
 
     Per neighbour y of x, the dihedral sum D of the two wedges at the edge
     xy, each (S rho_other - cos omega S rho_y) / (sin omega C rho_y),
@@ -1131,13 +1132,13 @@ def _assemble(stars, star_pass, index, n, sig):
     own orbit gives D C(rho_x) (1 - C(ell)) / S(ell).
     """
     S, C = sig.trig.S, sig.trig.C
-    vertex, nbrs, offsets, (ell, rho_x, rho_s, omega) = star_pass
-    star, nxt, prv = _star_rows(offsets)
+    ell, rho_x, rho_s, omega = star_pass
+    star, nxt, prv = _star_rows(stars.offsets)
     s, c = _scalar_map(S, rho_x), _scalar_map(C, rho_x)
     cos_w, sin_w = _scalar_map(math.cos, omega), _scalar_map(math.sin, omega)
     d = ((s[prv] - cos_w[prv] * s) / (sin_w[prv] * c)
          + (s[nxt] - cos_w * s) / (sin_w * c))
-    true = np.array([t for st in stars for t in st.true_edge], dtype=bool)
+    true = stars.true_edge
     flat = ~true & (np.abs(d) > 1e-6)
     bad = np.flatnonzero(flat | (true & (-sig.kappa * d > 1e-9)))
     if len(bad):
@@ -1147,7 +1148,7 @@ def _assemble(stars, star_pass, index, n, sig):
         raise GeometryError(
             f"surface is not convex along a true edge (dihedral sum {d[j]:.2e})"
         )
-    ix, iy = index(np.asarray(vertex)[star][true]), index(nbrs[true])
+    ix, iy = index(stars.vertex[star][true]), index(stars.neighbors[true])
     d, c, ell = d[true], c[true], ell[true]
     s_ell, c_ell = _scalar_map(S, ell), _scalar_map(C, ell)
     loop = ix == iy
@@ -1179,18 +1180,13 @@ def solve_prescribed_curvature(config, tol=1e-8, h0=None):
     stalls, the target is reached by continuation along the straight
     segment (inside K(n)) from an evaluated feasible configuration.
 
-    The starting surface is a certified hull.  Each line-search trial is
-    evaluated on the current surface's fundamental stars at the trial
-    heights when `_fixed_star_trial` certifies that the hull there has the
-    same stars.  When the certificate finds orbit points on the wrong side
-    of star triangles, the stars are re-cut through those points and
-    certified once more, with no Qhull call; only a trial whose repair
-    fails builds its certified hull.  Kept, repaired and built stars give
-    the same curvature and Jacobian bits, so a solve builds a hull to
-    start, for each failed repair and, when it ends on certified stars,
-    once more for the returned surface at the final heights, whose
-    curvatures it reports.  The curvatures of a trial and the Jacobian of
-    the Newton step from it read one `star_geometry` pass.
+    The starting surface is a certified hull, from h0 when it is given:
+    one height per ray, each strictly inside (0, pi/2), else GeometryError
+    before any hull is built.  A line-search trial keeps or repairs the
+    current surface's stars when `_fixed_star_trial` certifies them, and
+    builds its certified hull only when the repair fails; a solve that
+    ends on certified stars builds its returned surface once more at the
+    final heights, whose curvatures it reports.
 
     Returns a dict with heights, achieved curvatures, residual, Jacobian
     condition number, iteration count and the surface.
@@ -1199,7 +1195,7 @@ def solve_prescribed_curvature(config, tol=1e-8, h0=None):
         raise GeometryError("config has no curvature targets")
     k_target = config.targets
     n = config.n
-    h = np.full(n, 0.75) if h0 is None else np.asarray(h0, dtype=float).copy()
+    h = np.full(n, 0.75) if h0 is None else _check_heights(h0, n).copy()
 
     # Every trial is exact, a certified hull or certified fixed stars, so
     # each line-search trial is final.  Starts whose vertices are not in
@@ -1327,10 +1323,12 @@ class DualFace:
         return ADS_STAR.polygon_area(self.vertices)
 
 
-def _link_faces(star):
-    """The faces around a star, each once, in cyclic order: its vertex link."""
+def _link_faces(stars, i):
+    """The faces around star i of the table `stars`, each once, in cyclic
+    order: its vertex link."""
+    lo, hi = stars.offsets[i:i + 2]
     seq = []
-    for fi in star.wedge_face:
+    for fi in stars.wedge_face[lo:hi].tolist():
         if not seq or seq[-1] != fi:
             seq.append(fi)
     if len(seq) > 1 and seq[0] == seq[-1]:
@@ -1350,7 +1348,7 @@ def minkowski_dual(surf):
     out = []
     ks = curvatures(surf)
     for vid in range(surf.n):
-        verts = surf.poles[_link_faces(surf.stars[vid])]
+        verts = surf.poles[_link_faces(surf.stars, vid)]
         out.append(
             DualFace(vid, verts, surf.points4[vid].copy())
         )
@@ -1381,11 +1379,6 @@ class HyperbolicAmbient:
 
     group: FuchsianGroup
     rays: np.ndarray
-
-    def config(self, heights):
-        """The configuration of these rays at the given heights; only the
-        heights are checked."""
-        return _config_on_checked_rays(self.group, self.rays, heights)
 
     def flip(self, T):
         """Flip of a hyperbolic tiling over this quotient: `flip_hyperbolic`,
@@ -1510,7 +1503,7 @@ def _ads_layout(surf):
     black, black_rows = [], []
     black_corner = []
     for vid in range(n):
-        seq = _link_faces(surf.stars[vid])
+        seq = _link_faces(surf.stars, vid)
         black.append(([(fi, vid) for fi in seq], tuple(orbit_of[fi] for fi in seq)))
         black_rows += [index_of[fi] for fi in seq]
         black_corner.append(
@@ -1520,10 +1513,11 @@ def _ads_layout(surf):
     # one tiling edge per true-edge orbit met at a fundamental vertex: the
     # first star row of each orbit key min((b_v, b_s, id(g_v^-1 g_s)),
     # (b_s, b_v, id(g_s^-1 g_v))), the keys encoded as integers
-    vertex, nbrs, offsets = _stack_stars(surf.stars)
-    star, _, _ = _star_rows(offsets)
-    true = np.flatnonzero([t for st in surf.stars for t in st.true_edge])
-    (ev, bv), (es, bs) = np.divmod(np.asarray(vertex)[star][true], n), np.divmod(nbrs[true], n)
+    stars = surf.stars
+    star, _, prv = _star_rows(stars.offsets)
+    true = np.flatnonzero(stars.true_edge)
+    vertex = stars.vertex[star]
+    (ev, bv), (es, bs) = np.divmod(vertex[true], n), np.divmod(stars.neighbors[true], n)
     size = len(surf.ball.mats)
     rel = surf.ball.relative_ids(np.stack([ev, es]), np.stack([es, ev]))
     key = np.minimum((bv * n + bs) * size + rel[0], (bs * n + bv) * size + rel[1])
@@ -1533,11 +1527,9 @@ def _ads_layout(surf):
     slots = np.array(sorted(first_row.values()), dtype=np.intp)
 
     edges, edge_rows = [], []
-    for row, si in zip(slots.tolist(), star[slots].tolist()):
-        st = surf.stars[si]
-        vid, j = st.vertex, row - offsets[si]
-        s = st.neighbors[j]
-        fa, fb = st.wedge_face[j - 1], st.wedge_face[j]
+    for vid, s, fa, fb in zip(vertex[slots].tolist(), stars.neighbors[slots].tolist(),
+                              stars.wedge_face[prv[slots]].tolist(),
+                              stars.wedge_face[slots].tolist()):
         if fa == fb:
             raise GeometryError("true edge inside a single face")
         segments = [(orbit_of[fi], corner_of[fi][vid], corner_of[fi][s]) for fi in (fa, fb)]
@@ -1841,26 +1833,29 @@ def star_polyhedron(directions, heights):
     return P, order
 
 
-def _sph_star(P, vi):
-    """Star of vertex vi of a simplicial polyhedron, neighbours in the cyclic
-    order of its faces."""
-    cyc_faces = P.face_cycle_at_vertex(vi)
-    neighbors = []
-    for idx in range(len(cyc_faces)):
-        fa, fb = cyc_faces[idx], cyc_faces[(idx + 1) % len(cyc_faces)]
-        shared = set(P.faces[fa]) & set(P.faces[fb]) - {vi}
-        if len(shared) != 1:
-            raise GeometryError("vertex star is not simplicial")
-        neighbors.append(shared.pop())
-    m = len(neighbors)
-    return VertexStar(vi, neighbors, [True] * m, cyc_faces[1:] + cyc_faces[:1])
+def _sph_stars(P):
+    """The stars of all vertices of a simplicial polyhedron as one table,
+    neighbours in the cyclic order of its faces; wedge j of a star lies in
+    the face after neighbour j."""
+    cycles, wedge_face = [], []
+    for vi in range(P.n_vertices):
+        cyc_faces = P.face_cycle_at_vertex(vi)
+        after = cyc_faces[1:] + cyc_faces[:1]
+        neighbors = []
+        for fa, fb in zip(cyc_faces, after):
+            shared = set(P.faces[fa]) & set(P.faces[fb]) - {vi}
+            if len(shared) != 1:
+                raise GeometryError("vertex star is not simplicial")
+            neighbors.append(shared.pop())
+        cycles.append(neighbors)
+        wedge_face += after
+    return VertexStars.stacked(range(P.n_vertices), cycles, wedge_face=wedge_face)
 
 
 def sph_star_cone_angles(P, order):
     """Cone angle (total face angle) at each vertex, indexed by ray."""
     out = np.empty(P.n_vertices)
-    out[order] = _cone_angles([_sph_star(P, vi) for vi in range(P.n_vertices)],
-                              P.vertices, SPHERE_STAR)
+    out[order] = _cone_angles(_sph_stars(P), P.vertices, SPHERE_STAR)
     return out
 
 
@@ -1868,6 +1863,6 @@ def sph_star_jacobian(P, order):
     """d omega_x / d h_y for a spherical star polyhedron, indexed by ray:
     the assembly of `jacobian` with sin and cos.  Off-diagonal entries are
     positive by convexity."""
-    stars = [_sph_star(P, vi) for vi in range(P.n_vertices)]
+    stars = _sph_stars(P)
     return _assemble(stars, _star_pass(stars, P.vertices, SPHERE_STAR),
                      np.asarray(order).__getitem__, P.n_vertices, SPHERE_STAR)

@@ -10,7 +10,8 @@ are checked against:
   star formulas, each derivative with a matching finite-difference test;
 - the convexity class of every edge at a fundamental vertex of a Fuchsian
   surface, from the sign of sinh(alpha1) + sinh(alpha2) of its two wedges;
-- the vertex stars of a Fuchsian surface one at a time: the star builder
+- the vertex stars of a Fuchsian surface one at a time, one record each
+  (`Star`, the per-star view of the library's star table): the star builder
   that orders every incident face and compares order keys per call, and the
   per-star kernel, cone angle and Jacobian assembly, the references of the
   stacked star layer of `flipkit.fuchsian`;
@@ -51,8 +52,8 @@ import numpy as np
 
 from flipkit.errors import DevelopmentError, GeometryError, SignatureMismatchError
 from flipkit.forms import inv4, mul4
-from flipkit.fuchsian import (HyperbolicAmbient, VertexStar, _ads_layout, _link_faces,
-                              orbit_hull, recover_heights)
+from flipkit.fuchsian import (HyperbolicAmbient, _ads_layout, _config_on_checked_rays,
+                              _link_faces, orbit_hull, recover_heights)
 from flipkit.spheremath import ADS_STAR, SPHERE_STAR, HyperbolicOps
 from flipkit.tilings import (BLACK, WHITE, FlippableTiling, Side, TilingFaces, _aligned_error,
                              assemble_tiling, tiling_equality_error)
@@ -279,7 +280,7 @@ def convexity_sign(alpha1, alpha2, eps=EPS_CVX):
 
 def wedge_convexity(surf, vid):
     """Convexity classification of every edge at a fundamental vertex."""
-    star = surf.star_at(vid)
+    star, = star_records(surf.star_at(vid))
     _, rho_x, _, omega = reference_star_geometry(
         surf.points4[vid], surf.points4[star.neighbors]
     )
@@ -292,6 +293,26 @@ def wedge_convexity(surf, vid):
 
 
 # -- vertex stars one at a time ------------------------------------------------------
+
+
+@dataclass
+class Star:
+    """One vertex star, the per-star view of a `fuchsian.VertexStars` row
+    block: its vertex id and, per neighbour in cycle order, the neighbour
+    id, whether the edge to it is true and the face of the wedge after it."""
+
+    vertex: int
+    neighbors: list
+    true_edge: list
+    wedge_face: list
+
+
+def star_records(stars):
+    """The stars of a `VertexStars` table as one `Star` each, in its order."""
+    offsets = stars.offsets.tolist()
+    return [Star(v, *(col[lo:hi].tolist() for col in
+                      (stars.neighbors, stars.true_edge, stars.wedge_face)))
+            for v, lo, hi in zip(stars.vertex.tolist(), offsets, offsets[1:])]
 
 
 def reference_vkey(surf, vid):
@@ -358,7 +379,7 @@ def reference_build_star(surf, vid):
         if tri_key not in wedge_face:
             raise GeometryError("wedge missing from the star triangulation")
         wf.append(wedge_face[tri_key])
-    return VertexStar(vid, cycle, true_edge, wf)
+    return Star(vid, cycle, true_edge, wf)
 
 
 def _reference_wedges(x, ys, sig):
@@ -532,7 +553,8 @@ def reference_ads_layout(surf):
     orbit_of = {}
     orbit_rep = []
     face_orbit = {}
-    for star in surf.stars:
+    stars = star_records(surf.stars)
+    for star in stars:
         for fi in star.wedge_face:
             if fi in face_orbit:
                 continue
@@ -560,7 +582,7 @@ def reference_ads_layout(surf):
     black, black_decks = [], []
     black_corner = []
     for vid in range(surf.n):
-        seq = _link_faces(surf.stars[vid])
+        seq = _link_faces(surf.stars, vid)
         black.append(([(fi, vid) for fi in seq], tuple(face_orbit[fi] for fi in seq)))
         black_decks += [face_deck(fi)[0] for fi in seq]
         black_corner.append(
@@ -569,14 +591,14 @@ def reference_ads_layout(surf):
 
     edge_slots = {}
     for vid in range(surf.n):
-        star = surf.stars[vid]
+        star = stars[vid]
         for j, s in enumerate(star.neighbors):
             if star.true_edge[j]:
                 edge_slots.setdefault(reference_edge_orbit_key(surf, vid, s), (vid, j))
 
     edges, segment_decks = [], []
     for vid, j in sorted(edge_slots.values()):
-        star = surf.stars[vid]
+        star = stars[vid]
         s = star.neighbors[j]
         fa, fb = star.wedge_face[j - 1], star.wedge_face[j]
         if fa == fb:
@@ -597,7 +619,7 @@ def reference_ads_layout(surf):
         edges.append(((vid, s, fa, fb), segments))
         segment_decks.append(decks)
 
-    poles = {fi: FaceRecord(surf, fi).pole for star in surf.stars for fi in star.wedge_face}
+    poles = {fi: FaceRecord(surf, fi).pole for star in stars for fi in star.wedge_face}
     ambient = HyperbolicAmbient(surf.group, surf.config.rays)
     decks = tuple(np.array(d).reshape(shape) for d, shape in (
         (white_decks, (-1, 3, 3)), (black_decks, (-1, 3, 3)), (segment_decks, (-1, 4, 3, 3))))
@@ -669,7 +691,8 @@ def reference_flip_hyperbolic(T):
     layout (`_ads_layout`) is assembled once on the side of T, to check T
     against it at 1e-7, and once on the other side as the flip.
     """
-    surf = orbit_hull(T.ambient.config(recover_heights(T)))
+    amb = T.ambient
+    surf = orbit_hull(_config_on_checked_rays(amb.group, amb.rays, recover_heights(T)))
     layout = _ads_layout(surf)
     same = assemble_tiling(ADS_STAR, T.handedness.other, *layout)
     err = tiling_equality_error(T, same)

@@ -651,7 +651,7 @@ def test_cli_solve_writes_solution(tmp_path):
     assert "circle" in svg.read_text()  # Poincare disk boundary
 
 
-def test_cli_check_fuchsian_with_heights(tmp_path):
+def test_cli_check_fuchsian_with_heights(tmp_path, capsys):
     d = {
         "schema": "fuchsian.v1",
         "genus": 2,
@@ -661,6 +661,11 @@ def test_cli_check_fuchsian_with_heights(tmp_path):
     f = tmp_path / "f.json"
     fio.dump_json(d, f)
     assert main(["check", "--in", str(f)]) == 0
+    # the printed curvatures are those of the orbit hull at the heights
+    printed = capsys.readouterr().out.rsplit("curvatures ", 1)[1]
+    cfg = fio.fuchsian_config_from_dict(d)
+    expected = np.round(fuchsian.curvatures(fuchsian.orbit_hull(cfg)), 6).tolist()
+    assert json.loads(printed) == expected
 
 
 FUCHSIAN_HEIGHTS = {

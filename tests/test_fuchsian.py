@@ -26,7 +26,6 @@ from flipkit.fuchsian import (
     R0,
     R_MAX,
     FuchsianConfig,
-    HyperbolicAmbient,
     ads_project,
     admissible_targets,
     cone_angle_at,
@@ -45,7 +44,7 @@ from flipkit.fuchsian import (
     sph_star_cone_angles,
     sph_star_jacobian,
     star_polyhedron,
-    _build_star,
+    _build_stars,
     _certified_hull,
     _truncated_hull,
 )
@@ -65,6 +64,7 @@ from reference_geometry import (
     reference_build_star,
     reference_cone_angle,
     reference_flip_hyperbolic,
+    star_records,
     tiling_faces,
     wedge_convexity,
     with_face,
@@ -299,24 +299,22 @@ def test_config_validation(group):
 
 def test_new_heights_check_only_the_heights(group, monkeypatch):
     cfg = config(group, THREE_RAYS, heights=[0.5, 0.7, 0.62])
-    ambient = HyperbolicAmbient(group, cfg.rays)
     calls = []
     contains = group.contains
     monkeypatch.setattr(group, "contains",
                         lambda *args, **kw: calls.append(args) or contains(*args, **kw))
-    for make in (cfg.with_heights, ambient.config):
-        new = make([0.55, 0.6, 0.65])
-        assert new.rays is cfg.rays and new.targets is None
-        assert np.array_equal(new.heights, [0.55, 0.6, 0.65])
-        for heights, message in (
-            ([float("nan"), 0.6, 0.65], "heights must lie strictly inside (0, pi/2)"),
-            ([0.55, 1.6, 0.65], "heights must lie strictly inside (0, pi/2)"),
-            ([0.0, 0.6, 0.65], "heights must lie strictly inside (0, pi/2)"),
-            ([0.55, 0.6], "one height per ray required"),
-            (0.6, "one height per ray required"),
-        ):
-            with pytest.raises(GeometryError, match=re.escape(message)):
-                make(heights)
+    new = cfg.with_heights([0.55, 0.6, 0.65])
+    assert new.rays is cfg.rays and new.targets is None
+    assert np.array_equal(new.heights, [0.55, 0.6, 0.65])
+    for heights, message in (
+        ([float("nan"), 0.6, 0.65], "heights must lie strictly inside (0, pi/2)"),
+        ([0.55, 1.6, 0.65], "heights must lie strictly inside (0, pi/2)"),
+        ([0.0, 0.6, 0.65], "heights must lie strictly inside (0, pi/2)"),
+        ([0.55, 0.6], "one height per ray required"),
+        (0.6, "one height per ray required"),
+    ):
+        with pytest.raises(GeometryError, match=re.escape(message)):
+            cfg.with_heights(heights)
     assert calls == []
 
 
@@ -362,7 +360,7 @@ def test_face_order_is_lazy(group):
     # the stars orders no face
     surf = orbit_hull(config(group, THREE_RAYS, heights=[0.5, 0.7, 0.62]))
     faces = face_records(surf)
-    assert all(len(faces[fi].ids) == 3 for star in surf.stars for fi in star.wedge_face)
+    assert all(len(faces[fi].ids) == 3 for fi in surf.stars.wedge_face.tolist())
     assert ordered_faces(surf) == set()
 
 
@@ -445,6 +443,17 @@ def test_hull_symmetric_cone_angles(group, surf1):
         assert cone_angle_at(wide, vid) == pytest.approx(omega, abs=1e-8)
 
 
+def test_star_at_refuses_ids_outside_the_hull(group):
+    # the n = 2 hull at heights (0.6, 0.7) has 130 vertices; -1 once read
+    # the star of vertex 1 and 135 failed inside the star builder
+    surf = orbit_hull(config(group, [(0.3, 0.1), (-0.4, 0.35)], heights=[0.6, 0.7]))
+    assert len(surf.points4) == 130
+    assert cone_angle_at(surf, 1) == cone_angles(surf)[1]
+    for vid in (-1, 135):
+        with pytest.raises(GeometryError, match=f"vertex {vid} is not a vertex of the hull"):
+            cone_angle_at(surf, vid)
+
+
 def test_hull_certifies_at_r0(surf1, surf2, surf3):
     # the 65 elements within R0 carry 65 n orbit points, all in the hull
     for surf in (surf1, surf2, surf3):
@@ -457,7 +466,7 @@ def test_uncertified_star_is_rejected(group):
     # planes are not yet proven to support the omitted orbit points
     cfg = config(group, [(0.25, 0.15)], heights=[0.55])
     small = _truncated_hull(cfg, 5.0)
-    _build_star(small, 0)
+    _build_stars(small, [0])
     with pytest.raises(GeometryError):
         fuchsian._certified_stars(small, [0])
     assert _certified_hull(cfg, 5.0).radius == R0
@@ -496,7 +505,7 @@ def test_certified_stars_match_wider_oracle(group, n, level, offsets):
     cfg = config(group, THREE_RAYS[:n], heights=level + np.array(offsets[:n]))
     surf = orbit_hull(cfg)
     oracle = _truncated_hull(cfg, surf.radius + 1.5)
-    oracle.stars = [_build_star(oracle, vid) for vid in range(n)]
+    oracle.stars = _build_stars(oracle, range(n))
     # the oracle's labels carry ids of its wider ball: read them in surf's
     ball = surf.ball
     assert surf.star_combinatorics() == tuple(
@@ -511,20 +520,21 @@ def assert_stars_match_reference(surf):
     """The stars, cone angles and Jacobian of `surf` equal those of the
     one-star-at-a-time references: combinatorics exactly, numbers bit for
     bit."""
-    for vid, star in enumerate(surf.stars):
+    stars = star_records(surf.stars)
+    for vid, star in enumerate(stars):
         ref = reference_build_star(surf, vid)
         assert (star.vertex, star.neighbors, star.true_edge, star.wedge_face) == (
             ref.vertex, ref.neighbors, ref.true_edge, ref.wedge_face)
     pts = surf.points4
     assert np.array_equal(
-        cone_angles(surf), [reference_cone_angle(star, pts) for star in surf.stars])
+        cone_angles(surf), [reference_cone_angle(star, pts) for star in stars])
     shifted = reembedded_points(surf, surf.heights + 0.01)
     assert np.array_equal(
         cone_angles_fixed_combinatorics(surf, surf.heights + 0.01),
-        [reference_cone_angle(star, shifted) for star in surf.stars])
+        [reference_cone_angle(star, shifted) for star in stars])
     assert np.array_equal(
         jacobian(surf).matrix,
-        reference_assemble(surf.stars, pts, surf.base_of, surf.n, ADS_STAR))
+        reference_assemble(stars, pts, surf.base_of, surf.n, ADS_STAR))
 
 
 @settings(max_examples=20)
@@ -540,7 +550,7 @@ def test_false_edge_stars_match_one_star_references(group):
     # faces: only those are ordered, for their fans and false edges
     surf = orbit_hull(config(group, [(0.0, 0.0)], heights=[0.3]))
     faces = face_records(surf)
-    merged = {fi for fi in surf.stars[0].wedge_face if len(faces[fi].ids) > 3}
+    merged = {fi for fi in surf.stars[0].wedge_face.tolist() if len(faces[fi].ids) > 3}
     assert merged and ordered_faces(surf) == merged
     assert not all(surf.stars[0].true_edge)
     assert_stars_match_reference(surf)
@@ -584,7 +594,7 @@ def test_merged_face_layout_matches_face_by_face_oracle(group):
     cfg = config(group, [(0.0, 0.0)], heights=[0.3])
     surf = orbit_hull(cfg)
     faces = face_records(surf)
-    assert any(len(faces[fi].ids) > 3 for fi in surf.stars[0].wedge_face)
+    assert any(len(faces[fi].ids) > 3 for fi in surf.stars[0].wedge_face.tolist())
     assert not all(surf.stars[0].true_edge)
     assert_layout_matches_oracle(cfg)
 
@@ -607,7 +617,7 @@ def test_sphere_stars_match_one_star_references():
     rng = np.random.default_rng(11)
     for _ in range(3):
         _, _, P, order = random_star(rng)
-        stars = [fuchsian._sph_star(P, vi) for vi in range(P.n_vertices)]
+        stars = star_records(fuchsian._sph_stars(P))
         cone = np.empty(P.n_vertices)
         cone[order] = [reference_cone_angle(star, P.vertices, SPHERE_STAR) for star in stars]
         assert np.array_equal(sph_star_cone_angles(P, order), cone)
@@ -781,6 +791,22 @@ def test_solver_n1_matches_bisection(group):
     assert out["heights"][0] == pytest.approx(h_bisect, abs=1e-8)
 
 
+@pytest.mark.parametrize("h0, message", [
+    ([0.5], "one height per ray required"),
+    ([float("nan"), 0.5], "heights must lie strictly inside (0, pi/2)"),
+    ([0.5, 2.0], "heights must lie strictly inside (0, pi/2)"),
+])
+def test_solver_checks_h0_before_starting(group, monkeypatch, h0, message):
+    # a malformed start is refused before any hull is built: not retried
+    # from blended starts, nor blended into (0, pi/2)
+    builds = []
+    monkeypatch.setattr(fuchsian, "orbit_hull", lambda cfg: builds.append(cfg))
+    cfg = config(group, [(0.3, 0.1), (-0.4, 0.35)], targets=[-2.0, -2.5])
+    with pytest.raises(GeometryError, match=re.escape(message)):
+        solve_prescribed_curvature(cfg, h0=h0)
+    assert builds == []
+
+
 def test_solver_n2_converges_and_unique(group):
     cfg = config(group, [(0.3, 0.1), (-0.4, 0.35)], targets=[-1.5, -3.0])
     out = solve_prescribed_curvature(cfg)
@@ -820,8 +846,10 @@ def assert_trial_is_hull(trial, hull):
     """A certified fixed-star trial is the certified hull at its heights:
     same radius and stars, the same curvature and Jacobian bits."""
     assert hull.radius == R0
-    assert [s.neighbors for s in hull.stars] == [s.neighbors for s in trial.stars]
-    assert [s.true_edge for s in hull.stars] == [s.true_edge for s in trial.stars]
+    assert [s.neighbors for s in star_records(hull.stars)] == [
+        s.neighbors for s in star_records(trial.stars)]
+    assert [s.true_edge for s in star_records(hull.stars)] == [
+        s.true_edge for s in star_records(trial.stars)]
     assert curvatures(hull).tobytes() == curvatures(trial).tobytes()
     assert jacobian_or_error(hull) == jacobian_or_error(trial)
 
@@ -873,7 +901,8 @@ def test_fixed_star_trial_refuses_new_combinatorics(surf2):
     # there has other neighbours, and the certificate refuses the trial
     trial_cfg = surf2.config.with_heights([0.55, 0.6])
     hull = _certified_hull(trial_cfg)
-    assert [s.neighbors for s in hull.stars] != [s.neighbors for s in surf2.stars]
+    assert [s.neighbors for s in star_records(hull.stars)] != [
+        s.neighbors for s in star_records(surf2.stars)]
     # the repair re-cuts the stars where the certificate found points on
     # the wrong side, and they are the hull's
     trial, repaired = trial_and_repair(surf2, trial_cfg)
@@ -1265,7 +1294,8 @@ def stars_golden(group):
         surf = fixture_surface(group, name)
         out[name] = {
             "combinatorics": surf.star_combinatorics(),
-            "stars": [[s.neighbors, s.true_edge, s.wedge_face] for s in surf.stars],
+            "stars": [[s.neighbors, s.true_edge, s.wedge_face]
+                      for s in star_records(surf.stars)],
         }
     return out
 

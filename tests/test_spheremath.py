@@ -18,9 +18,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flipkit.errors import GeometryError
-from flipkit.fuchsian import _sph_star, genus2_group, minkowski_dual, star_geometry
+from flipkit.fuchsian import _sph_stars, genus2_group, minkowski_dual, star_geometry
 from flipkit.spheremath import ADS_STAR, SPHERE_STAR, HyperbolicOps, SphereOps
-from reference_geometry import FaceRecord
+from reference_geometry import FaceRecord, star_records
 from test_fuchsian import FIXTURES, fixture_surface, random_star
 
 QUADRICS = {"S2": SphereOps, "H2": HyperbolicOps, "S3": SPHERE_STAR, "AdS3": ADS_STAR}
@@ -303,9 +303,8 @@ def test_star_quadrics_keep_the_former_bits(name, seed):
 @given(seed=SEEDS)
 def test_sphere_star_geometry_keeps_the_former_bits(seed):
     _, _, P, _ = random_star(np.random.default_rng(seed))
-    for vi in range(P.n_vertices):
-        star = _sph_star(P, vi)
-        x, ys = P.vertices[vi], P.vertices[star.neighbors]
+    for star in star_records(_sph_stars(P)):
+        x, ys = P.vertices[star.vertex], P.vertices[star.neighbors]
         assert_bits(star_geometry(x[None], ys, [0, len(ys)], SPHERE_STAR),
                     former_star_geometry(x, ys, "S3"))
 
@@ -318,11 +317,11 @@ def surfaces():
 
 def test_ads_star_geometry_and_areas_keep_the_former_bits(surfaces):
     for surf in surfaces:
-        for star in surf.stars:
+        for star in star_records(surf.stars):
             x, ys = surf.points4[star.vertex], surf.points4[star.neighbors]
             assert_bits(star_geometry(x[None], ys, [0, len(ys)]),
                         former_star_geometry(x, ys, "AdS3"))
-        for fi in sorted({fi for star in surf.stars for fi in star.wedge_face}):
+        for fi in sorted(set(surf.stars.wedge_face.tolist())):
             pts = surf.points4[FaceRecord(surf, fi).vertex_ids]
             angles = former_polygon_angles(pts)
             assert np.array_equal(ADS_STAR.corner_angles(pts, [len(pts)]), angles)

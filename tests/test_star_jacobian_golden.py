@@ -57,7 +57,7 @@ SOLVE_RAYS = {
 
 
 def _surface_record(surf):
-    faces = sorted({fi for star in surf.stars for fi in star.wedge_face})
+    faces = sorted(set(surf.stars.wedge_face.tolist()))
     duals, _ = minkowski_dual(surf)
     return {
         "jacobian": jacobian(surf).matrix,
