@@ -35,15 +35,17 @@ cosh) or (sin, cos) differs.  The certificate, the repair and the quotient
 layout read the same columns.  Distances, tangents, angles and face areas
 are the primitives of `spheremath`.
 
-The prescribed-curvature solver builds a hull only to start, after a
-failed repair and to end.  A line-search trial keeps the stars of its
-current surface at the trial heights when a certificate
-(`_fixed_star_trial`) proves that the certified hull there has the same
-stars; where it finds orbit points on the wrong side of star triangles,
-those stars are re-cut through them (`_recut_stars`, a 2-D hull of
-gnomonic images with no Qhull call) and certified once more.  Certified
-stars are the hull's, so a trial's curvatures and the next Newton step's
-Jacobian are the hull's bit for bit, from one `star_geometry` pass.
+The prescribed-curvature solver builds a hull only to start and after a
+failed repair.  A line-search trial keeps the stars of its current
+surface at the trial heights when a certificate (`_fixed_star_trial`)
+proves that the certified hull there has the same stars; where it finds
+orbit points on the wrong side of star triangles, those stars are re-cut
+through them (`_recut_stars`, a 2-D hull of gnomonic images with no Qhull
+call) and certified once more.  Certified stars are the hull's, so a
+trial's curvatures and the next Newton step's Jacobian are the hull's bit
+for bit, from one `star_geometry` pass that the surface keeps.  A solve
+that ends on certified stars returns the surface of their triangles
+(`_star_surface`), with the certificate's poles and no hull.
 
 Group elements are identified by one rule.  The elements of a ball
 (`FuchsianGroup.ball`) carry integer ids, their positions in
@@ -74,6 +76,7 @@ import itertools
 import logging
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 from scipy.spatial import ConvexHull as EuclideanHull
@@ -465,9 +468,10 @@ class VertexStars:
     triangle (vertex, neighbors[j], the next neighbour of its star).  Per
     row, true_edge[j] is False for a triangulation diagonal and
     wedge_face[j] is the merged face of wedge j, -1 for a star re-cut by
-    `_recut_stars`, which has no faces.  The star kernel (`star_geometry`)
-    returns one row per row of the table, so the cone angles are the cycle
-    sums of its wedge angles and `_assemble` reads the table as it stands.
+    `_recut_stars`, which has no faces until `_star_surface` numbers them.
+    The star kernel (`star_geometry`) returns one row per row of the table,
+    so the cone angles are the cycle sums of its wedge angles and
+    `_assemble` reads the table as it stands.
     """
 
     vertex: np.ndarray
@@ -498,8 +502,16 @@ class VertexStars:
 
 
 class FuchsianSurface:
-    """Orbit hull truncated at displacement `radius`, with the certified
-    stars at the fundamental vertices as one `VertexStars` table, `stars`.
+    """A convex Fuchsian surface: its faces, with the certified stars at
+    the fundamental vertices as one `VertexStars` table, `stars`, and their
+    `_star_pass`, `star_pass`, taken on first read unless handed over.
+
+    The faces are those of one of two builds.  An orbit hull truncated at
+    displacement `radius` (`orbit_hull`) holds every face of the truncated
+    surface.  The surface of certified fixed stars (`_star_surface`, the
+    end of a solve) holds only the triangles of the fundamental stars, one
+    face each, on the ball of radius `radius` = R0 that they were certified
+    on; it has `from_stars` set, and `star_at` refuses its other vertices.
 
     Vertex vid is the point of ray vid % n moved by elements[vid // n],
     the element with id vid // n of `ball`.  Fans and star cycles start at
@@ -512,8 +524,11 @@ class FuchsianSurface:
     triangle_face : (T,) the merge label of each triangle, the face it
                     belongs to; faces are numbered by their least triangle
     poles         : (F, 4) the future unit pole of each face plane
-    `face_rows(fis)` reads the vertex ids of faces, ascending, and
-    `faces_at(vid)` the faces at a vertex, ascending; both are CSR rows.
+    The faces at the fundamental vertices are the same on both builds, so
+    the dual surface, the Jacobian, the projections and the quotient counts
+    read either.  `face_rows(fis)` reads the vertex ids of faces,
+    ascending, and `faces_at(vid)` the faces at a vertex, ascending; both
+    are CSR rows.
     `face_cycle(fi)` is the cyclic order of the face from its least vertex,
     computed from the chart on first read.  The stars never read it for a
     triangle, only for a larger face from a coplanar merge; the layout and
@@ -534,6 +549,7 @@ class FuchsianSurface:
         self.order_keys = (ball.rank[:, None] + np.arange(self.n) * len(ball.rank)
                            ).ravel().tolist()
         self.stars = None
+        self.from_stars = False
         self._cycles = {}
         # the vertex set of each face, ascending, from one sort of the
         # (face, vertex) pairs of its triangles; face fi has the vertices
@@ -568,14 +584,24 @@ class FuchsianSurface:
     def element_of(self, vid):
         return self.elements[vid // self.n]
 
+    @cached_property
+    def star_pass(self):
+        """The `_star_pass` of `stars`: what `cone_angles`, `curvatures`,
+        `jacobian` and `minkowski_dual` read."""
+        return _star_pass(self.stars, self.points4)
+
     def star_at(self, vid):
         """Star of a hull vertex, as a table of one star.  The fundamental
         ones are cached; any other is certified like them, or
-        GeometryError, as for an id that is no vertex of the hull."""
+        GeometryError, as for an id that is no vertex of the hull and for
+        any other vertex of a surface built from its stars."""
         if not 0 <= vid < len(self.points4):
             raise GeometryError(f"vertex {vid} is not a vertex of the hull")
         if vid < self.n:
             return self.stars[vid]
+        if self.from_stars:
+            raise GeometryError(f"vertex {vid}: this surface holds only its fundamental "
+                                "stars")
         return _certified_stars(self, [vid])
 
     def star_combinatorics(self):
@@ -775,6 +801,10 @@ def orbit_hull(config):
     larger faces of coplanar merges at the fundamental vertices; any other
     face is ordered when its `face_cycle` is first read, and the faces that
     the projections read are ordered together, one SVD per face size.
+
+    The solver builds one only to start and after a failed repair: a solve
+    that ends on certified stars returns their surface (`_star_surface`),
+    whose faces at the fundamental vertices are those of this hull.
     """
     return _certified_hull(config)
 
@@ -839,18 +869,53 @@ class _FixedStars:
     """Fundamental stars at other heights than those of the orbit hull they
     came from, certified by `_fixed_star_trial` to be the stars of the
     orbit hull there: what `curvatures`, `jacobian` and the next
-    certificate read of a surface."""
+    certificate read of a surface.  wedge_poles[j] is the certificate's
+    future unit pole of the triangle of row j, what `_star_surface`
+    reads."""
 
-    def __init__(self, surf, config, points4, stars):
+    def __init__(self, surf, config, points4, stars, wedge_poles):
         self.config = config
         self.points4 = points4
+        self.ball = surf.ball
         self.elements = surf.elements
         self.order_keys = surf.order_keys
         self.radius = surf.radius
         self.stars = stars
+        self.wedge_poles = wedge_poles
 
     n = FuchsianSurface.n
     base_of = FuchsianSurface.base_of
+    star_pass = FuchsianSurface.star_pass
+
+
+def _star_surface(fixed):
+    """The `FuchsianSurface` of the certified fixed stars `fixed`, built
+    from their triangles in one array pass with no hull.
+
+    Its faces are the star triangles (v, y_j, y_j+1), each once: told
+    apart by their sorted vertex ids and numbered by their first row, with
+    the certificate's poles; `triangle_face` is the identity.  The stars
+    keep their table with these faces as wedge faces, and the surface the
+    `star_pass` the solve has read.  No merge is needed: the certificate
+    refuses a false edge and puts every other orbit point more than
+    4 MERGE_TOL beyond each triangle's plane, so no two wedges share a
+    face; a surface whose hull merges coplanar triangles never becomes
+    fixed stars.
+    """
+    stars, points4 = fixed.stars, fixed.points4
+    tris = np.sort(_wedge_triangles(stars), axis=1)
+    m = len(points4)
+    _, first, face = np.unique((tris[:, 0] * m + tris[:, 1]) * m + tris[:, 2],
+                               return_index=True, return_inverse=True)
+    rows = np.sort(first)
+    surf = FuchsianSurface(fixed.config, fixed.ball, points4,
+                           points4[:, :3] / points4[:, 3:4], tris[rows],
+                           np.arange(len(rows)), fixed.wedge_poles[rows], fixed.radius)
+    # the faces by first row: the rank of each triangle's first row
+    surf.stars = replace(stars, wedge_face=np.argsort(np.argsort(first))[face.ravel()])
+    surf.star_pass = fixed.star_pass
+    surf.from_stars = True
+    return surf
 
 
 def _fixed_star_trial(surf, config):
@@ -885,10 +950,17 @@ def _fixed_star_trial(surf, config):
         stars = _recut_stars(stars, points4, poles, wrong, surf.order_keys)
         if stars is None:
             return None
-        _, wrong, planes = _star_certificate(stars, points4, margin, config)
+        poles, wrong, planes = _star_certificate(stars, points4, margin, config)
     if wrong.any() or not planes:
         return None
-    return _FixedStars(surf, config, points4, stars)
+    return _FixedStars(surf, config, points4, stars, poles)
+
+
+def _wedge_triangles(stars):
+    """The triangle (v, y_j, y_j+1) of each row j of the star table
+    `stars`, (rows, 3) in stacking order."""
+    star, nxt, _ = _star_rows(stars.offsets)
+    return np.stack([stars.vertex[star], stars.neighbors, stars.neighbors[nxt]], axis=1)
 
 
 def _star_certificate(stars, points4, margin, config):
@@ -899,8 +971,7 @@ def _star_certificate(stars, points4, margin, config):
     planes that every triangle is a space-like plane visible from the
     chart origin which passes the `_supports_orbit` bound with its
     margin."""
-    star, nxt, _ = _star_rows(stars.offsets)
-    tris = np.stack([stars.vertex[star], stars.neighbors, stars.neighbors[nxt]], axis=1)
+    tris = _wedge_triangles(stars)
     poles, q = triangle_poles(points4, tris, ADS_STAR, ADS_STAR.e)
     # <x, p> under the form is the Euclidean product with form * p; a NaN
     # side is wrong too
@@ -1064,38 +1135,20 @@ def _cone_angles(stars, pts, sig=ADS_STAR):
     return cycle_sums(_star_pass(stars, pts, sig)[3], np.diff(stars.offsets))
 
 
-def _pass_curvatures(surf):
-    """`curvatures` of a solver surface and the `_star_pass` they came
-    from, for `jacobian`."""
-    star_pass = _star_pass(surf.stars, surf.points4)
-    return 2.0 * np.pi - cycle_sums(star_pass[3], np.diff(surf.stars.offsets)), star_pass
-
-
 def cone_angle_at(surf, vid):
     """Total face angle around one hull vertex, from its star."""
     return float(_cone_angles(surf.star_at(vid), surf.points4)[0])
 
 
 def cone_angles(surf):
-    """Cone angles at the fundamental vertices."""
-    return _cone_angles(surf.stars, surf.points4)
+    """Cone angles at the fundamental vertices: the cycle sums of the
+    wedge angles of the surface's `star_pass`."""
+    return cycle_sums(surf.star_pass[3], np.diff(surf.stars.offsets))
 
 
 def curvatures(surf):
     """Singular curvature is 2 pi minus the cone angle."""
     return 2.0 * np.pi - cone_angles(surf)
-
-
-def reembedded_points(surf, heights):
-    """Orbit points re-embedded at new heights, same combinatorics."""
-    return orbit_points(surf.elements, surf.config.rays, heights)
-
-
-def cone_angles_fixed_combinatorics(surf, heights):
-    """Cone angles at the fundamental vertices after re-embedding the
-    vertices at new heights while keeping the face structure fixed; the
-    finite-difference oracle for the Jacobian."""
-    return _cone_angles(surf.stars, reembedded_points(surf, heights))
 
 
 def _scalar_map(f, x):
@@ -1162,12 +1215,10 @@ def _assemble(stars, star_pass, index, n, sig):
     return JacobianMatrix(J, cond)
 
 
-def jacobian(surf, star_pass=None):
-    """d omega_x / d h_y of a Fuchsian surface, from its fundamental stars;
-    `star_pass` is their `_star_pass` when the caller has taken it."""
-    if star_pass is None:
-        star_pass = _star_pass(surf.stars, surf.points4)
-    return _assemble(surf.stars, star_pass, surf.base_of, surf.n, ADS_STAR)
+def jacobian(surf):
+    """d omega_x / d h_y of a Fuchsian surface, from its fundamental stars
+    and their `star_pass`."""
+    return _assemble(surf.stars, surf.star_pass, surf.base_of, surf.n, ADS_STAR)
 
 
 # -- the prescribed-curvature solver ---------------------------------------------
@@ -1184,9 +1235,10 @@ def solve_prescribed_curvature(config, tol=1e-8, h0=None):
     one height per ray, each strictly inside (0, pi/2), else GeometryError
     before any hull is built.  A line-search trial keeps or repairs the
     current surface's stars when `_fixed_star_trial` certifies them, and
-    builds its certified hull only when the repair fails; a solve that
-    ends on certified stars builds its returned surface once more at the
-    final heights, whose curvatures it reports.
+    builds its certified hull only when the repair fails.  A solve that
+    ends on certified stars builds no hull there: it returns the surface
+    of their triangles (`_star_surface`), with the star pass whose
+    curvatures it reports.
 
     Returns a dict with heights, achieved curvatures, residual, Jacobian
     condition number, iteration count and the surface.
@@ -1217,20 +1269,21 @@ def solve_prescribed_curvature(config, tol=1e-8, h0=None):
     def evaluate(surf, hvec):
         cfg = config.with_heights(hvec)
         s = _fixed_star_trial(surf, cfg) or _certified_hull(cfg)
-        return (s, *_pass_curvatures(s))
+        return s, curvatures(s)
 
-    k_now, pass_now = _pass_curvatures(surf)
+    k_now = curvatures(surf)
     iterations = 0
     last_cond = float("nan")
 
-    # the Newton state: heights, surface, its curvatures and their star pass
-    def newton_to(target, h, surf, k_now, pass_now):
+    # the Newton state: heights, surface and its curvatures; the surface
+    # keeps the star pass that the next Jacobian reads
+    def newton_to(target, h, surf, k_now):
         nonlocal iterations, last_cond
         r = k_now - target
         for _ in range(MAX_NEWTON):
             if np.max(np.abs(r)) <= tol:
-                return h, surf, k_now, pass_now, True
-            Jm = jacobian(surf, pass_now)
+                return h, surf, k_now, True
+            Jm = jacobian(surf)
             last_cond = Jm.condition
             # k = 2 pi - omega, so dk/dh = -J; a singular J ends the solve,
             # since a retry from the same surface meets the same J
@@ -1247,23 +1300,23 @@ def solve_prescribed_curvature(config, tol=1e-8, h0=None):
             while lam > 1e-6:
                 h_try = np.clip(h + lam * step, 1e-3, np.pi / 2 - 1e-3)
                 try:
-                    surf_try, k_try, pass_try = evaluate(surf, h_try)
+                    surf_try, k_try = evaluate(surf, h_try)
                 except GeometryError:
                     lam *= 0.5
                     continue
                 if np.max(np.abs(k_try - target)) < np.max(np.abs(r)):
-                    h, surf, k_now, pass_now = h_try, surf_try, k_try, pass_try
+                    h, surf, k_now = h_try, surf_try, k_try
                     r = k_now - target
                     improved = True
                     iterations += 1
                     break
                 lam *= 0.5
             if not improved:
-                return h, surf, k_now, pass_now, False
-        return h, surf, k_now, pass_now, np.max(np.abs(r)) <= tol
+                return h, surf, k_now, False
+        return h, surf, k_now, np.max(np.abs(r)) <= tol
 
     # cold start
-    h, surf, k_now, pass_now, ok = newton_to(k_target, h, surf, k_now, pass_now)
+    h, surf, k_now, ok = newton_to(k_target, h, surf, k_now)
     if not ok:
         # continuation from the current feasible point along K(n)
         k_anchor = k_now.copy()
@@ -1272,9 +1325,9 @@ def solve_prescribed_curvature(config, tol=1e-8, h0=None):
         while t < 1.0 and cont < MAX_CONTINUATION:
             t_next = min(1.0, t + t_step)
             target = (1 - t_next) * k_anchor + t_next * k_target
-            h2, surf2, k2, pass2, ok = newton_to(target, h, surf, k_now, pass_now)
+            h2, surf2, k2, ok = newton_to(target, h, surf, k_now)
             if ok:
-                h, surf, k_now, pass_now = h2, surf2, k2, pass2
+                h, surf, k_now = h2, surf2, k2
                 t = t_next
                 t_step = min(0.5, t_step * 1.5)
             else:
@@ -1289,8 +1342,7 @@ def solve_prescribed_curvature(config, tol=1e-8, h0=None):
                 iterations=iterations,
             )
     if isinstance(surf, _FixedStars):
-        surf = orbit_hull(surf.config)
-        k_now = curvatures(surf)
+        surf = _star_surface(surf)
     residual = float(np.max(np.abs(k_now - k_target)))
     if residual > tol:
         raise ConvergenceError(

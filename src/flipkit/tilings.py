@@ -899,8 +899,8 @@ def validate_tiling(T: FlippableTiling, tol_scale=1.0) -> TilingReport:
     """Check the defining clauses of a flippable tiling.
 
     Covers: positive face area, the area budget (sphere), V - E + F = chi
-    over black faces, tiling edges and white faces (hyperbolic quotients),
-    per-edge segment structure, the handedness rule, equal black and equal white
+    over black faces, tiling edges and white faces (2 on the sphere, the
+    group's chi on hyperbolic quotients), per-edge segment structure, the handedness rule, equal black and equal white
     lengths, segments on their geodesic, and coincidence of linked
     corners.  Each clause is evaluated over all faces, segments or corners
     at once; failures are listed face by face, then edge by edge (each
@@ -923,10 +923,12 @@ def validate_tiling(T: FlippableTiling, tol_scale=1.0) -> TilingReport:
                  for g in np.flatnonzero(np.isnan(digon) & (areas <= 0))]
     if T.is_spherical and not budget <= EPS_AREA * tol_scale * 10:
         failures.append(f"area budget off by {budget:.2e}")
-    # a quotient's cells: black faces, tiling edges and white faces
+    # a quotient's cells: black faces, tiling edges and white faces; the
+    # sphere is the quotient by the trivial group
     euler = nb - len(T.edges) + len(W)
-    if not T.is_spherical and euler != T.ambient.group.chi:
-        failures.append(f"V - E + F = {euler} is not chi = {T.ambient.group.chi}: "
+    chi = 2 if T.is_spherical else T.ambient.group.chi
+    if euler != chi:
+        failures.append(f"V - E + F = {euler} is not chi = {chi}: "
                         "the cells do not cover the quotient once")
     starts = np.cumsum(sizes) - sizes
     if T.edges:

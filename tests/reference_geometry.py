@@ -14,7 +14,10 @@ are checked against:
   (`Star`, the per-star view of the library's star table): the star builder
   that orders every incident face and compares order keys per call, and the
   per-star kernel, cone angle and Jacobian assembly, the references of the
-  stacked star layer of `flipkit.fuchsian`;
+  stacked star layer of `flipkit.fuchsian`, and the cone angles of a
+  surface's stars with its vertices re-embedded at other heights
+  (`cone_angles_fixed_combinatorics`), the finite-difference oracle of the
+  Jacobian;
 - the faces of an orbit hull as one record each (`FaceRecord`), the
   per-item view of the face arrays of `fuchsian.FuchsianSurface`, the
   cyclic order of one face (`cyclic_face_order`), the oracle of the batched
@@ -53,7 +56,8 @@ import numpy as np
 from flipkit.errors import DevelopmentError, GeometryError, SignatureMismatchError
 from flipkit.forms import inv4, mul4
 from flipkit.fuchsian import (HyperbolicAmbient, _ads_layout, _config_on_checked_rays,
-                              _link_faces, orbit_hull, recover_heights)
+                              _cone_angles, _link_faces, orbit_hull, orbit_points,
+                              recover_heights)
 from flipkit.spheremath import ADS_STAR, SPHERE_STAR, HyperbolicOps
 from flipkit.tilings import (BLACK, WHITE, FlippableTiling, Side, TilingFaces, _aligned_error,
                              assemble_tiling, tiling_equality_error)
@@ -399,6 +403,19 @@ def reference_cone_angle(star, pts, sig=ADS_STAR):
     """Total wedge angle of one star, summed in cycle order."""
     omega = _reference_wedges(pts[star.vertex], pts[star.neighbors], sig)[1]
     return float(np.add.accumulate(omega)[-1])
+
+
+def reembedded_points(surf, heights):
+    """The orbit points of `surf` re-embedded at new heights, on the same
+    elements and rays."""
+    return orbit_points(surf.elements, surf.config.rays, heights)
+
+
+def cone_angles_fixed_combinatorics(surf, heights):
+    """Cone angles at the fundamental vertices of `surf` with its vertices
+    re-embedded at new heights and its stars kept: the finite-difference
+    oracle of the Jacobian."""
+    return _cone_angles(surf.stars, reembedded_points(surf, heights))
 
 
 def reference_edge_dihedrals(omega, rho, sig):

@@ -15,7 +15,6 @@ from flipkit.errors import GeometryError
 from flipkit.fuchsian import (
     FuchsianConfig,
     ads_project,
-    cone_angles_fixed_combinatorics,
     curvatures,
     genus2_group,
     jacobian,
@@ -43,6 +42,7 @@ from reference_geometry import (
     DegenerateTriangleError,
     ads_partials,
     ads_solve,
+    cone_angles_fixed_combinatorics,
     hs2_laws,
     hs2_partial_a_b,
     polygon_congruent,

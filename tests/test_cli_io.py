@@ -24,10 +24,12 @@ from flipkit.tilings import (
     Side,
     flip,
     make_antipodal_tiling,
+    make_two_circles_tiling,
     project,
     validate_tiling,
 )
 from reference_geometry import Face, faces_table, tiling_congruence_error, tiling_faces
+from test_tilings import spread_polygon
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
@@ -582,6 +584,28 @@ def test_cli_check_non_convex_face_exit_code(tmp_path, capsys):
     assert f"face {first_bad} is not convex" in capsys.readouterr().err
 
 
+def test_cli_check_counts_the_cells_of_a_sphere_tiling(tmp_path, capsys):
+    # the README polyhedron.v1 example projected, with one tiling edge
+    # listed again: 4 black - 7 edges + 4 white = 1 misses V - E + F = 2
+    (poly,) = [text for text in readme_blocks("json") if '"polyhedron.v1"' in text]
+    src, tpath = tmp_path / "poly.json", tmp_path / "tiling.json"
+    src.write_text(poly)
+    assert main(["project", "--in", str(src), "--out", str(tpath)]) == 0
+    data = fio.load_json(tpath)
+    assert len(data["edges"]) == 6
+    data["edges"].append(data["edges"][-1])
+    fio.dump_json(data, tpath)
+    capsys.readouterr()
+    assert main(["check", "--in", str(tpath)]) == 3
+    assert "tiling INVALID: V - E + F = 1 is not chi = 2" in capsys.readouterr().out
+    # the special tilings count 2 too: two circles 2 - 2 + 2, antipodal
+    # polygons 2 - k + k with k digons
+    assert main(["check", "--in", write_digon_tiling(tmp_path)]) == 0
+    for T in (make_two_circles_tiling([0.1, 0.2, 1.0], [1.0, 0.0, 0.3], Side.LEFT),
+              make_antipodal_tiling(spread_polygon(5), Side.RIGHT)):
+        assert validate_tiling(T).ok, validate_tiling(T).first
+
+
 def test_cli_check_rejects_tiny_tetrahedron(tmp_path):
     t = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]]) / np.sqrt(3)
     verts = np.hstack([np.ones((4, 1)), 1e-12 * t])
@@ -605,8 +629,6 @@ def test_cli_byte_identical_outputs(tmp_path, tetrahedron):
 def test_cli_render_two_circles_example(tmp_path):
     # Two great circles divide the sphere into 4 regions with 2 edges; the
     # drawing contains the four filled regions and the two stroked edges.
-    from flipkit.tilings import make_two_circles_tiling
-
     T = make_two_circles_tiling([0.1, 0.2, 1.0], [1.0, 0.0, 0.3], Side.RIGHT)
     assert len(T.black) + len(T.white) == 4
     assert len(T.edges) == 2

@@ -30,7 +30,6 @@ from flipkit.fuchsian import (
     admissible_targets,
     cone_angle_at,
     cone_angles,
-    cone_angles_fixed_combinatorics,
     curvatures,
     extend_isometry,
     genus2_group,
@@ -39,7 +38,6 @@ from flipkit.fuchsian import (
     orbit_hull,
     orbit_points,
     recover_heights,
-    reembedded_points,
     solve_prescribed_curvature,
     sph_star_cone_angles,
     sph_star_jacobian,
@@ -54,11 +52,13 @@ from flipkit.tilings import (WHITE, FlippableTiling, Side, flip, tiling_equality
 from reference_geometry import (
     ConvexityClass,
     Signature,
+    cone_angles_fixed_combinatorics,
     cyclic_face_order,
     face_records,
     faces_table,
     form,
     least_squares_heights,
+    reembedded_points,
     reference_ads_layout,
     reference_assemble,
     reference_build_star,
@@ -823,7 +823,7 @@ def test_solver_n2_converges_and_unique(group):
 def test_solver_singular_jacobian_is_nonconvergence(group, monkeypatch):
     calls = []
 
-    def singular(surf, star_pass=None):
+    def singular(surf):
         calls.append(surf)
         return fuchsian.JacobianMatrix(np.zeros((surf.n, surf.n)), math.inf)
 
@@ -926,11 +926,12 @@ def test_fixed_star_trial_needs_a_hull_at_r0_with_true_edges(group, surf1):
         merged, merged.config.with_heights([0.31])) is None
 
 
-@pytest.mark.parametrize("n, budget", [(1, 2), (2, 2), (3, 3)])
+@pytest.mark.parametrize("n, budget", [(1, 1), (2, 1), (3, 2)])
 def test_seed_99_solve_builds_few_hulls(group, monkeypatch, n, budget):
     # round 0 of the seed-99 solver inputs (`tests/test_digests.py`): the
-    # starting hull, the returned one and, for n = 3, one trial whose
-    # stars cannot be repaired; the repairs build no hull
+    # starting hull and, for n = 3, one trial whose stars cannot be
+    # repaired; the repairs build no hull, and neither does the returned
+    # surface, which is built from the certified stars
     rng = np.random.default_rng(99)
     for m in range(1, n + 1):
         while True:
@@ -963,11 +964,42 @@ def test_seed_99_solve_builds_few_hulls(group, monkeypatch, n, budget):
     assert out["residual"] <= 1e-8 and out["iterations"] > 0
     assert len(radii) <= budget
     assert len(qhull_in_trials) == len(radii) and not any(qhull_in_trials)
-    # the returned surface is a certified hull at the solved heights
+    # the returned surface lies at the solved heights, with their curvatures
     surf = out["surface"]
     assert isinstance(surf, fuchsian.FuchsianSurface)
     assert np.array_equal(surf.heights, out["heights"])
     assert out["achieved_curvatures"].tobytes() == curvatures(surf).tobytes()
+
+
+@pytest.mark.parametrize("seed", [99, 5])
+def test_solve_returns_the_surface_of_its_certified_stars(group, seed):
+    # rounds 0-1 of the solver inputs (`tests/test_digests.py`): each solve
+    # ends on certified stars and returns the surface of their triangles,
+    # with no final hull; the hull at the solved heights is its oracle, with
+    # the same stars, wedge poles, dual faces and projections, byte for byte
+    rng = np.random.default_rng(seed)
+    for _ in range(2):
+        for n in (1, 2, 3):
+            while True:
+                k = -rng.uniform(0.5, 3.5, size=n)
+                if np.sum(k) > -4 * np.pi + 0.5:
+                    break
+            cfg = config(group, SEED_RAYS[n], targets=k)
+            out = solve_prescribed_curvature(cfg)
+            surf = out["surface"]
+            assert surf.from_stars and surf.radius == R0
+            hull = orbit_hull(cfg.with_heights(out["heights"]))
+            for column in ("vertex", "offsets", "neighbors", "true_edge"):
+                assert np.array_equal(getattr(surf.stars, column), getattr(hull.stars, column))
+            assert (surf.poles[surf.stars.wedge_face].tobytes()
+                    == hull.poles[hull.stars.wedge_face].tobytes())
+            assert ([d.vertices.tobytes() for d in minkowski_dual(surf)[0]]
+                    == [d.vertices.tobytes() for d in minkowski_dual(hull)[0]])
+            for side in Side:
+                assert (fio.canonical_json(fio.tiling_to_dict(ads_project(surf, side)))
+                        == fio.canonical_json(fio.tiling_to_dict(ads_project(hull, side))))
+            with pytest.raises(GeometryError, match="holds only its fundamental stars"):
+                surf.star_at(n)
 
 
 def test_solver_rejects_bad_targets(group):

@@ -24,8 +24,6 @@ TREES = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in 
 # and `flipkit.__all__` does not list, each with the reason it stays.
 UNREAD_PUBLIC = {
     "polyhedron_isometry_error": "the benchmark compares reconstructed polyhedra with it",
-    "cone_angles_fixed_combinatorics": "the finite-difference oracle of the Jacobian; "
-                                       "line-search trials read `_star_pass` instead",
     "star_polyhedron": "the S^3 star kernel, waiting on a spherical prescribed-curvature solve",
     "sph_star_cone_angles": "the S^3 star kernel, waiting on a spherical prescribed-curvature "
                             "solve",

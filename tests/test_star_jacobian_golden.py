@@ -25,7 +25,6 @@ import pytest
 
 from flipkit import io as fio
 from flipkit.fuchsian import (
-    cone_angles_fixed_combinatorics,
     curvatures,
     genus2_group,
     jacobian,
@@ -35,7 +34,7 @@ from flipkit.fuchsian import (
     sph_star_cone_angles,
     sph_star_jacobian,
 )
-from reference_geometry import wedge_convexity
+from reference_geometry import cone_angles_fixed_combinatorics, wedge_convexity
 from test_fuchsian import THREE_RAYS, config, random_star
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "data", "star_jacobian_golden.json")
