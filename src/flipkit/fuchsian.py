@@ -22,9 +22,10 @@ with no object per face: the hull triangles with a merge label, the face
 poles, the vertex -> face incidence and a cyclic order per face computed
 on first read (`FuchsianSurface`).
 
-The stars of a surface are one table (`VertexStars`): per star its vertex
-and the offsets of its rows, per row a neighbour in cycle order, whether
-the edge to it is true and the face of the wedge after it.  A star is cut
+The stars of a surface are one table (`VertexStars`, as the S^3 star
+polyhedron's `ConvexPolyhedron.stars`): per star its vertex and the
+offsets of its rows, per row a neighbour in cycle order, whether the
+edge to it is true and the face of the wedge after it.  A star is cut
 from the fans of its faces; a triangle is its own fan, so only the larger
 faces of coplanar merges are ordered.  One star kernel (`star_geometry`,
 on `spheremath.ADS_STAR` or `SPHERE_STAR`) returns the edge lengths, apex
@@ -86,6 +87,7 @@ from .errors import ConvergenceError, DevelopmentError, GeometryError
 from .forms import cross4, mul4
 from .polyhedra import (
     MERGE_TOL,
+    VertexStars,
     cyclic_orders,
     hull,
     merge_triangles,
@@ -104,7 +106,6 @@ from .tilings import (
     assemble_tiling,
     project_points,
     tiling_equality_error,
-    validate_tiling,
 )
 
 logger = logging.getLogger("flipkit.fuchsian")
@@ -456,49 +457,6 @@ def _config_on_checked_rays(group, rays, heights):
 
 
 # -- orbit hulls and vertex stars -----------------------------------------------
-
-
-@dataclass(frozen=True, eq=False)
-class VertexStars:
-    """The vertex stars of a surface as one table.
-
-    Star i is at vertex[i], with its neighbour cycle
-    neighbors[offsets[i]:offsets[i + 1]]; its rows are stacked star after
-    star in cycle order, and row j is also wedge j of its star, the
-    triangle (vertex, neighbors[j], the next neighbour of its star).  Per
-    row, true_edge[j] is False for a triangulation diagonal and
-    wedge_face[j] is the merged face of wedge j, -1 for a star re-cut by
-    `_recut_stars`, which has no faces until `_star_surface` numbers them.
-    The star kernel (`star_geometry`) returns one row per row of the table,
-    so the cone angles are the cycle sums of its wedge angles and
-    `_assemble` reads the table as it stands.
-    """
-
-    vertex: np.ndarray
-    offsets: np.ndarray
-    neighbors: np.ndarray
-    true_edge: np.ndarray
-    wedge_face: np.ndarray
-
-    @classmethod
-    def stacked(cls, vertex, cycles, true_edge=True, wedge_face=-1):
-        """The table of the stars at `vertex` with the neighbour `cycles`;
-        the true-edge flags and wedge faces per row or once for all rows."""
-        sizes = [len(c) for c in cycles]
-        m = sum(sizes)
-        return cls(np.asarray(vertex, dtype=np.intp), np.cumsum([0] + sizes, dtype=np.intp),
-                   np.fromiter(itertools.chain.from_iterable(cycles), dtype=np.intp, count=m),
-                   np.full(m, true_edge, dtype=bool), np.full(m, wedge_face, dtype=np.intp))
-
-    def __len__(self):
-        return len(self.vertex)
-
-    def __getitem__(self, i):
-        """Star i as a table of its own, its columns slices of these."""
-        i = range(len(self))[i]
-        a, b = self.offsets[i:i + 2].tolist()
-        return VertexStars(self.vertex[i:i + 1], self.offsets[i:i + 2] - a,
-                           self.neighbors[a:b], self.true_edge[a:b], self.wedge_face[a:b])
 
 
 class FuchsianSurface:
@@ -1795,9 +1753,9 @@ def _certify_development(T, points, poles, q, order, corners, decks):
 def flip_hyperbolic(T):
     """Flip of a symmetric hyperbolic tiling, developed from its own tables.
 
-    T must pass `validate_tiling`, else GeometryError with its first
-    failure; so its black faces, tiling edges and white faces are cells
-    that count V - E + F = chi.  The Fuchsian surface is developed at the
+    T has passed `validate_tiling` (`tilings.flip` checks it first); so
+    its black faces, tiling edges and white faces are cells that count
+    V - E + F = chi.  The Fuchsian surface is developed at the
     heights that `recover_heights` reads off the white metric (`_develop`),
     and it must pass the convexity certificate (`_certify_development`);
     its projection on the side of T must lie within EPS_MATCH of T's
@@ -1813,9 +1771,6 @@ def flip_hyperbolic(T):
     its ray point x.  The edges read their corners off the black faces,
     whose decks are the elements of the vertices.
     """
-    report = validate_tiling(T)
-    if not report.ok:
-        raise GeometryError(report.first)
     W, B = T.white, T.black
     if np.any(W.sizes < 3) or np.any(B.sizes < 3):
         raise DevelopmentError("a face of fewer than three corners has no Fuchsian surface")
@@ -1875,39 +1830,18 @@ def star_polyhedron(directions, heights):
     prods = P.face_poles @ np.array([1.0, 0, 0, 0])
     if np.min(prods) <= 1e-9:
         raise GeometryError("apex o is not interior to the star polyhedron")
-    order = []
-    for v in P.vertices:
-        c = v[0]
-        d = np.linalg.norm(t - v[1:] / math.sqrt(max(1 - c * c, 1e-30)), axis=1)
-        order.append(int(np.argmin(d)))
+    v = P.vertices
+    away = v[:, 1:] / np.sqrt(np.maximum(1 - v[:, :1] * v[:, :1], 1e-30))  # unit directions
+    order = np.linalg.norm(t - away[:, None], axis=2).argmin(axis=1).tolist()
     if sorted(order) != list(range(len(t))):
         raise GeometryError("could not match hull vertices to rays")
     return P, order
 
 
-def _sph_stars(P):
-    """The stars of all vertices of a simplicial polyhedron as one table,
-    neighbours in the cyclic order of its faces; wedge j of a star lies in
-    the face after neighbour j."""
-    cycles, wedge_face = [], []
-    for vi in range(P.n_vertices):
-        cyc_faces = P.face_cycle_at_vertex(vi)
-        after = cyc_faces[1:] + cyc_faces[:1]
-        neighbors = []
-        for fa, fb in zip(cyc_faces, after):
-            shared = set(P.faces[fa]) & set(P.faces[fb]) - {vi}
-            if len(shared) != 1:
-                raise GeometryError("vertex star is not simplicial")
-            neighbors.append(shared.pop())
-        cycles.append(neighbors)
-        wedge_face += after
-    return VertexStars.stacked(range(P.n_vertices), cycles, wedge_face=wedge_face)
-
-
 def sph_star_cone_angles(P, order):
     """Cone angle (total face angle) at each vertex, indexed by ray."""
     out = np.empty(P.n_vertices)
-    out[order] = _cone_angles(_sph_stars(P), P.vertices, SPHERE_STAR)
+    out[order] = _cone_angles(P.stars, P.vertices, SPHERE_STAR)
     return out
 
 
@@ -1915,6 +1849,5 @@ def sph_star_jacobian(P, order):
     """d omega_x / d h_y for a spherical star polyhedron, indexed by ray:
     the assembly of `jacobian` with sin and cos.  Off-diagonal entries are
     positive by convexity."""
-    stars = _sph_stars(P)
-    return _assemble(stars, _star_pass(stars, P.vertices, SPHERE_STAR),
+    return _assemble(P.stars, _star_pass(P.stars, P.vertices, SPHERE_STAR),
                      np.asarray(order).__getitem__, P.n_vertices, SPHERE_STAR)

@@ -20,6 +20,7 @@ POLYHEDRON_SCHEMA = "polyhedron.v1"
 TILING_SCHEMA = "tiling.v1"
 FUCHSIAN_SCHEMA = "fuchsian.v1"
 SOLUTION_SCHEMA = "solution.v1"
+VERTEX_GRID = 1e-9  # tiling corners that round to one multiple of this share a vertex
 
 
 @functools.cache
@@ -173,14 +174,14 @@ def polyhedron_from_dict(data):
 # -- tiling.v1 -----------------------------------------------------------------
 
 
-def _vertex_table(T, tol=1e-9):
+def _vertex_table(T):
     """The face corners of T, black faces first, merged where they round
-    to one multiple of `tol`: the distinct corners in first-seen order,
-    and the corner ids of each (color, face index)."""
+    to one multiple of VERTEX_GRID: the distinct corners in first-seen
+    order, and the corner ids of each (color, face index)."""
     if not len(T.black) + len(T.white):
         return [], {}
     V = np.concatenate([T.black.vertices, T.white.vertices])
-    _, first, inverse = np.unique(np.round(V / tol).astype(np.int64), axis=0,
+    _, first, inverse = np.unique(np.round(V / VERTEX_GRID).astype(np.int64), axis=0,
                                   return_index=True, return_inverse=True)
     order = np.argsort(first)
     rank = np.empty_like(order)

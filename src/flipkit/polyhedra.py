@@ -9,10 +9,16 @@ This module owns the one chart hull -> merged faces path, for the
 polyhedra of S^3 here and the orbit hulls of AdS_3 in `fuchsian`: after
 each caller's Qhull call, `triangle_poles`, `merge_triangles` and
 `cyclic_orders` give the faces; spherical polyhedra keep SVD poles.
+
+A polyhedron's combinatorics are one corner table (`Corners`, the doubly
+connected edge list of Muller and Preparata): its edges, one star table
+of all its vertices (`VertexStars`, which `fuchsian` keeps for its
+surfaces too) and the projections of `tilings` are read off it.
 """
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.spatial import ConvexHull as EuclideanHull
@@ -92,13 +98,73 @@ def _complement_basis(u):
     return np.array(basis)
 
 
+@dataclass(frozen=True, eq=False)
+class VertexStars:
+    """The vertex stars of a surface as one table, on either quadric.
+
+    Star i is at vertex[i], with its neighbour cycle
+    neighbors[offsets[i]:offsets[i + 1]]; its rows are stacked star after
+    star in cycle order, and row j is also wedge j of its star, the
+    triangle (vertex, neighbors[j], the next neighbour of its star).  Per
+    row, true_edge[j] is False for a triangulation diagonal and
+    wedge_face[j] is the face of wedge j, -1 for a star re-cut by
+    `fuchsian._recut_stars`.  The cone angles are the cycle sums of the
+    wedge angles, one per row, of `fuchsian.star_geometry`."""
+
+    vertex: np.ndarray
+    offsets: np.ndarray
+    neighbors: np.ndarray
+    true_edge: np.ndarray
+    wedge_face: np.ndarray
+
+    @classmethod
+    def stacked(cls, vertex, cycles, true_edge=True, wedge_face=-1):
+        """The table of the stars at `vertex` with the neighbour `cycles`;
+        the true-edge flags and wedge faces per row or once for all rows."""
+        sizes = [len(c) for c in cycles]
+        m = sum(sizes)
+        return cls(np.asarray(vertex, dtype=np.intp), np.cumsum([0] + sizes, dtype=np.intp),
+                   np.fromiter(itertools.chain.from_iterable(cycles), dtype=np.intp, count=m),
+                   np.full(m, true_edge, dtype=bool), np.full(m, wedge_face, dtype=np.intp))
+
+    def __len__(self):
+        return len(self.vertex)
+
+    def __getitem__(self, i):
+        """Star i as a table of its own, its columns slices of these."""
+        i = range(len(self))[i]
+        a, b = self.offsets[i:i + 2].tolist()
+        return VertexStars(self.vertex[i:i + 1], self.offsets[i:i + 2] - a,
+                           self.neighbors[a:b], self.true_edge[a:b], self.wedge_face[a:b])
+
+
+@dataclass(frozen=True, eq=False)
+class Corners:
+    """The corner table of a face list.  Corner c, face after face, is
+    corner position[c] of face[c], at vertex[c]; next[c] is the next corner
+    of its face, twin[c] the corner of vertex[c] in the face across the
+    edge from vertex[c] to vertex[next[c]].  Edge e, in order of its ends
+    i < j, leaves corner half[e, 0] of its lesser face and half[e, 1].
+    `ConvexPolyhedron.corners` sorts the corners' undirected edges once and
+    refuses an edge that does not border two faces."""
+
+    vertex: np.ndarray
+    face: np.ndarray
+    position: np.ndarray
+    next: np.ndarray
+    twin: np.ndarray
+    half: np.ndarray
+
+
 class ConvexPolyhedron:
     """Convex polyhedron of the open hemisphere x1 > 0.
 
     vertices   : (n, 4) unit vectors
     faces      : tuples of vertex indices, counterclockwise from outside
     face_poles : (f, 4) inward unit normals; face i lies in face_poles[i]*
-    edges      : tuples (i, j, fa, fb) with i < j
+    corners    : the `Corners` of its faces, built on first read
+    edges      : tuples (i, j, fa, fb), i < j and fa < fb, in order of (i, j)
+    stars      : the `VertexStars` of all its vertices, read off the twins
     """
 
     def __init__(self, vertices, faces, face_poles, interior, validate=True):
@@ -106,7 +172,6 @@ class ConvexPolyhedron:
         self.faces = tuple(tuple(int(i) for i in f) for f in faces)
         self.face_poles = np.asarray(face_poles, dtype=float)
         self.interior = np.asarray(interior, dtype=float)
-        self._edges = None
         if validate:
             self.validate()
 
@@ -120,62 +185,72 @@ class ConvexPolyhedron:
     def n_faces(self):
         return len(self.faces)
 
-    @property
+    @cached_property
+    def corners(self):
+        sizes = np.array([len(f) for f in self.faces], dtype=np.intp)
+        face = np.repeat(np.arange(len(sizes)), sizes)
+        vertex = np.fromiter(itertools.chain.from_iterable(self.faces), np.intp, len(face))
+        first = (np.cumsum(sizes) - sizes)[face]
+        position = np.arange(len(face)) - first
+        nxt = first + (position + 1) % sizes[face]
+        ends = np.sort([vertex, vertex[nxt]], axis=0)  # the edge after each corner, i < j
+        m = int(ends.max(initial=0)) + 1
+        key = ends[0] * m + ends[1]
+        order = np.argsort(key, kind="stable")  # the corners edge by edge, face by face
+        key = key[order]
+        if len(key) % 2 or np.any(key[::2] != key[1::2]) or np.any(key[1:-1:2] == key[2::2]):
+            keys, count = np.unique(key, return_counts=True)
+            b = np.argmax(count != 2)
+            raise GeometryError(f"edge {divmod(int(keys[b]), m)} borders {count[b]} faces")
+        half = order.reshape(-1, 2)
+        partner = np.empty_like(order)
+        partner[half] = half[:, ::-1]  # the corner on the other side of its edge
+        twin = np.where(vertex[partner] == vertex, partner, nxt[partner])
+        return Corners(vertex, face, position, nxt, twin, half)
+
+    @cached_property
     def edges(self):
-        if self._edges is None:
-            found = {}
-            for fi, face in enumerate(self.faces):
-                k = len(face)
-                for t in range(k):
-                    i, j = face[t], face[(t + 1) % k]
-                    key = (min(i, j), max(i, j))
-                    found.setdefault(key, []).append(fi)
-            edges = []
-            for (i, j), fs in sorted(found.items()):
-                if len(fs) != 2:
-                    raise GeometryError(f"edge {(i, j)} borders {len(fs)} faces")
-                edges.append((i, j, fs[0], fs[1]))
-            self._edges = tuple(edges)
-        return self._edges
+        c = self.corners
+        ends = np.sort([c.vertex[c.half[:, 0]], c.vertex[c.next[c.half[:, 0]]]], axis=0)
+        return tuple(zip(*ends.tolist(), *c.face[c.half].T.tolist()))
 
     @property
     def n_edges(self):
-        return len(self.edges)
+        return len(self.corners.half)
 
-    def faces_at_vertex(self, vi):
-        return [fi for fi, f in enumerate(self.faces) if vi in f]
+    @cached_property
+    def star_corners(self):
+        """Row r of `stars` is corner star_corners[r]: star v runs from the
+        corner of v in its least face through the twins.  GeometryError
+        names the least vertex of fewer than 3 faces or whose twins do not
+        close up."""
+        c = self.corners
+        deg = np.bincount(c.vertex, minlength=self.n_vertices).tolist()
+        least = np.argsort(c.vertex, kind="stable").tolist()  # vertex by vertex, face by face
+        twin, ring = c.twin.tolist(), []
+        for v, k in enumerate(deg):
+            if k < 3:
+                raise GeometryError(f"vertex {v} has fewer than 3 faces")
+            star = [least[len(ring)]]
+            while len(star) < k:
+                star.append(twin[star[-1]])
+            if twin[star[-1]] != star[0] or len(set(star)) < k:
+                raise GeometryError(f"vertex star at {v} does not close up")
+            ring += star
+        return np.array(ring, dtype=np.intp)
+
+    @cached_property
+    def stars(self):
+        """Per star, neighbour j on the edge of its faces j and j + 1, wedge j in face j + 1."""
+        c, ring = self.corners, self.star_corners
+        deg = np.bincount(c.vertex, minlength=self.n_vertices)
+        return VertexStars(np.arange(len(deg)), np.r_[0, np.cumsum(deg)], c.vertex[c.next[ring]],
+                           np.ones(len(ring), dtype=bool), c.face[c.twin[ring]])
 
     def face_cycle_at_vertex(self, vi):
-        """Faces around vertex vi, walked edge by edge.
-
-        Starts at the least incident face index and crosses at each step the
-        edge from vi to the successor of vi in the current face cycle.
-        """
-        incident = self.faces_at_vertex(vi)
-        if len(incident) < 3:
-            raise GeometryError(f"vertex {vi} has fewer than 3 faces")
-        edge_faces = {}
-        for (i, j, fa, fb) in self.edges:
-            edge_faces[(i, j)] = (fa, fb)
-        start = min(incident)
-        order = [start]
-        current = start
-        while True:
-            face = self.faces[current]
-            pos = face.index(vi)
-            succ = face[(pos + 1) % len(face)]
-            key = (min(vi, succ), max(vi, succ))
-            fa, fb = edge_faces[key]
-            nxt = fb if fa == current else fa
-            if nxt == start:
-                break
-            order.append(nxt)
-            current = nxt
-            if len(order) > len(incident):
-                raise GeometryError(f"vertex star at {vi} does not close up")
-        if len(order) != len(incident):
-            raise GeometryError(f"vertex star at {vi} does not close up")
-        return order
+        """Faces around vertex vi, from the least: the faces of its star."""
+        a, b = self.stars.offsets[vi:vi + 2]
+        return self.corners.face[self.star_corners[a:b]].tolist()
 
     # -- validation --------------------------------------------------------
 
@@ -190,11 +265,10 @@ class ConvexPolyhedron:
         euler = self.n_vertices - self.n_edges + self.n_faces
         if euler != 2:
             raise GeometryError(f"Euler relation fails: V-E+F = {euler}")
+        c = self.corners
         prods = self.vertices @ self.face_poles.T  # (n, f)
-        face_of = np.repeat(np.arange(self.n_faces), [len(f) for f in self.faces])
-        ids = np.fromiter(itertools.chain.from_iterable(self.faces), int, len(face_of))
         worst = np.full(self.n_faces, -np.inf)
-        np.maximum.at(worst, face_of, np.abs(prods[ids, face_of]))
+        np.maximum.at(worst, c.face, np.abs(prods[c.vertex, c.face]))
         bad = np.flatnonzero(worst > EPS_PLANE * 10)
         if len(bad):
             raise GeometryError(f"face {bad[0]} not coplanar: {worst[bad[0]]:.3g}")
@@ -246,10 +320,6 @@ class ConvexPolyhedron:
 
     # -- geometry ----------------------------------------------------------
 
-    def tangent_basis(self, vi):
-        """Orthonormal basis of the tangent space at vertex vi."""
-        return _complement_basis(self.vertices[vi])
-
     def face_polygon(self, fi):
         """Face fi as a spherical polygon in the 2-sphere carrying it."""
         pts = self.vertices[list(self.faces[fi])]
@@ -270,28 +340,20 @@ class ConvexPolyhedron:
 
     def polar_link(self, vi):
         """Link of outward unit normals at vertex vi: one corner per face of
-        `face_cycle_at_vertex`, in its order or the reverse.
+        `face_cycle_at_vertex`, in its order.
 
         Edge lengths equal the exterior dihedral angles of the incident
         edges; interior angles are pi minus the face angles at vi.
         """
-        basis = self.tangent_basis(vi)
-        outward = np.array([-self.face_poles[fi] for fi in self.face_cycle_at_vertex(vi)])
-        coords = normalize_rows(outward @ basis.T)
-        poly = SphericalPolygon(coords)
-        if not poly.is_convex(tol=1e-7):
-            # The edge walk may run clockwise; both orientations are valid.
-            poly = SphericalPolygon(coords[::-1])
-        return poly
+        outward = -self.face_poles[self.face_cycle_at_vertex(vi)]
+        return SphericalPolygon(normalize_rows(outward @ _complement_basis(self.vertices[vi]).T))
 
     def vertex_cone_angle(self, vi):
-        """Sum of the incident face angles at vertex vi."""
-        faces = [self.faces[fi] for fi in self.faces_at_vertex(vi)]
-        at = [f.index(vi) for f in faces]
-        prv = [f[k - 1] for f, k in zip(faces, at)]
-        nxt = [f[(k + 1) % len(f)] for f, k in zip(faces, at)]
-        v = self.vertices
-        return float(SPHERE_STAR.angle(v[vi], v[prv], v[nxt]).sum())
+        """Sum of the incident face angles at vertex vi, face by face."""
+        c, v = self.corners, self.vertices
+        before = np.flatnonzero(c.vertex[c.next] == vi)  # the corners before vi, face by face
+        after = c.next[c.next[before]]
+        return float(SPHERE_STAR.angle(v[vi], v[c.vertex[before]], v[c.vertex[after]]).sum())
 
 
 # -- construction: one chart hull -> merged faces path for S^3 and AdS_3 ------

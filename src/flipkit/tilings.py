@@ -36,6 +36,7 @@ from .spheremath import SPHERE_STAR, HyperbolicOps, SphereOps
 
 EPS_AREA = 1e-8
 EPS_DEV = 5e-8
+EPS_PARAM = 1e-7  # segment parameters that agree to this abut, cover or match in length
 
 
 class Side(Enum):
@@ -340,7 +341,7 @@ def _edge_clauses(left, black, t0, t1, t_min, t_max, tol):
 
 
 def _build_edges(ops, base, direction, black, face, slot, rev, t0, t1, probes,
-                 decks=np.eye(3), tagged=False, checks=(), tol=1e-7):
+                 decks=np.eye(3), tagged=False, checks=()):
     """The table of the tiling edges of E geodesics and their four labeled
     segments.
 
@@ -361,7 +362,7 @@ def _build_edges(ops, base, direction, black, face, slot, rev, t0, t1, probes,
                     for f, t in ((min, t0), (max, t1)))
     # checked on the columns as given: the reorder below can repeat one
     # segment of a side that lacks its pair and drop another
-    clauses, lo, hi = _edge_clauses(left, black, t0, t1, t_min, t_max, tol)
+    clauses, lo, hi = _edge_clauses(left, black, t0, t1, t_min, t_max, EPS_PARAM)
     _raise_first([
         *checks,
         ((np.abs(s) < 1e-12).any(axis=1), "face probe sits on the edge geodesic"),
@@ -537,18 +538,18 @@ def project(P: ConvexPolyhedron, side: Side) -> FlippableTiling:
     of its vertices; a left projection yields a right tiling and vice
     versa.
     """
+    c, ring, offsets = P.corners, P.star_corners, P.stars.offsets
+    slot = np.empty_like(ring)  # each corner's place in the face cycle of its vertex
+    slot[ring] = np.arange(len(ring)) - offsets[c.vertex[ring]]
     cycles = [P.face_cycle_at_vertex(v) for v in range(P.n_vertices)]
     white = [([(fi, v) for v in face], face) for fi, face in enumerate(P.faces)]
     black = [([(fi, vi) for fi in cyc], tuple(cyc)) for vi, cyc in enumerate(cycles)]
-    edges = [
-        ((i, j, fa, fb), [
-            (fa, P.faces[fa].index(i), P.faces[fa].index(j)),
-            (fb, P.faces[fb].index(i), P.faces[fb].index(j)),
-            (i, cycles[i].index(fa), cycles[i].index(fb)),
-            (j, cycles[j].index(fa), cycles[j].index(fb)),
-        ])
-        for i, j, fa, fb in P.edges
-    ]
+    # at[e, s, t]: the corner of edge e in its face s (fa, fb) at its end t (i, j)
+    at = np.stack([c.half, c.next[c.half]], axis=-1)
+    at = np.take_along_axis(at, np.argsort(c.vertex[at], axis=-1), axis=-1)
+    segments = np.hstack([np.dstack([c.face[c.half], c.position[at]]),
+                          np.dstack([c.vertex[at[:, 0]], slot[at].swapaxes(1, 2)])])
+    edges = list(zip(P.edges, segments.tolist()))
     return assemble_tiling(SPHERE_STAR, side, P.face_poles, P.vertices,
                            white, black, edges)
 
@@ -640,18 +641,20 @@ def white_polyhedron(T: FlippableTiling) -> ConvexPolyhedron:
 def flip(T: FlippableTiling) -> FlippableTiling:
     """Flip a tiling: push every black face across its edges.
 
-    Implemented as the opposite-side projection of the white polyhedron;
-    face indices are preserved, handedness is reversed.  A hyperbolic
-    tiling is flipped by its ambient quotient (`HyperbolicAmbient.flip`),
-    which develops its Fuchsian surface from the tiling's own tables and
-    builds no orbit hull.
+    T must pass `validate_tiling`, else GeometryError with its first
+    failure.  A spherical tiling flips to the other projection of its
+    white polyhedron, face indices kept.  A hyperbolic tiling is flipped by
+    its ambient quotient (`HyperbolicAmbient.flip`), which develops its
+    Fuchsian surface from the tiling's own tables and builds no orbit hull.
     """
     if T.degenerate:
         raise GeometryError("flip is undefined on hosohedral/dihedral tilings")
+    report = validate_tiling(T)
+    if not report.ok:
+        raise GeometryError(report.first)
     if not T.is_spherical:
         return T.ambient.flip(T)
-    P = white_polyhedron(T)
-    return project(P, T.handedness)
+    return project(white_polyhedron(T), T.handedness)
 
 
 def recolor(T: FlippableTiling) -> FlippableTiling:
@@ -957,7 +960,7 @@ def _edge_failures(T, verts, starts, sizes, tol_scale):
     that sit off their geodesic."""
     E = T.edges
     black, rev, face, k, t0, t1 = E.black, E.reversed, E.face, E.face_edge, E.t0, E.t1
-    clauses, _, _ = _edge_clauses(E.left, black, t0, t1, E.t_min, E.t_max, 1e-7 * tol_scale)
+    clauses = _edge_clauses(E.left, black, t0, t1, E.t_min, E.t_max, EPS_PARAM * tol_scale)[0]
     # Geometry: the carried polygon edges must sit on the geodesic at the
     # recorded parameters.
     with np.errstate(over="ignore", invalid="ignore"):

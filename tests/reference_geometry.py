@@ -10,6 +10,12 @@ are checked against:
   star formulas, each derivative with a matching finite-difference test;
 - the convexity class of every edge at a fundamental vertex of a Fuchsian
   surface, from the sign of sinh(alpha1) + sinh(alpha2) of its two wedges;
+- the combinatorics of a spherical polyhedron without its corner table:
+  the edges from a dict keyed by vertex pairs, the face cycle of each
+  vertex by a walk across edges, its stars by pairwise intersections of
+  neighbouring faces and its projection by index lookups in those cycles,
+  the oracles of `ConvexPolyhedron.edges`, `face_cycle_at_vertex`,
+  `stars` and `tilings.project`;
 - the vertex stars of a Fuchsian surface one at a time, one record each
   (`Star`, the per-star view of the library's star table): the star builder
   that orders every incident face and compares order keys per call, and the
@@ -58,6 +64,7 @@ from flipkit.forms import inv4, mul4
 from flipkit.fuchsian import (HyperbolicAmbient, _ads_layout, _config_on_checked_rays,
                               _cone_angles, _link_faces, orbit_hull, orbit_points,
                               recover_heights)
+from flipkit.polyhedra import VertexStars
 from flipkit.spheremath import ADS_STAR, SPHERE_STAR, HyperbolicOps
 from flipkit.tilings import (BLACK, WHITE, FlippableTiling, Side, TilingFaces, _aligned_error,
                              assemble_tiling, tiling_equality_error)
@@ -294,6 +301,94 @@ def wedge_convexity(surf, vid):
             star.true_edge, reference_edge_dihedrals(omega, rho_x, ADS_STAR)
         )
     ]
+
+
+# -- spherical polyhedra without the corner table ------------------------------------
+
+
+def reference_edges(P):
+    """The edges (i, j, fa, fb) of P, i < j, from a dict of vertex pairs."""
+    found = {}
+    for fi, face in enumerate(P.faces):
+        k = len(face)
+        for t in range(k):
+            i, j = face[t], face[(t + 1) % k]
+            key = (min(i, j), max(i, j))
+            found.setdefault(key, []).append(fi)
+    edges = []
+    for (i, j), fs in sorted(found.items()):
+        if len(fs) != 2:
+            raise GeometryError(f"edge {(i, j)} borders {len(fs)} faces")
+        edges.append((i, j, fs[0], fs[1]))
+    return tuple(edges)
+
+
+def reference_face_cycles(P):
+    """The faces around each vertex, walked edge by edge: from the least
+    incident face, each step crosses the edge from the vertex to its
+    successor in the current face.  The first vertex whose walk fails
+    raises."""
+    edge_faces = {(i, j): (fa, fb) for i, j, fa, fb in reference_edges(P)}
+    cycles = []
+    for vi in range(P.n_vertices):
+        incident = [fi for fi, f in enumerate(P.faces) if vi in f]
+        if len(incident) < 3:
+            raise GeometryError(f"vertex {vi} has fewer than 3 faces")
+        start = min(incident)
+        order = [start]
+        current = start
+        while True:
+            face = P.faces[current]
+            pos = face.index(vi)
+            succ = face[(pos + 1) % len(face)]
+            fa, fb = edge_faces[(min(vi, succ), max(vi, succ))]
+            nxt = fb if fa == current else fa
+            if nxt == start:
+                break
+            order.append(nxt)
+            current = nxt
+            if len(order) > len(incident):
+                raise GeometryError(f"vertex star at {vi} does not close up")
+        if len(order) != len(incident):
+            raise GeometryError(f"vertex star at {vi} does not close up")
+        cycles.append(order)
+    return cycles
+
+
+def reference_sph_stars(P):
+    """The stars of all vertices of a polyhedron as one table, each
+    neighbour the vertex other than the star's that two neighbouring faces
+    of its cycle share; wedge j lies in the face after neighbour j."""
+    cycles, wedge_face = [], []
+    for vi, cyc_faces in enumerate(reference_face_cycles(P)):
+        after = cyc_faces[1:] + cyc_faces[:1]
+        neighbors = []
+        for fa, fb in zip(cyc_faces, after):
+            shared = set(P.faces[fa]) & set(P.faces[fb]) - {vi}
+            if len(shared) != 1:
+                raise GeometryError("vertex star is not simplicial")
+            neighbors.append(shared.pop())
+        cycles.append(neighbors)
+        wedge_face += after
+    return VertexStars.stacked(range(P.n_vertices), cycles, wedge_face=wedge_face)
+
+
+def reference_project(P, side):
+    """`tilings.project` with its cycles walked and its segment corners
+    looked up by index in the faces and the cycles."""
+    cycles = reference_face_cycles(P)
+    white = [([(fi, v) for v in face], face) for fi, face in enumerate(P.faces)]
+    black = [([(fi, vi) for fi in cyc], tuple(cyc)) for vi, cyc in enumerate(cycles)]
+    edges = [
+        ((i, j, fa, fb), [
+            (fa, P.faces[fa].index(i), P.faces[fa].index(j)),
+            (fb, P.faces[fb].index(i), P.faces[fb].index(j)),
+            (i, cycles[i].index(fa), cycles[i].index(fb)),
+            (j, cycles[j].index(fa), cycles[j].index(fb)),
+        ])
+        for i, j, fa, fb in reference_edges(P)
+    ]
+    return assemble_tiling(SPHERE_STAR, side, P.face_poles, P.vertices, white, black, edges)
 
 
 # -- vertex stars one at a time ------------------------------------------------------

@@ -235,6 +235,40 @@ def test_edge_parameters_off_their_edge_fail_check_and_render(damage, tmp_path):
     assert peak < 20 * 2 ** 20  # no array sized by the damaged parameter
 
 
+def _first_segment(key, change):
+    """Apply `change` to `key` of the first segment of the first edge."""
+    def mutate(d):
+        seg = d["edges"][0]["segments"][0]
+        seg[key] = change(seg[key])
+    return mutate
+
+
+OTHER = {"left": "right", "right": "left", "forward": "backward", "backward": "forward"}
+SPHERE_MUTANTS = {
+    "segment-t0": _first_segment("t0", lambda t: t + 0.01),
+    "edge-t_max": lambda d: d["edges"][0].__setitem__("t_max", d["edges"][0]["t_max"] + 0.01),
+    "segment-position": _first_segment("position", OTHER.get),
+    "segment-side": _first_segment("side", OTHER.get),
+    "handedness": lambda d: d.__setitem__("handedness", OTHER[d["handedness"]]),
+    "edge-direction": lambda d: d["edges"][0].__setitem__(
+        "direction", [-x for x in d["edges"][0]["direction"]]),
+    "edge-repeated": lambda d: d["edges"].append(d["edges"][0]),
+}
+
+
+@pytest.mark.parametrize("mutant", sorted(SPHERE_MUTANTS))
+def test_flip_refuses_what_check_refuses_on_the_sphere(mutant, tmp_path):
+    # one field of the spherical base off: the white faces alone still
+    # develop, but flip validates first and fails with check's first failure
+    path = tmp_path / "t.json"
+    path.write_text(damaged("sphere", SPHERE_MUTANTS[mutant]))
+    code, out, _ = run("check", path, None)
+    assert code == 3
+    first = out.splitlines()[-1].split(": tiling INVALID: ", 1)[1]
+    assert run("flip", path, tmp_path / "f.json") == (3, "", f"error: {first}\n")
+    assert not (tmp_path / "f.json").exists()
+
+
 FAR_LIGHT_LIKE = ([1e150, 0.0, 1e150], [1e5, 0.0, 1e5])
 
 

@@ -617,7 +617,7 @@ def test_sphere_stars_match_one_star_references():
     rng = np.random.default_rng(11)
     for _ in range(3):
         _, _, P, order = random_star(rng)
-        stars = star_records(fuchsian._sph_stars(P))
+        stars = star_records(P.stars)
         cone = np.empty(P.n_vertices)
         cone[order] = [reference_cone_angle(star, P.vertices, SPHERE_STAR) for star in stars]
         assert np.array_equal(sph_star_cone_angles(P, order), cone)

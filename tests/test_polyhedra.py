@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.spatial import ConvexHull as EuclideanHull
 
 from conftest import corner_angles, edge_lengths, random_polyhedron, regular_tetrahedron
+from flipkit import io as fio
 from flipkit.errors import GeometryError
 from flipkit.polyhedra import (
     MERGE_TOL,
@@ -21,7 +22,15 @@ from flipkit.polyhedra import (
 )
 from flipkit.spheremath import SphereOps
 from flipkit.tilings import FlippableTiling, Side, project, white_polyhedron
-from reference_geometry import Face, cyclic_face_order, faces_table
+from reference_geometry import (
+    Face,
+    cyclic_face_order,
+    faces_table,
+    reference_edges,
+    reference_face_cycles,
+    reference_project,
+    reference_sph_stars,
+)
 
 
 def face_pole(points, interior):
@@ -354,3 +363,84 @@ def test_faces_convex_matches_polygon_oracle(seed, n, dual, swap):
     Q = ConvexPolyhedron(P.vertices, faces, P.face_poles, P.interior, validate=False)
     oracle = [Q.face_polygon(fi).is_convex() for fi in range(Q.n_faces)]
     assert Q.faces_convex().tolist() == oracle
+
+
+def random_hull(rng, n):
+    """The hull of n random points of the open hemisphere; interior points
+    drop out."""
+    t = rng.normal(size=(n, 3))
+    t /= np.linalg.norm(t, axis=1, keepdims=True)
+    r = rng.uniform(0.3, 1.2, size=n)
+    return hull(np.hstack([np.cos(r)[:, None], np.sin(r)[:, None] * t]))
+
+
+def relabelled(rng, P):
+    """P rebuilt from its faces, each cycle rotated and the list permuted."""
+    faces = [f[k:] + f[:k] for f in P.faces for k in [int(rng.integers(len(f)))]]
+    return from_vertices_and_faces(P.vertices, [faces[i] for i in rng.permutation(len(faces))])
+
+
+@pytest.fixture(scope="module")
+def oracle_corpus():
+    """60 polyhedra of 4 to 20 vertices: hulls of random points and polar
+    duals (faces of more than three corners), each also rebuilt from its
+    faces given rotated and permuted."""
+    rng = np.random.default_rng(27)
+    out = []
+    for k in range(30):
+        n = 4 + k % 17
+        P = random_hull(rng, n) if k % 2 else polar_dual(random_polyhedron(rng, 4 + (n - 4) // 2))
+        out += [P, relabelled(rng, P)]
+    return out
+
+
+def tiling_json(T):
+    return fio.canonical_json(fio.tiling_to_dict(T))
+
+
+def test_corner_table_matches_the_oracle(oracle_corpus):
+    # the edges, cycles, stars and projections that the corner table derives
+    # against the edge dict, the walk and the pairwise intersections
+    for k, P in enumerate(oracle_corpus):
+        assert P.edges == reference_edges(P)
+        assert [P.face_cycle_at_vertex(v) for v in range(P.n_vertices)] == (
+            reference_face_cycles(P))
+        oracle = reference_sph_stars(P)
+        for column in ("vertex", "offsets", "neighbors", "true_edge", "wedge_face"):
+            got, want = getattr(P.stars, column), getattr(oracle, column)
+            assert got.dtype == want.dtype and np.array_equal(got, want), column
+        side = (Side.LEFT, Side.RIGHT)[k % 2]
+        assert tiling_json(project(P, side)) == tiling_json(reference_project(P, side))
+
+
+def error_message(call):
+    with pytest.raises(GeometryError) as info:
+        call()
+    return str(info.value)
+
+
+def test_corner_table_raises_the_oracle_messages():
+    P = random_polyhedron(np.random.default_rng(4), 8)
+    # a face across an edge that two faces border already
+    i, j, fa, fb = P.edges[0]
+    m = next(v for v in range(P.n_vertices) if v not in P.faces[fa] + P.faces[fb])
+    faces = P.faces + ((i, j, m),)
+    three = ConvexPolyhedron(P.vertices, faces, np.vstack([P.face_poles, P.face_poles[:1]]),
+                             P.interior, validate=False)
+    assert error_message(lambda: from_vertices_and_faces(P.vertices, faces)) == error_message(
+        lambda: reference_edges(three))
+    assert error_message(lambda: project(three, Side.LEFT)) == error_message(
+        lambda: reference_project(three, Side.LEFT))
+    # one face turned the other way loads, but the stars at its corners do
+    # not close
+    for fi in range(0, P.n_faces, 3):
+        faces = [f[::-1] if k == fi else f for k, f in enumerate(P.faces)]
+        Q = from_vertices_and_faces(P.vertices, faces)
+        assert error_message(lambda: project(Q, Side.LEFT)) == error_message(
+            lambda: reference_project(Q, Side.LEFT))
+    # a vertex of no face
+    lone = ConvexPolyhedron(np.vstack([P.interior, P.vertices]),
+                            [tuple(v + 1 for v in f) for f in P.faces], P.face_poles,
+                            P.interior, validate=False)
+    assert error_message(lambda: project(lone, Side.LEFT)) == error_message(
+        lambda: reference_project(lone, Side.LEFT)) == "vertex 0 has fewer than 3 faces"

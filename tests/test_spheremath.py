@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flipkit.errors import GeometryError
-from flipkit.fuchsian import _sph_stars, genus2_group, minkowski_dual, star_geometry
+from flipkit.fuchsian import genus2_group, minkowski_dual, star_geometry
 from flipkit.spheremath import ADS_STAR, SPHERE_STAR, HyperbolicOps, SphereOps
 from reference_geometry import FaceRecord, star_records
 from test_fuchsian import FIXTURES, fixture_surface, random_star
@@ -303,7 +303,7 @@ def test_star_quadrics_keep_the_former_bits(name, seed):
 @given(seed=SEEDS)
 def test_sphere_star_geometry_keeps_the_former_bits(seed):
     _, _, P, _ = random_star(np.random.default_rng(seed))
-    for star in star_records(_sph_stars(P)):
+    for star in star_records(P.stars):
         x, ys = P.vertices[star.vertex], P.vertices[star.neighbors]
         assert_bits(star_geometry(x[None], ys, [0, len(ys)], SPHERE_STAR),
                     former_star_geometry(x, ys, "S3"))
