@@ -37,7 +37,9 @@ layout read the same columns.  Distances, tangents, angles and face areas
 are the primitives of `spheremath`.
 
 The prescribed-curvature solver builds a hull only to start and after a
-failed repair.  A line-search trial keeps the stars of its current
+failed repair, and the group keeps the starting hull of each ray set and
+start heights, so repeated solves on one ray set build none to start
+(`_start_surface`).  A line-search trial keeps the stars of its current
 surface at the trial heights when a certificate (`_fixed_star_trial`)
 proves that the certified hull there has the same stars; where it finds
 orbit points on the wrong side of star triangles, those stars are re-cut
@@ -247,6 +249,11 @@ class FuchsianGroup:
 
     Generators are SO(2,1) matrices acting on the hyperboloid
     x1^2 + x2^2 - x3^2 = -1, x3 > 0, extended to AdS_3 by fixing x4.
+
+    A group keeps what depends on it and on nothing else: its element
+    balls by radius (`ball`), and the certified starting surface of each
+    ray set and start heights that a solve has started from
+    (`_start_surface`).
     """
 
     def __init__(self, generators, genus, vertices, side_normals):
@@ -255,6 +262,7 @@ class FuchsianGroup:
         self.vertices = np.asarray(vertices, dtype=float)
         self.side_normals = np.asarray(side_normals, dtype=float)
         self._element_cache = {}
+        self._start_cache = {}
 
     @property
     def chi(self):
@@ -760,9 +768,10 @@ def orbit_hull(config):
     face is ordered when its `face_cycle` is first read, and the faces that
     the projections read are ordered together, one SVD per face size.
 
-    The solver builds one only to start and after a failed repair: a solve
-    that ends on certified stars returns their surface (`_star_surface`),
-    whose faces at the fundamental vertices are those of this hull.
+    The solver builds one only to start, once per ray set and start
+    heights of a group, and after a failed repair: a solve that ends on
+    certified stars returns their surface (`_star_surface`), whose faces
+    at the fundamental vertices are those of this hull.
     """
     return _certified_hull(config)
 
@@ -1182,6 +1191,40 @@ def jacobian(surf):
 # -- the prescribed-curvature solver ---------------------------------------------
 
 
+def _start_surface(config, h):
+    """The certified surface that a solve on the rays of `config` from the
+    start heights h begins on, kept by the group per ray set and h.
+
+    It is the orbit hull at h, or, when its vertices are not in convex
+    position, at h blended toward equal heights, which always are; a
+    blend that leaves h unchanged ends the search, and no start is found
+    after 12 hulls.  A start that raises is not kept.  The kept surface
+    is shared by every solve that starts there and is read-only: it is
+    built on a read-only copy of the rays and of its heights, so it
+    aliases no caller's array.
+    """
+    key = (config.rays.tobytes(), h.tobytes())
+    cache = config.group._start_cache
+    if key in cache:
+        return cache[key]
+    rays = config.rays.copy()
+    rays.flags.writeable = False
+    h = h.copy()
+    for _ in range(12):
+        h.flags.writeable = False
+        try:
+            surf = orbit_hull(_config_on_checked_rays(config.group, rays, h))
+        except GeometryError:
+            blend = 0.5 * h + 0.5 * float(np.mean(h))
+            if np.array_equal(blend, h):
+                break
+            h = blend
+        else:
+            cache[key] = surf
+            return surf
+    raise GeometryError("could not find a feasible starting surface")
+
+
 def solve_prescribed_curvature(config, tol=1e-8, h0=None):
     """Heights whose Fuchsian surface has the prescribed vertex curvatures.
 
@@ -1191,39 +1234,33 @@ def solve_prescribed_curvature(config, tol=1e-8, h0=None):
 
     The starting surface is a certified hull, from h0 when it is given:
     one height per ray, each strictly inside (0, pi/2), else GeometryError
-    before any hull is built.  A line-search trial keeps or repairs the
-    current surface's stars when `_fixed_star_trial` certifies them, and
-    builds its certified hull only when the repair fails.  A solve that
-    ends on certified stars builds no hull there: it returns the surface
-    of their triangles (`_star_surface`), with the star pass whose
-    curvatures it reports.
+    before any hull is built.  The group keeps it per ray set and start
+    heights (`_start_surface`), so a later solve on the same group, rays
+    and start builds no starting hull.  A line-search trial keeps or
+    repairs the current surface's stars when `_fixed_star_trial`
+    certifies them, and builds its certified hull only when the repair
+    fails.  A solve that ends on certified stars builds no hull there: it
+    returns the surface of their triangles (`_star_surface`), with the
+    star pass whose curvatures it reports.
 
     Returns a dict with heights, achieved curvatures, residual, Jacobian
-    condition number, iteration count and the surface.
+    condition number, iteration count and the surface.  The surface is
+    read-only: a solve that takes no Newton step returns the starting
+    surface that the group shares with every solve from that start.
     """
     if config.targets is None:
         raise GeometryError("config has no curvature targets")
     k_target = config.targets
     n = config.n
-    h = np.full(n, 0.75) if h0 is None else _check_heights(h0, n).copy()
+    surf = _start_surface(config, np.full(n, 0.75) if h0 is None
+                          else _check_heights(h0, n))
+    h = surf.heights.copy()
 
     # Every trial is exact, a certified hull or certified fixed stars, so
-    # each line-search trial is final.  Starts whose vertices are not in
-    # convex position are blended toward equal heights, which always are.
-    surf = None
-    for _ in range(12):
-        try:
-            surf = orbit_hull(config.with_heights(h))
-            break
-        except GeometryError:
-            h = 0.5 * h + 0.5 * float(np.mean(h))
-    if surf is None:
-        raise GeometryError("could not find a feasible starting surface")
-
-    # a trial keeps the stars of the current surface when the certificate
-    # allows, or repairs them, else builds its hull; that fallback calls the
-    # builder, not `orbit_hull`, so a trace tells it apart from the starting
-    # hull
+    # each line-search trial is final.  A trial keeps the stars of the
+    # current surface when the certificate allows, or repairs them, else
+    # builds its hull; that fallback calls the builder, not `orbit_hull`, so
+    # a trace tells it apart from the starting hull
     def evaluate(surf, hvec):
         cfg = config.with_heights(hvec)
         s = _fixed_star_trial(surf, cfg) or _certified_hull(cfg)

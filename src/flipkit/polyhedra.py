@@ -64,23 +64,6 @@ class SphericalPolygon:
     def __len__(self):
         return len(self.vertices)
 
-    def is_convex(self, tol=1e-9):
-        v = self.vertices
-        k = len(v)
-        signs = []
-        for i in range(k):
-            n = np.cross(v[i], v[(i + 1) % k])
-            nn = np.linalg.norm(n)
-            if nn < 1e-12:
-                return False
-            n /= nn
-            for j in range(k):
-                if j in (i, (i + 1) % k):
-                    continue
-                signs.append(np.dot(v[j], n))
-        signs = np.array(signs)
-        return bool(np.all(signs >= -tol) or np.all(signs <= tol))
-
 
 def _complement_basis(u):
     """Orthonormal basis of the 3-space orthogonal to a unit 4-vector u,
@@ -285,13 +268,14 @@ class ConvexPolyhedron:
         return True
 
     def faces_convex(self):
-        """Convexity of every face in one pass, as `SphericalPolygon.is_convex`.
+        """Convexity of every face in one pass; its oracle, one polygon at a
+        time, is `polygon_is_convex` in `tests/reference_geometry.py`.
 
         The normal of polygon edge (v_i, v_i+1) of face f inside the
         2-sphere pole_f^perp is the cross product (pole_f, v_i, v_i+1).  A
         face is convex when no edge normal is degenerate and the normalized
         products of all normals with the face's other vertices share a sign
-        up to EPS_PLANE, the default tolerance of `is_convex`.
+        up to EPS_PLANE, the default tolerance of that oracle.
         """
         sizes = np.array([len(f) for f in self.faces])
         ids = np.fromiter(itertools.chain.from_iterable(self.faces), int, sizes.sum())

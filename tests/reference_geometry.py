@@ -43,7 +43,8 @@ are checked against:
   their group products, point/plane duality and the complex-valued angles
   between vectors of a Minkowski space;
 - comparison of spherical tilings up to isometry and of polygons up to
-  congruence;
+  congruence, and the convexity of one spherical polygon, edge by edge
+  (`polygon_is_convex`), the oracle of `ConvexPolyhedron.faces_convex`;
 - the segments of a tiling edge as one record each, the per-item view of
   the library's edge table that the per-segment references read, and the
   faces of a tiling as one record each (`Face`), the per-item view of its
@@ -1093,6 +1094,28 @@ def tiling_congruence_error(T1, T2, tol=1e-6):
                 if best is None or err < best:
                     best = err
     return best
+
+
+def polygon_is_convex(polygon, tol=1e-9):
+    """Is the `polyhedra.SphericalPolygon` convex?  Per edge, the other
+    vertices must lie on one side of its great circle up to tol, edge by
+    edge and vertex by vertex: the oracle of the one-pass
+    `ConvexPolyhedron.faces_convex`."""
+    v = polygon.vertices
+    k = len(v)
+    signs = []
+    for i in range(k):
+        n = np.cross(v[i], v[(i + 1) % k])
+        nn = np.linalg.norm(n)
+        if nn < 1e-12:
+            return False
+        n /= nn
+        for j in range(k):
+            if j in (i, (i + 1) % k):
+                continue
+            signs.append(np.dot(v[j], n))
+    signs = np.array(signs)
+    return bool(np.all(signs >= -tol) or np.all(signs <= tol))
 
 
 def polygon_congruent(len_a, ang_a, len_b, ang_b, tol=1e-8):

@@ -807,6 +807,96 @@ def test_solver_checks_h0_before_starting(group, monkeypatch, h0, message):
     assert builds == []
 
 
+def test_refused_start_is_blended_until_the_blend_is_still(monkeypatch):
+    # the default start is uniform, so its blend toward equal heights is
+    # itself: a refused default start is built once, not 12 times; an
+    # uneven h0 is still blended, toward its mean, up to 12 builds
+    starts = []
+
+    def refused(cfg):
+        starts.append(cfg.heights.tolist())
+        raise GeometryError("vertices not in convex position")
+
+    monkeypatch.setattr(fuchsian, "orbit_hull", refused)
+    cfg = config(genus2_group(), SEED_RAYS[2], targets=[-2.0, -2.5])
+    with pytest.raises(GeometryError, match="could not find a feasible starting surface"):
+        solve_prescribed_curvature(cfg)
+    assert starts == [[0.75, 0.75]]
+    starts.clear()
+    with pytest.raises(GeometryError, match="could not find a feasible starting surface"):
+        solve_prescribed_curvature(cfg, h0=[0.5, 1.0])
+    assert len(starts) == 12 and starts[:3] == [[0.5, 1.0], [0.625, 0.875],
+                                                [0.6875, 0.8125]]
+    # a start that raises is not kept
+    assert not cfg.group._start_cache
+
+
+def seed_99_solve(group, n):
+    """The solve of the seed-99 round-0 input for n rays
+    (`tests/test_digests.py`)."""
+    rng = np.random.default_rng(99)
+    for m in range(1, n + 1):
+        while True:
+            k = -rng.uniform(0.5, 3.5, size=m)
+            if np.sum(k) > -4 * np.pi + 0.5:
+                break
+    return solve_prescribed_curvature(config(group, SEED_RAYS[n], targets=k))
+
+
+def test_solves_on_one_ray_set_share_their_start(monkeypatch):
+    # the group keeps the starting surface per ray set and start heights:
+    # a second solve on the same rays builds no starting hull and returns
+    # the bytes of a solve on a fresh group; an h0 equal to the default
+    # start is the same start, and another ray set misses
+    builds = []
+    hull = fuchsian.orbit_hull
+
+    def counting(cfg):
+        builds.append(cfg.rays.tobytes())
+        return hull(cfg)
+
+    monkeypatch.setattr(fuchsian, "orbit_hull", counting)
+    group = genus2_group()
+    first = seed_99_solve(group, 3)
+    assert len(builds) == 1
+    second = seed_99_solve(group, 3)
+    assert len(builds) == 1
+    fresh = seed_99_solve(genus2_group(), 3)
+    assert len(builds) == 2
+    for out in (first, second):
+        assert out["heights"].tobytes() == fresh["heights"].tobytes()
+        assert (out["achieved_curvatures"].tobytes()
+                == fresh["achieved_curvatures"].tobytes())
+    cfg = config(group, SEED_RAYS[3], targets=[-1.5, -2.0, -1.0])
+    solve_prescribed_curvature(cfg, h0=[0.75, 0.75, 0.75])
+    assert len(builds) == 2
+    solve_prescribed_curvature(config(group, THREE_RAYS, targets=[-1.5, -2.0, -1.0]))
+    assert len(builds) == 3 and builds[-1] != builds[0]
+    assert len(group._start_cache) == 2
+
+
+def test_kept_start_aliases_no_caller_array():
+    group = genus2_group()
+    rays = np.array([lift(q) for q in SEED_RAYS[2]])
+    k = [-1.5, -3.0]
+    first = solve_prescribed_curvature(FuchsianConfig(group, rays, targets=k))
+    (start,) = group._start_cache.values()
+    assert not start.config.rays.flags.writeable and not start.heights.flags.writeable
+    # the caller's rays, edited in place, change neither the kept start nor
+    # the next solve on the original rays
+    rays[0] = lift((0.0, -0.5))
+    assert start.config.rays.tobytes() == config(group, SEED_RAYS[2]).rays.tobytes()
+    again = solve_prescribed_curvature(config(group, SEED_RAYS[2], targets=k))
+    assert again["heights"].tobytes() == first["heights"].tobytes()
+    assert again["achieved_curvatures"].tobytes() == first["achieved_curvatures"].tobytes()
+    # a solve that takes no Newton step returns the shared start, read-only,
+    # with heights of its own
+    out = solve_prescribed_curvature(config(group, SEED_RAYS[2], targets=curvatures(start)))
+    assert out["iterations"] == 0 and out["surface"] is start
+    assert out["heights"].flags.writeable
+    assert not np.shares_memory(out["heights"], start.heights)
+
+
 def test_solver_n2_converges_and_unique(group):
     cfg = config(group, [(0.3, 0.1), (-0.4, 0.35)], targets=[-1.5, -3.0])
     out = solve_prescribed_curvature(cfg)
@@ -927,17 +1017,11 @@ def test_fixed_star_trial_needs_a_hull_at_r0_with_true_edges(group, surf1):
 
 
 @pytest.mark.parametrize("n, budget", [(1, 1), (2, 1), (3, 2)])
-def test_seed_99_solve_builds_few_hulls(group, monkeypatch, n, budget):
-    # round 0 of the seed-99 solver inputs (`tests/test_digests.py`): the
-    # starting hull and, for n = 3, one trial whose stars cannot be
-    # repaired; the repairs build no hull, and neither does the returned
-    # surface, which is built from the certified stars
-    rng = np.random.default_rng(99)
-    for m in range(1, n + 1):
-        while True:
-            k = -rng.uniform(0.5, 3.5, size=m)
-            if np.sum(k) > -4 * np.pi + 0.5:
-                break
+def test_seed_99_solve_builds_few_hulls(monkeypatch, n, budget):
+    # round 0 of the seed-99 solver inputs (`tests/test_digests.py`), on a
+    # fresh group: the starting hull and, for n = 3, one trial whose stars
+    # cannot be repaired; the repairs build no hull, and neither does the
+    # returned surface, which is built from the certified stars
     radii, qhull_in_trials, in_trial = [], [], []
     truncated, euclidean, trial = (fuchsian._truncated_hull, fuchsian.EuclideanHull,
                                    fuchsian._fixed_star_trial)
@@ -960,7 +1044,7 @@ def test_seed_99_solve_builds_few_hulls(group, monkeypatch, n, budget):
     monkeypatch.setattr(fuchsian, "_truncated_hull", counting)
     monkeypatch.setattr(fuchsian, "EuclideanHull", qhull)
     monkeypatch.setattr(fuchsian, "_fixed_star_trial", watched_trial)
-    out = solve_prescribed_curvature(config(group, SEED_RAYS[n], targets=k))
+    out = seed_99_solve(genus2_group(), n)
     assert out["residual"] <= 1e-8 and out["iterations"] > 0
     assert len(radii) <= budget
     assert len(qhull_in_trials) == len(radii) and not any(qhull_in_trials)
@@ -1252,7 +1336,9 @@ def test_loaders_share_one_group_and_its_balls(surf1, group):
     assert second.ambient.group is first.ambient.group is cfg.group
     assert all(second.ambient.group.ball(r) is ball for r, ball in balls.items())
     # the group of the library is still built fresh on each call
-    assert genus2_group() is not genus2_group() and not genus2_group()._element_cache
+    assert genus2_group() is not genus2_group()
+    fresh = genus2_group()
+    assert not fresh._element_cache and not fresh._start_cache
 
 
 @pytest.mark.parametrize("damage", [move_white_vertex, drop_white_decks])

@@ -26,6 +26,7 @@ from reference_geometry import (
     Face,
     cyclic_face_order,
     faces_table,
+    polygon_is_convex,
     reference_edges,
     reference_face_cycles,
     reference_project,
@@ -346,7 +347,7 @@ def test_normalize_rows_idempotent():
 @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(5, 14), dual=st.booleans(),
        swap=st.tuples(st.integers(0, 20), st.integers(1, 20)))
 def test_faces_convex_matches_polygon_oracle(seed, n, dual, swap):
-    # One-pass convexity against SphericalPolygon.is_convex, face by face, on
+    # One-pass convexity against polygon_is_convex, face by face, on
     # a random polyhedron or its polar dual, and again with two vertices of
     # every face of 4 or more swapped (convex or not, depending on the pair).
     P = random_polyhedron(np.random.default_rng(seed), n)
@@ -361,7 +362,7 @@ def test_faces_convex_matches_polygon_oracle(seed, n, dual, swap):
             f[a], f[b] = f[b], f[a]
         faces.append(f)
     Q = ConvexPolyhedron(P.vertices, faces, P.face_poles, P.interior, validate=False)
-    oracle = [Q.face_polygon(fi).is_convex() for fi in range(Q.n_faces)]
+    oracle = [polygon_is_convex(Q.face_polygon(fi)) for fi in range(Q.n_faces)]
     assert Q.faces_convex().tolist() == oracle
 
 
