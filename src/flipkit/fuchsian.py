@@ -37,9 +37,9 @@ layout read the same columns.  Distances, tangents, angles and face areas
 are the primitives of `spheremath`.
 
 The prescribed-curvature solver builds a hull only to start and after a
-failed repair, and the group keeps the starting hull of each ray set and
-start heights, so repeated solves on one ray set build none to start
-(`_start_surface`).  A line-search trial keeps the stars of its current
+failed repair, and the group keeps the starting hull of the last ray set
+and start heights of each ray count, so repeated solves on one ray set
+build none to start (`_start_surface`).  A line-search trial keeps the stars of its current
 surface at the trial heights when a certificate (`_fixed_star_trial`)
 proves that the certified hull there has the same stars; where it finds
 orbit points on the wrong side of star triangles, those stars are re-cut
@@ -251,9 +251,9 @@ class FuchsianGroup:
     x1^2 + x2^2 - x3^2 = -1, x3 > 0, extended to AdS_3 by fixing x4.
 
     A group keeps what depends on it and on nothing else: its element
-    balls by radius (`ball`), and the certified starting surface of each
-    ray set and start heights that a solve has started from
-    (`_start_surface`).
+    balls by radius (`ball`), and, per ray count, the certified starting
+    surface of the last ray set and start heights that a solve started
+    from (`_start_surface`).
     """
 
     def __init__(self, generators, genus, vertices, side_normals):
@@ -768,8 +768,8 @@ def orbit_hull(config):
     face is ordered when its `face_cycle` is first read, and the faces that
     the projections read are ordered together, one SVD per face size.
 
-    The solver builds one only to start, once per ray set and start
-    heights of a group, and after a failed repair: a solve that ends on
+    The solver builds one only to start, unless the group kept that
+    start (`_start_surface`), and after a failed repair: a solve that ends on
     certified stars returns their surface (`_star_surface`), whose faces
     at the fundamental vertices are those of this hull.
     """
@@ -1191,22 +1191,35 @@ def jacobian(surf):
 # -- the prescribed-curvature solver ---------------------------------------------
 
 
+def _freeze(surf):
+    """Make the arrays of a surface, its star table and its star pass
+    read-only."""
+    for a in (surf.points4, surf.chart, surf.triangles, surf.triangle_face, surf.poles,
+              surf._face_vertices, surf._face_start, surf._incident_faces,
+              surf._incidence_start, *vars(surf.stars).values(), *surf.star_pass):
+        a.flags.writeable = False
+
+
 def _start_surface(config, h):
     """The certified surface that a solve on the rays of `config` from the
-    start heights h begins on, kept by the group per ray set and h.
+    start heights h begins on, kept by the group for the last ray set and
+    h of each ray count.
 
     It is the orbit hull at h, or, when its vertices are not in convex
     position, at h blended toward equal heights, which always are; a
     blend that leaves h unchanged ends the search, and no start is found
-    after 12 hulls.  A start that raises is not kept.  The kept surface
-    is shared by every solve that starts there and is read-only: it is
-    built on a read-only copy of the rays and of its heights, so it
-    aliases no caller's array.
+    after 12 hulls.  A start that raises is not kept.  One start per ray
+    count bounds what the group keeps however many ray sets are solved on
+    it.  The kept surface is shared by every solve that starts there and
+    is read-only: it is built on read-only copies of the rays and of its
+    heights, so it aliases no caller's array, and its own arrays, star
+    table and star pass are read-only (`_freeze`).
     """
     key = (config.rays.tobytes(), h.tobytes())
     cache = config.group._start_cache
-    if key in cache:
-        return cache[key]
+    kept = cache.get(config.n)
+    if kept is not None and kept[0] == key:
+        return kept[1]
     rays = config.rays.copy()
     rays.flags.writeable = False
     h = h.copy()
@@ -1220,7 +1233,8 @@ def _start_surface(config, h):
                 break
             h = blend
         else:
-            cache[key] = surf
+            _freeze(surf)
+            cache[config.n] = (key, surf)
             return surf
     raise GeometryError("could not find a feasible starting surface")
 
@@ -1234,9 +1248,9 @@ def solve_prescribed_curvature(config, tol=1e-8, h0=None):
 
     The starting surface is a certified hull, from h0 when it is given:
     one height per ray, each strictly inside (0, pi/2), else GeometryError
-    before any hull is built.  The group keeps it per ray set and start
-    heights (`_start_surface`), so a later solve on the same group, rays
-    and start builds no starting hull.  A line-search trial keeps or
+    before any hull is built.  The group keeps it for the last ray set and
+    start of each ray count (`_start_surface`), so a later solve on the
+    same group, rays and start builds no starting hull.  A line-search trial keeps or
     repairs the current surface's stars when `_fixed_star_trial`
     certifies them, and builds its certified hull only when the repair
     fails.  A solve that ends on certified stars builds no hull there: it
@@ -1244,9 +1258,10 @@ def solve_prescribed_curvature(config, tol=1e-8, h0=None):
     star pass whose curvatures it reports.
 
     Returns a dict with heights, achieved curvatures, residual, Jacobian
-    condition number, iteration count and the surface.  The surface is
-    read-only: a solve that takes no Newton step returns the starting
-    surface that the group shares with every solve from that start.
+    condition number, iteration count and the surface.  Treat the surface
+    as read-only: a solve that takes no Newton step returns the starting
+    surface that the group shares with every solve from that start, whose
+    arrays, star table and star pass refuse writes.
     """
     if config.targets is None:
         raise GeometryError("config has no curvature targets")
