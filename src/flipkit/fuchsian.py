@@ -39,16 +39,17 @@ are the primitives of `spheremath`.
 The prescribed-curvature solver builds a hull only to start and after a
 failed repair, and the group keeps the starting hull of the last ray set
 and start heights of each ray count, so repeated solves on one ray set
-build none to start (`_start_surface`).  A line-search trial keeps the stars of its current
-surface at the trial heights when a certificate (`_fixed_star_trial`)
-proves that the certified hull there has the same stars; where it finds
-orbit points on the wrong side of star triangles, those stars are re-cut
-through them (`_recut_stars`, a 2-D hull of gnomonic images with no Qhull
-call) and certified once more.  Certified stars are the hull's, so a
-trial's curvatures and the next Newton step's Jacobian are the hull's bit
-for bit, from one `star_geometry` pass that the surface keeps.  A solve
-that ends on certified stars returns the surface of their triangles
-(`_star_surface`), with the certificate's poles and no hull.
+build none to start (`_start_surface`).  A line-search trial keeps the
+stars of its current surface at the trial heights when a certificate
+(`_fixed_star_trial`) proves that the certified hull there has the same
+stars; where it finds orbit points on the wrong side of star triangles,
+those stars are re-cut through them (`_recut_stars`, a 2-D hull of
+gnomonic images with no Qhull call) and certified once more.  Certified
+stars are the hull's, so a trial's curvatures and the next Newton step's
+Jacobian are the hull's bit for bit, from one `star_geometry` pass that
+the surface keeps.  A solve that ends on certified stars returns the
+surface of their triangles (`_star_surface`), with the certificate's poles
+and no hull.
 
 Group elements are identified by one rule.  The elements of a ball
 (`FuchsianGroup.ball`) carry integer ids, their positions in
@@ -769,9 +770,9 @@ def orbit_hull(config):
     the projections read are ordered together, one SVD per face size.
 
     The solver builds one only to start, unless the group kept that
-    start (`_start_surface`), and after a failed repair: a solve that ends on
-    certified stars returns their surface (`_star_surface`), whose faces
-    at the fundamental vertices are those of this hull.
+    start (`_start_surface`), and after a failed repair: a solve that
+    ends on certified stars returns their surface (`_star_surface`),
+    whose faces at the fundamental vertices are those of this hull.
     """
     return _certified_hull(config)
 
@@ -1246,16 +1247,16 @@ def solve_prescribed_curvature(config, tol=1e-8, h0=None):
     stalls, the target is reached by continuation along the straight
     segment (inside K(n)) from an evaluated feasible configuration.
 
-    The starting surface is a certified hull, from h0 when it is given:
-    one height per ray, each strictly inside (0, pi/2), else GeometryError
-    before any hull is built.  The group keeps it for the last ray set and
-    start of each ray count (`_start_surface`), so a later solve on the
-    same group, rays and start builds no starting hull.  A line-search trial keeps or
-    repairs the current surface's stars when `_fixed_star_trial`
-    certifies them, and builds its certified hull only when the repair
-    fails.  A solve that ends on certified stars builds no hull there: it
-    returns the surface of their triangles (`_star_surface`), with the
-    star pass whose curvatures it reports.
+    The starting surface is a certified hull, from h0 when it is given: one
+    height per ray, each strictly inside (0, pi/2), else GeometryError before
+    any hull is built.  The group keeps it for the last ray set and start of
+    each ray count (`_start_surface`), so a later solve on the same group,
+    rays and start builds no starting hull.  A line-search trial keeps or
+    repairs the current surface's stars when `_fixed_star_trial` certifies
+    them, and builds its certified hull only when the repair fails.  A solve
+    that ends on certified stars builds no hull there: it returns the surface
+    of their triangles (`_star_surface`), with the star pass whose curvatures
+    it reports.
 
     Returns a dict with heights, achieved curvatures, residual, Jacobian
     condition number, iteration count and the surface.  Treat the surface
