@@ -11,6 +11,11 @@ imports the benchmark):
 - quotient flip: per n = 1, 2, 3 of rounds 0 and 1, heights U(0.55, 0.95)
   plus U(-0.08, 0.08) per ray; the digest covers the canonical JSON of the
   flipped left projection and the bytes of the curvatures;
+- quotient projections: the same draws over all 16 rounds of the
+  `quotient-flip` workload at its seed 99; the digest covers the canonical
+  JSON of the left projection, of the right projection and of the flip of
+  the left one (QUOTIENT_PROJECT_DIGEST_ALL).  It takes about a second,
+  so CI asserts it in a step of its own, outside the test suite;
 - sphere cli: the first 9 polyhedra of the seed-20240817 corpus (sizes 6
   to 14, drawn by `random_polyhedron` from one stream), each run through
   the six commands of the workload in a scratch directory with relative
@@ -65,6 +70,8 @@ QUOTIENT_FLIP_DIGESTS = {
     7: "f4b49e9c1491d103ab670dab2adacd768634582c159dedd89a7c5f9540e9fe64",
     31: "4bf6d5965d23635e5f2ade944b15849450a4d23499c577867605cae1f4a4194c",
 }
+QUOTIENT_PROJECT_SEED = 99
+QUOTIENT_PROJECT_DIGEST_ALL = "7d348be1849095fb3ef31492cfad7704dc92827ec39a0ced224fb6cbc6f5c5c0"
 
 SPHERE_CLI_SEED = 20240817
 SPHERE_CLI_DIGEST = "3f0d4eae725d419504b9b05537bdcd43ff7440edf5f2b68e1b4459fcfdc0d59c"
@@ -112,6 +119,21 @@ def quotient_flip_digest(group, seed, rounds=2):
     return digest.hexdigest()
 
 
+def quotient_project_digest(group, seed=QUOTIENT_PROJECT_SEED, rounds=16):
+    """Draw as `quotient_flip_digest` does and digest the text of both
+    projections and of the flip of the left one."""
+    rng = np.random.default_rng(seed)
+    digest = hashlib.sha256()
+    for _ in range(rounds):
+        for n in (1, 2, 3):
+            h = rng.uniform(0.55, 0.95) + rng.uniform(-0.08, 0.08, size=n)
+            surf = orbit_hull(FuchsianConfig(group, _rays(n), heights=h))
+            left = ads_project(surf, Side.LEFT)
+            for T in (left, ads_project(surf, Side.RIGHT), flip(left)):
+                digest.update(fio.canonical_json(fio.tiling_to_dict(T)).encode())
+    return digest.hexdigest()
+
+
 def sphere_cli_digest(count=9):
     """Run the sphere-cli commands over the first `count` corpus polyhedra
     in the current directory and digest what they print and write."""
@@ -156,6 +178,7 @@ if __name__ == "__main__":
     print("SOLVER_DIGESTS", {s: solver_digest(g, s) for s in SOLVER_DIGESTS})
     print("QUOTIENT_FLIP_DIGESTS",
           {s: quotient_flip_digest(g, s) for s in QUOTIENT_FLIP_DIGESTS})
+    print("QUOTIENT_PROJECT_DIGEST_ALL", quotient_project_digest(g))
     for name, count in (("SPHERE_CLI_DIGEST", 9), ("SPHERE_CLI_DIGEST_ALL", 100)):
         with tempfile.TemporaryDirectory() as work:
             os.chdir(work)
