@@ -106,7 +106,6 @@ from .tilings import (
     FlippableTiling,
     Side,
     assemble_corners,
-    assemble_tiling,
     project_points,
     tiling_equality_error,
 )
@@ -1499,8 +1498,10 @@ def _face_orbits(surf, faces):
 
 def _face_decks(surf, groups, orbit, reps):
     """Per face of `_face_orbits`: the deck g = g_u0 g_w^-1 that carries the
-    representative copy of its orbit (faces[reps[orbit]]) onto it, and the
-    vertices of that copy that g moves onto its vertices, in their order.
+    representative copy of its orbit (faces[reps[orbit]]) onto it, its
+    vertex ids, ascending, and the vertices of that copy that g moves onto
+    them, in their order; the ids as (m, k) rows, k the largest face size,
+    padded with -1.
 
     u0 is the least vertex of the face and w the first vertex of the
     representative, by id, on the ray of u0 whose sorted labels equal those
@@ -1508,7 +1509,7 @@ def _face_decks(surf, groups, orbit, reps):
     """
     n, m = surf.n, len(orbit)
     local, u0, w = (np.empty(m, dtype=np.intp) for _ in range(3))
-    to_rep = [None] * m
+    ids, moved = np.full((2, m, max((g[1].shape[1] for g in groups), default=0)), -1)
     for at, rows, labels, ordered in groups:
         local[at] = np.arange(len(at))
         rep = local[reps[orbit[at]]]
@@ -1521,99 +1522,102 @@ def _face_decks(surf, groups, orbit, reps):
         # pos[j] of the representative has seen from w
         pos = np.argmax(labels[:, 0, :, None] == labels[rep, i][:, None, :], axis=2)
         u0[at], w[at] = rows[:, 0], rows[rep, i]
-        for p, moved in zip(at.tolist(), rows[rep[:, None], pos].tolist()):
-            to_rep[p] = moved
+        ids[at, :rows.shape[1]], moved[at, :rows.shape[1]] = rows, rows[rep[:, None], pos]
     decks = surf.elements[u0 // n] @ np.linalg.inv(surf.elements[w // n])
-    return decks, to_rep
+    return decks, ids, moved
+
+
+def _find(rows, x):
+    """Per query i, the first position of x[i] in rows[i]."""
+    return np.argmax(rows == x[:, None], axis=1)
 
 
 def _ads_layout(surf):
-    """The quotient bookkeeping of the projections of a Fuchsian surface:
-    the side-independent arguments (poles, points, white, black, edges,
-    decks, ambient) of `tilings.assemble_tiling`, read from its face orbits,
-    decks (rows of the face decks and the vertices' elements) and edge orbits.
+    """The quotient bookkeeping of the projections of a Fuchsian surface,
+    read from its face orbits, decks (rows of the face decks and the
+    vertices' elements) and edge orbits.
+
+    Returns the (face, vertex) incidences to project, as two arrays: the
+    white corners (the representative copy of each face orbit, in cyclic
+    order, one face after another), the black corners (the projected links
+    at the fundamental vertices) and the corners (fa, v), (fa, s), (fb, v),
+    (fb, s) of the E tiling edges, each of these four E rows in a block;
+    per color the sizes and links of the faces; the (E, 4, 3) segments of
+    `tilings.assemble_corners`; and the deck tags of the white corners,
+    the black corners and the segments.
 
     It is built array-at-a-time from the face arrays: the face orbits from
     one gather of the relative table (`_face_orbits`), the decks from one
     batched `inv` (`_face_decks`), the orders of the representative faces
-    from one SVD per face size (`face_cycles`) and the edge orbits in one
-    pass.
+    from one SVD per face size (`face_cycles`), the edge orbits in one pass
+    and every corner of a face copy in its representative from one gather.
     """
-    n = surf.n
-    faces = _wedge_faces(surf)
+    n, stars = surf.n, surf.stars
+    faces = np.array(_wedge_faces(surf), dtype=np.intp)
     # each face orbit is represented by its first encountered copy
     groups, orbit, reps = _face_orbits(surf, faces)
-    decks, to_rep = _face_decks(surf, groups, orbit, reps)
-    rep_faces = [faces[p] for p in reps.tolist()]
-    cycles = surf.face_cycles(rep_faces)
-    corners = [{v: k for k, v in enumerate(cyc)} for cyc in cycles]
-    orbit_of = dict(zip(faces, orbit.tolist()))
-    index_of = {fi: i for i, fi in enumerate(faces)}
-    # per face, the corner of the white polygon of its orbit that its deck
-    # moves onto each of its vertices
-    corner_of = {}
-    for at, rows, _, _ in groups:
-        for p, ids in zip(at.tolist(), rows.tolist()):
-            corner = corners[orbit[p]]
-            corner_of[faces[p]] = {u: corner[r] for u, r in zip(ids, to_rep[p])}
-
-    # white faces: projections of the representative copies
-    white = [([(fi, v) for v in cyc], tuple(surf.base_of(v) for v in cyc))
-             for fi, cyc in zip(rep_faces, cycles)]
-
-    # black faces: projected links at the fundamental vertices; a link
-    # corner is known by the orbit of its face and the white corner at vid
-    black, black_rows = [], []
-    black_corner = []
-    for vid in range(n):
-        seq = _link_faces(surf.stars, vid)
-        black.append(([(fi, vid) for fi in seq], tuple(orbit_of[fi] for fi in seq)))
-        black_rows += [index_of[fi] for fi in seq]
-        black_corner.append(
-            {(orbit_of[fi], corner_of[fi][vid]): k for k, fi in enumerate(seq)}
-        )
+    decks, ids, moved = _face_decks(surf, groups, orbit, reps)
+    index = np.empty(len(surf.poles), dtype=np.intp)  # each face's position in faces
+    index[faces] = np.arange(len(faces))
+    # white faces: the representative copies in cyclic order; black faces:
+    # the links at the fundamental vertices; both as padded rows
+    cycles = surf.face_cycles(faces[reps].tolist())
+    links = [_link_faces(stars, vid) for vid in range(n)]
+    (ring, w_sizes), (link, b_sizes) = _padded(cycles), _padded(links)
+    w_vertex, b_face = ring[ring >= 0], link[link >= 0]
+    nb = len(b_face)
 
     # one tiling edge per true-edge orbit met at a fundamental vertex: the
     # first star row of each orbit key min((b_v, b_s, id(g_v^-1 g_s)),
     # (b_s, b_v, id(g_s^-1 g_v))), the keys encoded as integers
-    stars = surf.stars
     star, _, prv = _star_rows(stars.offsets)
     true = np.flatnonzero(stars.true_edge)
-    vertex = stars.vertex[star]
-    (ev, bv), (es, bs) = np.divmod(vertex[true], n), np.divmod(stars.neighbors[true], n)
+    (ev, bv), (es, bs) = np.divmod(stars.vertex[star[true]], n), np.divmod(stars.neighbors[true], n)
     size = len(surf.ball.mats)
     rel = surf.ball.relative_ids(np.stack([ev, es]), np.stack([es, ev]))
     key = np.minimum((bv * n + bs) * size + rel[0], (bs * n + bv) * size + rel[1])
-    first_row = {}
-    for row, k in zip(true.tolist(), key.tolist()):
-        first_row.setdefault(k, row)
-    slots = np.array(sorted(first_row.values()), dtype=np.intp)
+    slots = np.sort(true[np.unique(key, return_index=True)[1]])
+    v, s = stars.vertex[star[slots]], stars.neighbors[slots]
+    fa, fb = stars.wedge_face[prv[slots]], stars.wedge_face[slots]
 
-    edges, edge_rows = [], []
-    for vid, s, fa, fb in zip(vertex[slots].tolist(), stars.neighbors[slots].tolist(),
-                              stars.wedge_face[prv[slots]].tolist(),
-                              stars.wedge_face[slots].tolist()):
-        if fa == fb:
-            raise GeometryError("true edge inside a single face")
-        segments = [(orbit_of[fi], corner_of[fi][vid], corner_of[fi][s]) for fi in (fa, fb)]
-        # black segments: at vid (deck identity) and at s (deck of its orbit)
-        for vtx in (vid, s):
-            b = surf.base_of(vtx)
-            ka = black_corner[b].get((orbit_of[fa], corner_of[fa][vtx]))
-            kb = black_corner[b].get((orbit_of[fb], corner_of[fb][vtx]))
-            if ka is None or kb is None:
-                raise GeometryError("edge face missing from the vertex link")
-            segments.append((b, ka, kb))
-        edges.append(((vid, s, fa, fb), segments))
-        edge_rows.append((index_of[fa], index_of[fb], vid // n, s // n))
+    # the black corners and the edges' corners (fa, v), (fa, s), (fb, v),
+    # (fb, s) in their representative copies: the orbit of the face and the
+    # corner of its white polygon there
+    face = np.concatenate([b_face, fa, fa, fb, fb])
+    vertex = np.concatenate([np.repeat(np.arange(n), b_sizes), v, s, v, s])
+    at = index[face]
+    o = orbit[at]
+    corner = o * ring.shape[1] + _find(ring[o], moved[at, _find(ids[at], vertex)])
+    # each edge corner in the black face at its vertex
+    link[link >= 0] = corner[:nb]
+    hit = link[vertex[nb:] % n] == corner[nb:, None]
+    bad = (fa == fb) | ~hit.any(axis=1).reshape(4, -1).all(axis=0)
+    if bad.any():
+        e = int(np.argmax(bad))
+        raise GeometryError("true edge inside a single face" if fa[e] == fb[e]
+                            else "edge face missing from the vertex link")
+    (oa, _, ob, _), (ca_v, ca_s, cb_v, cb_s), (ka_v, ka_s, kb_v, kb_s), (pa, _, pb, _) = (
+        x.reshape(4, -1) for x in (o[nb:], corner[nb:] % ring.shape[1],
+                                   np.argmax(hit, axis=1), at[nb:]))
+    segments = np.array([oa, ca_v, ca_s, ob, cb_v, cb_s, v % n, ka_v, kb_v, s % n, ka_s, kb_s]
+                        ).T.reshape(-1, 4, 3)
 
     # the segment decks: the face decks of fa and fb, the elements of v and s
-    rows = np.array(edge_rows, dtype=np.intp).reshape(-1, 4)
-    decks = (surf.elements[[v // n for cyc in cycles for v in cyc]], decks[black_rows],
-             np.concatenate([decks[rows[:, :2]], surf.elements[rows[:, 2:]]], axis=1))
-    poles = dict(zip(faces, surf.poles[faces]))
-    ambient = HyperbolicAmbient(surf.group, surf.config.rays)
-    return poles, surf.points4, white, black, edges, decks, ambient
+    decks = (surf.elements[w_vertex // n], decks[at[:nb]],
+             np.concatenate([decks[np.array([pa, pb]).T],
+                             surf.elements[np.array([v // n, s // n]).T]], axis=1))
+    incidences = (np.concatenate([np.repeat(faces[reps], w_sizes), face]),
+                  np.concatenate([w_vertex, vertex]))
+    return (incidences, {WHITE: (w_sizes, w_vertex % n), BLACK: (b_sizes, o[:nb])}, segments,
+            decks)
+
+
+def _padded(rows):
+    """Lists of ids as the rows of one array padded with -1, and their lengths."""
+    sizes = [len(r) for r in rows]
+    width = max(sizes)
+    return (np.array([r + [-1] * (width - k) for r, k in zip(rows, sizes)], dtype=np.intp),
+            np.array(sizes, dtype=np.intp))
 
 
 def ads_project(surf, side):
@@ -1622,11 +1626,21 @@ def ads_project(surf, side):
 
     White faces are projected surface faces (one per face orbit), black
     faces the projected links at the fundamental vertices; corner links
-    carry the deck transformations identifying the incident copies.  The
-    tiling itself is assembled by `tilings.assemble_tiling` from the
-    quotient bookkeeping of `_ads_layout`.
+    carry the deck transformations identifying the incident copies.  Each
+    (face, vertex) incidence of the quotient layout (`_ads_layout`) is
+    projected once, and the tiling is assembled from the projected corners
+    by `tilings.assemble_corners`, as the hyperbolic flip is.
     """
-    return assemble_tiling(ADS_STAR, side, *_ads_layout(surf))
+    (face, vertex), colors, segments, decks = _ads_layout(surf)
+    m = len(surf.points4)
+    pairs, inverse = np.unique(face * m + vertex, return_inverse=True)
+    img = project_points(surf.poles[pairs // m], surf.points4[pairs % m], side,
+                         ADS_STAR)[inverse]
+    nw, nb = len(decks[0]), len(decks[1])
+    faces = {WHITE: (img[:nw], *colors[WHITE], decks[0], True, True),
+             BLACK: (img[nw:nw + nb], *colors[BLACK], decks[1], True, True)}
+    return assemble_corners(ADS_STAR, side, faces, img[nw + nb:].reshape(4, -1, 3), segments,
+                            decks[2], True, HyperbolicAmbient(surf.group, surf.config.rays))
 
 
 def _height_rows(T):

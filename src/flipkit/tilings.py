@@ -422,42 +422,6 @@ def project_points(poles, points, side, star):
 SLOT_COLORS = (WHITE, WHITE, BLACK, BLACK)
 
 
-def assemble_tiling(star, side, poles, points, white, black, edges, decks=(np.eye(3),) * 3,
-                    ambient="sphere"):
-    """The tiling of projected faces: the construction behind `project` and
-    `ads_project`.
-
-    A corner (f, v) is the vertex points[v] of the face with pole poles[f]
-    on the star quadric `star`; each corner is projected once, by the
-    `side` projection (`project_points`) onto the surface `star.plane`, and
-    the tiling has the other handedness.
-    white, black : per face, (its corners in cyclic order, links)
-    edges        : per true edge from v to s between the faces fa and fb,
-                   ((v, s, fa, fb), segments).  The segments are those of
-                   the white faces of fa and fb and the black faces at v
-                   and s, each (face, k, k'): the corners at v and s
-                   (white) or of fa and fb (black).
-    decks        : the deck tags of the white corners (Nw, 3, 3), the black
-                   corners (Nb, 3, 3) and the segments (E, 4, 3, 3); the
-                   identity by default.  A quotient's tiling writes them all.
-    The projected corners are assembled by `assemble_corners`.
-    """
-    quads = [((fa, v), (fa, s), (fb, v), (fb, s)) for (v, s, fa, fb), _ in edges]
-    keys = [c for cyc, _ in white + black for c in cyc] + [c for q in quads for c in q]
-    row = {c: r for r, c in enumerate(dict.fromkeys(keys))}
-    img = project_points(np.array([poles[f] for f, _ in row]),
-                         points[[v for _, v in row]], side, star)
-    tagged = ambient != "sphere"
-    faces = {color: (img[[row[c] for cyc, _ in fs for c in cyc]],
-                     np.array([len(cyc) for cyc, _ in fs]),
-                     [l for _, links in fs for l in links], tags, tagged, tagged)
-             for color, fs, tags in ((WHITE, white, decks[0]), (BLACK, black, decks[1]))}
-    E = len(edges)
-    quad = img[np.array([[row[c] for c in q] for q in quads], dtype=int).reshape(E, 4).T]
-    segments = np.array([segs for _, segs in edges], dtype=int).reshape(E, 4, 3)
-    return assemble_corners(star, side, faces, quad, segments, decks[2], tagged, ambient)
-
-
 def assemble_corners(star, side, faces, quad, segments, decks, tagged, ambient="sphere"):
     """The tiling of corners projected by the `side` projection onto the
     surface `star.plane`: the geometry of `assemble_tiling`, which the
@@ -536,22 +500,26 @@ def project(P: ConvexPolyhedron, side: Side) -> FlippableTiling:
 
     White faces are the projected faces of P, black faces the polar links
     of its vertices; a left projection yields a right tiling and vice
-    versa.
+    versa.  Every corner of P is projected once: the white corners are
+    P's corners in face order, the black ones the same corners around each
+    vertex (`star_corners`), and each edge reads its four corners off the
+    corner table.
     """
-    c, ring, offsets = P.corners, P.star_corners, P.stars.offsets
+    c, ring = P.corners, P.star_corners
+    img = project_points(P.face_poles[c.face], P.vertices[c.vertex], side, SPHERE_STAR)
+    degree = np.bincount(c.vertex, minlength=P.n_vertices)
     slot = np.empty_like(ring)  # each corner's place in the face cycle of its vertex
-    slot[ring] = np.arange(len(ring)) - offsets[c.vertex[ring]]
-    cycles = [P.face_cycle_at_vertex(v) for v in range(P.n_vertices)]
-    white = [([(fi, v) for v in face], face) for fi, face in enumerate(P.faces)]
-    black = [([(fi, vi) for fi in cyc], tuple(cyc)) for vi, cyc in enumerate(cycles)]
+    slot[ring] = np.arange(len(ring)) - np.repeat(np.cumsum(degree) - degree, degree)
     # at[e, s, t]: the corner of edge e in its face s (fa, fb) at its end t (i, j)
     at = np.stack([c.half, c.next[c.half]], axis=-1)
     at = np.take_along_axis(at, np.argsort(c.vertex[at], axis=-1), axis=-1)
     segments = np.hstack([np.dstack([c.face[c.half], c.position[at]]),
                           np.dstack([c.vertex[at[:, 0]], slot[at].swapaxes(1, 2)])])
-    edges = list(zip(P.edges, segments.tolist()))
-    return assemble_tiling(SPHERE_STAR, side, P.face_poles, P.vertices,
-                           white, black, edges)
+    faces = {WHITE: (img, np.bincount(c.face, minlength=P.n_faces), c.vertex, np.eye(3), False,
+                     False),
+             BLACK: (img[ring], degree, c.face[ring], np.eye(3), False, False)}
+    return assemble_corners(SPHERE_STAR, side, faces, img[at.reshape(-1, 4).T], segments,
+                            np.eye(3), False)
 
 
 # -- development back to a polyhedron -----------------------------------------

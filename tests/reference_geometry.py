@@ -62,13 +62,13 @@ import numpy as np
 
 from flipkit.errors import DevelopmentError, GeometryError, SignatureMismatchError
 from flipkit.forms import inv4, mul4
-from flipkit.fuchsian import (HyperbolicAmbient, _ads_layout, _config_on_checked_rays,
-                              _cone_angles, _link_faces, orbit_hull, orbit_points,
-                              recover_heights)
+from flipkit.fuchsian import (HyperbolicAmbient, _cone_angles, _config_on_checked_rays,
+                              _face_decks, _face_orbits, _link_faces, _star_rows,
+                              _wedge_faces, orbit_hull, orbit_points, recover_heights)
 from flipkit.polyhedra import VertexStars
 from flipkit.spheremath import ADS_STAR, SPHERE_STAR, HyperbolicOps
 from flipkit.tilings import (BLACK, WHITE, FlippableTiling, Side, TilingFaces, _aligned_error,
-                             assemble_tiling, tiling_equality_error)
+                             assemble_corners, project_points, tiling_equality_error)
 
 
 class DegenerateTriangleError(GeometryError):
@@ -372,6 +372,43 @@ def reference_sph_stars(P):
         cycles.append(neighbors)
         wedge_face += after
     return VertexStars.stacked(range(P.n_vertices), cycles, wedge_face=wedge_face)
+
+
+def assemble_tiling(star, side, poles, points, white, black, edges, decks=(np.eye(3),) * 3,
+                    ambient="sphere"):
+    """The tiling of projected faces given as lists and dicts: the pipeline
+    that `tilings.project` and `fuchsian.ads_project` replaced by corner
+    arrays, the oracle of both.
+
+    A corner (f, v) is the vertex points[v] of the face with pole poles[f]
+    on the star quadric `star`; each corner is projected once, by the
+    `side` projection (`project_points`) onto the surface `star.plane`, and
+    the tiling has the other handedness.
+    white, black : per face, (its corners in cyclic order, links)
+    edges        : per true edge from v to s between the faces fa and fb,
+                   ((v, s, fa, fb), segments).  The segments are those of
+                   the white faces of fa and fb and the black faces at v
+                   and s, each (face, k, k'): the corners at v and s
+                   (white) or of fa and fb (black).
+    decks        : the deck tags of the white corners (Nw, 3, 3), the black
+                   corners (Nb, 3, 3) and the segments (E, 4, 3, 3); the
+                   identity by default.  A quotient's tiling writes them all.
+    The projected corners are assembled by `tilings.assemble_corners`.
+    """
+    quads = [((fa, v), (fa, s), (fb, v), (fb, s)) for (v, s, fa, fb), _ in edges]
+    keys = [c for cyc, _ in white + black for c in cyc] + [c for q in quads for c in q]
+    row = {c: r for r, c in enumerate(dict.fromkeys(keys))}
+    img = project_points(np.array([poles[f] for f, _ in row]),
+                         points[[v for _, v in row]], side, star)
+    tagged = ambient != "sphere"
+    faces = {color: (img[[row[c] for cyc, _ in fs for c in cyc]],
+                     np.array([len(cyc) for cyc, _ in fs]),
+                     [l for _, links in fs for l in links], tags, tagged, tagged)
+             for color, fs, tags in ((WHITE, white, decks[0]), (BLACK, black, decks[1]))}
+    E = len(edges)
+    quad = img[np.array([[row[c] for c in q] for q in quads], dtype=int).reshape(E, 4).T]
+    segments = np.array([segs for _, segs in edges], dtype=int).reshape(E, 4, 3)
+    return assemble_corners(star, side, faces, quad, segments, decks[2], tagged, ambient)
 
 
 def reference_project(P, side):
@@ -739,6 +776,91 @@ def reference_ads_layout(surf):
     return poles, surf.points4, white, black, edges, decks, ambient
 
 
+def dict_ads_layout(surf):
+    """The quotient layout of the projections of a Fuchsian surface as the
+    arguments of `assemble_tiling`, keyed by face and vertex in dicts: the
+    layout that the array-at-a-time `fuchsian._ads_layout` replaced, the
+    oracle of `fuchsian.ads_project`.  It reads the same face orbits and
+    decks (`_face_orbits`, `_face_decks`) and looks every corner up by
+    (face, vertex) key."""
+    n = surf.n
+    faces = _wedge_faces(surf)
+    # each face orbit is represented by its first encountered copy
+    groups, orbit, reps = _face_orbits(surf, faces)
+    decks, _, moved = _face_decks(surf, groups, orbit, reps)
+    to_rep = [[u for u in row if u >= 0] for row in moved.tolist()]
+    rep_faces = [faces[p] for p in reps.tolist()]
+    cycles = surf.face_cycles(rep_faces)
+    corners = [{v: k for k, v in enumerate(cyc)} for cyc in cycles]
+    orbit_of = dict(zip(faces, orbit.tolist()))
+    index_of = {fi: i for i, fi in enumerate(faces)}
+    # per face, the corner of the white polygon of its orbit that its deck
+    # moves onto each of its vertices
+    corner_of = {}
+    for at, rows, _, _ in groups:
+        for p, ids in zip(at.tolist(), rows.tolist()):
+            corner = corners[orbit[p]]
+            corner_of[faces[p]] = {u: corner[r] for u, r in zip(ids, to_rep[p])}
+
+    # white faces: projections of the representative copies
+    white = [([(fi, v) for v in cyc], tuple(surf.base_of(v) for v in cyc))
+             for fi, cyc in zip(rep_faces, cycles)]
+
+    # black faces: projected links at the fundamental vertices; a link
+    # corner is known by the orbit of its face and the white corner at vid
+    black, black_rows = [], []
+    black_corner = []
+    for vid in range(n):
+        seq = _link_faces(surf.stars, vid)
+        black.append(([(fi, vid) for fi in seq], tuple(orbit_of[fi] for fi in seq)))
+        black_rows += [index_of[fi] for fi in seq]
+        black_corner.append(
+            {(orbit_of[fi], corner_of[fi][vid]): k for k, fi in enumerate(seq)}
+        )
+
+    # one tiling edge per true-edge orbit met at a fundamental vertex: the
+    # first star row of each orbit key min((b_v, b_s, id(g_v^-1 g_s)),
+    # (b_s, b_v, id(g_s^-1 g_v))), the keys encoded as integers
+    stars = surf.stars
+    star, _, prv = _star_rows(stars.offsets)
+    true = np.flatnonzero(stars.true_edge)
+    vertex = stars.vertex[star]
+    (ev, bv), (es, bs) = np.divmod(vertex[true], n), np.divmod(stars.neighbors[true], n)
+    size = len(surf.ball.mats)
+    rel = surf.ball.relative_ids(np.stack([ev, es]), np.stack([es, ev]))
+    key = np.minimum((bv * n + bs) * size + rel[0], (bs * n + bv) * size + rel[1])
+    first_row = {}
+    for row, k in zip(true.tolist(), key.tolist()):
+        first_row.setdefault(k, row)
+    slots = np.array(sorted(first_row.values()), dtype=np.intp)
+
+    edges, edge_rows = [], []
+    for vid, s, fa, fb in zip(vertex[slots].tolist(), stars.neighbors[slots].tolist(),
+                              stars.wedge_face[prv[slots]].tolist(),
+                              stars.wedge_face[slots].tolist()):
+        if fa == fb:
+            raise GeometryError("true edge inside a single face")
+        segments = [(orbit_of[fi], corner_of[fi][vid], corner_of[fi][s]) for fi in (fa, fb)]
+        # black segments: at vid (deck identity) and at s (deck of its orbit)
+        for vtx in (vid, s):
+            b = surf.base_of(vtx)
+            ka = black_corner[b].get((orbit_of[fa], corner_of[fa][vtx]))
+            kb = black_corner[b].get((orbit_of[fb], corner_of[fb][vtx]))
+            if ka is None or kb is None:
+                raise GeometryError("edge face missing from the vertex link")
+            segments.append((b, ka, kb))
+        edges.append(((vid, s, fa, fb), segments))
+        edge_rows.append((index_of[fa], index_of[fb], vid // n, s // n))
+
+    # the segment decks: the face decks of fa and fb, the elements of v and s
+    rows = np.array(edge_rows, dtype=np.intp).reshape(-1, 4)
+    decks = (surf.elements[[v // n for cyc in cycles for v in cyc]], decks[black_rows],
+             np.concatenate([decks[rows[:, :2]], surf.elements[rows[:, 2:]]], axis=1))
+    poles = dict(zip(faces, surf.poles[faces]))
+    ambient = HyperbolicAmbient(surf.group, surf.config.rays)
+    return poles, surf.points4, white, black, edges, decks, ambient
+
+
 # -- heights of a hyperbolic tiling --------------------------------------------------
 
 
@@ -801,12 +923,12 @@ def reference_flip_hyperbolic(T):
 
     The Fuchsian surface is rebuilt as the certified orbit hull at the
     heights `recover_heights` reads off the white metric; its quotient
-    layout (`_ads_layout`) is assembled once on the side of T, to check T
-    against it at 1e-7, and once on the other side as the flip.
+    layout (`dict_ads_layout`) is assembled once on the side of T, to check
+    T against it at 1e-7, and once on the other side as the flip.
     """
     amb = T.ambient
     surf = orbit_hull(_config_on_checked_rays(amb.group, amb.rays, recover_heights(T)))
-    layout = _ads_layout(surf)
+    layout = dict_ads_layout(surf)
     same = assemble_tiling(ADS_STAR, T.handedness.other, *layout)
     err = tiling_equality_error(T, same)
     if err > 1e-7:

@@ -1,5 +1,6 @@
 """Genus-2 group, orbit hulls, Jacobian, solver, dual, projections."""
 
+import dataclasses
 import json
 import math
 import os
@@ -16,7 +17,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 from scipy.spatial import QhullError
 
-from conftest import edge_lengths
+from conftest import edge_lengths, random_polyhedron
 from flipkit import fuchsian
 from flipkit import io as fio
 from flipkit.cli import main
@@ -47,13 +48,15 @@ from flipkit.fuchsian import (
     _truncated_hull,
 )
 from flipkit.spheremath import ADS_STAR, SPHERE_STAR, HyperbolicOps
-from flipkit.tilings import (WHITE, FlippableTiling, Side, flip, tiling_equality_error,
-                             validate_tiling)
+from flipkit.tilings import (WHITE, FlippableTiling, Side, flip, project,
+                             tiling_equality_error, validate_tiling)
 from reference_geometry import (
     ConvexityClass,
     Signature,
+    assemble_tiling,
     cone_angles_fixed_combinatorics,
     cyclic_face_order,
+    dict_ads_layout,
     face_records,
     faces_table,
     form,
@@ -64,6 +67,7 @@ from reference_geometry import (
     reference_build_star,
     reference_cone_angle,
     reference_flip_hyperbolic,
+    reference_project,
     star_records,
     tiling_faces,
     wedge_convexity,
@@ -572,13 +576,57 @@ def assert_same_bits(a, b):
 
 
 def assert_layout_matches_oracle(cfg):
-    """The array-at-a-time layout of the hull of cfg equals the face by face
-    one bit for bit; each reads a hull of its own, so neither sees the face
-    orders the other computed."""
-    *layout, ambient = fuchsian._ads_layout(orbit_hull(cfg))
+    """The dict-keyed layout of the hull of cfg, on the face orbits and
+    decks of the library, equals the face by face one bit for bit; each
+    reads a hull of its own, so neither sees the face orders the other
+    computed."""
+    *layout, ambient = dict_ads_layout(orbit_hull(cfg))
     *oracle, oracle_ambient = reference_ads_layout(orbit_hull(cfg))
     assert_same_bits(layout, oracle)
     assert ambient.group is oracle_ambient.group and ambient.rays is oracle_ambient.rays
+
+
+def outcome(call):
+    """What a call returns, or the type and message of what it raises."""
+    try:
+        return call()
+    except Exception as exc:  # noqa: BLE001 - any raise must be matched
+        return type(exc), str(exc)
+
+
+def assert_same_tiling(a, b):
+    """a and b are tilings with the same bits in every face and edge column,
+    deck and flag, or the same raise."""
+    assert type(a) is type(b)
+    if type(a) is tuple:
+        assert a == b
+        return
+    assert a.handedness is b.handedness and type(a.ambient) is type(b.ambient)
+    for x, y in ((a.black, b.black), (a.white, b.white), (a.edges, b.edges)):
+        for field in dataclasses.fields(x):
+            assert_same_bits(getattr(x, field.name), getattr(y, field.name))
+
+
+@settings(max_examples=12)
+@given(surface=st.booleans(), n=st.integers(1, 3), level=st.floats(0.55, 0.95),
+       offsets=st.lists(st.floats(-0.08, 0.08), min_size=3, max_size=3),
+       vertices=st.integers(6, 14), seed=st.integers(0, 2 ** 32 - 1))
+def test_projections_match_the_list_pipeline(group, surface, n, level, offsets, vertices,
+                                             seed):
+    # the corner arrays of both projections against the list pipeline: a
+    # Fuchsian surface laid out by the dict-keyed layout, a polyhedron by
+    # its walked cycles
+    if surface:
+        surf = orbit_hull(config(group, SEED_RAYS[n], heights=level + np.array(offsets[:n])))
+        pairs = [(lambda side=side: ads_project(surf, side),
+                  lambda side=side: assemble_tiling(ADS_STAR, side, *dict_ads_layout(surf)))
+                 for side in Side]
+    else:
+        P = random_polyhedron(np.random.default_rng(seed), vertices)
+        pairs = [(lambda side=side: project(P, side),
+                  lambda side=side: reference_project(P, side)) for side in Side]
+    for new, old in pairs:
+        assert_same_tiling(outcome(new), outcome(old))
 
 
 @settings(max_examples=20)
