@@ -7,6 +7,7 @@ round-trips exactly.
 """
 
 import functools
+import itertools
 import json
 
 import numpy as np
@@ -52,23 +53,43 @@ def _render(o):
 
 
 def _list(o):
-    """A list of plain floats (a vertex row, say) is one join; a list of
-    plain dicts with one set of str keys (faces, edges, segments) sorts
-    and quotes the keys once."""
-    first = type(o[0]) if o else float
-    if first is float and all(type(x) is float for x in o):
-        return "[" + _float_text(o) + "]"
-    if first is dict:
-        keys = o[0].keys()
-        if (all(type(d) is dict and d.keys() == keys for d in o)
-                and all(type(k) is str for k in keys)):
+    """A list or tuple, its items rendered as one column (`_column`); after
+    any failure there, item by item, so that the error raised is the first
+    in document order."""
+    try:
+        return "[" + ",".join(_column(o)) + "]"
+    except Exception:
+        return "[" + ",".join(map(_render, o)) + "]"
+
+
+def _column(values):
+    """The text of each of `values`.  Values of one plain type take one
+    `map`, floats refused when one is not finite; lists are flattened into
+    one column and regrouped; plain dicts with one set of str keys (faces,
+    edges, segments) take one column per key and one `%` template per dict.
+    Any other column is rendered value by value."""
+    kinds = set(map(type, values))
+    kind = kinds.pop() if len(kinds) == 1 else None
+    if kind is float:
+        texts = list(map(_F17, values))
+        if "n" in "".join(texts):  # of the 17-digit forms, only "nan" and "inf" spell an n
+            raise SchemaError("non-finite number in output")
+        return texts
+    if kind in _PLAIN_TEXT:
+        return list(map(_PLAIN_TEXT[kind], values))
+    if kind is list or kind is tuple:
+        flat = iter(_column(list(itertools.chain.from_iterable(values))))
+        return ["[" + ",".join(itertools.islice(flat, k)) + "]" for k in map(len, values)]
+    if kind is dict:
+        keys = values[0].keys()
+        if all(d.keys() == keys for d in values) and all(type(k) is str for k in keys):
             keys = sorted(keys)
-            heads = [_json_str(k) + ":" for k in keys]
-            return "[" + ",".join(
-                "{" + ",".join([h + _EXACT.get(type(v), _render)(v)
-                                for h, v in zip(heads, map(d.__getitem__, keys))]) + "}"
-                for d in o) + "]"
-    return "[" + ",".join(map(_render, o)) + "]"
+            if not keys:
+                return ["{}"] * len(values)
+            template = "{" + ",".join(_json_str(k).replace("%", "%%") + ":%s" for k in keys) + "}"
+            columns = [_column([d[k] for d in values]) for k in keys]
+            return list(map(template.__mod__, zip(*columns)))
+    return list(map(_render, values))
 
 
 def _float(x):
@@ -84,20 +105,12 @@ def _dict(o):
         for k, v in sorted(o.items())) + "}"
 
 
-_EXACT = {list: _list, tuple: _list, dict: _dict, str: _json_str, int: str,
-          float: _float, bool: lambda b: "true" if b else "false",
-          type(None): lambda _: "null"}
+_PLAIN_TEXT = {str: _json_str, int: str, bool: {True: "true", False: "false"}.__getitem__,
+               type(None): lambda _: "null"}
+_EXACT = {list: _list, tuple: _list, dict: _dict, float: _float, **_PLAIN_TEXT}
 # the plain value a subclass or numpy value is rendered as, in order of test
 _PLAIN = ((dict, dict), ((list, tuple), list), ((int, np.integer), int),
           ((float, np.floating), float), (str, str), (np.ndarray, np.ndarray.tolist))
-
-
-def _float_text(xs):
-    """Comma-joined plain floats, refused when one is not finite."""
-    text = ",".join(map(_F17, xs))
-    if "n" in text:  # of the 17-digit forms, only "nan" and "inf" spell an n
-        raise SchemaError("non-finite number in output")
-    return text
 
 
 def _require_keys(data, required, optional=(), what="object"):
