@@ -126,15 +126,56 @@ class DictSubclass(dict):
     pass
 
 
+# a column of one plain type, floats drawn from a small pool so that they
+# repeat and both zeros meet
+plain_columns = st.sampled_from([
+    st.sampled_from([0.0, -0.0, 0.1, -2.5, 1e-300, 0.1 + 0.2]),
+    st.integers(-10 ** 20, 10 ** 20),
+    st.booleans(),
+    st.none(),
+    st.text(max_size=3),
+])
+# values that cannot be written: non-finite numbers, and objects of no
+# JSON type
+non_finite = st.sampled_from([math.nan, math.inf, -math.inf, np.float64("-inf")])
+unserializable = st.sampled_from([{1, 2}, np.bool_(True), b"x"])
+
+
 @st.composite
 def records(draw, values):
     """A list of dicts with one set of str keys (as the faces, edges and
     segments of a tiling), or a near miss of one: a member with an extra or
-    a missing key, a dict subclass, or number keys."""
+    a missing key, a dict subclass, or number keys.
+
+    Each key's column holds values of one plain type, any mix of `values`
+    (numpy scalars among them), or lists of nested records of unequal
+    lengths, empty ones among them.  One row may then take a non-finite
+    number and another row a value that cannot be written, so that the two
+    errors race: the first in document order must be raised."""
     keys = draw(st.lists(st.text(max_size=4), max_size=4, unique=True))
-    rows = [{k: draw(values) for k in keys} for _ in range(draw(st.integers(1, 4)))]
+    rows = [{} for _ in range(draw(st.integers(1, 5)))]
+    for k in keys:
+        kind = draw(st.sampled_from(["plain", "mixed", "nested"]))
+        if kind == "plain":
+            leaf = draw(plain_columns)
+            column = [draw(leaf) for _ in rows]
+        elif kind == "mixed":
+            column = [draw(values) for _ in rows]
+        else:
+            inner = draw(st.lists(st.text(max_size=3), min_size=1, max_size=3, unique=True))
+            leaf = draw(plain_columns)
+            column = [[{j: draw(leaf) for j in inner} for _ in range(draw(st.integers(0, 3)))]
+                      for _ in rows]
+        for row, value in zip(rows, column):
+            row[k] = value
+    if keys and len(rows) > 1 and draw(st.sampled_from([False, True, True])):
+        # in the first and the last column: when the later row holds the
+        # first column's error, column order and document order disagree
+        bad, worse = draw(st.permutations(range(len(rows))))[:2]
+        rows[bad][min(keys)] = draw(non_finite)
+        rows[worse][max(keys)] = draw(unserializable)
     i = draw(st.integers(0, len(rows) - 1))
-    miss = draw(st.sampled_from(["none", "none", "extra", "missing", "subclass", "numbers"]))
+    miss = draw(st.sampled_from(["none"] * 4 + ["extra", "missing", "subclass", "numbers"]))
     if miss == "extra":
         rows[i]["extra"] = draw(values)  # 5 characters: no drawn key
     elif miss == "missing" and keys:
@@ -160,7 +201,7 @@ json_values = st.recursive(
 
 
 @settings(max_examples=100)
-@given(obj=json_values)
+@given(obj=st.one_of(json_values, records(json_values)))  # records at the top, too
 def test_canonical_json_matches_reference(obj):
     assert outcome(fio.canonical_json, obj) == outcome(reference_canonical_json, obj)
 
