@@ -67,8 +67,12 @@ The projections lay out the quotient bookkeeping of a surface (`_ads_layout`:
 face orbits, the decks carrying each face copy onto its orbit's
 representative, link corners and edge orbits) array-at-a-time from the
 face arrays: the orbit labels of all faces from one gather of the relative
-table, the decks from one batched `inv`, the orders of the representative
-faces from one SVD per face size and the edge orbits in one pass.
+table, the decks from the inverses the ball keeps, the orders of the
+representative faces from one SVD per face size, the edge orbits in one
+pass and the corner of every face copy in its representative from one
+gather.  `ads_project` projects each (face, vertex) incidence of the
+layout once and assembles the tiling by `tilings.assemble_corners`, the
+assembly of the spherical projection and of the hyperbolic flip.
 
 The flip of a quotient tiling builds no orbit hull (`flip_hyperbolic`): it
 develops the Fuchsian surface from the tiling's own tables at the heights
@@ -206,6 +210,12 @@ class ElementBall:
         if i < 0:
             raise GeometryError("matrix is not an element of the ball")
         return i
+
+    @cached_property
+    def inverses(self):
+        """The inverse of each element, from one batched `inv`: the same bits
+        as an `inv` of any of them alone."""
+        return np.linalg.inv(self.mats)
 
     def relative_ids(self, i, j):
         """The ids rel[i, j] of g_i^-1 g_j, entry by entry over the
@@ -1505,7 +1515,7 @@ def _face_decks(surf, groups, orbit, reps):
 
     u0 is the least vertex of the face and w the first vertex of the
     representative, by id, on the ray of u0 whose sorted labels equal those
-    of the face at u0.  The decks come from one batched `inv`.
+    of the face at u0.  The inverses are those the ball keeps.
     """
     n, m = surf.n, len(orbit)
     local, u0, w = (np.empty(m, dtype=np.intp) for _ in range(3))
@@ -1514,8 +1524,8 @@ def _face_decks(surf, groups, orbit, reps):
         local[at] = np.arange(len(at))
         rep = local[reps[orbit[at]]]
         ray = rows % n
-        fits = (ray[rep] == ray[:, :1]) & np.all(ordered[rep] == ordered[:, :1], axis=2)
-        if not np.all(np.any(fits, axis=1)):
+        fits = (ray[rep] == ray[:, :1]) & (ordered[rep] == ordered[:, :1]).all(axis=2)
+        if not fits.any(axis=1).all():
             raise GeometryError("face deck transformation not found")
         i = np.argmax(fits, axis=1)
         # vertex j of the face has the label, seen from u0, that vertex
@@ -1523,7 +1533,7 @@ def _face_decks(surf, groups, orbit, reps):
         pos = np.argmax(labels[:, 0, :, None] == labels[rep, i][:, None, :], axis=2)
         u0[at], w[at] = rows[:, 0], rows[rep, i]
         ids[at, :rows.shape[1]], moved[at, :rows.shape[1]] = rows, rows[rep[:, None], pos]
-    decks = surf.elements[u0 // n] @ np.linalg.inv(surf.elements[w // n])
+    decks = surf.elements[u0 // n] @ surf.ball.inverses[w // n]
     return decks, ids, moved
 
 
@@ -1535,22 +1545,28 @@ def _find(rows, x):
 def _ads_layout(surf):
     """The quotient bookkeeping of the projections of a Fuchsian surface,
     read from its face orbits, decks (rows of the face decks and the
-    vertices' elements) and edge orbits.
+    vertices' elements) and edge orbits, as arrays.
 
-    Returns the (face, vertex) incidences to project, as two arrays: the
-    white corners (the representative copy of each face orbit, in cyclic
-    order, one face after another), the black corners (the projected links
-    at the fundamental vertices) and the corners (fa, v), (fa, s), (fb, v),
-    (fb, s) of the E tiling edges, each of these four E rows in a block;
-    per color the sizes and links of the faces; the (E, 4, 3) segments of
-    `tilings.assemble_corners`; and the deck tags of the white corners,
-    the black corners and the segments.
+    Returns:
+    incidences : the (face, vertex) pairs to project, as two arrays: the
+                 white corners (the representative copy of each face orbit
+                 in cyclic order, face after face), the black corners (the
+                 links at the fundamental vertices, link after link) and
+                 the corners (fa, v), (fa, s), (fb, v), (fb, s) of the E
+                 tiling edges, each of these four in a block of E rows
+    colors     : per color, the sizes and the links of its faces
+    segments   : (E, 4, 3) the segments of `tilings.assemble_corners`
+    decks      : the deck tags of the white corners, the black corners and
+                 the segments
 
     It is built array-at-a-time from the face arrays: the face orbits from
-    one gather of the relative table (`_face_orbits`), the decks from one
-    batched `inv` (`_face_decks`), the orders of the representative faces
-    from one SVD per face size (`face_cycles`), the edge orbits in one pass
-    and every corner of a face copy in its representative from one gather.
+    one gather of the relative table (`_face_orbits`), the decks from the
+    inverses the ball keeps (`_face_decks`), the orders of the
+    representative faces from one SVD per face size (`face_cycles`), the
+    edge orbits in one pass, and the white corner of every black corner
+    and edge corner from one gather: an edge corner (f, u) is the corner of
+    the black face at u that has the face orbit and the white corner of f
+    at u.
     """
     n, stars = surf.n, surf.stars
     faces = np.array(_wedge_faces(surf), dtype=np.intp)
@@ -1561,9 +1577,10 @@ def _ads_layout(surf):
     index[faces] = np.arange(len(faces))
     # white faces: the representative copies in cyclic order; black faces:
     # the links at the fundamental vertices; both as padded rows
-    cycles = surf.face_cycles(faces[reps].tolist())
-    links = [_link_faces(stars, vid) for vid in range(n)]
-    (ring, w_sizes), (link, b_sizes) = _padded(cycles), _padded(links)
+    ring, link = (np.array(list(itertools.zip_longest(*rows, fillvalue=-1)), dtype=np.intp).T
+                  for rows in (surf.face_cycles(faces[reps].tolist()),
+                               [_link_faces(stars, vid) for vid in range(n)]))
+    w_sizes, b_sizes = (ring >= 0).sum(axis=1), (link >= 0).sum(axis=1)
     w_vertex, b_face = ring[ring >= 0], link[link >= 0]
     nb = len(b_face)
 
@@ -1576,28 +1593,31 @@ def _ads_layout(surf):
     size = len(surf.ball.mats)
     rel = surf.ball.relative_ids(np.stack([ev, es]), np.stack([es, ev]))
     key = np.minimum((bv * n + bs) * size + rel[0], (bs * n + bv) * size + rel[1])
-    slots = np.sort(true[np.unique(key, return_index=True)[1]])
+    first = np.unique(key, return_index=True)[1]
+    first.sort()
+    slots = true[first]
     v, s = stars.vertex[star[slots]], stars.neighbors[slots]
     fa, fb = stars.wedge_face[prv[slots]], stars.wedge_face[slots]
 
     # the black corners and the edges' corners (fa, v), (fa, s), (fb, v),
-    # (fb, s) in their representative copies: the orbit of the face and the
-    # corner of its white polygon there
+    # (fb, s), each labelled by its face orbit o and the corner c of the
+    # white polygon of o that its deck moves onto it, as o * width + c
     face = np.concatenate([b_face, fa, fa, fb, fb])
     vertex = np.concatenate([np.repeat(np.arange(n), b_sizes), v, s, v, s])
     at = index[face]
     o = orbit[at]
-    corner = o * ring.shape[1] + _find(ring[o], moved[at, _find(ids[at], vertex)])
-    # each edge corner in the black face at its vertex
-    link[link >= 0] = corner[:nb]
-    hit = link[vertex[nb:] % n] == corner[nb:, None]
+    label = o * ring.shape[1] + _find(ring[o], moved[at, _find(ids[at], vertex)])
+    # each edge corner in the black face at its vertex: the corner there
+    # with its label (the rows of `link` now hold the labels)
+    link[link >= 0] = label[:nb]
+    hit = link[vertex[nb:] % n] == label[nb:, None]
     bad = (fa == fb) | ~hit.any(axis=1).reshape(4, -1).all(axis=0)
     if bad.any():
         e = int(np.argmax(bad))
         raise GeometryError("true edge inside a single face" if fa[e] == fb[e]
                             else "edge face missing from the vertex link")
     (oa, _, ob, _), (ca_v, ca_s, cb_v, cb_s), (ka_v, ka_s, kb_v, kb_s), (pa, _, pb, _) = (
-        x.reshape(4, -1) for x in (o[nb:], corner[nb:] % ring.shape[1],
+        x.reshape(4, -1) for x in (o[nb:], label[nb:] % ring.shape[1],
                                    np.argmax(hit, axis=1), at[nb:]))
     segments = np.array([oa, ca_v, ca_s, ob, cb_v, cb_s, v % n, ka_v, kb_v, s % n, ka_s, kb_s]
                         ).T.reshape(-1, 4, 3)
@@ -1610,14 +1630,6 @@ def _ads_layout(surf):
                   np.concatenate([w_vertex, vertex]))
     return (incidences, {WHITE: (w_sizes, w_vertex % n), BLACK: (b_sizes, o[:nb])}, segments,
             decks)
-
-
-def _padded(rows):
-    """Lists of ids as the rows of one array padded with -1, and their lengths."""
-    sizes = [len(r) for r in rows]
-    width = max(sizes)
-    return (np.array([r + [-1] * (width - k) for r, k in zip(rows, sizes)], dtype=np.intp),
-            np.array(sizes, dtype=np.intp))
 
 
 def ads_project(surf, side):

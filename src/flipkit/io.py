@@ -65,9 +65,9 @@ def _list(o):
 def _column(values):
     """The text of each of `values`.  Values of one plain type take one
     `map`, floats refused when one is not finite; lists are flattened into
-    one column and regrouped; plain dicts with one set of str keys (faces,
-    edges, segments) take one column per key and one `%` template per dict.
-    Any other column is rendered value by value."""
+    one column and regrouped; plain dicts with one nonempty set of str keys
+    (faces, edges, segments) take one column per key and one `%` template
+    per dict.  Any other column is rendered value by value."""
     kinds = set(map(type, values))
     kind = kinds.pop() if len(kinds) == 1 else None
     if kind is float:
@@ -82,21 +82,12 @@ def _column(values):
         return ["[" + ",".join(itertools.islice(flat, k)) + "]" for k in map(len, values)]
     if kind is dict:
         keys = values[0].keys()
-        if all(d.keys() == keys for d in values) and all(type(k) is str for k in keys):
+        if keys and all(d.keys() == keys for d in values) and all(type(k) is str for k in keys):
             keys = sorted(keys)
-            if not keys:
-                return ["{}"] * len(values)
             template = "{" + ",".join(_json_str(k).replace("%", "%%") + ":%s" for k in keys) + "}"
             columns = [_column([d[k] for d in values]) for k in keys]
             return list(map(template.__mod__, zip(*columns)))
     return list(map(_render, values))
-
-
-def _float(x):
-    text = _F17(x)
-    if "n" in text:  # of the 17-digit forms, only "nan" and "inf" spell an n
-        raise SchemaError("non-finite number in output")
-    return text
 
 
 def _dict(o):
@@ -107,7 +98,7 @@ def _dict(o):
 
 _PLAIN_TEXT = {str: _json_str, int: str, bool: {True: "true", False: "false"}.__getitem__,
                type(None): lambda _: "null"}
-_EXACT = {list: _list, tuple: _list, dict: _dict, float: _float, **_PLAIN_TEXT}
+_EXACT = {list: _list, tuple: _list, dict: _dict, float: lambda x: _column([x])[0], **_PLAIN_TEXT}
 # the plain value a subclass or numpy value is rendered as, in order of test
 _PLAIN = ((dict, dict), ((list, tuple), list), ((int, np.integer), int),
           ((float, np.floating), float), (str, str), (np.ndarray, np.ndarray.tolist))
@@ -194,15 +185,18 @@ def _vertex_table(T):
     if not len(T.black) + len(T.white):
         return [], {}
     V = np.concatenate([T.black.vertices, T.white.vertices])
-    _, first, inverse = np.unique(np.round(V / VERTEX_GRID).astype(np.int64), axis=0,
-                                  return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    ids = rank[inverse.reshape(-1)].tolist()
+    grid = np.round(V / VERTEX_GRID).astype(np.int64)
+    # the corners by grid point in a stable sort: each run is one vertex,
+    # first seen at the head of its run
+    order = np.lexsort(grid.T)
+    head = np.concatenate([[True], (grid[order[1:]] != grid[order[:-1]]).any(axis=1)])
+    first = order[head]
+    ids = np.empty(len(V), dtype=np.intp)
+    ids[order] = np.argsort(np.argsort(first))[np.cumsum(head) - 1]
+    ids = ids.tolist()
     offsets = np.concatenate([T.black.offsets, T.white.offsets[1:] + len(T.black.links)]).tolist()
     keys = [(c, i) for c in (BLACK, WHITE) for i in range(len(T.faces(c)))]
-    return V[first[order]].tolist(), {k: ids[a:b] for k, a, b in zip(keys, offsets, offsets[1:])}
+    return V[np.sort(first)].tolist(), {k: ids[a:b] for k, a, b in zip(keys, offsets, offsets[1:])}
 
 
 def _tag_list(decks, tagged):

@@ -15,12 +15,13 @@ metrics, and develop the white polyhedron back.  The edge clauses are
 one ordered list (`_edge_clauses`, then `_handedness_clauses`):
 assembly raises the first that fails, `validate_tiling` lists them all.
 
-One pipeline (`assemble_tiling`) projects a spherical polyhedron and a
-Fuchsian AdS surface alike; the quotient projection `ads_project` adds
-only the bookkeeping of face orbits and deck transformations.  Its corner
-assembly (`assemble_corners`) also builds the hyperbolic flip from the
-corners of a developed surface.  A
-hyperbolic tiling carries its quotient as `ambient`, which also flips it,
+One corner assembly (`assemble_corners`) builds every tiling from its
+projected corners: `project` reads the corners of a spherical polyhedron
+off its corner table, the quotient projection `ads_project` off the face
+orbits and deck transformations of a Fuchsian AdS surface, and the
+hyperbolic flip off a developed surface; each reads them through index
+arrays and projects every (face, vertex) incidence once.  A hyperbolic
+tiling carries its quotient as `ambient`, which also flips it,
 so this module never imports the Fuchsian one.
 """
 
@@ -288,30 +289,27 @@ def _raise_first(clauses):
 
 
 def _first_last(m):
-    """Per row of an (E, 4) mask, its first and its last marked column: the
+    """Per row of (..., 4) masks, its first and its last marked column: the
     row's pair when it marks two."""
-    return np.argmax(m, axis=1), 3 - np.argmax(m[:, ::-1], axis=1)
+    return np.argmax(m, axis=-1), 3 - np.argmax(m[..., ::-1], axis=-1)
 
 
 def _pair_diff(values, m):
-    """|a - b| over the pair each row of the mask m marks."""
-    rows, (first, last) = np.arange(len(m)), _first_last(m)
+    """|a - b| over the pair each row of the (k, E, 4) masks m marks."""
+    rows, (first, last) = np.arange(m.shape[1]), _first_last(m)
     return np.abs(values[rows, first] - values[rows, last])
 
 
 def _side_pairs(left, black, t0):
     """Per edge and side (left, right): whether that side holds one black
     and one white segment, and its two segments in order of t0 (a stable
-    sort, so a tie keeps segment order)."""
+    sort, so a tie keeps segment order); both sides in one pass."""
+    m = np.stack([left, ~left])
+    first, second = _first_last(m)
     rows = np.arange(len(t0))
-    ok, lo, hi = [], [], []
-    for m in (left, ~left):
-        first, second = _first_last(m)
-        swap = t0[rows, second] < t0[rows, first]
-        ok.append((m.sum(axis=1) == 2) & ((m & black).sum(axis=1) == 1))
-        lo.append(np.where(swap, second, first))
-        hi.append(np.where(swap, first, second))
-    return np.stack(ok, 1), np.stack(lo, 1), np.stack(hi, 1)
+    swap = t0[rows, second] < t0[rows, first]
+    ok = (m.sum(axis=2) == 2) & ((m & black).sum(axis=2) == 1)
+    return ok.T, np.where(swap, second, first).T, np.where(swap, first, second).T
 
 
 def _edge_clauses(left, black, t0, t1, t_min, t_max, tol):
@@ -328,7 +326,7 @@ def _edge_clauses(left, black, t0, t1, t_min, t_max, tol):
         cover = ((np.abs(t0[at, lo] - t_min[:, None]) > tol)
                  | (np.abs(t1[at, hi] - t_max[:, None]) > tol))
         length = t1 - t0
-        unequal = [_pair_diff(length, m) > tol for m in (black, ~black)]
+        unequal = _pair_diff(length, np.stack([black, ~black])) > tol
     clauses = [clause for j, side in enumerate(("left", "right")) for clause in (
         (~pair_ok[:, j], lambda e, side=side: f"edge {e}: side {side} lacks black+white pair"),
         (pair_ok[:, j] & abut[:, j], lambda e: f"edge {e}: segments do not abut"),
@@ -395,7 +393,7 @@ def _assert_handedness(T):
     _raise_first(_handedness_clauses(T))
 
 
-# -- projection: one pipeline for S^3 and AdS_3 --------------------------------
+# -- projection: one corner assembly for S^3 and AdS_3 --------------------------
 
 
 def project_points(poles, points, side, star):
@@ -424,8 +422,8 @@ SLOT_COLORS = (WHITE, WHITE, BLACK, BLACK)
 
 def assemble_corners(star, side, faces, quad, segments, decks, tagged, ambient="sphere"):
     """The tiling of corners projected by the `side` projection onto the
-    surface `star.plane`: the geometry of `assemble_tiling`, which the
-    hyperbolic flip reaches with corners of its own.
+    surface `star.plane`, which has the other handedness: the one assembly
+    of `project`, `fuchsian.ads_project` and the hyperbolic flip.
 
     faces    : per color, (corners (N, 3) in cyclic order face after face,
                sizes, links, deck tags and tagged flags per corner, decked

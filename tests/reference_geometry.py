@@ -30,7 +30,12 @@ are checked against:
   `polyhedra.cyclic_orders`, and the
   quotient layout of its projections one face at a time: face orbit keys,
   decks and edge orbit keys from per-face label lists, the oracle of the
-  array-at-a-time `fuchsian._ads_layout`;
+  dict-keyed layout below;
+- the projection pipeline of lists and dicts (`assemble_tiling`) and the
+  quotient layout of a Fuchsian surface keyed by face and vertex
+  (`dict_ads_layout`, on the library's face orbits and decks): what the
+  corner arrays of `tilings.project` and `fuchsian.ads_project` replaced,
+  their oracles;
 - the heights of the Fuchsian surface under a hyperbolic tiling, by
   bounded least squares over scalar residuals: the oracle of
   `fuchsian.recover_heights`, and the one importer of `scipy.optimize`;
