@@ -14,8 +14,7 @@ imports the benchmark):
 - quotient projections: the same draws over all 16 rounds of the
   `quotient-flip` workload at its seed 99; the digest covers the canonical
   JSON of the left projection, of the right projection and of the flip of
-  the left one (QUOTIENT_PROJECT_DIGEST_ALL).  It takes about a second,
-  so CI asserts it in a step of its own, outside the test suite;
+  the left one (QUOTIENT_PROJECT_DIGEST_ALL);
 - sphere cli: the first 9 polyhedra of the seed-20240817 corpus (sizes 6
   to 14, drawn by `random_polyhedron` from one stream), each run through
   the six commands of the workload in a scratch directory with relative
@@ -166,6 +165,10 @@ def test_solver_digest(group, seed):
 @pytest.mark.parametrize("seed", sorted(QUOTIENT_FLIP_DIGESTS))
 def test_quotient_flip_digest(group, seed):
     assert quotient_flip_digest(group, seed) == QUOTIENT_FLIP_DIGESTS[seed]
+
+
+def test_quotient_project_digest(group):
+    assert quotient_project_digest(group) == QUOTIENT_PROJECT_DIGEST_ALL
 
 
 def test_sphere_cli_digest(tmp_path, monkeypatch):
