@@ -1589,7 +1589,7 @@ def _ads_layout(surf):
     # (b_s, b_v, id(g_s^-1 g_v))), the keys encoded as integers
     star, _, prv = _star_rows(stars.offsets)
     true = np.flatnonzero(stars.true_edge)
-    (ev, bv), (es, bs) = np.divmod(stars.vertex[star[true]], n), np.divmod(stars.neighbors[true], n)
+    (ev, bv), (es, bs) = (np.divmod(a[true], n) for a in (stars.vertex[star], stars.neighbors))
     size = len(surf.ball.mats)
     rel = surf.ball.relative_ids(np.stack([ev, es]), np.stack([es, ev]))
     key = np.minimum((bv * n + bs) * size + rel[0], (bs * n + bv) * size + rel[1])
