@@ -513,8 +513,8 @@ def project(P: ConvexPolyhedron, side: Side) -> FlippableTiling:
     at = np.take_along_axis(at, np.argsort(c.vertex[at], axis=-1), axis=-1)
     segments = np.hstack([np.dstack([c.face[c.half], c.position[at]]),
                           np.dstack([c.vertex[at[:, 0]], slot[at].swapaxes(1, 2)])])
-    faces = {WHITE: (img, np.bincount(c.face, minlength=P.n_faces), c.vertex, np.eye(3), False,
-                     False),
+    sizes = np.bincount(c.face, minlength=P.n_faces)
+    faces = {WHITE: (img, sizes, c.vertex, np.eye(3), False, False),
              BLACK: (img[ring], degree, c.face[ring], np.eye(3), False, False)}
     return assemble_corners(SPHERE_STAR, side, faces, img[at.reshape(-1, 4).T], segments,
                             np.eye(3), False)
