@@ -577,13 +577,17 @@ def assert_same_bits(a, b):
 
 def assert_layout_matches_oracle(cfg):
     """The dict-keyed layout of the hull of cfg, on the face orbits and
-    decks of the library, equals the face by face one bit for bit; each
-    reads a hull of its own, so neither sees the face orders the other
-    computed."""
+    decks of the library, equals the face by face one bit for bit, and so
+    do both projections of the library and those of the face by face
+    layout; each reads a hull of its own, so neither sees the face orders
+    the other computed."""
     *layout, ambient = dict_ads_layout(orbit_hull(cfg))
     *oracle, oracle_ambient = reference_ads_layout(orbit_hull(cfg))
     assert_same_bits(layout, oracle)
     assert ambient.group is oracle_ambient.group and ambient.rays is oracle_ambient.rays
+    for side in Side:
+        assert_same_tiling(ads_project(orbit_hull(cfg), side),
+                           assemble_tiling(ADS_STAR, side, *reference_ads_layout(orbit_hull(cfg))))
 
 
 def outcome(call):
