@@ -5,6 +5,7 @@ import math
 import os
 import re
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -212,6 +213,34 @@ def test_canonical_json_refuses_what_the_reference_refuses():
         want = outcome(reference_canonical_json, obj)
         assert want[0] == "SchemaError"
         assert outcome(fio.canonical_json, obj) == want
+
+
+def test_column_path_renders_valid_documents():
+    # the item-by-item fallback writes the same bytes, so only a watch on
+    # the column path shows that it handles a valid document on its own:
+    # no column raises, and no face, edge or segment is rendered alone
+    cfg = fio.fuchsian_config_from_dict(FUCHSIAN_HEIGHTS)
+    T = fuchsian.ads_project(fuchsian.orbit_hull(cfg), Side.LEFT)
+    P = random_polyhedron(np.random.default_rng(5), 10)
+    column, raised = fio._column, []
+
+    def watched(values):
+        try:
+            return column(values)
+        except Exception as exc:
+            raised.append(exc)
+            raise
+
+    for doc in (fio.tiling_to_dict(project(P, Side.LEFT)), fio.tiling_to_dict(T),
+                fio.tiling_to_dict(flip(T)), fio.polyhedron_to_dict(P)):
+        records = [*doc.get("faces", []), *doc.get("edges", [])]
+        records += [s for e in doc.get("edges", []) for s in e["segments"]]
+        with mock.patch.object(fio, "_column", watched), \
+                mock.patch.object(fio, "_render", wraps=fio._render) as render:
+            text = fio.canonical_json(doc)
+        assert not raised and text == reference_canonical_json(doc)
+        alone = {id(call.args[0]) for call in render.call_args_list}
+        assert not alone & set(map(id, records))
 
 
 def reference_vertex_table(T, tol=1e-9):
