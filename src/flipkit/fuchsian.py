@@ -220,13 +220,12 @@ class ElementBall:
     def relative_ids(self, i, j):
         """The ids rel[i, j] of g_i^-1 g_j, entry by entry over the
         broadcast integer arrays i and j; the rows still missing are
-        computed together, from one batched `inv` and one tree query."""
+        computed together, from the kept inverses and one tree query."""
         i = np.asarray(i)
         need = self._slot[i] < 0
         if need.any():
             missing = np.unique(i[need])
-            inv = np.linalg.inv(self.mats[missing])
-            rows = self._ids(inv[:, None] @ self.mats).reshape(len(missing), -1)
+            rows = self._ids(self.inverses[missing][:, None] @ self.mats).reshape(len(missing), -1)
             self._slot[missing] = len(self._table) + np.arange(len(missing))
             self._table = np.concatenate([self._table, rows])
         out = self._table[self._slot[i], j]
@@ -1593,9 +1592,7 @@ def _ads_layout(surf):
     size = len(surf.ball.mats)
     rel = surf.ball.relative_ids(np.stack([ev, es]), np.stack([es, ev]))
     key = np.minimum((bv * n + bs) * size + rel[0], (bs * n + bv) * size + rel[1])
-    first = np.unique(key, return_index=True)[1]
-    first.sort()
-    slots = true[first]
+    slots = true[np.sort(np.unique(key, return_index=True)[1])]
     v, s = stars.vertex[star[slots]], stars.neighbors[slots]
     fa, fb = stars.wedge_face[prv[slots]], stars.wedge_face[slots]
 
