@@ -289,27 +289,30 @@ def _raise_first(clauses):
 
 
 def _first_last(m):
-    """Per row of (..., 4) masks, its first and its last marked column: the
+    """Per row of an (E, 4) mask, its first and its last marked column: the
     row's pair when it marks two."""
-    return np.argmax(m, axis=-1), 3 - np.argmax(m[..., ::-1], axis=-1)
+    return np.argmax(m, axis=1), 3 - np.argmax(m[:, ::-1], axis=1)
 
 
 def _pair_diff(values, m):
-    """|a - b| over the pair each row of the (k, E, 4) masks m marks."""
-    rows, (first, last) = np.arange(m.shape[1]), _first_last(m)
+    """|a - b| over the pair each row of the mask m marks."""
+    rows, (first, last) = np.arange(len(m)), _first_last(m)
     return np.abs(values[rows, first] - values[rows, last])
 
 
 def _side_pairs(left, black, t0):
     """Per edge and side (left, right): whether that side holds one black
     and one white segment, and its two segments in order of t0 (a stable
-    sort, so a tie keeps segment order); both sides in one pass."""
-    m = np.stack([left, ~left])
-    first, second = _first_last(m)
+    sort, so a tie keeps segment order)."""
     rows = np.arange(len(t0))
-    swap = t0[rows, second] < t0[rows, first]
-    ok = (m.sum(axis=2) == 2) & ((m & black).sum(axis=2) == 1)
-    return ok.T, np.where(swap, second, first).T, np.where(swap, first, second).T
+    ok, lo, hi = [], [], []
+    for m in (left, ~left):
+        first, second = _first_last(m)
+        swap = t0[rows, second] < t0[rows, first]
+        ok.append((m.sum(axis=1) == 2) & ((m & black).sum(axis=1) == 1))
+        lo.append(np.where(swap, second, first))
+        hi.append(np.where(swap, first, second))
+    return np.stack(ok, 1), np.stack(lo, 1), np.stack(hi, 1)
 
 
 def _edge_clauses(left, black, t0, t1, t_min, t_max, tol):
@@ -326,7 +329,7 @@ def _edge_clauses(left, black, t0, t1, t_min, t_max, tol):
         cover = ((np.abs(t0[at, lo] - t_min[:, None]) > tol)
                  | (np.abs(t1[at, hi] - t_max[:, None]) > tol))
         length = t1 - t0
-        unequal = _pair_diff(length, np.stack([black, ~black])) > tol
+        unequal = [_pair_diff(length, m) > tol for m in (black, ~black)]
     clauses = [clause for j, side in enumerate(("left", "right")) for clause in (
         (~pair_ok[:, j], lambda e, side=side: f"edge {e}: side {side} lacks black+white pair"),
         (pair_ok[:, j] & abut[:, j], lambda e: f"edge {e}: segments do not abut"),
