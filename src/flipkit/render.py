@@ -9,7 +9,9 @@ corner to the next (one `dist` and one `tangents` for all of them); tiling
 edges and digon sides run along the edge's own parameter, so closed edges
 and edges longer than pi are drawn whole.  All arcs are then sampled at one
 concatenated parameter vector, equal bit for bit to np.linspace per arc, in
-one geodesic call, projected in one call and formatted in one pass.
+one geodesic call and projected in one call.  `_fixed8` writes the "%.8f"
+text of every coordinate in a few array passes, with no Python float per
+coordinate, and one split gives the path data of each <path>.
 """
 
 import numpy as np
@@ -39,9 +41,64 @@ def poincare(p):
     return p[..., :2] / (1.0 + p[..., 2:3])
 
 
-def _path(n, close=""):
-    """SVG path data of a polyline through n points, as a %-template."""
-    return "M" + "L".join(["%.8f %.8f"] * n) + close
+def _digit_words(width):
+    """The 4-digit texts of 0..9999, one uint32 word each, whose leading
+    zeros beyond the last `width` digits are NUL bytes."""
+    d = np.arange(10 ** 4)[:, None]
+    place = 10 ** np.arange(3, -1, -1)
+    digits = (d // place % 10 + ord("0")).astype(np.uint8)
+    digits[(d < place) & (place >= 10 ** width)] = 0
+    return digits.view(np.uint32)[:, 0]
+
+
+# coordinates per pass of _fixed8: every temporary of a pass stays under 512 KiB
+FORMAT_BLOCK = 1 << 14
+_DIGITS = _digit_words(4)
+# the low 4 digits of a whole part: at least one digit shown below 10**4, all four above
+_LOW_DIGITS = np.concatenate([_digit_words(1), _DIGITS])
+_HIGH_DIGITS = _digit_words(0)
+_POINT, _FALLBACK = np.frombuffer(b".\0\0\0\x01\0\0\0", np.uint32)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _fixed8_block(x, sep):
+    s = x * 1e8
+    r = np.rint(s)
+    # below 2**52 every k + 1/2 is a float, so the rounded product s lies on
+    # the same side of each tie as the exact x * 10**8 or on the tie itself:
+    # rint(s) is the integer "%.8f" shows unless s is a tie, too large for
+    # rint to be exact or not finite, and those values take "%.8f" itself
+    slow = ~(np.abs(s) < 2.0 ** 52) | (np.abs(s - r) == 0.5)
+    whole, frac = np.divmod(np.where(slow, 0.0, np.abs(r)).astype(np.int64), 10 ** 8)
+    high, low = np.divmod(whole, 10 ** 4)
+    # per value: [sep, NUL, NUL, sign] [whole 4] [whole 4] [. NUL NUL NUL] [frac 4] [frac 4]
+    words = np.empty((len(x), 6), np.uint32)
+    text = words.view(np.uint8)
+    words[:, 0] = 0
+    text[:, 0] = sep
+    text[:, 3] = np.where(np.signbit(x) & ~slow, ord("-"), 0)
+    words[:, 1] = _HIGH_DIGITS[high]
+    words[:, 2] = _LOW_DIGITS[low + (high > 0) * 10 ** 4]
+    words[:, 3] = _POINT
+    words[:, 4] = _DIGITS[frac // 10 ** 4]
+    words[:, 5] = _DIGITS[frac % 10 ** 4]
+    exact = ["%.8f" % v for v in x[slow]]
+    if exact:
+        words[slow, 1:] = 0
+        words[slow, 1] = _FALLBACK
+    out = words.tobytes().translate(None, b"\0").decode("ascii")
+    if not exact:
+        return out
+    parts = out.split("\x01")
+    return parts[0] + "".join(v + p for v, p in zip(exact, parts[1:]))
+
+
+def _fixed8(x, sep):
+    """The "%.8f" text of every float of x, bit for bit, each preceded by
+    its byte of sep (uint8, one per value; neither NUL nor 0x01), as one
+    string."""
+    return "".join(_fixed8_block(x[i:i + FORMAT_BLOCK], sep[i:i + FORMAT_BLOCK])
+                   for i in range(0, len(x), FORMAT_BLOCK))
 
 
 def _sample(ops, base, direction, start, stop, whole):
@@ -114,11 +171,16 @@ def render_svg(T):
     span = max(np.max(np.abs(proj(V)), initial=1.0),
                np.max(np.abs(xy[np.concatenate([bounds[F:-1], bounds[F + 1:] - 1])]),
                       initial=1.0))
-    counts = np.diff(bounds).tolist()
-    paths = [f'<path d="{_path(n, "Z")}" fill="{WHITE_FILL if f < len(W) else BLACK_FILL}" '
-             'stroke="none"/>' for f, n in enumerate(counts[:F])]
-    paths += [f'<path d="{_path(n)}" fill="none" stroke="{EDGE_STROKE}" '
-              'stroke-width="0.01" stroke-linecap="round"/>' for n in counts[F:]]
+    # "x yLx yL...x y" per path: "L" before an x, " " before a y, a newline
+    # before each path's first x
+    sep = np.full(2 * len(xy), ord("L"), np.uint8)
+    sep[1::2] = ord(" ")
+    sep[2 * bounds[:-1]] = ord("\n")
+    data = _fixed8(xy.ravel(), sep).split("\n")[1:]
+    paths = [f'<path d="M{d}Z" fill="{WHITE_FILL if f < len(W) else BLACK_FILL}" '
+             'stroke="none"/>' for f, d in enumerate(data[:F])]
+    paths += [f'<path d="M{d}" fill="none" stroke="{EDGE_STROKE}" '
+              'stroke-width="0.01" stroke-linecap="round"/>' for d in data[F:]]
     if not T.is_spherical:
         lo, hi = -1.05, 1.05
         paths.insert(0, '<circle cx="0" cy="0" r="1" fill="none" stroke="#888888" '
@@ -131,4 +193,4 @@ def render_svg(T):
         f'viewBox="{lo:.8f} {lo:.8f} {size:.8f} {size:.8f}" '
         'width="640" height="640">'
     )
-    return ("\n".join([header] + paths + ["</svg>"]) + "\n") % tuple(xy.ravel().tolist())
+    return "\n".join([header] + paths + ["</svg>"]) + "\n"

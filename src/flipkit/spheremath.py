@@ -219,20 +219,20 @@ def _mul_quaternion(x, y):
     ]).T
 
 
+_MAT_SIGNS = np.array([1.0, 1.0, -1.0, -1.0])
+_ADS_SIGNS = np.array([1.0, -1.0, -1.0, 1.0])
+
+
 def _ads_to_mat(x):
+    # [[x2 + x4, x1 + x3], [x1 - x3, x4 - x2]] as two gathers and a sign
     x = np.asarray(x)
-    x1, x2, x3, x4 = np.moveaxis(x, -1, 0)
-    m = np.stack([x2 + x4, x1 + x3, x1 - x3, x4 - x2], axis=-1)
+    m = x[..., [1, 0, 0, 3]] + x[..., [3, 2, 2, 1]] * _MAT_SIGNS
     return m.reshape(x.shape[:-1] + (2, 2))
 
 
 def _mat_to_ads(m):
-    return np.stack([
-        0.5 * (m[..., 0, 1] + m[..., 1, 0]),
-        0.5 * (m[..., 0, 0] - m[..., 1, 1]),
-        0.5 * (m[..., 0, 1] - m[..., 1, 0]),
-        0.5 * (m[..., 0, 0] + m[..., 1, 1]),
-    ], axis=-1)
+    f = m.reshape(m.shape[:-2] + (4,))
+    return 0.5 * (f[..., [1, 0, 1, 0]] + f[..., [2, 3, 2, 3]] * _ADS_SIGNS)
 
 
 def _mul_sl2(x, y):

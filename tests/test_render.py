@@ -24,8 +24,8 @@ from conftest import polyhedron_corpus, random_polyhedron
 from flipkit.errors import FlipkitError, GeometryError
 from flipkit.fuchsian import FuchsianConfig, ads_project, genus2_group, orbit_hull
 from flipkit.polyhedra import polar_dual
-from flipkit.render import (ARC_STEP, BLACK_FILL, EDGE_STROKE, WHITE_FILL, _sample,
-                            poincare, render_svg, stereographic)
+from flipkit.render import (ARC_STEP, BLACK_FILL, EDGE_STROKE, FORMAT_BLOCK, WHITE_FILL,
+                            _fixed8, _sample, poincare, render_svg, stereographic)
 from flipkit.spheremath import HyperbolicOps, SphereOps
 from flipkit.tilings import (
     WHITE,
@@ -273,6 +273,44 @@ def test_sample_is_linspace_per_arc(data):
         want.append(arc if whole[i] else arc[:-1])
     assert np.array_equal(ends, np.cumsum([len(a) for a in want]))
     assert np.array_equal(rows, np.concatenate(want))
+
+
+# -- the coordinate formatter ------------------------------------------------------
+
+# values the rounding shortcut of _fixed8 must hand to "%.8f" itself, or must
+# sign as "%.8f" does
+FIXED8_EDGES = [0.0, -0.0, -1e-12, 1e-12, -4e-9, -5e-9, 5e-9, -6e-9, 5e-324, -5e-324,
+                1 / 512, 2.0 ** 52 / 1e8, -2.0 ** 52 / 1e8, 4.5e7, -4.6e7, 1e15, -1e15,
+                1e300, -1.5e308, np.inf, -np.inf, np.nan]
+
+
+def _check_fixed8(x, rng):
+    sep = rng.choice(np.frombuffer(b" L\nM", np.uint8), size=len(x))
+    want = "".join(chr(c) + "%.8f" % v for c, v in zip(sep.tolist(), x.tolist()))
+    assert _fixed8(x, sep) == want
+
+
+@settings(max_examples=40)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 300))
+def test_fixed8_matches_percent_format(seed, n):
+    rng = np.random.default_rng(seed)
+    scaled = rng.uniform(-1, 1, n) * 10.0 ** rng.uniform(-9, 9, n)
+    # near-ties: (k + 0.5) / 1e8 and both float neighbours, up to |x * 1e8| of 1e16
+    k = np.floor(10.0 ** rng.uniform(0, 16, n)) * rng.choice([-1.0, 1.0], n)
+    tie = (k + 0.5) / 1e8
+    x = np.concatenate([scaled, tie, np.nextafter(tie, np.inf), np.nextafter(tie, -np.inf),
+                        FIXED8_EDGES])
+    rng.shuffle(x)
+    _check_fixed8(x, rng)
+
+
+@pytest.mark.parametrize("n", [FORMAT_BLOCK - 1, FORMAT_BLOCK, FORMAT_BLOCK + 1])
+def test_fixed8_across_blocks(n):
+    rng = np.random.default_rng(n)
+    x = rng.normal(size=n) * 10.0 ** rng.uniform(-3, 3, n)
+    # values taken by "%.8f" itself on both sides of the block boundary
+    x[[0, FORMAT_BLOCK - 2, -1]] = [0.5e-8, 1e300, -0.0]
+    _check_fixed8(x, rng)
 
 
 def _with_corners(T, rows):
