@@ -116,6 +116,14 @@ def _require_keys(data, required, optional=(), what="object"):
         raise SchemaError(f"{what}: unknown fields {sorted(unknown)}")
 
 
+def _numbers(values, what):
+    """Refuse JSON true, false and strings among numbers, which numpy reads
+    as 1.0, 0.0 and the number a string spells: one type scan of a
+    flattened column."""
+    if {bool, str} & set(map(type, values)):
+        raise SchemaError(f"{what}: not numeric")
+
+
 def _floats(rows, width, what):
     try:
         arr = np.array(rows, dtype=float)
@@ -123,6 +131,7 @@ def _floats(rows, width, what):
         raise SchemaError(f"{what}: not numeric") from exc
     if arr.ndim != 2 or arr.shape[1] != width or not np.all(np.isfinite(arr)):
         raise SchemaError(f"{what}: expected rows of {width} finite numbers")
+    _numbers(itertools.chain.from_iterable(rows), what)
     return arr
 
 
@@ -134,6 +143,7 @@ def _finite_list(values, what):
         raise SchemaError(f"{what}: not numeric") from exc
     if arr.ndim != 1 or not np.all(np.isfinite(arr)):
         raise SchemaError(f"{what}: expected a list of finite numbers")
+    _numbers(values, what)
     return arr
 
 
@@ -328,6 +338,7 @@ def _decks(tags, what):
             raise SchemaError(f"{what}: not numeric") from exc
         if arr.shape[1:] != (3, 3) or not np.all(np.isfinite(arr)):
             raise SchemaError(f"{what}: expected 3x3 matrices of finite numbers")
+        _numbers([x for d in tags if d is not None for row in d for x in row], what)
         decks[tagged] = arr
     return decks, tagged
 

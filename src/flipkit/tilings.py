@@ -9,9 +9,11 @@ oriented geodesic), position (forward/backward) and color.  Every corner
 and segment of every tiling carries a 3x3 deck tag; the sphere is the
 quotient by the trivial group, so its tags are the identity, and no
 reader tells the two apart (the `tagged` and `decked` flags only record
-which tags the `tiling.v1` file writes).  This is
-enough to check the definition clauses, glue the black and white cone
-metrics, and develop the white polyhedron back.  The edge clauses are
+which tags the `tiling.v1` file writes).  This is enough to check the
+definition clauses, develop the white polyhedron back, and glue the black
+and white cone metrics of both quadrics: the corners glued around one
+cone point are those linked to one face of the other color, so each
+metric is one sum of corner angles by their links.  The edge clauses are
 one ordered list (`_edge_clauses`, then `_handedness_clauses`):
 assembly raises the first that fails, `validate_tiling` lists them all.
 
@@ -156,13 +158,6 @@ class TilingEdges:
         if not hit.any(axis=-1).all():
             raise GeometryError("segment not found on edge")
         return np.argmax(hit, axis=-1)
-
-    def partner(self, e, j):
-        """The slot of edge e with slot j's color on the other side."""
-        hit = (self.black[e] == self.black[e, j]) & (self.left[e] != self.left[e, j])
-        if not hit.any():
-            raise GeometryError("partner segment missing")
-        return int(np.argmax(hit))
 
     def corner_param(self, e, j, corner_is_start):
         """Edge parameter of the polygon vertex k (start) or k+1 (end) of
@@ -635,80 +630,39 @@ def recolor(T: FlippableTiling) -> FlippableTiling:
 # -- cone metrics -------------------------------------------------------------
 
 
-def _corner_walk(T, color, start):
-    """Corner rows of `color` faces glued around one point, from row `start`.
-
-    The walk repeatedly crosses the polygon edge after the corner, lands on
-    the matched corner of the glued face, and leaves through that face's
-    other incident edge.
-    """
-    F, E = T.faces(color), T.edges
-    starts, sizes, refs = F.offsets.tolist(), F.sizes.tolist(), F.edge_refs.tolist()
-    f = int(np.searchsorted(F.offsets, start, side="right")) - 1
-    visited = []
-    k = exit_edge = start - starts[f]
-    while True:
-        visited.append(starts[f] + k)
-        if len(visited) > 4 * len(refs) + 8:
-            raise GeometryError("cone walk does not close")
-        e = refs[starts[f] + exit_edge]
-        j = E.slot(e, color == BLACK, f, exit_edge)
-        p = E.partner(e, j)
-        t = E.corner_param(e, j, corner_is_start=(exit_edge == k))
-        t_partner = t - E.t0[e, j] + E.t0[e, p]
-        f2, k2 = int(E.face[e, p]), int(E.face_edge[e, p])
-        start_param = E.corner_param(e, p, corner_is_start=True)
-        end_param = E.corner_param(e, p, corner_is_start=False)
-        if abs(t_partner - start_param) < 1e-7:
-            corner2 = k2
-        elif abs(t_partner - end_param) < 1e-7:
-            corner2 = (k2 + 1) % sizes[f2]
-        else:
-            raise GeometryError("glued point is not a corner of the partner face")
-        # The corner is incident to polygon edges corner2-1 and corner2; we
-        # entered through k2, so we leave through the other one.
-        other = (corner2 - 1) % sizes[f2] if k2 == corner2 else corner2
-        f, k, exit_edge = f2, corner2, other
-        if starts[f] + k == start:
-            return visited
-
-
 def _cone_metric(T, color):
-    """Glue the faces of one color; cone points correspond to faces of the
-    other color through the corner links."""
-    if not T.is_spherical:
-        raise GeometryError(
-            "cone metrics of hyperbolic quotient tilings come from the "
-            "underlying Fuchsian surface (induced_cone_metric)"
-        )
-    F, ops = T.faces(color), T.ops
-    angles = _corner_angles(ops, F.vertices, F.sizes, F.digon_angle)
-    links, seen, points = F.links.tolist(), set(), []
-    for r in range(len(links)):
-        if r in seen:
-            continue
-        orbit = _corner_walk(T, color, r)
-        seen.update(orbit)
-        angle = float(sum(angles[o] for o in orbit))
-        linked = {links[o] for o in orbit}
-        if len(linked) != 1:
-            raise GeometryError(f"corners around a cone point link to several faces: {linked}")
-        points.append(ConePoint(angle, linked.pop()))
-    points.sort(key=lambda c: c.associated_face)
-    expected = len(T.faces(WHITE if color == BLACK else BLACK))
-    if len(points) != expected:
-        raise GeometryError(
-            f"{len(points)} cone points for {expected} opposite faces"
-        )
-    return ConeMetric(ops.kappa, points)
+    """Glue the faces of one color into a cone metric of curvature kappa.
+
+    T must pass `validate_tiling`, else GeometryError with its first
+    failure.  The corners glued around one point are those linked to one
+    face of the other color, so the cone point at that face takes the sum
+    of their angles, one weighted count over the links on both quadrics.
+    """
+    report = validate_tiling(T)
+    if not report.ok:
+        raise GeometryError(report.first)
+    F, other = T.faces(color), BLACK if color == WHITE else WHITE
+    m = len(T.faces(other))
+    angles = _corner_angles(T.ops, F.vertices, F.sizes, F.digon_angle)
+    lone = np.bincount(F.links, minlength=m) == 0
+    if lone.any():
+        raise GeometryError(f"{other} face {int(np.argmax(lone))} has no linked {color} corner")
+    sums = np.bincount(F.links, weights=angles, minlength=m)
+    return ConeMetric(T.ops.kappa, [ConePoint(a, i) for i, a in enumerate(sums.tolist())])
 
 
 def black_metric(T: FlippableTiling) -> ConeMetric:
-    """Metric obtained by gluing the black faces along the tiling edges."""
+    """Metric obtained by gluing the black faces along the tiling edges:
+    the cone point at white face w has angle 2 pi - kappa area(w)."""
     return _cone_metric(T, BLACK)
 
 
 def white_metric(T: FlippableTiling) -> ConeMetric:
+    """Metric obtained by gluing the white faces along the tiling edges,
+    one cone point per black face: the induced metric of the white
+    polyhedron (sphere) or of the Fuchsian surface (quotient), whose cone
+    angles are those of its vertices.  The paper's parameterization of
+    symmetric tilings: a flip leaves it unchanged."""
     return _cone_metric(T, WHITE)
 
 
@@ -814,9 +768,14 @@ def make_two_circles_tiling(n1, n2, side: Side) -> FlippableTiling:
         return w / np.linalg.norm(w)
 
     # faces: black = (+,+) and (-,-); white = (+,-) and (-,+); vertex cycle
-    # [v, -v]; polygon edge 0 lies on circle 1, edge 1 on circle 2
+    # [v, -v]; polygon edge 0 lies on circle 1, edge 1 on circle 2.  Gluing
+    # the lunes of one color puts the corner of face 0 at v and that of face
+    # 1 at -v around one cone point, the other two around the other, so
+    # either color links [0, 1, 1, 0]: the two lunes of the other color have
+    # one angle, so which cone point goes to which is a choice
     signs = {BLACK: [(1, 1), (-1, -1)], WHITE: [(1, -1), (-1, 1)]}
-    faces = {color: TilingFaces.stacked(np.tile([v, -v], (2, 1)), [2, 2], [0] * 4, [0, 1] * 2,
+    faces = {color: TilingFaces.stacked(np.tile([v, -v], (2, 1)), [2, 2], [0, 1, 1, 0],
+                                        [0, 1] * 2,
                                         [lune_angle(s1, s2) for s1, s2 in signs[color]])
              for color in (BLACK, WHITE)}
 
@@ -849,17 +808,6 @@ def make_two_circles_tiling(n1, n2, side: Side) -> FlippableTiling:
     T = FlippableTiling(side, faces[BLACK], faces[WHITE],
                         replace(edges, forward=edges.forward ^ turn[:, None]))
 
-    # association of corners to opposite faces, from the gluing orbits: the
-    # two lunes of the other color have one angle, so the orbits are linked
-    # in the order they are found
-    links = {}
-    for color in (BLACK, WHITE):
-        links[color], orbits = np.full(4, -1), 0
-        for r in range(4):
-            if links[color][r] < 0:
-                links[color][_corner_walk(T, color, r)] = orbits
-                orbits += 1
-    T.black, T.white = (replace(T.faces(c), links=links[c]) for c in (BLACK, WHITE))
     _assert_handedness(T)
     return T
 

@@ -51,7 +51,10 @@ are checked against:
   congruence, and the convexity of one spherical polygon, edge by edge
   (`polygon_is_convex`), the oracle of `ConvexPolyhedron.faces_convex`;
 - the segments of a tiling edge as one record each, the per-item view of
-  the library's edge table that the per-segment references read, and the
+  the library's edge table that the per-segment references read; the cone
+  metric of one color by a walk across the tiling edges from corner to
+  glued corner (`reference_cone_metric`), what the link sum of
+  `tilings.black_metric` and `white_metric` replaced, its oracle; and the
   faces of a tiling as one record each (`Face`), the per-item view of its
   face tables, from which the tests that replace a face build new tables.
 
@@ -72,8 +75,9 @@ from flipkit.fuchsian import (HyperbolicAmbient, _cone_angles, _config_on_checke
                               _wedge_faces, orbit_hull, orbit_points, recover_heights)
 from flipkit.polyhedra import VertexStars
 from flipkit.spheremath import ADS_STAR, SPHERE_STAR, HyperbolicOps
-from flipkit.tilings import (BLACK, WHITE, FlippableTiling, Side, TilingFaces, _aligned_error,
-                             assemble_corners, project_points, tiling_equality_error)
+from flipkit.tilings import (BLACK, WHITE, ConeMetric, ConePoint, FlippableTiling, Side,
+                             TilingFaces, _aligned_error, _corner_angles, assemble_corners,
+                             project_points, tiling_equality_error)
 
 
 class DegenerateTriangleError(GeometryError):
@@ -1301,6 +1305,72 @@ def segments(edges, e):
                     float(edges.t0[e, j]), float(edges.t1[e, j]), edges.decks[e, j],
                     bool(edges.tagged[e, j]))
             for j in range(4)]
+
+
+# -- cone metrics by walking the gluing ----------------------------------------------
+
+
+def reference_corner_walk(T, color, start):
+    """Corner rows of `color` faces glued around one point, from row `start`.
+
+    The walk repeatedly crosses the polygon edge after the corner onto the
+    segment of its color on the other side of the tiling edge, lands on the
+    matched corner of the glued face, and leaves through that face's other
+    incident edge.
+    """
+    F = T.faces(color)
+    starts, sizes, refs = F.offsets.tolist(), F.sizes.tolist(), F.edge_refs.tolist()
+    f = int(np.searchsorted(F.offsets, start, side="right")) - 1
+    visited = []
+    k = exit_edge = start - starts[f]
+    while True:
+        visited.append(starts[f] + k)
+        if len(visited) > 4 * len(refs) + 8:
+            raise GeometryError("cone walk does not close")
+        segs = segments(T.edges, refs[starts[f] + exit_edge])
+        seg = next(s for s in segs
+                   if (s.color, s.face, s.face_edge) == (color, f, exit_edge))
+        partner = next(s for s in segs if s.color == color and s.side is not seg.side)
+        t = seg.corner_param(corner_is_start=(exit_edge == k)) - seg.t0 + partner.t0
+        f2, k2 = partner.face, partner.face_edge
+        if abs(t - partner.corner_param(corner_is_start=True)) < 1e-7:
+            corner2 = k2
+        elif abs(t - partner.corner_param(corner_is_start=False)) < 1e-7:
+            corner2 = (k2 + 1) % sizes[f2]
+        else:
+            raise GeometryError("glued point is not a corner of the partner face")
+        # The corner is incident to polygon edges corner2-1 and corner2; we
+        # entered through k2, so we leave through the other one.
+        other = (corner2 - 1) % sizes[f2] if k2 == corner2 else corner2
+        f, k, exit_edge = f2, corner2, other
+        if starts[f] + k == start:
+            return visited
+
+
+def reference_cone_metric(T, color):
+    """The cone metric of the `color` faces, one walk per cone point: the
+    oracle of the link sum of `tilings.black_metric` and `white_metric`.
+    Every walk's corners must link to one face of the other color, and the
+    walks must meet every such face once."""
+    F = T.faces(color)
+    angles = _corner_angles(T.ops, F.vertices, F.sizes, F.digon_angle)
+    links, seen, points = F.links.tolist(), set(), []
+    for r in range(len(links)):
+        if r in seen:
+            continue
+        orbit = reference_corner_walk(T, color, r)
+        seen.update(orbit)
+        linked = {links[o] for o in orbit}
+        if len(linked) != 1:
+            raise GeometryError(f"corners around a cone point link to several faces: {linked}")
+        points.append(ConePoint(float(sum(angles[o] for o in orbit)), linked.pop()))
+    points.sort(key=lambda c: c.associated_face)
+    expected = len(T.faces(WHITE if color == BLACK else BLACK))
+    faces = [c.associated_face for c in points]
+    if faces != list(range(expected)):
+        raise GeometryError(f"cone points at faces {faces}, not one at each of the "
+                            f"{expected} opposite faces")
+    return ConeMetric(T.ops.kappa, points)
 
 
 # -- tiling faces as records -------------------------------------------------------

@@ -799,6 +799,65 @@ def test_cli_check_rejects_malformed_fuchsian(tmp_path, capsys, change):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.fixture(scope="module")
+def number_documents(tetrahedron):
+    """A valid file of each schema that has a column of numbers: a
+    polyhedron, a spherical, an antipodal-digon and an AdS n = 1 tiling,
+    whose faces and segments carry deck tags, and a solver input."""
+    surf = fuchsian.orbit_hull(fuchsian.FuchsianConfig(
+        fuchsian.genus2_group(), np.array([FUCHSIAN_HEIGHTS["rays"][0]["p"]]),
+        np.array([0.55])))
+    tilings = {"sphere": project(tetrahedron, Side.LEFT),
+               "digons": make_antipodal_tiling(spread_polygon(5), Side.LEFT),
+               "ads": fuchsian.ads_project(surf, Side.LEFT)}
+    docs = {name: fio.tiling_to_dict(T) for name, T in tilings.items()}
+    docs["polyhedron"] = fio.polyhedron_to_dict(tetrahedron)
+    docs["fuchsian"] = dict(FUCHSIAN_HEIGHTS, targets=[-6.0])
+    return {name: json.loads(fio.canonical_json(d)) for name, d in docs.items()}
+
+
+def _tagged_face(d):
+    return next(f for f in d["faces"] if f["decks"] and f["decks"][0] is not None)
+
+
+def _tagged_segment(d):
+    return next(s for e in d["edges"] for s in e["segments"] if s["deck"] is not None)
+
+
+# per number column: the file, where a number goes and the column's name
+NUMBER_COLUMNS = {
+    "polyhedron-vertex": ("polyhedron", lambda d: d["vertices"][1], 2, "vertices"),
+    "tiling-vertex": ("sphere", lambda d: d["vertices"][0], 1, "vertices"),
+    "segment-t0": ("sphere", lambda d: d["edges"][0]["segments"][0], "t0", "segment t0"),
+    "segment-t1": ("sphere", lambda d: d["edges"][1]["segments"][3], "t1", "segment t1"),
+    "edge-t_min": ("sphere", lambda d: d["edges"][0], "t_min", "edge t_min"),
+    "edge-t_max": ("sphere", lambda d: d["edges"][2], "t_max", "edge t_max"),
+    "edge-base": ("sphere", lambda d: d["edges"][0]["base"], 0, "edge base"),
+    "edge-direction": ("sphere", lambda d: d["edges"][0]["direction"], 2, "edge direction"),
+    "digon-angle": ("digons", lambda d: _white_face(d), "digon_angle", "digon angles"),
+    "ambient-ray": ("ads", lambda d: d["ambient"]["rays"][0], 2, "ambient rays"),
+    "face-deck": ("ads", lambda d: _tagged_face(d)["decks"][0][1], 1, "face decks"),
+    "segment-deck": ("ads", lambda d: _tagged_segment(d)["deck"][2], 0, "segment deck"),
+    "ray": ("fuchsian", lambda d: d["rays"][0]["p"], 0, "rays"),
+    "heights": ("fuchsian", lambda d: d["heights"], 0, "heights"),
+    "targets": ("fuchsian", lambda d: d["targets"], 0, "targets"),
+}
+
+
+@pytest.mark.parametrize("value", [True, False, "0.5"], ids=["true", "false", "string"])
+@pytest.mark.parametrize("column", sorted(NUMBER_COLUMNS))
+def test_cli_check_refuses_booleans_and_strings_as_numbers(tmp_path, capsys, number_documents,
+                                                           column, value):
+    # numpy reads true, false and "0.5" as 1.0, 0.0 and 0.5; JSON does not
+    name, node, key, what = NUMBER_COLUMNS[column]
+    d = json.loads(json.dumps(number_documents[name]))
+    node(d)[key] = value
+    f = tmp_path / "f.json"
+    f.write_text(json.dumps(d))
+    assert main(["check", "--in", str(f)]) == 2
+    assert capsys.readouterr().err == f"error: {what}: not numeric\n"
+
+
 @pytest.mark.parametrize("face", [
     ["a", 1, 2], {"a": 1}, 5, [5, [0, 1, 3]], [0, 1, None], [0, 1.5, 2], "012",
     [True, 1, 2], [False, 1, 2], [], [0, 1],

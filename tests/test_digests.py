@@ -104,32 +104,34 @@ def solver_digest(group, seed):
     return digest.hexdigest()
 
 
-def quotient_flip_digest(group, seed, rounds=2):
+def quotient_surfaces(group, seed, rounds):
+    """The surfaces the `quotient-flip` workload draws at `seed`: per round,
+    heights near a common level on the rays of n = 1, 2, 3."""
     rng = np.random.default_rng(seed)
-    digest = hashlib.sha256()
     for _ in range(rounds):
         for n in (1, 2, 3):
             h = rng.uniform(0.55, 0.95) + rng.uniform(-0.08, 0.08, size=n)
-            surf = orbit_hull(FuchsianConfig(group, _rays(n), heights=h))
-            k = curvatures(surf)
-            F = flip(ads_project(surf, Side.LEFT))
-            digest.update(fio.canonical_json(fio.tiling_to_dict(F)).encode())
-            digest.update(k.tobytes())
+            yield orbit_hull(FuchsianConfig(group, _rays(n), heights=h))
+
+
+def quotient_flip_digest(group, seed, rounds=2):
+    digest = hashlib.sha256()
+    for surf in quotient_surfaces(group, seed, rounds):
+        k = curvatures(surf)
+        F = flip(ads_project(surf, Side.LEFT))
+        digest.update(fio.canonical_json(fio.tiling_to_dict(F)).encode())
+        digest.update(k.tobytes())
     return digest.hexdigest()
 
 
 def quotient_project_digest(group, seed=QUOTIENT_PROJECT_SEED, rounds=16):
-    """Draw as `quotient_flip_digest` does and digest the text of both
-    projections and of the flip of the left one."""
-    rng = np.random.default_rng(seed)
+    """Digest the text of both projections of the `quotient_surfaces` and
+    of the flip of the left one."""
     digest = hashlib.sha256()
-    for _ in range(rounds):
-        for n in (1, 2, 3):
-            h = rng.uniform(0.55, 0.95) + rng.uniform(-0.08, 0.08, size=n)
-            surf = orbit_hull(FuchsianConfig(group, _rays(n), heights=h))
-            left = ads_project(surf, Side.LEFT)
-            for T in (left, ads_project(surf, Side.RIGHT), flip(left)):
-                digest.update(fio.canonical_json(fio.tiling_to_dict(T)).encode())
+    for surf in quotient_surfaces(group, seed, rounds):
+        left = ads_project(surf, Side.LEFT)
+        for T in (left, ads_project(surf, Side.RIGHT), flip(left)):
+            digest.update(fio.canonical_json(fio.tiling_to_dict(T)).encode())
     return digest.hexdigest()
 
 

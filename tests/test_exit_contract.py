@@ -30,8 +30,10 @@ from hypothesis import strategies as st
 from conftest import random_polyhedron
 from flipkit import io as fio
 from flipkit.cli import main
+from flipkit.errors import GeometryError
 from flipkit.fuchsian import FuchsianConfig, ads_project, genus2_group, orbit_hull
-from flipkit.tilings import Side, make_antipodal_tiling, project
+from flipkit.tilings import (Side, black_metric, make_antipodal_tiling, project,
+                             validate_tiling, white_metric)
 
 COMMANDS = ("check", "flip", "render", "reconstruct")
 NEG_ZERO = "-0 literal"  # written as the JSON integer -0
@@ -267,6 +269,19 @@ def test_flip_refuses_what_check_refuses_on_the_sphere(mutant, tmp_path):
     first = out.splitlines()[-1].split(": tiling INVALID: ", 1)[1]
     assert run("flip", path, tmp_path / "f.json") == (3, "", f"error: {first}\n")
     assert not (tmp_path / "f.json").exists()
+
+
+@pytest.mark.parametrize("mutant", sorted(SPHERE_MUTANTS))
+def test_metrics_refuse_what_check_refuses_on_the_sphere(mutant):
+    # the cone metrics validate first, as flip does, and fail with the
+    # report's first failure
+    T = fio.tiling_from_dict(json.loads(damaged("sphere", SPHERE_MUTANTS[mutant])))
+    first = validate_tiling(T).first
+    assert first is not None
+    for metric in (black_metric, white_metric):
+        with pytest.raises(GeometryError) as exc:
+            metric(T)
+        assert str(exc.value) == first
 
 
 FAR_LIGHT_LIKE = ([1e150, 0.0, 1e150], [1e5, 0.0, 1e5])

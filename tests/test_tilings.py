@@ -23,7 +23,7 @@ from flipkit import io as fio
 from flipkit import tilings
 from flipkit.errors import DevelopmentError, GeometryError
 from flipkit.forms import inv4, mul4
-from flipkit.fuchsian import FuchsianConfig, ads_project, genus2_group, orbit_hull
+from flipkit.fuchsian import FuchsianConfig, ads_project, cone_angles, genus2_group, orbit_hull
 from flipkit.polyhedra import hull, polar_dual
 from flipkit.spheremath import SPHERE_STAR, SphereOps
 from flipkit.tilings import (
@@ -48,11 +48,13 @@ from flipkit.tilings import (
 from reference_geometry import (
     Segment,
     polygon_congruent,
+    reference_cone_metric,
     segments,
     tiling_faces,
     tiling_isometry_error,
     with_face,
 )
+from test_digests import QUOTIENT_PROJECT_SEED, quotient_surfaces
 
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "data", "project_flip_sphere.json")
@@ -351,41 +353,95 @@ def test_recolor_relates_black_and_white_polyhedra(small_corpus):
 # -- cone metrics -----------------------------------------------------------------
 
 
-def test_black_metric_singular_curvature_is_white_area(small_corpus):
-    for P in small_corpus[:6]:
-        T = project(P, Side.LEFT)
+@pytest.fixture(scope="module")
+def metric_cases(small_corpus):
+    """(tiling, the induced cone angles of its white surface): both sides of
+    the first 8 corpus polyhedra, with the vertex cone angles of each, and
+    both projections of the first two rounds of seed-99 `quotient-flip`
+    surfaces, with the cone angles of each."""
+    out = []
+    for P in small_corpus[:8]:
+        angles = np.array([P.vertex_cone_angle(i) for i in range(P.n_vertices)])
+        out += [(project(P, side), angles) for side in Side]
+    for surf in quotient_surfaces(genus2_group(), QUOTIENT_PROJECT_SEED, rounds=2):
+        out += [(ads_project(surf, side), cone_angles(surf)) for side in Side]
+    return out
+
+
+def test_black_metric_singular_curvature_is_white_area(metric_cases):
+    for T, _ in metric_cases:
         m = black_metric(T)
-        wa = T.white_areas()
-        assert m.curvature == 1
-        for c in m.cone_points:
-            assert c.angle == pytest.approx(
-                2 * np.pi - wa[c.associated_face], abs=1e-8
-            )
-        # spherical cone angles are below 2 pi
-        assert np.all(m.cone_angles() < 2 * np.pi)
+        assert m.curvature == T.ops.kappa == (1 if T.is_spherical else -1)
+        assert [c.associated_face for c in m.cone_points] == list(range(len(T.white)))
+        np.testing.assert_allclose(m.cone_angles(), 2 * np.pi - m.curvature * T.white_areas(),
+                                   rtol=0, atol=1e-8)
+        # cone angles are below 2 pi on the sphere, above it on a quotient
+        assert np.all(m.curvature * (2 * np.pi - m.cone_angles()) > 0)
 
 
-def test_white_metric_matches_polyhedron_boundary(small_corpus):
-    # The white metric of a projection is the induced metric on the white
-    # polyhedron: cone angles match the vertex cone angles of P.
-    P = small_corpus[1]
-    T = project(P, Side.RIGHT)
-    m = white_metric(T)
-    for c in m.cone_points:
-        assert c.angle == pytest.approx(
-            P.vertex_cone_angle(c.associated_face), abs=1e-8
-        )
+def test_white_metric_is_the_induced_metric_of_the_white_surface(metric_cases):
+    # the white metric of a projection is the induced metric on the white
+    # polyhedron or Fuchsian surface: its cone angles are their vertex cone
+    # angles, black face i at vertex (ray) i
+    for T, angles in metric_cases:
+        m = white_metric(T)
+        assert m.curvature == T.ops.kappa
+        assert [c.associated_face for c in m.cone_points] == list(range(len(T.black)))
+        np.testing.assert_allclose(m.cone_angles(), angles, rtol=0, atol=1e-10)
 
 
-def test_metric_gauss_bonnet_budget(small_corpus):
-    P = small_corpus[2]
-    T = project(P, Side.LEFT)
-    m = black_metric(T)
-    # total black area + total singular curvature = 4 pi
-    total = float(T.black_areas().sum()) + float(
-        np.sum(m.singular_curvatures())
-    )
-    assert total == pytest.approx(4 * np.pi, abs=1e-8)
+def test_flip_leaves_both_metrics_unchanged(metric_cases):
+    # the paper's symmetric tilings: the flip keeps the cone metrics
+    for T, _ in metric_cases:
+        F = flip(T)
+        for metric in (black_metric, white_metric):
+            a, b = metric(T), metric(F)
+            assert a.curvature == b.curvature
+            assert ([c.associated_face for c in a.cone_points]
+                    == [c.associated_face for c in b.cone_points])
+            np.testing.assert_allclose(b.cone_angles(), a.cone_angles(), rtol=0, atol=1e-10)
+
+
+def test_metric_gauss_bonnet_budget(metric_cases):
+    # kappa (black area) + total singular curvature = 2 pi chi: 4 pi on the
+    # sphere, -4 pi on the genus-2 quotient
+    for T, _ in metric_cases:
+        m = black_metric(T)
+        chi = 2 if T.is_spherical else T.ambient.group.chi
+        total = m.curvature * float(T.black_areas().sum()) + float(
+            np.sum(m.singular_curvatures()))
+        assert total == pytest.approx(2 * np.pi * chi, abs=1e-8)
+
+
+def test_metrics_match_the_walk_oracle(small_corpus):
+    # the link sum against the walk across the tiling edges, corner by
+    # corner, on both sides of the corpus and on the digon examples
+    tilings_ = [project(P, side) for P in small_corpus for side in Side]
+    tilings_ += [make_antipodal_tiling(spread_polygon(n), side) for n in (3, 4, 6)
+                 for side in Side]
+    tilings_ += [make_two_circles_tiling([0.1, 0.2, 1.0], [1.0, 0.0, 0.3], side)
+                 for side in Side]
+    for T in tilings_:
+        for color, metric in ((BLACK, black_metric), (WHITE, white_metric)):
+            a, b = metric(T), reference_cone_metric(T, color)
+            assert a.curvature == b.curvature == 1
+            assert ([c.associated_face for c in a.cone_points]
+                    == [c.associated_face for c in b.cone_points])
+            np.testing.assert_allclose(a.cone_angles(), b.cone_angles(), rtol=0, atol=1e-12)
+
+
+def test_metric_refuses_a_face_no_corner_links_to():
+    # every white corner of the two-circles tiling linked to black face 0:
+    # each still meets its linked face, so the tiling validates, but the
+    # cone point at black face 1 takes no corner
+    T = make_two_circles_tiling([0, 0.3, 1], [1, 0.2, 0], Side.LEFT)
+    T.white = replace(T.white, links=np.zeros(4, dtype=int))
+    assert validate_tiling(T).ok
+    with pytest.raises(GeometryError, match="black face 1 has no linked white corner"):
+        white_metric(T)
+    with pytest.raises(GeometryError, match=re.escape("cone points at faces [0, 0]")):
+        reference_cone_metric(T, WHITE)
+    assert len(black_metric(T).cone_points) == 2
 
 
 # -- antipodal example -------------------------------------------------------------
