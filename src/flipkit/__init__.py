@@ -24,7 +24,6 @@ from .fuchsian import (
     cone_angles,
     curvatures,
     genus2_group,
-    induced_cone_metric,
     jacobian,
     minkowski_dual,
     orbit_hull,
@@ -66,7 +65,6 @@ __all__ = [
     "flip",
     "genus2_group",
     "hull",
-    "induced_cone_metric",
     "jacobian",
     "make_antipodal_tiling",
     "make_two_circles_tiling",

@@ -105,8 +105,6 @@ from .spheremath import ADS_STAR, SPHERE_STAR, HyperbolicOps, cycle_sums
 from .tilings import (
     BLACK,
     WHITE,
-    ConeMetric,
-    ConePoint,
     FlippableTiling,
     Side,
     assemble_corners,
@@ -1424,17 +1422,6 @@ def minkowski_dual(surf):
             DualFace(vid, verts, surf.points4[vid].copy())
         )
     return out, ks
-
-
-def induced_cone_metric(surf):
-    """Hyperbolic cone metric induced on the quotient surface.
-
-    One cone point per ray; hyperbolic cone angles exceed 2 pi (negative
-    singular curvature).  This is the white metric of the projected
-    tilings of the surface.
-    """
-    omegas = cone_angles(surf)
-    return ConeMetric(-1, [ConePoint(float(w), i) for i, w in enumerate(omegas)])
 
 
 # -- projections to hyperbolic tilings --------------------------------------------

@@ -9,6 +9,8 @@ round-trips exactly.
 import functools
 import itertools
 import json
+import operator
+import re
 
 import numpy as np
 
@@ -124,26 +126,56 @@ def _numbers(values, what):
         raise SchemaError(f"{what}: not numeric")
 
 
+def _finite(arr):
+    """Whether every entry of a float array is finite."""
+    return np.count_nonzero(np.isfinite(arr)) == arr.size
+
+
+def _plain_floats(values):
+    """A flat JSON list of floats and integers, the common case, as
+    `np.array` reads it, from one `fromiter`; None for any other value (or
+    an integer beyond the float range), which the caller reads as before."""
+    if isinstance(values, (list, tuple)) and set(map(type, values)) <= {float, int}:
+        try:
+            return np.fromiter(values, float, len(values))
+        except OverflowError:
+            pass
+    return None
+
+
 def _floats(rows, width, what):
-    try:
-        arr = np.array(rows, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"{what}: not numeric") from exc
-    if arr.ndim != 2 or arr.shape[1] != width or not np.all(np.isfinite(arr)):
+    """JSON rows of `width` finite numbers as a 2-D float array."""
+    arr = None
+    if type(rows) is list and set(map(type, rows)) == {list} and set(map(len, rows)) == {width}:
+        arr = _plain_floats(list(itertools.chain.from_iterable(rows)))
+    plain = arr is not None
+    if plain:
+        arr = arr.reshape(-1, width)
+    else:
+        try:
+            arr = np.array(rows, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise SchemaError(f"{what}: not numeric") from exc
+    if arr.ndim != 2 or arr.shape[1] != width or not _finite(arr):
         raise SchemaError(f"{what}: expected rows of {width} finite numbers")
-    _numbers(itertools.chain.from_iterable(rows), what)
+    if not plain:
+        _numbers(itertools.chain.from_iterable(rows), what)
     return arr
 
 
 def _finite_list(values, what):
     """A JSON list of finite numbers as a 1-D float array."""
-    try:
-        arr = np.array(values, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"{what}: not numeric") from exc
-    if arr.ndim != 1 or not np.all(np.isfinite(arr)):
+    arr = _plain_floats(values)
+    plain = arr is not None
+    if not plain:
+        try:
+            arr = np.array(values, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise SchemaError(f"{what}: not numeric") from exc
+    if arr.ndim != 1 or not _finite(arr):
         raise SchemaError(f"{what}: expected a list of finite numbers")
-    _numbers(values, what)
+    if not plain:
+        _numbers(values, what)
     return arr
 
 
@@ -279,49 +311,76 @@ def tiling_to_dict(T):
 
 
 def _objects(items, required, optional, what):
-    """A JSON list of objects, each with the given fields."""
+    """A JSON list of objects, each with the given fields, as one column
+    (a tuple) per field, `required` then `optional`; an optional field
+    left out reads as null.  Plain dicts holding exactly the fields, the
+    common case, are read in one pass."""
     if not isinstance(items, list):
         raise SchemaError(f"{what}s: expected a list")
-    every = set(required) | set(optional)
+    fields = required + optional
+    if set(map(type, items)) <= {dict} and set(map(len, items)) <= {len(fields)}:
+        try:  # every field present and no other, as the counts agree
+            return list(zip(*map(operator.itemgetter(*fields), items))) or [()] * len(fields)
+        except KeyError:
+            pass
+    every = set(fields)
     for item in items:
         if type(item) is not dict or item.keys() != every:
             _require_keys(item, required, optional, what)
-    return items
+    return [tuple(item.get(k) for item in items) for k in fields]
 
 
 def _enum(values, allowed, what):
+    """Refuse a value not in the two `allowed`; whether each is the first."""
     try:
-        ok = set(values) <= set(allowed)
-    except TypeError:  # an unhashable value
-        ok = False
-    if not ok:
-        raise SchemaError(f"{what} must be {' or '.join(allowed)}")
+        return np.fromiter(map(dict(zip(allowed, (True, False))).__getitem__, values), bool,
+                           len(values))
+    except (KeyError, TypeError):  # TypeError: an unhashable value
+        raise SchemaError(f"{what} must be {' or '.join(allowed)}") from None
+
+
+def _given(values):
+    """Whether each of a column is not null."""
+    if values.count(None) == len(values):
+        return np.zeros(len(values), dtype=bool)
+    return np.array([v is not None for v in values], dtype=bool)
 
 
 def _lists(values, what):
     """A JSON list of JSON lists, flattened, with the length of each."""
-    if not (isinstance(values, list) and all(isinstance(v, list) for v in values)):
+    if not (isinstance(values, list) and (set(map(type, values)) <= {list}
+                                          or all(isinstance(v, list) for v in values))):
         raise SchemaError(f"{what}: expected a list")
-    return [x for v in values for x in v], np.array([len(v) for v in values], dtype=int)
+    return (list(itertools.chain.from_iterable(values)),
+            np.fromiter(map(len, values), int, len(values)))
 
 
 def _indices(values, bound, what, nullable=False):
     """JSON integer indices in [0, bound) as an int array; `bound` is one
     number or one per index, and null (read as -1) is allowed if
-    `nullable`."""
-    if nullable:
-        null = np.array([i is None for i in values], dtype=bool)
+    `nullable`.  A list of plain integers, the common case, takes one
+    `fromiter`."""
+    null = None
+    if nullable and None in values:
+        null = ~_given(values)
         values = [-1 if i is None else i for i in values]
-    try:
-        arr = np.array(values)
-    except ValueError:  # lists nested to uneven depths
-        arr = None
-    if (arr is None or arr.ndim != 1 or (arr.size and arr.dtype.kind not in "iu")
-            or bool in set(map(type, values))):  # numpy reads [true, 1] as integers
-        raise SchemaError(f"{what}: expected integer indices")
-    arr = arr.astype(np.int64)
+    arr = None
+    if set(map(type, values)) <= {int}:
+        try:
+            arr = np.fromiter(values, np.int64, len(values))
+        except OverflowError:  # read as np.array reads it, below
+            pass
+    if arr is None:
+        try:
+            arr = np.array(values)
+        except ValueError:  # lists nested to uneven depths
+            arr = None
+        if (arr is None or arr.ndim != 1 or (arr.size and arr.dtype.kind not in "iu")
+                or bool in set(map(type, values))):  # numpy reads [true, 1] as integers
+            raise SchemaError(f"{what}: expected integer indices")
+        arr = arr.astype(np.int64)
     bad = (arr < 0) | (arr >= bound)
-    if (bad & ~null if nullable else bad).any():
+    if np.count_nonzero(bad if null is None else bad & ~null):
         raise SchemaError(f"{what}: index out of range")
     return arr
 
@@ -329,45 +388,51 @@ def _indices(values, bound, what, nullable=False):
 def _decks(tags, what):
     """Deck tags, each null or a 3x3 matrix of finite numbers: the (m, 3, 3)
     matrices, the identity for null, and the (m,) flags of the others."""
-    tagged = np.array([d is not None for d in tags], dtype=bool)
-    decks = np.tile(np.eye(3), (len(tags), 1, 1))
-    if tagged.any():
+    tagged = _given(tags)
+    decks = np.full((len(tags), 3, 3), np.eye(3))
+    if np.count_nonzero(tagged):
+        given = [d for d in tags if d is not None]
         try:
-            arr = np.array([d for d in tags if d is not None], dtype=float)
+            arr = np.array(given, dtype=float)
         except (TypeError, ValueError) as exc:
             raise SchemaError(f"{what}: not numeric") from exc
-        if arr.shape[1:] != (3, 3) or not np.all(np.isfinite(arr)):
+        if arr.shape[1:] != (3, 3) or not _finite(arr):
             raise SchemaError(f"{what}: expected 3x3 matrices of finite numbers")
-        _numbers([x for d in tags if d is not None for row in d for x in row], what)
+        _numbers([x for d in given for row in d for x in row], what)
         decks[tagged] = arr
     return decks, tagged
 
 
-def _check_vertices(verts, ops, what="tiling vertex {}"):
-    """Refuse a tiling vertex (or edge base) v off the surface quadric `ops`
-    (GeometryError): |<v, v> - kappa| > 1e-9 |v|^2, with |.| the Euclidean
-    norm; |v|^2 >= 1e9, where that tolerance reaches |kappa| and no longer
-    tells the quadric from its light cone; or a time-like coordinate that
-    is not positive (the lower sheet of the hyperboloid)."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        n2 = np.einsum("ij,ij->i", verts, verts)
-        q = np.einsum("ij,ij->i", verts * ops.form, verts)
-        on = ((np.abs(q - ops.kappa) <= 1e-9 * n2) & (n2 < 1e9)
-              & np.all(verts[:, ops.form < 0] > 0, axis=1))
-    if not np.all(on):
-        raise GeometryError(f"{what.format(int(np.argmin(on)))} is not on the {ops.name}")
-
-
-def _check_tangents(base, direction, ops):
-    """Refuse an edge direction d that is not a unit tangent at its base b
-    on the surface quadric `ops`: |<d, d> - 1| > 1e-9 |d|^2 or
-    |<b, d>| > 1e-9 |b| |d|, with |.| the Euclidean norm (GeometryError)."""
+def _check_geometry(verts, base, direction, ops):
+    """Refuse a tiling vertex or edge base v off the surface quadric `ops`:
+    |<v, v> - kappa| > 1e-9 |v|^2, with |.| the Euclidean norm; |v|^2 >= 1e9,
+    where that tolerance reaches |kappa| and no longer tells the quadric
+    from its light cone; or a time-like coordinate that is not positive
+    (the lower sheet of the hyperboloid).  Then refuse an edge direction d
+    that is not a unit tangent at its base b: |<d, d> - 1| > 1e-9 |d|^2 or
+    |<b, d>| > 1e-9 |b| |d|.  The first failure, vertices before bases
+    before directions, is a GeometryError."""
     form = ops.form
+    dot = not np.count_nonzero(form != 1)  # <u, v> is the dot product, its sums taken once
+    points = np.concatenate([verts, base])
     with np.errstate(over="ignore", invalid="ignore"):
-        dd, bb = (np.einsum("ij,ij->i", a, a) for a in (direction, base))
-        ok = ((np.abs(np.einsum("ij,ij->i", direction * form, direction) - 1.0) <= 1e-9 * dd)
-              & (np.abs(np.einsum("ij,ij->i", base * form, direction)) <= 1e-9 * np.sqrt(bb * dd)))
-    if not np.all(ok):
+        n2 = np.einsum("ij,ij->i", points, points)
+        q = n2 if dot else np.einsum("ij,ij->i", points * form, points)
+        on = (np.abs(q - ops.kappa) <= 1e-9 * n2) & (n2 < 1e9)
+        timelike = form < 0
+        if np.count_nonzero(timelike):
+            on &= (points[:, timelike] > 0).all(axis=1)
+        dd = np.einsum("ij,ij->i", direction, direction)
+        unit = dd if dot else np.einsum("ij,ij->i", direction * form, direction)
+        across = np.einsum("ij,ij->i", base if dot else base * form, direction)
+        ok = ((np.abs(unit - 1.0) <= 1e-9 * dd)
+              & (np.abs(across) <= 1e-9 * np.sqrt(n2[len(verts):] * dd)))
+    if np.count_nonzero(on) < len(on):
+        i = int(np.argmin(on))
+        what = (f"tiling vertex {i}" if i < len(verts)
+                else f"base of tiling edge {i - len(verts)}")
+        raise GeometryError(f"{what} is not on the {ops.name}")
+    if np.count_nonzero(ok) < len(ok):
         raise GeometryError(f"tiling edge {int(np.argmin(ok))} direction is not a unit "
                             "tangent at its base")
 
@@ -379,7 +444,9 @@ def tiling_from_dict(data):
     malformed file is a SchemaError and the tiling code can index without
     guards.  Then its geometry is checked: every vertex and edge base on
     its quadric, every edge direction a unit tangent at its base and every
-    ambient ray as in `fuchsian.check_rays` (GeometryError)."""
+    ambient ray as in `fuchsian.check_rays` (GeometryError).  Each field
+    of the faces, edges and segments is read once, as one column, and
+    every check runs on the columns."""
     _require_keys(
         data,
         ("schema", "handedness", "ambient", "vertices", "faces", "edges"),
@@ -409,91 +476,91 @@ def tiling_from_dict(data):
         ambient = HyperbolicAmbient(_shared_group(), _floats(amb["rays"], 3, "ambient rays"))
     verts = _floats(data["vertices"], 3, "vertices")
 
-    faces = _objects(data["faces"], ("color", "vertices", "links", "edge_refs"),
-                     ("digon_angle", "decks"), "face")
-    edges = _objects(data["edges"], ("base", "direction", "t_min", "t_max", "segments"),
-                     (), "edge")
-    if not all(isinstance(ed["segments"], list) and len(ed["segments"]) == 4
-               for ed in edges):
+    colors, vertex_ids, links, refs, digon, decks = _objects(
+        data["faces"], ("color", "vertices", "links", "edge_refs"), ("digon_angle", "decks"),
+        "face")
+    base, direction, t_min, t_max, quads = _objects(
+        data["edges"], ("base", "direction", "t_min", "t_max", "segments"), (), "edge")
+    if not ((set(map(type, quads)) <= {list} and set(map(len, quads)) <= {4})
+            or all(isinstance(q, list) and len(q) == 4 for q in quads)):
         raise SchemaError("edge: expected four segments")
-    segs = _objects([sd for ed in edges for sd in ed["segments"]],
-                    ("side", "position", "color", "face", "face_edge", "reversed",
-                     "t0", "t1"), ("deck",), "segment")
+    side, position, seg_colors, face, face_edge, rev, t0, t1, seg_decks = _objects(
+        list(itertools.chain.from_iterable(quads)),
+        ("side", "position", "color", "face", "face_edge", "reversed", "t0", "t1"), ("deck",),
+        "segment")
 
-    _enum([fd["color"] for fd in faces], (BLACK, WHITE), "face color")
-    black = np.array([fd["color"] == BLACK for fd in faces], dtype=bool)
-    count = {BLACK: int(black.sum()), WHITE: int((~black).sum())}
-    ids, sizes = _lists([fd["vertices"] for fd in faces], "face vertices")
+    black = _enum(colors, (BLACK, WHITE), "face color")
+    nb = int(np.count_nonzero(black))
+    nw = len(black) - nb
+    ids, sizes = _lists(list(vertex_ids), "face vertices")
     ids = _indices(ids, len(verts), "face vertices")
-    digon = [fd.get("digon_angle") for fd in faces]
-    is_digon = np.array([a is not None for a in digon], dtype=bool)
-    if np.any(np.where(is_digon, sizes != 2, sizes < 3)):
+    is_digon = _given(digon)
+    if np.count_nonzero(np.where(is_digon, sizes != 2, sizes < 3)):
         raise SchemaError("face: a digon has two vertices, a polygon at least three")
-    angles = np.full(len(faces), np.nan)
+    angles = np.full(len(colors), np.nan)
     angles[is_digon] = _finite_list([a for a in digon if a is not None], "digon angles")
-    links, n_links = _lists([fd["links"] for fd in faces], "face links")
-    refs, n_refs = _lists([fd["edge_refs"] for fd in faces], "face edge_refs")
-    decks = [fd.get("decks") for fd in faces]
+    links, n_links = _lists(list(links), "face links")
+    refs, n_refs = _lists(list(refs), "face edge_refs")
+    decked = _given(decks)
     _, n_decks = _lists([d for d in decks if d is not None], "face decks")
-    if not (np.array_equal(n_links, sizes) and np.array_equal(n_refs, sizes)
-            and np.array_equal(n_decks, sizes[[d is not None for d in decks]])):
+    if (np.count_nonzero(n_links != sizes) or np.count_nonzero(n_refs != sizes)
+            or np.count_nonzero(n_decks != sizes[decked])):
         raise SchemaError("face: links, edge_refs and decks need one entry per vertex")
-    links = _indices(links, np.repeat(np.where(black, count[WHITE], count[BLACK]), sizes),
-                     "face links")
-    refs = _indices(refs, len(edges), "face edge_refs", nullable=True)
-    if np.any(refs[np.repeat(is_digon, sizes)] < 0):
+    links = _indices(links, np.repeat(np.where(black, nw, nb), sizes), "face links")
+    refs = _indices(refs, len(quads), "face edge_refs", nullable=True)
+    if np.count_nonzero(refs[np.repeat(is_digon, sizes)] < 0):
         raise SchemaError("face: a digon lies on two tiling edges")
-    decked = np.array([d is not None for d in decks], dtype=bool)
     # the corners of a face with no list of tags are untagged
-    tags, tagged = _decks([g for d, k in zip(decks, sizes.tolist()) for g in d or [None] * k],
-                          "face decks")
+    tags, tagged = _decks([g for d, k in zip(decks, sizes.tolist()) for g in d or [None] * k]
+                          if np.count_nonzero(decked) else (None,) * len(ids), "face decks")
 
-    _enum([sd["side"] for sd in segs], ("left", "right"), "segment side")
-    _enum([sd["position"] for sd in segs], ("forward", "backward"), "segment position")
-    _enum([sd["color"] for sd in segs], (BLACK, WHITE), "segment color")
-    seg_black = np.array([sd["color"] == BLACK for sd in segs], dtype=bool)
-    if np.any(seg_black.reshape(-1, 4).sum(axis=1) != 2):
+    left = _enum(side, ("left", "right"), "segment side")
+    forward = _enum(position, ("forward", "backward"), "segment position")
+    seg_black = _enum(seg_colors, (BLACK, WHITE), "segment color")
+    if np.count_nonzero(seg_black.reshape(-1, 4).sum(axis=1) != 2):
         raise SchemaError("edge: expected two black and two white segments")
-    face = _indices([sd["face"] for sd in segs],
-                    np.where(seg_black, count[BLACK], count[WHITE]), "segment face")
-    bound = np.zeros(len(segs), dtype=int)
-    bound[seg_black] = sizes[black][face[seg_black]]
-    bound[~seg_black] = sizes[~black][face[~seg_black]]
-    face_edge = _indices([sd["face_edge"] for sd in segs], bound, "segment face_edge")
-    if not {type(sd["reversed"]) for sd in segs} <= {bool}:
+    face = _indices(face, np.where(seg_black, nb, nw), "segment face")
+    # the faces by color, black first, each color in file order
+    by_color = np.argsort(~black, kind="stable")
+    face_edge = _indices(face_edge, sizes[by_color[face + np.where(seg_black, 0, nb)]],
+                         "segment face_edge")
+    if not set(map(type, rev)) <= {bool}:
         raise SchemaError("segment reversed: expected true or false")
-    t0 = _finite_list([sd["t0"] for sd in segs], "segment t0")
-    t1 = _finite_list([sd["t1"] for sd in segs], "segment t1")
-    seg_decks, seg_tagged = _decks([sd.get("deck") for sd in segs], "segment deck")
-    if ambient == "sphere" and (decked.any() or seg_tagged.any()):
+    t0 = _finite_list(t0, "segment t0")
+    t1 = _finite_list(t1, "segment t1")
+    seg_decks, seg_tagged = _decks(seg_decks, "segment deck")
+    if ambient == "sphere" and (np.count_nonzero(decked) or np.count_nonzero(seg_tagged)):
         raise SchemaError("a spherical tiling carries no deck tags: face decks and "
                           "segment decks must be null")
-    if edges:
-        base = _floats([ed["base"] for ed in edges], 3, "edge base")
-        direction = _floats([ed["direction"] for ed in edges], 3, "edge direction")
+    if quads:
+        base = _floats(list(base), 3, "edge base")
+        direction = _floats(list(direction), 3, "edge direction")
     else:
         base = direction = np.empty((0, 3))
-    t_min = _finite_list([ed["t_min"] for ed in edges], "edge t_min")
-    t_max = _finite_list([ed["t_max"] for ed in edges], "edge t_max")
-    if ambient != "sphere" and len(ambient.rays) != count[BLACK]:
+    t_min = _finite_list(t_min, "edge t_min")
+    t_max = _finite_list(t_max, "edge t_max")
+    if ambient != "sphere" and len(ambient.rays) != nb:
         raise SchemaError("ambient rays: expected one ray per black face")
 
-    # each color's faces (mask m) and their corner rows, in file order
+    # the corners in the order of their faces, black faces first; each
+    # color's table takes its part of every column
+    rows = np.argsort(np.repeat(~black, sizes), kind="stable")
+    offsets = np.concatenate([[0], np.cumsum(sizes[by_color])])
+    vertices, links, refs, tags, tagged = (c[rows] for c in (verts[ids], links, refs, tags, tagged))
+    angles, decked = angles[by_color], decked[by_color]
+    cut = int(offsets[nb])
     black_faces, white_faces = (
-        TilingFaces.stacked(verts[ids[rows]], sizes[m], links[rows], refs[rows], angles[m],
-                            tags[rows], tagged[rows], decked[m])
-        for m, rows in ((m, np.repeat(m, sizes)) for m in (black, ~black)))
-    left = np.array([sd["side"] == "left" for sd in segs], dtype=bool)
-    forward = np.array([sd["position"] == "forward" for sd in segs], dtype=bool)
-    rev = np.array([sd["reversed"] for sd in segs], dtype=bool)
+        TilingFaces(vertices[r], offsets[o] - offsets[o][0], links[r], refs[r], angles[f],
+                    decked[f], tags[r], tagged[r])
+        for f, o, r in ((slice(nb), slice(nb + 1), slice(cut)),
+                        (slice(nb, None), slice(nb, None), slice(cut, None))))
     tiling_edges = TilingEdges(
         base, direction, t_min, t_max,
-        *(c.reshape(-1, 4) for c in (left, forward, seg_black, face, face_edge, rev, t0, t1)),
+        *(c.reshape(-1, 4) for c in (left, forward, seg_black, face, face_edge,
+                                     np.array(rev, dtype=bool), t0, t1)),
         seg_decks.reshape(-1, 4, 3, 3), seg_tagged.reshape(-1, 4))
     T = FlippableTiling(handedness, black_faces, white_faces, tiling_edges, ambient=ambient)
-    _check_vertices(verts, T.ops)
-    _check_vertices(base, T.ops, "base of tiling edge {}")
-    _check_tangents(base, direction, T.ops)
+    _check_geometry(verts, base, direction, T.ops)
     if not T.is_spherical:
         check_rays(ambient.group, ambient.rays)
     return T
@@ -572,16 +639,28 @@ def solution_to_dict(result):
 
 def _json_int(text):
     """A JSON integer; "-0", which the writer prints only for the float
-    -0.0, is read back as that float."""
+    -0.0, is read back as that float.  Only a text in which `_NEG_ZERO`
+    finds an integer -0 is parsed through this callback."""
     return -0.0 if text == "-0" else int(text)
+
+
+# every integer -0 token of a JSON text, and a few texts that are not one
+# (in a string, or the exponent of 1e-0)
+_NEG_ZERO = re.compile(r"-0(?![0-9.eE])")
 
 
 def load_json(path):
     """The JSON value in a file; an unreadable, undecodable, malformed or
-    too deeply nested one is a SchemaError."""
+    too deeply nested one is a SchemaError.  A text with no integer -0 is
+    parsed by the C scanner alone; one with such a token (or with a text
+    `_NEG_ZERO` mistakes for one) reads every integer through `_json_int`,
+    so that -0 comes back as -0.0."""
     try:
         with open(path) as fh:
-            return json.load(fh, parse_int=_json_int)
+            text = fh.read()
+        if _NEG_ZERO.search(text):
+            return json.loads(text, parse_int=_json_int)
+        return json.loads(text)
     except (OSError, ValueError, RecursionError) as exc:  # ValueError: bad JSON or bytes
         raise SchemaError(f"cannot parse {path}: {exc}") from exc
 

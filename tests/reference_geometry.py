@@ -56,7 +56,14 @@ are checked against:
   glued corner (`reference_cone_metric`), what the link sum of
   `tilings.black_metric` and `white_metric` replaced, its oracle; and the
   faces of a tiling as one record each (`Face`), the per-item view of its
-  face tables, from which the tests that replace a face build new tables.
+  face tables, from which the tests that replace a face build new tables;
+- the `tiling.v1` reader that reads a file's faces, edges and segments
+  one record at a time (`reference_tiling_from_dict`), with its checks in
+  the order the columnar `io.tiling_from_dict` keeps, and the JSON parse
+  that reads every integer through a callback (`reference_load_json`),
+  the oracles of the library's reader and of its parse; they share
+  `io`'s record-free helpers (`_require_keys`, `_finite_list`,
+  `_numbers`).
 
 It is not collected (its name does not start with `test_`), and no module
 of `src/flipkit` imports it.
@@ -64,20 +71,24 @@ of `src/flipkit` imports it.
 
 from dataclasses import dataclass, replace
 from enum import Enum
+import itertools
+import json
 import math
 
 import numpy as np
 
-from flipkit.errors import DevelopmentError, GeometryError, SignatureMismatchError
+from flipkit.errors import DevelopmentError, GeometryError, SchemaError, SignatureMismatchError
 from flipkit.forms import inv4, mul4
 from flipkit.fuchsian import (HyperbolicAmbient, _cone_angles, _config_on_checked_rays,
                               _face_decks, _face_orbits, _link_faces, _star_rows,
-                              _wedge_faces, orbit_hull, orbit_points, recover_heights)
+                              _wedge_faces, check_rays, orbit_hull, orbit_points,
+                              recover_heights)
+from flipkit.io import TILING_SCHEMA, _finite_list, _numbers, _require_keys, _shared_group
 from flipkit.polyhedra import VertexStars
 from flipkit.spheremath import ADS_STAR, SPHERE_STAR, HyperbolicOps
 from flipkit.tilings import (BLACK, WHITE, ConeMetric, ConePoint, FlippableTiling, Side,
-                             TilingFaces, _aligned_error, _corner_angles, assemble_corners,
-                             project_points, tiling_equality_error)
+                             TilingEdges, TilingFaces, _aligned_error, _corner_angles,
+                             assemble_corners, project_points, tiling_equality_error)
 
 
 class DegenerateTriangleError(GeometryError):
@@ -1437,3 +1448,254 @@ def with_face(T, color, i, **fields):
     faces = tiling_faces(T.faces(color))
     faces[i] = replace(faces[i], **fields)
     return with_faces(T, color, faces)
+
+
+# -- the tiling.v1 reader, one record at a time ---------------------------------
+
+
+def _ref_floats(rows, width, what):
+    try:
+        arr = np.array(rows, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"{what}: not numeric") from exc
+    if arr.ndim != 2 or arr.shape[1] != width or not np.all(np.isfinite(arr)):
+        raise SchemaError(f"{what}: expected rows of {width} finite numbers")
+    _numbers(itertools.chain.from_iterable(rows), what)
+    return arr
+
+
+def _ref_objects(items, required, optional, what):
+    """A JSON list of objects, each with the given fields."""
+    if not isinstance(items, list):
+        raise SchemaError(f"{what}s: expected a list")
+    every = set(required) | set(optional)
+    for item in items:
+        if type(item) is not dict or item.keys() != every:
+            _require_keys(item, required, optional, what)
+    return items
+
+
+def _ref_enum(values, allowed, what):
+    try:
+        ok = set(values) <= set(allowed)
+    except TypeError:  # an unhashable value
+        ok = False
+    if not ok:
+        raise SchemaError(f"{what} must be {' or '.join(allowed)}")
+
+
+def _ref_lists(values, what):
+    """A JSON list of JSON lists, flattened, with the length of each."""
+    if not (isinstance(values, list) and all(isinstance(v, list) for v in values)):
+        raise SchemaError(f"{what}: expected a list")
+    return [x for v in values for x in v], np.array([len(v) for v in values], dtype=int)
+
+
+def _ref_indices(values, bound, what, nullable=False):
+    """JSON integer indices in [0, bound) as an int array; `bound` is one
+    number or one per index, and null (read as -1) is allowed if
+    `nullable`."""
+    if nullable:
+        null = np.array([i is None for i in values], dtype=bool)
+        values = [-1 if i is None else i for i in values]
+    try:
+        arr = np.array(values)
+    except ValueError:  # lists nested to uneven depths
+        arr = None
+    if (arr is None or arr.ndim != 1 or (arr.size and arr.dtype.kind not in "iu")
+            or bool in set(map(type, values))):  # numpy reads [true, 1] as integers
+        raise SchemaError(f"{what}: expected integer indices")
+    arr = arr.astype(np.int64)
+    bad = (arr < 0) | (arr >= bound)
+    if (bad & ~null if nullable else bad).any():
+        raise SchemaError(f"{what}: index out of range")
+    return arr
+
+
+def _ref_decks(tags, what):
+    """Deck tags, each null or a 3x3 matrix of finite numbers: the (m, 3, 3)
+    matrices, the identity for null, and the (m,) flags of the others."""
+    tagged = np.array([d is not None for d in tags], dtype=bool)
+    decks = np.tile(np.eye(3), (len(tags), 1, 1))
+    if tagged.any():
+        try:
+            arr = np.array([d for d in tags if d is not None], dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise SchemaError(f"{what}: not numeric") from exc
+        if arr.shape[1:] != (3, 3) or not np.all(np.isfinite(arr)):
+            raise SchemaError(f"{what}: expected 3x3 matrices of finite numbers")
+        _numbers([x for d in tags if d is not None for row in d for x in row], what)
+        decks[tagged] = arr
+    return decks, tagged
+
+
+def _ref_check_vertices(verts, ops, what="tiling vertex {}"):
+    """Refuse a tiling vertex (or edge base) v off the surface quadric `ops`
+    (GeometryError): |<v, v> - kappa| > 1e-9 |v|^2, with |.| the Euclidean
+    norm; |v|^2 >= 1e9, where that tolerance reaches |kappa| and no longer
+    tells the quadric from its light cone; or a time-like coordinate that
+    is not positive (the lower sheet of the hyperboloid)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        n2 = np.einsum("ij,ij->i", verts, verts)
+        q = np.einsum("ij,ij->i", verts * ops.form, verts)
+        on = ((np.abs(q - ops.kappa) <= 1e-9 * n2) & (n2 < 1e9)
+              & np.all(verts[:, ops.form < 0] > 0, axis=1))
+    if not np.all(on):
+        raise GeometryError(f"{what.format(int(np.argmin(on)))} is not on the {ops.name}")
+
+
+def _ref_check_tangents(base, direction, ops):
+    """Refuse an edge direction d that is not a unit tangent at its base b
+    on the surface quadric `ops`: |<d, d> - 1| > 1e-9 |d|^2 or
+    |<b, d>| > 1e-9 |b| |d|, with |.| the Euclidean norm (GeometryError)."""
+    form = ops.form
+    with np.errstate(over="ignore", invalid="ignore"):
+        dd, bb = (np.einsum("ij,ij->i", a, a) for a in (direction, base))
+        ok = ((np.abs(np.einsum("ij,ij->i", direction * form, direction) - 1.0) <= 1e-9 * dd)
+              & (np.abs(np.einsum("ij,ij->i", base * form, direction)) <= 1e-9 * np.sqrt(bb * dd)))
+    if not np.all(ok):
+        raise GeometryError(f"tiling edge {int(np.argmin(ok))} direction is not a unit "
+                            "tangent at its base")
+
+
+def reference_tiling_from_dict(data):
+    """A tiling from a `tiling.v1` dict, its structure checked first: enum
+    values, index ranges, four segments (two of each color) per edge, one
+    ambient ray per black face and the shapes of all arrays, so that a
+    malformed file is a SchemaError and the tiling code can index without
+    guards.  Then its geometry is checked: every vertex and edge base on
+    its quadric, every edge direction a unit tangent at its base and every
+    ambient ray as in `fuchsian.check_rays` (GeometryError)."""
+    _require_keys(
+        data,
+        ("schema", "handedness", "ambient", "vertices", "faces", "edges"),
+        (),
+        TILING_SCHEMA,
+    )
+    if data["schema"] != TILING_SCHEMA:
+        raise SchemaError(f"expected schema {TILING_SCHEMA}")
+    if data["handedness"] not in ("left", "right"):
+        raise SchemaError("handedness must be 'left' or 'right'")
+    handedness = Side(data["handedness"])
+
+    amb = data["ambient"]
+    if amb == "sphere":
+        ambient = "sphere"
+    else:
+        _require_keys(
+            amb,
+            ("type", "genus", "rays"),
+            ("word_length", "word_length_cap"),
+            "ambient",
+        )
+        if amb["type"] != "hyperbolic" or amb["genus"] != 2:
+            raise SchemaError("only the built-in genus-2 hyperbolic ambient is supported")
+        if not all(type(amb.get(k, 0)) is int for k in ("word_length", "word_length_cap")):
+            raise SchemaError("ambient word lengths: expected integers")
+        ambient = HyperbolicAmbient(_shared_group(), _ref_floats(amb["rays"], 3, "ambient rays"))
+    verts = _ref_floats(data["vertices"], 3, "vertices")
+
+    faces = _ref_objects(data["faces"], ("color", "vertices", "links", "edge_refs"),
+                     ("digon_angle", "decks"), "face")
+    edges = _ref_objects(data["edges"], ("base", "direction", "t_min", "t_max", "segments"),
+                     (), "edge")
+    if not all(isinstance(ed["segments"], list) and len(ed["segments"]) == 4
+               for ed in edges):
+        raise SchemaError("edge: expected four segments")
+    segs = _ref_objects([sd for ed in edges for sd in ed["segments"]],
+                    ("side", "position", "color", "face", "face_edge", "reversed",
+                     "t0", "t1"), ("deck",), "segment")
+
+    _ref_enum([fd["color"] for fd in faces], (BLACK, WHITE), "face color")
+    black = np.array([fd["color"] == BLACK for fd in faces], dtype=bool)
+    count = {BLACK: int(black.sum()), WHITE: int((~black).sum())}
+    ids, sizes = _ref_lists([fd["vertices"] for fd in faces], "face vertices")
+    ids = _ref_indices(ids, len(verts), "face vertices")
+    digon = [fd.get("digon_angle") for fd in faces]
+    is_digon = np.array([a is not None for a in digon], dtype=bool)
+    if np.any(np.where(is_digon, sizes != 2, sizes < 3)):
+        raise SchemaError("face: a digon has two vertices, a polygon at least three")
+    angles = np.full(len(faces), np.nan)
+    angles[is_digon] = _finite_list([a for a in digon if a is not None], "digon angles")
+    links, n_links = _ref_lists([fd["links"] for fd in faces], "face links")
+    refs, n_refs = _ref_lists([fd["edge_refs"] for fd in faces], "face edge_refs")
+    decks = [fd.get("decks") for fd in faces]
+    _, n_decks = _ref_lists([d for d in decks if d is not None], "face decks")
+    if not (np.array_equal(n_links, sizes) and np.array_equal(n_refs, sizes)
+            and np.array_equal(n_decks, sizes[[d is not None for d in decks]])):
+        raise SchemaError("face: links, edge_refs and decks need one entry per vertex")
+    links = _ref_indices(links, np.repeat(np.where(black, count[WHITE], count[BLACK]), sizes),
+                     "face links")
+    refs = _ref_indices(refs, len(edges), "face edge_refs", nullable=True)
+    if np.any(refs[np.repeat(is_digon, sizes)] < 0):
+        raise SchemaError("face: a digon lies on two tiling edges")
+    decked = np.array([d is not None for d in decks], dtype=bool)
+    # the corners of a face with no list of tags are untagged
+    tags, tagged = _ref_decks([g for d, k in zip(decks, sizes.tolist()) for g in d or [None] * k],
+                          "face decks")
+
+    _ref_enum([sd["side"] for sd in segs], ("left", "right"), "segment side")
+    _ref_enum([sd["position"] for sd in segs], ("forward", "backward"), "segment position")
+    _ref_enum([sd["color"] for sd in segs], (BLACK, WHITE), "segment color")
+    seg_black = np.array([sd["color"] == BLACK for sd in segs], dtype=bool)
+    if np.any(seg_black.reshape(-1, 4).sum(axis=1) != 2):
+        raise SchemaError("edge: expected two black and two white segments")
+    face = _ref_indices([sd["face"] for sd in segs],
+                    np.where(seg_black, count[BLACK], count[WHITE]), "segment face")
+    bound = np.zeros(len(segs), dtype=int)
+    bound[seg_black] = sizes[black][face[seg_black]]
+    bound[~seg_black] = sizes[~black][face[~seg_black]]
+    face_edge = _ref_indices([sd["face_edge"] for sd in segs], bound, "segment face_edge")
+    if not {type(sd["reversed"]) for sd in segs} <= {bool}:
+        raise SchemaError("segment reversed: expected true or false")
+    t0 = _finite_list([sd["t0"] for sd in segs], "segment t0")
+    t1 = _finite_list([sd["t1"] for sd in segs], "segment t1")
+    seg_decks, seg_tagged = _ref_decks([sd.get("deck") for sd in segs], "segment deck")
+    if ambient == "sphere" and (decked.any() or seg_tagged.any()):
+        raise SchemaError("a spherical tiling carries no deck tags: face decks and "
+                          "segment decks must be null")
+    if edges:
+        base = _ref_floats([ed["base"] for ed in edges], 3, "edge base")
+        direction = _ref_floats([ed["direction"] for ed in edges], 3, "edge direction")
+    else:
+        base = direction = np.empty((0, 3))
+    t_min = _finite_list([ed["t_min"] for ed in edges], "edge t_min")
+    t_max = _finite_list([ed["t_max"] for ed in edges], "edge t_max")
+    if ambient != "sphere" and len(ambient.rays) != count[BLACK]:
+        raise SchemaError("ambient rays: expected one ray per black face")
+
+    # each color's faces (mask m) and their corner rows, in file order
+    black_faces, white_faces = (
+        TilingFaces.stacked(verts[ids[rows]], sizes[m], links[rows], refs[rows], angles[m],
+                            tags[rows], tagged[rows], decked[m])
+        for m, rows in ((m, np.repeat(m, sizes)) for m in (black, ~black)))
+    left = np.array([sd["side"] == "left" for sd in segs], dtype=bool)
+    forward = np.array([sd["position"] == "forward" for sd in segs], dtype=bool)
+    rev = np.array([sd["reversed"] for sd in segs], dtype=bool)
+    tiling_edges = TilingEdges(
+        base, direction, t_min, t_max,
+        *(c.reshape(-1, 4) for c in (left, forward, seg_black, face, face_edge, rev, t0, t1)),
+        seg_decks.reshape(-1, 4, 3, 3), seg_tagged.reshape(-1, 4))
+    T = FlippableTiling(handedness, black_faces, white_faces, tiling_edges, ambient=ambient)
+    _ref_check_vertices(verts, T.ops)
+    _ref_check_vertices(base, T.ops, "base of tiling edge {}")
+    _ref_check_tangents(base, direction, T.ops)
+    if not T.is_spherical:
+        check_rays(ambient.group, ambient.rays)
+    return T
+
+
+def _ref_json_int(text):
+    """A JSON integer; "-0", which the writer prints only for the float
+    -0.0, is read back as that float."""
+    return -0.0 if text == "-0" else int(text)
+
+
+def reference_load_json(path):
+    """The JSON value in a file; an unreadable, undecodable, malformed or
+    too deeply nested one is a SchemaError."""
+    try:
+        with open(path) as fh:
+            return json.load(fh, parse_int=_ref_json_int)
+    except (OSError, ValueError, RecursionError) as exc:  # ValueError: bad JSON or bytes
+        raise SchemaError(f"cannot parse {path}: {exc}") from exc

@@ -1,7 +1,12 @@
 """JSON schemas, canonical serialization, CLI commands and exit codes."""
 
+import copy
+import dataclasses
+import functools
+import itertools
 import json
 import math
+import operator
 import os
 import re
 import warnings
@@ -29,7 +34,10 @@ from flipkit.tilings import (
     project,
     validate_tiling,
 )
-from reference_geometry import Face, faces_table, tiling_congruence_error, tiling_faces
+from reference_geometry import (Face, faces_table, reference_load_json, reference_tiling_from_dict,
+                                tiling_congruence_error, tiling_faces)
+from test_digests import QUOTIENT_PROJECT_SEED, SPHERE_CLI_SEED, quotient_surfaces
+from test_exit_contract import BASES, DROP, EXTRA, MUTANTS, NEG_ZERO, PATHS
 from test_tilings import spread_polygon
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
@@ -305,6 +313,155 @@ def test_vertex_table_matches_reference_across_rounding(data):
             faces[color].append(Face(v, (0,) * k, (None,) * k))
     T = FlippableTiling(Side.LEFT, faces_table(faces["black"]), faces_table(faces["white"]), [])
     assert fio._vertex_table(T) == reference_vertex_table(T)
+
+
+def tiling_columns(T):
+    """Every column of T's tables as (name, dtype, shape, bytes), so that
+    floats compare by their bits (-0.0 is not 0.0), with its handedness
+    and its ambient rays."""
+    out = [T.handedness, T.is_spherical]
+    if not T.is_spherical:
+        out.append(T.ambient.rays.tobytes())
+    for table in (T.black, T.white, T.edges):
+        for field in dataclasses.fields(table):
+            a = getattr(table, field.name)
+            out.append((field.name, a.dtype.str, a.shape, a.tobytes()))
+    return out
+
+
+def reader_outcome(read, source):
+    """The columns of the tiling `read` makes of `source`, or the first
+    exception's type and message."""
+    try:
+        return tiling_columns(read(source))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def one_field_mutants(d, path):
+    """Every one-field mutant of d at `path` (`MUTANTS`, changed as
+    `mutated_text` changes them): the one with -0 as the text that writes
+    it as the JSON integer -0, the others as d itself, changed in place
+    until the next mutant is drawn."""
+    *above, key = path
+    parent = functools.reduce(operator.getitem, above, d)
+    kept = parent[key]
+    try:
+        for value in MUTANTS:
+            parent[key] = kept
+            if value in (DROP, EXTRA):
+                # a changed copy of the parent, put in its place
+                changed = copy.copy(parent)
+                if value == DROP:
+                    del changed[key]
+                elif isinstance(changed, dict):
+                    changed["extra"] = 0
+                else:
+                    changed.append(changed[key])
+                if not above:
+                    yield changed
+                    continue
+                grand = functools.reduce(operator.getitem, above[:-1], d)
+                grand[above[-1]] = changed
+                try:
+                    yield d
+                finally:
+                    grand[above[-1]] = parent
+            elif value == NEG_ZERO:
+                parent[key] = "placeholder"
+                yield json.dumps(d).replace('"placeholder"', "-0")
+            else:
+                parent[key] = value
+                yield d
+    finally:
+        parent[key] = kept
+
+
+def reader_inputs():
+    """What the reader is checked on, as texts or as parsed documents:
+    both projections and the flip of the first 9 `sphere-cli` corpus
+    polyhedra and of the seed-99 round-0 quotient surfaces, as written
+    (-0.0 as -0), then every one-field mutant of the first node of each
+    field of the antipodal-digon and the AdS n = 1 tiling of the exit
+    contract.  A text may hold an integer -0, where the two parses
+    differ; the documents are mutants whose text would hold none, which
+    both parses read as one value."""
+    rng = np.random.default_rng(SPHERE_CLI_SEED)
+    polyhedra = [random_polyhedron(rng, 6 + i % 9) for i in range(9)]
+    surfaces = quotient_surfaces(fuchsian.genus2_group(), QUOTIENT_PROJECT_SEED, 1)
+    for left, right in itertools.chain(
+            ((project(P, Side.LEFT), project(P, Side.RIGHT)) for P in polyhedra),
+            ((fuchsian.ads_project(S, Side.LEFT), fuchsian.ads_project(S, Side.RIGHT))
+             for S in surfaces)):
+        for T in (left, right, flip(left)):
+            yield fio.canonical_json(fio.tiling_to_dict(T)) + "\n"
+    for name in ("digons", "ads"):
+        d = json.loads(json.dumps(BASES[name]))
+        for paths in PATHS[name].values():
+            yield from one_field_mutants(d, paths[0])
+
+
+def test_reader_matches_reference(tmp_path):
+    # the columnar reader and the C-scanner parse against the record-wise
+    # reader and the callback parse they replaced: the same columns bit
+    # for bit, or the same first error
+    path = tmp_path / "t.json"
+    for case in reader_inputs():
+        if isinstance(case, str):
+            path.write_text(case)
+            new = reader_outcome(lambda p: fio.tiling_from_dict(fio.load_json(p)), path)
+            ref = reader_outcome(
+                lambda p: reference_tiling_from_dict(reference_load_json(p)), path)
+        else:
+            new = reader_outcome(fio.tiling_from_dict, case)
+            ref = reader_outcome(reference_tiling_from_dict, case)
+        assert new == ref, case if isinstance(case, str) else json.dumps(case)
+
+
+def test_a_label_that_spells_minus_zero_takes_the_callback_parse(tmp_path):
+    # the token search takes the "-0" of a ray label "r-0" for an integer
+    # -0: that text is parsed through the integer callback, and reads as
+    # the config with any other label
+    configs = {}
+    for label in ("r0", "r-0"):
+        path = tmp_path / "f.json"
+        ray = dict(FUCHSIAN_HEIGHTS["rays"][0], label=label)
+        path.write_text(json.dumps(dict(FUCHSIAN_HEIGHTS, rays=[ray])))
+        with mock.patch.object(fio, "_json_int", wraps=fio._json_int) as callback:
+            kind, configs[label] = fio.load_any(path)
+        assert kind == "fuchsian" and callback.called == (label == "r-0")
+    plain, slow = configs.values()
+    assert plain.rays.tobytes() == slow.rays.tobytes()
+    assert plain.heights.tobytes() == slow.heights.tobytes()
+    assert plain.targets is slow.targets is None
+
+
+def test_minus_zero_face_vertex_is_refused(tmp_path, capsys, tetrahedron):
+    # -0 is read as the float -0.0, which is no index
+    d = json.loads(fio.canonical_json(fio.tiling_to_dict(project(tetrahedron, Side.LEFT))))
+    ids = next(f["vertices"] for f in d["faces"] if 0 in f["vertices"])
+    ids[ids.index(0)] = "placeholder"
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps(d).replace('"placeholder"', "-0"))
+    assert main(["check", "--in", str(path)]) == 2
+    assert capsys.readouterr().err == "error: face vertices: expected integer indices\n"
+
+
+def test_minus_zero_floats_redump_to_their_bytes(tmp_path):
+    # the writer prints -0.0 as -0; read back, a vertex coordinate, a
+    # segment t0 and a deck entry keep their sign and re-dump to their bytes
+    sphere = fio.tiling_to_dict(make_two_circles_tiling([0.0, 0.0, 1.0], [1.0, 0.0, 0.0],
+                                                        Side.LEFT))
+    assert math.copysign(1.0, sphere["vertices"][1][0]) == -1.0
+    sphere["edges"][0]["segments"][0]["t0"] = -0.0
+    quotient = json.loads(json.dumps(BASES["ads"]))
+    deck = next(g for f in quotient["faces"] for g in f["decks"] if g == np.eye(3).tolist())
+    deck[0][1] = -0.0
+    path = tmp_path / "t.json"
+    for d in (sphere, quotient):
+        text = fio.dump_json(d, path)
+        assert re.search(r"[\[,:]-0[,\]]", text)
+        assert fio.canonical_json(fio.tiling_to_dict(fio.load_any(path)[1])) + "\n" == text
 
 
 def test_polyhedron_round_trip_bytes(tmp_path, tetrahedron):

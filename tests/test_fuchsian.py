@@ -49,7 +49,7 @@ from flipkit.fuchsian import (
 )
 from flipkit.spheremath import ADS_STAR, SPHERE_STAR, HyperbolicOps
 from flipkit.tilings import (WHITE, FlippableTiling, Side, flip, project,
-                             tiling_equality_error, validate_tiling)
+                             tiling_equality_error, validate_tiling, white_metric)
 from reference_geometry import (
     ConvexityClass,
     Signature,
@@ -1244,14 +1244,14 @@ def test_symmetric_tiling_spectra(surf1, surf2):
 
 
 def test_induced_cone_metric_hyperbolic(surf2):
-    from flipkit.fuchsian import induced_cone_metric
-
-    m = induced_cone_metric(surf2)
-    assert m.curvature == -1
-    assert np.all(m.cone_angles() > 2 * np.pi)
-    np.testing.assert_allclose(
-        m.singular_curvatures(), curvatures(surf2), atol=1e-12
-    )
+    # the quotient's induced metric is the white metric of either projection
+    for side in Side:
+        m = white_metric(ads_project(surf2, side))
+        assert m.curvature == -1
+        assert np.all(m.cone_angles() > 2 * np.pi)
+        np.testing.assert_allclose(
+            m.singular_curvatures(), curvatures(surf2), atol=1e-12
+        )
 
 
 def test_recover_heights_round_trip(surf2):
