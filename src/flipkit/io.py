@@ -145,6 +145,7 @@ def _plain_floats(values):
 
 def _floats(rows, width, what):
     """JSON rows of `width` finite numbers as a 2-D float array."""
+    finite = f"{what}: expected rows of {width} finite numbers"
     arr = None
     if type(rows) is list and set(map(type, rows)) == {list} and set(map(len, rows)) == {width}:
         arr = _plain_floats(list(itertools.chain.from_iterable(rows)))
@@ -156,8 +157,10 @@ def _floats(rows, width, what):
             arr = np.array(rows, dtype=float)
         except (TypeError, ValueError) as exc:
             raise SchemaError(f"{what}: not numeric") from exc
+        except OverflowError as exc:  # an integer beyond the float range
+            raise SchemaError(finite) from exc
     if arr.ndim != 2 or arr.shape[1] != width or not _finite(arr):
-        raise SchemaError(f"{what}: expected rows of {width} finite numbers")
+        raise SchemaError(finite)
     if not plain:
         _numbers(itertools.chain.from_iterable(rows), what)
     return arr
@@ -165,6 +168,7 @@ def _floats(rows, width, what):
 
 def _finite_list(values, what):
     """A JSON list of finite numbers as a 1-D float array."""
+    finite = f"{what}: expected a list of finite numbers"
     arr = _plain_floats(values)
     plain = arr is not None
     if not plain:
@@ -172,8 +176,10 @@ def _finite_list(values, what):
             arr = np.array(values, dtype=float)
         except (TypeError, ValueError) as exc:
             raise SchemaError(f"{what}: not numeric") from exc
+        except OverflowError as exc:  # an integer beyond the float range
+            raise SchemaError(finite) from exc
     if arr.ndim != 1 or not _finite(arr):
-        raise SchemaError(f"{what}: expected a list of finite numbers")
+        raise SchemaError(finite)
     if not plain:
         _numbers(values, what)
     return arr
@@ -388,6 +394,7 @@ def _indices(values, bound, what, nullable=False):
 def _decks(tags, what):
     """Deck tags, each null or a 3x3 matrix of finite numbers: the (m, 3, 3)
     matrices, the identity for null, and the (m,) flags of the others."""
+    finite = f"{what}: expected 3x3 matrices of finite numbers"
     tagged = _given(tags)
     decks = np.full((len(tags), 3, 3), np.eye(3))
     if np.count_nonzero(tagged):
@@ -396,8 +403,10 @@ def _decks(tags, what):
             arr = np.array(given, dtype=float)
         except (TypeError, ValueError) as exc:
             raise SchemaError(f"{what}: not numeric") from exc
+        except OverflowError as exc:  # an integer beyond the float range
+            raise SchemaError(finite) from exc
         if arr.shape[1:] != (3, 3) or not _finite(arr):
-            raise SchemaError(f"{what}: expected 3x3 matrices of finite numbers")
+            raise SchemaError(finite)
         _numbers([x for d in given for row in d for x in row], what)
         decks[tagged] = arr
     return decks, tagged

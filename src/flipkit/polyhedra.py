@@ -2,8 +2,8 @@
 
 Construction goes through the projective chart centered at e = (1,0,0,0):
 a point with x1 > 0 is drawn at (x2,x3,x4)/x1, where spherical polyhedra
-become Euclidean polytopes.  Faces, polar duals and polar links are all
-derived from that picture.
+become Euclidean polytopes.  Hulls and their faces are derived from that
+picture.
 
 This module owns the one chart hull -> merged faces path, for the
 polyhedra of S^3 here and the orbit hulls of AdS_3 in `fuchsian`: after
@@ -14,6 +14,13 @@ A polyhedron's combinatorics are one corner table (`Corners`, the doubly
 connected edge list of Muller and Preparata): its edges, one star table
 of all its vertices (`VertexStars`, which `fuchsian` keeps for its
 surfaces too) and the projections of `tilings` are read off it.
+
+Polar duality is read off the corner table too, with no hull: the face
+poles of P are the vertices of its dual, the vertex stars of P its faces
+and the vertices of P its face poles.  A star turns clockwise about its
+vertex v seen from outside P.  The dual face of v lies in the plane v*,
+where the outside of the dual is the side of -v, so the same cycle turns
+counterclockwise seen from outside the dual.
 """
 
 import itertools
@@ -436,6 +443,12 @@ def qhull_reason(exc):
     return str(exc).partition("\n")[0]
 
 
+def _canonical_order(points):
+    """The canonical vertex order: lexicographic on coordinates rounded to
+    12 digits."""
+    return np.lexsort(np.round(points, 12).T[::-1])
+
+
 def hull(points):
     """Convex hull of points of the open hemisphere, via the projective chart.
 
@@ -459,8 +472,7 @@ def hull(points):
     first, ids = merge_triangles(ch.simplices, tri_poles)
     poles = _svd_poles(pts[ch.simplices[first]], interior)
 
-    # Canonical vertex order: lexicographic on rounded coordinates.
-    keep = keep[np.lexsort(np.round(pts[keep], 12).T[::-1])]
+    keep = keep[_canonical_order(pts[keep])]
     rank = np.empty(len(pts), dtype=int)
     rank[keep] = np.arange(len(keep))
     verts, chart = pts[keep], chart[keep]
@@ -490,10 +502,24 @@ def from_vertices_and_faces(vertices, faces):
 
 
 def polar_dual(P):
-    """Polar dual: vertices are the duals of the face planes of P.
+    """Polar dual, read off the corner table of P with no hull: its vertices
+    are the face poles of P, its faces the vertex stars of P, and its face
+    poles the vertices of P.
 
-    The dual of the dual is P itself, and edge lengths of the dual equal the
-    exterior dihedral angles of P.
+    Vertices come in the `_canonical_order` of `hull`, and the interior is
+    the chart mean of the poles, as `hull` takes it.  Face v is the cycle
+    of the poles of the faces of star v, in star order, from its least id;
+    the faces are sorted, and each carries the pole P.vertices[v].
+
+    Star order is counterclockwise seen from outside the dual.  A star
+    steps from a face to the face across the edge after v, clockwise about
+    v seen from outside P, and the poles of those faces turn about v as the
+    faces do.  Face v of the dual lies in the plane v*, where the outside
+    of the dual is the side of -v, so the turn reverses.
+
+    The dual of the dual of a P that `hull` or `polar_dual` built is P
+    itself, bit for bit, and edge lengths of the dual equal the exterior
+    dihedral angles of P.
     """
     poles = P.face_poles
     if np.any(poles[:, 0] <= EPS_HEMISPHERE):
@@ -501,7 +527,19 @@ def polar_dual(P):
             "a face pole leaves the open hemisphere; recenter P so that it "
             "contains the hemisphere center"
         )
-    D = hull(poles)
-    if D.n_vertices != P.n_faces:
-        raise GeometryError("duality lost a face pole; P is degenerate")
-    return D
+    pts = normalize_rows(poles)
+    interior = from_chart(to_chart(pts).mean(axis=0)[None, :])[0]
+    order = _canonical_order(pts)
+    rank = np.empty(len(pts), dtype=np.intp)
+    rank[order] = np.arange(len(pts))
+    c = P.corners
+    ring = rank[c.face[P.star_corners]].tolist()
+    ends = np.cumsum(np.bincount(c.vertex, minlength=P.n_vertices)).tolist()
+    faces = []
+    for a, b in zip([0] + ends[:-1], ends):
+        cycle = ring[a:b]
+        k = cycle.index(min(cycle))
+        faces.append(tuple(cycle[k:] + cycle[:k]))
+    face_order = sorted(range(len(faces)), key=faces.__getitem__)
+    return ConvexPolyhedron(pts[order], [faces[i] for i in face_order],
+                            P.vertices[face_order], interior)

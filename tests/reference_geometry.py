@@ -15,7 +15,9 @@ are checked against:
   vertex by a walk across edges, its stars by pairwise intersections of
   neighbouring faces and its projection by index lookups in those cycles,
   the oracles of `ConvexPolyhedron.edges`, `face_cycle_at_vertex`,
-  `stars` and `tilings.project`;
+  `stars` and `tilings.project`; and its polar dual as the chart hull of
+  its face poles (`reference_polar_dual`), the oracle of
+  `polyhedra.polar_dual`;
 - the vertex stars of a Fuchsian surface one at a time, one record each
   (`Star`, the per-star view of the library's star table): the star builder
   that orders every incident face and compares order keys per call, and the
@@ -84,7 +86,7 @@ from flipkit.fuchsian import (HyperbolicAmbient, _cone_angles, _config_on_checke
                               _wedge_faces, check_rays, orbit_hull, orbit_points,
                               recover_heights)
 from flipkit.io import TILING_SCHEMA, _finite_list, _numbers, _require_keys, _shared_group
-from flipkit.polyhedra import VertexStars
+from flipkit.polyhedra import EPS_HEMISPHERE, VertexStars, hull
 from flipkit.spheremath import ADS_STAR, SPHERE_STAR, HyperbolicOps
 from flipkit.tilings import (BLACK, WHITE, ConeMetric, ConePoint, FlippableTiling, Side,
                              TilingEdges, TilingFaces, _aligned_error, _corner_angles,
@@ -392,6 +394,22 @@ def reference_sph_stars(P):
         cycles.append(neighbors)
         wedge_face += after
     return VertexStars.stacked(range(P.n_vertices), cycles, wedge_face=wedge_face)
+
+
+def reference_polar_dual(P):
+    """The polar dual as the chart hull of the face poles of P, merged
+    triangles, SVD cycles and SVD face poles: what `polyhedra.polar_dual`,
+    which reads the dual off the corner table, replaced, its oracle.  It
+    refuses a P one of whose face poles the hull drops."""
+    if np.any(P.face_poles[:, 0] <= EPS_HEMISPHERE):
+        raise GeometryError(
+            "a face pole leaves the open hemisphere; recenter P so that it "
+            "contains the hemisphere center"
+        )
+    D = hull(P.face_poles)
+    if D.n_vertices != P.n_faces:
+        raise GeometryError("duality lost a face pole; P is degenerate")
+    return D
 
 
 def assemble_tiling(star, side, poles, points, white, black, edges, decks=(np.eye(3),) * 3,

@@ -1015,6 +1015,21 @@ def test_cli_check_refuses_booleans_and_strings_as_numbers(tmp_path, capsys, num
     assert capsys.readouterr().err == f"error: {what}: not numeric\n"
 
 
+@pytest.mark.parametrize("column", sorted(NUMBER_COLUMNS))
+def test_cli_check_refuses_integers_beyond_the_float_range(tmp_path, capsys, number_documents,
+                                                          column):
+    # numpy raises OverflowError for 10**400 in a float array; it is no
+    # finite number
+    name, node, key, what = NUMBER_COLUMNS[column]
+    d = json.loads(json.dumps(number_documents[name]))
+    node(d)[key] = 10 ** 400
+    f = tmp_path / "f.json"
+    f.write_text(json.dumps(d))
+    assert main(["check", "--in", str(f)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {what}: expected ") and err.endswith(" finite numbers\n"), err
+
+
 @pytest.mark.parametrize("face", [
     ["a", 1, 2], {"a": 1}, 5, [5, [0, 1, 3]], [0, 1, None], [0, 1.5, 2], "012",
     [True, 1, 2], [False, 1, 2], [], [0, 1],

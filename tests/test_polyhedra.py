@@ -8,8 +8,10 @@ from scipy.spatial import ConvexHull as EuclideanHull
 
 from conftest import corner_angles, edge_lengths, random_polyhedron, regular_tetrahedron
 from flipkit import io as fio
+from flipkit import polyhedra
 from flipkit.errors import GeometryError
 from flipkit.polyhedra import (
+    EPS_HEMISPHERE,
     MERGE_TOL,
     ConvexPolyhedron,
     from_chart,
@@ -29,6 +31,7 @@ from reference_geometry import (
     polygon_is_convex,
     reference_edges,
     reference_face_cycles,
+    reference_polar_dual,
     reference_project,
     reference_sph_stars,
 )
@@ -445,3 +448,147 @@ def test_corner_table_raises_the_oracle_messages():
                             P.interior, validate=False)
     assert error_message(lambda: project(lone, Side.LEFT)) == error_message(
         lambda: reference_project(lone, Side.LEFT)) == "vertex 0 has fewer than 3 faces"
+
+
+# -- the polar dual off the corner table against the hull of the face poles ------
+
+
+def coplanar_hull(rng, kind, k):
+    """The hull of a prism, antiprism, bipyramid or pyramid over a regular
+    k-gon in the chart, under a random linear map and a small shift: faces
+    of four or more corners, or vertices of four or more faces."""
+    a = 2 * np.pi * np.arange(k) / k
+    ring = np.stack([np.cos(a), np.sin(a), np.zeros(k)], axis=1)
+    twisted = np.stack([np.cos(a + np.pi / k), np.sin(a + np.pi / k), np.zeros(k)], axis=1)
+    up = np.array([0.0, 0.0, 1.0])
+    chart = np.vstack({"prism": [ring - 0.6 * up, ring + 0.6 * up],
+                       "antiprism": [ring - 0.6 * up, twisted + 0.6 * up],
+                       "bipyramid": [ring, -up, up],
+                       "pyramid": [ring - 0.4 * up, up]}[kind])
+    q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    m = q * rng.uniform(0.25, 0.6, size=3)
+    return hull(from_chart(chart @ m.T + rng.uniform(-0.02, 0.02, size=3)))
+
+
+def generated(kind, seed, n):
+    """A random polyhedron of n vertices, the dual of one, or a coplanar
+    hull over an (n % 6 + 3)-gon."""
+    rng = np.random.default_rng(seed)
+    if kind == "polyhedron":
+        return random_polyhedron(rng, n)
+    if kind == "dual":
+        return reference_polar_dual(random_polyhedron(rng, n))
+    return coplanar_hull(rng, kind, n % 6 + 3)
+
+
+def bumped(rng, P, offset):
+    """The hull of the vertices of P and one more point, `offset` outside
+    a random face of P in the chart."""
+    chart = to_chart(P.vertices)
+    face = list(P.faces[int(rng.integers(P.n_faces))])
+    x = rng.dirichlet(np.ones(len(face))) @ chart[face]
+    a, b, c = chart[face[:3]]
+    out = np.cross(b - a, c - a)
+    out *= np.sign(out @ (x - chart.mean(axis=0))) / np.linalg.norm(out)
+    return hull(np.vstack([P.vertices, from_chart(x + offset * out)]))
+
+
+@pytest.fixture(scope="module")
+def near_degenerate():
+    """Valid hulls with one point 1e-4, 1e-8 or 1e-9 outside a face of a
+    random polyhedron or of a random hull, whose face poles may leave the
+    hemisphere; a bump Qhull or validation refuses is left out."""
+    rng = np.random.default_rng(33)
+    out = []
+    for k in range(60):
+        n = 5 + k % 8
+        base = random_hull(rng, n) if k % 3 == 0 else random_polyhedron(rng, n)
+        for offset in (1e-4, 1e-8, 1e-9):
+            try:
+                out.append(bumped(rng, base, offset))
+            except GeometryError:
+                pass
+    return out
+
+
+def dual_json(D):
+    return fio.canonical_json(fio.polyhedron_to_dict(D))
+
+
+KINDS = ["polyhedron", "dual", "prism", "antiprism", "bipyramid", "pyramid"]
+
+
+@settings(max_examples=60)
+@given(kind=st.sampled_from(KINDS), seed=st.integers(0, 2 ** 32 - 1), n=st.integers(4, 14))
+def test_polar_dual_matches_the_hull_oracle(kind, seed, n):
+    # generated polyhedra, their duals and hulls with coplanar points: the
+    # same polyhedron.v1 bytes as the chart hull of the face poles
+    P = generated(kind, seed, n)
+    assert dual_json(polar_dual(P)) == dual_json(reference_polar_dual(P))
+
+
+def test_polar_dual_where_the_oracle_refuses_or_splits_a_star(near_degenerate):
+    # Near-degenerate hulls: both duals refuse a face pole outside the
+    # hemisphere.  Where the hull of the poles refuses for another reason
+    # (a lost pole, half-space, coplanarity, edge counts), the dual off the
+    # corner table still validates.  Where both accept, the bytes agree,
+    # unless the hull of the poles split a vertex star into several faces:
+    # then it is no polar dual of P, as it has more faces than P vertices.
+    seen = {"hemisphere": 0, "refused": 0, "split": 0, "same": 0}
+    for P in near_degenerate:
+        try:
+            want = reference_polar_dual(P)
+        except GeometryError as exc:
+            if "open hemisphere" in str(exc):
+                with pytest.raises(GeometryError, match="open hemisphere"):
+                    polar_dual(P)
+                seen["hemisphere"] += 1
+            else:
+                assert polar_dual(P).n_faces == P.n_vertices
+                seen["refused"] += 1
+            continue
+        D = polar_dual(P)
+        if dual_json(D) == dual_json(want):
+            seen["same"] += 1
+        else:
+            assert want.n_faces > P.n_vertices == D.n_faces
+            seen["split"] += 1
+    assert min(seen.values()) > 0, seen
+
+
+def assert_exact_involution(P):
+    """polar_dual(polar_dual(P)) is P bit for bit, and the face poles of
+    the dual are the vertices of P whose stars its faces are."""
+    D = polar_dual(P)
+    DD = polar_dual(D)
+    assert DD.vertices.tobytes() == P.vertices.tobytes() and DD.faces == P.faces
+    pole_face = {row.tobytes(): f for f, row in enumerate(normalize_rows(P.face_poles))}
+    faces_of = [set(P.faces[pole_face[D.vertices[j].tobytes()]]) for j in range(D.n_vertices)]
+    apexes = []
+    for face in D.faces:
+        (apex,) = set.intersection(*(faces_of[j] for j in face))
+        apexes.append(apex)
+    assert sorted(apexes) == list(range(P.n_vertices))
+    assert D.face_poles.tobytes() == P.vertices[apexes].tobytes()
+
+
+@settings(max_examples=60)
+@given(kind=st.sampled_from(KINDS), seed=st.integers(0, 2 ** 32 - 1), n=st.integers(4, 14))
+def test_polar_dual_is_an_exact_involution(kind, seed, n):
+    assert_exact_involution(generated(kind, seed, n))
+
+
+def test_polar_dual_is_an_exact_involution_near_degeneracy(near_degenerate):
+    inside = [P for P in near_degenerate if np.all(P.face_poles[:, 0] > EPS_HEMISPHERE)]
+    assert len(inside) < len(near_degenerate)
+    for P in inside:
+        assert_exact_involution(P)
+
+
+def test_polar_dual_builds_no_hull(small_corpus, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("polar_dual called Qhull")
+
+    monkeypatch.setattr(polyhedra, "EuclideanHull", refuse)
+    for P in small_corpus:
+        assert polar_dual(polar_dual(P)).faces == P.faces
