@@ -58,10 +58,11 @@ def cmd_project(args):
 
 
 def cmd_flip(args):
+    scale = _tol_scale()
     kind, obj = fio.load_any(args.input)
     if kind != "tiling":
         raise SchemaError("flip expects a tiling.v1 file")
-    F = flip(obj)
+    F = flip(obj, tol_scale=scale)
     fio.dump_json(fio.tiling_to_dict(F), args.output)
     print(f"flipped to a {F.handedness.value} tiling -> {args.output}")
 

@@ -9,6 +9,7 @@ round-trips exactly.
 import functools
 import itertools
 import json
+import math
 import operator
 import re
 
@@ -55,23 +56,60 @@ def _render(o):
 
 
 def _list(o):
-    """A list or tuple, its items rendered as one column (`_column`); after
-    any failure there, item by item, so that the error raised is the first
-    in document order."""
+    """A list or tuple, its items rendered as one column (`_template`), in
+    one `%` call; after any failure there, item by item, so that the error
+    raised is the first in document order."""
     try:
-        return "[" + ",".join(_column(o)) + "]"
+        template, args, _ = _template(o)
+        return "[" + ",".join([template] * len(o)) % tuple(args) + "]"
     except Exception:
         return "[" + ",".join(map(_render, o)) + "]"
 
 
-def _column(values):
-    """The text of each of `values`.  Values of one plain type take one
-    `map`, floats refused when one is not finite; lists are flattened into
-    one column and regrouped; plain dicts with one nonempty set of str keys
-    (faces, edges, segments) take one column per key and one `%` template
-    per dict.  Any other column is rendered value by value."""
+def _template(values):
+    """The `%` template of one item of a column, its arguments and their
+    count per item: `template % args[i * count:(i + 1) * count]` is the
+    text of values[i].  Floats render as `%.17g` and exact ints as `%d`
+    (so a bool never reads as a number); other plain values as their text
+    through `%s`.  Lists of one length and plain dicts with one nonempty
+    set of str keys (faces, edges, segments) compose their items' or keys'
+    columns into one template.  A column that no template expresses takes
+    its texts through `%s` (`_texts`): floats whose sum is not finite, so
+    that a non-finite one is refused, lists of unequal lengths, and any
+    other column."""
     kinds = set(map(type, values))
     kind = kinds.pop() if len(kinds) == 1 else None
+    if kind is float and math.isfinite(sum(values)):
+        return "%.17g", values, 1
+    if kind is int:
+        return "%d", values, 1
+    if kind is list or kind is tuple:
+        lengths = set(map(len, values))
+        if len(lengths) == 1:
+            template, args, count = _template(list(itertools.chain.from_iterable(values)))
+            k = lengths.pop()
+            return "[" + ",".join([template] * k) + "]", args, count * k
+    elif kind is dict:
+        keys = values[0].keys()
+        if keys and all(map(keys.__eq__, map(dict.keys, values))) and all(
+                type(k) is str for k in keys):
+            keys = sorted(keys)
+            columns = [_template([d[k] for d in values]) for k in keys]
+            template = "{" + ",".join(_json_str(k).replace("%", "%%") + ":" + t
+                                      for k, (t, _, _) in zip(keys, columns)) + "}"
+            # each item's arguments, key after key
+            rows = zip(*(zip(*[iter(args)] * count) if count else itertools.repeat((), len(values))
+                         for _, args, count in columns))
+            args = list(itertools.chain.from_iterable(itertools.chain.from_iterable(rows)))
+            return template, args, sum(count for *_, count in columns)
+    return "%s", _texts(values, kind), 1
+
+
+def _texts(values, kind):
+    """The text of each of `values`, all of the type `kind` (None for a mix):
+    floats refused when one is not finite; lists through the template of
+    their items in one `%` call and regrouped; any other column value by
+    value."""
     if kind is float:
         texts = list(map(_F17, values))
         if "n" in "".join(texts):  # of the 17-digit forms, only "nan" and "inf" spell an n
@@ -80,15 +118,11 @@ def _column(values):
     if kind in _PLAIN_TEXT:
         return list(map(_PLAIN_TEXT[kind], values))
     if kind is list or kind is tuple:
-        flat = iter(_column(list(itertools.chain.from_iterable(values))))
-        return ["[" + ",".join(itertools.islice(flat, k)) + "]" for k in map(len, values)]
-    if kind is dict:
-        keys = values[0].keys()
-        if keys and all(d.keys() == keys for d in values) and all(type(k) is str for k in keys):
-            keys = sorted(keys)
-            template = "{" + ",".join(_json_str(k).replace("%", "%%") + ":%s" for k in keys) + "}"
-            columns = [_column([d[k] for d in values]) for k in keys]
-            return list(map(template.__mod__, zip(*columns)))
+        template, args, _ = _template(list(itertools.chain.from_iterable(values)))
+        # "\0" never occurs in canonical text, which escapes every control
+        # character, so it can part the items of one rendering
+        rows = "\0".join("[" + ",".join([template] * len(v)) + "]" for v in values)
+        return (rows % tuple(args)).split("\0")
     return list(map(_render, values))
 
 
@@ -100,7 +134,8 @@ def _dict(o):
 
 _PLAIN_TEXT = {str: _json_str, int: str, bool: {True: "true", False: "false"}.__getitem__,
                type(None): lambda _: "null"}
-_EXACT = {list: _list, tuple: _list, dict: _dict, float: lambda x: _column([x])[0], **_PLAIN_TEXT}
+_EXACT = {list: _list, tuple: _list, dict: _dict, float: lambda x: _texts([x], float)[0],
+          **_PLAIN_TEXT}
 # the plain value a subclass or numpy value is rendered as, in order of test
 _PLAIN = ((dict, dict), ((list, tuple), list), ((int, np.integer), int),
           ((float, np.floating), float), (str, str), (np.ndarray, np.ndarray.tolist))

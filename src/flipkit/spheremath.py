@@ -131,8 +131,9 @@ class Quadric:
         return CIRCULAR.arc_c(self.inner(s, t))
 
     def angle(self, x, a, b):
-        """Angle at x between the geodesics toward a and b."""
-        return self.angle_between(self.tangent(x, a), self.tangent(x, b))
+        """Angle at x between the geodesics toward a and b (of one shape),
+        both tangents from one pass."""
+        return self.angle_between(*self.tangent(x, np.array([a, b])))
 
     def apex_angles(self, x, t):
         """Signed angles rho at the points x between the direction toward
@@ -171,14 +172,22 @@ class Quadric:
 
     def geodesic_normal(self, p, q):
         """Unit normal of the oriented geodesic from p through q (S^2, H^2)."""
-        n = self.form * np.cross(p, q)
+        n = self.form * _cross(p, q)
         n2 = self.inner(n, n)
-        if np.any(n2 < TINY):
+        if (n2 < TINY).any():
             raise GeometryError("geodesic normal undefined (coincident or antipodal points)")
         return n / np.sqrt(n2)[..., None]
 
     def side(self, x, normal):
         return self.inner(x, normal)
+
+
+def _cross(p, q):
+    """Row-wise cross products of 3-vectors, bit for bit those of
+    `np.cross`, which computes p1 q2 - p2 q1 and its cyclic shifts too:
+    with each vector written twice, its cyclic shifts are slices."""
+    pp, qq = np.concatenate([p, p], axis=-1), np.concatenate([q, q], axis=-1)
+    return pp[..., 1:4] * qq[..., 2:5] - pp[..., 2:5] * qq[..., 1:4]
 
 
 def _cycles(sizes):

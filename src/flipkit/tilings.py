@@ -283,57 +283,67 @@ def _raise_first(clauses):
         raise GeometryError(msg)
 
 
-def _first_last(m):
-    """Per row of an (E, 4) mask, its first and its last marked column: the
-    row's pair when it marks two."""
-    return np.argmax(m, axis=1), 3 - np.argmax(m[:, ::-1], axis=1)
+def _first_min_max(t0, t1):
+    """Per row, Python's min of t0 and max of t1, which keep the first of
+    equal values and a NaN only where it comes first: one pass over the
+    columns of both, the max as the min of -t1."""
+    both = np.array([t0, -t1])
+    best = both[..., 0]
+    for j in range(1, both.shape[-1]):
+        best = np.where(both[..., j] < best, both[..., j], best)
+    return best[0], -best[1]
 
 
-def _pair_diff(values, m):
-    """|a - b| over the pair each row of the mask m marks."""
-    rows, (first, last) = np.arange(len(m)), _first_last(m)
-    return np.abs(values[rows, first] - values[rows, last])
-
-
-def _side_pairs(left, black, t0):
-    """Per edge and side (left, right): whether that side holds one black
-    and one white segment, and its two segments in order of t0 (a stable
-    sort, so a tie keeps segment order)."""
-    rows = np.arange(len(t0))
-    ok, lo, hi = [], [], []
-    for m in (left, ~left):
-        first, second = _first_last(m)
-        swap = t0[rows, second] < t0[rows, first]
-        ok.append((m.sum(axis=1) == 2) & ((m & black).sum(axis=1) == 1))
-        lo.append(np.where(swap, second, first))
-        hi.append(np.where(swap, first, second))
-    return np.stack(ok, 1), np.stack(lo, 1), np.stack(hi, 1)
+# per 4-bit code of a row's marked slots (bit j for slot j): its first and
+# its last marked slot as argmax reads them (0 and 3 where none is marked),
+# and, for the code of a side and that of a color, whether the side marks
+# two slots of which the color marks one
+_BITS = (np.arange(16)[:, None] >> np.arange(4)) & 1
+_ENDS = np.array([np.argmax(_BITS, axis=1), 3 - np.argmax(_BITS[:, ::-1], axis=1)])
+_COUNT = _BITS.sum(axis=1)
+_PAIR = (_COUNT[:, None] == 2) & (_COUNT[np.arange(16)[:, None] & np.arange(16)] == 1)
+_EDGE_MESSAGES = [message for side in ("left", "right") for message in (
+    lambda e, side=side: f"edge {e}: side {side} lacks black+white pair",
+    lambda e: f"edge {e}: segments do not abut",
+    lambda e: f"edge {e}: segments do not cover [t_min, t_max]",
+)] + [lambda e, color=color: f"edge {e}: {color} lengths differ" for color in (BLACK, WHITE)]
 
 
 def _edge_clauses(left, black, t0, t1, t_min, t_max, tol):
     """The segment clauses of the edges, in the order one edge is checked,
-    and the two segments of each side in order of t0 (`_side_pairs`): per
-    side (left, then right) one black and one white segment, which abut and
-    cover [t_min, t_max]; then equal black, then equal white lengths.  The
-    handedness clauses follow.  Huge parameters overflow and fail a clause.
+    and the slot order of each edge: per side (left, then right) one black
+    and one white segment, which abut and cover [t_min, t_max]; then equal
+    black, then equal white lengths.  The handedness clauses follow.  The
+    order (E, 4) puts each side's two segments in order of t0 (a stable
+    sort, so a tie keeps segment order), left before right, as flat indices
+    4 e + slot into the (E, 4) columns.
+
+    Each row's slots of the left side, the right side, black and white are
+    read as 4-bit codes, so the pairs of both sides and both colors (first
+    and last marked slot) come from one table lookup, and t0 and t1 at all
+    of them from one gather.  Huge parameters overflow and fail a clause.
     """
-    pair_ok, lo, hi = _side_pairs(left, black, t0)
-    at = np.arange(len(t0))[:, None]
+    side, color = np.packbits(np.array([left, black]), axis=-1, bitorder="little")[..., 0]
+    codes = np.array([side, 15 - side, color, 15 - color])  # left, right, black, white
+    pair_ok = _PAIR[codes[:2], color]
+    # (first, last) x codes x edges, as flat slot indices
+    at = _ENDS[:, codes] + np.arange(0, 4 * len(t0), 4)
+    vals = np.array([t0, t1]).reshape(2, -1)[:, at]  # (t0, t1) x (first, last) x codes
+    # per side, the pair (lo, hi) in order of t0, and its slots
+    swap = vals[0, 1, :2] < vals[0, 0, :2]
+    (t0_lo, t0_hi), (t1_lo, t1_hi) = np.where(swap, vals[:, ::-1, :2], vals[:, :, :2])
+    order = np.where(swap, at[::-1, :2], at[:, :2])
     with np.errstate(over="ignore", invalid="ignore"):
-        abut = np.abs(t1[at, lo] - t0[at, hi]) > tol
-        cover = ((np.abs(t0[at, lo] - t_min[:, None]) > tol)
-                 | (np.abs(t1[at, hi] - t_max[:, None]) > tol))
-        length = t1 - t0
-        unequal = [_pair_diff(length, m) > tol for m in (black, ~black)]
-    clauses = [clause for j, side in enumerate(("left", "right")) for clause in (
-        (~pair_ok[:, j], lambda e, side=side: f"edge {e}: side {side} lacks black+white pair"),
-        (pair_ok[:, j] & abut[:, j], lambda e: f"edge {e}: segments do not abut"),
-        (pair_ok[:, j] & cover[:, j],
-         lambda e: f"edge {e}: segments do not cover [t_min, t_max]"),
-    )]
-    clauses += [(u, lambda e, color=color: f"edge {e}: {color} lengths differ")
-                for color, u in zip((BLACK, WHITE), unequal)]
-    return clauses, lo, hi
+        abut = np.abs(t1_lo - t0_hi) > tol
+        cover = (np.abs(t0_lo - t_min) > tol) | (np.abs(t1_hi - t_max) > tol)
+        length = vals[1, :, 2:] - vals[0, :, 2:]
+        unequal = np.abs(length[0] - length[1]) > tol
+    fails = np.array([~pair_ok, pair_ok & abut, pair_ok & cover]).swapaxes(0, 1)
+    clauses = list(zip([*fails.reshape(6, -1), *unequal], _EDGE_MESSAGES))
+    return clauses, order.transpose(2, 1, 0).reshape(-1, 4)
+
+
+_FORWARD = np.array([False, True, False, True])  # the positions of the slots as built
 
 
 def _build_edges(ops, base, direction, black, face, slot, rev, t0, t1, probes,
@@ -353,42 +363,43 @@ def _build_edges(ops, base, direction, black, face, slot, rev, t0, t1, probes,
     normal = ops.geodesic_normal(base, ops.geodesic(base, direction, 0.5))
     s = ops.side(probes, normal[:, None, :])
     left = s > 0
-    # Python's min and max, which keep the first of equal values
-    t_min, t_max = (np.array([f(r) for r in t.tolist()], dtype=float)
-                    for f, t in ((min, t0), (max, t1)))
+    t_min, t_max = _first_min_max(t0, t1)
     # checked on the columns as given: the reorder below can repeat one
     # segment of a side that lacks its pair and drop another
-    clauses, lo, hi = _edge_clauses(left, black, t0, t1, t_min, t_max, EPS_PARAM)
+    clauses, order = _edge_clauses(left, black, t0, t1, t_min, t_max, EPS_PARAM)
     _raise_first([
         *checks,
         ((np.abs(s) < 1e-12).any(axis=1), "face probe sits on the edge geodesic"),
         *clauses,
     ])
-    # final order: left backward, left forward, right backward, right forward
-    order = np.stack([lo[:, 0], hi[:, 0], lo[:, 1], hi[:, 1]], axis=1)
-    at = np.arange(len(order))[:, None]
-    decks = np.broadcast_to(decks, order.shape + (3, 3))
-    tagged = np.broadcast_to(tagged, order.shape)
-    left, black, face, slot, rev, t0, t1, decks, tagged = (
-        a[at, order] for a in (left, black, face, slot, rev, t0, t1, decks, tagged))
-    return TilingEdges(
-        base, direction, t_min, t_max, left,
-        np.tile([False, True], (len(order), 2)), black, face, slot, rev, t0, t1, decks,
-        tagged)
+    # final order: left backward, left forward, right backward, right
+    # forward, one flat gather per column
+    shape = order.shape
+    left, black, face, slot, rev, t0, t1, tagged = (
+        a.take(order) for a in (left, black, face, slot, rev, t0, t1, np.full(shape, tagged)))
+    decks = np.full((*shape, 3, 3), decks).reshape(-1, 3, 3).take(order, axis=0)
+    return TilingEdges(base, direction, t_min, t_max, left, np.full(shape, _FORWARD), black,
+                       face, slot, rev, t0, t1, decks, tagged)
+
+
+def _misplaced(T):
+    """Per slot, a black segment that is not forward on the handedness side
+    of its edge and backward on the other."""
+    E = T.edges
+    return E.black & (E.forward != (E.left == (T.handedness is not Side.RIGHT)))
 
 
 def _handedness_clauses(T):
-    """The handedness clause, one per slot: a black segment is forward on
-    the handedness side of its edge and backward on the other."""
-    E = T.edges
-    bad = E.black & (E.forward != (E.left == (T.handedness is not Side.RIGHT)))
+    """The handedness clause, one per slot (`_misplaced`)."""
+    E, bad = T.edges, _misplaced(T)
     return [(bad[:, q], lambda e, q=q: f"edge {e}: black is "
              f"{'forward' if E.forward[e, q] else 'backward'} on the "
              f"{'left' if E.left[e, q] else 'right'}") for q in range(4)]
 
 
 def _assert_handedness(T):
-    _raise_first(_handedness_clauses(T))
+    if _misplaced(T).any():
+        _raise_first(_handedness_clauses(T))
 
 
 # -- projection: one corner assembly for S^3 and AdS_3 --------------------------
@@ -416,6 +427,7 @@ def project_points(poles, points, side, star):
 # segment slots of a projected edge: the white faces fa, fb, then the black
 # faces at v and s
 SLOT_COLORS = (WHITE, WHITE, BLACK, BLACK)
+SLOT_BLACK = np.array(SLOT_COLORS) == BLACK
 
 
 def assemble_corners(star, side, faces, quad, segments, decks, tagged, ambient="sphere"):
@@ -434,39 +446,46 @@ def assemble_corners(star, side, faces, quad, segments, decks, tagged, ambient="
                fa and fb (black)
     decks    : (E, 4, 3, 3) the deck tags of the four slots, and tagged
                (E, 4) their flags; either may be given once for all slots
+
+    Both colors are stacked, white faces first, so that each step runs
+    once: the face probes, the slots' faces and the edge refs.
     """
     ops = star.plane
-    probes, sizes, starts = {}, {}, {}
-    for color, (corners, size, *_) in faces.items():
-        sizes[color] = size
-        starts[color] = np.cumsum(size) - size
-        # normalized corner sums: interior points, read only for their side
-        sums = np.add.reduceat(corners, starts[color])
-        probes[color] = sums / np.sqrt(np.abs(ops.inner(sums, sums)))[:, None]
+    white, black = faces[WHITE], faces[BLACK]
+    corners = np.concatenate([white[0], black[0]])
+    sizes = np.concatenate([white[1], black[1]])
+    nw = len(white[1])  # white faces
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+    # normalized corner sums: interior points, read only for their side
+    sums = np.add.reduceat(corners, starts)
+    probes = sums / np.sqrt(np.abs(ops.inner(sums, sums)))[:, None]
 
     E = len(segments)
-    decks = np.broadcast_to(decks, (E, 4, 3, 3))
-    a_v, a_s, b_v, b_s = quad
+    decks = np.full((E, 4, 3, 3), decks)
+    a_v, a_s = quad[0], quad[1]
     direction, defined = ops.tangents(a_v, a_s)
     with np.errstate(invalid="ignore"):
         ell = ops.dist(a_v, a_s)
-        delta = ops.geodesic_param(a_v, direction, b_v)
-        gap = ops.trig.wrap(ops.geodesic_param(a_v, direction, b_s) - (delta + ell))
+        delta, t_s = ops.geodesic_param(a_v, direction, quad[2:])  # at b_v and b_s
+        gap = ops.trig.wrap(t_s - (delta + ell))
     # slot j runs from its first corner at t = p to its second at t = p + d
     zero = np.zeros(E)
-    p, d = np.stack([zero, delta, zero, ell], 1), np.stack([ell, ell, delta, delta], 1)
+    p, d = np.array([zero, delta, zero, ell]).T, np.array([ell, ell, delta, delta]).T
     end = p + d
     face, k0, k1 = segments.transpose(2, 0, 1)
-    m = np.concatenate([sizes[WHITE][face[:, :2]], sizes[BLACK][face[:, 2:]]], axis=1)
-    forward = (k0 + 1) % m == k1
-    adjacent = forward | ((k1 + 1) % m == k0)
+    at = face + np.where(SLOT_BLACK, nw, 0)  # each slot's face among both colors
+    # per slot, whether k1 follows k0 in its face (forward) and whether k0
+    # follows k1
+    k = segments[..., 1:]
+    forward, backward = ((k + 1) % sizes[at][..., None] == k[..., ::-1]).transpose(2, 0, 1)
+    adjacent = forward | backward
     slot = np.where(forward, k0, k1)
-    probe = np.concatenate([probes[WHITE][face[:, :2]], probes[BLACK][face[:, 2:]]], axis=1)
     probe = np.einsum("nij,nj->ni", decks.reshape(-1, 3, 3),
-                      probe.reshape(-1, 3)).reshape(E, 4, 3)
+                      probes[at].reshape(-1, 3)).reshape(E, 4, 3)
 
     tiling_edges = _build_edges(
-        ops, a_v, direction, np.tile(np.array(SLOT_COLORS) == BLACK, (E, 1)), face, slot,
+        ops, a_v, direction, np.full((E, 4), SLOT_BLACK), face, slot,
         np.where(forward, d < 0, d > 0), np.where(end < p, end, p),
         np.where(end > p, end, p), probe, decks, tagged,
         checks=[
@@ -477,16 +496,20 @@ def assemble_corners(star, side, faces, quad, segments, decks, tagged, ambient="
         ],
     )
 
-    # per polygon edge, the first tiling edge met carrying it
-    tables = {}
-    for color, cols in ((WHITE, slice(0, 2)), (BLACK, slice(2, 4))):
-        corners, size, links, tags, flags, decked = faces[color]
-        refs = np.full(len(corners), -1)
-        at, first = np.unique(starts[color][face[:, cols]] + slot[:, cols], return_index=True)
-        refs[at] = first // 2
-        tables[color] = TilingFaces.stacked(corners, size, links, refs, decks=tags,
-                                            tagged=flags, decked=decked)
-    T = FlippableTiling(side.other, tables[BLACK], tables[WHITE], tiling_edges, ambient)
+    # per polygon edge, the first tiling edge met carrying it: the corner
+    # rows of both colors are disjoint, so one pass finds them all
+    first = np.full(len(corners), 4 * E)
+    np.minimum.at(first, (starts[at] + slot).ravel(), np.arange(4 * E))
+    refs = np.where(first < 4 * E, first // 4, -1)
+    offsets = np.concatenate([[0], ends])
+    tables = []
+    for (_, _, links, tags, flags, decked), a, b in ((white, 0, nw), (black, nw, len(sizes))):
+        rows, n = slice(offsets[a], offsets[b]), offsets[b] - offsets[a]
+        tables.append(TilingFaces(
+            corners[rows], offsets[a:b + 1] - offsets[a], np.ravel(links).astype(int),
+            refs[rows], np.full(b - a, np.nan), np.full(b - a, decked, dtype=bool),
+            np.full((n, 3, 3), tags, dtype=float), np.full(n, flags, dtype=bool)))
+    T = FlippableTiling(side.other, tables[1], tables[0], tiling_edges, ambient)
     _assert_handedness(T)
     return T
 
@@ -602,18 +625,19 @@ def white_polyhedron(T: FlippableTiling) -> ConvexPolyhedron:
         raise DevelopmentError(f"developed surface is not a convex polyhedron: {exc}")
 
 
-def flip(T: FlippableTiling) -> FlippableTiling:
+def flip(T: FlippableTiling, tol_scale=1.0) -> FlippableTiling:
     """Flip a tiling: push every black face across its edges.
 
-    T must pass `validate_tiling`, else GeometryError with its first
-    failure.  A spherical tiling flips to the other projection of its
-    white polyhedron, face indices kept.  A hyperbolic tiling is flipped by
-    its ambient quotient (`HyperbolicAmbient.flip`), which develops its
-    Fuchsian surface from the tiling's own tables and builds no orbit hull.
+    T must pass `validate_tiling` at the tolerance scale `tol_scale`, else
+    GeometryError with its first failure.  A spherical tiling flips to the
+    other projection of its white polyhedron, face indices kept.  A
+    hyperbolic tiling is flipped by its ambient quotient
+    (`HyperbolicAmbient.flip`), which develops its Fuchsian surface from the
+    tiling's own tables and builds no orbit hull.
     """
     if T.degenerate:
         raise GeometryError("flip is undefined on hosohedral/dihedral tilings")
-    report = validate_tiling(T)
+    report = validate_tiling(T, tol_scale)
     if not report.ok:
         raise GeometryError(report.first)
     if not T.is_spherical:
@@ -882,14 +906,13 @@ def _edge_failures(T, verts, starts, sizes, tol_scale):
     # recorded parameters.
     with np.errstate(over="ignore", invalid="ignore"):
         g = face + np.where(black, 0, len(T.black))
-        ends = [verts[starts[g] + (k + j) % sizes[g]] for j in (0, 1)]
-        decks = E.decks.reshape(-1, 3, 3)
-        ends = [np.einsum("nij,nj->ni", decks, v.reshape(-1, 3)).reshape(len(E), 4, 3)
-                for v in ends]
-        params = (np.where(rev, t1, t0), np.where(rev, t0, t1))
-        err0, err1 = (np.linalg.norm(T.ops.geodesic(E.base[:, None], E.direction[:, None],
-                                                    t[..., None]) - v, axis=-1)
-                      for t, v in zip(params, ends))
+        # both ends of every carried polygon edge in one pass, (2, E, 4)
+        ends = verts[starts[g] + (k + np.array([0, 1])[:, None, None]) % sizes[g]]
+        ends = np.einsum("nij,snj->sni", E.decks.reshape(-1, 3, 3),
+                         ends.reshape(2, -1, 3)).reshape(2, len(E), 4, 3)
+        params = np.where(rev, [t1, t0], [t0, t1])
+        err0, err1 = np.linalg.norm(T.ops.geodesic(E.base[:, None], E.direction[:, None],
+                                                   params[..., None]) - ends, axis=-1)
     err = np.where(err1 > err0, err1, err0)  # Python's max(err0, err1)
     off = ~(err <= 1e-6 * tol_scale)  # a distance that is not finite is off too
     return list(_failing([*clauses, *_handedness_clauses(T), *(

@@ -33,11 +33,15 @@ are checked against:
   quotient layout of its projections one face at a time: face orbit keys,
   decks and edge orbit keys from per-face label lists, the oracle of the
   dict-keyed layout below;
-- the projection pipeline of lists and dicts (`assemble_tiling`) and the
-  quotient layout of a Fuchsian surface keyed by face and vertex
-  (`dict_ads_layout`, on the library's face orbits and decks): what the
-  corner arrays of `tilings.project` and `fuchsian.ads_project` replaced,
-  their oracles;
+- the corner assembly one color and one side at a time
+  (`reference_assemble_corners`, `reference_build_edges`,
+  `reference_edge_clauses`), with its per-edge Python min and max: the
+  oracle of the stacked edge layer of `tilings.assemble_corners`;
+- the projection pipeline of lists and dicts (`assemble_tiling`, which
+  assembles by `reference_assemble_corners`) and the quotient layout of a
+  Fuchsian surface keyed by face and vertex (`dict_ads_layout`, on the
+  library's face orbits and decks): what the corner arrays of
+  `tilings.project` and `fuchsian.ads_project` replaced, their oracles;
 - the heights of the Fuchsian surface under a hyperbolic tiling, by
   bounded least squares over scalar residuals: the oracle of
   `fuchsian.recover_heights`, and the one importer of `scipy.optimize`;
@@ -88,9 +92,10 @@ from flipkit.fuchsian import (HyperbolicAmbient, _cone_angles, _config_on_checke
 from flipkit.io import TILING_SCHEMA, _finite_list, _numbers, _require_keys, _shared_group
 from flipkit.polyhedra import EPS_HEMISPHERE, VertexStars, hull
 from flipkit.spheremath import ADS_STAR, SPHERE_STAR, HyperbolicOps
-from flipkit.tilings import (BLACK, WHITE, ConeMetric, ConePoint, FlippableTiling, Side,
-                             TilingEdges, TilingFaces, _aligned_error, _corner_angles,
-                             assemble_corners, project_points, tiling_equality_error)
+from flipkit.tilings import (BLACK, EPS_PARAM, SLOT_COLORS, WHITE, ConeMetric, ConePoint,
+                             FlippableTiling, Side, TilingEdges, TilingFaces, _aligned_error,
+                             _assert_handedness, _corner_angles, _raise_first, project_points,
+                             tiling_equality_error)
 
 
 class DegenerateTriangleError(GeometryError):
@@ -412,6 +417,180 @@ def reference_polar_dual(P):
     return D
 
 
+# -- the corner assembly one color and one side at a time ------------------------
+
+
+def _first_last(m):
+    """Per row of an (E, 4) mask, its first and its last marked column: the
+    row's pair when it marks two."""
+    return np.argmax(m, axis=1), 3 - np.argmax(m[:, ::-1], axis=1)
+
+
+def _pair_diff(values, m):
+    """|a - b| over the pair each row of the mask m marks."""
+    rows, (first, last) = np.arange(len(m)), _first_last(m)
+    return np.abs(values[rows, first] - values[rows, last])
+
+
+def _side_pairs(left, black, t0):
+    """Per edge and side (left, right): whether that side holds one black
+    and one white segment, and its two segments in order of t0 (a stable
+    sort, so a tie keeps segment order)."""
+    rows = np.arange(len(t0))
+    ok, lo, hi = [], [], []
+    for m in (left, ~left):
+        first, second = _first_last(m)
+        swap = t0[rows, second] < t0[rows, first]
+        ok.append((m.sum(axis=1) == 2) & ((m & black).sum(axis=1) == 1))
+        lo.append(np.where(swap, second, first))
+        hi.append(np.where(swap, first, second))
+    return np.stack(ok, 1), np.stack(lo, 1), np.stack(hi, 1)
+
+
+def reference_edge_clauses(left, black, t0, t1, t_min, t_max, tol):
+    """The segment clauses of the edges, one pass per side and per color:
+    what `tilings._edge_clauses` replaced, its oracle.  They come in the
+    order one edge is checked, with the two segments of each side in order
+    of t0 (`_side_pairs`): per side (left, then right) one black and one
+    white segment, which abut and cover [t_min, t_max]; then equal black,
+    then equal white lengths.  Huge parameters overflow and fail a clause.
+    """
+    pair_ok, lo, hi = _side_pairs(left, black, t0)
+    at = np.arange(len(t0))[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        abut = np.abs(t1[at, lo] - t0[at, hi]) > tol
+        cover = ((np.abs(t0[at, lo] - t_min[:, None]) > tol)
+                 | (np.abs(t1[at, hi] - t_max[:, None]) > tol))
+        length = t1 - t0
+        unequal = [_pair_diff(length, m) > tol for m in (black, ~black)]
+    clauses = [clause for j, side in enumerate(("left", "right")) for clause in (
+        (~pair_ok[:, j], lambda e, side=side: f"edge {e}: side {side} lacks black+white pair"),
+        (pair_ok[:, j] & abut[:, j], lambda e: f"edge {e}: segments do not abut"),
+        (pair_ok[:, j] & cover[:, j],
+         lambda e: f"edge {e}: segments do not cover [t_min, t_max]"),
+    )]
+    clauses += [(u, lambda e, color=color: f"edge {e}: {color} lengths differ")
+                for color, u in zip((BLACK, WHITE), unequal)]
+    return clauses, lo, hi
+
+
+def reference_build_edges(ops, base, direction, black, face, slot, rev, t0, t1, probes,
+                          decks=np.eye(3), tagged=False, checks=()):
+    """The table of the tiling edges of E geodesics and their four labeled
+    segments, a numpy pass per color and per side and a Python min and max
+    per edge: what `tilings._build_edges` replaced, its oracle.
+
+    Row e holds the geodesic base[e] + direction[e] and, per segment, the
+    (E, 4) arrays color (`black`), face, polygon edge `slot`, `rev` (the
+    polygon edge runs against the geodesic) and parameters t0 < t1; probes
+    (E, 4, 3) are interior points of the incident face copies, deciding the
+    sides, and decks (E, 4, 3, 3) and tagged (E, 4) the deck tags and their
+    file flags, by default the identity and untagged on every segment.
+    `checks` are the caller's (mask, message) clauses, tested on an edge
+    before these; the first failing edge raises its first failing clause.
+    """
+    normal = ops.geodesic_normal(base, ops.geodesic(base, direction, 0.5))
+    s = ops.side(probes, normal[:, None, :])
+    left = s > 0
+    # Python's min and max, which keep the first of equal values
+    t_min, t_max = (np.array([f(r) for r in t.tolist()], dtype=float)
+                    for f, t in ((min, t0), (max, t1)))
+    # checked on the columns as given: the reorder below can repeat one
+    # segment of a side that lacks its pair and drop another
+    clauses, lo, hi = reference_edge_clauses(left, black, t0, t1, t_min, t_max, EPS_PARAM)
+    _raise_first([
+        *checks,
+        ((np.abs(s) < 1e-12).any(axis=1), "face probe sits on the edge geodesic"),
+        *clauses,
+    ])
+    # final order: left backward, left forward, right backward, right forward
+    order = np.stack([lo[:, 0], hi[:, 0], lo[:, 1], hi[:, 1]], axis=1)
+    at = np.arange(len(order))[:, None]
+    decks = np.broadcast_to(decks, order.shape + (3, 3))
+    tagged = np.broadcast_to(tagged, order.shape)
+    left, black, face, slot, rev, t0, t1, decks, tagged = (
+        a[at, order] for a in (left, black, face, slot, rev, t0, t1, decks, tagged))
+    return TilingEdges(
+        base, direction, t_min, t_max, left,
+        np.tile([False, True], (len(order), 2)), black, face, slot, rev, t0, t1, decks,
+        tagged)
+
+
+def reference_assemble_corners(star, side, faces, quad, segments, decks, tagged,
+                               ambient="sphere"):
+    """The tiling of corners projected by the `side` projection onto the
+    surface `star.plane`, which has the other handedness, one pass per
+    color: what `tilings.assemble_corners` replaced, its oracle, with the
+    arguments of that assembly.
+
+    faces    : per color, (corners (N, 3) in cyclic order face after face,
+               sizes, links, deck tags and tagged flags per corner, decked
+               per face)
+    quad     : (4, E, 3) per edge from v to s between the white face
+               copies fa and fb, the corners (fa, v), (fa, s), (fb, v),
+               (fb, s)
+    segments : (E, 4, 3) per edge, the slots fa, fb, black at v, black at
+               s, each (face, k, k'): the corners at v and s (white) or of
+               fa and fb (black)
+    decks    : (E, 4, 3, 3) the deck tags of the four slots, and tagged
+               (E, 4) their flags; either may be given once for all slots
+    """
+    ops = star.plane
+    probes, sizes, starts = {}, {}, {}
+    for color, (corners, size, *_) in faces.items():
+        sizes[color] = size
+        starts[color] = np.cumsum(size) - size
+        # normalized corner sums: interior points, read only for their side
+        sums = np.add.reduceat(corners, starts[color])
+        probes[color] = sums / np.sqrt(np.abs(ops.inner(sums, sums)))[:, None]
+
+    E = len(segments)
+    decks = np.broadcast_to(decks, (E, 4, 3, 3))
+    a_v, a_s, b_v, b_s = quad
+    direction, defined = ops.tangents(a_v, a_s)
+    with np.errstate(invalid="ignore"):
+        ell = ops.dist(a_v, a_s)
+        delta = ops.geodesic_param(a_v, direction, b_v)
+        gap = ops.trig.wrap(ops.geodesic_param(a_v, direction, b_s) - (delta + ell))
+    # slot j runs from its first corner at t = p to its second at t = p + d
+    zero = np.zeros(E)
+    p, d = np.stack([zero, delta, zero, ell], 1), np.stack([ell, ell, delta, delta], 1)
+    end = p + d
+    face, k0, k1 = segments.transpose(2, 0, 1)
+    m = np.concatenate([sizes[WHITE][face[:, :2]], sizes[BLACK][face[:, 2:]]], axis=1)
+    forward = (k0 + 1) % m == k1
+    adjacent = forward | ((k1 + 1) % m == k0)
+    slot = np.where(forward, k0, k1)
+    probe = np.concatenate([probes[WHITE][face[:, :2]], probes[BLACK][face[:, 2:]]], axis=1)
+    probe = np.einsum("nij,nj->ni", decks.reshape(-1, 3, 3),
+                      probe.reshape(-1, 3)).reshape(E, 4, 3)
+
+    tiling_edges = reference_build_edges(
+        ops, a_v, direction, np.tile(np.array(SLOT_COLORS) == BLACK, (E, 1)), face, slot,
+        np.where(forward, d < 0, d > 0), np.where(end < p, end, p),
+        np.where(end > p, end, p), probe, decks, tagged,
+        checks=[
+            (~defined, ops.tangent_undefined),
+            (np.abs(gap) > 10 * star.tol, "projected edge image is not rigid"),
+            (~adjacent.all(axis=1), lambda e: f"{SLOT_COLORS[np.argmin(adjacent[e])]} "
+                                              "corners of an edge are not adjacent"),
+        ],
+    )
+
+    # per polygon edge, the first tiling edge met carrying it
+    tables = {}
+    for color, cols in ((WHITE, slice(0, 2)), (BLACK, slice(2, 4))):
+        corners, size, links, tags, flags, decked = faces[color]
+        refs = np.full(len(corners), -1)
+        at, first = np.unique(starts[color][face[:, cols]] + slot[:, cols], return_index=True)
+        refs[at] = first // 2
+        tables[color] = TilingFaces.stacked(corners, size, links, refs, decks=tags,
+                                            tagged=flags, decked=decked)
+    T = FlippableTiling(side.other, tables[BLACK], tables[WHITE], tiling_edges, ambient)
+    _assert_handedness(T)
+    return T
+
+
 def assemble_tiling(star, side, poles, points, white, black, edges, decks=(np.eye(3),) * 3,
                     ambient="sphere"):
     """The tiling of projected faces given as lists and dicts: the pipeline
@@ -431,7 +610,7 @@ def assemble_tiling(star, side, poles, points, white, black, edges, decks=(np.ey
     decks        : the deck tags of the white corners (Nw, 3, 3), the black
                    corners (Nb, 3, 3) and the segments (E, 4, 3, 3); the
                    identity by default.  A quotient's tiling writes them all.
-    The projected corners are assembled by `tilings.assemble_corners`.
+    The projected corners are assembled by `reference_assemble_corners`.
     """
     quads = [((fa, v), (fa, s), (fb, v), (fb, s)) for (v, s, fa, fb), _ in edges]
     keys = [c for cyc, _ in white + black for c in cyc] + [c for q in quads for c in q]
@@ -446,7 +625,8 @@ def assemble_tiling(star, side, poles, points, white, black, edges, decks=(np.ey
     E = len(edges)
     quad = img[np.array([[row[c] for c in q] for q in quads], dtype=int).reshape(E, 4).T]
     segments = np.array([segs for _, segs in edges], dtype=int).reshape(E, 4, 3)
-    return assemble_corners(star, side, faces, quad, segments, decks[2], tagged, ambient)
+    return reference_assemble_corners(star, side, faces, quad, segments, decks[2], tagged,
+                                      ambient)
 
 
 def reference_project(P, side):

@@ -14,7 +14,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import polyhedron_corpus, random_polyhedron, regular_tetrahedron
@@ -211,6 +211,22 @@ json_values = st.recursive(
 
 @settings(max_examples=100)
 @given(obj=st.one_of(json_values, records(json_values)))  # records at the top, too
+# the hazards of one `%` template per column: a bool column beside an int
+# column (True is true, never 1); the zeros, 17-digit integers and the
+# least subnormal; finite floats whose sum overflows; a non-finite number
+# first or later in a row, alone or in a record; rows of equal length; and
+# keys that a template would read as a conversion or a quote
+@example(obj=[{"b": True, "i": 1}, {"b": False, "i": -2}])
+@example(obj=[[True, 1], [0, False]])
+@example(obj=[0.0, -0.0, 1e16, 1e17, 5e-324, -5e-324])
+@example(obj=[1e308, 1e308])
+@example(obj=[[1e308, 1.0], [1e308, 2.0]])
+@example(obj=[[math.nan, 1.0], [2.0, 3.0]])
+@example(obj=[[1.0, 2.0], [3.0, -math.inf]])
+@example(obj=[{"a": [math.inf, 1.0]}, {"a": [2.0, 3.0]}])
+@example(obj=[{"a": [1.0, 2.0], "b": 1}, {"a": [3.0, math.nan], "b": {1, 2}}])
+@example(obj=[[0.1, -0.0, 1e-300], [2.5, 1e17, 0.1 + 0.2]])
+@example(obj=[{"%d": 1.0, '"': "%s", "a%%s": [1, 2]}, {"%d": 2.5, '"': "%", "a%%s": [3, 4]}])
 def test_canonical_json_matches_reference(obj):
     assert outcome(fio.canonical_json, obj) == outcome(reference_canonical_json, obj)
 
@@ -225,25 +241,28 @@ def test_canonical_json_refuses_what_the_reference_refuses():
 
 def test_column_path_renders_valid_documents():
     # the item-by-item fallback writes the same bytes, so only a watch on
-    # the column path shows that it handles a valid document on its own:
-    # no column raises, and no face, edge or segment is rendered alone
+    # the template path shows that it handles a valid document on its own:
+    # no column's template raises, and no face, edge or segment is rendered
+    # alone; nor is a record whose keys a template would misread
     cfg = fio.fuchsian_config_from_dict(FUCHSIAN_HEIGHTS)
     T = fuchsian.ads_project(fuchsian.orbit_hull(cfg), Side.LEFT)
     P = random_polyhedron(np.random.default_rng(5), 10)
-    column, raised = fio._column, []
+    template, raised = fio._template, []
 
     def watched(values):
         try:
-            return column(values)
+            return template(values)
         except Exception as exc:
             raised.append(exc)
             raise
 
+    keyed = {"faces": [{"%d": 1.5, '"': "%s", "a%%s": [1, 2]},
+                       {"%d": -0.0, '"': "%", "a%%s": [3, 4]}]}
     for doc in (fio.tiling_to_dict(project(P, Side.LEFT)), fio.tiling_to_dict(T),
-                fio.tiling_to_dict(flip(T)), fio.polyhedron_to_dict(P)):
+                fio.tiling_to_dict(flip(T)), fio.polyhedron_to_dict(P), keyed):
         records = [*doc.get("faces", []), *doc.get("edges", [])]
         records += [s for e in doc.get("edges", []) for s in e["segments"]]
-        with mock.patch.object(fio, "_column", watched), \
+        with mock.patch.object(fio, "_template", watched), \
                 mock.patch.object(fio, "_render", wraps=fio._render) as render:
             text = fio.canonical_json(doc)
         assert not raised and text == reference_canonical_json(doc)
@@ -1055,6 +1074,37 @@ def test_cli_tol_env_must_be_numeric(tmp_path, monkeypatch, tetrahedron):
         assert main(["check", "--in", t]) == 2
     monkeypatch.setenv("FLIPKIT_TOL", "10.0")
     assert main(["check", "--in", t]) == 0
+
+
+def test_cli_flip_reads_the_tolerance_scale(tmp_path, monkeypatch, capsys, tetrahedron):
+    # flip validates at the scale of FLIPKIT_TOL, as check does: a segment
+    # end moved by 5e-7 fails the 1e-7 abut tolerance, but not 100 times it
+    d = fio.tiling_to_dict(project(tetrahedron, Side.LEFT))
+    valid = tmp_path / "t.json"
+    fio.dump_json(d, valid)
+    edge = d["edges"][0]
+    next(s for s in edge["segments"] if s["t1"] < edge["t_max"])["t1"] += 5e-7
+    moved = tmp_path / "moved.json"
+    fio.dump_json(d, moved)
+
+    def run(command, path):
+        out = str(tmp_path / "out.json")
+        code = main([command, "--in", str(path)] + (["--out", out] if command == "flip" else []))
+        return code, capsys.readouterr().err
+
+    monkeypatch.delenv("FLIPKIT_TOL", raising=False)
+    for command in ("check", "flip"):
+        assert run(command, moved) == (3, "error: edge 0: segments do not abut\n"
+                                       if command == "flip" else
+                                       "error: 1 artifact(s) failed validation\n")
+    monkeypatch.setenv("FLIPKIT_TOL", "100")
+    assert run("check", moved) == (0, "")
+    assert run("flip", moved) == (0, "")
+    # a scale that is not a positive finite number exits 2, before any load
+    for bad in ("abc", "-1", "nan"):
+        monkeypatch.setenv("FLIPKIT_TOL", bad)
+        code, err = run("flip", valid)
+        assert code == 2 and err.startswith("error: FLIPKIT_TOL must be"), err
 
 
 def test_cli_solve_nonconvergence_exit_code(tmp_path, monkeypatch):

@@ -8,17 +8,21 @@ and flip.  After a deliberate change to either, rewrite it with
 and say in the change log why it changed.
 """
 
+import dataclasses
 import json
 import os
 import re
+import warnings
 
 import numpy as np
 import pytest
 from dataclasses import replace
+from unittest import mock
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import corner_angles, edge_lengths, random_polyhedron
+from flipkit import fuchsian
 from flipkit import io as fio
 from flipkit import tilings
 from flipkit.errors import DevelopmentError, GeometryError
@@ -48,13 +52,14 @@ from flipkit.tilings import (
 from reference_geometry import (
     Segment,
     polygon_congruent,
+    reference_assemble_corners,
     reference_cone_metric,
     segments,
     tiling_faces,
     tiling_isometry_error,
     with_face,
 )
-from test_digests import QUOTIENT_PROJECT_SEED, quotient_surfaces
+from test_digests import QUOTIENT_PROJECT_SEED, SPHERE_CLI_SEED, quotient_surfaces
 
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "data", "project_flip_sphere.json")
@@ -921,6 +926,135 @@ def test_validation_and_assembly_share_the_edge_clauses():
         with pytest.raises(GeometryError) as raised:
             check(C)
         assert str(raised.value) == first
+
+
+def test_first_min_max_is_python_min_and_max():
+    # per row, the first of equal values (a zero keeps its sign) and a NaN
+    # only where it comes first, as Python's min and max keep them
+    nan, inf = np.nan, np.inf
+    rows = [[0.0, -0.0, 1.0, 2.0], [-0.0, 0.0, 2.0, 1.0], [1.0, -0.0, 0.0, 3.0],
+            [nan, 1.0, 0.0, 2.0], [1.0, nan, 0.0, 2.0], [2.0, 0.0, 1.0, nan],
+            [inf, -inf, nan, 0.0], [-inf, inf, inf, -inf], [nan, nan, nan, nan]]
+    rows += np.random.default_rng(3).choice([-1.0, -0.0, 0.0, 1.0, nan], (40, 4)).tolist()
+    t = np.array(rows)
+    t_min, t_max = tilings._first_min_max(t, t[:, ::-1])
+    assert t_min.tobytes() == np.array([min(r) for r in rows]).tobytes()
+    assert t_max.tobytes() == np.array([max(r[::-1]) for r in rows]).tobytes()
+
+
+def assembly_inputs():
+    """The arguments of the `assemble_corners` calls of `project` on both
+    sides of the first 9 `sphere-cli` polyhedra, and of `ads_project` on
+    both sides and the hyperbolic flip of the left one of the seed-99
+    round-0 quotient surfaces."""
+    calls, assemble = [], tilings.assemble_corners
+
+    def spy(*args):
+        calls.append(args)
+        return assemble(*args)
+
+    rng = np.random.default_rng(SPHERE_CLI_SEED)
+    with mock.patch.object(tilings, "assemble_corners", spy), \
+            mock.patch.object(fuchsian, "assemble_corners", spy):
+        for i in range(9):
+            P = random_polyhedron(rng, 6 + i % 9)
+            for side in Side:
+                project(P, side)
+        for S in quotient_surfaces(genus2_group(), QUOTIENT_PROJECT_SEED, 1):
+            flip(ads_project(S, Side.LEFT))
+            ads_project(S, Side.RIGHT)
+    return calls
+
+
+def assembly_mutants(args, e):
+    """Copies of assembly arguments with the other side, or with one corner
+    or one slot of edge e changed: a corner of the edge's quad set to
+    another of them, to NaN or to inf in one coordinate; a slot's second
+    corner set to its first, its corners swapped or its face moved to the
+    next of its color; and the corner of a slot's face two after the
+    slot's first set to its negative, to NaN or to the midpoint of the
+    edge's first two corners, which puts the face probe of a triangle on
+    the edge's geodesic."""
+    star, side, faces, quad, segments, *rest = args
+    yield star, side.other, faces, quad, segments, *rest
+    for i, j in ((1, 0), (3, 2), (2, 0), (2, 1), (3, 1), (0, 1)):
+        q = quad.copy()
+        q[i, e] = quad[j, e]
+        yield star, side, faces, q, segments, *rest
+    for i in range(4):
+        for value in (np.nan, np.inf):
+            q = quad.copy()
+            q[i, e, 0] = value
+            yield star, side, faces, q, segments, *rest
+    mid = quad[0, e] + quad[1, e]
+    mid = mid / np.sqrt(abs(star.plane.inner(mid, mid)))
+    for j, color in enumerate(tilings.SLOT_COLORS):
+        f, k0, k1 = segments[e, j]
+        corners, sizes = faces[color][:2]
+        for row in ((f, k0, k0), (f, k1, k0), ((f + 1) % len(sizes), k0, k1)):
+            s = segments.copy()
+            s[e, j] = row
+            yield star, side, faces, quad, s, *rest
+        r = np.sum(sizes[:f]) + (k0 + 2) % sizes[f]
+        for value in (-corners[r], np.nan, mid):
+            c = corners.copy()
+            c[r] = value
+            yield star, side, {**faces, color: (c, *faces[color][1:])}, quad, segments, *rest
+
+
+def assembled(assemble, args):
+    """The columns of the tiling `assemble(*args)` (dtype, shape and bytes,
+    so that -0.0 and 0.0 differ), or the type and message of what it
+    raises, a RuntimeWarning included."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            T = assemble(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return T.handedness, [(f.name, a.dtype.str, a.shape, a.tobytes())
+                          for table in (T.black, T.white, T.edges)
+                          for f in dataclasses.fields(table)
+                          for a in [np.asarray(getattr(table, f.name))]]
+
+
+# the messages `assemble_corners` raises on the mutants, edge numbers as N
+ASSEMBLY_FAMILIES = {
+    "tangent direction undefined (coincident or antipodal)",
+    "tangent direction undefined (coincident points)",
+    "projected edge image is not rigid",
+    "white corners of an edge are not adjacent",
+    "black corners of an edge are not adjacent",
+    "face probe sits on the edge geodesic",
+    "edge N: side left lacks black+white pair",
+    "edge N: segments do not abut",
+    "edge N: segments do not cover [t_min, t_max]",
+    "edge N: black is forward on the left",
+    "edge N: black is backward on the left",
+}
+
+
+def test_assemble_corners_matches_reference():
+    # the stacked assembly builds the tables of the one-color-at-a-time
+    # oracle bit for bit, or raises what it raises, on captured inputs and
+    # their mutants.  The other clause messages cannot come out of an
+    # assembly: the right side holds the slots the left does not, so a left
+    # pair leaves a right pair, and both segments of a color span one
+    # parameter difference.  On these inputs, a black segment misplaced on
+    # the right comes with one misplaced on the left, which is named first.
+    families, valid = set(), 0
+    for i, args in enumerate(assembly_inputs()):
+        want = assembled(reference_assemble_corners, args)
+        assert assembled(tilings.assemble_corners, args) == want
+        assert want[0] is args[1].other
+        for mutant in assembly_mutants(args, i % len(args[4])):
+            want = assembled(reference_assemble_corners, mutant)
+            assert assembled(tilings.assemble_corners, mutant) == want
+            if want[0] is GeometryError:
+                families.add(re.sub(r"\d+", "N", want[1]))
+            valid += isinstance(want[0], Side)
+    assert families == ASSEMBLY_FAMILIES
+    assert valid > 100
 
 
 if __name__ == "__main__":
