@@ -96,6 +96,7 @@ from .polyhedra import (
     MERGE_TOL,
     VertexStars,
     cyclic_orders,
+    face_sets,
     hull,
     merge_triangles,
     qhull_reason,
@@ -524,14 +525,11 @@ class FuchsianSurface:
         self.stars = None
         self.from_stars = False
         self._cycles = {}
-        # the vertex set of each face, ascending, from one sort of the
-        # (face, vertex) pairs of its triangles; face fi has the vertices
+        # the vertex set of each face, ascending: face fi has the vertices
         # _face_vertices[_face_start[fi]:_face_start[fi + 1]]
         m = len(points4)
-        pairs = np.sort(triangle_face[:, None] * m + triangles, axis=None)
-        pairs = pairs[np.concatenate([[True], pairs[1:] != pairs[:-1]])]
-        face, self._face_vertices = np.divmod(pairs, m)
-        self._face_start = np.searchsorted(face, np.arange(len(poles) + 1))
+        self._face_vertices, self._face_start = face_sets(triangles, triangle_face, m)
+        face = np.repeat(np.arange(len(self._face_start) - 1), np.diff(self._face_start))
         # incidence as CSR: the faces at vertex v, ascending, are
         # _incident_faces[_incidence_start[v]:_incidence_start[v + 1]]
         by_vertex = np.argsort(self._face_vertices, kind="stable")
@@ -1053,13 +1051,7 @@ def _truncated_hull(config, radius):
     poles, q = triangle_poles(points4, simplices, ADS_STAR, ADS_STAR.e)
     spacelike = q < -EPS_SPACELIKE
     simplices, poles = simplices[spacelike], poles[spacelike]
-    # merged over the triangle indices, each face's "vertex ids" are the
-    # indices of its triangles, so the merge labels come out exact
-    first, members = merge_triangles(np.arange(len(simplices))[:, None], poles)
-    sizes = np.fromiter(map(len, members), dtype=np.intp, count=len(members))
-    triangle_face = np.empty(len(simplices), dtype=np.intp)
-    triangle_face[np.fromiter(itertools.chain.from_iterable(members), dtype=np.intp,
-                              count=len(simplices))] = np.repeat(np.arange(len(sizes)), sizes)
+    first, triangle_face = merge_triangles(poles)
     return FuchsianSurface(config, ball, points4, chart, np.sort(simplices, axis=1),
                            triangle_face, poles[first], radius)
 
@@ -1888,7 +1880,7 @@ def star_polyhedron(directions, heights):
     P = hull(pts)
     if P.n_vertices != len(t):
         raise GeometryError("star points are not in convex position")
-    if any(len(f) != 3 for f in P.faces):
+    if np.any(P.sizes != 3):
         raise GeometryError("star polyhedron must have triangular faces")
     prods = P.face_poles @ np.array([1.0, 0, 0, 0])
     if np.min(prods) <= 1e-9:

@@ -166,45 +166,25 @@ def _finite(arr):
     return np.count_nonzero(np.isfinite(arr)) == arr.size
 
 
-def _plain_floats(values):
-    """A flat JSON list of floats and integers, the common case, as
-    `np.array` reads it, from one `fromiter`; None for any other value (or
-    an integer beyond the float range), which the caller reads as before."""
-    if isinstance(values, (list, tuple)) and set(map(type, values)) <= {float, int}:
-        try:
-            return np.fromiter(values, float, len(values))
-        except OverflowError:
-            pass
-    return None
-
-
-def _floats(rows, width, what):
-    """JSON rows of `width` finite numbers as a 2-D float array."""
-    finite = f"{what}: expected rows of {width} finite numbers"
+def _floats(values, what, shape=(), expected="a list of finite numbers"):
+    """A JSON list of numbers, or of rows or matrices of them, as a float
+    array of items of `shape`.  SchemaError "{what}: expected {expected}"
+    for another shape, a number that is not finite and an integer beyond
+    the float range; "{what}: not numeric" for a value that numpy cannot
+    read as a number, and for JSON true, false and strings, which it can.
+    Lists of plain floats and integers nested as `shape`, the common case,
+    take one `fromiter`."""
+    finite = f"{what}: expected {expected}"
+    flat = values if isinstance(values, (list, tuple)) else [None]
+    for width in shape:  # one level of nesting at a time; [None] for another shape
+        nested = set(map(type, flat)) == {list} and set(map(len, flat)) == {width}
+        flat = list(itertools.chain.from_iterable(flat)) if nested else [None]
     arr = None
-    if type(rows) is list and set(map(type, rows)) == {list} and set(map(len, rows)) == {width}:
-        arr = _plain_floats(list(itertools.chain.from_iterable(rows)))
-    plain = arr is not None
-    if plain:
-        arr = arr.reshape(-1, width)
-    else:
+    if set(map(type, flat)) <= {float, int}:
         try:
-            arr = np.array(rows, dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise SchemaError(f"{what}: not numeric") from exc
-        except OverflowError as exc:  # an integer beyond the float range
-            raise SchemaError(finite) from exc
-    if arr.ndim != 2 or arr.shape[1] != width or not _finite(arr):
-        raise SchemaError(finite)
-    if not plain:
-        _numbers(itertools.chain.from_iterable(rows), what)
-    return arr
-
-
-def _finite_list(values, what):
-    """A JSON list of finite numbers as a 1-D float array."""
-    finite = f"{what}: expected a list of finite numbers"
-    arr = _plain_floats(values)
+            arr = np.fromiter(flat, float, len(flat)).reshape(-1, *shape)
+        except OverflowError:  # read as np.array reads it, below
+            pass
     plain = arr is not None
     if not plain:
         try:
@@ -213,9 +193,11 @@ def _finite_list(values, what):
             raise SchemaError(f"{what}: not numeric") from exc
         except OverflowError as exc:  # an integer beyond the float range
             raise SchemaError(finite) from exc
-    if arr.ndim != 1 or not _finite(arr):
+    if arr.ndim != len(shape) + 1 or arr.shape[1:] != shape or not _finite(arr):
         raise SchemaError(finite)
     if not plain:
+        for _ in shape:
+            values = itertools.chain.from_iterable(values)
         _numbers(values, what)
     return arr
 
@@ -224,11 +206,12 @@ def _finite_list(values, what):
 
 
 def polyhedron_to_dict(P):
+    ids = iter(P.face_ids.tolist())
     return {
         "schema": POLYHEDRON_SCHEMA,
         "model": "S3",
-        "vertices": [[float(x) for x in v] for v in P.vertices],
-        "faces": [list(f) for f in P.faces],
+        "vertices": P.vertices.tolist(),
+        "faces": [list(itertools.islice(ids, k)) for k in P.sizes.tolist()],
     }
 
 
@@ -240,7 +223,7 @@ def polyhedron_from_dict(data):
         raise SchemaError(f"expected schema {POLYHEDRON_SCHEMA}")
     if data["model"] != "S3":
         raise SchemaError("only the S3 model is supported")
-    verts = _floats(data["vertices"], 4, "vertices")
+    verts = _floats(data["vertices"], "vertices", (4,), "rows of 4 finite numbers")
     with np.errstate(over="ignore"):
         norms = np.linalg.norm(verts, axis=1)
     scalable = (norms > 0) & (norms < np.inf)  # rows that normalize to points of S3
@@ -253,9 +236,7 @@ def polyhedron_from_dict(data):
     ids, sizes = _lists(faces, "faces")
     if np.any(sizes < 3):
         raise SchemaError("faces: a face has at least three vertices")
-    ids = _indices(ids, len(verts), "faces").tolist()
-    starts = np.cumsum(sizes) - sizes
-    return from_vertices_and_faces(verts, [tuple(ids[a:a + k]) for a, k in zip(starts, sizes)])
+    return from_vertices_and_faces(verts, _indices(ids, len(verts), "faces"), sizes)
 
 
 # -- tiling.v1 -----------------------------------------------------------------
@@ -429,21 +410,11 @@ def _indices(values, bound, what, nullable=False):
 def _decks(tags, what):
     """Deck tags, each null or a 3x3 matrix of finite numbers: the (m, 3, 3)
     matrices, the identity for null, and the (m,) flags of the others."""
-    finite = f"{what}: expected 3x3 matrices of finite numbers"
     tagged = _given(tags)
     decks = np.full((len(tags), 3, 3), np.eye(3))
     if np.count_nonzero(tagged):
-        given = [d for d in tags if d is not None]
-        try:
-            arr = np.array(given, dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise SchemaError(f"{what}: not numeric") from exc
-        except OverflowError as exc:  # an integer beyond the float range
-            raise SchemaError(finite) from exc
-        if arr.shape[1:] != (3, 3) or not _finite(arr):
-            raise SchemaError(finite)
-        _numbers([x for d in given for row in d for x in row], what)
-        decks[tagged] = arr
+        decks[tagged] = _floats([d for d in tags if d is not None], what, (3, 3),
+                                "3x3 matrices of finite numbers")
     return decks, tagged
 
 
@@ -517,8 +488,9 @@ def tiling_from_dict(data):
             raise SchemaError("only the built-in genus-2 hyperbolic ambient is supported")
         if not all(type(amb.get(k, 0)) is int for k in ("word_length", "word_length_cap")):
             raise SchemaError("ambient word lengths: expected integers")
-        ambient = HyperbolicAmbient(_shared_group(), _floats(amb["rays"], 3, "ambient rays"))
-    verts = _floats(data["vertices"], 3, "vertices")
+        rays = _floats(amb["rays"], "ambient rays", (3,), "rows of 3 finite numbers")
+        ambient = HyperbolicAmbient(_shared_group(), rays)
+    verts = _floats(data["vertices"], "vertices", (3,), "rows of 3 finite numbers")
 
     colors, vertex_ids, links, refs, digon, decks = _objects(
         data["faces"], ("color", "vertices", "links", "edge_refs"), ("digon_angle", "decks"),
@@ -542,7 +514,7 @@ def tiling_from_dict(data):
     if np.count_nonzero(np.where(is_digon, sizes != 2, sizes < 3)):
         raise SchemaError("face: a digon has two vertices, a polygon at least three")
     angles = np.full(len(colors), np.nan)
-    angles[is_digon] = _finite_list([a for a in digon if a is not None], "digon angles")
+    angles[is_digon] = _floats([a for a in digon if a is not None], "digon angles")
     links, n_links = _lists(list(links), "face links")
     refs, n_refs = _lists(list(refs), "face edge_refs")
     decked = _given(decks)
@@ -570,19 +542,19 @@ def tiling_from_dict(data):
                          "segment face_edge")
     if not set(map(type, rev)) <= {bool}:
         raise SchemaError("segment reversed: expected true or false")
-    t0 = _finite_list(t0, "segment t0")
-    t1 = _finite_list(t1, "segment t1")
+    t0 = _floats(t0, "segment t0")
+    t1 = _floats(t1, "segment t1")
     seg_decks, seg_tagged = _decks(seg_decks, "segment deck")
     if ambient == "sphere" and (np.count_nonzero(decked) or np.count_nonzero(seg_tagged)):
         raise SchemaError("a spherical tiling carries no deck tags: face decks and "
                           "segment decks must be null")
     if quads:
-        base = _floats(list(base), 3, "edge base")
-        direction = _floats(list(direction), 3, "edge direction")
+        base = _floats(list(base), "edge base", (3,), "rows of 3 finite numbers")
+        direction = _floats(list(direction), "edge direction", (3,), "rows of 3 finite numbers")
     else:
         base = direction = np.empty((0, 3))
-    t_min = _finite_list(t_min, "edge t_min")
-    t_max = _finite_list(t_max, "edge t_max")
+    t_min = _floats(t_min, "edge t_min")
+    t_max = _floats(t_max, "edge t_max")
     if ambient != "sphere" and len(ambient.rays) != nb:
         raise SchemaError("ambient rays: expected one ray per black face")
 
@@ -652,7 +624,7 @@ def fuchsian_config_from_dict(data):
         raise SchemaError("rays: expected a list")
     for rd in data["rays"]:
         _require_keys(rd, ("p",), ("label",), "ray")
-    rays = _floats([rd["p"] for rd in data["rays"]], 3, "rays")
+    rays = _floats([rd["p"] for rd in data["rays"]], "rays", (3,), "rows of 3 finite numbers")
     heights = data.get("heights")
     targets = data.get("targets")
     if heights is None and targets is None:
@@ -662,8 +634,8 @@ def fuchsian_config_from_dict(data):
     return FuchsianConfig(
         _shared_group(),
         rays,
-        None if heights is None else _finite_list(heights, "heights"),
-        None if targets is None else _finite_list(targets, "targets"),
+        None if heights is None else _floats(heights, "heights"),
+        None if targets is None else _floats(targets, "targets"),
     )
 
 

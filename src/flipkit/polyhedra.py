@@ -7,13 +7,15 @@ picture.
 
 This module owns the one chart hull -> merged faces path, for the
 polyhedra of S^3 here and the orbit hulls of AdS_3 in `fuchsian`: after
-each caller's Qhull call, `triangle_poles`, `merge_triangles` and
-`cyclic_orders` give the faces; spherical polyhedra keep SVD poles.
+each caller's Qhull call, `triangle_poles` and `merge_triangles` group
+the triangles and `face_sets` gives each face's vertex set; spherical
+polyhedra order them by `cyclic_orders` and keep SVD poles.
 
-A polyhedron's combinatorics are one corner table (`Corners`, the doubly
-connected edge list of Muller and Preparata): its edges, one star table
-of all its vertices (`VertexStars`, which `fuchsian` keeps for its
-surfaces too) and the projections of `tilings` are read off it.
+A polyhedron keeps its faces as one face table (vertex ids face after
+face, one size per face) and builds one corner table from it (`Corners`,
+the doubly connected edge list of Muller and Preparata): its edges, one
+star table of all its vertices (`VertexStars`, which `fuchsian` keeps
+for its surfaces too) and the projections of `tilings` are read off it.
 
 Polar duality is read off the corner table too, with no hull: the face
 poles of P are the vertices of its dual, the vertex stars of P its faces
@@ -136,7 +138,8 @@ class Corners:
     edge from vertex[c] to vertex[next[c]].  Edge e, in order of its ends
     i < j, leaves corner half[e, 0] of its lesser face and half[e, 1].
     `ConvexPolyhedron.corners` sorts the corners' undirected edges once and
-    refuses an edge that does not border two faces."""
+    refuses an edge that does not border two faces or that both run one
+    way, so twin[c] is the corner after the one across its edge."""
 
     vertex: np.ndarray
     face: np.ndarray
@@ -150,16 +153,19 @@ class ConvexPolyhedron:
     """Convex polyhedron of the open hemisphere x1 > 0.
 
     vertices   : (n, 4) unit vectors
-    faces      : tuples of vertex indices, counterclockwise from outside
+    face_ids   : the vertex ids of the faces, face after face, each cycle
+                 counterclockwise from outside: the face table
+    sizes      : (f,) the number of vertices of each face
     face_poles : (f, 4) inward unit normals; face i lies in face_poles[i]*
-    corners    : the `Corners` of its faces, built on first read
+    corners    : the `Corners` of its face table, built on first read
     edges      : tuples (i, j, fa, fb), i < j and fa < fb, in order of (i, j)
     stars      : the `VertexStars` of all its vertices, read off the twins
     """
 
-    def __init__(self, vertices, faces, face_poles, interior, validate=True):
+    def __init__(self, vertices, face_ids, sizes, face_poles, interior, validate=True):
         self.vertices = np.asarray(vertices, dtype=float)
-        self.faces = tuple(tuple(int(i) for i in f) for f in faces)
+        self.face_ids = np.asarray(face_ids, dtype=np.intp)
+        self.sizes = np.asarray(sizes, dtype=np.intp)
         self.face_poles = np.asarray(face_poles, dtype=float)
         self.interior = np.asarray(interior, dtype=float)
         if validate:
@@ -173,16 +179,28 @@ class ConvexPolyhedron:
 
     @property
     def n_faces(self):
-        return len(self.faces)
+        return len(self.sizes)
+
+    @property
+    def faces(self):
+        """The faces as tuples of vertex ids, a view that only the tests read."""
+        ids = iter(self.face_ids.tolist())
+        return tuple(tuple(itertools.islice(ids, k)) for k in self.sizes.tolist())
+
+    @cached_property
+    def _cycles(self):
+        """Per corner of the face table: its face, its position in the face
+        and the next corner of the face."""
+        sizes = self.sizes
+        face = np.repeat(np.arange(len(sizes)), sizes)
+        first = (np.cumsum(sizes) - sizes)[face]
+        position = np.arange(len(face)) - first
+        return face, position, first + (position + 1) % sizes[face]
 
     @cached_property
     def corners(self):
-        sizes = np.array([len(f) for f in self.faces], dtype=np.intp)
-        face = np.repeat(np.arange(len(sizes)), sizes)
-        vertex = np.fromiter(itertools.chain.from_iterable(self.faces), np.intp, len(face))
-        first = (np.cumsum(sizes) - sizes)[face]
-        position = np.arange(len(face)) - first
-        nxt = first + (position + 1) % sizes[face]
+        vertex = self.face_ids
+        face, position, nxt = self._cycles
         ends = np.sort([vertex, vertex[nxt]], axis=0)  # the edge after each corner, i < j
         m = int(ends.max(initial=0)) + 1
         key = ends[0] * m + ends[1]
@@ -193,10 +211,13 @@ class ConvexPolyhedron:
             b = np.argmax(count != 2)
             raise GeometryError(f"edge {divmod(int(keys[b]), m)} borders {count[b]} faces")
         half = order.reshape(-1, 2)
+        same = half[vertex[half[:, 0]] == vertex[half[:, 1]]]
+        if len(same):
+            (fa, fb), edge = face[same[0]].tolist(), tuple(ends[:, same[0, 0]].tolist())
+            raise GeometryError(f"faces {fa} and {fb} run edge {edge} the same way")
         partner = np.empty_like(order)
         partner[half] = half[:, ::-1]  # the corner on the other side of its edge
-        twin = np.where(vertex[partner] == vertex, partner, nxt[partner])
-        return Corners(vertex, face, position, nxt, twin, half)
+        return Corners(vertex, face, position, nxt, nxt[partner], half)
 
     @cached_property
     def edges(self):
@@ -284,15 +305,10 @@ class ConvexPolyhedron:
         products of all normals with the face's other vertices share a sign
         up to EPS_PLANE, the default tolerance of that oracle.
         """
-        sizes = np.array([len(f) for f in self.faces])
-        ids = np.fromiter(itertools.chain.from_iterable(self.faces), int, sizes.sum())
-        start = np.cumsum(sizes) - sizes
-        face_of = np.repeat(np.arange(len(sizes)), sizes)
-        first = start[face_of]
-        pos = np.arange(len(ids)) - first
-        k = sizes[face_of]
-        v = self.vertices
-        normals = cross4(self.face_poles[face_of], v[ids], v[ids[first + (pos + 1) % k]])
+        face_of, pos, nxt = self._cycles
+        ids, k, v = self.face_ids, self.sizes[face_of], self.vertices
+        first = np.arange(len(ids)) - pos
+        normals = cross4(self.face_poles[face_of], v[ids], v[ids[nxt]])
         norms = np.linalg.norm(normals, axis=1)
         degenerate = norms < 1e-12
         normals /= np.where(degenerate, 1.0, norms)[:, None]
@@ -302,18 +318,19 @@ class ConvexPolyhedron:
         step = np.arange(len(edge)) - np.repeat(np.cumsum(others) - others, others) + 2
         j = ids[first[edge] + (pos[edge] + step) % k[edge]]
         prods = np.einsum("ij,ij->i", v[j], normals[edge])
-        lo = np.full(len(sizes), np.inf)
-        hi = np.full(len(sizes), -np.inf)
+        lo = np.full(self.n_faces, np.inf)
+        hi = np.full(self.n_faces, -np.inf)
         np.minimum.at(lo, face_of[edge], prods)
         np.maximum.at(hi, face_of[edge], prods)
-        has_degenerate = np.bincount(face_of[degenerate], minlength=len(sizes)) > 0
+        has_degenerate = np.bincount(face_of[degenerate], minlength=self.n_faces) > 0
         return ~has_degenerate & ((lo >= -EPS_PLANE) | (hi <= EPS_PLANE))
 
     # -- geometry ----------------------------------------------------------
 
     def face_polygon(self, fi):
         """Face fi as a spherical polygon in the 2-sphere carrying it."""
-        pts = self.vertices[list(self.faces[fi])]
+        a = int(self.sizes[:fi].sum())
+        pts = self.vertices[self.face_ids[a:a + self.sizes[fi]]]
         coords = pts @ _complement_basis(self.face_poles[fi]).T
         return SphericalPolygon(normalize_rows(coords))
 
@@ -367,16 +384,16 @@ def triangle_poles(points4, simplices, star, toward):
     return poles, q
 
 
-def merge_triangles(simplices, poles):
+def merge_triangles(poles):
     """Group hull triangles into faces: triangles whose poles lie within
     MERGE_TOL of each other, directly or through a chain, form one face.
 
-    Returns, per face in the order of its least triangle, that triangle's
-    index and the face's vertex ids, ascending.  Close pairs come from a
-    sweep over the poles sorted along the unit vector SWEEP, not from a
-    cKDTree, whose code the spherical path would load for this alone
-    (about 0.4 MB more peak RSS).  Components are labelled by their least
-    member: min-label propagation with pointer jumping.
+    Returns each face's least triangle, ascending, and each triangle's
+    face, numbered in that order.  Close pairs come from a sweep over the
+    poles sorted along the unit vector SWEEP, not from a cKDTree, whose
+    code the spherical path would load for this alone (about 0.4 MB more
+    peak RSS).  Components are labelled by their least member: min-label
+    propagation with pointer jumping.
     """
     key = poles @ SWEEP
     order = np.argsort(key, kind="stable")
@@ -398,13 +415,16 @@ def merge_triangles(simplices, poles):
         if np.array_equal(new, labels):
             break
         labels = new
-    first, sizes = np.unique(labels, return_counts=True)
-    ids = np.sort(simplices[first], axis=1).tolist()
-    if np.any(sizes > 1):
-        members = np.split(np.argsort(labels, kind="stable"), np.cumsum(sizes)[:-1])
-        for k in np.nonzero(sizes > 1)[0]:
-            ids[k] = np.unique(simplices[members[k]]).tolist()
-    return first, ids
+    return np.unique(labels, return_inverse=True)
+
+
+def face_sets(triangles, triangle_face, m):
+    """The vertex set of each face, ascending, as CSR rows: face f has the
+    vertex ids ids[start[f]:start[f + 1]] of its triangles, vertex ids
+    below m.  One sort of the (face, vertex) pairs, for the polyhedra of
+    S^3 and the orbit hulls of AdS_3."""
+    face, ids = np.divmod(np.unique(triangle_face[:, None] * m + triangles), m)
+    return ids, np.searchsorted(face, np.arange(triangle_face.max(initial=-1) + 2))
 
 
 def cyclic_orders(chart, rows, outward=None):
@@ -469,36 +489,44 @@ def hull(points):
     interior = from_chart(chart[keep].mean(axis=0)[None, :])[0]
 
     tri_poles, _ = triangle_poles(pts, ch.simplices, SPHERE_STAR, interior)
-    first, ids = merge_triangles(ch.simplices, tri_poles)
+    first, triangle_face = merge_triangles(tri_poles)
     poles = _svd_poles(pts[ch.simplices[first]], interior)
+    ids, start = face_sets(ch.simplices, triangle_face, len(pts))
 
     keep = keep[_canonical_order(pts[keep])]
     rank = np.empty(len(pts), dtype=int)
     rank[keep] = np.arange(len(keep))
     verts, chart = pts[keep], chart[keep]
-    sizes = np.array([len(f) for f in ids])
-    faces = [None] * len(ids)
+    sizes = np.diff(start)
+    rows = np.full((len(sizes), sizes.max()), -1)
     for k in np.unique(sizes).tolist():  # one batch per face size
         at = np.flatnonzero(sizes == k)
-        rows = rank[np.array([ids[i] for i in at])]
-        for i, cycle in zip(at.tolist(), cyclic_orders(chart, rows, -poles[at, 1:]).tolist()):
-            faces[i] = tuple(cycle)
-    face_order = sorted(range(len(faces)), key=faces.__getitem__)
-    return ConvexPolyhedron(verts, [faces[i] for i in face_order], poles[face_order],
-                            interior)
+        rows[at, :k] = cyclic_orders(chart, rank[ids[start[at, None] + np.arange(k)]],
+                                     -poles[at, 1:])
+    face_ids, sizes, order = _sorted_faces(rows, sizes)
+    return ConvexPolyhedron(verts, face_ids, sizes, poles[order], interior)
 
 
-def from_vertices_and_faces(vertices, faces):
-    """Build a polyhedron from explicit face cycles, recomputing the poles."""
+def _sorted_faces(rows, sizes):
+    """The face table of the face cycles `rows`, each padded with -1, with
+    the faces sorted as tuples of their vertex ids compare: its vertex ids,
+    sizes and the face order, from one `np.lexsort`."""
+    order = np.lexsort(rows.T[::-1])
+    rows = rows[order]
+    return rows[rows >= 0], sizes[order], order
+
+
+def from_vertices_and_faces(vertices, face_ids, sizes):
+    """Build a polyhedron from a face table, recomputing the poles."""
     verts = normalize_rows(np.asarray(vertices, dtype=float))
     interior = from_chart(to_chart(verts).mean(axis=0)[None, :])[0]
-    sizes = np.array([len(f) for f in faces], dtype=int)
-    poles = np.empty((len(faces), 4))
-    for k in np.unique(sizes):
-        sel = np.nonzero(sizes == k)[0]
-        poles[sel] = _svd_poles(verts[np.array([faces[i] for i in sel], dtype=int)],
-                               interior)
-    return ConvexPolyhedron(verts, faces, poles, interior)
+    face_ids, sizes = np.asarray(face_ids, dtype=np.intp), np.asarray(sizes, dtype=np.intp)
+    start = np.cumsum(sizes) - sizes
+    poles = np.empty((len(sizes), 4))
+    for k in np.unique(sizes).tolist():
+        at = np.flatnonzero(sizes == k)
+        poles[at] = _svd_poles(verts[face_ids[start[at, None] + np.arange(k)]], interior)
+    return ConvexPolyhedron(verts, face_ids, sizes, poles, interior)
 
 
 def polar_dual(P):
@@ -533,13 +561,11 @@ def polar_dual(P):
     rank = np.empty(len(pts), dtype=np.intp)
     rank[order] = np.arange(len(pts))
     c = P.corners
-    ring = rank[c.face[P.star_corners]].tolist()
-    ends = np.cumsum(np.bincount(c.vertex, minlength=P.n_vertices)).tolist()
-    faces = []
-    for a, b in zip([0] + ends[:-1], ends):
-        cycle = ring[a:b]
-        k = cycle.index(min(cycle))
-        faces.append(tuple(cycle[k:] + cycle[:k]))
-    face_order = sorted(range(len(faces)), key=faces.__getitem__)
-    return ConvexPolyhedron(pts[order], [faces[i] for i in face_order],
-                            P.vertices[face_order], interior)
+    ring = rank[c.face[P.star_corners]]
+    sizes = np.bincount(c.vertex, minlength=P.n_vertices)
+    star = np.repeat(np.arange(len(sizes)), sizes)
+    least = np.lexsort((ring, star))[np.cumsum(sizes) - sizes]  # each star's least pole
+    rows = np.full((len(sizes), sizes.max(initial=0)), -1)
+    rows[star, (np.arange(len(ring)) - least[star]) % sizes[star]] = ring
+    face_ids, sizes, face_order = _sorted_faces(rows, sizes)
+    return ConvexPolyhedron(pts[order], face_ids, sizes, P.vertices[face_order], interior)

@@ -15,7 +15,8 @@ and white cone metrics of both quadrics: the corners glued around one
 cone point are those linked to one face of the other color, so each
 metric is one sum of corner angles by their links.  The edge clauses are
 one ordered list (`_edge_clauses`, then `_handedness_clauses`):
-assembly raises the first that fails, `validate_tiling` lists them all.
+assembly raises the first that fails, `validate_tiling` lists them all,
+with the forward flags checked against the segments' order in t0.
 
 One corner assembly (`assemble_corners`) builds every tiling from its
 projected corners: `project` reads the corners of a spherical polyhedron
@@ -307,13 +308,17 @@ _EDGE_MESSAGES = [message for side in ("left", "right") for message in (
     lambda e: f"edge {e}: segments do not abut",
     lambda e: f"edge {e}: segments do not cover [t_min, t_max]",
 )] + [lambda e, color=color: f"edge {e}: {color} lengths differ" for color in (BLACK, WHITE)]
+_FORWARD_MESSAGES = [lambda e, side=side: f"edge {e}: side {side} flags other than its later "
+                     "segment forward" for side in ("left", "right")]
 
 
-def _edge_clauses(left, black, t0, t1, t_min, t_max, tol):
+def _edge_clauses(left, black, t0, t1, t_min, t_max, tol, forward=None, sphere=False):
     """The segment clauses of the edges, in the order one edge is checked,
     and the slot order of each edge: per side (left, then right) one black
     and one white segment, which abut and cover [t_min, t_max]; then equal
-    black, then equal white lengths.  The handedness clauses follow.  The
+    black, then equal white lengths; then, given the `forward` flags, per
+    side that only its later segment in t0 is forward, save on a whole
+    great circle of the `sphere`.  The handedness clauses follow.  The
     order (E, 4) puts each side's two segments in order of t0 (a stable
     sort, so a tie keeps segment order), left before right, as flat indices
     4 e + slot into the (E, 4) columns.
@@ -338,9 +343,14 @@ def _edge_clauses(left, black, t0, t1, t_min, t_max, tol):
         cover = (np.abs(t0_lo - t_min) > tol) | (np.abs(t1_hi - t_max) > tol)
         length = vals[1, :, 2:] - vals[0, :, 2:]
         unequal = np.abs(length[0] - length[1]) > tol
+        whole = np.abs(t_max - t_min - 2 * np.pi) <= tol
     fails = np.array([~pair_ok, pair_ok & abut, pair_ok & cover]).swapaxes(0, 1)
     clauses = list(zip([*fails.reshape(6, -1), *unequal], _EDGE_MESSAGES))
-    return clauses, order.transpose(2, 1, 0).reshape(-1, 4)
+    order = order.transpose(2, 1, 0).reshape(-1, 4)
+    if forward is not None:
+        misflagged = (forward.take(order) != _FORWARD).reshape(-1, 2, 2).any(axis=2).T
+        clauses += zip(pair_ok & ~(sphere & whole) & misflagged, _FORWARD_MESSAGES)
+    return clauses, order
 
 
 _FORWARD = np.array([False, True, False, True])  # the positions of the slots as built
@@ -617,10 +627,8 @@ def white_polyhedron(T: FlippableTiling) -> ConvexPolyhedron:
         eu = np.outer(e, e) + np.outer(v, v)
         rot = np.eye(4) + (cos_t - 1.0) * eu + sin_t * (np.outer(e, v) - np.outer(v, e))
         verts = verts @ rot.T
-    links, offsets = T.white.links.tolist(), T.white.offsets.tolist()
-    faces = [tuple(links[a:b]) for a, b in zip(offsets, offsets[1:])]
     try:
-        return from_vertices_and_faces(verts, faces)
+        return from_vertices_and_faces(verts, T.white.links, T.white.sizes)
     except GeometryError as exc:
         raise DevelopmentError(f"developed surface is not a convex polyhedron: {exc}")
 
@@ -901,7 +909,8 @@ def _edge_failures(T, verts, starts, sizes, tol_scale):
     that sit off their geodesic."""
     E = T.edges
     black, rev, face, k, t0, t1 = E.black, E.reversed, E.face, E.face_edge, E.t0, E.t1
-    clauses = _edge_clauses(E.left, black, t0, t1, E.t_min, E.t_max, EPS_PARAM * tol_scale)[0]
+    clauses = _edge_clauses(E.left, black, t0, t1, E.t_min, E.t_max, EPS_PARAM * tol_scale,
+                            E.forward, T.is_spherical)[0]
     # Geometry: the carried polygon edges must sit on the geodesic at the
     # recorded parameters.
     with np.errstate(over="ignore", invalid="ignore"):

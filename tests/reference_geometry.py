@@ -18,6 +18,11 @@ are checked against:
   `stars` and `tilings.project`; and its polar dual as the chart hull of
   its face poles (`reference_polar_dual`), the oracle of
   `polyhedra.polar_dual`;
+- the polyhedron builders that held faces as tuples of vertex ids
+  (`tuple_hull`, `tuple_polar_dual`, `tuple_from_vertices_and_faces`,
+  with the merged faces' id lists of `tuple_face_ids`): the oracles of
+  the face table builders and of `polyhedra.face_sets`, and
+  `face_table`, which turns such tuples into a face table;
 - the vertex stars of a Fuchsian surface one at a time, one record each
   (`Star`, the per-star view of the library's star table): the star builder
   that orders every incident face and compares order keys per call, and the
@@ -68,8 +73,7 @@ are checked against:
   the order the columnar `io.tiling_from_dict` keeps, and the JSON parse
   that reads every integer through a callback (`reference_load_json`),
   the oracles of the library's reader and of its parse; they share
-  `io`'s record-free helpers (`_require_keys`, `_finite_list`,
-  `_numbers`).
+  `io`'s record-free helpers (`_require_keys`, `_numbers`).
 
 It is not collected (its name does not start with `test_`), and no module
 of `src/flipkit` imports it.
@@ -82,6 +86,8 @@ import json
 import math
 
 import numpy as np
+from scipy.spatial import ConvexHull as EuclideanHull
+from scipy.spatial import QhullError
 
 from flipkit.errors import DevelopmentError, GeometryError, SchemaError, SignatureMismatchError
 from flipkit.forms import inv4, mul4
@@ -89,8 +95,10 @@ from flipkit.fuchsian import (HyperbolicAmbient, _cone_angles, _config_on_checke
                               _face_decks, _face_orbits, _link_faces, _star_rows,
                               _wedge_faces, check_rays, orbit_hull, orbit_points,
                               recover_heights)
-from flipkit.io import TILING_SCHEMA, _finite_list, _numbers, _require_keys, _shared_group
-from flipkit.polyhedra import EPS_HEMISPHERE, VertexStars, hull
+from flipkit.io import TILING_SCHEMA, _numbers, _require_keys, _shared_group
+from flipkit.polyhedra import (EPS_HEMISPHERE, ConvexPolyhedron, VertexStars, _canonical_order,
+                               _svd_poles, cyclic_orders, from_chart, hull, merge_triangles,
+                               normalize_rows, qhull_reason, to_chart, triangle_poles)
 from flipkit.spheremath import ADS_STAR, SPHERE_STAR, HyperbolicOps
 from flipkit.tilings import (BLACK, EPS_PARAM, SLOT_COLORS, WHITE, ConeMetric, ConePoint,
                              FlippableTiling, Side, TilingEdges, TilingFaces, _aligned_error,
@@ -335,7 +343,9 @@ def wedge_convexity(surf, vid):
 
 
 def reference_edges(P):
-    """The edges (i, j, fa, fb) of P, i < j, from a dict of vertex pairs."""
+    """The edges (i, j, fa, fb) of P, i < j, from a dict of vertex pairs.
+    An edge that does not border two faces raises, then one that both its
+    faces run the same way."""
     found = {}
     for fi, face in enumerate(P.faces):
         k = len(face)
@@ -343,12 +353,14 @@ def reference_edges(P):
             i, j = face[t], face[(t + 1) % k]
             key = (min(i, j), max(i, j))
             found.setdefault(key, []).append(fi)
-    edges = []
     for (i, j), fs in sorted(found.items()):
         if len(fs) != 2:
             raise GeometryError(f"edge {(i, j)} borders {len(fs)} faces")
-        edges.append((i, j, fs[0], fs[1]))
-    return tuple(edges)
+    for (i, j), (fa, fb) in sorted(found.items()):
+        forward = [f[(f.index(i) + 1) % len(f)] == j for f in (P.faces[fa], P.faces[fb])]
+        if forward[0] == forward[1]:
+            raise GeometryError(f"faces {fa} and {fb} run edge {(i, j)} the same way")
+    return tuple((i, j, fa, fb) for (i, j), (fa, fb) in sorted(found.items()))
 
 
 def reference_face_cycles(P):
@@ -415,6 +427,105 @@ def reference_polar_dual(P):
     if D.n_vertices != P.n_faces:
         raise GeometryError("duality lost a face pole; P is degenerate")
     return D
+
+
+# -- the face builders one tuple at a time -------------------------------------------
+
+
+def face_table(faces):
+    """The face table (vertex ids face after face, sizes) of faces given as
+    tuples of vertex ids."""
+    return (np.fromiter(itertools.chain.from_iterable(faces), np.intp),
+            np.array([len(f) for f in faces], dtype=np.intp))
+
+
+def tuple_polyhedron(vertices, faces, face_poles, interior, validate=True):
+    """A `ConvexPolyhedron` of faces given as tuples of vertex ids."""
+    return ConvexPolyhedron(vertices, *face_table(faces), face_poles, interior, validate)
+
+
+def tuple_face_ids(simplices, poles):
+    """Per merged face of `merge_triangles`, its least triangle and its
+    vertex ids, ascending, as lists, face by face: the oracle of
+    `polyhedra.face_sets`."""
+    first, triangle_face = merge_triangles(poles)
+    sizes = np.bincount(triangle_face, minlength=len(first))
+    ids = np.sort(simplices[first], axis=1).tolist()
+    members = np.split(np.argsort(triangle_face, kind="stable"), np.cumsum(sizes)[:-1])
+    for k in np.nonzero(sizes > 1)[0]:
+        ids[k] = np.unique(simplices[members[k]]).tolist()
+    return first, ids
+
+
+def tuple_hull(points):
+    """`polyhedra.hull` with its faces ordered one tuple at a time and
+    sorted as Python sorts tuples: the oracle of its face table."""
+    pts = normalize_rows(np.atleast_2d(np.asarray(points, dtype=float)))
+    if pts.shape[0] < 4 or pts.shape[1] != 4:
+        raise GeometryError("hull needs at least 4 points of S3")
+    chart = to_chart(pts)
+    try:
+        ch = EuclideanHull(chart)
+    except QhullError as exc:
+        raise GeometryError(f"degenerate input: {qhull_reason(exc)}") from exc
+    keep = np.sort(ch.vertices)
+    interior = from_chart(chart[keep].mean(axis=0)[None, :])[0]
+    tri_poles, _ = triangle_poles(pts, ch.simplices, SPHERE_STAR, interior)
+    first, ids = tuple_face_ids(ch.simplices, tri_poles)
+    poles = _svd_poles(pts[ch.simplices[first]], interior)
+    keep = keep[_canonical_order(pts[keep])]
+    rank = np.empty(len(pts), dtype=int)
+    rank[keep] = np.arange(len(keep))
+    verts, chart = pts[keep], chart[keep]
+    sizes = np.array([len(f) for f in ids])
+    faces = [None] * len(ids)
+    for k in np.unique(sizes).tolist():
+        at = np.flatnonzero(sizes == k)
+        rows = rank[np.array([ids[i] for i in at])]
+        for i, cycle in zip(at.tolist(), cyclic_orders(chart, rows, -poles[at, 1:]).tolist()):
+            faces[i] = tuple(cycle)
+    face_order = sorted(range(len(faces)), key=faces.__getitem__)
+    return tuple_polyhedron(verts, [faces[i] for i in face_order], poles[face_order], interior)
+
+
+def tuple_from_vertices_and_faces(vertices, faces):
+    """`polyhedra.from_vertices_and_faces` on faces given as tuples, its
+    poles taken per face size from lists: the oracle of the table path."""
+    verts = normalize_rows(np.asarray(vertices, dtype=float))
+    interior = from_chart(to_chart(verts).mean(axis=0)[None, :])[0]
+    sizes = np.array([len(f) for f in faces], dtype=int)
+    poles = np.empty((len(faces), 4))
+    for k in np.unique(sizes):
+        sel = np.nonzero(sizes == k)[0]
+        poles[sel] = _svd_poles(verts[np.array([faces[i] for i in sel], dtype=int)], interior)
+    return tuple_polyhedron(verts, faces, poles, interior)
+
+
+def tuple_polar_dual(P):
+    """`polyhedra.polar_dual` with each star's cycle rotated and the faces
+    sorted as Python lists and tuples: the oracle of its face table."""
+    poles = P.face_poles
+    if np.any(poles[:, 0] <= EPS_HEMISPHERE):
+        raise GeometryError(
+            "a face pole leaves the open hemisphere; recenter P so that it "
+            "contains the hemisphere center"
+        )
+    pts = normalize_rows(poles)
+    interior = from_chart(to_chart(pts).mean(axis=0)[None, :])[0]
+    order = _canonical_order(pts)
+    rank = np.empty(len(pts), dtype=np.intp)
+    rank[order] = np.arange(len(pts))
+    c = P.corners
+    ring = rank[c.face[P.star_corners]].tolist()
+    ends = np.cumsum(np.bincount(c.vertex, minlength=P.n_vertices)).tolist()
+    faces = []
+    for a, b in zip([0] + ends[:-1], ends):
+        cycle = ring[a:b]
+        k = cycle.index(min(cycle))
+        faces.append(tuple(cycle[k:] + cycle[:k]))
+    face_order = sorted(range(len(faces)), key=faces.__getitem__)
+    return tuple_polyhedron(pts[order], [faces[i] for i in face_order],
+                            P.vertices[face_order], interior)
 
 
 # -- the corner assembly one color and one side at a time ------------------------
@@ -1662,6 +1773,20 @@ def _ref_floats(rows, width, what):
     return arr
 
 
+def _ref_finite_list(values, what):
+    finite = f"{what}: expected a list of finite numbers"
+    try:
+        arr = np.array(values, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"{what}: not numeric") from exc
+    except OverflowError as exc:  # an integer beyond the float range
+        raise SchemaError(finite) from exc
+    if arr.ndim != 1 or not np.all(np.isfinite(arr)):
+        raise SchemaError(finite)
+    _numbers(values, what)
+    return arr
+
+
 def _ref_objects(items, required, optional, what):
     """A JSON list of objects, each with the given fields."""
     if not isinstance(items, list):
@@ -1814,7 +1939,7 @@ def reference_tiling_from_dict(data):
     if np.any(np.where(is_digon, sizes != 2, sizes < 3)):
         raise SchemaError("face: a digon has two vertices, a polygon at least three")
     angles = np.full(len(faces), np.nan)
-    angles[is_digon] = _finite_list([a for a in digon if a is not None], "digon angles")
+    angles[is_digon] = _ref_finite_list([a for a in digon if a is not None], "digon angles")
     links, n_links = _ref_lists([fd["links"] for fd in faces], "face links")
     refs, n_refs = _ref_lists([fd["edge_refs"] for fd in faces], "face edge_refs")
     decks = [fd.get("decks") for fd in faces]
@@ -1846,8 +1971,8 @@ def reference_tiling_from_dict(data):
     face_edge = _ref_indices([sd["face_edge"] for sd in segs], bound, "segment face_edge")
     if not {type(sd["reversed"]) for sd in segs} <= {bool}:
         raise SchemaError("segment reversed: expected true or false")
-    t0 = _finite_list([sd["t0"] for sd in segs], "segment t0")
-    t1 = _finite_list([sd["t1"] for sd in segs], "segment t1")
+    t0 = _ref_finite_list([sd["t0"] for sd in segs], "segment t0")
+    t1 = _ref_finite_list([sd["t1"] for sd in segs], "segment t1")
     seg_decks, seg_tagged = _ref_decks([sd.get("deck") for sd in segs], "segment deck")
     if ambient == "sphere" and (decked.any() or seg_tagged.any()):
         raise SchemaError("a spherical tiling carries no deck tags: face decks and "
@@ -1857,8 +1982,8 @@ def reference_tiling_from_dict(data):
         direction = _ref_floats([ed["direction"] for ed in edges], 3, "edge direction")
     else:
         base = direction = np.empty((0, 3))
-    t_min = _finite_list([ed["t_min"] for ed in edges], "edge t_min")
-    t_max = _finite_list([ed["t_max"] for ed in edges], "edge t_max")
+    t_min = _ref_finite_list([ed["t_min"] for ed in edges], "edge t_min")
+    t_max = _ref_finite_list([ed["t_max"] for ed in edges], "edge t_max")
     if ambient != "sphere" and len(ambient.rays) != count[BLACK]:
         raise SchemaError("ambient rays: expected one ray per black face")
 

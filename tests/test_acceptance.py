@@ -312,7 +312,7 @@ def test_criterion_7_jacobian_assembly(group, solved):
         def omegas(hv):
             pts = np.hstack([np.cos(hv)[:, None], np.sin(hv)[:, None] * t])
             newverts = np.array([pts[order[i]] for i in range(P.n_vertices)])
-            Q = ConvexPolyhedron(newverts, P.faces, P.face_poles, P.interior,
+            Q = ConvexPolyhedron(newverts, P.face_ids, P.sizes, P.face_poles, P.interior,
                                  validate=False)
             return sph_star_cone_angles(Q, order)
 

@@ -23,7 +23,7 @@ from flipkit import cli, fuchsian
 from flipkit import io as fio
 from flipkit.cli import main
 from flipkit.errors import FlipkitError, SchemaError
-from flipkit.polyhedra import polar_dual
+from flipkit.polyhedra import ConvexPolyhedron, polar_dual
 from flipkit.render import render_svg
 from flipkit.tilings import (
     FlippableTiling,
@@ -36,7 +36,8 @@ from flipkit.tilings import (
 )
 from reference_geometry import (Face, faces_table, reference_load_json, reference_tiling_from_dict,
                                 tiling_congruence_error, tiling_faces)
-from test_digests import QUOTIENT_PROJECT_SEED, SPHERE_CLI_SEED, quotient_surfaces
+from test_digests import (QUOTIENT_PROJECT_SEED, SPHERE_CLI_COMMANDS, SPHERE_CLI_SEED,
+                          quotient_surfaces)
 from test_exit_contract import BASES, DROP, EXTRA, MUTANTS, NEG_ZERO, PATHS
 from test_tilings import spread_polygon
 
@@ -508,6 +509,20 @@ def test_polyhedron_without_faces_rehulled(tmp_path, tetrahedron):
     assert P.faces == tetrahedron.faces
 
 
+def test_sphere_cli_reads_the_face_tables_only(tmp_path, monkeypatch):
+    # the six sphere-cli commands on a corpus polyhedron never read the
+    # tuple view of a polyhedron's faces
+    def refuse(P):
+        raise AssertionError("ConvexPolyhedron.faces was read")
+
+    monkeypatch.chdir(tmp_path)
+    P = random_polyhedron(np.random.default_rng(SPHERE_CLI_SEED), 9)
+    fio.dump_json(fio.polyhedron_to_dict(P), "p.json")
+    monkeypatch.setattr(ConvexPolyhedron, "faces", property(refuse))
+    for argv in SPHERE_CLI_COMMANDS:
+        assert main([a.format(src="p.json") for a in argv]) == 0, argv[0]
+
+
 def test_unknown_fields_rejected(tmp_path, tetrahedron):
     d = fio.polyhedron_to_dict(tetrahedron)
     d["extra"] = 1
@@ -852,6 +867,32 @@ def test_cli_check_counts_the_cells_of_a_sphere_tiling(tmp_path, capsys):
         assert validate_tiling(T).ok, validate_tiling(T).first
 
 
+def inverted(T):
+    """T with every forward flag inverted and the other handedness: the
+    handedness clause still holds, the segments' order in t0 does not."""
+    E = dataclasses.replace(T.edges, forward=~T.edges.forward)
+    return FlippableTiling(T.handedness.other, T.black, T.white, E, T.ambient)
+
+
+def test_cli_refuses_forward_flags_against_the_segment_order(tmp_path, capsys):
+    T = project(random_polyhedron(np.random.default_rng(3), 8), Side.LEFT)
+    report = validate_tiling(inverted(T))
+    assert report.failures == [f"edge {e}: side {side} flags other than its later segment "
+                               "forward" for e in range(len(T.edges)) for side in ("left", "right")]
+    path, out = str(tmp_path / "inverted.json"), str(tmp_path / "flipped.json")
+    fio.dump_json(fio.tiling_to_dict(inverted(T)), path)
+    capsys.readouterr()
+    assert main(["check", "--in", path]) == 3
+    assert f"tiling INVALID: {report.first}" in capsys.readouterr().out
+    assert main(["flip", "--in", path, "--out", out]) == 3
+    assert report.first in capsys.readouterr().err
+    assert not os.path.exists(out)
+    # on a whole great circle which segment is forward is a free choice
+    for side in Side:
+        C = make_two_circles_tiling([0.1, 0.2, 1.0], [1.0, 0.0, 0.3], side)
+        assert validate_tiling(C).ok and validate_tiling(inverted(C)).ok
+
+
 def test_cli_check_rejects_tiny_tetrahedron(tmp_path):
     t = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]]) / np.sqrt(3)
     verts = np.hstack([np.ones((4, 1)), 1e-12 * t])
@@ -1061,6 +1102,27 @@ def test_cli_check_rejects_malformed_polyhedron_faces(tmp_path, capsys, tetrahed
     f.write_text(json.dumps(d))
     assert main(["check", "--in", str(f)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_cli_refuses_a_polyhedron_face_listed_the_other_way(tmp_path, capsys):
+    # one face reversed: both faces at each of its edges run the edge the
+    # same way, which every command that loads the file refuses; every face
+    # reversed still loads and projects
+    P = random_polyhedron(np.random.default_rng(SPHERE_CLI_SEED), 8)
+    d = fio.polyhedron_to_dict(P)
+    d["faces"][0] = d["faces"][0][::-1]
+    path, out = str(tmp_path / "p.json"), str(tmp_path / "out.json")
+    fio.dump_json(d, path)
+    capsys.readouterr()
+    for command in ("check", "dual", "project"):
+        argv = [command, "--in", path] + ([] if command == "check" else ["--out", out])
+        assert main(argv) == 3
+        assert "the same way" in capsys.readouterr().err
+    d["faces"] = [f[::-1] for f in fio.polyhedron_to_dict(P)["faces"]]
+    fio.dump_json(d, path)
+    assert main(["check", "--in", path]) == 0
+    assert main(["project", "--in", path, "--out", out]) == 0
+    assert main(["check", "--in", out]) == 0
 
 
 def test_cli_tol_env_must_be_numeric(tmp_path, monkeypatch, tetrahedron):

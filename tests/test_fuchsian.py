@@ -1655,7 +1655,7 @@ def test_star_jacobian_matches_fd():
             pts = np.hstack([np.cos(hv)[:, None], np.sin(hv)[:, None] * t])
             newverts = np.array([pts[order[i]] for i in range(P.n_vertices)])
             Q = ConvexPolyhedron(
-                newverts, P.faces, P.face_poles, P.interior, validate=False
+                newverts, P.face_ids, P.sizes, P.face_poles, P.interior, validate=False
             )
             return sph_star_cone_angles(Q, order)
 
@@ -1680,7 +1680,8 @@ def test_star_jacobian_rejects_reflex_edge():
     h = h.copy()
     h[order[0]] = 0.1
     pts = np.hstack([np.cos(h)[:, None], np.sin(h)[:, None] * t])
-    Q = ConvexPolyhedron(pts[order], P.faces, P.face_poles, P.interior, validate=False)
+    Q = ConvexPolyhedron(pts[order], P.face_ids, P.sizes, P.face_poles, P.interior,
+                         validate=False)
     with pytest.raises(GeometryError, match="not convex"):
         sph_star_jacobian(Q, order)
 

@@ -9,11 +9,11 @@ from scipy.spatial import ConvexHull as EuclideanHull
 from conftest import corner_angles, edge_lengths, random_polyhedron, regular_tetrahedron
 from flipkit import io as fio
 from flipkit import polyhedra
-from flipkit.errors import GeometryError
+from flipkit.errors import GeometryError, SchemaError
 from flipkit.polyhedra import (
     EPS_HEMISPHERE,
     MERGE_TOL,
-    ConvexPolyhedron,
+    face_sets,
     from_chart,
     from_vertices_and_faces,
     hull,
@@ -23,10 +23,11 @@ from flipkit.polyhedra import (
     to_chart,
 )
 from flipkit.spheremath import SphereOps
-from flipkit.tilings import FlippableTiling, Side, project, white_polyhedron
+from flipkit.tilings import FlippableTiling, Side, project, validate_tiling, white_polyhedron
 from reference_geometry import (
     Face,
     cyclic_face_order,
+    face_table,
     faces_table,
     polygon_is_convex,
     reference_edges,
@@ -34,6 +35,11 @@ from reference_geometry import (
     reference_polar_dual,
     reference_project,
     reference_sph_stars,
+    tuple_face_ids,
+    tuple_from_vertices_and_faces,
+    tuple_hull,
+    tuple_polar_dual,
+    tuple_polyhedron,
 )
 
 
@@ -253,7 +259,7 @@ def test_area_budget_four_pi(small_corpus):
 
 def test_from_vertices_and_faces_round_trip(small_corpus):
     P = small_corpus[4]
-    Q = from_vertices_and_faces(P.vertices, P.faces)
+    Q = from_vertices_and_faces(P.vertices, P.face_ids, P.sizes)
     assert Q.faces == P.faces
     np.testing.assert_allclose(Q.face_poles, P.face_poles, atol=1e-9)
 
@@ -300,9 +306,11 @@ def test_merge_triangles_follows_chains():
     step = np.array([0.0, 0.6 * MERGE_TOL, 0.0, 0.0])
     poles = np.array([p, [0.0, 1.0, 0.0, 0.0], p + step, p + 2 * step])
     simplices = np.array([[0, 1, 2], [5, 7, 6], [2, 1, 3], [3, 4, 2]])
-    first, ids = merge_triangles(simplices, poles)
+    first, triangle_face = merge_triangles(poles)
     assert first.tolist() == [0, 1]
-    assert ids == [[0, 1, 2, 3, 4], [5, 6, 7]]
+    assert triangle_face.tolist() == [0, 1, 0, 0]
+    assert csr_rows(*face_sets(simplices, triangle_face, 8)) == [[0, 1, 2, 3, 4], [5, 6, 7]]
+    assert tuple_face_ids(simplices, poles)[1] == [[0, 1, 2, 3, 4], [5, 6, 7]]
 
 
 def test_merge_triangles_matches_all_pairs():
@@ -313,7 +321,8 @@ def test_merge_triangles_matches_all_pairs():
     jitter = rng.uniform(-0.7, 0.7, size=(300, 4)) * MERGE_TOL
     poles = centres[rng.integers(0, 40, size=300)] + jitter
     simplices = np.arange(900).reshape(300, 3)
-    first, ids = merge_triangles(simplices, poles)
+    first, triangle_face = merge_triangles(poles)
+    ids = csr_rows(*face_sets(simplices, triangle_face, 900))
     close = np.linalg.norm(poles[:, None] - poles[None], axis=2) <= MERGE_TOL
     reach = close
     while True:
@@ -325,6 +334,13 @@ def test_merge_triangles_matches_all_pairs():
     assert 40 < len(ref_first) < 300
     assert first.tolist() == ref_first
     assert ids == [np.sort(simplices[reach[f]].ravel()).tolist() for f in ref_first]
+    assert ids == tuple_face_ids(simplices, poles)[1]
+    assert triangle_face.tolist() == [ref_first.index(int(np.argmax(row))) for row in reach]
+
+
+def csr_rows(ids, start):
+    """The rows of a CSR table as lists."""
+    return [ids[a:b].tolist() for a, b in zip(start[:-1], start[1:])]
 
 
 def test_from_vertices_and_faces_poles_are_svd_poles(small_corpus):
@@ -334,7 +350,7 @@ def test_from_vertices_and_faces_poles_are_svd_poles(small_corpus):
 
     for P in small_corpus:
         for Q in (P, polar_dual(P)):
-            check(from_vertices_and_faces(Q.vertices, Q.faces))
+            check(from_vertices_and_faces(Q.vertices, Q.face_ids, Q.sizes))
         for side in Side:
             check(white_polyhedron(project(P, side)))
 
@@ -364,7 +380,7 @@ def test_faces_convex_matches_polygon_oracle(seed, n, dual, swap):
         if len(f) >= 4:
             f[a], f[b] = f[b], f[a]
         faces.append(f)
-    Q = ConvexPolyhedron(P.vertices, faces, P.face_poles, P.interior, validate=False)
+    Q = tuple_polyhedron(P.vertices, faces, P.face_poles, P.interior, validate=False)
     oracle = [polygon_is_convex(Q.face_polygon(fi)) for fi in range(Q.n_faces)]
     assert Q.faces_convex().tolist() == oracle
 
@@ -381,7 +397,8 @@ def random_hull(rng, n):
 def relabelled(rng, P):
     """P rebuilt from its faces, each cycle rotated and the list permuted."""
     faces = [f[k:] + f[:k] for f in P.faces for k in [int(rng.integers(len(f)))]]
-    return from_vertices_and_faces(P.vertices, [faces[i] for i in rng.permutation(len(faces))])
+    faces = [faces[i] for i in rng.permutation(len(faces))]
+    return from_vertices_and_faces(P.vertices, *face_table(faces))
 
 
 @pytest.fixture(scope="module")
@@ -429,21 +446,28 @@ def test_corner_table_raises_the_oracle_messages():
     i, j, fa, fb = P.edges[0]
     m = next(v for v in range(P.n_vertices) if v not in P.faces[fa] + P.faces[fb])
     faces = P.faces + ((i, j, m),)
-    three = ConvexPolyhedron(P.vertices, faces, np.vstack([P.face_poles, P.face_poles[:1]]),
+    three = tuple_polyhedron(P.vertices, faces, np.vstack([P.face_poles, P.face_poles[:1]]),
                              P.interior, validate=False)
-    assert error_message(lambda: from_vertices_and_faces(P.vertices, faces)) == error_message(
-        lambda: reference_edges(three))
+    assert error_message(lambda: from_vertices_and_faces(P.vertices, *face_table(faces))) == (
+        error_message(lambda: reference_edges(three)))
     assert error_message(lambda: project(three, Side.LEFT)) == error_message(
         lambda: reference_project(three, Side.LEFT))
-    # one face turned the other way loads, but the stars at its corners do
-    # not close
+    # one face turned the other way is refused at load: both faces at each
+    # of its edges run that edge the same way
     for fi in range(0, P.n_faces, 3):
         faces = [f[::-1] if k == fi else f for k, f in enumerate(P.faces)]
-        Q = from_vertices_and_faces(P.vertices, faces)
+        Q = tuple_polyhedron(P.vertices, faces, P.face_poles, P.interior, validate=False)
+        message = error_message(lambda: from_vertices_and_faces(P.vertices, *face_table(faces)))
+        assert message == error_message(lambda: reference_edges(Q))
+        assert message.endswith("the same way") and f" {fi} " in message + " "
         assert error_message(lambda: project(Q, Side.LEFT)) == error_message(
-            lambda: reference_project(Q, Side.LEFT))
+            lambda: reference_project(Q, Side.LEFT)) == message
+    # every face turned the other way loads, and projects to valid tilings
+    Q = from_vertices_and_faces(P.vertices, *face_table([f[::-1] for f in P.faces]))
+    for side in Side:
+        assert validate_tiling(project(Q, side)).ok
     # a vertex of no face
-    lone = ConvexPolyhedron(np.vstack([P.interior, P.vertices]),
+    lone = tuple_polyhedron(np.vstack([P.interior, P.vertices]),
                             [tuple(v + 1 for v in f) for f in P.faces], P.face_poles,
                             P.interior, validate=False)
     assert error_message(lambda: project(lone, Side.LEFT)) == error_message(
@@ -457,6 +481,11 @@ def coplanar_hull(rng, kind, k):
     """The hull of a prism, antiprism, bipyramid or pyramid over a regular
     k-gon in the chart, under a random linear map and a small shift: faces
     of four or more corners, or vertices of four or more faces."""
+    return hull(coplanar_points(rng, kind, k))
+
+
+def coplanar_points(rng, kind, k):
+    """The points of `coplanar_hull`."""
     a = 2 * np.pi * np.arange(k) / k
     ring = np.stack([np.cos(a), np.sin(a), np.zeros(k)], axis=1)
     twisted = np.stack([np.cos(a + np.pi / k), np.sin(a + np.pi / k), np.zeros(k)], axis=1)
@@ -467,7 +496,7 @@ def coplanar_hull(rng, kind, k):
                        "pyramid": [ring - 0.4 * up, up]}[kind])
     q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
     m = q * rng.uniform(0.25, 0.6, size=3)
-    return hull(from_chart(chart @ m.T + rng.uniform(-0.02, 0.02, size=3)))
+    return from_chart(chart @ m.T + rng.uniform(-0.02, 0.02, size=3))
 
 
 def generated(kind, seed, n):
@@ -592,3 +621,56 @@ def test_polar_dual_builds_no_hull(small_corpus, monkeypatch):
     monkeypatch.setattr(polyhedra, "EuclideanHull", refuse)
     for P in small_corpus:
         assert polar_dual(polar_dual(P)).faces == P.faces
+
+
+# -- the face table builders against the tuple builders ----------------------------
+
+
+def outcome(build, *args):
+    """The polyhedron.v1 text, face poles and interior of what `build`
+    returns, or the type and message of the error it raises."""
+    try:
+        P = build(*args)
+    except (GeometryError, SchemaError) as exc:
+        return type(exc), str(exc)
+    faces = [list(f) for f in P.faces]  # the tuple writer
+    return (fio.canonical_json({"schema": "polyhedron.v1", "model": "S3", "faces": faces,
+                                "vertices": [[float(x) for x in v] for v in P.vertices]}),
+            P.face_poles.tobytes(), P.interior.tobytes())
+
+
+@settings(max_examples=60)
+@given(kind=st.sampled_from(KINDS), seed=st.integers(0, 2 ** 32 - 1), n=st.integers(4, 14))
+def test_face_tables_match_the_tuple_builders(kind, seed, n):
+    # hull, polar_dual and the loader, as face tables, against the builders
+    # that held faces as tuples: the same polyhedron.v1 bytes and poles, or
+    # the same first error
+    rng = np.random.default_rng(seed)
+    if kind == "polyhedron":
+        r = rng.uniform(0.3, 1.2, size=n)
+        pts = np.hstack([np.cos(r)[:, None],
+                         np.sin(r)[:, None] * normalize_rows(rng.normal(size=(n, 3)))])
+    elif kind == "dual":
+        pts = random_polyhedron(rng, n).face_poles
+    else:
+        pts = coplanar_points(rng, kind, n % 6 + 3)
+
+    flat = from_chart(to_chart(pts) * [1.0, 1.0, 0.0])  # the points in one plane of the chart
+    assert outcome(hull, flat) == outcome(tuple_hull, flat)
+    want = outcome(tuple_hull, pts)
+    assert outcome(hull, pts) == want
+    P = hull(pts)
+    assert dual_json(P) == want[0]
+    assert outcome(polar_dual, P) == outcome(tuple_polar_dual, P)
+    # the loader on the faces as written, rotated and permuted, and with one
+    # face reversed
+    faces = [f[k:] + f[:k] for f in P.faces for k in [int(rng.integers(len(f)))]]
+    flipped = list(P.faces)
+    fi = int(rng.integers(P.n_faces))
+    flipped[fi] = flipped[fi][::-1]
+    for faces in (P.faces, [faces[i] for i in rng.permutation(len(faces))], flipped):
+        data = {"schema": "polyhedron.v1", "model": "S3", "vertices": P.vertices.tolist(),
+                "faces": [list(f) for f in faces]}
+        want = outcome(tuple_from_vertices_and_faces, P.vertices, faces)
+        assert outcome(from_vertices_and_faces, P.vertices, *face_table(faces)) == want
+        assert outcome(fio.polyhedron_from_dict, data) == want

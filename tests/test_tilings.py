@@ -553,6 +553,7 @@ def reference_validate_tiling(T, tol_scale=1.0):
     want = Side.RIGHT if T.handedness is Side.RIGHT else Side.LEFT
     for ei in range(len(T.edges)):
         segs = segments(T.edges, ei)
+        pairs = []
         for side in (Side.LEFT, Side.RIGHT):
             group = sorted(
                 (s for s in segs if s.side is side), key=lambda s: s.t0
@@ -560,6 +561,7 @@ def reference_validate_tiling(T, tol_scale=1.0):
             if len(group) != 2 or {g.color for g in group} != {BLACK, WHITE}:
                 failures.append(f"edge {ei}: side {side.value} lacks black+white pair")
                 continue
+            pairs.append((side, group))
             if abs(group[0].t1 - group[1].t0) > 1e-7 * tol_scale:
                 failures.append(f"edge {ei}: segments do not abut")
             if (abs(group[0].t0 - T.edges.t_min[ei]) > 1e-7 * tol_scale
@@ -571,6 +573,13 @@ def reference_validate_tiling(T, tol_scale=1.0):
             failures.append(f"edge {ei}: black lengths differ")
         if abs(whites[0].length - whites[1].length) > 1e-7 * tol_scale:
             failures.append(f"edge {ei}: white lengths differ")
+        # which segment of a whole great circle is forward is a free choice
+        span = T.edges.t_max[ei] - T.edges.t_min[ei]
+        if not (T.is_spherical and abs(span - 2 * np.pi) <= 1e-7 * tol_scale):
+            for side, group in pairs:
+                if [g.position for g in group] != ["backward", "forward"]:
+                    failures.append(f"edge {ei}: side {side.value} flags other than its later "
+                                    "segment forward")
         for s in blacks:
             expected = "forward" if s.side is want else "backward"
             if s.position != expected:
@@ -916,7 +925,6 @@ def test_validation_and_assembly_share_the_edge_clauses():
         # both ends within the tolerance, the length beyond it
         (changed(white, t0=lambda t: t - 6e-8, t1=lambda t: t + 6e-8), assembled,
          "white lengths differ"),
-        (changed(black, forward=np.logical_not), tilings._assert_handedness, misplaced),
     ]
     assert validate_tiling(T).ok
     assert_same_tiling(FlippableTiling(T.handedness, T.black, T.white, assembled(T)), T)
@@ -926,6 +934,16 @@ def test_validation_and_assembly_share_the_edge_clauses():
         with pytest.raises(GeometryError) as raised:
             check(C)
         assert str(raised.value) == first
+    # a black forward flag turned: its side then flags both or neither of
+    # its segments forward, which fails before the handedness clause
+    C = changed(black, forward=np.logical_not)
+    side = "left" if E.left[ei, black] else "right"
+    assert validate_tiling(C).failures == [
+        f"edge {ei}: side {side} flags other than its later segment forward",
+        f"edge {ei}: {misplaced}"]
+    with pytest.raises(GeometryError) as raised:
+        tilings._assert_handedness(C)
+    assert str(raised.value) == f"edge {ei}: {misplaced}"
 
 
 def test_first_min_max_is_python_min_and_max():
