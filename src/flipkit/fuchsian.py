@@ -36,11 +36,12 @@ cosh) or (sin, cos) differs.  The certificate, the repair and the quotient
 layout read the same columns.  Distances, tangents, angles and face areas
 are the primitives of `spheremath`.
 
-The prescribed-curvature solver builds a hull only to start and after a
-failed repair, and the group keeps the starting hull of the last ray set
-and start heights of each ray count, so repeated solves on one ray set
-build none to start (`_start_surface`).  A line-search trial keeps the
-stars of its current surface at the trial heights when a certificate
+The group keeps the last `orbit_hull` per ray count, and both
+`orbit_hull` and the solver's start (`_start_surface`) try its stars at
+other heights first, so a sweep of heights on one ray set builds its hull
+once; within a solve, a hull is built only after a failed repair.  A
+line-search trial keeps the stars of its current surface at the trial
+heights when a certificate
 (`_fixed_star_trial`) proves that the certified hull there has the same
 stars; where it finds orbit points on the wrong side of star triangles,
 those stars are re-cut through them (`_recut_stars`, a 2-D hull of
@@ -259,9 +260,9 @@ class FuchsianGroup:
     x1^2 + x2^2 - x3^2 = -1, x3 > 0, extended to AdS_3 by fixing x4.
 
     A group keeps what depends on it and on nothing else: its element
-    balls by radius (`ball`), and, per ray count, the certified starting
-    surface of the last ray set and start heights that a solve started
-    from (`_start_surface`).
+    balls by radius (`ball`), and, per ray count, the last certified
+    surface that `orbit_hull` returned, with the heights it was asked for
+    (`_start_surface`).
     """
 
     def __init__(self, generators, genus, vertices, side_normals):
@@ -483,9 +484,10 @@ class FuchsianSurface:
     The faces are those of one of two builds.  An orbit hull truncated at
     displacement `radius` (`orbit_hull`) holds every face of the truncated
     surface.  The surface of certified fixed stars (`_star_surface`, the
-    end of a solve) holds only the triangles of the fundamental stars, one
-    face each, on the ball of radius `radius` = R0 that they were certified
-    on; it has `from_stars` set, and `star_at` refuses its other vertices.
+    end of a solve or an `orbit_hull` on kept rays) holds only the
+    triangles of the fundamental stars, one face each, on the ball of
+    radius `radius` = R0 that they were certified on; it has `from_stars`
+    set, and `star_at` reads its other vertices off the hull.
 
     Vertex vid is the point of ray vid % n moved by elements[vid // n],
     the element with id vid // n of `ball`.  Fans and star cycles start at
@@ -564,16 +566,20 @@ class FuchsianSurface:
     def star_at(self, vid):
         """Star of a hull vertex, as a table of one star.  The fundamental
         ones are cached; any other is certified like them, or
-        GeometryError, as for an id that is no vertex of the hull and for
-        any other vertex of a surface built from its stars."""
+        GeometryError, as for an id that is no vertex of the hull; a
+        surface built from its stars reads them off its hull, built on
+        first need (ball(R0) is a prefix of larger balls: same ids)."""
         if not 0 <= vid < len(self.points4):
             raise GeometryError(f"vertex {vid} is not a vertex of the hull")
         if vid < self.n:
             return self.stars[vid]
         if self.from_stars:
-            raise GeometryError(f"vertex {vid}: this surface holds only its fundamental "
-                                "stars")
+            return self._hull.star_at(vid)
         return _certified_stars(self, [vid])
+
+    @cached_property
+    def _hull(self):
+        return _certified_hull(self.config)
 
     def star_combinatorics(self):
         """The neighbour cycle of each fundamental star as (ray, element id)
@@ -773,12 +779,26 @@ def orbit_hull(config):
     face is ordered when its `face_cycle` is first read, and the faces that
     the projections read are ordered together, one SVD per face size.
 
-    The solver builds one only to start, unless the group kept that
-    start (`_start_surface`), and after a failed repair: a solve that
-    ends on certified stars returns their surface (`_star_surface`),
-    whose faces at the fundamental vertices are those of this hull.
+    The group keeps the last result per ray count, which the solver starts
+    from too (`_start_surface`), and returns it on its rays and heights.
+    On its rays at other heights, when `_fixed_star_trial` certifies its
+    stars there, it returns their surface (`_star_surface`), whose faces at
+    the fundamental vertices are this hull's bit for bit.  The result is
+    read-only (`_freeze`), on copies of the rays and heights: it is shared.
     """
-    return _certified_hull(config)
+    if config.heights is None:
+        raise GeometryError("orbit_hull needs heights")
+    _, kept = config.group._start_cache.get(config.n, (None, None))
+    same = kept is not None and kept.config.rays.tobytes() == config.rays.tobytes()
+    if same and kept.heights.tobytes() == config.heights.tobytes():
+        return kept
+    cfg = _config_on_checked_rays(config.group, kept.config.rays if same
+                                  else config.rays.copy(), config.heights.copy())
+    fixed = same and _fixed_star_trial(kept, cfg)
+    surf = _star_surface(fixed) if fixed else _certified_hull(cfg)
+    _freeze(surf)
+    config.group._start_cache[config.n] = (cfg.heights.tobytes(), surf)
+    return surf
 
 
 def _certified_hull(config, radius=R0):
@@ -1191,49 +1211,42 @@ def jacobian(surf):
 
 
 def _freeze(surf):
-    """Make the arrays of a surface, its star table and its star pass
-    read-only."""
-    for a in (surf.points4, surf.chart, surf.triangles, surf.triangle_face, surf.poles,
-              surf._face_vertices, surf._face_start, surf._incident_faces,
-              surf._incidence_start, *vars(surf.stars).values(), *surf.star_pass):
+    """Make the arrays of a surface, its rays and heights, its star table
+    and its star pass read-only."""
+    for a in (surf.config.rays, surf.heights, surf.points4, surf.chart, surf.triangles,
+              surf.triangle_face, surf.poles, surf._face_vertices, surf._face_start,
+              surf._incident_faces, surf._incidence_start, *vars(surf.stars).values(),
+              *surf.star_pass):
         a.flags.writeable = False
 
 
 def _start_surface(config, h):
     """The certified surface that a solve on the rays of `config` from the
-    start heights h begins on, kept by the group for the last ray set and
-    h of each ray count.
+    start heights h begins on: the `orbit_hull` at h, or, when its
+    vertices are not in convex position, at h blended toward equal
+    heights, which always are; a blend that leaves h unchanged ends the
+    search, and no start is found after 12 tries.
 
-    It is the orbit hull at h, or, when its vertices are not in convex
-    position, at h blended toward equal heights, which always are; a
-    blend that leaves h unchanged ends the search, and no start is found
-    after 12 hulls.  A start that raises is not kept.  One start per ray
-    count bounds what the group keeps however many ray sets are solved on
-    it.  The kept surface is shared by every solve that starts there and
-    is read-only: it is built on read-only copies of the rays and of its
-    heights, so it aliases no caller's array, and its own arrays, star
-    table and star pass are read-only (`_freeze`).
+    `orbit_hull` keeps the surface in the group's one entry per ray count,
+    read-only, and the entry remembers h, so a later solve from h on these
+    rays finds a blended start with no hull and no trial.  A start that
+    raises is not kept.
     """
-    key = (config.rays.tobytes(), h.tobytes())
     cache = config.group._start_cache
-    kept = cache.get(config.n)
-    if kept is not None and kept[0] == key:
-        return kept[1]
-    rays = config.rays.copy()
-    rays.flags.writeable = False
-    h = h.copy()
+    asked, kept = cache.get(config.n, (None, None))
+    if asked == h.tobytes() and kept.config.rays.tobytes() == config.rays.tobytes():
+        return kept
+    h0 = h
     for _ in range(12):
-        h.flags.writeable = False
         try:
-            surf = orbit_hull(_config_on_checked_rays(config.group, rays, h))
+            surf = orbit_hull(_config_on_checked_rays(config.group, config.rays, h))
         except GeometryError:
             blend = 0.5 * h + 0.5 * float(np.mean(h))
             if np.array_equal(blend, h):
                 break
             h = blend
         else:
-            _freeze(surf)
-            cache[config.n] = (key, surf)
+            cache[config.n] = (h0.tobytes(), surf)
             return surf
     raise GeometryError("could not find a feasible starting surface")
 
@@ -1245,11 +1258,12 @@ def solve_prescribed_curvature(config, tol=1e-8, h0=None):
     stalls, the target is reached by continuation along the straight
     segment (inside K(n)) from an evaluated feasible configuration.
 
-    The starting surface is a certified hull, from h0 when it is given: one
+    The starting surface is an `orbit_hull`, from h0 when it is given: one
     height per ray, each strictly inside (0, pi/2), else GeometryError before
     any hull is built.  The group keeps it for the last ray set and start of
     each ray count (`_start_surface`), so a later solve on the same group,
-    rays and start builds no starting hull.  A line-search trial keeps or
+    rays and start builds no starting hull, and one from another h0 on the
+    same rays tries the kept stars first.  A line-search trial keeps or
     repairs the current surface's stars when `_fixed_star_trial` certifies
     them, and builds its certified hull only when the repair fails.  A solve
     that ends on certified stars builds no hull there: it returns the surface

@@ -30,6 +30,7 @@ so this module never imports the Fuchsian one.
 
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -98,9 +99,12 @@ class TilingFaces:
     def __len__(self):
         return len(self.offsets) - 1
 
-    @property
+    @cached_property
     def sizes(self):
-        return np.diff(self.offsets)
+        """The corner count of each face, taken once per table, read-only."""
+        sizes = np.diff(self.offsets)
+        sizes.flags.writeable = False
+        return sizes
 
     def __getitem__(self, i):
         """Face i as a table of its own, to read one face: its columns are

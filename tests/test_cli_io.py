@@ -985,6 +985,35 @@ FUCHSIAN_HEIGHTS = {
 }
 
 
+def test_cli_check_batch_of_fuchsian_configs_builds_one_hull(tmp_path, capsys, monkeypatch):
+    # three configurations on one ray set in one call: the first builds its
+    # orbit hull, the others read the stars the shared group kept; each
+    # prints what it prints when checked alone on a group of its own
+    paths = []
+    for i, h in enumerate([0.6, 0.63, 0.57]):
+        path = tmp_path / f"f{i}.json"
+        fio.dump_json(dict(FUCHSIAN_HEIGHTS, heights=[h]), path)
+        paths.append(str(path))
+    monkeypatch.setattr(fio, "_shared_group", functools.cache(fuchsian.genus2_group))
+    separate = []
+    for path in paths:
+        fio._shared_group.cache_clear()
+        assert main(["check", "--in", path]) == 0
+        separate.append(capsys.readouterr().out)
+    calls = []
+    euclidean = fuchsian.EuclideanHull
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return euclidean(*args, **kwargs)
+
+    monkeypatch.setattr(fuchsian, "EuclideanHull", counting)
+    fio._shared_group.cache_clear()
+    assert main(["check", "--in", paths[0], "--batch", *paths[1:]]) == 0
+    assert len(calls) == 1
+    assert capsys.readouterr().out == "".join(separate)
+
+
 def test_word_length_keys_are_written_as_the_defaults():
     # kept for format compatibility only: any integer is accepted, and
     # flipkit writes 10 (fuchsian.v1) and 4 and 10 (tiling.v1) back

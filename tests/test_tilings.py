@@ -320,6 +320,18 @@ def test_flip_refuses_degenerate():
         flip(T)
 
 
+def test_face_sizes_are_taken_once_per_table(small_corpus):
+    W = project(small_corpus[5], Side.LEFT).white
+    sizes = W.sizes
+    assert W.sizes is sizes and sizes.tolist() == np.diff(W.offsets).tolist()
+    with pytest.raises(ValueError, match="read-only"):
+        sizes[0] = sizes[0]
+    # a face read alone and a table with other offsets take sizes of their own
+    assert W[2].sizes.tolist() == [sizes[2]] and W[-1].sizes.tolist() == [sizes[-1]]
+    cut = replace(W, offsets=W.offsets[:3])
+    assert cut.sizes.tolist() == sizes[:2].tolist() and W.sizes is sizes
+
+
 # -- recolor ---------------------------------------------------------------------
 
 
