@@ -32,9 +32,11 @@ on `spheremath.ADS_STAR` or `SPHERE_STAR`) returns the edge lengths, apex
 angles and wedge angles of all rows in one pass.  The cone angles are the
 cycle sums of its wedge angles, and one assembly (`_assemble`) builds the
 Jacobian of either quadric from the same pass; only the family (sinh,
-cosh) or (sin, cos) differs.  The certificate, the repair and the quotient
-layout read the same columns.  Distances, tangents, angles and face areas
-are the primitives of `spheremath`.
+cosh) or (sin, cos) differs.  The certificate, the repair, the dual and
+the quotient layout read the same columns, and what they all derive from
+them (rows, sizes, wedge triangles, links, true-edge rows) the table
+derives once and keeps.  Distances, tangents, angles and face areas are
+the primitives of `spheremath`.
 
 The group keeps the last `orbit_hull` per ray count, and both
 `orbit_hull` and the solver's start (`_start_surface`) try its stars at
@@ -84,7 +86,7 @@ checks the tiling against it and assembles the other projection once.
 import itertools
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -103,7 +105,7 @@ from .polyhedra import (
     qhull_reason,
     triangle_poles,
 )
-from .spheremath import ADS_STAR, SPHERE_STAR, HyperbolicOps, cycle_sums
+from .spheremath import ADS_STAR, SPHERE_STAR, HyperbolicOps
 from .tilings import (
     BLACK,
     WHITE,
@@ -479,7 +481,7 @@ def _config_on_checked_rays(group, rays, heights):
 class FuchsianSurface:
     """A convex Fuchsian surface: its faces, with the certified stars at
     the fundamental vertices as one `VertexStars` table, `stars`, and their
-    `_star_pass`, `star_pass`, taken on first read unless handed over.
+    `star_geometry`, `star_pass`, taken on first read unless handed over.
 
     The faces are those of one of two builds.  An orbit hull truncated at
     displacement `radius` (`orbit_hull`) holds every face of the truncated
@@ -559,16 +561,20 @@ class FuchsianSurface:
 
     @cached_property
     def star_pass(self):
-        """The `_star_pass` of `stars`: what `cone_angles`, `curvatures`,
-        `jacobian` and `minkowski_dual` read."""
-        return _star_pass(self.stars, self.points4)
+        """The `star_geometry` of `stars`: what `cone_angles`,
+        `curvatures`, `jacobian` and `minkowski_dual` read."""
+        return star_geometry(self.stars, self.points4)
 
     def star_at(self, vid):
         """Star of a hull vertex, as a table of one star.  The fundamental
         ones are cached; any other is certified like them, or
         GeometryError, as for an id that is no vertex of the hull; a
         surface built from its stars reads them off its hull, built on
-        first need (ball(R0) is a prefix of larger balls: same ids)."""
+        first need (ball(R0) is a prefix of larger balls: same ids).  On a
+        hull certified at R0, a non-fundamental vertex almost always
+        answers with GeometryError: its star is incomplete, not a disk or
+        not certified there.  `check_equivariance` builds its own wider
+        hull for the stars it reads."""
         if not 0 <= vid < len(self.points4):
             raise GeometryError(f"vertex {vid} is not a vertex of the hull")
         if vid < self.n:
@@ -895,7 +901,7 @@ def _star_surface(fixed):
     fixed stars.
     """
     stars, points4 = fixed.stars, fixed.points4
-    tris = np.sort(_wedge_triangles(stars), axis=1)
+    tris = np.sort(stars.wedge_triangles, axis=1)
     m = len(points4)
     _, first, face = np.unique((tris[:, 0] * m + tris[:, 1]) * m + tris[:, 2],
                                return_index=True, return_inverse=True)
@@ -948,13 +954,6 @@ def _fixed_star_trial(surf, config):
     return _FixedStars(surf, config, points4, stars, poles)
 
 
-def _wedge_triangles(stars):
-    """The triangle (v, y_j, y_j+1) of each row j of the star table
-    `stars`, (rows, 3) in stacking order."""
-    star, nxt, _ = _star_rows(stars.offsets)
-    return np.stack([stars.vertex[star], stars.neighbors, stars.neighbors[nxt]], axis=1)
-
-
 def _star_certificate(stars, points4, margin, config):
     """The certificate of `_fixed_star_trial` on `stars` with their
     vertices at points4: (poles, wrong, planes), the future unit poles p_t
@@ -963,7 +962,7 @@ def _star_certificate(stars, points4, margin, config):
     planes that every triangle is a space-like plane visible from the
     chart origin which passes the `_supports_orbit` bound with its
     margin."""
-    tris = _wedge_triangles(stars)
+    tris = stars.wedge_triangles
     poles, q = triangle_poles(points4, tris, ADS_STAR, ADS_STAR.e)
     # <x, p> under the form is the Euclidean product with form * p; a NaN
     # side is wrong too
@@ -994,7 +993,7 @@ def _recut_stars(stars, points4, poles, wrong, keys):
     share one pass: the candidates from one mask, the images from one
     `einsum` and one sort, then a pure-Python hull per star.
     """
-    col_star, _, _ = _star_rows(stars.offsets)
+    col_star = stars.rows[0]
     first = stars.offsets[:-1]
     covectors = poles * ADS_STAR.form
     a, u = np.add.reduceat(covectors, first), covectors[first]
@@ -1079,27 +1078,17 @@ def _truncated_hull(config, radius):
 # -- the star kernel: cone angles and the Jacobian --------------------------------
 
 
-def _star_rows(offsets):
-    """Per row of the stars stacked at `offsets`: its star, and the rows of
-    the next and of the previous neighbour in that star's cycle."""
-    offsets = np.asarray(offsets, dtype=np.intp)
-    sizes = np.diff(offsets)
-    star = np.repeat(np.arange(len(sizes)), sizes)
-    first, size = offsets[star], sizes[star]
-    k = np.arange(offsets[0], offsets[-1]) - first
-    return star, first + (k + 1) % size, first + (k - 1) % size
-
-
-def star_geometry(xs, ys, offsets, sig=ADS_STAR):
+def star_geometry(stars, pts, sig=ADS_STAR):
     """Edge lengths ell, apex angles rho_x at the star vertex and rho_s at
-    the neighbours, and wedge angles omega of stacked stars: star i has its
-    vertex at xs[i] and its neighbour cycle at ys[offsets[i]:offsets[i + 1]].
-    Each result is one row per neighbour, stacked the same way; omega[j]
-    lies between neighbour j and the next one of its star.  One star is the
-    call with offsets [0, m].  `sig` is the star quadric, `ADS_STAR` or
-    `SPHERE_STAR`."""
-    star, nxt, _ = _star_rows(offsets)
-    x, m = xs[star], len(ys)
+    the neighbours, and wedge angles omega of the star table `stars` with
+    its vertices at `pts`: each result is one row per row of the table, and
+    omega[j] lies between neighbour j and the next one of its star.  One
+    star is the table `stars[i]`.  `sig` is the star quadric, `ADS_STAR` or
+    `SPHERE_STAR`.  This is the star pass that the cone angles and
+    `_assemble` read."""
+    star, nxt, _ = stars.rows
+    x, ys = pts[stars.vertex[star]], pts[stars.neighbors]
+    m = len(ys)
     # both ends of every edge in one pass: the tangents at x toward ys, then
     # those at ys toward x
     ends = np.concatenate([x, ys])
@@ -1108,28 +1097,25 @@ def star_geometry(xs, ys, offsets, sig=ADS_STAR):
     return sig.dist(x, ys), rho[:m], rho[m:], sig.angle_between(t[:m], t[nxt])
 
 
-def _star_pass(stars, pts, sig=ADS_STAR):
-    """`star_geometry` of the star table `stars` with its vertices at
-    `pts`: (ell, rho_x, rho_s, omega), one row per row of the table, what
-    `_assemble` reads."""
-    return star_geometry(pts[stars.vertex], pts[stars.neighbors], stars.offsets, sig)
-
-
 def _cone_angles(stars, pts, sig=ADS_STAR):
     """Total wedge angle of each star with its vertices at `pts`: the cycle
-    sums of the wedge angles of its `_star_pass`."""
-    return cycle_sums(_star_pass(stars, pts, sig)[3], np.diff(stars.offsets))
+    sums of the wedge angles of its `star_geometry`."""
+    return stars.cycle_sums(star_geometry(stars, pts, sig)[3])
 
 
 def cone_angle_at(surf, vid):
-    """Total face angle around one hull vertex, from its star."""
+    """Total face angle around one hull vertex, from its star
+    (`FuchsianSurface.star_at`).  At a vertex other than the fundamental
+    ones a surface certified at R0 almost never certifies the star, so
+    this raises GeometryError there; `check_equivariance` builds a wider
+    hull for the stars it reads."""
     return float(_cone_angles(surf.star_at(vid), surf.points4)[0])
 
 
 def cone_angles(surf):
     """Cone angles at the fundamental vertices: the cycle sums of the
     wedge angles of the surface's `star_pass`."""
-    return cycle_sums(surf.star_pass[3], np.diff(surf.stars.offsets))
+    return surf.stars.cycle_sums(surf.star_pass[3])
 
 
 def curvatures(surf):
@@ -1148,7 +1134,11 @@ class JacobianMatrix:
     """Matrix of d(cone angle)_x / d(height)_y with its sign structure."""
 
     matrix: np.ndarray
-    condition: float
+
+    @cached_property
+    def condition(self):
+        """The 2-norm condition number of the matrix, taken on first read."""
+        return float(np.linalg.cond(self.matrix))
 
     def is_diagonally_dominant(self):
         a = self.matrix
@@ -1158,9 +1148,9 @@ class JacobianMatrix:
 
 
 def _assemble(stars, star_pass, index, n, sig):
-    """d omega_x / d h_y from the star table `stars` and its `_star_pass`;
-    vertex v is row and column index(v) of the n x n matrix, `index` taking
-    arrays of vertex ids.
+    """d omega_x / d h_y from the star table `stars` and its
+    `star_geometry`; vertex v is row and column index(v) of the n x n
+    matrix, `index` taking arrays of vertex ids.
 
     Per neighbour y of x, the dihedral sum D of the two wedges at the edge
     xy, each (S rho_other - cos omega S rho_y) / (sin omega C rho_y),
@@ -1168,11 +1158,12 @@ def _assemble(stars, star_pass, index, n, sig):
     convex surface (negative in AdS_3, positive on S^3).  The chain rule
     through the apex triangles gives D C(rho_y) / S(ell) at (x, y) and
     -C(ell) D C(rho_x) / S(ell) on the diagonal; an edge joining x to its
-    own orbit gives D C(rho_x) (1 - C(ell)) / S(ell).
+    own orbit gives D C(rho_x) (1 - C(ell)) / S(ell).  The condition
+    number is taken, and logged, only when the log is at DEBUG.
     """
     S, C = sig.trig.S, sig.trig.C
     ell, rho_x, rho_s, omega = star_pass
-    star, nxt, prv = _star_rows(stars.offsets)
+    _, nxt, prv = stars.rows
     s, c = _scalar_map(S, rho_x), _scalar_map(C, rho_x)
     cos_w, sin_w = _scalar_map(math.cos, omega), _scalar_map(math.sin, omega)
     d = ((s[prv] - cos_w[prv] * s) / (sin_w[prv] * c)
@@ -1187,18 +1178,20 @@ def _assemble(stars, star_pass, index, n, sig):
         raise GeometryError(
             f"surface is not convex along a true edge (dihedral sum {d[j]:.2e})"
         )
-    ix, iy = index(stars.vertex[star][true]), index(stars.neighbors[true])
-    d, c, ell = d[true], c[true], ell[true]
+    ix, iy = index(stars.true_ends)
+    rows = stars.true_rows
+    d, c, ell = d[rows], c[rows], ell[rows]
     s_ell, c_ell = _scalar_map(S, ell), _scalar_map(C, ell)
     loop = ix == iy
     diag = np.where(loop, d * c * (1.0 - c_ell) / s_ell, -c_ell * d * c / s_ell)
-    off = d * _scalar_map(C, rho_s[true]) / s_ell
+    off = d * _scalar_map(C, rho_s[rows]) / s_ell
     # one bincount adds each cell's terms in star and cycle order
     cells = np.concatenate([(ix * n + iy)[~loop], ix * (n + 1)])
-    J = np.bincount(cells, np.concatenate([off[~loop], diag]), n * n).reshape(n, n)
-    cond = float(np.linalg.cond(J))
-    logger.debug("jacobian condition number: %.3e", cond)
-    return JacobianMatrix(J, cond)
+    J = JacobianMatrix(
+        np.bincount(cells, np.concatenate([off[~loop], diag]), n * n).reshape(n, n))
+    if logger.isEnabledFor(logging.DEBUG):
+        logger.debug("jacobian condition number: %.3e", J.condition)
+    return J
 
 
 def jacobian(surf):
@@ -1212,7 +1205,8 @@ def jacobian(surf):
 
 def _freeze(surf):
     """Make the arrays of a surface, its rays and heights, its star table
-    and its star pass read-only."""
+    (the columns it has derived so far too; those it derives later are
+    born read-only) and its star pass read-only."""
     for a in (surf.config.rays, surf.heights, surf.points4, surf.chart, surf.triangles,
               surf.triangle_face, surf.poles, surf._face_vertices, surf._face_start,
               surf._incident_faces, surf._incidence_start, *vars(surf.stars).values(),
@@ -1271,10 +1265,12 @@ def solve_prescribed_curvature(config, tol=1e-8, h0=None):
     it reports.
 
     Returns a dict with heights, achieved curvatures, residual, Jacobian
-    condition number, iteration count and the surface.  Treat the surface
-    as read-only: a solve that takes no Newton step returns the starting
-    surface that the group shares with every solve from that start, whose
-    arrays, star table and star pass refuse writes.
+    condition number, iteration count and the surface.  The condition
+    number is taken once, of the last Newton Jacobian, or of the returned
+    surface's Jacobian when the start already meets the targets.  Treat
+    the surface as read-only: a solve that takes no Newton step returns
+    the starting surface that the group shares with every solve from that
+    start, whose arrays, star table and star pass refuse writes.
     """
     if config.targets is None:
         raise GeometryError("config has no curvature targets")
@@ -1296,18 +1292,17 @@ def solve_prescribed_curvature(config, tol=1e-8, h0=None):
 
     k_now = curvatures(surf)
     iterations = 0
-    last_cond = float("nan")
+    last_jacobian = None
 
     # the Newton state: heights, surface and its curvatures; the surface
     # keeps the star pass that the next Jacobian reads
     def newton_to(target, h, surf, k_now):
-        nonlocal iterations, last_cond
+        nonlocal iterations, last_jacobian
         r = k_now - target
         for _ in range(MAX_NEWTON):
             if np.max(np.abs(r)) <= tol:
                 return h, surf, k_now, True
-            Jm = jacobian(surf)
-            last_cond = Jm.condition
+            Jm = last_jacobian = jacobian(surf)
             # k = 2 pi - omega, so dk/dh = -J; a singular J ends the solve,
             # since a retry from the same surface meets the same J
             try:
@@ -1377,7 +1372,8 @@ def solve_prescribed_curvature(config, tol=1e-8, h0=None):
         "heights": h,
         "achieved_curvatures": k_now,
         "residual": residual,
-        "jacobian_condition": last_cond,
+        "jacobian_condition": (jacobian(surf) if last_jacobian is None
+                               else last_jacobian).condition,
         "iterations": iterations,
         "surface": surf,
     }
@@ -1388,29 +1384,18 @@ def solve_prescribed_curvature(config, tol=1e-8, h0=None):
 
 @dataclass
 class DualFace:
-    """Face of the dual surface: poles of the faces around one vertex."""
+    """Face of the dual surface: poles of the faces around one vertex, with
+    the hyperbolic area that `minkowski_dual` measured."""
 
     ray_index: int
     vertices: np.ndarray   # (m, 4) on the AdS quadric
     plane_pole: np.ndarray
+    _area: float = field(repr=False)
 
     def area(self):
-        return ADS_STAR.polygon_area(self.vertices)
-
-
-def _link_faces(stars, i):
-    """The faces around star i of the table `stars`, each once, in cyclic
-    order: its vertex link."""
-    lo, hi = stars.offsets[i:i + 2]
-    seq = []
-    for fi in stars.wedge_face[lo:hi].tolist():
-        if not seq or seq[-1] != fi:
-            seq.append(fi)
-    if len(seq) > 1 and seq[0] == seq[-1]:
-        seq.pop()
-    if len(seq) < 3:
-        raise GeometryError("vertex link needs at least three faces")
-    return seq
+        """The Gauss-Bonnet area of the face: `ADS_STAR.polygon_area` of its
+        vertices, bit for bit."""
+        return self._area
 
 
 def minkowski_dual(surf):
@@ -1418,16 +1403,18 @@ def minkowski_dual(surf):
 
     The face dual to the vertex on ray r_i lies in the plane orthogonal to
     the reflected ray and has hyperbolic area equal to minus the vertex
-    curvature.
+    curvature.  Its vertices are the poles of the vertex link (`links` of
+    the star table); all faces are measured in one stacked
+    `polygon_areas` pass.
     """
-    out = []
     ks = curvatures(surf)
-    for vid in range(surf.n):
-        verts = surf.poles[_link_faces(surf.stars, vid)]
-        out.append(
-            DualFace(vid, verts, surf.points4[vid].copy())
-        )
-    return out, ks
+    links = surf.stars.links
+    at = links >= 0
+    sizes = at.sum(axis=1)
+    verts = surf.poles[links[at]]
+    areas = ADS_STAR.polygon_areas(ADS_STAR.corner_angles(verts, sizes), sizes).tolist()
+    return [DualFace(vid, v, surf.points4[vid].copy(), a) for vid, (v, a) in
+            enumerate(zip(np.split(verts, np.cumsum(sizes)[:-1]), areas))], ks
 
 
 # -- projections to hyperbolic tilings --------------------------------------------
@@ -1569,9 +1556,9 @@ def _ads_layout(surf):
     index[faces] = np.arange(len(faces))
     # white faces: the representative copies in cyclic order; black faces:
     # the links at the fundamental vertices; both as padded rows
-    ring, link = (np.array(list(itertools.zip_longest(*rows, fillvalue=-1)), dtype=np.intp).T
-                  for rows in (surf.face_cycles(faces[reps].tolist()),
-                               [_link_faces(stars, vid) for vid in range(n)]))
+    ring = np.array(list(itertools.zip_longest(*surf.face_cycles(faces[reps].tolist()),
+                                               fillvalue=-1)), dtype=np.intp).T
+    link = stars.links.copy()
     w_sizes, b_sizes = (ring >= 0).sum(axis=1), (link >= 0).sum(axis=1)
     w_vertex, b_face = ring[ring >= 0], link[link >= 0]
     nb = len(b_face)
@@ -1579,13 +1566,12 @@ def _ads_layout(surf):
     # one tiling edge per true-edge orbit met at a fundamental vertex: the
     # first star row of each orbit key min((b_v, b_s, id(g_v^-1 g_s)),
     # (b_s, b_v, id(g_s^-1 g_v))), the keys encoded as integers
-    star, _, prv = _star_rows(stars.offsets)
-    true = np.flatnonzero(stars.true_edge)
-    (ev, bv), (es, bs) = (np.divmod(a[true], n) for a in (stars.vertex[star], stars.neighbors))
+    star, _, prv = stars.rows
+    e, (bv, bs) = np.divmod(stars.true_ends, n)
     size = len(surf.ball.mats)
-    rel = surf.ball.relative_ids(np.stack([ev, es]), np.stack([es, ev]))
+    rel = surf.ball.relative_ids(e, e[::-1])
     key = np.minimum((bv * n + bs) * size + rel[0], (bs * n + bv) * size + rel[1])
-    slots = true[np.sort(np.unique(key, return_index=True)[1])]
+    slots = stars.true_rows[np.sort(np.unique(key, return_index=True)[1])]
     v, s = stars.vertex[star[slots]], stars.neighbors[slots]
     fa, fb = stars.wedge_face[prv[slots]], stars.wedge_face[slots]
 
@@ -1918,5 +1904,5 @@ def sph_star_jacobian(P, order):
     """d omega_x / d h_y for a spherical star polyhedron, indexed by ray:
     the assembly of `jacobian` with sin and cos.  Off-diagonal entries are
     positive by convexity."""
-    return _assemble(P.stars, _star_pass(P.stars, P.vertices, SPHERE_STAR),
+    return _assemble(P.stars, star_geometry(P.stars, P.vertices, SPHERE_STAR),
                      np.asarray(order).__getitem__, P.n_vertices, SPHERE_STAR)

@@ -35,7 +35,7 @@ from scipy.spatial import QhullError
 
 from .errors import GeometryError
 from .forms import cross4
-from .spheremath import SPHERE_STAR, SphereOps
+from .spheremath import SPHERE_STAR, SphereOps, cycle_layout, layout_sums
 
 EPS_PLANE = 1e-9
 EPS_HEMISPHERE = 1e-8
@@ -101,7 +101,15 @@ class VertexStars:
     row, true_edge[j] is False for a triangulation diagonal and
     wedge_face[j] is the face of wedge j, -1 for a star re-cut by
     `fuchsian._recut_stars`.  The cone angles are the cycle sums of the
-    wedge angles, one per row, of `fuchsian.star_geometry`."""
+    wedge angles, one per row, of `fuchsian.star_geometry`.
+
+    What the star kernel, the Jacobian, the certificate, the repair, the
+    dual and the quotient layout read of the table beyond its columns is
+    derived once per table, on first read, as read-only arrays: `rows`,
+    `sizes`, the layout of `cycle_sums`, `wedge_triangles`, `links`,
+    `true_rows` and `true_ends`.  A star `stars[i]` and a
+    `dataclasses.replace` copy are tables of their own and derive their
+    own."""
 
     vertex: np.ndarray
     offsets: np.ndarray
@@ -128,6 +136,79 @@ class VertexStars:
         a, b = self.offsets[i:i + 2].tolist()
         return VertexStars(self.vertex[i:i + 1], self.offsets[i:i + 2] - a,
                            self.neighbors[a:b], self.true_edge[a:b], self.wedge_face[a:b])
+
+    @cached_property
+    def sizes(self):
+        """(s,) the number of rows of each star."""
+        return _read_only(np.diff(self.offsets))
+
+    @cached_property
+    def rows(self):
+        """(3, m) per row: its star, and the rows of the next and of the
+        previous neighbour in that star's cycle."""
+        offsets, sizes = self.offsets, self.sizes
+        star = np.repeat(np.arange(len(sizes)), sizes)
+        first, size = offsets[star], sizes[star]
+        k = np.arange(offsets[0], offsets[-1]) - first
+        return _read_only(np.stack([star, first + (k + 1) % size, first + (k - 1) % size]))
+
+    @cached_property
+    def _sum_layout(self):
+        """The `spheremath.cycle_layout` of the stars' rows."""
+        return _read_only(cycle_layout(self.sizes))
+
+    def cycle_sums(self, values):
+        """Per star, the sum of its rows of `values` (one per row) strictly
+        in cycle order: `spheremath.cycle_sums` on the kept layout."""
+        return layout_sums(values, self._sum_layout)
+
+    @cached_property
+    def wedge_triangles(self):
+        """(m, 3) the triangle (v, y_j, y_j+1) of each row j."""
+        star, nxt, _ = self.rows
+        return _read_only(np.stack([self.vertex[star], self.neighbors, self.neighbors[nxt]],
+                                   axis=1))
+
+    @cached_property
+    def true_rows(self):
+        """The rows of the true edges, ascending."""
+        return _read_only(np.flatnonzero(self.true_edge))
+
+    @cached_property
+    def true_ends(self):
+        """(2, t) the vertex and the neighbour of each of `true_rows`."""
+        rows = self.true_rows
+        return _read_only(np.stack([self.vertex[self.rows[0, rows]], self.neighbors[rows]]))
+
+    @cached_property
+    def links(self):
+        """(s, w) the vertex link of each star, padded with -1: the faces of
+        its wedges from its first row on, each run of equal faces once and
+        the last run dropped when its face is that of the first.
+        GeometryError when a link has fewer than three faces.  A loop over
+        the stars: they are few, and a link is read once per table."""
+        faces, offsets = self.wedge_face.tolist(), self.offsets.tolist()
+        links = []
+        for lo, hi in zip(offsets, offsets[1:]):
+            seq = []
+            for fi in faces[lo:hi]:
+                if not seq or seq[-1] != fi:
+                    seq.append(fi)
+            if len(seq) > 1 and seq[0] == seq[-1]:
+                seq.pop()
+            if len(seq) < 3:
+                raise GeometryError("vertex link needs at least three faces")
+            links.append(seq)
+        out = np.full((len(links), max(map(len, links), default=0)), -1, dtype=np.intp)
+        for row, seq in zip(out, links):
+            row[:len(seq)] = seq
+        return _read_only(out)
+
+
+def _read_only(a):
+    """The array a, its writes refused."""
+    a.flags.writeable = False
+    return a
 
 
 @dataclass(frozen=True, eq=False)

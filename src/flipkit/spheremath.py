@@ -197,14 +197,25 @@ def _cycles(sizes):
     return first, np.arange(len(first)) - first
 
 
+def cycle_layout(sizes):
+    """Per cycle of values stacked with sizes[i] entries each, the
+    positions of its entries in cycle order, padded with -1 to the largest
+    size: the (s, w) gather of `layout_sums`."""
+    sizes = np.asarray(sizes)
+    k = np.arange(sizes.max(initial=0))
+    return np.where(k < sizes[:, None], (np.cumsum(sizes) - sizes)[:, None] + k, -1)
+
+
+def layout_sums(values, layout):
+    """Per row of a `cycle_layout`, the sum of its values strictly in cycle
+    order (np.add.reduceat sums pairwise past eight); a pad adds 0."""
+    return np.add.accumulate(np.append(values, 0.0)[layout], axis=1)[:, -1]
+
+
 def cycle_sums(values, sizes):
     """Per cycle of values stacked with sizes[i] entries each, their sum
-    strictly in cycle order (np.add.reduceat sums pairwise past eight)."""
-    sizes = np.asarray(sizes)
-    _, k = _cycles(sizes)
-    rows = np.zeros((len(sizes), sizes.max()))
-    rows[np.repeat(np.arange(len(sizes)), sizes), k] = values
-    return np.add.accumulate(rows, axis=1)[:, -1]
+    strictly in cycle order."""
+    return layout_sums(values, cycle_layout(sizes))
 
 
 def _vecdot(u, v):

@@ -30,7 +30,9 @@ are checked against:
   stacked star layer of `flipkit.fuchsian`, and the cone angles of a
   surface's stars with its vertices re-embedded at other heights
   (`cone_angles_fixed_combinatorics`), the finite-difference oracle of the
-  Jacobian;
+  Jacobian; and the derivations each reader of a star table made for
+  itself (`former_star_rows`, `former_wedge_triangles`,
+  `former_link_faces`), the oracles of the columns `VertexStars` keeps;
 - the faces of an orbit hull as one record each (`FaceRecord`), the
   per-item view of the face arrays of `fuchsian.FuchsianSurface`, the
   cyclic order of one face (`cyclic_face_order`), the oracle of the batched
@@ -92,9 +94,8 @@ from scipy.spatial import QhullError
 from flipkit.errors import DevelopmentError, GeometryError, SchemaError, SignatureMismatchError
 from flipkit.forms import inv4, mul4
 from flipkit.fuchsian import (HyperbolicAmbient, _cone_angles, _config_on_checked_rays,
-                              _face_decks, _face_orbits, _link_faces, _star_rows,
-                              _wedge_faces, check_rays, orbit_hull, orbit_points,
-                              recover_heights)
+                              _face_decks, _face_orbits, _wedge_faces, check_rays,
+                              orbit_hull, orbit_points, recover_heights)
 from flipkit.io import TILING_SCHEMA, _numbers, _require_keys, _shared_group
 from flipkit.polyhedra import (EPS_HEMISPHERE, ConvexPolyhedron, VertexStars, _canonical_order,
                                _svd_poles, cyclic_orders, from_chart, hull, merge_triangles,
@@ -781,6 +782,44 @@ def star_records(stars):
             for v, lo, hi in zip(stars.vertex.tolist(), offsets, offsets[1:])]
 
 
+# The derivations that each caller of a star table made for itself before
+# the table kept them as columns, as they were: the oracles of `rows`,
+# `wedge_triangles` and `links` of `VertexStars`.
+
+
+def former_star_rows(offsets):
+    """Per row of the stars stacked at `offsets`: its star, and the rows of
+    the next and of the previous neighbour in that star's cycle."""
+    offsets = np.asarray(offsets, dtype=np.intp)
+    sizes = np.diff(offsets)
+    star = np.repeat(np.arange(len(sizes)), sizes)
+    first, size = offsets[star], sizes[star]
+    k = np.arange(offsets[0], offsets[-1]) - first
+    return star, first + (k + 1) % size, first + (k - 1) % size
+
+
+def former_wedge_triangles(stars):
+    """The triangle (v, y_j, y_j+1) of each row j of the star table
+    `stars`, (rows, 3) in stacking order."""
+    star, nxt, _ = former_star_rows(stars.offsets)
+    return np.stack([stars.vertex[star], stars.neighbors, stars.neighbors[nxt]], axis=1)
+
+
+def former_link_faces(stars, i):
+    """The faces around star i of the table `stars`, each once, in cyclic
+    order: its vertex link."""
+    lo, hi = stars.offsets[i:i + 2]
+    seq = []
+    for fi in stars.wedge_face[lo:hi].tolist():
+        if not seq or seq[-1] != fi:
+            seq.append(fi)
+    if len(seq) > 1 and seq[0] == seq[-1]:
+        seq.pop()
+    if len(seq) < 3:
+        raise GeometryError("vertex link needs at least three faces")
+    return seq
+
+
 def reference_vkey(surf, vid):
     """Order key of a vertex: its ray, then the rank of its element."""
     e, b = divmod(vid, surf.n)
@@ -1061,7 +1100,7 @@ def reference_ads_layout(surf):
     black, black_decks = [], []
     black_corner = []
     for vid in range(surf.n):
-        seq = _link_faces(surf.stars, vid)
+        seq = former_link_faces(surf.stars, vid)
         black.append(([(fi, vid) for fi in seq], tuple(face_orbit[fi] for fi in seq)))
         black_decks += [face_deck(fi)[0] for fi in seq]
         black_corner.append(
@@ -1140,7 +1179,7 @@ def dict_ads_layout(surf):
     black, black_rows = [], []
     black_corner = []
     for vid in range(n):
-        seq = _link_faces(surf.stars, vid)
+        seq = former_link_faces(surf.stars, vid)
         black.append(([(fi, vid) for fi in seq], tuple(orbit_of[fi] for fi in seq)))
         black_rows += [index_of[fi] for fi in seq]
         black_corner.append(
@@ -1151,7 +1190,7 @@ def dict_ads_layout(surf):
     # first star row of each orbit key min((b_v, b_s, id(g_v^-1 g_s)),
     # (b_s, b_v, id(g_s^-1 g_v))), the keys encoded as integers
     stars = surf.stars
-    star, _, prv = _star_rows(stars.offsets)
+    star, _, prv = former_star_rows(stars.offsets)
     true = np.flatnonzero(stars.true_edge)
     vertex = stars.vertex[star]
     (ev, bv), (es, bs) = np.divmod(vertex[true], n), np.divmod(stars.neighbors[true], n)

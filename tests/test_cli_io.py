@@ -960,6 +960,29 @@ def test_cli_solve_writes_solution(tmp_path):
     assert "circle" in svg.read_text()  # Poincare disk boundary
 
 
+def test_cli_solve_of_targets_met_at_the_start(tmp_path):
+    # targets equal to the curvatures of the start surface (h = 0.75): the
+    # solve takes no Newton step, and the condition number it writes is
+    # that of the returned surface's Jacobian, a finite number
+    d = {
+        "schema": "fuchsian.v1",
+        "genus": 2,
+        "rays": [{"p": [0.25, 0.15, math.sqrt(1 + 0.25 ** 2 + 0.15 ** 2)]}],
+        "heights": [0.75],
+    }
+    surf = fuchsian.orbit_hull(fio.fuchsian_config_from_dict(d))
+    del d["heights"]
+    d["targets"] = fuchsian.curvatures(surf).tolist()
+    f = tmp_path / "f.json"
+    fio.dump_json(d, f)
+    sol = tmp_path / "sol.json"
+    assert main(["solve", "--in", str(f), "--out", str(sol)]) == 0
+    out = json.loads(sol.read_text())
+    assert out["iterations"] == 0 and out["residual"] == 0.0
+    assert math.isfinite(out["jacobian_condition"])
+    assert out["jacobian_condition"] == fuchsian.jacobian(surf).condition
+
+
 def test_cli_check_fuchsian_with_heights(tmp_path, capsys):
     d = {
         "schema": "fuchsian.v1",
@@ -1220,7 +1243,7 @@ def test_cli_solve_nonconvergence_exit_code(tmp_path, monkeypatch):
 
 def test_cli_solve_singular_jacobian_exit_code(tmp_path, monkeypatch):
     def singular(surf, require_convex=True):
-        return fuchsian.JacobianMatrix(np.zeros((surf.n, surf.n)), math.inf)
+        return fuchsian.JacobianMatrix(np.zeros((surf.n, surf.n)))
 
     monkeypatch.setattr(fuchsian, "jacobian", singular)
     d = {

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import logging
 import math
 import os
 import re
@@ -47,7 +48,8 @@ from flipkit.fuchsian import (
     _certified_hull,
     _truncated_hull,
 )
-from flipkit.spheremath import ADS_STAR, SPHERE_STAR, HyperbolicOps
+from flipkit.polyhedra import VertexStars
+from flipkit.spheremath import ADS_STAR, SPHERE_STAR, HyperbolicOps, cycle_sums
 from flipkit.tilings import (WHITE, FlippableTiling, Side, flip, project,
                              tiling_equality_error, validate_tiling, white_metric)
 from reference_geometry import (
@@ -60,6 +62,9 @@ from reference_geometry import (
     face_records,
     faces_table,
     form,
+    former_link_faces,
+    former_star_rows,
+    former_wedge_triangles,
     least_squares_heights,
     reembedded_points,
     reference_ads_layout,
@@ -699,9 +704,157 @@ def reference_star_rows(offsets):
 def test_star_rows_match_the_star_loop(offsets):
     # per stacked row: its star and the rows of its cyclic neighbours, a
     # one-neighbour star its own both ways
-    rows = fuchsian._star_rows(offsets)
-    assert all(a.dtype == np.intp for a in rows)
+    m = offsets[-1]
+    stars = VertexStars(np.arange(len(offsets) - 1), np.array(offsets, dtype=np.intp),
+                        np.arange(m), np.ones(m, dtype=bool), np.full(m, -1))
+    rows = stars.rows
+    assert rows.dtype == np.intp
     assert [a.tolist() for a in rows] == list(reference_star_rows(offsets))
+
+
+def assert_columns_are_fresh(stars, rng):
+    """Every column the star table keeps equals its fresh derivation by the
+    former helpers, and refuses writes; the links of a table whose star
+    has a link of fewer than three faces raise as the former ones do."""
+    star, nxt, prv = former_star_rows(stars.offsets)
+    true = stars.true_edge
+    fresh = {
+        "rows": np.stack([star, nxt, prv]),
+        "sizes": np.diff(stars.offsets),
+        "wedge_triangles": former_wedge_triangles(stars),
+        "true_rows": np.flatnonzero(true),
+        "true_ends": np.stack([stars.vertex[star][true], stars.neighbors[true]]),
+    }
+    for name, want in fresh.items():
+        got = getattr(stars, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+        assert not got.flags.writeable, name
+    values = rng.uniform(0.0, 2.0, size=len(stars.neighbors))
+    assert (stars.cycle_sums(values).tobytes()
+            == cycle_sums(values, np.diff(stars.offsets)).tobytes())
+    try:
+        links = [former_link_faces(stars, i) for i in range(len(stars))]
+    except GeometryError as exc:
+        with pytest.raises(GeometryError, match=str(exc)):
+            stars.links
+    else:
+        assert [row[row >= 0].tolist() for row in stars.links] == links
+        assert not stars.links.flags.writeable
+    given = {f.name for f in dataclasses.fields(stars)}
+    assert all(not a.flags.writeable for name, a in vars(stars).items() if name not in given)
+
+
+def assert_tables_are_fresh(stars, rng):
+    """`assert_columns_are_fresh` on the table, on each of its stars and on
+    two `dataclasses.replace` copies, one with other wedge faces."""
+    for table in (stars, *(stars[i] for i in range(len(stars))), replace(stars),
+                  replace(stars, wedge_face=stars.wedge_face[::-1].copy())):
+        assert_columns_are_fresh(table, rng)
+
+
+@settings(max_examples=12)
+@given(n=st.integers(1, 3), level=st.floats(0.55, 0.95),
+       offsets=st.lists(st.floats(-0.08, 0.08), min_size=3, max_size=3),
+       direction=st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3),
+       size=st.floats(1e-3, 0.15), seed=st.integers(0, 2 ** 32 - 1))
+def test_star_table_columns_are_their_fresh_derivations(group, n, level, offsets, direction,
+                                                       size, seed):
+    # orbit-hull tables for n = 1-3 (a hull, or the surface of kept or
+    # repaired stars), the stars re-cut at a Newton-sized step and the
+    # stars of an S^3 polyhedron, each with its single-star views and
+    # replace copies; about 0.35 s of Tier-1 in all
+    rng = np.random.default_rng(seed)
+    surf = orbit_hull(config(group, SEED_RAYS[n], heights=level + np.array(offsets[:n])))
+    assert_tables_are_fresh(surf.stars, rng)
+    trial = surf.config.with_heights(surf.heights + size * np.array(direction[:n]))
+    points4 = orbit_points(surf.elements, trial.rays, trial.heights)
+    margin = 4 * fuchsian.MERGE_TOL * np.linalg.norm(points4, axis=1)[:, None]
+    poles, wrong, _ = fuchsian._star_certificate(surf.stars, points4, margin, trial)
+    recut = fuchsian._recut_stars(surf.stars, points4, poles, wrong, surf.order_keys)
+    event("re-cut" if recut is not None else "not re-cut")
+    if recut is not None:
+        assert_tables_are_fresh(recut, rng)
+    assert_tables_are_fresh(random_polyhedron(rng, int(rng.integers(6, 15))).stars, rng)
+
+
+def test_frozen_surface_freezes_its_star_columns(group):
+    # the columns a table derived before `_freeze` are frozen with it, and
+    # those it derives after are born read-only
+    surf = fuchsian._certified_hull(config(group, SEED_RAYS[2], heights=[0.6, 0.7]))
+    surf.stars.rows
+    surf.stars.wedge_triangles
+    fuchsian._freeze(surf)
+    surf.stars.links
+    surf.stars.true_ends
+    assert all(not a.flags.writeable for a in vars(surf.stars).values())
+    assert {"rows", "wedge_triangles", "links", "true_ends"} <= set(vars(surf.stars))
+
+
+def test_jacobian_condition_is_logged_only_at_debug(group, caplog, monkeypatch):
+    # the one log line of the library: one per Jacobian at DEBUG, with the
+    # condition number it reports; at the default level no condition
+    # number is taken for it
+    surf = orbit_hull(config(group, SEED_RAYS[3], heights=[0.7, 0.75, 0.8]))
+    conds = []
+    cond = np.linalg.cond
+
+    def counting(a, *args):
+        conds.append(1)
+        return cond(a, *args)
+
+    monkeypatch.setattr(np.linalg, "cond", counting)
+    with caplog.at_level(logging.WARNING, logger="flipkit.fuchsian"):
+        J = jacobian(surf)
+    assert conds == [] and caplog.records == []
+    with caplog.at_level(logging.DEBUG, logger="flipkit.fuchsian"):
+        Js = [jacobian(surf), jacobian(surf)]
+    assert [r.getMessage() for r in caplog.records] == [
+        f"jacobian condition number: {m.condition:.3e}" for m in Js]
+    assert len(conds) == 2
+    assert J.condition == Js[0].condition == float(cond(J.matrix))
+    assert len(conds) == 3  # J took its own, once
+
+
+def test_seed_99_solve_derives_each_star_table_once(monkeypatch):
+    # the seed-99 round-0 n = 3 solve on a fresh group: each distinct star
+    # table derives its rows and its wedge triangles at most once, the
+    # solve takes one condition number, and the dual measures its faces in
+    # one area pass, whose areas are those of `polygon_area` bit for bit
+    derived = {"rows": [], "wedge_triangles": []}
+    for name, seen in derived.items():
+        prop = getattr(VertexStars, name)
+
+        def counting(stars, f=prop.func, seen=seen):
+            seen.append(stars)
+            return f(stars)
+
+        monkeypatch.setattr(prop, "func", counting)
+    conds = []
+    cond = np.linalg.cond
+
+    def counting_cond(a, *args):
+        conds.append(1)
+        return cond(a, *args)
+
+    monkeypatch.setattr(np.linalg, "cond", counting_cond)
+    out = seed_99_solve(genus2_group(), 3)
+    assert out["iterations"] > 0 and len(conds) == 1
+    for seen in derived.values():
+        assert len({id(t) for t in seen}) == len(seen) > 0
+    passes = []
+    areas = ADS_STAR.polygon_areas
+
+    def counting_areas(*args):
+        passes.append(1)
+        return areas(*args)
+
+    monkeypatch.setattr(ADS_STAR, "polygon_areas", counting_areas)
+    duals, _ = minkowski_dual(out["surface"])
+    got = [df.area() for df in duals]
+    assert len(passes) == 1
+    monkeypatch.undo()
+    assert got == [ADS_STAR.polygon_area(df.vertices) for df in duals]
+    assert all(isinstance(a, float) for a in got)
 
 
 def test_solver_orders_no_face(group, monkeypatch):
@@ -1026,7 +1179,7 @@ def test_solver_singular_jacobian_is_nonconvergence(group, monkeypatch):
 
     def singular(surf):
         calls.append(surf)
-        return fuchsian.JacobianMatrix(np.zeros((surf.n, surf.n)), math.inf)
+        return fuchsian.JacobianMatrix(np.zeros((surf.n, surf.n)))
 
     monkeypatch.setattr(fuchsian, "jacobian", singular)
     cfg = config(group, [(0.25, 0.15)], targets=[-2.0])

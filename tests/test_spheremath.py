@@ -303,9 +303,9 @@ def test_star_quadrics_keep_the_former_bits(name, seed):
 @given(seed=SEEDS)
 def test_sphere_star_geometry_keeps_the_former_bits(seed):
     _, _, P, _ = random_star(np.random.default_rng(seed))
-    for star in star_records(P.stars):
+    for i, star in enumerate(star_records(P.stars)):
         x, ys = P.vertices[star.vertex], P.vertices[star.neighbors]
-        assert_bits(star_geometry(x[None], ys, [0, len(ys)], SPHERE_STAR),
+        assert_bits(star_geometry(P.stars[i], P.vertices, SPHERE_STAR),
                     former_star_geometry(x, ys, "S3"))
 
 
@@ -317,9 +317,9 @@ def surfaces():
 
 def test_ads_star_geometry_and_areas_keep_the_former_bits(surfaces):
     for surf in surfaces:
-        for star in star_records(surf.stars):
+        for i, star in enumerate(star_records(surf.stars)):
             x, ys = surf.points4[star.vertex], surf.points4[star.neighbors]
-            assert_bits(star_geometry(x[None], ys, [0, len(ys)]),
+            assert_bits(star_geometry(surf.stars[i], surf.points4),
                         former_star_geometry(x, ys, "AdS3"))
         for fi in sorted(set(surf.stars.wedge_face.tolist())):
             pts = surf.points4[FaceRecord(surf, fi).vertex_ids]
